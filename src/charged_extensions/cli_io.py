@@ -29,12 +29,9 @@ from . import quasilocal as ql
 from . import sphere_seed as ss
 from . import surgery as su
 from .errors import (
-    ConstructionError,
     DomainError,
     ExtensionError,
-    InternalConsistencyError,
     PreconditionError,
-    VerificationError,
 )
 
 __all__ = [
@@ -796,19 +793,10 @@ def run(config: RunConfig) -> int:
     return _HANDLERS[config.command](config)
 
 
-def _exit_code_for(exc: ExtensionError) -> int:
-    if isinstance(exc, (PreconditionError, DomainError)):
-        return 2
-    if isinstance(exc, (VerificationError, InternalConsistencyError)):
-        return 4
-    if isinstance(exc, ConstructionError):
-        return 3
-    return 3
-
-
 def main(argv=None) -> int:
-    """Entry point: 0 success, 2 precondition or usage violation,
-    3 construction failure, 4 verification failure, 1 I/O failure."""
+    """Entry point: 0 success, 1 I/O failure, 2 usage violation, otherwise
+    the ``exit_code`` of the library error (2 precondition violation,
+    3 construction failure, 4 verification failure)."""
     try:
         config = parse_config(argv)
         return run(config)
@@ -817,7 +805,7 @@ def main(argv=None) -> int:
         return 2
     except ExtensionError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+        return exc.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

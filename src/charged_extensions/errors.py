@@ -1,12 +1,14 @@
 """Exception types shared across the library.
 
-Every failure mode maps to one of four process exit codes:
+Each class carries the process exit code of its failures in ``exit_code``,
+the one table the command line reads:
 
 * 2 for violated preconditions or invalid argument values,
 * 3 for constructive searches that exhaust their budget (collar assembly,
-  smoothing, bending),
-* 4 for verification failures and internal cross-check breakdowns,
-* 1 for anything else.
+  smoothing, bending) and for any other library error,
+* 4 for verification failures and internal cross-check breakdowns.
+
+The command line adds 2 for usage errors and 1 for I/O failures.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 class ExtensionError(Exception):
     """Base class for all library errors."""
 
-    exit_code = 1
+    exit_code = 3
 
 
 class DomainError(ExtensionError):

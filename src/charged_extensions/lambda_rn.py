@@ -397,17 +397,35 @@ def _attach_exact_evaluator(params: RNParams, profile: SampledProfile) -> None:
 def _integrate_profile(params: RNParams, s_grid: np.ndarray, u0: float,
                        v0: float, start_index: int,
                        u_seed: np.ndarray, v_seed: np.ndarray):
-    """Classic fixed-step RK4 on u'' = p'(u)/2 with u' carried as state."""
+    """Classic fixed-step RK4 on u'' = p'(u)/2 with u' carried as state.
+
+    The state is stepped in Python floats.  The acceleration is
+    0.5 * eval_dp(params, u) with eval_dp's operation order; its integer
+    powers go through np.power, which rounds like eval_dp's array power where
+    Python's ** (libm pow) can differ in the last bit, so every sample equals
+    the one an eval_dp-driven loop produces.
+    """
     u = np.empty_like(s_grid)
     v = np.empty_like(s_grid)
     u[:start_index + 1] = u_seed
     v[:start_index + 1] = v_seed
-    h = s_grid[1] - s_grid[0]
+    h = float(s_grid[1] - s_grid[0])
+    n = params.n
+    c_m = 2.0 * params.m * (n - 1)
+    c_q = 2.0 * params.q * params.q * (n - 1)
+    c_lam = 4.0 * params.lam
+    den = n * (n + 1)
+    power = np.power
+    f64 = np.float64
 
     def accel(uu):
-        return 0.5 * eval_dp(params, uu)
+        if not 0.0 < uu < math.inf:
+            raise DomainError("radius must be a positive finite real")
+        x = f64(uu)
+        return 0.5 * float(c_m / power(x, n) - c_q / power(x, 2 * n - 1)
+                           - c_lam * uu / den)
 
-    uu, vv = u[start_index], v[start_index]
+    uu, vv = float(u[start_index]), float(v[start_index])
     for k in range(start_index, len(s_grid) - 1):
         k1u, k1v = vv, accel(uu)
         k2u, k2v = vv + 0.5 * h * k1v, accel(uu + 0.5 * h * k1u)
@@ -425,7 +443,9 @@ def rn_profile(params: RNParams, s_max: float, grid_n: int = 4097) -> SampledPro
     u solves u' = sqrt(p(u)) with u(0) = r_plus and u'(0) = 0; the square
     root is degenerate at s = 0, so the first grid cell is seeded with the
     even Taylor expansion u = r_plus + p'(r_plus) s^2/4 + ... (three terms)
-    and the rest is integrated as u'' = (p' o u)/2 by fixed-step RK4.
+    and the rest is integrated as u'' = (p' o u)/2 by fixed-step RK4.  The
+    RK4 steps use a scalar kernel whose samples are bit for bit those of
+    stepping with eval_dp.
     """
     if s_max <= 0.0 or grid_n < 9:
         raise DomainError("need s_max > 0 and at least 9 grid points")

@@ -485,39 +485,59 @@ def _gl_panels(lo: float, hi: float, breaks, nodes, weights):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _mollified_point(bridge: BridgedProfile, cutoff: _Cutoff, eps: float, t: float):
-    """Values (f, f', f'') of the variable-radius mollification at one point."""
-    eta = float(cutoff.value(t))
-    radius = eps * eta
-    if radius == 0.0:
-        f, df, d2f = bridge.evaluate(t)
-        return float(f[0]), float(df[0]), float(d2f[0])
-    if eta >= 1.0:
-        breaks = [(t - j) / eps for j in bridge.junctions]
-        xs, ws = _gl_panels(-1.0, 1.0, breaks, *_GL64)
-        fv, dfv, d2fv = bridge.evaluate(t - eps * xs)
-        phi = _bump(xs) * ws
-        return float(fv @ phi), float(dfv @ phi), float(d2fv @ phi)
-    xs, ws = _GL64
-    fv, dfv, d2fv = bridge.evaluate(t - radius * xs)
-    phi = _bump(xs) * ws
-    deta, d2eta = cutoff.derivatives(t)
-    chain = 1.0 - eps * deta * xs
-    f = fv @ phi
-    df = (dfv * chain) @ phi
-    d2f = ((d2fv * chain ** 2 - dfv * eps * d2eta * xs)) @ phi
-    return float(f), float(df), float(d2f)
+def _mollified_points(bridge: BridgedProfile, cutoff: _Cutoff, eps: float, ts):
+    """Values (f, f', f'') of the variable-radius mollification at points ts.
+
+    The Gauss nodes of every point go through a single bridge evaluation.
+    The weighted sums stay per-point 1-D dot products and the cutoff
+    derivatives per-point scalar calls, because their batched forms round
+    differently; every value equals the one-point-at-a-time value bit for bit.
+    """
+    ts = np.asarray(ts, dtype=float)
+    etas = cutoff.value(ts)
+    xs64, ws64 = _GL64
+    phi64 = _bump(xs64) * ws64
+    phis, args = [], []
+    for t, eta in zip(ts, etas):
+        radius = eps * eta
+        if radius == 0.0:
+            phi = None
+            args.append(np.array([t]))
+        elif eta >= 1.0:
+            breaks = [(t - j) / eps for j in bridge.junctions]
+            xs, ws = _gl_panels(-1.0, 1.0, breaks, *_GL64)
+            phi = _bump(xs) * ws
+            args.append(t - eps * xs)
+        else:
+            phi = phi64
+            args.append(t - radius * xs64)
+        phis.append(phi)
+    fv, dfv, d2fv = bridge.evaluate(np.concatenate(args))
+
+    out = np.empty((3, ts.size))
+    start = 0
+    for i, (t, eta, phi, arg) in enumerate(zip(ts, etas, phis, args)):
+        f, df, d2f = (v[start:start + arg.size] for v in (fv, dfv, d2fv))
+        start += arg.size
+        if phi is None:
+            out[:, i] = f[0], df[0], d2f[0]
+        elif eta >= 1.0:
+            out[:, i] = f @ phi, df @ phi, d2f @ phi
+        else:
+            deta, d2eta = cutoff.derivatives(t)
+            chain = 1.0 - eps * deta * xs64
+            out[:, i] = (f @ phi, (df * chain) @ phi,
+                         (d2f * chain ** 2 - df * eps * d2eta * xs64) @ phi)
+    return out
 
 
 _FD1_6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 _FD2_6 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 
 
-def _fd_crosscheck(bridge, cutoff, eps, t, h, df_ref, d2f_ref, fmax):
-    """Compare analytic mollified derivatives against sixth-order stencils."""
-    offsets = (np.arange(7) - 3) * h
-    values = np.array([_mollified_point(bridge, cutoff, eps, t + o)[0]
-                       for o in offsets])
+def _fd_crosscheck(t, h, values, df_ref, d2f_ref, fmax):
+    """Compare analytic mollified derivatives at t against sixth-order
+    stencils of the mollified values at t + (-3..3) h."""
     fd1 = float(_FD1_6 @ values) / h
     fd2 = float(_FD2_6 @ values) / (h * h)
     round1 = 8.0 * np.finfo(float).eps * fmax / h
@@ -552,6 +572,8 @@ def mollify_and_certify(bridge: BridgedProfile, q: float, lam: float,
     around the bridge.  The margin infimum of the join away from the two
     junction points sets a floor 3d > 0; eps is halved until the smoothed
     profile stays C^1-close to the join and keeps margin >= d/2 everywhere.
+    Each eps evaluates all of its points in one batch, and the output is bit
+    for bit the one of a point-by-point evaluation.
     """
     a1, b1, a2, b2 = bridge.a1, bridge.b1, bridge.a2, bridge.b2
     mid1 = 0.5 * (a1 + b1)
@@ -580,24 +602,26 @@ def mollify_and_certify(bridge: BridgedProfile, q: float, lam: float,
     tol_val = 0.01 * (1.0 + fmax)
     tol_slope = 0.02 * (1.0 + float(np.max(np.abs(dft))))
     monotone = float(np.min(bridge.left.df)) > 0.0 and float(np.min(bridge.right.df)) > 0.0
+    # Three points in each cutoff band, each followed by its seven stencil
+    # points, cross-check the analytic derivatives of the mollification.
+    checks = []
+    for band_lo, band_hi in ((mid1, cutoff.lo_hi), (cutoff.hi_lo, mid2)):
+        width = band_hi - band_lo
+        checks += [(band_lo + frac * width, width / 64.0)
+                   for frac in (0.35, 0.5, 0.65)]
+    points = np.concatenate(
+        [middle] + [[t, *(t + (np.arange(7) - 3) * h)] for t, h in checks])
 
     eps = 0.5 * min(cutoff.plateau, mid1 - a1, b2 - mid2)
     eps_floor = (b2 - a1) * 2.0 ** -30
     trace = []
     while eps >= eps_floor:
-        fm = np.empty_like(middle)
-        dfm = np.empty_like(middle)
-        d2fm = np.empty_like(middle)
-        for i, t in enumerate(middle):
-            fm[i], dfm[i], d2fm[i] = _mollified_point(bridge, cutoff, eps, t)
-
-        for band_lo, band_hi in ((mid1, cutoff.lo_hi), (cutoff.hi_lo, mid2)):
-            width = band_hi - band_lo
-            h = width / 64.0
-            for frac in (0.35, 0.5, 0.65):
-                t = band_lo + frac * width
-                _, df_ref, d2f_ref = _mollified_point(bridge, cutoff, eps, t)
-                _fd_crosscheck(bridge, cutoff, eps, t, h, df_ref, d2f_ref, fmax)
+        values = _mollified_points(bridge, cutoff, eps, points)
+        fm, dfm, d2fm = values[:, :middle.size]
+        for j, (t, h) in enumerate(checks):
+            at = middle.size + 8 * j
+            _fd_crosscheck(t, h, values[0, at + 1:at + 8], values[1, at],
+                           values[2, at], fmax)
 
         margins = _margin_arrays(n, q, lam, fm, dfm, d2fm)
         min_margin = float(np.min(margins))

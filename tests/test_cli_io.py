@@ -624,7 +624,7 @@ class TestExitCodes:
         ],
     )
     def test_mapping(self, exc, code):
-        assert cli_io._exit_code_for(exc) == code
+        assert exc.exit_code == code
 
     def test_unwritable_output_path_is_an_io_failure(self, tmp_path, capsys):
         rc = cli_io.main(

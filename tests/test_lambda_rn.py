@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from charged_extensions import lambda_rn
 from charged_extensions.errors import DomainError, NotApplicableError
 from charged_extensions.lambda_rn import (
     EXTREMAL,
@@ -226,6 +227,51 @@ def test_rn_profile_mu_domain_errors() -> None:
         rn_profile_mu(SCHWARZSCHILD, 1.0, 4.0, 257)
     with pytest.raises(DomainError):
         rn_profile_mu(SCHWARZSCHILD, 2.0, 4.0, 257)
+    # u = sinh-like growth overflows near s = 709; the step that meets the
+    # infinite radius must raise the typed error, not OverflowError,
+    # ZeroDivisionError or a profile holding inf or NaN.
+    with pytest.raises(DomainError), np.errstate(over="ignore", invalid="ignore"):
+        rn_profile_mu(RNParams(2, 0.0, 0.0, -3.0), 1.0, 2000.0)
+
+
+def _eval_dp_integrate_profile(params, s_grid, u0, v0, start_index, u_seed, v_seed):
+    """Reference RK4 loop stepping with eval_dp, the scalar kernel's oracle."""
+    u = np.empty_like(s_grid)
+    v = np.empty_like(s_grid)
+    u[:start_index + 1] = u_seed
+    v[:start_index + 1] = v_seed
+    h = s_grid[1] - s_grid[0]
+
+    def accel(uu):
+        return 0.5 * eval_dp(params, uu)
+
+    uu, vv = u[start_index], v[start_index]
+    for k in range(start_index, len(s_grid) - 1):
+        k1u, k1v = vv, accel(uu)
+        k2u, k2v = vv + 0.5 * h * k1v, accel(uu + 0.5 * h * k1u)
+        k3u, k3v = vv + 0.5 * h * k2v, accel(uu + 0.5 * h * k2u)
+        k4u, k4v = vv + h * k3v, accel(uu + h * k3u)
+        uu = uu + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        vv = vv + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        u[k + 1], v[k + 1] = uu, vv
+    return u, v
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("q, lam", [(0.0, 0.0), (0.3, 0.0), (0.0, -1.5), (0.3, -1.5)])
+def test_profiles_bitwise_equal_eval_dp_reference(n, q, lam, monkeypatch) -> None:
+    params = RNParams(n, 1.0, q, lam)
+    mu = 1.5 * classify(params).r_plus
+
+    def build():
+        return (rn_profile(params, 6.0, 1025),
+                rn_profile_mu(params, mu, 6.0, 1025))
+
+    fast = build()
+    monkeypatch.setattr(lambda_rn, "_integrate_profile", _eval_dp_integrate_profile)
+    for got, want in zip(fast, build()):
+        for name in ("f", "df", "d2f"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_verify_model_identities_saturation() -> None:

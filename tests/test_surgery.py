@@ -89,6 +89,48 @@ def charged_glue(charged_tail):
     return m_star, m_e, profile, record
 
 
+@pytest.fixture(scope="module")
+def charged_bridge(charged_tail):
+    """The bridge that glue_to_rn mollifies for the charged tail."""
+    bridges = []
+    mollify = su.mollify_and_certify
+
+    def capture(bridge, *args):
+        bridges.append(bridge)
+        return mollify(bridge, *args)
+
+    f_b, df_b = float(charged_tail.f[-1]), float(charged_tail.df[-1])
+    m_star = hawking_rotsym(2, 0.3, -3.0, f_b, df_b)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(su, "mollify_and_certify", capture)
+        su.glue_to_rn(2, charged_tail, m_star, 1.02 * m_star, 0.3, -3.0)
+    return bridges[0]
+
+
+def _reference_mollified_point(bridge, cutoff, eps, t):
+    """One point at a time: the reference for the batched mollification."""
+    eta = float(cutoff.value(t))
+    radius = eps * eta
+    if radius == 0.0:
+        f, df, d2f = bridge.evaluate(t)
+        return float(f[0]), float(df[0]), float(d2f[0])
+    if eta >= 1.0:
+        breaks = [(t - j) / eps for j in bridge.junctions]
+        xs, ws = su._gl_panels(-1.0, 1.0, breaks, *su._GL64)
+        fv, dfv, d2fv = bridge.evaluate(t - eps * xs)
+        phi = su._bump(xs) * ws
+        return float(fv @ phi), float(dfv @ phi), float(d2fv @ phi)
+    xs, ws = su._GL64
+    fv, dfv, d2fv = bridge.evaluate(t - radius * xs)
+    phi = su._bump(xs) * ws
+    deta, d2eta = cutoff.derivatives(t)
+    chain = 1.0 - eps * deta * xs
+    f = fv @ phi
+    df = (dfv * chain) @ phi
+    d2f = ((d2fv * chain ** 2 - dfv * eps * d2eta * xs)) @ phi
+    return float(f), float(df), float(d2f)
+
+
 class TestMarginOperator:
     @pytest.mark.parametrize("params", [
         RNParams(2, 1.0, 0.0, 0.0),
@@ -322,6 +364,25 @@ class TestMollifyAndCertify:
         bridge = su.build_bridge(inputs, shifted)
         with pytest.raises(PreconditionError):
             su.mollify_and_certify(bridge, 0.0, 0.0, 2)
+
+
+    @pytest.mark.parametrize("which", ["line", "charged"])
+    def test_batched_points_bitwise_equal_point_reference(
+            self, which, line_glue, charged_bridge):
+        bridge = line_glue[0] if which == "line" else charged_bridge
+        a1, b1, a2, b2 = bridge.a1, bridge.b1, bridge.a2, bridge.b2
+        mid1, mid2 = 0.5 * (a1 + b1), 0.5 * (a2 + b2)
+        cutoff = su._Cutoff(mid1, b1, a2, mid2)
+        ts = np.concatenate([np.linspace(a1, b2, 301), [mid1, b1, a2, mid2]])
+        etas = cutoff.value(ts)
+        assert np.any(etas == 0.0) and np.any(etas == 1.0)
+        assert np.any((etas > 0.0) & (etas < 1.0))
+        eps0 = 0.5 * min(cutoff.plateau, mid1 - a1, b2 - mid2)
+        for eps in (eps0, eps0 / 8.0):
+            got = su._mollified_points(bridge, cutoff, eps, ts)
+            want = np.array([_reference_mollified_point(bridge, cutoff, eps, t)
+                             for t in ts]).T
+            assert np.array_equal(got, want)
 
 
 class TestBend:

@@ -15,9 +15,12 @@ identity p'(r) = (n-1)*h(r)/r^(2n-1) - (n-1)*p(r)/r at every r > 0.
 
 This module classifies parameter tuples by the largest positive root of p
 (non-degenerate, degenerate, or absent), computes the critical mass of that
-trichotomy, performs the arclength change of variables, and integrates the
-boundary-extended radial profile u with u(0) = r_plus, u'(0) = 0 as well as
-its interior-started variant.
+trichotomy, and performs the arclength change of variables s(r), the
+integral of p^(-1/2).  The boundary-extended radial profile u with
+u(0) = r_plus, u'(0) = 0 and its interior-started variant are sampled by
+inverting s(r) at every grid point: tabulated Gauss-Legendre quadrature of
+s(tau) under r = start + tau^2, then vectorized Newton steps, so that
+u' = sqrt(p(u)) and u'' = p'(u)/2 hold exactly at the samples.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
@@ -52,6 +56,7 @@ __all__ = [
     "classify",
     "critical_mass",
     "radial_coordinate",
+    "model_arclength",
     "rn_profile",
     "rn_profile_mu",
     "verify_model_identities",
@@ -178,12 +183,6 @@ def eval_d2p(params: RNParams, r):
            + 2.0 * q * q * (n - 1) * (2 * n - 1) / arr ** (2 * n)
            - 4.0 * lam / (n * (n + 1)))
     return val if isinstance(val, np.ndarray) and val.ndim else float(val)
-
-
-def _eval_d3p(params: RNParams, r: float) -> float:
-    n, m, q, lam = params.n, params.m, params.q, params.lam
-    return (2.0 * m * n * (n - 1) * (n + 1) / r ** (n + 2)
-            - 4.0 * n * q * q * (n - 1) * (2 * n - 1) / r ** (2 * n + 1))
 
 
 def eval_h(params: RNParams, r):
@@ -394,86 +393,197 @@ def _attach_exact_evaluator(params: RNParams, profile: SampledProfile) -> None:
     profile.evaluator = evaluate
 
 
-def _integrate_profile(params: RNParams, s_grid: np.ndarray, u0: float,
-                       v0: float, start_index: int,
-                       u_seed: np.ndarray, v_seed: np.ndarray):
-    """Classic fixed-step RK4 on u'' = p'(u)/2 with u' carried as state.
+_GL16 = leggauss(16)
+# The first quadrature panel ends at this fraction of sqrt(start); panels
+# double from there.  Near tau = 0 the integrand varies on the scale
+# sqrt(start - r0) set by the nearest root r0 below the start.  That scale
+# is 2^-30 sqrt(start) for the closest start glue_to_rn takes (2^-60 above a
+# degenerate horizon), so even there every panel is smooth on its width.
+_FIRST_PANEL = 2.0 ** -32
+_PANELS_PER_BATCH = 8
+_NEWTON_STEPS = 8
 
-    The state is stepped in Python floats.  The acceleration is
-    0.5 * eval_dp(params, u) with eval_dp's operation order; its integer
-    powers go through np.power, which rounds like eval_dp's array power where
-    Python's ** (libm pow) can differ in the last bit, so every sample equals
-    the one an eval_dp-driven loop produces.
+
+class _Arclength:
+    """The arclength s(r) = integral of p^(-1/2) from a start radius, and its
+    inverse.
+
+    With r = start + tau^2 the arclength is S(tau), the integral of
+    g(t) = 2t / sqrt(p(start + t^2)) from 0 to tau, smooth down to tau = 0
+    also at a horizon.  p(start + t^2) is evaluated as p(start) + t^2 D with
+    D = (p(r) - p(start)) / (r - start) expanded termwise, so no difference
+    of nearby values is taken; at a horizon p(start) = 0 and g = 2/sqrt(D).
+    S is tabulated at the edges of geometric panels by Gauss-Legendre
+    quadrature and inverted at all requested arclengths at once.
     """
-    u = np.empty_like(s_grid)
-    v = np.empty_like(s_grid)
-    u[:start_index + 1] = u_seed
-    v[:start_index + 1] = v_seed
-    h = float(s_grid[1] - s_grid[0])
-    n = params.n
-    c_m = 2.0 * params.m * (n - 1)
-    c_q = 2.0 * params.q * params.q * (n - 1)
-    c_lam = 4.0 * params.lam
-    den = n * (n + 1)
-    power = np.power
-    f64 = np.float64
 
-    def accel(uu):
-        if not 0.0 < uu < math.inf:
-            raise DomainError("radius must be a positive finite real")
-        x = f64(uu)
-        return 0.5 * float(c_m / power(x, n) - c_q / power(x, 2 * n - 1)
-                           - c_lam * uu / den)
+    def __init__(self, params: RNParams, start: float, p_start: float):
+        self.params = params
+        self.start = start
+        self.p_start = p_start
+        # Largest radius whose 2n-th power, the highest power the model
+        # functions take, stays finite.
+        self.r_max = float(np.finfo(float).max) ** (1.0 / (2 * params.n))
+        first = math.sqrt(start) * _FIRST_PANEL
+        self.tau = np.array([0.0, first])
+        self.s = np.array([0.0, float(self._integral(0.0, first))])
 
-    uu, vv = float(u[start_index]), float(v[start_index])
-    for k in range(start_index, len(s_grid) - 1):
-        k1u, k1v = vv, accel(uu)
-        k2u, k2v = vv + 0.5 * h * k1v, accel(uu + 0.5 * h * k1u)
-        k3u, k3v = vv + 0.5 * h * k2v, accel(uu + 0.5 * h * k2u)
-        k4u, k4v = vv + h * k3v, accel(uu + h * k3u)
-        uu = uu + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        vv = vv + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        u[k + 1], v[k + 1] = uu, vv
-    return u, v
+    def _divided(self, r):
+        """D(r) = (p(r) - p(start)) / (r - start) without cancellation."""
+        n, m, q = self.params.n, self.params.m, self.params.q
+        x, y = 1.0 / r, 1.0 / self.start
+        # (r^-k - start^-k) / (r - start) = -x y b_k with
+        # b_k = sum_{j<k} x^(k-1-j) y^j, built as b_{k+1} = x b_k + y^k;
+        # the mass term takes k = n-1, the charge term k = 2(n-1).
+        b, y_k = np.ones_like(x), 1.0
+        for k in range(1, 2 * n - 2):
+            if k == n - 1:
+                b_mass = b
+            y_k = y_k * y
+            b = x * b + y_k
+        k_lam = 2.0 * self.params.lam / (n * (n + 1))
+        return (x * y * (2.0 * m * b_mass - q * q * b)
+                - k_lam * (r + self.start))
+
+    def _rate(self, tau):
+        """dr/ds = sqrt(p(start + tau^2))."""
+        return np.sqrt(self.p_start
+                       + tau * tau * self._divided(self.start + tau * tau))
+
+    def _speed(self, tau):
+        """ds/dtau = 2 tau / sqrt(p(start + tau^2))."""
+        if self.p_start == 0.0:
+            return 2.0 / np.sqrt(self._divided(self.start + tau * tau))
+        return 2.0 * tau / self._rate(tau)
+
+    def _integral(self, lo, hi):
+        """Integral of the speed over [lo, hi], elementwise, one panel each."""
+        nodes, weights = _GL16
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        half = 0.5 * (hi - lo)
+        tau = half[..., None] * nodes + (0.5 * (hi + lo))[..., None]
+        return half * (self._speed(tau) @ weights)
+
+    def _grow(self, covered) -> None:
+        """Append doubling panels until covered(table) holds."""
+        while not covered():
+            last = self.tau[-1]
+            edges = last * 2.0 ** np.arange(1, _PANELS_PER_BATCH + 1)
+            edges = edges[self.start + edges * edges <= self.r_max]
+            if edges.size == 0:
+                raise DomainError(
+                    "model profile radius leaves the floating-point range "
+                    f"beyond r = {self.start + last * last}")
+            lows = np.concatenate([[last], edges[:-1]])
+            pieces = self._integral(lows, edges)
+            self.tau = np.concatenate([self.tau, edges])
+            self.s = np.concatenate([self.s, self.s[-1] + np.cumsum(pieces)])
+
+    def at_radius(self, r):
+        """Arclength from the start to the radii r >= start."""
+        tau = np.sqrt(np.asarray(r, dtype=float) - self.start)
+        self._grow(lambda: self.tau[-1] >= np.max(tau))
+        j = np.clip(np.searchsorted(self.tau, tau, side="right") - 1,
+                    0, self.tau.size - 2)
+        return self.s[j] + self._integral(self.tau[j], tau)
+
+    def tau_at(self, s):
+        """tau with S(tau) = s for every s in [0, S(inf)), by Newton steps
+        tau <- tau - (S(tau) - s)/g(tau) inside each point's panel."""
+        s = np.asarray(s, dtype=float)
+        self._grow(lambda: self.s[-1] >= np.max(s))
+        j = np.clip(np.searchsorted(self.s, s, side="right") - 1,
+                    0, self.s.size - 2)
+        lo, hi = self.tau[j], self.tau[j + 1]
+        s_lo, width = self.s[j], self.s[j + 1] - self.s[j]
+        # Cubic Hermite guess for r - start = tau^2, which is smooth in s,
+        # with slope dr/ds at the panel edges.
+        u = (s - s_lo) / width
+        guess = ((1.0 + 2.0 * u) * (1.0 - u) ** 2 * lo * lo
+                 + u * (1.0 - u) ** 2 * width * self._rate(lo)
+                 + u * u * (3.0 - 2.0 * u) * hi * hi
+                 + u * u * (u - 1.0) * width * self._rate(hi))
+        tau = np.zeros_like(s)
+        live = s > 0.0
+        lo, hi, s_lo, s = lo[live], hi[live], s_lo[live], s[live]
+        t = np.clip(np.sqrt(np.maximum(guess[live], 0.0)), lo, hi)
+        for _ in range(_NEWTON_STEPS):
+            step = (s_lo + self._integral(lo, t) - s) / self._speed(t)
+            t = np.clip(t - step, lo, hi)
+            if np.all(np.abs(step) <= 1e-8 * t):
+                tau[live] = t
+                return tau
+        raise InternalConsistencyError(
+            "arclength inversion did not converge: largest Newton step "
+            f"{float(np.max(np.abs(step)))}")
+
+    def sample(self, s_grid: np.ndarray):
+        """f, f' = sqrt(p(f)) and f'' = p'(f)/2 at the arclengths s_grid."""
+        tau = self.tau_at(s_grid)
+        f = self.start + tau * tau
+        df = np.sqrt(self.p_start + (f - self.start) * self._divided(f))
+        return f, df, 0.5 * eval_dp(self.params, f)
+
+
+def _profile_start(params: RNParams, mu: float | None):
+    """Start radius and p there: the horizon r_plus (p = 0 exactly) when mu
+    is None, otherwise mu, which must lie beyond every root with p(mu) > 0."""
+    cls = classify(params)
+    if mu is None:
+        if cls.kind != SUB_EXTREMAL:
+            raise NotApplicableError(
+                "boundary-extended profile requires a non-degenerate horizon; "
+                f"parameters classify as {cls.kind}")
+        return cls.r_plus, 0.0
+    mu = float(mu)
+    if mu <= 0.0:
+        raise DomainError("profile start radius mu must be positive")
+    if cls.r_plus is not None and mu <= cls.r_plus:
+        raise DomainError(
+            f"mu={mu} must exceed the largest root {cls.r_plus}")
+    p_mu = eval_p(params, mu)
+    if p_mu <= 0.0:
+        raise DomainError(f"p(mu) must be positive, got {p_mu} at mu={mu}")
+    return mu, p_mu
+
+
+def model_arclength(params: RNParams, r, mu: float | None = None):
+    """Arclength at which the model profile reaches radius r (scalar or array).
+
+    The profile starts at the horizon r_plus when mu is None, as in
+    rn_profile, and at mu otherwise, as in rn_profile_mu; the value is the
+    one those profiles invert, so the profile samples radius r exactly there.
+    """
+    start, p_start = _profile_start(params, mu)
+    r = np.asarray(r, dtype=float)
+    if np.any(r < start) or not np.all(np.isfinite(r)):
+        raise DomainError(f"radii must be finite and at least the start {start}")
+    s = _Arclength(params, start, p_start).at_radius(r)
+    return s if s.ndim else float(s)
+
+
+def _model_profile(params: RNParams, mu: float | None, s_max: float,
+                   grid_n: int, provenance: np.ndarray) -> SampledProfile:
+    if s_max <= 0.0 or grid_n < 9:
+        raise DomainError("need s_max > 0 and at least 9 grid points")
+    start, p_start = _profile_start(params, mu)
+    s_grid = np.linspace(0.0, s_max, grid_n)
+    f, df, d2f = _Arclength(params, start, p_start).sample(s_grid)
+    profile = SampledProfile(s_grid, f, df, d2f, provenance, charge=params.q)
+    _attach_exact_evaluator(params, profile)
+    return profile
 
 
 def rn_profile(params: RNParams, s_max: float, grid_n: int = 4097) -> SampledProfile:
     """Boundary-extended radial profile u on [0, s_max].
 
-    u solves u' = sqrt(p(u)) with u(0) = r_plus and u'(0) = 0; the square
-    root is degenerate at s = 0, so the first grid cell is seeded with the
-    even Taylor expansion u = r_plus + p'(r_plus) s^2/4 + ... (three terms)
-    and the rest is integrated as u'' = (p' o u)/2 by fixed-step RK4.  The
-    RK4 steps use a scalar kernel whose samples are bit for bit those of
-    stepping with eval_dp.
+    u solves u' = sqrt(p(u)) with u(0) = r_plus and u'(0) = 0.  Every sample
+    inverts the arclength s(r) = integral of p^(-1/2) from r_plus, whose
+    horizon singularity the substitution r = r_plus + tau^2 removes, so
+    u' = sqrt(p(u)) and u'' = p'(u)/2 hold at each sample to rounding.
     """
-    if s_max <= 0.0 or grid_n < 9:
-        raise DomainError("need s_max > 0 and at least 9 grid points")
-    cls = classify(params)
-    if cls.kind != SUB_EXTREMAL:
-        raise NotApplicableError(
-            "boundary-extended profile requires a non-degenerate horizon; "
-            f"parameters classify as {cls.kind}")
-    r_plus = cls.r_plus
-    s_grid = np.linspace(0.0, s_max, grid_n)
-    h = s_grid[1]
-
-    dp0 = eval_dp(params, r_plus)
-    d2p0 = eval_d2p(params, r_plus)
-    d3p0 = _eval_d3p(params, r_plus)
-    a2 = 0.25 * dp0
-    a4 = d2p0 * dp0 / 96.0
-    a6 = d2p0 * a4 / 60.0 + d3p0 * a2 * a2 / 120.0
-    u1 = r_plus + a2 * h * h + a4 * h ** 4 + a6 * h ** 6
-    v1 = 2.0 * a2 * h + 4.0 * a4 * h ** 3 + 6.0 * a6 * h ** 5
-
-    u, v = _integrate_profile(params, s_grid, r_plus, 0.0, 1,
-                              np.array([r_plus, u1]), np.array([0.0, v1]))
-    d2f = 0.5 * eval_dp(params, u)
-    provenance = np.array(["analytic"] + ["ode"] * (grid_n - 1))
-    profile = SampledProfile(s_grid, u, v, d2f, provenance, charge=params.q)
-    _attach_exact_evaluator(params, profile)
-    return profile
+    return _model_profile(params, None, s_max, grid_n,
+                          np.array(["analytic"] + ["ode"] * (grid_n - 1)))
 
 
 def rn_profile_mu(params: RNParams, mu: float, s_max: float,
@@ -482,29 +592,10 @@ def rn_profile_mu(params: RNParams, mu: float, s_max: float,
 
     Valid whenever p(mu) > 0 and mu lies beyond the largest root if one
     exists; covers the degenerate and rootless configurations that the
-    boundary-extended profile cannot reach.
+    boundary-extended profile cannot reach.  Samples invert the arclength
+    from mu exactly as in rn_profile.
     """
-    if s_max <= 0.0 or grid_n < 9:
-        raise DomainError("need s_max > 0 and at least 9 grid points")
-    mu = float(mu)
-    if mu <= 0.0:
-        raise DomainError("profile start radius mu must be positive")
-    cls = classify(params)
-    if cls.r_plus is not None and mu <= cls.r_plus:
-        raise DomainError(
-            f"mu={mu} must exceed the largest root {cls.r_plus}")
-    p_mu = eval_p(params, mu)
-    if p_mu <= 0.0:
-        raise DomainError(f"p(mu) must be positive, got {p_mu} at mu={mu}")
-
-    s_grid = np.linspace(0.0, s_max, grid_n)
-    u, v = _integrate_profile(params, s_grid, mu, math.sqrt(p_mu), 0,
-                              np.array([mu]), np.array([math.sqrt(p_mu)]))
-    d2f = 0.5 * eval_dp(params, u)
-    provenance = np.array(["ode"] * grid_n)
-    profile = SampledProfile(s_grid, u, v, d2f, provenance, charge=params.q)
-    _attach_exact_evaluator(params, profile)
-    return profile
+    return _model_profile(params, mu, s_max, grid_n, np.array(["ode"] * grid_n))
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +607,9 @@ def verify_model_identities(params: RNParams, profile: SampledProfile,
     """Check that the profile reproduces the model scalar-curvature identity.
 
     In rotational symmetry R = n((n-1)(1 - f'^2) - 2 f f'')/f^2, and on the
-    model family this must equal 2*lam + n(n-1) q^2 / f^(2n) pointwise. The
-    stored f' comes from the ODE integration while f'' is the exact ODE
-    right-hand side, so the residual measures the integration quality of the
-    first-integral relation f'^2 = p(f).
+    model family this must equal 2*lam + n(n-1) q^2 / f^(2n) pointwise, so
+    the residual measures how well the stored f' and f'' satisfy the
+    first-integral relations f'^2 = p(f) and f'' = p'(f)/2.
     """
     n, q, lam = params.n, params.q, params.lam
     f, df, d2f = profile.f, profile.df, profile.d2f

@@ -77,11 +77,17 @@ def diff2_4th(y: np.ndarray, dx: float) -> np.ndarray:
     return d / (dx * dx)
 
 
+# exp(-1/x) underflows to exactly zero for x <= 1/746, so phi and its
+# derivatives are zero there; evaluating their formulas on such x would
+# divide that zero by a power of x that underflows to zero as well.
+_PHI_ZERO = 1.0 / 746.0
+
+
 def _phi(x: np.ndarray) -> np.ndarray:
     """exp(-1/x) for x > 0, identically zero otherwise; C-infinity at 0."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    pos = x > 0.0
+    pos = x > _PHI_ZERO
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         out[pos] = np.exp(-1.0 / x[pos])
     return out
@@ -90,7 +96,7 @@ def _phi(x: np.ndarray) -> np.ndarray:
 def _phi_d1(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    pos = x > 0.0
+    pos = x > _PHI_ZERO
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         xp = x[pos]
         out[pos] = np.exp(-1.0 / xp) / (xp * xp)
@@ -100,10 +106,11 @@ def _phi_d1(x: np.ndarray) -> np.ndarray:
 def _phi_d2(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    pos = x > 0.0
+    pos = x > _PHI_ZERO
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         xp = x[pos]
-        out[pos] = np.exp(-1.0 / xp) * (1.0 - 2.0 * xp) / xp ** 4
+        xp2 = xp * xp
+        out[pos] = np.exp(-1.0 / xp) * (1.0 - 2.0 * xp) / (xp2 * xp2)
     return out
 
 
@@ -126,11 +133,18 @@ def smooth_step(x):
 
 
 def smooth_step_d1(x):
-    """First derivative of :func:`smooth_step`; nonnegative everywhere."""
+    """First derivative of :func:`smooth_step`; nonnegative everywhere.
+
+    Powers are explicit products here and in :func:`smooth_step_d2`: NumPy
+    evaluates ** on a 0-d input with a scalar power routine that can round
+    differently from its array loop, and a value must not depend on whether
+    it was computed alone or inside an array.
+    """
     x = np.asarray(x, dtype=float)
     a, b = _phi(x), _phi(1.0 - x)
     a1, b1 = _phi_d1(x), _phi_d1(1.0 - x)
-    den = (a + b) ** 2
+    s = a + b
+    den = s * s
     num = a1 * b + a * b1
     out = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
     out = np.where((x <= 0.0) | (x >= 1.0), 0.0, out)
@@ -145,7 +159,7 @@ def smooth_step_d2(x):
     a2, b2 = _phi_d2(x), _phi_d2(1.0 - x)
     s = a + b
     num = (a2 * b - a * b2) * s - 2.0 * (a1 * b + a * b1) * (a1 - b1)
-    den = s ** 3
+    den = s * s * s
     out = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
     out = np.where((x <= 0.0) | (x >= 1.0), 0.0, out)
     return out if out.ndim else float(out)

@@ -211,23 +211,28 @@ def round_metric(r_o: float, n_theta: int = _DEFAULT_N_THETA) -> AxisymConformal
 def _laplacian_axisym(theta: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Round-sphere Laplacian of an axisymmetric function from samples.
 
-    Computes f'' + cot(theta) f' with fourth-order differences; at the
-    poles the limit is 2 f''(pole) for pole-regular data.
+    Computes f'' + cot(theta) f' with fourth-order differences along the
+    last axis; at the poles the limit is 2 f''(pole) for pole-regular data.
     """
     dtheta = float(theta[1] - theta[0])
     d1 = diff1_4th(values, dtheta)
     d2 = diff2_4th(values, dtheta)
     out = np.empty_like(values)
-    out[1:-1] = d2[1:-1] + d1[1:-1] * (np.cos(theta[1:-1]) / np.sin(theta[1:-1]))
-    out[0] = 2.0 * d2[0]
-    out[-1] = 2.0 * d2[-1]
+    out[..., 1:-1] = (d2[..., 1:-1]
+                      + d1[..., 1:-1] * (np.cos(theta[1:-1]) / np.sin(theta[1:-1])))
+    out[..., 0] = 2.0 * d2[..., 0]
+    out[..., -1] = 2.0 * d2[..., -1]
     return out
+
+
+def _curvature_of(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """K = e^(-2w) (1 - Laplacian w) for exponent samples along the last axis."""
+    return np.exp(-2.0 * w) * (1.0 - _laplacian_axisym(theta, w))
 
 
 def gaussian_curvature(metric: AxisymConformalMetric) -> np.ndarray:
     """Gaussian curvature samples K = e^(-2w) (1 - Laplacian w)."""
-    lap = _laplacian_axisym(metric.theta_grid, metric.w)
-    return np.exp(-2.0 * metric.w) * (1.0 - lap)
+    return _curvature_of(metric.theta_grid, metric.w)
 
 
 def conformal_path(seed: AxisymConformalMetric, t: float) -> AxisymConformalMetric:
@@ -347,6 +352,36 @@ def normalize_path(
     )
 
 
+# Rows per batched spline construction in _compose_rows: large enough to
+# amortize the per-call cost, small enough that the coefficient arrays stay
+# a few MB.
+_ROW_CHUNK = 64
+
+
+def _compose_rows(theta: np.ndarray, rows: np.ndarray, points: np.ndarray,
+                  nu: int = 0) -> np.ndarray:
+    """Row k of ``rows``, as a not-a-knot cubic spline in theta (its nu-th
+    derivative for nu = 1), evaluated at row k of ``points``.
+
+    One spline is built per chunk of rows instead of one per row.
+    """
+    out = np.empty(points.shape)
+    for lo in range(0, rows.shape[0], _ROW_CHUNK):
+        chunk = slice(lo, lo + _ROW_CHUNK)
+        c = CubicSpline(theta, rows[chunk], axis=1).c
+        x = points[chunk]
+        idx = np.clip(np.searchsorted(theta, x, side="right") - 1,
+                      0, theta.size - 2)
+        dx = x - theta[idx]
+        row = np.arange(c.shape[2])[:, None]
+        c3, c2, c1, c0 = (c[i][idx, row] for i in range(4))
+        if nu == 0:
+            out[chunk] = ((c3 * dx + c2) * dx + c1) * dx + c0
+        else:
+            out[chunk] = (3.0 * c3 * dx + 2.0 * c2) * dx + c1
+    return out
+
+
 def _measure_volume_form_deviation(t_grid, theta, metrics, maps) -> float:
     """Max time derivative of the composed area form, measured honestly.
 
@@ -354,14 +389,11 @@ def _measure_volume_form_deviation(t_grid, theta, metrics, maps) -> float:
     sampled map itself (spline differentiation), not from the chain-rule
     identity that would make the area form static by construction.
     """
-    n_t = t_grid.size
-    sqrt_det = np.empty((n_t, theta.size))
-    for k in range(n_t):
-        w_spline = CubicSpline(theta, metrics[k].w)
-        map_spline = CubicSpline(theta, maps[k])
-        composed = maps[k]
-        dmap = map_spline(theta, 1)
-        sqrt_det[k] = np.exp(2.0 * w_spline(composed)) * np.sin(composed) * dmap
+    w_rows = np.array([metric.w for metric in metrics])
+    knots = np.broadcast_to(theta, maps.shape)
+    dmap = _compose_rows(theta, maps, knots, nu=1)
+    sqrt_det = (np.exp(2.0 * _compose_rows(theta, w_rows, maps))
+                * np.sin(maps) * dmap)
     dt = float(t_grid[1] - t_grid[0])
     time_deriv = diff1_4th(sqrt_det.T, dt).T
     return float(np.max(np.abs(time_deriv)))
@@ -500,9 +532,9 @@ class CurvatureFloor:
 def _path_min_curvature(path: MetricPath) -> float:
     if path.is_round:
         return 1.0 / path.r_o ** 2
-    return min(
-        float(np.min(gaussian_curvature(metric))) for metric in path.metrics
-    )
+    theta = path.metrics[0].theta_grid
+    return float(np.min(_curvature_of(
+        theta, np.array([metric.w for metric in path.metrics]))))
 
 
 def curvature_floor_along_path(
@@ -542,24 +574,18 @@ def _composed_fields(path: MetricPath):
     the exact solution map.
     """
     theta = path.metrics[0].theta_grid
-    n_t = path.t_grid.size
-    exponent = np.empty((n_t, theta.size))
-    curvature = np.empty((n_t, theta.size))
-    dmap = np.empty((n_t, theta.size))
     maps = path.reparam
+    w_rows = np.array([metric.w for metric in path.metrics])
+    exponent = _compose_rows(theta, w_rows, maps)
+    curvature = _compose_rows(theta, _curvature_of(theta, w_rows), maps)
     density0, _ = _cumulative_area_spline(theta, path.metrics[0].w)
     base_density = density0(theta)
-    for k in range(n_t):
-        metric = path.metrics[k]
-        w_spline = CubicSpline(theta, metric.w)
-        k_spline = CubicSpline(theta, gaussian_curvature(metric))
-        composed = maps[k]
-        exponent[k] = w_spline(composed)
-        curvature[k] = k_spline(composed)
+    dmap = np.empty_like(maps)
+    for k in range(path.t_grid.size):
         # Chain rule: dTheta/dtheta = density0(theta) / density_t(Theta),
         # with both densities measured in the common area normalization.
-        density_t = np.exp(2.0 * exponent[k]) * np.sin(composed)
-        dmap[k] = _safe_ratio(base_density, density_t, theta, composed)
+        density_t = np.exp(2.0 * exponent[k]) * np.sin(maps[k])
+        dmap[k] = _safe_ratio(base_density, density_t, theta, maps[k])
     return exponent, curvature, dmap, maps
 
 
@@ -660,19 +686,18 @@ def eigen_along_path(path: MetricPath) -> EigenPath:
 
     theta = path.metrics[0].theta_grid
     values = np.empty(n_t)
-    u_comp = np.empty((n_t, theta.size))
-    lap_comp = np.empty((n_t, theta.size))
+    u_gauge = np.empty((n_t, theta.size))
+    lap_gauge = np.empty((n_t, theta.size))
     for k in range(n_t):
         metric = path.metrics[k]
         value, u = _solve_sl(theta, metric.w)
         weight = np.exp(2.0 * metric.w) * np.sin(theta)
         norm_sq = 2.0 * math.pi * simpson_uniform(u * u * weight, metric.theta_step)
-        u = u * math.sqrt(metric.area() / norm_sq)
+        u_gauge[k] = u * math.sqrt(metric.area() / norm_sq)
         values[k] = value
-        lap_gauge = np.exp(-2.0 * metric.w) * _laplacian_axisym(theta, u)
-        composed = path.reparam[k]
-        u_comp[k] = CubicSpline(theta, u)(composed)
-        lap_comp[k] = CubicSpline(theta, lap_gauge)(composed)
+        lap_gauge[k] = np.exp(-2.0 * metric.w) * _laplacian_axisym(theta, u_gauge[k])
+    u_comp = _compose_rows(theta, u_gauge, path.reparam)
+    lap_comp = _compose_rows(theta, lap_gauge, path.reparam)
 
     dt = float(path.t_grid[1] - path.t_grid[0])
     du_dt = diff1_4th(u_comp.T, dt).T

@@ -39,6 +39,7 @@ from .lambda_rn import (
     classify,
     eval_h,
     eval_p,
+    model_arclength,
     rn_profile,
     rn_profile_mu,
 )
@@ -464,14 +465,15 @@ class _Cutoff:
         falling = smooth_step((self.mid2 - t) / self.w_r)
         return np.minimum(rising, falling)
 
-    def derivatives(self, t: float):
-        if t < self.lo_hi:
-            x = (t - self.mid1) / self.w_l
-            return (smooth_step_d1(x) / self.w_l,
-                    smooth_step_d2(x) / self.w_l ** 2)
-        x = (self.mid2 - t) / self.w_r
-        return (-smooth_step_d1(x) / self.w_r,
-                smooth_step_d2(x) / self.w_r ** 2)
+    def derivatives(self, t):
+        """First and second derivative at t (scalar or array); every value
+        is the same whether t comes alone or inside an array."""
+        t = np.asarray(t, dtype=float)
+        rising = t < self.lo_hi
+        width = np.where(rising, self.w_l, self.w_r)
+        x = np.where(rising, t - self.mid1, self.mid2 - t) / width
+        d1 = smooth_step_d1(x) / width
+        return np.where(rising, d1, -d1), smooth_step_d2(x) / (width * width)
 
 
 def _gl_panels(lo: float, hi: float, breaks, nodes, weights):
@@ -488,13 +490,17 @@ def _gl_panels(lo: float, hi: float, breaks, nodes, weights):
 def _mollified_points(bridge: BridgedProfile, cutoff: _Cutoff, eps: float, ts):
     """Values (f, f', f'') of the variable-radius mollification at points ts.
 
-    The Gauss nodes of every point go through a single bridge evaluation.
-    The weighted sums stay per-point 1-D dot products and the cutoff
-    derivatives per-point scalar calls, because their batched forms round
-    differently; every value equals the one-point-at-a-time value bit for bit.
+    The Gauss nodes of every point go through a single bridge evaluation,
+    and the cutoff derivatives of all partial-cutoff points through a single
+    call.  The weighted sums stay per-point 1-D dot products, because a
+    batched product rounds differently; every value equals the
+    one-point-at-a-time value bit for bit.
     """
     ts = np.asarray(ts, dtype=float)
     etas = cutoff.value(ts)
+    partial = (etas > 0.0) & (etas < 1.0)
+    detas, d2etas = np.zeros_like(ts), np.zeros_like(ts)
+    detas[partial], d2etas[partial] = cutoff.derivatives(ts[partial])
     xs64, ws64 = _GL64
     phi64 = _bump(xs64) * ws64
     phis, args = [], []
@@ -516,7 +522,7 @@ def _mollified_points(bridge: BridgedProfile, cutoff: _Cutoff, eps: float, ts):
 
     out = np.empty((3, ts.size))
     start = 0
-    for i, (t, eta, phi, arg) in enumerate(zip(ts, etas, phis, args)):
+    for i, (eta, phi, arg) in enumerate(zip(etas, phis, args)):
         f, df, d2f = (v[start:start + arg.size] for v in (fv, dfv, d2fv))
         start += arg.size
         if phi is None:
@@ -524,7 +530,7 @@ def _mollified_points(bridge: BridgedProfile, cutoff: _Cutoff, eps: float, ts):
         elif eta >= 1.0:
             out[:, i] = f @ phi, df @ phi, d2f @ phi
         else:
-            deta, d2eta = cutoff.derivatives(t)
+            deta, d2eta = detas[i], d2etas[i]
             chain = 1.0 - eps * deta * xs64
             out[:, i] = (f @ phi, (df * chain) @ phi,
                          (d2f * chain ** 2 - df * eps * d2eta * xs64) @ phi)
@@ -746,13 +752,15 @@ def _bend_certificate(params, base_eval, sigma_fns, s_band):
 
 
 def bend(params: RNParams, s0: float, alpha: float | None = None,
-         slope_cap: float | None = None, *, mu: float | None = None,
-         s_max: float | None = None, grid_n: int = 4097) -> BendResult:
+         slope_cap: float | None = None, *,
+         profile: SampledProfile | None = None) -> BendResult:
     """Bend a model radial profile concavely below the station s0.
 
-    The profile is composed with a reparametrization that runs slower than
-    arclength on [s0 - delta, s0) and is the identity beyond, which lowers
-    the radius and slope approaching s0 from the left while the strong
+    The profile is the model profile of params, from rn_profile or
+    rn_profile_mu, extending beyond s0; by default rn_profile on
+    [0, s0 + 5].  It is composed with a reparametrization that runs slower
+    than arclength on [s0 - delta, s0) and is the identity beyond, which
+    lowers the radius and slope approaching s0 from the left while the strong
     concavity keeps the margin strictly positive on the band.  delta is
     halved until the certificate holds; when requested the bent start value
     stays above alpha and the bent start slope below slope_cap (and below
@@ -761,14 +769,10 @@ def bend(params: RNParams, s0: float, alpha: float | None = None,
     s0 = float(s0)
     if s0 <= 0.0:
         raise DomainError(f"bend station must be positive, got {s0}")
-    if s_max is None:
-        s_max = s0 + 5.0
+    base = rn_profile(params, s0 + 5.0) if profile is None else profile
+    s_max = float(base.s_grid[-1])
     if s_max <= s0:
         raise DomainError("profile must extend beyond the bend station")
-    if mu is None:
-        base = rn_profile(params, s_max, grid_n)
-    else:
-        base = rn_profile_mu(params, mu, s_max, grid_n)
     base_eval = base.evaluator
     _, du0, d2u0 = (float(v) for v in base_eval(s0))
     if du0 <= 0.0:
@@ -857,50 +861,44 @@ def bend(params: RNParams, s0: float, alpha: float | None = None,
 # Gluing a collar tail to a model end
 # ---------------------------------------------------------------------------
 
-def _locate_station(params, base, f_b, df_b, in_image):
-    """Pick the station s0 on the model profile where bending will start.
+def _locate_station(params, start, f_b, df_b, in_image):
+    """Pick the radius r_C of the station where bending will start.
 
-    In-image: shoot the radius target f_b + eps downward in eps until the
-    profile slope there falls strictly below the tail slope.  Out of image:
-    place the station where the slope reaches a fixed fraction of the tail
-    slope, which exists because the slope grows continuously from its value
-    at the start.
+    The model slope at radius r is sqrt(p(r)), so the station is found in
+    radius.  In-image: shoot the radius target f_b + eps downward in eps
+    until the slope there falls strictly below the tail slope.  Out of
+    image: the radius beyond the profile start where the slope reaches a
+    fixed fraction of the tail slope, which exists because the slope grows
+    continuously from its value at the start.
     """
-    ev = base.evaluator
-    s_end = float(base.s_grid[-1])
+    def slope(r):
+        return math.sqrt(max(float(eval_p(params, r)), 0.0))
 
     if in_image:
         target = df_b * (1.0 - 1e-6)
         eps = 0.25 * f_b
         for _ in range(50):
-            if float(ev(np.array([s_end]))[0][0]) <= f_b + eps:
-                eps *= 0.5
-                continue
-            s_eps = brentq(lambda s: float(ev(np.array([s]))[0][0]) - (f_b + eps),
-                           0.0, s_end, xtol=1e-14, rtol=8.9e-16)
-            slope = float(ev(np.array([s_eps]))[1][0])
-            if 0.0 < slope <= target:
-                return s_eps, eps
+            if 0.0 < slope(f_b + eps) <= target:
+                return f_b + eps
             eps *= 0.5
         raise ConstructionError(
             "radius shooting found no station with slope below the tail slope",
             {"tail_slope": df_b, "last_epsilon": eps})
 
     target = 0.55 * df_b
-    if not float(ev(np.array([0.0]))[1][0]) < target:
+    if not slope(start) < target:
         raise ConstructionError(
             "profile starts with slope above the matching target",
             {"target": target})
-    s_hi = min(1.0, 0.5 * s_end)
-    while float(ev(np.array([s_hi]))[1][0]) <= target:
-        s_hi *= 2.0
-        if s_hi > s_end:
-            raise ConstructionError(
-                "profile slope never reaches the matching target",
-                {"target": target, "s_max": s_end})
-    s0 = brentq(lambda s: float(ev(np.array([s]))[1][0]) - target,
-                0.0, s_hi, xtol=1e-14, rtol=8.9e-16)
-    return s0, None
+    width = start
+    for _ in range(40):
+        if slope(start + width) > target:
+            return brentq(lambda r: float(eval_p(params, r)) - target * target,
+                          start, start + width, xtol=1e-14, rtol=8.9e-16)
+        width *= 2.0
+    raise ConstructionError(
+        "profile slope never reaches the matching target",
+        {"target": target, "r_max": start + width})
 
 
 def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
@@ -909,11 +907,12 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
 
     The tail must end with positive slope and Hawking mass m_star at or
     above the junction mass floor; the end parameters must dominate the tail
-    (m_e >= m_star and q_e^2 <= q^2, strictly in at least one).  A model
-    profile for (m_e, q_e, lam) is bent below a station chosen so radius and
-    slope can be matched from below, the bent piece is bridged to the tail
-    and mollified with target charge q_e, and the untouched model tail is
-    reattached beyond the surgery.  Returns the combined profile and an
+    (m_e >= m_star and q_e^2 <= q^2, strictly in at least one).  The
+    station radius is chosen so radius and slope can be matched from below;
+    one model profile for (m_e, q_e, lam) is sampled from its start to the
+    cut past the station and bent below the station, the bent piece is
+    bridged to the tail and mollified with target charge q_e, and the
+    untouched model tail is reattached beyond the surgery.  Returns the combined profile and an
     attachment record with the matching radius r_C and station s_match
     beyond which the output is exactly the model profile.
     """
@@ -953,7 +952,6 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
 
     params_e = RNParams(n, m_e, q_e, lam)
     cls = classify(params_e)
-    span = 8.0 * max(1.0, f_b)
     if cls.kind == SUB_EXTREMAL:
         mu = None
         in_image = f_b >= cls.r_plus
@@ -978,19 +976,26 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
         mu = f_b
         in_image = True
 
-    if mu is None:
-        probe = rn_profile(params_e, span)
-    else:
-        probe = rn_profile_mu(params_e, mu, span)
-    s0, _ = _locate_station(params_e, probe, f_b, df_b, in_image)
-    r_c = float(probe.evaluator(np.array([s0]))[0][0])
+    r_c = _locate_station(params_e, cls.r_plus if mu is None else mu,
+                          f_b, df_b, in_image)
     if not r_c > f_b:
         raise InternalConsistencyError(
             f"station radius {r_c} does not exceed the tail radius {f_b}")
 
-    s_cut = s0 + 4.0 * max(1.0, r_c)
-    bend_res = bend(params_e, s0, alpha=f_b, slope_cap=df_b,
-                    mu=mu, s_max=s_cut)
+    # The model end runs 4 max(1, r_C) beyond the station in arclength, but
+    # no further than that beyond r_C in radius: where the radius grows
+    # exponentially (lam < 0) the far-end mass f^(n-1)(p(f) - f'^2)/2 would
+    # otherwise cancel to no digits.  For lam = 0, f' < 1 and the radius
+    # bound never binds.
+    reach = 4.0 * max(1.0, r_c)
+    s0, s_reach = (float(s) for s in
+                   model_arclength(params_e, [r_c, r_c + reach], mu))
+    s_cut = min(s0 + reach, s_reach)
+    if mu is None:
+        model = rn_profile(params_e, s_cut)
+    else:
+        model = rn_profile_mu(params_e, mu, s_cut)
+    bend_res = bend(params_e, s0, alpha=f_b, slope_cap=df_b, profile=model)
     delta = bend_res.delta
     s1 = s0 - 0.5 * delta
     piece = np.linspace(s0 - delta, s1, 257)

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from charged_extensions import lambda_rn
 from charged_extensions.errors import DomainError, NotApplicableError
 from charged_extensions.lambda_rn import (
     EXTREMAL,
@@ -234,44 +233,72 @@ def test_rn_profile_mu_domain_errors() -> None:
         rn_profile_mu(RNParams(2, 0.0, 0.0, -3.0), 1.0, 2000.0)
 
 
-def _eval_dp_integrate_profile(params, s_grid, u0, v0, start_index, u_seed, v_seed):
-    """Reference RK4 loop stepping with eval_dp, the scalar kernel's oracle."""
-    u = np.empty_like(s_grid)
-    v = np.empty_like(s_grid)
-    u[:start_index + 1] = u_seed
-    v[:start_index + 1] = v_seed
-    h = s_grid[1] - s_grid[0]
-
-    def accel(uu):
-        return 0.5 * eval_dp(params, uu)
-
-    uu, vv = u[start_index], v[start_index]
-    for k in range(start_index, len(s_grid) - 1):
-        k1u, k1v = vv, accel(uu)
-        k2u, k2v = vv + 0.5 * h * k1v, accel(uu + 0.5 * h * k1u)
-        k3u, k3v = vv + 0.5 * h * k2v, accel(uu + 0.5 * h * k2u)
-        k4u, k4v = vv + h * k3v, accel(uu + h * k3u)
-        uu = uu + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        vv = vv + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        u[k + 1], v[k + 1] = uu, vv
-    return u, v
+def test_rn_profile_near_horizon_matches_closed_form() -> None:
+    # s(r) = sqrt(r(r-2)) + 2 asinh(sqrt((r-2)/2)) for n=2, m=1, q=lam=0;
+    # the first samples sit where the integrand's horizon singularity acts.
+    # Rounding f to a float moves s(f) by up to ulp(f) * ds/dr = ulp(f)/f'.
+    profile = rn_profile(SCHWARZSCHILD, 10.0, 4097)
+    for k in (1, 2, 3, 8, 32, 4096):
+        r, s = float(profile.f[k]), float(profile.s_grid[k])
+        exact = math.sqrt(r * (r - 2.0)) + 2.0 * math.asinh(math.sqrt((r - 2.0) / 2.0))
+        tol = 1e-13 * (1.0 + s) + math.ulp(r) / profile.df[k]
+        assert abs(exact - s) <= tol, k
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("q, lam", [(0.0, 0.0), (0.3, 0.0), (0.0, -1.5), (0.3, -1.5)])
-def test_profiles_bitwise_equal_eval_dp_reference(n, q, lam, monkeypatch) -> None:
+def test_profiles_invert_radial_coordinate(n, q, lam) -> None:
+    params = RNParams(n, 1.0, q, lam)
+    r_plus = classify(params).r_plus
+    mu = 1.5 * r_plus
+    boundary = rn_profile(params, 6.0, 1025)
+    interior = rn_profile_mu(params, mu, 6.0, 1025)
+    assert boundary.f[0] == r_plus and boundary.df[0] == 0.0
+    assert interior.f[0] == mu and interior.df[0] == math.sqrt(eval_p(params, mu))
+    # radial_coordinate's own quadrature loses digits within ~0.2 of the
+    # horizon, so the comparison starts beyond it.
+    s_mu = radial_coordinate(params, mu)
+    for k in (64, 128, 256, 384, 512, 768, 896, 1024):
+        s = boundary.s_grid[k]
+        assert abs(radial_coordinate(params, boundary.f[k]) - s) <= 1e-10 * (1.0 + s), k
+        assert abs(radial_coordinate(params, interior.f[k]) - s_mu - s) <= 1e-10 * (1.0 + s), k
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("q, lam", [(0.0, 0.0), (0.3, 0.0), (0.0, -1.5), (0.3, -1.5)])
+def test_profiles_bitwise_equal_eval_dp_reference(n, q, lam) -> None:
+    # The second derivative is f'' = p'(f)/2 evaluated at each sampled
+    # radius, so it must equal eval_dp there to the bit; f' = sqrt(p(f)) is
+    # formed without cancellation and so only agrees with eval_p to rounding.
     params = RNParams(n, 1.0, q, lam)
     mu = 1.5 * classify(params).r_plus
+    for profile in (rn_profile(params, 6.0, 1025),
+                    rn_profile_mu(params, mu, 6.0, 1025)):
+        assert np.array_equal(profile.d2f, 0.5 * eval_dp(params, profile.f))
+        assert np.all(np.diff(profile.f) > 0.0)
+        p = eval_p(params, profile.f[1:])
+        assert np.all(np.abs(profile.df[1:] ** 2 - p) <= 1e-12 * (1.0 + np.abs(p)))
 
-    def build():
-        return (rn_profile(params, 6.0, 1025),
-                rn_profile_mu(params, mu, 6.0, 1025))
 
-    fast = build()
-    monkeypatch.setattr(lambda_rn, "_integrate_profile", _eval_dp_integrate_profile)
-    for got, want in zip(fast, build()):
-        for name in ("f", "df", "d2f"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+@pytest.mark.parametrize("params", [
+    RNParams(2, 1.0, 0.3, -1.5),
+    RNParams(3, 0.8, 0.3, -1.5),
+    RNParams(4, 0.5, 0.2, -3.0),
+])
+def test_profiles_scale_covariantly(params) -> None:
+    # (r, q, lam, m) -> (c r, c^(n-1) q, lam/c^2, c^(n-1) m) maps the profile
+    # f(s) to c f(s/c), f' to f' and f'' to f''/c.
+    c, n = 3.0, params.n
+    scaled = RNParams(n, c ** (n - 1) * params.m, c ** (n - 1) * params.q,
+                      params.lam / c ** 2)
+    mu = 1.5 * classify(params).r_plus
+    pairs = [(rn_profile(params, 4.0, 513), rn_profile(scaled, 4.0 * c, 513)),
+             (rn_profile_mu(params, mu, 4.0, 513),
+              rn_profile_mu(scaled, c * mu, 4.0 * c, 513))]
+    for base, big in pairs:
+        assert np.all(np.abs(big.f - c * base.f) <= 1e-12 * c * base.f)
+        assert np.all(np.abs(big.df - base.df) <= 1e-12 * (1.0 + base.df))
+        assert np.all(np.abs(c * big.d2f - base.d2f) <= 1e-12 * (1.0 + np.abs(base.d2f)))
 
 
 def test_verify_model_identities_saturation() -> None:

@@ -53,6 +53,22 @@ def test_smooth_step_derivatives_match_finite_differences() -> None:
     assert np.abs(smooth_step_d2(x) - fd2).max() < 1e-4
 
 
+@pytest.mark.parametrize("step", [smooth_step, smooth_step_d1, smooth_step_d2])
+def test_smooth_steps_round_alike_alone_and_in_arrays(step) -> None:
+    # A batched caller must get the value a one-point caller gets.
+    rng = np.random.default_rng(7)
+    edges = [1e-300, 1e-160, 1e-12, 1.0 / 746.0, 1e-3, 0.5,
+             1.0 - 1e-3, 1.0 - 1e-12, np.nextafter(1.0, 0.0)]
+    x = np.concatenate([rng.random(2000), np.linspace(-0.25, 1.25, 1201),
+                        edges, [1.0 - e for e in edges]])
+    batch = np.asarray(step(x))
+    assert not np.any(np.isnan(batch))
+    for k, value in enumerate(x):
+        alone = step(value)
+        assert np.array_equal(alone, step(np.array([value]))[0]), value
+        assert np.array_equal(alone, batch[k]), value
+
+
 def test_fmt17_round_trip() -> None:
     for value in (math.pi, 1.0 / 3.0, 1e-17, 123456.789):
         assert float(fmt17(value)) == value

@@ -212,6 +212,33 @@ class TestConstructExtension:
         assert abs(report.penrose_slack - 2.0 ** -7 * 0.5) <= 1e-8
 
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("lam", [-10.0, -50.0, -200.0])
+    @pytest.mark.parametrize("gap", [1.05, 1.5])
+    def test_strongly_negative_lambda_certifies(self, n, lam, gap):
+        # The model end stops within 4 max(1, r_C) of the gluing radius, so
+        # the far-end mass keeps its digits where the radius grows
+        # exponentially in arclength.
+        data = pl.BartnikDataSpec(n=n, q=0.0, lam=lam, r_o=1.0)
+        mass = gap * ql.m_o(n, 1.0, 0.0, lam)
+        report = pl.construct_extension(data, mass)
+        far = ql.hawking_rotsym(n, 0.0, lam, float(report.profile.f[-1]),
+                                float(report.profile.df[-1]))
+        assert abs(far - mass) <= 1e-8 * (1.0 + mass)
+        assert report.min_margin > 0.0
+        assert pl.verify_outward_minimizing(report) == "pass"
+
+
+    @pytest.mark.parametrize("ratio", [16.0, 50.0])
+    def test_large_mass_certifies(self, round_data, ratio):
+        # The station lies far out on the heavy model end; it is located in
+        # radius, so no fixed arclength span limits it.
+        report = pl.construct_extension(round_data, ratio * 0.5)
+        assert abs(report.achieved_mass - ratio * 0.5) <= 1e-8 * (1.0 + ratio * 0.5)
+        assert report.record["r_C"] > report.horizon_radius
+        assert report.min_margin > 0.0
+
+
 class TestVerifyOutwardMinimizing:
     def test_extension_report_passes(self, round_report):
         assert pl.verify_outward_minimizing(round_report) == "pass"

@@ -436,7 +436,7 @@ class TestBend:
     def test_rejects_profile_ending_at_station(self, schwarzschild_bend):
         params, s0, _ = schwarzschild_bend
         with pytest.raises(DomainError):
-            su.bend(params, s0, s_max=s0 - 0.5)
+            su.bend(params, s0, profile=rn_profile(params, s0 - 0.5))
 
     def test_charged_negative_lambda_band(self):
         params = RNParams(2, 1.2, 0.3, -3.0)
@@ -449,7 +449,7 @@ class TestBend:
 
     def test_interior_start_route(self):
         params = RNParams(2, 1.2, 0.3, -3.0)
-        res = su.bend(params, 0.3, mu=2.0)
+        res = su.bend(params, 0.3, profile=rn_profile_mu(params, 2.0, 5.3))
         assert res.delta > 0.0
         assert float(res.profile.f[0]) > 2.0
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,12 @@ class CollarSpec:
     @property
     def n(self) -> int:
         return self.path.n
+
+    @cached_property
+    def margin_fields(self):
+        """Amplitude-independent (base, well, u, reference), memoized per spec."""
+        base, well, u = _margin_parts(self)
+        return base, well, u, _reference_density(self)[:, None]
 
     def _charge_gap_scalar(self) -> float:
         """Floor of the positive-scalar/eigenfunction energy inequality."""
@@ -249,19 +256,9 @@ def _reference_density(spec: CollarSpec):
     return 2.0 * spec.lam + charge_density
 
 
-def _collar_fields(spec: CollarSpec):
-    cached = getattr(spec, "_fields_cache", None)
-    if cached is None:
-        base, well, u = _margin_parts(spec)
-        reference = _reference_density(spec)[:, None]
-        cached = (base, well, u, reference)
-        object.__setattr__(spec, "_fields_cache", cached)
-    return cached
-
-
 def collar_scalar_curvature(spec: CollarSpec, t: float, theta: float = 0.0) -> float:
     """Scalar curvature of the collar at the grid point nearest (t, theta)."""
-    base, well, _, _ = _collar_fields(spec)
+    base, well, _, _ = spec.margin_fields
     t_idx = int(np.argmin(np.abs(spec.path.t_grid - t)))
     if well.shape[1] == 1:
         theta_idx = 0
@@ -311,7 +308,7 @@ def build_collar(spec: CollarSpec) -> ChargedCollar:
     the margin R - 2 Lambda - n(n-1)|E|^2 is not strictly positive.
     """
     _admissible_route(spec)
-    base, well, u, reference = _collar_fields(spec)
+    base, well, u, reference = spec.margin_fields
     scalar = base + well / spec.A ** 2
     margin = scalar - reference
     flat = int(np.argmin(margin))
@@ -397,7 +394,7 @@ def find_A0(
     the direct check.
     """
     probe = _trial_spec(path, epsilon, 1.0, kappa, case_id, q, lam)
-    base, well, _, reference = _collar_fields(probe)
+    base, well, _, reference = probe.margin_fields
     core = base - reference
 
     def passes(amplitude: float) -> bool:

@@ -26,12 +26,10 @@ u' = sqrt(p(u)) and u'' = p'(u)/2 hold exactly at the samples.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
@@ -197,8 +195,12 @@ def eval_h(params: RNParams, r):
 def _poly_p(params: RNParams, r: float) -> float:
     """The polynomial r^(2(n-1)) * p(r); well conditioned near r = 0."""
     n, m, q, lam = params.n, params.m, params.q, params.lam
-    return (r ** (2 * (n - 1)) - 2.0 * m * r ** (n - 1) + q * q
-            - 2.0 * lam * r ** (2 * n) / (n * (n + 1)))
+    value = (r ** (2 * (n - 1)) - 2.0 * m * r ** (n - 1) + q * q
+             - 2.0 * lam * r ** (2 * n) / (n * (n + 1)))
+    if not math.isfinite(value):
+        # Float products overflow to inf silently, unlike float powers.
+        raise OverflowError(f"r^(2(n-1)) p(r) is not finite at r = {r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +267,20 @@ def classify(params: RNParams, tol: float = 1e-9) -> ExtremalityClass:
     r^(2(n-1)) p(r) followed by a Newton polish, with the companion h
     providing the brackets: for q != 0 its unique root separates the two
     roots of p whenever they exist. Every root is cross-checked against the
-    derivative identity linking p' and h.
+    derivative identity linking p' and h.  Parameters whose roots cannot be
+    bracketed within the float range raise DomainError.
     """
     if tol <= 0.0:
         raise DomainError("classification tolerance must be positive")
+    try:
+        return _classify(params, tol)
+    except OverflowError as exc:
+        raise DomainError(
+            f"parameters {params} leave the float range while the roots of p "
+            "are bracketed") from exc
+
+
+def _classify(params: RNParams, tol: float) -> ExtremalityClass:
     n, m, q = params.n, params.m, params.q
 
     if q == 0.0:
@@ -342,11 +354,9 @@ def critical_mass(n: int, q: float, lam: float) -> float:
 def radial_coordinate(params: RNParams, r: float) -> float:
     """Arclength s(r) = integral of p^(-1/2) from r_plus to r, r >= r_plus.
 
-    The integrable inverse-square-root singularity at r_plus is removed
-    analytically by the substitution t = r_plus + tau^2, after which the
-    integrand 2 tau / sqrt(p(r_plus + tau^2)) is smooth down to tau = 0.
-    Only non-degenerate parameters are accepted; the degenerate horizon is at
-    infinite distance and the change of variables does not apply.
+    The value is model_arclength's, the one the boundary-extended profile
+    inverts.  Only non-degenerate parameters are accepted; the degenerate
+    horizon is at infinite distance.
     """
     cls = classify(params)
     if cls.kind != SUB_EXTREMAL:
@@ -359,23 +369,7 @@ def radial_coordinate(params: RNParams, r: float) -> float:
         raise DomainError(f"radius {r} lies inside the horizon radius {r_plus}")
     if r <= r_plus:
         return 0.0
-    tau_max = math.sqrt(r - r_plus)
-
-    def integrand(tau):
-        p = eval_p(params, r_plus + tau * tau)
-        if p <= 0.0:
-            # Rounding can collapse p to zero when tau^2 falls below the
-            # ulp of r_plus; substitute the analytic limit 2/sqrt(p').
-            return 2.0 / math.sqrt(eval_dp(params, r_plus))
-        return 2.0 * tau / math.sqrt(p)
-
-    with warnings.catch_warnings():
-        # The rounding floor of the limit substitution can defeat the
-        # extrapolation table's 1e-13 target; the value is still accurate.
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, 0.0, tau_max, epsabs=1e-13, epsrel=1e-12,
-                      limit=200)
-    return val
+    return model_arclength(params, r)
 
 
 def _attach_exact_evaluator(params: RNParams, profile: SampledProfile) -> None:

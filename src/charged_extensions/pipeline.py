@@ -246,7 +246,9 @@ def _select_route(
     curvature sign, so it is preferred there.  On a flat background in
     dimension two the scalar floor applies when the curvature is
     positive, and the first stability eigenvalue takes over otherwise.
-    Higher dimensions always use the scalar floor.
+    Higher dimensions always use the scalar floor.  Only the eigenfunction
+    route reads ``floor.kappa_eigenfunction``, whose eigenvalue solves run
+    on that read, once per path.
     """
     if path.n == 2 and lam < 0.0:
         return co.CONSTANT_LAPSE, floor.kappa_negative_floor, "negative-floor"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -51,6 +52,9 @@ __all__ = [
 _DEFAULT_N_THETA = 1025
 _DEFAULT_N_T = 513
 _POLE_TOL = 1e-6
+# Slices of a path, evenly spaced in t, on which the first eigenvalue floor
+# is solved.
+_EIGEN_SAMPLES = 65
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,38 @@ class MetricPath:
             return self.round_radius
         return self.metrics[0].volume_radius
 
+    @cached_property
+    def min_curvature(self) -> float:
+        """Minimum Gaussian (sectional) curvature over every slice."""
+        if self.is_round:
+            return 1.0 / self.r_o ** 2
+        theta = self.metrics[0].theta_grid
+        return float(np.min(_curvature_of(
+            theta, np.array([metric.w for metric in self.metrics]))))
+
+    @cached_property
+    def min_lambda1(self) -> float:
+        """Minimum first eigenvalue of -Laplacian + K over the path.
+
+        Solved with ``lambda1`` on 65 slices evenly spaced in t; for a round
+        path it is half the scalar curvature n(n-1)/r_o^2.
+        """
+        if self.is_round:
+            return 0.5 * (self.n * (self.n - 1) / self.r_o ** 2)
+        count = min(_EIGEN_SAMPLES, self.t_grid.size)
+        indices = np.unique(
+            np.round(np.linspace(0, self.t_grid.size - 1, count)).astype(int)
+        )
+        return min(lambda1(self.metrics[idx])[0] for idx in indices)
+
+    @cached_property
+    def slice_fields(self) -> SliceGeometry:
+        return _slice_geometry(self)
+
+    @cached_property
+    def eigen_fields(self) -> EigenPath:
+        return _eigen_path(self)
+
 
 @dataclass(frozen=True)
 class SliceGeometry:
@@ -262,35 +298,92 @@ def _cumulative_area_spline(theta: np.ndarray, w: np.ndarray):
     return density, density.antiderivative()
 
 
-def _invert_cumulative(theta, density, cumulative, targets):
-    """Solve cumulative(x) = target for each target by Newton iteration.
+# Rows per batched spline construction: large enough to amortize the
+# per-call cost, small enough that the coefficient arrays stay a few MB.
+_ROW_CHUNK = 64
 
-    The cumulative function is strictly increasing on (0, pi); initial
-    guesses come from piecewise-linear inversion of the sampled values.
+
+def _intervals(theta: np.ndarray, x: np.ndarray):
+    """Spline interval i with theta[i] <= x < theta[i+1] (the last interval
+    also holds theta[-1]) and the offset x - theta[i], for a uniform grid.
+
+    x / h finds the interval up to one place where the float grid points
+    are not exact multiples of h; the two comparisons settle it exactly.
     """
-    samples = cumulative(theta)
-    if not np.all(np.diff(samples) > 0.0):
-        raise InternalConsistencyError("cumulative area is not strictly increasing")
-    total = float(samples[-1])
-    x = np.interp(targets, samples, theta)
-    slope_floor = 1e-12 * float(np.max(density(theta)))
-    for _ in range(6):
-        resid = cumulative(x) - targets
-        slope = np.maximum(density(x), slope_floor)
-        x = np.clip(x - resid / slope, 0.0, math.pi)
-    resid = np.abs(cumulative(x) - targets)
-    bad = resid > 1e-12 * total
-    if np.any(bad):
-        from scipy.optimize import brentq
+    last = theta.size - 2
+    idx = np.clip((x * (1.0 / (theta[1] - theta[0]))).astype(np.intp), 0, last)
+    idx -= (x < theta[idx]) & (idx > 0)
+    idx += (x >= theta[idx + 1]) & (idx < last)
+    return idx, x - theta[idx]
 
-        for idx in np.nonzero(bad)[0]:
-            x[idx] = brentq(
-                lambda v, tt=targets[idx]: cumulative(v) - tt, 0.0, math.pi,
+
+def _ppoly_at(c: np.ndarray, flat: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Piecewise polynomials at offsets dx into the pieces numbered flat.
+
+    c holds PPoly coefficients, highest power first, of shape
+    (order, pieces).  The power sum runs in PPoly's own order, so every
+    value equals the evaluation of a PPoly holding that piece.
+    """
+    value = c[-1].take(flat)
+    power = dx
+    for k in range(c.shape[0] - 2, -1, -1):
+        value = value + c[k].take(flat) * power
+        power = power * dx
+    return value
+
+
+def _match_cumulative_areas(theta, w_rows, base, total0):
+    """Reparametrizing maps matching each slice's area to the seed's.
+
+    For exponent row w_k with cumulative area C_k (antiderivative of the
+    not-a-knot spline of e^(2w_k) sin(theta)), solve
+    C_k(x) = base * C_k(pi) / total0 at every theta sample, where base is
+    the seed's cumulative area on the grid and total0 its total.  Splines
+    are built per chunk of rows and Newton steps from piecewise-linear
+    guesses run on a whole chunk at once; points the Newton steps leave
+    off by more than 1e-12 of the total are bracketed by brentq on the
+    row's own spline.  Returns the maps and the totals C_k(pi).
+    """
+    from scipy.optimize import brentq
+
+    maps = np.empty(w_rows.shape)
+    totals = np.empty(w_rows.shape[0])
+    for lo in range(0, w_rows.shape[0], _ROW_CHUNK):
+        chunk = slice(lo, lo + _ROW_CHUNK)
+        density = CubicSpline(theta, np.exp(2.0 * w_rows[chunk]) * np.sin(theta), axis=1)
+        # Pieces numbered row by row: row r, interval i is r * intervals + i.
+        pieces = [np.ascontiguousarray(np.swapaxes(c, 1, 2)).reshape(c.shape[0], -1)
+                  for c in (density.c, density.antiderivative().c)]
+        offsets = (np.arange(density.c.shape[2]) * (theta.size - 1))[:, None]
+
+        def evaluate(x):
+            """Density and cumulative area of every row at its points x."""
+            idx, dx = _intervals(theta, x)
+            return tuple(_ppoly_at(c, idx + offsets, dx) for c in pieces)
+
+        knot_density, samples = evaluate(np.broadcast_to(theta, w_rows[chunk].shape))
+        if not np.all(np.diff(samples, axis=1) > 0.0):
+            raise InternalConsistencyError("cumulative area is not strictly increasing")
+        total = samples[:, -1:]
+        targets = base * (total / total0)
+        x = np.array([np.interp(row, grid, theta) for row, grid in zip(targets, samples)])
+        slope_floor = 1e-12 * np.max(knot_density, axis=1, keepdims=True)
+        for _ in range(6):
+            slope, cumulative = evaluate(x)
+            x = np.clip(x - (cumulative - targets) / np.maximum(slope, slope_floor),
+                        0.0, math.pi)
+        resid = np.abs(evaluate(x)[1] - targets)
+        for row, col in zip(*np.nonzero(resid > 1e-12 * total)):
+            _, row_cumulative = _cumulative_area_spline(theta, w_rows[lo + row])
+            x[row, col] = brentq(
+                lambda v, tt=targets[row, col]: row_cumulative(v) - tt, 0.0, math.pi,
                 xtol=1e-14, rtol=8.9e-16,
             )
-    x[0] = 0.0
-    x[-1] = math.pi
-    return x
+        x[:, 0] = 0.0
+        x[:, -1] = math.pi
+        maps[chunk] = x
+        totals[chunk] = total[:, 0]
+    return maps, totals
 
 
 def normalize_path(
@@ -307,6 +400,12 @@ def normalize_path(
     residual time dependence of the area form is measured independently
     (Newton-inverted maps differentiated on their own) and reported as
     ``volume_form_deviation``.
+
+    Slices with the same ramp value (every t >= theta_switch) coincide and
+    are solved once; the maps of all slices are inverted in batches.  Path
+    quantities that only some routes read (the eigenvalue floor, slice and
+    eigen fields) are not computed here but on demand, memoized on the
+    returned path.
     """
     theta = seed.theta_grid
     t_grid = np.linspace(0.0, 1.0, n_t)
@@ -322,24 +421,20 @@ def normalize_path(
             round_radius=seed.volume_radius,
         )
 
-    density0, cumulative0 = _cumulative_area_spline(theta, seed.w)
+    _, cumulative0 = _cumulative_area_spline(theta, seed.w)
     total0 = float(cumulative0(math.pi))
-
-    metrics = []
-    maps = np.empty((n_t, theta.size))
-    for k in range(n_t):
-        w_raw = (1.0 - ramp[k]) * seed.w
-        density, cumulative = _cumulative_area_spline(theta, w_raw)
-        total = float(cumulative(math.pi))
-        # Dilation bringing the slice area back to the seed area.
-        c = 0.5 * math.log(total0 / total)
-        metrics.append(
-            AxisymConformalMetric(theta_grid=theta, w=w_raw + c)
-        )
-        # Cumulative matching for the dilated metric reduces to matching
-        # the undilated cumulative against a rescaled target.
-        targets = cumulative0(theta) * (total / total0)
-        maps[k] = _invert_cumulative(theta, density, cumulative, targets)
+    levels, slice_of = np.unique(ramp, return_inverse=True)
+    w_raw = (1.0 - levels)[:, None] * seed.w
+    # Cumulative matching for the dilated metric reduces to matching the
+    # undilated cumulative against a rescaled target.
+    maps, totals = _match_cumulative_areas(theta, w_raw, cumulative0(theta), total0)
+    # Dilations bringing each slice area back to the seed area.
+    distinct = [
+        AxisymConformalMetric(theta_grid=theta, w=w + 0.5 * math.log(total0 / total))
+        for w, total in zip(w_raw, totals)
+    ]
+    metrics = tuple(distinct[j] for j in slice_of)
+    maps = maps[slice_of]
 
     deviation = _measure_volume_form_deviation(t_grid, theta, metrics, maps)
     return MetricPath(
@@ -347,15 +442,9 @@ def normalize_path(
         t_grid=t_grid,
         theta_switch=theta_switch,
         volume_form_deviation=deviation,
-        metrics=tuple(metrics),
+        metrics=metrics,
         reparam=maps,
     )
-
-
-# Rows per batched spline construction in _compose_rows: large enough to
-# amortize the per-call cost, small enough that the coefficient arrays stay
-# a few MB.
-_ROW_CHUNK = 64
 
 
 def _compose_rows(theta: np.ndarray, rows: np.ndarray, points: np.ndarray,
@@ -369,10 +458,7 @@ def _compose_rows(theta: np.ndarray, rows: np.ndarray, points: np.ndarray,
     for lo in range(0, rows.shape[0], _ROW_CHUNK):
         chunk = slice(lo, lo + _ROW_CHUNK)
         c = CubicSpline(theta, rows[chunk], axis=1).c
-        x = points[chunk]
-        idx = np.clip(np.searchsorted(theta, x, side="right") - 1,
-                      0, theta.size - 2)
-        dx = x - theta[idx]
+        idx, dx = _intervals(theta, points[chunk])
         row = np.arange(c.shape[2])[:, None]
         c3, c2, c1, c0 = (c[i][idx, row] for i in range(4))
         if nu == 0:
@@ -520,43 +606,37 @@ class CurvatureFloor:
     by the margin; the positive-scalar route scales half the minimum
     scalar curvature down (present only if that minimum is positive); the
     negative-floor route scales the negative part of the curvature up.
+
+    ``kappa_eigenfunction`` is computed on demand: the first read solves
+    the eigenvalue floor of the path (``MetricPath.min_lambda1``), which is
+    memoized on the path, so routes that never read it never pay for it.
     """
 
+    path: MetricPath = field(repr=False, compare=False)
     min_curvature: float
     margin: float
-    kappa_eigenfunction: float
     kappa_negative_floor: float
     kappa_positive_scalar: float | None
 
-
-def _path_min_curvature(path: MetricPath) -> float:
-    if path.is_round:
-        return 1.0 / path.r_o ** 2
-    theta = path.metrics[0].theta_grid
-    return float(np.min(_curvature_of(
-        theta, np.array([metric.w for metric in path.metrics]))))
+    @property
+    def kappa_eigenfunction(self) -> float:
+        return self.path.min_lambda1 * (1.0 - self.margin)
 
 
-def curvature_floor_along_path(
-    path: MetricPath, margin: float = 0.05, eigen_samples: int = 65
-) -> CurvatureFloor:
-    """Curvature floor and lapse-threshold candidates for a path."""
-    min_k = _path_min_curvature(path)
+def curvature_floor_along_path(path: MetricPath, margin: float = 0.05) -> CurvatureFloor:
+    """Curvature floor and lapse-threshold candidates for a path.
+
+    The curvature minimum is memoized on the path and the eigenvalue floor
+    is computed on demand (see CurvatureFloor), so this only applies the
+    margin.
+    """
+    min_k = path.min_curvature
     n = path.n
-    if path.is_round:
-        min_scal = n * (n - 1) / path.r_o ** 2
-        min_lam1 = 0.5 * min_scal
-    else:
-        min_scal = 2.0 * min_k
-        count = min(eigen_samples, path.t_grid.size)
-        indices = np.unique(
-            np.round(np.linspace(0, path.t_grid.size - 1, count)).astype(int)
-        )
-        min_lam1 = min(lambda1(path.metrics[idx])[0] for idx in indices)
+    min_scal = n * (n - 1) / path.r_o ** 2 if path.is_round else 2.0 * min_k
     return CurvatureFloor(
+        path=path,
         min_curvature=min_k,
         margin=margin,
-        kappa_eigenfunction=min_lam1 * (1.0 - margin),
         kappa_negative_floor=max(0.0, -min_k) * (1.0 + margin),
         kappa_positive_scalar=(
             0.5 * min_scal * (1.0 - margin) if min_scal > 0.0 else None
@@ -605,18 +685,18 @@ def _safe_ratio(numer, denom, theta, composed):
 def slice_geometry(path: MetricPath) -> SliceGeometry:
     """Slice fields of a normalized path in the fixed area gauge.
 
-    Results are cached on the path object.  For round paths all fields
-    are constant with a single theta sample per slice.
+    Memoized on the path (``MetricPath.slice_fields``).  For round paths
+    all fields are constant with a single theta sample per slice.
     """
-    cached = getattr(path, "_slice_geometry", None)
-    if cached is not None:
-        return cached
+    return path.slice_fields
 
+
+def _slice_geometry(path: MetricPath) -> SliceGeometry:
     if path.is_round:
         n_t = path.t_grid.size
         shape = (n_t, 1)
         r_o = path.r_o
-        geometry = SliceGeometry(
+        return SliceGeometry(
             t_grid=path.t_grid,
             theta_grid=np.zeros(1),
             sqrt_det=np.full(shape, r_o ** path.n),
@@ -624,8 +704,6 @@ def slice_geometry(path: MetricPath) -> SliceGeometry:
             gprime_sq=np.zeros(shape),
             trace_gprime=np.zeros(shape),
         )
-        object.__setattr__(path, "_slice_geometry", geometry)
-        return geometry
 
     theta = path.metrics[0].theta_grid
     exponent, curvature, dmap, maps = _composed_fields(path)
@@ -645,7 +723,7 @@ def slice_geometry(path: MetricPath) -> SliceGeometry:
     ratio_b[:, -1] = ratio_b[:, -2] - (ratio_b[:, -3] - ratio_b[:, -2]) / 3.0
     ratio_a = da / a_comp
 
-    geometry = SliceGeometry(
+    return SliceGeometry(
         t_grid=path.t_grid,
         theta_grid=theta,
         sqrt_det=np.sqrt(a_comp * b_comp),
@@ -653,27 +731,25 @@ def slice_geometry(path: MetricPath) -> SliceGeometry:
         gprime_sq=ratio_a ** 2 + ratio_b ** 2,
         trace_gprime=ratio_a + ratio_b,
     )
-    object.__setattr__(path, "_slice_geometry", geometry)
-    return geometry
 
 
 def eigen_along_path(path: MetricPath) -> EigenPath:
     """Eigenfunction data of -Laplacian + K along a normalized path.
 
     Eigenpairs are computed per slice in the conformal gauge, composed
-    with the reparametrizing maps, and differentiated in time.  Results
-    are cached on the path object.
+    with the reparametrizing maps, and differentiated in time.  Memoized
+    on the path (``MetricPath.eigen_fields``).
     """
-    cached = getattr(path, "_eigen_path", None)
-    if cached is not None:
-        return cached
+    return path.eigen_fields
 
+
+def _eigen_path(path: MetricPath) -> EigenPath:
     n_t = path.t_grid.size
     if path.is_round:
         n = path.n
         r_o = path.r_o
         shape = (n_t, 1)
-        eigen = EigenPath(
+        return EigenPath(
             t_grid=path.t_grid,
             theta_grid=np.zeros(1),
             lambda1=np.full(n_t, 0.5 * n * (n - 1) / r_o ** 2),
@@ -681,8 +757,6 @@ def eigen_along_path(path: MetricPath) -> EigenPath:
             du_dt=np.zeros(shape),
             laplace_u=np.zeros(shape),
         )
-        object.__setattr__(path, "_eigen_path", eigen)
-        return eigen
 
     theta = path.metrics[0].theta_grid
     values = np.empty(n_t)
@@ -701,7 +775,7 @@ def eigen_along_path(path: MetricPath) -> EigenPath:
 
     dt = float(path.t_grid[1] - path.t_grid[0])
     du_dt = diff1_4th(u_comp.T, dt).T
-    eigen = EigenPath(
+    return EigenPath(
         t_grid=path.t_grid,
         theta_grid=theta,
         lambda1=values,
@@ -709,5 +783,3 @@ def eigen_along_path(path: MetricPath) -> EigenPath:
         du_dt=du_dt,
         laplace_u=lap_comp,
     )
-    object.__setattr__(path, "_eigen_path", eigen)
-    return eigen

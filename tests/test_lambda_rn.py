@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from charged_extensions.errors import DomainError, NotApplicableError
 from charged_extensions.lambda_rn import (
@@ -17,6 +18,7 @@ from charged_extensions.lambda_rn import (
     eval_h,
     eval_p,
     horizon_mean_curvature,
+    model_arclength,
     radial_coordinate,
     rn_profile,
     rn_profile_mu,
@@ -129,6 +131,19 @@ def test_classify_near_degenerate_band() -> None:
     assert classify(RNParams(2, m_c + 1e-6, 1.0, -3.0)).kind == SUB_EXTREMAL
     assert classify(RNParams(2, m_c - 1e-6, 1.0, -3.0)).kind == SUPER_EXTREMAL
     assert classify(RNParams(2, m_c, 1.0, -3.0)).kind == EXTREMAL
+
+
+@pytest.mark.parametrize("params", [
+    RNParams(2, 1e300, 0.0, -1.0),
+    RNParams(3, 1e300, 0.0, 0.0),
+    RNParams(2, 1e300, 1.0, 0.0),
+    RNParams(4, 1e300, 1.0, -1.0),
+])
+def test_classify_overflow_is_a_domain_error(params) -> None:
+    # Bracketing the roots passes the float range: float powers raise
+    # OverflowError and float products turn inf, neither of which may leak.
+    with pytest.raises(DomainError):
+        classify(params)
 
 
 def test_inherited_nondegeneracy_property() -> None:
@@ -245,6 +260,32 @@ def test_rn_profile_near_horizon_matches_closed_form() -> None:
         assert abs(exact - s) <= tol, k
 
 
+def _quad_arclength(params: RNParams, r: float) -> float:
+    """Arclength from r_plus to r by adaptive quadrature of 2 tau / sqrt(p)
+    under r = r_plus + tau^2, independent of the profile kernel.
+
+    Near the horizon eval_p(r_plus + tau^2) cancels and the quadrature
+    loses up to 4e-8 within s ~ 0.2, so it is a reference only beyond that.
+    """
+    r_plus = classify(params).r_plus
+
+    def integrand(tau):
+        p = eval_p(params, r_plus + tau * tau)
+        if p <= 0.0:
+            # Rounding can collapse p to zero when tau^2 falls below the
+            # ulp of r_plus; substitute the analytic limit 2/sqrt(p').
+            return 2.0 / math.sqrt(eval_dp(params, r_plus))
+        return 2.0 * tau / math.sqrt(p)
+
+    # full_output returns quad's error estimate instead of warning when
+    # the 1e-13 target is missed (the horizon rounding floor can defeat it);
+    # the estimate must stay inside the 1e-10 the comparisons allow.
+    value, abserr, *_ = quad(integrand, 0.0, math.sqrt(r - r_plus), epsabs=1e-13,
+                             epsrel=1e-12, limit=200, full_output=1)
+    assert abserr <= 1e-10, abserr
+    return value
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("q, lam", [(0.0, 0.0), (0.3, 0.0), (0.0, -1.5), (0.3, -1.5)])
 def test_profiles_invert_radial_coordinate(n, q, lam) -> None:
@@ -255,13 +296,13 @@ def test_profiles_invert_radial_coordinate(n, q, lam) -> None:
     interior = rn_profile_mu(params, mu, 6.0, 1025)
     assert boundary.f[0] == r_plus and boundary.df[0] == 0.0
     assert interior.f[0] == mu and interior.df[0] == math.sqrt(eval_p(params, mu))
-    # radial_coordinate's own quadrature loses digits within ~0.2 of the
-    # horizon, so the comparison starts beyond it.
-    s_mu = radial_coordinate(params, mu)
+    # radial_coordinate is the arclength the profile inverts.
+    assert radial_coordinate(params, mu) == model_arclength(params, mu)
+    s_mu = _quad_arclength(params, mu)
     for k in (64, 128, 256, 384, 512, 768, 896, 1024):
         s = boundary.s_grid[k]
-        assert abs(radial_coordinate(params, boundary.f[k]) - s) <= 1e-10 * (1.0 + s), k
-        assert abs(radial_coordinate(params, interior.f[k]) - s_mu - s) <= 1e-10 * (1.0 + s), k
+        assert abs(_quad_arclength(params, boundary.f[k]) - s) <= 1e-10 * (1.0 + s), k
+        assert abs(_quad_arclength(params, interior.f[k]) - s_mu - s) <= 1e-10 * (1.0 + s), k
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -293,6 +293,51 @@ class TestBartnikReport:
         assert report.upper_bound == report.m_o
 
 
+class TestPathWorkOncePerPath:
+    """The eigenvalue floor is solved only on the eigenfunction route, and
+    at most once per path: 65 lambda1 solves, shared by a whole ladder."""
+
+    CONFIG = pl.PipelineConfig(n_t=129, n_theta=257)
+
+    @pytest.fixture
+    def lambda1_calls(self, monkeypatch):
+        calls = []
+        solve = sphere_seed.lambda1
+
+        def counting(metric):
+            calls.append(metric)
+            return solve(metric)
+
+        monkeypatch.setattr(sphere_seed, "lambda1", counting)
+        return calls
+
+    @staticmethod
+    def cos_data(a, lam):
+        return pl.BartnikDataSpec(
+            n=2, q=0.0, lam=lam, exponent=lambda theta: a * np.cos(theta))
+
+    @pytest.mark.parametrize("a, lam", [(0.3, 0.0), (0.6, -3.5)])
+    def test_scalar_and_negative_floor_ladders_solve_no_eigenvalue(
+            self, lambda1_calls, a, lam):
+        report = pl.bartnik_report(self.cos_data(a, lam), self.CONFIG)
+        assert all(entry["succeeded"] for entry in report.witnesses)
+        assert len(lambda1_calls) == 0
+
+    def test_eigenfunction_route_solves_65_slices(self, lambda1_calls):
+        data = self.cos_data(0.6, 0.0)
+        m_o = ql.m_o(2, sphere_seed.axisym_metric_from_function(
+            data.exponent, n_theta=257).volume_radius, 0.0, 0.0)
+        report = pl.construct_extension(data, 1.1 * m_o, self.CONFIG)
+        assert report.diagnostics["route"] == "eigenfunction"
+        assert len(lambda1_calls) == 65
+
+    def test_ladder_shares_one_eigenvalue_floor(self, lambda1_calls):
+        report = pl.bartnik_report(self.cos_data(0.6, 0.0), self.CONFIG)
+        assert len(report.witnesses) == 7
+        assert all(entry["succeeded"] for entry in report.witnesses)
+        assert len(lambda1_calls) == 65
+
+
 class TestSelftest:
     def test_subset_passes_and_reports(self):
         result = pl.selftest(criteria=(1, 2))

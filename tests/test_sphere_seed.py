@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from charged_extensions import sphere_seed
 from charged_extensions.errors import DomainError
@@ -119,6 +120,64 @@ def test_normalized_path_volume_form_deviation_fine_grid():
     assert path.volume_form_deviation < 1e-8
 
 
+def _reference_normalization(seed, n_t, theta_switch=0.75):
+    """Maps and exponents of normalize_path from one cumulative-area spline
+    per slice, each Newton-inverted on its own with the per-point brentq
+    fallback: the loop the batched inversion replaces."""
+    theta = seed.theta_grid
+    ramp = sphere_seed._time_clamp(np.linspace(0.0, 1.0, n_t), theta_switch)
+    _, cumulative0 = sphere_seed._cumulative_area_spline(theta, seed.w)
+    total0 = float(cumulative0(math.pi))
+    maps = np.empty((n_t, theta.size))
+    exponents = np.empty((n_t, theta.size))
+    for k in range(n_t):
+        w_raw = (1.0 - ramp[k]) * seed.w
+        density, cumulative = sphere_seed._cumulative_area_spline(theta, w_raw)
+        total = float(cumulative(math.pi))
+        exponents[k] = w_raw + 0.5 * math.log(total0 / total)
+        targets = cumulative0(theta) * (total / total0)
+        samples = cumulative(theta)
+        assert np.all(np.diff(samples) > 0.0)
+        x = np.interp(targets, samples, theta)
+        slope_floor = 1e-12 * float(np.max(density(theta)))
+        for _ in range(6):
+            slope = np.maximum(density(x), slope_floor)
+            x = np.clip(x - (cumulative(x) - targets) / slope, 0.0, math.pi)
+        bad = np.abs(cumulative(x) - targets) > 1e-12 * float(samples[-1])
+        for idx in np.nonzero(bad)[0]:
+            x[idx] = brentq(lambda v, tt=targets[idx]: cumulative(v) - tt,
+                            0.0, math.pi, xtol=1e-14, rtol=8.9e-16)
+        x[0], x[-1] = 0.0, math.pi
+        maps[k] = x
+    return maps, exponents
+
+
+@pytest.mark.parametrize("a", [0.3, -0.42, 0.62])
+def test_batched_normalization_matches_per_slice_reference(a):
+    seed = axisym_metric_from_function(lambda t: a * np.cos(t))
+    path = normalize_path(seed)
+    maps, exponents = _reference_normalization(seed, path.t_grid.size)
+    assert np.max(np.abs(path.reparam - maps)) <= 1e-11
+    assert np.max(np.abs(np.array([m.w for m in path.metrics]) - exponents)) <= 1e-11
+    assert path.volume_form_deviation < 1e-7
+    target = unit_sphere_volume(2) * path.r_o ** 2
+    for metric in path.metrics:
+        assert abs(metric.area() - target) < 1e-10 * target
+
+
+def test_intervals_match_searchsorted():
+    # Knots, their float neighbours and random points; the interval rule is
+    # PPoly's: theta[i] <= x < theta[i+1], with pi in the last interval.
+    theta = np.linspace(0.0, math.pi, 1025)
+    rng = np.random.default_rng(5)
+    x = np.concatenate([theta, np.nextafter(theta, -1.0)[1:],
+                        np.nextafter(theta, 4.0)[:-1], rng.uniform(0.0, math.pi, 4000)])
+    idx, dx = sphere_seed._intervals(theta, x)
+    expected = np.clip(np.searchsorted(theta, x, side="right") - 1, 0, theta.size - 2)
+    assert np.array_equal(idx, expected)
+    assert np.array_equal(dx, x - theta[expected])
+
+
 def test_gauss_bonnet_along_path(cos_path):
     for k in (0, 32, 64, 96, 128):
         assert abs(total_curvature(cos_path.metrics[k]) - 4.0 * math.pi) < 1e-6
@@ -179,7 +238,7 @@ def test_curvature_floor_round_unit():
 def test_curvature_floor_negative_curvature_rule():
     seed = axisym_metric_from_function(lambda t: 0.6 * np.cos(t))
     path = normalize_path(seed, n_t=65)
-    floor = curvature_floor_along_path(path, eigen_samples=9)
+    floor = curvature_floor_along_path(path)
     assert floor.min_curvature < 0.0
     assert math.isclose(
         floor.kappa_negative_floor, -floor.min_curvature * 1.05, rel_tol=1e-14
@@ -187,6 +246,16 @@ def test_curvature_floor_negative_curvature_rule():
     assert floor.kappa_positive_scalar is None
     # The stated arithmetic of the rule at a floor of -0.2.
     assert math.isclose(max(0.0, 0.2) * 1.05, 0.21, rel_tol=1e-15)
+
+
+def test_lazy_eigenvalue_floor_equals_eager_formula(cos_path):
+    # The floor the eigenvalue route used to compute eagerly: lambda1 on 65
+    # evenly spaced slices, scaled down by the margin.
+    indices = np.unique(np.round(np.linspace(0, cos_path.t_grid.size - 1, 65)).astype(int))
+    eager = min(lambda1(cos_path.metrics[idx])[0] for idx in indices)
+    for margin in (0.05, 0.2):
+        floor = curvature_floor_along_path(cos_path, margin=margin)
+        assert floor.kappa_eigenfunction == eager * (1.0 - margin)
 
 
 def test_curvature_floor_higher_dimension_round():

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -25,14 +24,10 @@ from scipy.interpolate import CubicSpline
 from . import collar as co
 from . import lambda_rn as rn
 from . import pipeline as pl
-from . import quasilocal as ql
 from . import sphere_seed as ss
 from . import surgery as su
-from .errors import (
-    DomainError,
-    ExtensionError,
-    PreconditionError,
-)
+from .errors import ExtensionError, PreconditionError
+from .numutil import fmt17, json_text
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -73,50 +68,8 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic formatting
+# Artifact output
 # ---------------------------------------------------------------------------
-
-
-def fmt17(value) -> str:
-    """Format a float with 17 significant digits (lossless round-trip)."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise DomainError(f"non-finite value in output: {number!r}")
-    return format(number, ".17g")
-
-
-def _render_json(value, level: int) -> str:
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(key))}: {_render_json(item, level + 1)}"
-            for key, item in sorted(value.items())
-        ]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        items = list(value)
-        if not items:
-            return "[]"
-        parts = [f"{inner}{_render_json(item, level + 1)}" for item in items]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return fmt17(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise DomainError(f"cannot serialize {type(value)!r} into an artifact")
-
-
-def _json_text(payload: dict) -> str:
-    return _render_json(payload, 0) + "\n"
 
 
 def _atomic_write(path, text: str) -> None:
@@ -246,11 +199,15 @@ _SEED = (
     _Option("seed_csv", str, help="CSV file theta,w sampling the conformal exponent"),
 )
 
-_PIPELINE = (
+# Path and curvature-floor options, shared by the collar subcommand.
+_PATH = (
     _Option("n_t", int, 513, help="time samples along the collar path"),
     _Option("n_theta", int, 1025, help="polar samples of axisymmetric seeds"),
     _Option("theta_switch", float, 0.75, help="start of the constant far half"),
     _Option("kappa_margin", float, 0.05, help="curvature-floor safety margin"),
+)
+
+_PIPELINE = _PATH + (
     _Option("epsilon_cap", float, 1.0, help="cap on the collar flare"),
     _Option("mass_fraction", float, 0.9, help="mass headroom spent on the flare"),
     _Option("mass_gap_tol", float, 1e-8, env=True, help="mass agreement tolerance"),
@@ -259,7 +216,6 @@ _PIPELINE = (
     _Option("seed", int, 20260823, help="RNG seed of randomized checks"),
 )
 
-_PIPELINE_KEYS = tuple(option.key for option in _PIPELINE)
 
 _COMMANDS: dict[str, tuple[_Option, ...]] = {
     "classify": _MODEL + (_Option("out", str, help="JSON output path"),),
@@ -270,6 +226,7 @@ _COMMANDS: dict[str, tuple[_Option, ...]] = {
         _Option("out", str, help="CSV output path"),
     ),
     "collar": _SEED
+    + _PATH
     + (
         _Option("epsilon", float, 0.05, help="collar flare parameter"),
         _Option(
@@ -277,10 +234,6 @@ _COMMANDS: dict[str, tuple[_Option, ...]] = {
             float,
             help="lapse amplitude; defaults to twice the smallest admissible",
         ),
-        _Option("n_t", int, 513, help="time samples along the collar path"),
-        _Option("n_theta", int, 1025, help="polar samples of axisymmetric seeds"),
-        _Option("theta_switch", float, 0.75, help="start of the constant far half"),
-        _Option("kappa_margin", float, 0.05, help="curvature-floor safety margin"),
         _Option("out", str, help="JSON summary path"),
         _Option("grid_out", str, help="CSV path for the t,theta,R,dec_margin grid"),
         _Option("hawking_out", str, help="CSV path for the mass curve"),
@@ -437,7 +390,7 @@ def serialize_config(config: RunConfig) -> str:
     payload = {
         key: value for key, value in config.options.items() if value is not None
     }
-    return _json_text(payload)
+    return json_text(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +461,9 @@ def _data_from_options(options: dict) -> pl.BartnikDataSpec:
     return pl.BartnikDataSpec(**kwargs)
 
 
-def _pipeline_config(options: dict) -> pl.PipelineConfig:
-    return pl.PipelineConfig(**{key: options[key] for key in _PIPELINE_KEYS})
+def _pipeline_config(options: dict, schema=_PIPELINE) -> pl.PipelineConfig:
+    """PipelineConfig from the options of a schema; the rest keep defaults."""
+    return pl.PipelineConfig(**{option.key: options[option.key] for option in schema})
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +481,7 @@ def _run_classify(config: RunConfig) -> int:
         "r_plus": cls.r_plus,
         "r_minus": cls.r_minus,
     }
-    _emit(_json_text(payload), options["out"])
+    _emit(json_text(payload), options["out"])
     return 0
 
 
@@ -543,13 +497,7 @@ def _run_rn_profile(config: RunConfig) -> int:
 def _run_collar(config: RunConfig) -> int:
     options = config.options
     data = _data_from_options(options)
-    pipeline_config = pl.PipelineConfig(
-        n_t=options["n_t"],
-        n_theta=options["n_theta"],
-        theta_switch=options["theta_switch"],
-        kappa_margin=options["kappa_margin"],
-    )
-    path = pl._resolve_path(data, pipeline_config)
+    path = pl._resolve_path(data, _pipeline_config(options, _PATH))
     floor = ss.curvature_floor_along_path(path, margin=options["kappa_margin"])
     case_id, kappa, route = pl._select_route(path, data.lam, floor)
     epsilon = options["epsilon"]
@@ -565,7 +513,6 @@ def _run_collar(config: RunConfig) -> int:
             case_id=case_id,
             q=data.q,
             lam=data.lam,
-            r_o=path.r_o,
         )
     )
     mono = co.monotonicity_check(built)
@@ -589,7 +536,7 @@ def _run_collar(config: RunConfig) -> int:
             "min_dmass_dt": mono.min_dmass_dt,
         },
     }
-    _emit(_json_text(payload), options["out"])
+    _emit(json_text(payload), options["out"])
     if options["grid_out"] is not None:
         _atomic_write(options["grid_out"], collar_grid_csv(built))
     if options["hawking_out"] is not None:
@@ -613,25 +560,7 @@ def _run_glue(config: RunConfig) -> int:
             f"truncation radius {radius!r} must exceed the horizon radius "
             f"{cls.r_plus!r}"
         )
-    station = rn.radial_coordinate(params, radius)
-    bent = su.bend(params, station)
-    grid = np.linspace(station - bent.delta, station - 0.5 * bent.delta, 257)
-    f, df, d2f = bent.profile.evaluator(grid)
-    left = rn.SampledProfile(
-        s_grid=grid,
-        f=f,
-        df=df,
-        d2f=d2f,
-        provenance=np.full(grid.shape, "bent"),
-        charge=params.q,
-        evaluator=bent.profile.evaluator,
-    )
-    far_mass = ql.hawking_rotsym(
-        params.n, params.q, params.lam, float(f[-1]), float(df[-1])
-    )
-    glued, record = su.glue_to_rn(
-        params.n, left, far_mass, options["mass"], params.q, params.lam
-    )
+    _, far_mass, glued, record = su.glue_bent_model(params, radius, options["mass"])
     margins = su.dec_margin_operator(params.n, params.q, params.lam, glued)
     _emit(profile_csv(glued, margins), options["out"])
     if options["record_out"] is not None:
@@ -642,7 +571,7 @@ def _run_glue(config: RunConfig) -> int:
             "truncation_radius": radius,
             "base_far_mass": far_mass,
         }
-        _atomic_write(options["record_out"], _json_text(payload))
+        _atomic_write(options["record_out"], json_text(payload))
     return 0
 
 
@@ -677,7 +606,7 @@ def _run_extend(config: RunConfig) -> int:
     report = pl.construct_extension(
         data, options["mass"], _pipeline_config(options)
     )
-    _emit(_json_text(_extension_payload(config, report)), options["out"])
+    _emit(json_text(_extension_payload(config, report)), options["out"])
     if options["profile_out"] is not None:
         margins = su.dec_margin_operator(
             report.n, report.charge, report.lam, report.profile
@@ -712,7 +641,7 @@ def _run_bartnik(config: RunConfig) -> int:
         "witnesses": report.witnesses,
         "pipeline_config": dict(report.config),
     }
-    _emit(_json_text(payload), options["out"])
+    _emit(json_text(payload), options["out"])
     return 0
 
 
@@ -738,7 +667,7 @@ def _run_selftest(config: RunConfig) -> int:
             "config": _config_echo(config),
             "result": result.as_dict(),
         }
-        _atomic_write(options["out"], _json_text(payload))
+        _atomic_write(options["out"], json_text(payload))
     return 0 if result.passed else 4
 
 

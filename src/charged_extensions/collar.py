@@ -65,7 +65,7 @@ class CollarSpec:
     The charge bound (curvature floor minus charge density must be
     positive in the case-appropriate combination) is validated here; the
     curvature-floor admissibility of the path itself is validated when
-    the collar is built.
+    the collar is built.  The boundary radius ``r_o`` is the path's.
     """
 
     path: MetricPath
@@ -75,7 +75,6 @@ class CollarSpec:
     case_id: str
     q: float
     lam: float
-    r_o: float
 
     def __post_init__(self) -> None:
         if self.case_id not in (EIGENFUNCTION_LAPSE, CONSTANT_LAPSE):
@@ -88,12 +87,6 @@ class CollarSpec:
             raise DomainError(f"kappa must be nonnegative, got {self.kappa!r}")
         if self.lam > 0.0:
             raise DomainError(f"lam must be nonpositive, got {self.lam!r}")
-        if not self.r_o > 0.0:
-            raise DomainError(f"r_o must be positive, got {self.r_o!r}")
-        if abs(self.r_o - self.path.r_o) > 1e-9 * self.r_o:
-            raise DomainError(
-                f"r_o {self.r_o!r} does not match the path radius {self.path.r_o!r}"
-            )
         if not (self._charge_gap_scalar() > 0.0 or self._charge_gap_negative() > 0.0):
             raise PreconditionError(
                 "charge too large for the curvature floor: "
@@ -103,6 +96,12 @@ class CollarSpec:
     @property
     def n(self) -> int:
         return self.path.n
+
+    @cached_property
+    def r_o(self) -> float:
+        """The path's radius, read once per spec (an area integral on
+        axisymmetric paths)."""
+        return self.path.r_o
 
     @cached_property
     def margin_fields(self):
@@ -344,19 +343,6 @@ def build_collar(spec: CollarSpec) -> ChargedCollar:
     )
 
 
-def _trial_spec(path, epsilon, amplitude, kappa, case_id, q, lam) -> CollarSpec:
-    return CollarSpec(
-        path=path,
-        epsilon=epsilon,
-        A=amplitude,
-        kappa=kappa,
-        case_id=case_id,
-        q=q,
-        lam=lam,
-        r_o=path.r_o,
-    )
-
-
 def find_A0_bound(
     path: MetricPath, epsilon: float, kappa: float, case_id: str, q: float, lam: float
 ) -> float:
@@ -367,7 +353,7 @@ def find_A0_bound(
     metric velocity and, for the eigenfunction lapse, the eigenfunction
     terms; the bound is positive for A above sqrt(C / floor).
     """
-    spec = _trial_spec(path, epsilon, 1.0, kappa, case_id, q, lam)
+    spec = CollarSpec(path, epsilon, 1.0, kappa, case_id, q, lam)
     route = _admissible_route(spec)
     floor = _energy_floor(spec, route)
     n = path.n
@@ -393,7 +379,7 @@ def find_A0(
     check, which is authoritative; the returned amplitude always passes
     the direct check.
     """
-    probe = _trial_spec(path, epsilon, 1.0, kappa, case_id, q, lam)
+    probe = CollarSpec(path, epsilon, 1.0, kappa, case_id, q, lam)
     base, well, _, reference = probe.margin_fields
     core = base - reference
 
@@ -445,9 +431,9 @@ def _far_end_mass(n, r_o, q, lam, epsilon, amplitude) -> float:
 def find_eps0(n: int, r_o: float, q: float, lam: float, a0: float) -> float:
     """Largest grid epsilon for which the far-end mass exceeds m_o.
 
-    Searches the geometric grid 1, 1/2, ..., 2^-20 and requires the mass
-    gain at the given amplitude and at ten times it (the gain grows with
-    the amplitude, which this spot-checks).
+    Searches the geometric grid 1, 1/2, ..., 2^-52 (the float resolution
+    of 1 + epsilon) and requires the mass gain at the given amplitude and at
+    ten times it (the gain grows with the amplitude, which this spot-checks).
     """
     params = RNParams(n=n, m=0.0, q=q, lam=lam)
     if not lambda_rn.eval_h(params, r_o) > 0.0:
@@ -455,7 +441,7 @@ def find_eps0(n: int, r_o: float, q: float, lam: float, a0: float) -> float:
             f"quasi-local sub-extremality fails at r_o = {r_o!r}"
         )
     reference = m_o(n, r_o, q, lam)
-    for k in range(21):
+    for k in range(53):
         epsilon = 2.0 ** (-k)
         gain = _far_end_mass(n, r_o, q, lam, epsilon, a0) - reference
         gain_big = _far_end_mass(n, r_o, q, lam, epsilon, 10.0 * a0) - reference

@@ -208,7 +208,7 @@ def _poly_p(params: RNParams, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _h_root(params: RNParams) -> float:
-    """Unique positive root of h; requires q != 0."""
+    """Unique positive root of h; requires q^2 != 0."""
     n, q, lam = params.n, params.q, params.lam
     r0 = abs(q) ** (1.0 / (n - 1))
     if lam == 0.0:
@@ -216,11 +216,15 @@ def _h_root(params: RNParams) -> float:
     # h(r0) = -2*lam*r0^(2n)/(n(n-1)) >= 0 brackets from above; shrink the
     # lower end until h goes negative (its limit at 0+ is -q^2).
     lo = r0
-    while eval_h(params, lo) >= 0.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise InternalConsistencyError("failed to bracket the root of h")
-    return brentq(lambda r: eval_h(params, r), lo, r0, **_BRENTQ_KW)
+    try:
+        with np.errstate(over="raise"):
+            while eval_h(params, lo) >= 0.0:
+                lo *= 0.5
+                if lo < 1e-300:
+                    raise InternalConsistencyError("failed to bracket the root of h")
+            return brentq(lambda r: eval_h(params, r), lo, r0, **_BRENTQ_KW)
+    except FloatingPointError as exc:
+        raise DomainError(f"h overflows while its root is bracketed for {params}") from exc
 
 
 def _newton_polish(params: RNParams, r: float, steps: int = 3) -> float:
@@ -268,22 +272,26 @@ def classify(params: RNParams, tol: float = 1e-9) -> ExtremalityClass:
     providing the brackets: for q != 0 its unique root separates the two
     roots of p whenever they exist. Every root is cross-checked against the
     derivative identity linking p' and h.  Parameters whose roots cannot be
-    bracketed within the float range raise DomainError.
+    bracketed within the float range, or resolved by brentq in float64,
+    raise DomainError.
     """
     if tol <= 0.0:
         raise DomainError("classification tolerance must be positive")
     try:
         return _classify(params, tol)
-    except OverflowError as exc:
+    except (OverflowError, RuntimeError) as exc:
+        # RuntimeError is brentq's non-convergence: the rounding noise of p
+        # exceeds the root tolerance at the scale of these parameters.
         raise DomainError(
-            f"parameters {params} leave the float range while the roots of p "
-            "are bracketed") from exc
+            f"the roots of p for parameters {params} cannot be located in "
+            f"float64: {exc}") from exc
 
 
 def _classify(params: RNParams, tol: float) -> ExtremalityClass:
     n, m, q = params.n, params.m, params.q
 
-    if q == 0.0:
+    # A charge whose square underflows is uncharged in every formula of p.
+    if q * q == 0.0:
         if m <= 0.0:
             # p >= 1 for m <= 0 when lam <= 0: no positive root.
             return ExtremalityClass(SUPER_EXTREMAL)
@@ -341,7 +349,7 @@ def critical_mass(n: int, q: float, lam: float) -> float:
     unique root r of h.
     """
     params = RNParams(n, 0.0, q, lam)
-    if q == 0.0:
+    if q * q == 0.0:
         return 0.0
     r = _h_root(params)
     return 0.5 * r ** (n - 1) * eval_p(params, r)

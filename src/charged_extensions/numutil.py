@@ -2,14 +2,20 @@
 
 Uniform-grid Simpson quadrature, fourth-order finite differences with
 one-sided closures, an infinitely smooth monotone step with two analytic
-derivatives, and deterministic float formatting. Everything here is pure and
+derivatives, and the deterministic artifact text: the float formatter and
+the JSON renderer every artifact goes through. Everything here is pure and
 allocation-light; the heavier machinery (root finding, splines, banded
 solves) is imported from scipy at the point of use.
 """
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
+
+from .errors import DomainError
 
 __all__ = [
     "simpson_uniform",
@@ -19,6 +25,7 @@ __all__ = [
     "smooth_step_d1",
     "smooth_step_d2",
     "fmt17",
+    "json_text",
 ]
 
 
@@ -165,6 +172,49 @@ def smooth_step_d2(x):
     return out if out.ndim else float(out)
 
 
-def fmt17(x: float) -> str:
-    """Format a float with 17 significant digits (lossless round-trip)."""
-    return format(float(x), ".17g")
+def fmt17(value) -> str:
+    """Format a float with 17 significant digits (lossless round-trip);
+    a non-finite value raises DomainError."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise DomainError(f"non-finite value in output: {number!r}")
+    return format(number, ".17g")
+
+
+def _render_json(value, level: int) -> str:
+    pad = "  " * level
+    inner = "  " * (level + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [
+            f"{inner}{json.dumps(str(key))}: {_render_json(item, level + 1)}"
+            for key, item in sorted(value.items())
+        ]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        items = list(value)
+        if not items:
+            return "[]"
+        parts = [f"{inner}{_render_json(item, level + 1)}" for item in items]
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return fmt17(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise DomainError(f"cannot serialize {type(value)!r} into an artifact")
+
+
+def json_text(payload: dict) -> str:
+    """Artifact JSON: sorted keys, two-space indent, floats through fmt17.
+
+    numpy scalars, arrays and tuples render as their plain JSON values, so
+    identical payloads give byte-identical text.
+    """
+    return _render_json(payload, 0) + "\n"

@@ -9,7 +9,6 @@ configuration and the verification fields needed by downstream tooling.
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -31,6 +30,7 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
+from .numutil import json_text
 
 __all__ = [
     "PipelineConfig",
@@ -312,7 +312,6 @@ def _build_collar_tail(
             case_id=case_id,
             q=data.q,
             lam=data.lam,
-            r_o=path.r_o,
         )
         built = co.build_collar(spec)
         tail = co.tail_to_arclength(built)
@@ -672,23 +671,6 @@ def bartnik_report(
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(value):
-    """Convert numpy scalars and containers to plain JSON-friendly types."""
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(item) for item in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    return value
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise VerificationError(message)
@@ -803,13 +785,12 @@ def _wobble(theta):
     return 0.15 * np.cos(theta)
 
 
-def _round_scalar_collar(
-    n: int,
+def _scalar_collar(
+    path: ss.MetricPath,
     eps: float,
     config: PipelineConfig,
     min_amplitude: float = 0.0,
 ) -> co.ChargedCollar:
-    path = ss.round_path(n, 1.0, n_t=config.n_t, theta_switch=config.theta_switch)
     floor = ss.curvature_floor_along_path(path, margin=config.kappa_margin)
     kappa = floor.kappa_positive_scalar
     base = co.find_A0(path, eps, kappa, co.CONSTANT_LAPSE, 0.0, 0.0)
@@ -821,7 +802,6 @@ def _round_scalar_collar(
         case_id=co.CONSTANT_LAPSE,
         q=0.0,
         lam=0.0,
-        r_o=1.0,
     )
     return co.build_collar(spec)
 
@@ -831,8 +811,9 @@ def _criterion_collar_masses(config: PipelineConfig) -> dict:
     details = []
     for n in (2, 3):
         reference = ql.m_o(n, 1.0, 0.0, 0.0)
+        path = ss.round_path(n, 1.0, n_t=config.n_t, theta_switch=config.theta_switch)
         for eps in (0.05, 0.1):
-            built = _round_scalar_collar(n, eps, config)
+            built = _scalar_collar(path, eps, config)
             curve = co.hawking_curve(built)
             start = float(curve.mass[0])
             end = float(curve.mass[-1])
@@ -855,7 +836,8 @@ def _criterion_monotonicity(config: PipelineConfig) -> dict:
     tol = _tol(config, 1e-8)
     details = {}
 
-    built = _round_scalar_collar(2, 0.05, config)
+    round2 = ss.round_path(2, 1.0, n_t=config.n_t, theta_switch=config.theta_switch)
+    built = _scalar_collar(round2, 0.05, config)
     report = co.monotonicity_check(built, tol=tol)
     _require(
         report.monotone and report.min_dmass_dt >= -tol,
@@ -865,33 +847,19 @@ def _criterion_monotonicity(config: PipelineConfig) -> dict:
 
     seed = ss.axisym_metric_from_function(_wobble, n_theta=config.n_theta)
     path = ss.normalize_path(seed, n_t=config.n_t, theta_switch=config.theta_switch)
-    floor = ss.curvature_floor_along_path(path, margin=config.kappa_margin)
-    kappa = floor.kappa_positive_scalar
-    base = co.find_A0(path, 0.05, kappa, co.CONSTANT_LAPSE, 0.0, 0.0)
-    axi = co.build_collar(
-        co.CollarSpec(
-            path=path,
-            epsilon=0.05,
-            A=2.0 * base,
-            kappa=kappa,
-            case_id=co.CONSTANT_LAPSE,
-            q=0.0,
-            lam=0.0,
-            r_o=path.r_o,
-        )
-    )
-    report = co.monotonicity_check(axi, tol=tol)
+    report = co.monotonicity_check(_scalar_collar(path, 0.05, config), tol=tol)
     _require(
         report.monotone and report.min_dmass_dt >= -tol,
         f"axisymmetric mass derivative dips to {report.min_dmass_dt!r}",
     )
     details["axisym_min"] = report.min_dmass_dt
 
-    built3 = _round_scalar_collar(3, 0.05, config)
+    round3 = ss.round_path(3, 1.0, n_t=config.n_t, theta_switch=config.theta_switch)
+    built3 = _scalar_collar(round3, 0.05, config)
     report = co.monotonicity_check(built3, tol=tol)
     if not report.asserted and report.a1 is not None:
-        built3 = _round_scalar_collar(
-            3, 0.05, config, min_amplitude=1.05 * report.a1
+        built3 = _scalar_collar(
+            round3, 0.05, config, min_amplitude=1.05 * report.a1
         )
         report = co.monotonicity_check(built3, tol=tol)
     _require(
@@ -912,23 +880,7 @@ def _criterion_monotonicity(config: PipelineConfig) -> dict:
 
 def _criterion_gluing(config: PipelineConfig) -> dict:
     params = rn.RNParams(n=2, m=1.0, q=0.0, lam=0.0)
-    station = rn.radial_coordinate(params, 3.0)
-    bent = su.bend(params, station)
-    lo = station - bent.delta
-    hi = station - 0.5 * bent.delta
-    grid = np.linspace(lo, hi, 257)
-    f, df, d2f = bent.profile.evaluator(grid)
-    left = rn.SampledProfile(
-        s_grid=grid,
-        f=f,
-        df=df,
-        d2f=d2f,
-        provenance=np.full(grid.shape, "bent"),
-        charge=0.0,
-        evaluator=bent.profile.evaluator,
-    )
-    m_star = ql.hawking_rotsym(2, 0.0, 0.0, float(f[-1]), float(df[-1]))
-    glued, record = su.glue_to_rn(2, left, m_star, 1.2, 0.0, 0.0)
+    left, _, glued, record = su.glue_bent_model(params, 3.0, 1.2)
 
     _require(
         bool(np.all(glued.df > 0.0)), "glued profile is not strictly increasing"
@@ -1185,7 +1137,7 @@ class SelftestResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.as_dict())
 
 
 def selftest(
@@ -1223,13 +1175,13 @@ def selftest(
                 name=name,
                 passed=passed,
                 expected_failure=(not passed) and calibration,
-                detail=_jsonable(detail),
+                detail=detail,
             )
         )
     ok = all(entry.passed or entry.expected_failure for entry in entries)
     return SelftestResult(
         entries=tuple(entries),
-        config=_jsonable(config.as_dict()),
+        config=config.as_dict(),
         passed=ok,
         calibration_run=calibration,
     )

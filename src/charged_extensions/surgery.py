@@ -40,6 +40,7 @@ from .lambda_rn import (
     eval_h,
     eval_p,
     model_arclength,
+    radial_coordinate,
     rn_profile,
     rn_profile_mu,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "mollify_and_certify",
     "bend",
     "glue_to_rn",
+    "glue_bent_model",
 ]
 
 _EQUALITY_TOL = 1e-9
@@ -861,6 +863,15 @@ def bend(params: RNParams, s0: float, alpha: float | None = None,
 # Gluing a collar tail to a model end
 # ---------------------------------------------------------------------------
 
+def _bent_piece(bend_res: BendResult, charge: float) -> SampledProfile:
+    """257 samples of a bent profile on [s0 - delta, s0 - delta/2]."""
+    s0, delta = bend_res.s0, bend_res.delta
+    piece = np.linspace(s0 - delta, s0 - 0.5 * delta, 257)
+    f, df, d2f = bend_res.profile.evaluator(piece)
+    return SampledProfile(piece, f, df, d2f, np.array(["bent"] * piece.size),
+                          charge=charge, evaluator=bend_res.profile.evaluator)
+
+
 def _locate_station(params, start, f_b, df_b, in_image):
     """Pick the radius r_C of the station where bending will start.
 
@@ -996,13 +1007,7 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
     else:
         model = rn_profile_mu(params_e, mu, s_cut)
     bend_res = bend(params_e, s0, alpha=f_b, slope_cap=df_b, profile=model)
-    delta = bend_res.delta
-    s1 = s0 - 0.5 * delta
-    piece = np.linspace(s0 - delta, s1, 257)
-    pf, pdf, pd2f = bend_res.profile.evaluator(piece)
-    right = SampledProfile(piece, pf, pdf, pd2f,
-                           np.array(["bent"] * piece.size),
-                           charge=q_e, evaluator=bend_res.profile.evaluator)
+    right = _bent_piece(bend_res, q_e)
 
     inputs = GlueInputs(n, collar_tail, right, lam, q_e)
     shifted, shift = translate_right_interval(inputs)
@@ -1043,3 +1048,18 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
     record = {"m_e": m_e, "q_e": q_e, "lambda": lam,
               "r_C": r_c, "s_match": s_match}
     return combined, record
+
+
+def glue_bent_model(params: RNParams, radius: float, m_e: float):
+    """Glue a model end of mass m_e onto the model of params, bent below radius.
+
+    The bent piece stands in for a collar tail with its end Hawking mass as
+    the far mass.  Returns the piece, the far mass, the glued profile and
+    the attachment record of glue_to_rn.
+    """
+    left = _bent_piece(bend(params, radial_coordinate(params, radius)), params.q)
+    far_mass = hawking_rotsym(params.n, params.q, params.lam,
+                              float(left.f[-1]), float(left.df[-1]))
+    glued, record = glue_to_rn(params.n, left, far_mass, m_e, params.q,
+                               params.lam)
+    return left, far_mass, glued, record

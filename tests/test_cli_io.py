@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charged_extensions import cli_io
+from charged_extensions import cli_io, numutil
 from charged_extensions import collar as co
 from charged_extensions import lambda_rn as rn
+from charged_extensions import pipeline as pl
 from charged_extensions import sphere_seed as ss
 from charged_extensions.errors import (
     ConstructionError,
@@ -211,7 +212,7 @@ class TestFormatting:
             "e": None,
             "f": {"y": 1, "x": [True, "s"]},
         }
-        text = cli_io._json_text(payload)
+        text = numutil.json_text(payload)
         assert text.index('"a"') < text.index('"b"') < text.index('"c"')
         parsed = json.loads(text)
         assert parsed["b"] == 0.1
@@ -223,7 +224,7 @@ class TestFormatting:
 
     def test_json_emitter_rejects_unserializable_values(self):
         with pytest.raises(DomainError):
-            cli_io._json_text({"x": object()})
+            numutil.json_text({"x": object()})
 
 
 class TestCsvSerialization:
@@ -256,7 +257,6 @@ class TestCsvSerialization:
             case_id=co.CONSTANT_LAPSE,
             q=0.0,
             lam=0.0,
-            r_o=1.0,
         )
         built = co.build_collar(spec)
         hawking = cli_io.hawking_csv(built.hawking)
@@ -593,6 +593,13 @@ class TestSelftestCommand:
         assert payload["result"]["passed"] is True
         assert payload["result"]["entries"][0]["criterion"] == 1
         assert payload["config"]["command"] == "selftest"
+
+    def test_ledger_result_matches_to_json(self, tmp_path, capsys):
+        out = tmp_path / "ledger.json"
+        rc = cli_io.main(["selftest", "--criteria", "1,2", "--out", str(out)])
+        assert rc == 0
+        expected = json.loads(pl.selftest(criteria=(1, 2)).to_json())
+        assert json.loads(out.read_text())["result"] == expected
 
     def test_malformed_criteria_is_a_usage_error(self, capsys):
         rc = cli_io.main(["selftest", "--criteria", "1,x"])

@@ -50,7 +50,6 @@ def round_spec(path, epsilon=0.1, amplitude=2.0, kappa=0.95, case=co.CONSTANT_LA
         case_id=case,
         q=q,
         lam=lam,
-        r_o=path.r_o,
     )
 
 
@@ -77,16 +76,13 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             round_spec(round2, lam=0.2)
 
-    def test_rejects_radius_mismatch(self, round2):
-        with pytest.raises(DomainError):
-            co.CollarSpec(
-                path=round2, epsilon=0.1, A=2.0, kappa=0.95,
-                case_id=co.CONSTANT_LAPSE, q=0.0, lam=0.0, r_o=1.5,
-            )
-
     def test_rejects_overlarge_charge(self, round2):
         with pytest.raises(PreconditionError):
             round_spec(round2, q=5.0)
+
+    def test_radius_is_the_path_radius(self, round2, cos_path):
+        for path in (round2, cos_path):
+            assert round_spec(path).r_o == path.r_o
 
 
 class TestScalarCurvature:

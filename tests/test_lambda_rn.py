@@ -138,12 +138,31 @@ def test_classify_near_degenerate_band() -> None:
     RNParams(3, 1e300, 0.0, 0.0),
     RNParams(2, 1e300, 1.0, 0.0),
     RNParams(4, 1e300, 1.0, -1.0),
+    RNParams(2, 1.0, 1e150, -1e300),
+    RNParams(2, 1e100, 0.0, -1.0),
 ])
 def test_classify_overflow_is_a_domain_error(params) -> None:
     # Bracketing the roots passes the float range: float powers raise
-    # OverflowError and float products turn inf, neither of which may leak.
+    # OverflowError, float products turn inf and NumPy powers in h overflow,
+    # none of which may leak.  At m = 1e100 the root (near 4e33) is not
+    # resolved to the brentq tolerance, which must not leak either.
     with pytest.raises(DomainError):
         classify(params)
+
+
+def test_underflowing_charge_is_uncharged() -> None:
+    # q^2 underflows to zero, so p is the uncharged potential; the charged
+    # route would divide 0/0 at the root of h.
+    for n in (2, 3):
+        for lam in (0.0, -1.0):
+            tiny = classify(RNParams(n, 0.7, 1e-200, lam))
+            assert tiny == classify(RNParams(n, 0.7, 0.0, lam))
+            assert critical_mass(n, 1e-200, lam) == 0.0
+
+
+def test_critical_mass_overflow_is_a_domain_error() -> None:
+    with pytest.raises(DomainError):
+        critical_mass(2, 1e150, -1e300)
 
 
 def test_inherited_nondegeneracy_property() -> None:

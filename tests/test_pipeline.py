@@ -11,6 +11,7 @@ from charged_extensions import pipeline as pl
 from charged_extensions import quasilocal as ql
 from charged_extensions import sphere_seed
 from charged_extensions.errors import (
+    ConstructionError,
     DomainError,
     ExtensionError,
     NotApplicableError,
@@ -211,6 +212,30 @@ class TestConstructExtension:
         assert abs(report.achieved_mass - mass) <= 1e-8
         assert abs(report.penrose_slack - 2.0 ** -7 * 0.5) <= 1e-8
 
+    @pytest.mark.parametrize("n, q, lam", [(2, 0.0, 0.0), (3, 0.1, 0.0), (2, 0.2, -1.0)])
+    def test_mass_dial_below_a_2_20_gap(self, n, q, lam):
+        # The flare grid reaches 2^-52, so the dial goes on past 2^-20 until
+        # the gap falls under mass_gap_tol (1e-8), where the collar stage
+        # fails with its typed error.
+        data = pl.BartnikDataSpec(n=n, q=q, lam=lam, r_o=1.0)
+        m_o = ql.m_o(n, 1.0, q, lam)
+        for k in (20, 22, 24):
+            mass = (1.0 + 2.0 ** -k) * m_o
+            report = pl.construct_extension(data, mass)
+            assert abs(report.achieved_mass - mass) <= 1e-8 * (1.0 + mass)
+            assert report.penrose_slack > 0.0
+        with pytest.raises(ConstructionError, match=r"\[stage: collar\]"):
+            pl.construct_extension(data, (1.0 + 2.0 ** -26) * m_o)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_underflowing_charge_certifies(self, n):
+        # q^2 underflows: the model end is the uncharged one, with no 0/0
+        # (a RuntimeWarning, an error under this suite) in classify.
+        data = pl.BartnikDataSpec(n=n, q=1e-200, lam=0.0, r_o=1.0)
+        report = pl.construct_extension(data, 0.55)
+        assert abs(report.achieved_mass - 0.55) <= 1e-8 * 1.55
+        assert report.min_margin > 0.0
+
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("lam", [-10.0, -50.0, -200.0])
@@ -349,6 +374,21 @@ class TestSelftest:
     def test_rejects_unknown_criteria(self):
         with pytest.raises(DomainError):
             pl.selftest(criteria=(1, 99))
+
+    def test_ledger_renders_numpy_details_as_plain_json(self):
+        detail = {
+            "count": np.int64(3),
+            "flag": np.bool_(True),
+            "pair": (0.5, 2),
+            "values": np.array([0.25, 1.5]),
+            "x": np.float64(0.1),
+        }
+        entry = pl.SelftestEntry(1, "numpy detail", True, False, detail)
+        result = pl.SelftestResult((entry,), {"seed": 1}, True, False)
+        parsed = json.loads(result.to_json())["entries"][0]["detail"]
+        assert parsed == {"count": 3, "flag": True, "pair": [0.5, 2],
+                          "values": [0.25, 1.5], "x": 0.1}
+        assert type(parsed["count"]) is int and parsed["flag"] is True
 
     def test_ledger_is_deterministic(self):
         first = pl.selftest(criteria=(1, 2)).to_json()

@@ -2,11 +2,10 @@
 
 Subcommands cover the model classifier, model profiles, collars, profile
 gluing, end-to-end extensions, the mass upper-bound report, and the
-selftest.  Values resolve with flags taking precedence over environment
-overrides, then config-file entries, then defaults; every artifact echoes
-the resolved configuration, prints floats with 17 significant digits, and
-is written atomically so identical configurations produce byte-identical
-files.
+selftest.  Values resolve with flags taking precedence over config-file
+entries, then defaults; every artifact echoes the resolved configuration,
+prints floats with 17 significant digits, and is written atomically so
+identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .numutil import fmt17, json_text
 
 __all__ = [
     "SCHEMA_VERSION",
-    "ENV_PREFIX",
     "UsageError",
     "RunConfig",
     "fmt17",
@@ -46,11 +44,10 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-ENV_PREFIX = "CHARGED_EXTENSIONS_"
 
 
 class UsageError(Exception):
-    """Invalid command line, config file, or environment override."""
+    """Invalid command line or config file."""
 
 
 @dataclass
@@ -58,9 +55,8 @@ class RunConfig:
     """A subcommand together with its fully resolved options.
 
     Every option of the subcommand is present in ``options``; values not
-    set by a flag, environment override, or config file hold their
-    documented defaults (or None for truly optional fields like output
-    paths and unused seed sources).
+    set by a flag or config file hold their documented defaults (or None
+    for truly optional fields like output paths and unused seed sources).
     """
 
     command: str
@@ -92,42 +88,39 @@ def _emit(text: str, out) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _table(header: str, columns, sep: str = ",") -> str:
+    """Header line, then one line per row of the columns joined by sep.
+
+    Numeric columns print through ``fmt17``; text columns print as they
+    are.
+    """
+    cells = []
+    for column in columns:
+        values = np.asarray(column)
+        if values.dtype.kind == "U":
+            cells.append(values.tolist())
+        else:
+            cells.append([fmt17(value) for value in values.tolist()])
+    return "\n".join([header, *(sep.join(row) for row in zip(*cells))]) + "\n"
+
+
 def profile_csv(profile: rn.SampledProfile, margins=None) -> str:
     """CSV text with header s,f,df,d2f,provenance (plus margin when given)."""
-    with_margin = margins is not None
-    header = "s,f,df,d2f,provenance" + (",margin" if with_margin else "")
-    lines = [header]
-    provenance = [str(tag) for tag in profile.provenance.tolist()]
-    for index in range(profile.s_grid.size):
-        row = [
-            fmt17(profile.s_grid[index]),
-            fmt17(profile.f[index]),
-            fmt17(profile.df[index]),
-            fmt17(profile.d2f[index]),
-            provenance[index],
-        ]
-        if with_margin:
-            row.append(fmt17(margins[index]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = "s,f,df,d2f,provenance"
+    columns = [profile.s_grid, profile.f, profile.df, profile.d2f,
+               profile.provenance.astype(str)]
+    if margins is not None:
+        header += ",margin"
+        columns.append(margins)
+    return _table(header, columns)
 
 
 def hawking_csv(curve) -> str:
     """CSV text with header t,mass,dmass_dt,charge for a mass curve."""
-    lines = ["t,mass,dmass_dt,charge"]
-    charge = fmt17(curve.charge)
-    for index in range(curve.t_grid.size):
-        lines.append(
-            ",".join(
-                (
-                    fmt17(curve.t_grid[index]),
-                    fmt17(curve.mass[index]),
-                    fmt17(curve.dmass_dt[index]),
-                    charge,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    charge = [fmt17(curve.charge)] * curve.t_grid.size
+    return _table(
+        "t,mass,dmass_dt,charge", (curve.t_grid, curve.mass, curve.dmass_dt, charge)
+    )
 
 
 def collar_grid_csv(built: co.ChargedCollar) -> str:
@@ -136,28 +129,18 @@ def collar_grid_csv(built: co.ChargedCollar) -> str:
     Round collars carry a single homogeneous theta column, reported at
     theta = 0.
     """
-    lines = ["t,theta,R,dec_margin"]
-    t_grid = built.spec.path.t_grid
     scalar = built.scalar_curvature
-    margin = built.dec_margin
-    if scalar.shape[1] == 1:
+    rows, cols = scalar.shape
+    if cols == 1:
         thetas = np.array([0.0])
     else:
         thetas = ss.slice_geometry(built.spec.path).theta_grid
-    for i in range(scalar.shape[0]):
-        t_text = fmt17(t_grid[i])
-        for j in range(scalar.shape[1]):
-            lines.append(
-                ",".join(
-                    (
-                        t_text,
-                        fmt17(thetas[j]),
-                        fmt17(scalar[i, j]),
-                        fmt17(margin[i, j]),
-                    )
-                )
-            )
-    return "\n".join(lines) + "\n"
+    t_text = [fmt17(t) for t in built.spec.path.t_grid.tolist()]
+    return _table(
+        "t,theta,R,dec_margin",
+        (np.repeat(t_text, cols), np.tile(thetas, rows), scalar.ravel(),
+         built.dec_margin.ravel()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +154,6 @@ class _Option:
     kind: type
     default: object = None
     required: bool = False
-    env: bool = False
     help: str = ""
 
     @property
@@ -199,21 +181,25 @@ _SEED = (
     _Option("seed_csv", str, help="CSV file theta,w sampling the conformal exponent"),
 )
 
-# Path and curvature-floor options, shared by the collar subcommand.
+
+def _pipeline_option(key: str, help: str) -> _Option:
+    """An option with the type and default of a PipelineConfig field."""
+    default = getattr(pl.PipelineConfig(), key)
+    return _Option(key, type(default), default, help=help)
+
+
+# Path options, shared by the collar subcommand.
 _PATH = (
-    _Option("n_t", int, 513, help="time samples along the collar path"),
-    _Option("n_theta", int, 1025, help="polar samples of axisymmetric seeds"),
-    _Option("theta_switch", float, 0.75, help="start of the constant far half"),
-    _Option("kappa_margin", float, 0.05, help="curvature-floor safety margin"),
+    _pipeline_option("n_t", "time samples along the collar path"),
+    _pipeline_option("n_theta", "polar samples of axisymmetric seeds"),
+    _pipeline_option("theta_switch", "start of the constant far half"),
 )
 
 _PIPELINE = _PATH + (
-    _Option("epsilon_cap", float, 1.0, help="cap on the collar flare"),
-    _Option("mass_fraction", float, 0.9, help="mass headroom spent on the flare"),
-    _Option("mass_gap_tol", float, 1e-8, env=True, help="mass agreement tolerance"),
-    _Option("witness_floor", int, 7, help="largest witness exponent"),
-    _Option("tolerance_scale", float, 1.0, env=True, help="selftest tolerance scale"),
-    _Option("seed", int, 20260823, help="RNG seed of randomized checks"),
+    _pipeline_option("mass_gap_tol", "mass agreement tolerance"),
+    _pipeline_option("witness_floor", "largest witness exponent"),
+    _pipeline_option("tolerance_scale", "selftest tolerance scale"),
+    _pipeline_option("seed", "RNG seed of randomized checks"),
 )
 
 
@@ -291,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coerce(option: _Option, value, source: str):
+def _coerce(option: _Option, value):
     if option.kind is float:
         if isinstance(value, str):
             try:
@@ -301,7 +287,7 @@ def _coerce(option: _Option, value, source: str):
         elif isinstance(value, (int, float)) and not isinstance(value, bool):
             return float(value)
         raise UsageError(
-            f"type mismatch at key '{option.key}' ({source}): expected a number, "
+            f"type mismatch at key '{option.key}' (config file): expected a number, "
             f"got {value!r}"
         )
     if option.kind is int:
@@ -313,12 +299,12 @@ def _coerce(option: _Option, value, source: str):
         elif isinstance(value, int) and not isinstance(value, bool):
             return int(value)
         raise UsageError(
-            f"type mismatch at key '{option.key}' ({source}): expected an integer, "
+            f"type mismatch at key '{option.key}' (config file): expected an integer, "
             f"got {value!r}"
         )
     if not isinstance(value, str):
         raise UsageError(
-            f"type mismatch at key '{option.key}' ({source}): expected a string, "
+            f"type mismatch at key '{option.key}' (config file): expected a string, "
             f"got {value!r}"
         )
     return value
@@ -327,10 +313,10 @@ def _coerce(option: _Option, value, source: str):
 def parse_config(argv=None) -> RunConfig:
     """Resolve a command line into a total RunConfig.
 
-    Precedence per option: command-line flag, then environment override
-    (prefix ``CHARGED_EXTENSIONS_``, tolerance options only), then config
-    file entry, then the documented default.  Unknown or mistyped config
-    keys are usage errors naming the key.
+    Precedence per option: command-line flag, then config file entry, then
+    the documented default (the pipeline options default to
+    ``PipelineConfig``'s values).  Unknown or mistyped config keys are usage
+    errors naming the key.
     """
     namespace = _build_parser().parse_args(argv)
     command = namespace.command
@@ -359,12 +345,8 @@ def parse_config(argv=None) -> RunConfig:
     resolved = {}
     for option in options:
         value = getattr(namespace, option.key)
-        if value is None and option.env:
-            env_value = os.environ.get(ENV_PREFIX + option.key.upper())
-            if env_value is not None:
-                value = _coerce(option, env_value, "environment")
         if value is None and option.key in file_values:
-            value = _coerce(option, file_values[option.key], "config file")
+            value = _coerce(option, file_values[option.key])
         if value is None:
             value = option.default
         if value is None and option.required:
@@ -498,8 +480,7 @@ def _run_collar(config: RunConfig) -> int:
     options = config.options
     data = _data_from_options(options)
     path = pl._resolve_path(data, _pipeline_config(options, _PATH))
-    floor = ss.curvature_floor_along_path(path, margin=options["kappa_margin"])
-    case_id, kappa, route = pl._select_route(path, data.lam, floor)
+    route, case_id, kappa = co.select_route(path, data.q, data.lam)
     epsilon = options["epsilon"]
     amplitude = options["amplitude"]
     if amplitude is None:
@@ -684,22 +665,14 @@ def emit_plotdata(report: pl.ExtensionReport, prefix) -> list[str]:
         report.n, report.charge, report.lam, profile
     )
     curve = report.collar.hawking
-
-    def _columns(first, second, labels):
-        rows = [f"# {labels}"]
-        rows.extend(
-            f"{fmt17(a)} {fmt17(b)}" for a, b in zip(first, second)
-        )
-        return "\n".join(rows) + "\n"
-
     written = []
-    for suffix, text in (
-        (".profile.dat", _columns(profile.s_grid, profile.f, "s f")),
-        (".hawking.dat", _columns(curve.t_grid, curve.mass, "t mass")),
-        (".margin.dat", _columns(profile.s_grid, margins, "s margin")),
+    for suffix, header, columns in (
+        (".profile.dat", "# s f", (profile.s_grid, profile.f)),
+        (".hawking.dat", "# t mass", (curve.t_grid, curve.mass)),
+        (".margin.dat", "# s margin", (profile.s_grid, margins)),
     ):
         path = prefix + suffix
-        _atomic_write(path, text)
+        _atomic_write(path, _table(header, columns, sep=" "))
         written.append(path)
     return written
 

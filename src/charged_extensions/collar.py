@@ -29,7 +29,12 @@ from .errors import (
 from .lambda_rn import RNParams, SampledProfile
 from .numutil import diff1_4th, simpson_uniform
 from .quasilocal import HawkingCurve, m_o, unit_sphere_volume
-from .sphere_seed import MetricPath, eigen_along_path, slice_geometry
+from .sphere_seed import (
+    MetricPath,
+    curvature_floor_along_path,
+    eigen_along_path,
+    slice_geometry,
+)
 
 __all__ = [
     "EIGENFUNCTION_LAPSE",
@@ -38,6 +43,7 @@ __all__ = [
     "ChargedCollar",
     "MonotonicityReport",
     "IMCFReport",
+    "select_route",
     "collar_scalar_curvature",
     "build_collar",
     "find_A0_bound",
@@ -52,11 +58,6 @@ __all__ = [
 EIGENFUNCTION_LAPSE = "EigenfunctionLapse"
 CONSTANT_LAPSE = "ConstantLapse"
 
-# Admissibility routes for the curvature floor behind the lapse bound.
-_ROUTE_POSITIVE_SCALAR = "PositiveScalar"
-_ROUTE_NEGATIVE_FLOOR = "NegativeFloor"
-_ROUTE_EIGENFUNCTION = "Eigenfunction"
-
 
 @dataclass(frozen=True)
 class CollarSpec:
@@ -65,7 +66,8 @@ class CollarSpec:
     The charge bound (curvature floor minus charge density must be
     positive in the case-appropriate combination) is validated here; the
     curvature-floor admissibility of the path itself is validated when
-    the collar is built.  The boundary radius ``r_o`` is the path's.
+    the collar is built (see select_route).  The boundary radius ``r_o`` is
+    the path's.
     """
 
     path: MetricPath
@@ -97,10 +99,8 @@ class CollarSpec:
     def n(self) -> int:
         return self.path.n
 
-    @cached_property
+    @property
     def r_o(self) -> float:
-        """The path's radius, read once per spec (an area integral on
-        axisymmetric paths)."""
         return self.path.r_o
 
     @cached_property
@@ -182,33 +182,82 @@ def _shape_factor(spec: CollarSpec):
     return t, F, dF, d2F
 
 
-def _admissible_route(spec: CollarSpec) -> str:
-    """Select the curvature-floor route backing the lapse bound."""
-    geometry = slice_geometry(spec.path)
-    min_scal = float(np.min(geometry.scalar_curvature))
+def _route_floor(spec: CollarSpec) -> float:
+    """Energy floor of the curvature-floor test the spec's lapse passes.
+
+    The eigenfunction lapse needs kappa below the first eigenvalue along
+    the path; a constant lapse needs kappa below half the slice scalar
+    curvature (positive scalar) or, for n = 2, above minus half of it
+    (negative floor).  Each test also needs its charge gap positive, and
+    that gap is the floor returned.  Raises PreconditionError when no test
+    passes.  Reads only fields the spec's collar reads anyway.
+    """
+    scalar_gap = spec._charge_gap_scalar()
+    # Slice fields before eigen fields, as the collar reads them: built in
+    # the other order, the slice fields' temporaries come on top of the
+    # memoized eigen fields and raise the peak memory of a cold path.
+    min_scal = float(np.min(slice_geometry(spec.path).scalar_curvature))
     if spec.case_id == EIGENFUNCTION_LAPSE:
-        eigen = eigen_along_path(spec.path)
-        min_lam1 = float(np.min(eigen.lambda1))
-        if min_lam1 > spec.kappa and spec._charge_gap_scalar() > 0.0:
-            return _ROUTE_EIGENFUNCTION
+        min_lam1 = float(np.min(eigen_along_path(spec.path).lambda1))
+        if min_lam1 > spec.kappa and scalar_gap > 0.0:
+            return scalar_gap
         raise PreconditionError(
             "eigenfunction lapse needs kappa below the first eigenvalue "
             f"(min lambda1 = {min_lam1!r}, kappa = {spec.kappa!r})"
         )
-    if min_scal > 2.0 * spec.kappa and spec._charge_gap_scalar() > 0.0:
-        return _ROUTE_POSITIVE_SCALAR
-    if spec.n == 2 and 0.5 * min_scal > -spec.kappa and spec._charge_gap_negative() > 0.0:
-        return _ROUTE_NEGATIVE_FLOOR
+    if min_scal > 2.0 * spec.kappa and scalar_gap > 0.0:
+        return scalar_gap
+    negative_gap = spec._charge_gap_negative()
+    if spec.n == 2 and 0.5 * min_scal > -spec.kappa and negative_gap > 0.0:
+        return negative_gap
     raise PreconditionError(
         "no admissible curvature floor: min slice scalar curvature "
         f"{min_scal!r} with kappa {spec.kappa!r}"
     )
 
 
-def _energy_floor(spec: CollarSpec, route: str) -> float:
-    if route == _ROUTE_NEGATIVE_FLOOR:
-        return spec._charge_gap_negative()
-    return spec._charge_gap_scalar()
+def _route_candidates(path: MetricPath, lam: float):
+    """(route, case_id, kappa) for each route with a candidate floor, in
+    order of preference; the eigenvalue floor is solved only if reached."""
+    floor = curvature_floor_along_path(path)
+    if path.n == 2 and lam < 0.0:
+        yield "negative-floor", CONSTANT_LAPSE, floor.kappa_negative_floor
+    if path.n == 2 and floor.min_curvature <= 0.0:
+        yield "eigenfunction", EIGENFUNCTION_LAPSE, floor.kappa_eigenfunction
+    if floor.kappa_positive_scalar is not None:
+        yield "positive-scalar", CONSTANT_LAPSE, floor.kappa_positive_scalar
+
+
+def select_route(path: MetricPath, q: float, lam: float) -> tuple[str, str, float]:
+    """The collar's curvature-floor route: (route, lapse case_id, kappa).
+
+    Routes are tried in order of preference, each with its candidate floor
+    from ``curvature_floor_along_path``:
+
+    - ``negative-floor`` (constant lapse) for n = 2 against lam < 0, which
+      works whatever the sign of the curvature;
+    - ``eigenfunction`` for n = 2 when the curvature is not positive; its
+      eigenvalue floor is solved on this read, once per path;
+    - ``positive-scalar`` (constant lapse) when the scalar curvature is
+      positive.
+
+    The first candidate that passes the admissibility test of
+    ``build_collar`` (the charge gap of ``CollarSpec`` and the curvature
+    test of its lapse) wins.  Raises PreconditionError when none passes.
+    """
+    refusals = []
+    for route, case_id, kappa in _route_candidates(path, lam):
+        try:
+            # The flare and amplitude (1.0 here) do not enter the test.
+            _route_floor(CollarSpec(path, 1.0, 1.0, kappa, case_id, q, lam))
+        except PreconditionError as exc:
+            refusals.append(f"{route}: {exc}")
+            continue
+        return route, case_id, kappa
+    raise PreconditionError(
+        f"no curvature-floor route admits q={q!r}, lam={lam!r}: "
+        + "; ".join(refusals)
+    )
 
 
 def _margin_parts(spec: CollarSpec):
@@ -306,7 +355,7 @@ def build_collar(spec: CollarSpec) -> ChargedCollar:
     Raises a construction error carrying the worst (t, theta) sample if
     the margin R - 2 Lambda - n(n-1)|E|^2 is not strictly positive.
     """
-    _admissible_route(spec)
+    _route_floor(spec)
     base, well, u, reference = spec.margin_fields
     scalar = base + well / spec.A ** 2
     margin = scalar - reference
@@ -353,9 +402,7 @@ def find_A0_bound(
     metric velocity and, for the eigenfunction lapse, the eigenfunction
     terms; the bound is positive for A above sqrt(C / floor).
     """
-    spec = CollarSpec(path, epsilon, 1.0, kappa, case_id, q, lam)
-    route = _admissible_route(spec)
-    floor = _energy_floor(spec, route)
+    floor = _route_floor(CollarSpec(path, epsilon, 1.0, kappa, case_id, q, lam))
     n = path.n
     c_n = 4.0 if n == 2 else float(n * (n - 1))
     geometry = slice_geometry(path)

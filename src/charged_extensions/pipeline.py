@@ -55,18 +55,17 @@ __all__ = [
 class PipelineConfig:
     """Numeric knobs of the construction pipeline.
 
-    All grid sizes, switch points, margins, and tolerances used by the
-    pipeline live here; every report embeds the resolved values through
-    ``as_dict`` so that artifacts are self-describing.
+    The grid sizes, switch point, tolerances and seeds a caller may set
+    live here; every report embeds the resolved values through ``as_dict``
+    so that artifacts are self-describing.  Fixed constants of the
+    construction are not knobs: the 5% curvature-floor margin lives in
+    ``sphere_seed`` behind ``collar.select_route``, and the collar flare
+    spends at most 0.9 of the mass headroom (``_MASS_FRACTION``) and never
+    exceeds the collar's epsilon <= 1.
 
     - ``n_t``: number of time samples along the collar path.
     - ``n_theta``: polar samples of axisymmetric seed metrics.
     - ``theta_switch``: start of the constant far half of the path.
-    - ``kappa_margin``: safety margin folded into the curvature floor.
-    - ``epsilon_cap``: hard cap on the collar flare parameter.
-    - ``mass_fraction``: fraction of the requested-mass headroom the
-      flare may consume, keeping the far collar mass strictly below the
-      requested total mass.
     - ``mass_gap_tol``: relative gap required between the far collar
       mass and the requested mass, and the far-end mass agreement bound.
     - ``witness_floor``: largest exponent k of the mass witnesses
@@ -80,9 +79,6 @@ class PipelineConfig:
     n_t: int = 513
     n_theta: int = 1025
     theta_switch: float = 0.75
-    kappa_margin: float = 0.05
-    epsilon_cap: float = 1.0
-    mass_fraction: float = 0.9
     mass_gap_tol: float = 1e-8
     witness_floor: int = 7
     tolerance_scale: float = 1.0
@@ -98,18 +94,6 @@ class PipelineConfig:
         if not 0.0 < self.theta_switch < 1.0:
             raise DomainError(
                 f"theta_switch must lie in (0, 1), got {self.theta_switch!r}"
-            )
-        if not 0.0 <= self.kappa_margin < 1.0:
-            raise DomainError(
-                f"kappa_margin must lie in [0, 1), got {self.kappa_margin!r}"
-            )
-        if not 0.0 < self.epsilon_cap <= 1.0:
-            raise DomainError(
-                f"epsilon_cap must lie in (0, 1], got {self.epsilon_cap!r}"
-            )
-        if not 0.0 < self.mass_fraction < 1.0:
-            raise DomainError(
-                f"mass_fraction must lie in (0, 1), got {self.mass_fraction!r}"
             )
         if not self.mass_gap_tol > 0.0:
             raise DomainError(
@@ -236,36 +220,14 @@ def _stage(name: str):
         raise
 
 
-def _select_route(
-    path: ss.MetricPath, lam: float, floor: ss.CurvatureFloor
-) -> tuple[str, float, str]:
-    """Pick the collar lapse route and its curvature constant.
-
-    A negative curvature floor is only admissible against a negative
-    cosmological constant, and works in dimension two regardless of the
-    curvature sign, so it is preferred there.  On a flat background in
-    dimension two the scalar floor applies when the curvature is
-    positive, and the first stability eigenvalue takes over otherwise.
-    Higher dimensions always use the scalar floor.  Only the eigenfunction
-    route reads ``floor.kappa_eigenfunction``, whose eigenvalue solves run
-    on that read, once per path.
-    """
-    if path.n == 2 and lam < 0.0:
-        return co.CONSTANT_LAPSE, floor.kappa_negative_floor, "negative-floor"
-    if path.n == 2 and floor.min_curvature <= 0.0:
-        return co.EIGENFUNCTION_LAPSE, floor.kappa_eigenfunction, "eigenfunction"
-    if floor.kappa_positive_scalar is None:
-        raise PreconditionError(
-            "path admits no positive scalar-curvature floor and no "
-            "alternative lapse route applies"
-        )
-    return co.CONSTANT_LAPSE, floor.kappa_positive_scalar, "positive-scalar"
+# Fraction of the requested-mass headroom the collar flare may consume,
+# keeping the far collar mass strictly below the requested total mass.
+_MASS_FRACTION = 0.9
 
 
 def _flare_parameters(
     path: ss.MetricPath,
     data: BartnikDataSpec,
-    config: PipelineConfig,
     m: float,
     m_o_val: float,
     kappa: float,
@@ -273,13 +235,14 @@ def _flare_parameters(
 ) -> tuple[float, float]:
     """Joint choice of the collar flare epsilon and amplitude.
 
-    The flare is capped by the configured fraction of the mass headroom
-    (so the far collar mass stays below the requested total mass) and by
-    the largest admissible value for the resulting amplitude; amplitude
-    and flare feed each other, so the pair is iterated to a fixed point.
+    The flare is capped by ``_MASS_FRACTION`` of the mass headroom (so the
+    far collar mass stays below the requested total mass), by the collar's
+    epsilon <= 1 and by the largest admissible value for the resulting
+    amplitude; amplitude and flare feed each other, so the pair is iterated
+    to a fixed point.
     """
     headroom = (m / m_o_val) ** (2.0 / (data.n + 1)) - 1.0
-    eps = min(config.epsilon_cap, config.mass_fraction * headroom)
+    eps = min(1.0, _MASS_FRACTION * headroom)
     for _ in range(6):
         amplitude = co.find_A0(path, eps, kappa, case_id, data.q, data.lam)
         allowed = co.find_eps0(data.n, path.r_o, data.q, data.lam, amplitude)
@@ -299,9 +262,7 @@ def _build_collar_tail(
     case_id: str,
 ):
     """Build the collar, halving the flare until its far mass clears m."""
-    eps, amplitude = _flare_parameters(
-        path, data, config, m, m_o_val, kappa, case_id
-    )
+    eps, amplitude = _flare_parameters(path, data, m, m_o_val, kappa, case_id)
     floor = eps * 2.0 ** -20
     while True:
         spec = co.CollarSpec(
@@ -513,8 +474,7 @@ def construct_extension(
             )
 
     with _stage("curvature-floor"):
-        floor = ss.curvature_floor_along_path(path, margin=config.kappa_margin)
-        case_id, kappa, route = _select_route(path, data.lam, floor)
+        route, case_id, kappa = co.select_route(path, data.q, data.lam)
 
     with _stage("collar"):
         built, tail, m_star, eps, amplitude = _build_collar_tail(
@@ -786,20 +746,16 @@ def _wobble(theta):
 
 
 def _scalar_collar(
-    path: ss.MetricPath,
-    eps: float,
-    config: PipelineConfig,
-    min_amplitude: float = 0.0,
+    path: ss.MetricPath, eps: float, min_amplitude: float = 0.0
 ) -> co.ChargedCollar:
-    floor = ss.curvature_floor_along_path(path, margin=config.kappa_margin)
-    kappa = floor.kappa_positive_scalar
-    base = co.find_A0(path, eps, kappa, co.CONSTANT_LAPSE, 0.0, 0.0)
+    _, case_id, kappa = co.select_route(path, 0.0, 0.0)
+    base = co.find_A0(path, eps, kappa, case_id, 0.0, 0.0)
     spec = co.CollarSpec(
         path=path,
         epsilon=eps,
         A=max(2.0 * base, min_amplitude),
         kappa=kappa,
-        case_id=co.CONSTANT_LAPSE,
+        case_id=case_id,
         q=0.0,
         lam=0.0,
     )
@@ -813,7 +769,7 @@ def _criterion_collar_masses(config: PipelineConfig) -> dict:
         reference = ql.m_o(n, 1.0, 0.0, 0.0)
         path = ss.round_path(n, 1.0, n_t=config.n_t, theta_switch=config.theta_switch)
         for eps in (0.05, 0.1):
-            built = _scalar_collar(path, eps, config)
+            built = _scalar_collar(path, eps)
             curve = co.hawking_curve(built)
             start = float(curve.mass[0])
             end = float(curve.mass[-1])
@@ -837,7 +793,7 @@ def _criterion_monotonicity(config: PipelineConfig) -> dict:
     details = {}
 
     round2 = ss.round_path(2, 1.0, n_t=config.n_t, theta_switch=config.theta_switch)
-    built = _scalar_collar(round2, 0.05, config)
+    built = _scalar_collar(round2, 0.05)
     report = co.monotonicity_check(built, tol=tol)
     _require(
         report.monotone and report.min_dmass_dt >= -tol,
@@ -847,7 +803,7 @@ def _criterion_monotonicity(config: PipelineConfig) -> dict:
 
     seed = ss.axisym_metric_from_function(_wobble, n_theta=config.n_theta)
     path = ss.normalize_path(seed, n_t=config.n_t, theta_switch=config.theta_switch)
-    report = co.monotonicity_check(_scalar_collar(path, 0.05, config), tol=tol)
+    report = co.monotonicity_check(_scalar_collar(path, 0.05), tol=tol)
     _require(
         report.monotone and report.min_dmass_dt >= -tol,
         f"axisymmetric mass derivative dips to {report.min_dmass_dt!r}",
@@ -855,12 +811,10 @@ def _criterion_monotonicity(config: PipelineConfig) -> dict:
     details["axisym_min"] = report.min_dmass_dt
 
     round3 = ss.round_path(3, 1.0, n_t=config.n_t, theta_switch=config.theta_switch)
-    built3 = _scalar_collar(round3, 0.05, config)
+    built3 = _scalar_collar(round3, 0.05)
     report = co.monotonicity_check(built3, tol=tol)
     if not report.asserted and report.a1 is not None:
-        built3 = _scalar_collar(
-            round3, 0.05, config, min_amplitude=1.05 * report.a1
-        )
+        built3 = _scalar_collar(round3, 0.05, min_amplitude=1.05 * report.a1)
         report = co.monotonicity_check(built3, tol=tol)
     _require(
         report.asserted,

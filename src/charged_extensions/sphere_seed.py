@@ -55,6 +55,9 @@ _POLE_TOL = 1e-6
 # Slices of a path, evenly spaced in t, on which the first eigenvalue floor
 # is solved.
 _EIGEN_SAMPLES = 65
+# Relative distance every curvature-floor candidate keeps from the path
+# quantity it bounds.
+_FLOOR_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -156,9 +159,10 @@ class MetricPath:
     def is_round(self) -> bool:
         return self.round_radius is not None
 
-    @property
+    @cached_property
     def r_o(self) -> float:
-        """Volume radius shared by every slice of the path."""
+        """Volume radius shared by every slice of the path (an area
+        integral on axisymmetric paths, taken once)."""
         if self.round_radius is not None:
             return self.round_radius
         return self.metrics[0].volume_radius
@@ -598,14 +602,16 @@ def lambda1(metric: AxisymConformalMetric) -> tuple[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class CurvatureFloor:
-    """Curvature floor of a path and lapse-threshold candidates.
+    """Curvature numbers of a path and the curvature-floor candidates.
 
     ``min_curvature`` is the minimum sectional curvature over the path
-    (Gaussian curvature for n = 2).  Candidates follow the selection
-    rules: the eigenvalue route scales the minimum first eigenvalue down
-    by the margin; the positive-scalar route scales half the minimum
+    (Gaussian curvature for n = 2).  Each candidate is a floor kappa of one
+    collar route, kept a fixed 5% (``_FLOOR_MARGIN``) away from the
+    quantity it bounds: the eigenfunction route scales the minimum first
+    eigenvalue down; the positive-scalar route scales half the minimum
     scalar curvature down (present only if that minimum is positive); the
-    negative-floor route scales the negative part of the curvature up.
+    negative-floor route scales the negative part of the curvature up.  Which candidate a collar
+    uses is decided by ``collar.select_route``.
 
     ``kappa_eigenfunction`` is computed on demand: the first read solves
     the eigenvalue floor of the path (``MetricPath.min_lambda1``), which is
@@ -614,21 +620,20 @@ class CurvatureFloor:
 
     path: MetricPath = field(repr=False, compare=False)
     min_curvature: float
-    margin: float
     kappa_negative_floor: float
     kappa_positive_scalar: float | None
 
     @property
     def kappa_eigenfunction(self) -> float:
-        return self.path.min_lambda1 * (1.0 - self.margin)
+        return self.path.min_lambda1 * (1.0 - _FLOOR_MARGIN)
 
 
-def curvature_floor_along_path(path: MetricPath, margin: float = 0.05) -> CurvatureFloor:
-    """Curvature floor and lapse-threshold candidates for a path.
+def curvature_floor_along_path(path: MetricPath) -> CurvatureFloor:
+    """Curvature minimum and curvature-floor candidates of a path.
 
     The curvature minimum is memoized on the path and the eigenvalue floor
     is computed on demand (see CurvatureFloor), so this only applies the
-    margin.
+    fixed 5% margin.
     """
     min_k = path.min_curvature
     n = path.n
@@ -636,10 +641,9 @@ def curvature_floor_along_path(path: MetricPath, margin: float = 0.05) -> Curvat
     return CurvatureFloor(
         path=path,
         min_curvature=min_k,
-        margin=margin,
-        kappa_negative_floor=max(0.0, -min_k) * (1.0 + margin),
+        kappa_negative_floor=max(0.0, -min_k) * (1.0 + _FLOOR_MARGIN),
         kappa_positive_scalar=(
-            0.5 * min_scal * (1.0 - margin) if min_scal > 0.0 else None
+            0.5 * min_scal * (1.0 - _FLOOR_MARGIN) if min_scal > 0.0 else None
         ),
     )
 

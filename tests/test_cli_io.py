@@ -63,7 +63,7 @@ class TestParseConfig:
         config = cli_io.parse_config(
             ["extend", "--n", "2", "--r-o", "1.0", "--mass", "0.6"]
         )
-        for key in (
+        assert set(config.options) == {
             "n",
             "q",
             "lambda",
@@ -74,9 +74,6 @@ class TestParseConfig:
             "n_t",
             "n_theta",
             "theta_switch",
-            "kappa_margin",
-            "epsilon_cap",
-            "mass_fraction",
             "mass_gap_tol",
             "witness_floor",
             "tolerance_scale",
@@ -84,8 +81,12 @@ class TestParseConfig:
             "out",
             "profile_out",
             "plot_prefix",
-        ):
-            assert key in config.options
+        }
+
+    def test_pipeline_defaults_are_pipeline_config_defaults(self):
+        config = cli_io.parse_config(["selftest"])
+        defaults = pl.PipelineConfig().as_dict()
+        assert {key: config.options[key] for key in defaults} == defaults
 
     def test_missing_required_option_is_a_usage_error(self):
         with pytest.raises(cli_io.UsageError, match="'mass'"):
@@ -106,23 +107,15 @@ class TestParseConfig:
         assert config.options["n_t"] == 257
         assert config.options["n_theta"] == 1025
 
-    def test_environment_beats_config_file(self, tmp_path, monkeypatch):
+    def test_environment_is_not_an_option_source(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.json"
         path.write_text('{"n": 2, "r_o": 1.0, "mass": 0.6, "mass_gap_tol": 1e-6}')
         monkeypatch.setenv("CHARGED_EXTENSIONS_MASS_GAP_TOL", "1e-5")
-        config = cli_io.parse_config(["extend", "--config", str(path)])
-        assert config.options["mass_gap_tol"] == 1e-5
-
-    def test_flag_beats_environment(self, monkeypatch):
         monkeypatch.setenv("CHARGED_EXTENSIONS_TOLERANCE_SCALE", "5.0")
-        config = cli_io.parse_config(
-            ["selftest", "--tolerance-scale", "2.0"]
-        )
-        assert config.options["tolerance_scale"] == 2.0
-
-    def test_environment_only_overrides_tolerance_options(self, monkeypatch):
         monkeypatch.setenv("CHARGED_EXTENSIONS_N_T", "99")
-        config = cli_io.parse_config(["selftest"])
+        config = cli_io.parse_config(["extend", "--config", str(path)])
+        assert config.options["mass_gap_tol"] == 1e-6
+        assert config.options["tolerance_scale"] == 1.0
         assert config.options["n_t"] == 513
 
     def test_unknown_config_key_names_the_key(self, tmp_path):
@@ -527,6 +520,16 @@ class TestExtendCommand:
         assert "PreconditionError" in err
         assert "optimal mass" in err
 
+    def test_no_admissible_route_exits_with_precondition_code(self, capsys):
+        # n = 3 at q = 0.99 r_o^2 is sub-extremal, but its charge gap is
+        # negative at the positive-scalar floor kappa = 0.95 * 3.
+        rc = cli_io.main(
+            ["extend", "--n", "3", "--r-o", "1.0", "--q", "0.99", "--mass", "1.05"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "PreconditionError: [stage: curvature-floor]" in err
+
     def test_missing_required_flag_exits_with_usage_code(self, capsys):
         rc = cli_io.main(["extend", "--n", "2", "--r-o", "1.0"])
         assert rc == 2
@@ -605,17 +608,6 @@ class TestSelftestCommand:
         rc = cli_io.main(["selftest", "--criteria", "1,x"])
         assert rc == 2
         assert "criteria" in capsys.readouterr().err
-
-    def test_environment_override_reaches_the_ledger(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("CHARGED_EXTENSIONS_TOLERANCE_SCALE", "2.5")
-        out = tmp_path / "ledger.json"
-        rc = cli_io.main(["selftest", "--criteria", "4", "--out", str(out)])
-        assert rc == 0
-        payload = json.loads(out.read_text())
-        assert payload["config"]["tolerance_scale"] == 2.5
-        assert payload["result"]["config"]["tolerance_scale"] == 2.5
 
 
 class TestExitCodes:

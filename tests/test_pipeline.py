@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from charged_extensions import collar as co
 from charged_extensions import pipeline as pl
 from charged_extensions import quasilocal as ql
 from charged_extensions import sphere_seed
@@ -63,6 +64,10 @@ class TestPipelineConfig:
         assert echoed["theta_switch"] == 0.75
         assert echoed["witness_floor"] == 7
         assert pl.PipelineConfig(**echoed) == config
+        assert list(echoed) == [
+            "n_t", "n_theta", "theta_switch", "mass_gap_tol", "witness_floor",
+            "tolerance_scale", "seed",
+        ]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -70,9 +75,9 @@ class TestPipelineConfig:
             {"n_t": 2},
             {"n_theta": 4},
             {"theta_switch": 1.0},
-            {"kappa_margin": 1.0},
-            {"epsilon_cap": 0.0},
-            {"mass_fraction": 1.0},
+            {"n_t": 513.0},
+            {"theta_switch": 0.0},
+            {"mass_gap_tol": float("nan")},
             {"mass_gap_tol": 0.0},
             {"witness_floor": 0},
             {"tolerance_scale": 0.0},
@@ -253,6 +258,48 @@ class TestConstructExtension:
         assert report.min_margin > 0.0
         assert pl.verify_outward_minimizing(report) == "pass"
 
+
+    @pytest.mark.parametrize("gap", [1.5, 1.05, 1.0 + 2.0 ** -10])
+    @pytest.mark.parametrize(
+        "r_o, q, lam", [(1.0, 0.5, -0.1), (1.0, 0.45, -0.15), (1.0, 0.3, -0.05),
+                        (2.0, 0.98, -0.01)])
+    def test_negative_floor_falls_through_to_positive_scalar(self, r_o, q, lam, gap):
+        # q^2 / r_o^4 >= |lam|: the negative floor (kappa = 0 on a round
+        # seed) leaves no charge gap, the positive-scalar floor does.
+        data = pl.BartnikDataSpec(n=2, q=q, lam=lam, r_o=r_o)
+        mass = gap * ql.m_o(2, r_o, q, lam)
+        report = pl.construct_extension(data, mass)
+        assert report.diagnostics["route"] == "positive-scalar"
+        assert report.diagnostics["kappa"] == 0.5 * (2.0 / r_o ** 2) * (1.0 - 0.05)
+        assert abs(report.achieved_mass - mass) <= 1e-8 * (1.0 + mass)
+        assert report.min_margin > 0.0
+
+    @pytest.mark.parametrize("q", [0.0, 0.3])
+    def test_negative_floor_falls_through_to_eigenfunction(self, q):
+        # Negative curvature against a small |lam|: the negative floor
+        # (kappa = 1.05 |min K|) leaves no charge gap, and the eigenfunction
+        # lapse, whose floor is the first stability eigenvalue, backs the
+        # collar instead.
+        config = pl.PipelineConfig(n_t=129, n_theta=257)
+        data = pl.BartnikDataSpec(
+            n=2, q=q, lam=-0.1, exponent=lambda theta: 0.6 * np.cos(theta))
+        r_o = sphere_seed.axisym_metric_from_function(
+            data.exponent, n_theta=257).volume_radius
+        mass = 1.05 * ql.m_o(2, r_o, q, -0.1)
+        report = pl.construct_extension(data, mass, config)
+        path = report.collar.spec.path
+        assert path.min_curvature < 0.0
+        assert report.diagnostics["route"] == "eigenfunction"
+        assert report.collar.spec.case_id == co.EIGENFUNCTION_LAPSE
+        assert report.diagnostics["kappa"] == path.min_lambda1 * (1.0 - 0.05)
+        assert abs(report.achieved_mass - mass) <= 1e-8 * (1.0 + mass)
+        assert report.min_margin > 0.0
+        assert pl.verify_outward_minimizing(report) == "pass"
+
+    def test_no_admissible_route_fails_in_curvature_floor_stage(self):
+        data = pl.BartnikDataSpec(n=3, q=0.99, lam=0.0, r_o=1.0)
+        with pytest.raises(PreconditionError, match=r"^\[stage: curvature-floor\]"):
+            pl.construct_extension(data, 1.05 * ql.m_o(3, 1.0, 0.99, 0.0))
 
     @pytest.mark.parametrize("ratio", [16.0, 50.0])
     def test_large_mass_certifies(self, round_data, ratio):

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 from charged_extensions import sphere_seed
+from charged_extensions.collar import CONSTANT_LAPSE, EIGENFUNCTION_LAPSE, select_route
 from charged_extensions.errors import DomainError
 from charged_extensions.numutil import diff1_4th, simpson_uniform
 from charged_extensions.quasilocal import unit_sphere_volume
@@ -227,40 +228,79 @@ def test_lambda1_stays_above_threshold_along_path(cos_path):
         assert value > kappa
 
 
+# The curvature-floor route table: collar.select_route against each route's
+# formula, bit for bit.  A positive-scalar floor is 0.95 * (1/2) min scalar
+# curvature, a negative floor 1.05 * max(0, -min K), an eigenvalue floor
+# 0.95 * min lambda1 over 65 slices.
+
+
+def cos_route_path(a):
+    return normalize_path(axisym_metric_from_function(lambda t: a * np.cos(t)), n_t=65)
+
+
+def assert_route(path, lam, route, case_id, kappa):
+    assert select_route(path, 0.0, lam) == (route, case_id, kappa)
+
+
 def test_curvature_floor_round_unit():
-    floor = curvature_floor_along_path(round_path(2, 1.0, n_t=65))
-    assert math.isclose(floor.min_curvature, 1.0, rel_tol=1e-14)
-    assert math.isclose(floor.kappa_positive_scalar, 0.95, rel_tol=1e-14)
-    assert math.isclose(floor.kappa_eigenfunction, 0.95, rel_tol=1e-14)
-    assert floor.kappa_negative_floor == 0.0
-
-
-def test_curvature_floor_negative_curvature_rule():
-    seed = axisym_metric_from_function(lambda t: 0.6 * np.cos(t))
-    path = normalize_path(seed, n_t=65)
+    path = round_path(2, 1.0, n_t=65)
     floor = curvature_floor_along_path(path)
-    assert floor.min_curvature < 0.0
-    assert math.isclose(
-        floor.kappa_negative_floor, -floor.min_curvature * 1.05, rel_tol=1e-14
-    )
-    assert floor.kappa_positive_scalar is None
-    # The stated arithmetic of the rule at a floor of -0.2.
-    assert math.isclose(max(0.0, 0.2) * 1.05, 0.21, rel_tol=1e-15)
-
-
-def test_lazy_eigenvalue_floor_equals_eager_formula(cos_path):
-    # The floor the eigenvalue route used to compute eagerly: lambda1 on 65
-    # evenly spaced slices, scaled down by the margin.
-    indices = np.unique(np.round(np.linspace(0, cos_path.t_grid.size - 1, 65)).astype(int))
-    eager = min(lambda1(cos_path.metrics[idx])[0] for idx in indices)
-    for margin in (0.05, 0.2):
-        floor = curvature_floor_along_path(cos_path, margin=margin)
-        assert floor.kappa_eigenfunction == eager * (1.0 - margin)
+    assert floor.min_curvature == 1.0
+    assert floor.kappa_eigenfunction == 0.5 * 2.0 * (1.0 - 0.05)
+    assert_route(path, 0.0, "positive-scalar", CONSTANT_LAPSE, 0.5 * 2.0 * (1.0 - 0.05))
+    # Against lam < 0 the negative floor comes first, at kappa = 0.
+    assert_route(path, -1.0, "negative-floor", CONSTANT_LAPSE, 0.0)
 
 
 def test_curvature_floor_higher_dimension_round():
-    floor = curvature_floor_along_path(round_path(4, 1.0, n_t=65))
-    assert math.isclose(floor.kappa_positive_scalar, 0.95 * 6.0, rel_tol=1e-14)
+    for n in (3, 4):
+        path = round_path(n, 1.0, n_t=65)
+        kappa = 0.5 * (n * (n - 1) / 1.0 ** 2) * (1.0 - 0.05)
+        for lam in (0.0, -1.0):
+            assert_route(path, lam, "positive-scalar", CONSTANT_LAPSE, kappa)
+
+
+def test_curvature_floor_positive_cos_seed():
+    path = cos_route_path(0.3)
+    min_k = path.min_curvature
+    assert min_k > 0.0
+    kappa = 0.5 * (2.0 * min_k) * (1.0 - 0.05)
+    assert_route(path, 0.0, "positive-scalar", CONSTANT_LAPSE, kappa)
+
+
+def test_curvature_floor_negative_curvature_rule():
+    path = cos_route_path(0.6)
+    floor = curvature_floor_along_path(path)
+    assert floor.min_curvature < 0.0
+    assert floor.kappa_positive_scalar is None
+    kappa = max(0.0, -path.min_curvature) * (1.0 + 0.05)
+    assert_route(path, -3.5, "negative-floor", CONSTANT_LAPSE, kappa)
+
+
+def test_lazy_eigenvalue_floor_equals_eager_formula():
+    # The floor the eigenvalue route used to compute eagerly: lambda1 on 65
+    # evenly spaced slices, scaled down by the margin.  With 129 slices the
+    # 65 are a proper subset, so the subsampled index set is pinned too.
+    path = normalize_path(axisym_metric_from_function(lambda t: 0.62 * np.cos(t)), n_t=129)
+    assert path.t_grid.size == 129
+    indices = np.unique(np.round(np.linspace(0, path.t_grid.size - 1, 65)).astype(int))
+    eager = min(lambda1(path.metrics[idx])[0] for idx in indices)
+    assert_route(path, 0.0, "eigenfunction", EIGENFUNCTION_LAPSE, eager * (1.0 - 0.05))
+
+
+def test_axisym_path_radius_takes_one_area_integral(monkeypatch):
+    path = cos_route_path(0.3)
+    area = AxisymConformalMetric.area
+    calls = []
+
+    def counting(metric):
+        calls.append(metric)
+        return area(metric)
+
+    monkeypatch.setattr(AxisymConformalMetric, "area", counting)
+    radii = [path.r_o for _ in range(4)]
+    assert len(calls) == 1
+    assert radii == [path.metrics[0].volume_radius] * 4
 
 
 def test_slice_geometry_round():

@@ -377,7 +377,7 @@ def radial_coordinate(params: RNParams, r: float) -> float:
         raise DomainError(f"radius {r} lies inside the horizon radius {r_plus}")
     if r <= r_plus:
         return 0.0
-    return model_arclength(params, r)
+    return model_arclength(params, r, cls=cls)
 
 
 def _attach_exact_evaluator(params: RNParams, profile: SampledProfile) -> None:
@@ -415,14 +415,18 @@ class _Arclength:
     also at a horizon.  p(start + t^2) is evaluated as p(start) + t^2 D with
     D = (p(r) - p(start)) / (r - start) expanded termwise, so no difference
     of nearby values is taken; at a horizon p(start) = 0 and g = 2/sqrt(D).
+    Above a double root of p (a degenerate horizon) D itself cancels, and p
+    is evaluated in the factored form of :func:`_second_divided` instead.
     S is tabulated at the edges of geometric panels by Gauss-Legendre
     quadrature and inverted at all requested arclengths at once.
     """
 
-    def __init__(self, params: RNParams, start: float, p_start: float):
+    def __init__(self, params: RNParams, start: float, p_start: float,
+                 double_root: float | None = None):
         self.params = params
         self.start = start
         self.p_start = p_start
+        self.double_root = double_root
         # Largest radius whose 2n-th power, the highest power the model
         # functions take, stays finite.
         self.r_max = float(np.finfo(float).max) ** (1.0 / (2 * params.n))
@@ -447,10 +451,16 @@ class _Arclength:
         return (x * y * (2.0 * m * b_mass - q * q * b)
                 - k_lam * (r + self.start))
 
+    def _p(self, r, dr):
+        """p(r) at r = start + dr, with no difference of nearby values."""
+        if self.double_root is None:
+            return self.p_start + dr * self._divided(r)
+        root = self.double_root
+        return ((self.start - root) + dr) ** 2 * _second_divided(self.params, root, r)
+
     def _rate(self, tau):
         """dr/ds = sqrt(p(start + tau^2))."""
-        return np.sqrt(self.p_start
-                       + tau * tau * self._divided(self.start + tau * tau))
+        return np.sqrt(self._p(self.start + tau * tau, tau * tau))
 
     def _speed(self, tau):
         """ds/dtau = 2 tau / sqrt(p(start + tau^2))."""
@@ -523,81 +533,122 @@ class _Arclength:
         """f, f' = sqrt(p(f)) and f'' = p'(f)/2 at the arclengths s_grid."""
         tau = self.tau_at(s_grid)
         f = self.start + tau * tau
-        df = np.sqrt(self.p_start + (f - self.start) * self._divided(f))
+        df = np.sqrt(self._p(f, f - self.start))
         return f, df, 0.5 * eval_dp(self.params, f)
 
 
-def _profile_start(params: RNParams, mu: float | None):
-    """Start radius and p there: the horizon r_plus (p = 0 exactly) when mu
-    is None, otherwise mu, which must lie beyond every root with p(mu) > 0."""
-    cls = classify(params)
+def _second_divided(params: RNParams, root: float, r):
+    """p[root, root, r], the second divided difference, expanded termwise.
+
+    Beyond a double root p(r) = (r - root)^2 p[root, root, r], which keeps
+    its relative accuracy however close r comes to the root, where p itself
+    cancels.
+    """
+    n, m, q = params.n, params.m, params.q
+    x, y = 1.0 / root, 1.0 / r
+    # p[root, root, r] of r^-k is x^2 y c_k with c_k = h_{k-1}(x, x, y), the
+    # complete symmetric polynomial, built as c_{k+1} = x c_k + b_{k+1} from
+    # the b_k of _Arclength._divided; the mass term takes k = n-1, the
+    # charge term k = 2(n-1), and the lam r^2 term contributes a constant.
+    b, c, y_k = 1.0, 1.0, 1.0
+    for k in range(1, 2 * n - 2):
+        if k == n - 1:
+            c_mass = c
+        y_k = y_k * y
+        b = x * b + y_k
+        c = x * c + b
+    k_lam = 2.0 * params.lam / (n * (n + 1))
+    return x * x * y * (q * q * c - 2.0 * m * c_mass) - k_lam
+
+
+def _profile_arclength(params: RNParams, mu: float | None,
+                       cls: ExtremalityClass | None) -> _Arclength:
+    """Arclength from the profile start: the horizon r_plus (p = 0 exactly)
+    when mu is None, otherwise mu, which must lie beyond every root with
+    p(mu) > 0.  cls is the classification of params, computed here when
+    None; above a degenerate horizon p is taken in factored form
+    (:func:`_second_divided`)."""
+    cls = classify(params) if cls is None else cls
     if mu is None:
         if cls.kind != SUB_EXTREMAL:
             raise NotApplicableError(
                 "boundary-extended profile requires a non-degenerate horizon; "
                 f"parameters classify as {cls.kind}")
-        return cls.r_plus, 0.0
+        return _Arclength(params, cls.r_plus, 0.0)
     mu = float(mu)
     if mu <= 0.0:
         raise DomainError("profile start radius mu must be positive")
     if cls.r_plus is not None and mu <= cls.r_plus:
         raise DomainError(
             f"mu={mu} must exceed the largest root {cls.r_plus}")
-    p_mu = eval_p(params, mu)
+    if cls.kind == EXTREMAL:
+        root = cls.r_plus
+        p_mu = (mu - root) ** 2 * _second_divided(params, root, mu)
+    else:
+        root, p_mu = None, eval_p(params, mu)
     if p_mu <= 0.0:
         raise DomainError(f"p(mu) must be positive, got {p_mu} at mu={mu}")
-    return mu, p_mu
+    return _Arclength(params, mu, p_mu, root)
 
 
-def model_arclength(params: RNParams, r, mu: float | None = None):
+def model_arclength(params: RNParams, r, mu: float | None = None, *,
+                    cls: ExtremalityClass | None = None):
     """Arclength at which the model profile reaches radius r (scalar or array).
 
     The profile starts at the horizon r_plus when mu is None, as in
     rn_profile, and at mu otherwise, as in rn_profile_mu; the value is the
     one those profiles invert, so the profile samples radius r exactly there.
+    A caller that has classified params passes the class as cls.
     """
-    start, p_start = _profile_start(params, mu)
+    arclength = _profile_arclength(params, mu, cls)
     r = np.asarray(r, dtype=float)
-    if np.any(r < start) or not np.all(np.isfinite(r)):
-        raise DomainError(f"radii must be finite and at least the start {start}")
-    s = _Arclength(params, start, p_start).at_radius(r)
+    if np.any(r < arclength.start) or not np.all(np.isfinite(r)):
+        raise DomainError(
+            f"radii must be finite and at least the start {arclength.start}")
+    s = arclength.at_radius(r)
     return s if s.ndim else float(s)
 
 
 def _model_profile(params: RNParams, mu: float | None, s_max: float,
-                   grid_n: int, provenance: np.ndarray) -> SampledProfile:
+                   grid_n: int, provenance: np.ndarray,
+                   cls: ExtremalityClass | None) -> SampledProfile:
     if s_max <= 0.0 or grid_n < 9:
         raise DomainError("need s_max > 0 and at least 9 grid points")
-    start, p_start = _profile_start(params, mu)
     s_grid = np.linspace(0.0, s_max, grid_n)
-    f, df, d2f = _Arclength(params, start, p_start).sample(s_grid)
+    f, df, d2f = _profile_arclength(params, mu, cls).sample(s_grid)
     profile = SampledProfile(s_grid, f, df, d2f, provenance, charge=params.q)
     _attach_exact_evaluator(params, profile)
     return profile
 
 
-def rn_profile(params: RNParams, s_max: float, grid_n: int = 4097) -> SampledProfile:
+def rn_profile(params: RNParams, s_max: float, grid_n: int = 4097, *,
+               cls: ExtremalityClass | None = None) -> SampledProfile:
     """Boundary-extended radial profile u on [0, s_max].
 
     u solves u' = sqrt(p(u)) with u(0) = r_plus and u'(0) = 0.  Every sample
     inverts the arclength s(r) = integral of p^(-1/2) from r_plus, whose
     horizon singularity the substitution r = r_plus + tau^2 removes, so
     u' = sqrt(p(u)) and u'' = p'(u)/2 hold at each sample to rounding.
+    cls, when given, is the classification of params.
     """
     return _model_profile(params, None, s_max, grid_n,
-                          np.array(["analytic"] + ["ode"] * (grid_n - 1)))
+                          np.array(["analytic"] + ["ode"] * (grid_n - 1)), cls)
 
 
 def rn_profile_mu(params: RNParams, mu: float, s_max: float,
-                  grid_n: int = 4097) -> SampledProfile:
+                  grid_n: int = 4097, *,
+                  cls: ExtremalityClass | None = None) -> SampledProfile:
     """Interior-started radial profile with u(0) = mu, u'(0) = sqrt(p(mu)).
 
     Valid whenever p(mu) > 0 and mu lies beyond the largest root if one
     exists; covers the degenerate and rootless configurations that the
     boundary-extended profile cannot reach.  Samples invert the arclength
-    from mu exactly as in rn_profile.
+    from mu exactly as in rn_profile; cls, when given, is the classification
+    of params.  Above a degenerate horizon p(mu) is evaluated in factored
+    form, so mu may come as close to the horizon as floats resolve.
     """
-    return _model_profile(params, mu, s_max, grid_n, np.array(["ode"] * grid_n))
+    return _model_profile(params, mu, s_max, grid_n, np.array(["ode"] * grid_n),
+                          cls)
 
 
 # ---------------------------------------------------------------------------

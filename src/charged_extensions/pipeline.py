@@ -341,6 +341,7 @@ def _assemble_report(
     built: co.ChargedCollar,
     profile: rn.SampledProfile,
     record: dict,
+    cls: rn.ExtremalityClass,
     route: str,
     eps: float,
     amplitude: float,
@@ -360,7 +361,6 @@ def _assemble_report(
             f"profile {profile.charge!r}"
         )
 
-    cls = rn.classify(rn.RNParams(n=n, m=m, q=data.q, lam=data.lam))
     if cls.kind != rn.SUB_EXTREMAL or cls.r_plus is None:
         raise VerificationError(
             f"extension parameters classify as {cls.kind}; the construction "
@@ -482,8 +482,9 @@ def construct_extension(
         )
 
     with _stage("surgery"):
+        cls = rn.classify(rn.RNParams(n=data.n, m=m, q=data.q, lam=data.lam))
         profile, record = su.glue_to_rn(
-            data.n, tail, m_star, m, data.q, data.lam
+            data.n, tail, m_star, m, data.q, data.lam, cls=cls
         )
 
     with _stage("verification"):
@@ -496,6 +497,7 @@ def construct_extension(
             built,
             profile,
             record,
+            cls,
             route,
             eps,
             amplitude,

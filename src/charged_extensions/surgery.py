@@ -34,6 +34,7 @@ from .errors import (
 from .lambda_rn import (
     EXTREMAL,
     SUB_EXTREMAL,
+    ExtremalityClass,
     RNParams,
     SampledProfile,
     classify,
@@ -489,53 +490,80 @@ def _gl_panels(lo: float, hi: float, breaks, nodes, weights):
     return np.concatenate(xs), np.concatenate(ws)
 
 
+def _plateau_panels(ts, eps: float, junctions, breaks: int):
+    """Gauss nodes and weights, one row per plateau point t in ts whose
+    support holds exactly `breaks` of the junction breaks (t - j)/eps.
+
+    Row by row these are the arrays of :func:`_gl_panels` on [-1, 1], built
+    by the same elementwise operations, so every entry is the same float.
+    """
+    nodes, weights = _GL64
+    # b1 < a2, so (t - a2)/eps <= (t - b1)/eps: the columns come sorted.
+    cuts = np.stack([(ts - j) / eps for j in reversed(junctions)], axis=1)
+    inside = (-1.0 < cuts) & (cuts < 1.0)
+    rows = inside.sum(axis=1) == breaks
+    count = int(np.count_nonzero(rows))
+    edges = np.concatenate([np.full((count, 1), -1.0),
+                            cuts[rows][inside[rows]].reshape(count, breaks),
+                            np.full((count, 1), 1.0)], axis=1)
+    lo, hi = edges[:, :-1, None], edges[:, 1:, None]
+    half = 0.5 * (hi - lo)
+    size = (breaks + 1) * nodes.size
+    xs = (half * nodes + 0.5 * (lo + hi)).reshape(count, size)
+    ws = (half * weights).reshape(count, size)
+    return rows, xs, ws
+
+
+def _row_dots(values, phi):
+    """Row-wise weighted sums; a stacked matmul of (1 x K) by (K x 1)
+    rounds each row exactly as the 1-D dot product values[i] @ phi[i]."""
+    return np.matmul(values[:, None, :], phi[..., None])[:, 0, 0]
+
+
 def _mollified_points(bridge: BridgedProfile, cutoff: _Cutoff, eps: float, ts):
     """Values (f, f', f'') of the variable-radius mollification at points ts.
 
-    The Gauss nodes of every point go through a single bridge evaluation,
-    and the cutoff derivatives of all partial-cutoff points through a single
-    call.  The weighted sums stay per-point 1-D dot products, because a
-    batched product rounds differently; every value equals the
-    one-point-at-a-time value bit for bit.
+    The points fall into groups: radius-0 points (evaluated directly),
+    partial-cutoff points (on the 64 shared nodes), and plateau points by
+    how many junction breaks their support holds (0, 1 or 2, on that many
+    more panels).  Each group is one (points x nodes) array pass, the nodes
+    of all groups go through a single bridge evaluation, and the weighted
+    sums are row-wise 1-D dot products (:func:`_row_dots`); every value
+    equals the one-point-at-a-time value bit for bit.
     """
     ts = np.asarray(ts, dtype=float)
     etas = cutoff.value(ts)
-    partial = (etas > 0.0) & (etas < 1.0)
-    detas, d2etas = np.zeros_like(ts), np.zeros_like(ts)
-    detas[partial], d2etas[partial] = cutoff.derivatives(ts[partial])
+    radius = eps * etas
+    zero = radius == 0.0
+    plateau = ~zero & (etas >= 1.0)
+    partial = ~(zero | plateau)
     xs64, ws64 = _GL64
     phi64 = _bump(xs64) * ws64
-    phis, args = [], []
-    for t, eta in zip(ts, etas):
-        radius = eps * eta
-        if radius == 0.0:
-            phi = None
-            args.append(np.array([t]))
-        elif eta >= 1.0:
-            breaks = [(t - j) / eps for j in bridge.junctions]
-            xs, ws = _gl_panels(-1.0, 1.0, breaks, *_GL64)
-            phi = _bump(xs) * ws
-            args.append(t - eps * xs)
-        else:
-            phi = phi64
-            args.append(t - radius * xs64)
-        phis.append(phi)
-    fv, dfv, d2fv = bridge.evaluate(np.concatenate(args))
+    deta, d2eta = (d[:, None] for d in cutoff.derivatives(ts[partial]))
+
+    # One group per kind of point: indices, nodes, weights times bump, and
+    # the arguments of its nodes; the partial-cutoff group comes first.
+    tp = ts[plateau]
+    groups = [(np.flatnonzero(partial), xs64, phi64,
+               ts[partial, None] - radius[partial, None] * xs64)]
+    for breaks in (0, 1, 2):
+        rows, xs, ws = _plateau_panels(tp, eps, bridge.junctions, breaks)
+        groups.append((np.flatnonzero(plateau)[rows], xs, _bump(xs) * ws,
+                       tp[rows, None] - eps * xs))
+    sizes = [np.count_nonzero(zero)] + [arg.size for *_, arg in groups]
+    values = bridge.evaluate(np.concatenate(
+        [ts[zero]] + [arg.ravel() for *_, arg in groups]))
+    pieces = zip(*(np.split(v, np.cumsum(sizes)[:-1]) for v in values))
 
     out = np.empty((3, ts.size))
-    start = 0
-    for i, (eta, phi, arg) in enumerate(zip(etas, phis, args)):
-        f, df, d2f = (v[start:start + arg.size] for v in (fv, dfv, d2fv))
-        start += arg.size
-        if phi is None:
-            out[:, i] = f[0], df[0], d2f[0]
-        elif eta >= 1.0:
-            out[:, i] = f @ phi, df @ phi, d2f @ phi
-        else:
-            deta, d2eta = detas[i], d2etas[i]
-            chain = 1.0 - eps * deta * xs64
-            out[:, i] = (f @ phi, (df * chain) @ phi,
-                         (d2f * chain ** 2 - df * eps * d2eta * xs64) @ phi)
+    out[:, zero] = next(pieces)
+    for j, ((index, xs, phi, arg), piece) in enumerate(zip(groups, pieces)):
+        f, df, d2f = (v.reshape(arg.shape) for v in piece)
+        if j == 0:
+            # The radius eps * eta(t) varies with t: chain rule.
+            chain = 1.0 - eps * deta * xs
+            df, d2f = df * chain, d2f * chain ** 2 - df * eps * d2eta * xs
+        out[:, index] = [_row_dots(v, phi) for v in (f, df, d2f)]
     return out
 
 
@@ -580,8 +608,9 @@ def mollify_and_certify(bridge: BridgedProfile, q: float, lam: float,
     around the bridge.  The margin infimum of the join away from the two
     junction points sets a floor 3d > 0; eps is halved until the smoothed
     profile stays C^1-close to the join and keeps margin >= d/2 everywhere.
-    Each eps evaluates all of its points in one batch, and the output is bit
-    for bit the one of a point-by-point evaluation.
+    Each eps is one array pass over all points and their Gauss nodes, with
+    a single bridge evaluation (:func:`_mollified_points`), and the output
+    is bit for bit the one of a point-by-point evaluation.
     """
     a1, b1, a2, b2 = bridge.a1, bridge.b1, bridge.a2, bridge.b2
     mid1 = 0.5 * (a1 + b1)
@@ -913,7 +942,7 @@ def _locate_station(params, start, f_b, df_b, in_image):
 
 
 def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
-               q_e: float, lam: float):
+               q_e: float, lam: float, *, cls: ExtremalityClass | None = None):
     """Graft a model end of mass m_e and charge q_e onto a collar tail.
 
     The tail must end with positive slope and Hawking mass m_star at or
@@ -923,9 +952,11 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
     one model profile for (m_e, q_e, lam) is sampled from its start to the
     cut past the station and bent below the station, the bent piece is
     bridged to the tail and mollified with target charge q_e, and the
-    untouched model tail is reattached beyond the surgery.  Returns the combined profile and an
-    attachment record with the matching radius r_C and station s_match
-    beyond which the output is exactly the model profile.
+    untouched model tail is reattached beyond the surgery.  Returns the
+    combined profile and an attachment record with the matching radius r_C
+    and station s_match beyond which the output is exactly the model
+    profile.  A caller that has classified (n, m_e, q_e, lam) passes the
+    class as cls; it is classified here otherwise.
     """
     if int(n) != n or n < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {n}")
@@ -962,7 +993,7 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
             "must then satisfy q_e^2 < q^2")
 
     params_e = RNParams(n, m_e, q_e, lam)
-    cls = classify(params_e)
+    cls = classify(params_e) if cls is None else cls
     if cls.kind == SUB_EXTREMAL:
         mu = None
         in_image = f_b >= cls.r_plus
@@ -1000,12 +1031,12 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
     # bound never binds.
     reach = 4.0 * max(1.0, r_c)
     s0, s_reach = (float(s) for s in
-                   model_arclength(params_e, [r_c, r_c + reach], mu))
+                   model_arclength(params_e, [r_c, r_c + reach], mu, cls=cls))
     s_cut = min(s0 + reach, s_reach)
     if mu is None:
-        model = rn_profile(params_e, s_cut)
+        model = rn_profile(params_e, s_cut, cls=cls)
     else:
-        model = rn_profile_mu(params_e, mu, s_cut)
+        model = rn_profile_mu(params_e, mu, s_cut, cls=cls)
     bend_res = bend(params_e, s0, alpha=f_b, slope_cap=df_b, profile=model)
     right = _bent_piece(bend_res, q_e)
 

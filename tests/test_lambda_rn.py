@@ -279,6 +279,42 @@ def test_rn_profile_near_horizon_matches_closed_form() -> None:
         assert abs(exact - s) <= tol, k
 
 
+EXTREMAL_UNIT = RNParams(2, 1.0, 1.0, 0.0)
+
+
+def _extremal_unit_arclength(r, mu):
+    """Closed form for (n, m, q, lam) = (2, 1, 1, 0): p = (1 - 1/r)^2, so
+    the arclength from mu is (r - mu) + ln((r - 1)/(mu - 1))."""
+    return (r - mu) + np.log((r - 1.0) / (mu - 1.0))
+
+
+@pytest.mark.parametrize("k", [20, 40])
+def test_arclength_above_degenerate_horizon_matches_closed_form(k) -> None:
+    # p(mu) = (mu - 1)^2/mu^2 cancels in eval_p for mu near the double root
+    # r = 1; the factored form keeps every arclength to rounding.
+    mu = 1.0 + 2.0 ** -k
+    r = mu + (mu - 1.0) * 2.0 ** np.arange(-10.0, 2.0 * k)
+    r = np.concatenate([r[r < 12.0], [2.0, 5.0, 11.0]])
+    exact = _extremal_unit_arclength(r, mu)
+    s = model_arclength(EXTREMAL_UNIT, r, mu)
+    assert np.all(np.abs(s - exact) <= 1e-12 * exact)
+
+
+@pytest.mark.parametrize("k", [20, 40])
+def test_rn_profile_mu_above_degenerate_horizon(k) -> None:
+    mu = 1.0 + 2.0 ** -k
+    profile = rn_profile_mu(EXTREMAL_UNIT, mu, 5.0, 1025)
+    f = profile.f
+    assert f[0] == mu and np.all(np.diff(f) > 0.0)
+    # f' = sqrt(p(f)) = (f - 1)/f, and f - 1 is exact for f in [1, 2].
+    slope = (f - 1.0) / f
+    assert np.all(np.abs(profile.df - slope) <= 1e-12 * slope)
+    # Rounding f to a float moves s(f) by up to ulp(f) * ds/dr = ulp(f)/f'.
+    exact = _extremal_unit_arclength(f, mu)
+    tol = 1e-12 * profile.s_grid + np.spacing(f) / slope
+    assert np.all(np.abs(exact - profile.s_grid) <= tol)
+
+
 def _quad_arclength(params: RNParams, r: float) -> float:
     """Arclength from r_plus to r by adaptive quadrature of 2 tau / sqrt(p)
     under r = r_plus + tau^2, independent of the profile kernel.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from charged_extensions import collar as co
+from charged_extensions import lambda_rn
 from charged_extensions import pipeline as pl
 from charged_extensions import quasilocal as ql
 from charged_extensions import sphere_seed
@@ -363,6 +364,23 @@ class TestBartnikReport:
         assert all(entry["error"] for entry in report.witnesses)
         assert report.subextremality == SUB_EXTREMAL
         assert report.upper_bound == report.m_o
+
+
+@pytest.mark.parametrize("n, q, lam", [(2, 0.0, 0.0), (3, 0.1, -1.0)])
+def test_round_construction_classifies_once(monkeypatch, n, q, lam):
+    """The end parameters are classified once per construction and the
+    class is passed to the glue, the model profile and the report."""
+    calls = []
+    classify = lambda_rn._classify
+
+    def counting(params, tol):
+        calls.append(params)
+        return classify(params, tol)
+
+    monkeypatch.setattr(lambda_rn, "_classify", counting)
+    m = 1.05 * ql.m_o(n, 1.0, q, lam)
+    pl.construct_extension(pl.BartnikDataSpec(n=n, q=q, lam=lam, r_o=1.0), m)
+    assert calls == [RNParams(n, m, q, lam)]
 
 
 class TestPathWorkOncePerPath:

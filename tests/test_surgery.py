@@ -107,6 +107,16 @@ def charged_bridge(charged_tail):
     return bridges[0]
 
 
+@pytest.fixture(scope="module")
+def short_bridge():
+    """A bridge shorter than the mollifier radius: plateau points between
+    its junctions hold both junction breaks in their support."""
+    inputs = su.GlueInputs(2, line_profile(0.5, 1.0, 0.5, 1.0),
+                           line_profile(3.0, 4.0, 1.01, 0.5), -3.0, 0.0)
+    shifted, _ = su.translate_right_interval(inputs)
+    return su.build_bridge(inputs, shifted)
+
+
 def _reference_mollified_point(bridge, cutoff, eps, t):
     """One point at a time: the reference for the batched mollification."""
     eta = float(cutoff.value(t))
@@ -366,10 +376,11 @@ class TestMollifyAndCertify:
             su.mollify_and_certify(bridge, 0.0, 0.0, 2)
 
 
-    @pytest.mark.parametrize("which", ["line", "charged"])
+    @pytest.mark.parametrize("which", ["line", "charged", "short"])
     def test_batched_points_bitwise_equal_point_reference(
-            self, which, line_glue, charged_bridge):
-        bridge = line_glue[0] if which == "line" else charged_bridge
+            self, which, line_glue, charged_bridge, short_bridge):
+        bridge = {"line": line_glue[0], "charged": charged_bridge,
+                  "short": short_bridge}[which]
         a1, b1, a2, b2 = bridge.a1, bridge.b1, bridge.a2, bridge.b2
         mid1, mid2 = 0.5 * (a1 + b1), 0.5 * (a2 + b2)
         cutoff = su._Cutoff(mid1, b1, a2, mid2)
@@ -378,11 +389,47 @@ class TestMollifyAndCertify:
         assert np.any(etas == 0.0) and np.any(etas == 1.0)
         assert np.any((etas > 0.0) & (etas < 1.0))
         eps0 = 0.5 * min(cutoff.plateau, mid1 - a1, b2 - mid2)
-        for eps in (eps0, eps0 / 8.0):
-            got = su._mollified_points(bridge, cutoff, eps, ts)
+        held = set()
+        for eps in (eps0, eps0 / 8.0, eps0 * 2.0 ** -20):
+            # Plateau points within eps of a junction and between the two.
+            near = np.add.outer([b1, a2], eps * np.array([-0.75, -0.25, 0.25, 0.75]))
+            points = np.concatenate([ts, near.ravel(), [0.5 * (b1 + a2)]])
+            plateau = points[cutoff.value(points) >= 1.0]
+            held |= set(sum(np.abs((plateau - j) / eps) < 1.0
+                            for j in bridge.junctions).tolist())
+            got = su._mollified_points(bridge, cutoff, eps, points)
             want = np.array([_reference_mollified_point(bridge, cutoff, eps, t)
-                             for t in ts]).T
+                             for t in points]).T
             assert np.array_equal(got, want)
+        assert held >= ({0, 1, 2} if which == "short" else {0, 1})
+
+    def test_one_evaluation_and_fixed_bump_calls_per_invocation(
+            self, line_glue, monkeypatch):
+        bridge = line_glue[0]
+        a1, b1, a2, b2 = bridge.a1, bridge.b1, bridge.a2, bridge.b2
+        mid1, mid2 = 0.5 * (a1 + b1), 0.5 * (a2 + b2)
+        cutoff = su._Cutoff(mid1, b1, a2, mid2)
+        eps = 0.5 * min(cutoff.plateau, mid1 - a1, b2 - mid2)
+        calls = {"evaluate": 0, "bump": 0}
+        evaluate, bump = su.BridgedProfile.evaluate, su._bump
+
+        def counting_evaluate(self, s):
+            calls["evaluate"] += 1
+            return evaluate(self, s)
+
+        def counting_bump(s):
+            calls["bump"] += 1
+            return bump(s)
+
+        monkeypatch.setattr(su.BridgedProfile, "evaluate", counting_evaluate)
+        monkeypatch.setattr(su, "_bump", counting_bump)
+        counts = []
+        for size in (50, 800):
+            calls.update(evaluate=0, bump=0)
+            su._mollified_points(bridge, cutoff, eps, np.linspace(a1, b2, size))
+            counts.append(dict(calls))
+        assert counts[0]["evaluate"] == counts[1]["evaluate"] == 1
+        assert counts[0]["bump"] == counts[1]["bump"]
 
 
 class TestBend:

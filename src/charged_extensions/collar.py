@@ -58,6 +58,10 @@ __all__ = [
 EIGENFUNCTION_LAPSE = "EigenfunctionLapse"
 CONSTANT_LAPSE = "ConstantLapse"
 
+# Relative distance every curvature-floor candidate keeps from the path
+# quantity it bounds.
+_FLOOR_MARGIN = 0.05
+
 
 @dataclass(frozen=True)
 class CollarSpec:
@@ -196,7 +200,7 @@ def _route_floor(spec: CollarSpec) -> float:
     # Slice fields before eigen fields, as the collar reads them: built in
     # the other order, the slice fields' temporaries come on top of the
     # memoized eigen fields and raise the peak memory of a cold path.
-    min_scal = float(np.min(slice_geometry(spec.path).scalar_curvature))
+    min_scal = curvature_floor_along_path(spec.path)
     if spec.case_id == EIGENFUNCTION_LAPSE:
         min_lam1 = float(np.min(eigen_along_path(spec.path).lambda1))
         if min_lam1 > spec.kappa and scalar_gap > 0.0:
@@ -218,32 +222,40 @@ def _route_floor(spec: CollarSpec) -> float:
 
 def _route_candidates(path: MetricPath, lam: float):
     """(route, case_id, kappa) for each route with a candidate floor, in
-    order of preference; the eigenvalue floor is solved only if reached."""
-    floor = curvature_floor_along_path(path)
+    order of preference (see select_route); the eigen fields are built
+    only if the eigenfunction route is reached."""
+    min_scal = curvature_floor_along_path(path)
     if path.n == 2 and lam < 0.0:
-        yield "negative-floor", CONSTANT_LAPSE, floor.kappa_negative_floor
-    if path.n == 2 and floor.min_curvature <= 0.0:
-        yield "eigenfunction", EIGENFUNCTION_LAPSE, floor.kappa_eigenfunction
-    if floor.kappa_positive_scalar is not None:
-        yield "positive-scalar", CONSTANT_LAPSE, floor.kappa_positive_scalar
+        yield ("negative-floor", CONSTANT_LAPSE,
+               max(0.0, -0.5 * min_scal) * (1.0 + _FLOOR_MARGIN))
+    if path.n == 2 and min_scal <= 0.0:
+        min_lam1 = float(np.min(eigen_along_path(path).lambda1))
+        yield "eigenfunction", EIGENFUNCTION_LAPSE, min_lam1 * (1.0 - _FLOOR_MARGIN)
+    if min_scal > 0.0:
+        yield "positive-scalar", CONSTANT_LAPSE, 0.5 * min_scal * (1.0 - _FLOOR_MARGIN)
 
 
 def select_route(path: MetricPath, q: float, lam: float) -> tuple[str, str, float]:
     """The collar's curvature-floor route: (route, lapse case_id, kappa).
 
     Routes are tried in order of preference, each with its candidate floor
-    from ``curvature_floor_along_path``:
+    kept a fixed 5% (``_FLOOR_MARGIN``) from the path quantity it bounds:
 
     - ``negative-floor`` (constant lapse) for n = 2 against lam < 0, which
-      works whatever the sign of the curvature;
-    - ``eigenfunction`` for n = 2 when the curvature is not positive; its
-      eigenvalue floor is solved on this read, once per path;
-    - ``positive-scalar`` (constant lapse) when the scalar curvature is
-      positive.
+      works whatever the sign of the curvature; kappa is 1.05 times minus
+      half the minimum slice scalar curvature, or 0;
+    - ``eigenfunction`` for n = 2 when the minimum slice scalar curvature
+      is not positive; kappa is 0.95 times the minimum first eigenvalue of
+      the path's eigen fields, built on this read, once per path and
+      after the slice fields;
+    - ``positive-scalar`` (constant lapse) when the minimum slice scalar
+      curvature is positive; kappa is 0.95 times half of it.
 
-    The first candidate that passes the admissibility test of
-    ``build_collar`` (the charge gap of ``CollarSpec`` and the curvature
-    test of its lapse) wins.  Raises PreconditionError when none passes.
+    Each minimum is read from the memoized slice or eigen fields, the
+    fields the admissibility test and the collar read.  The first candidate
+    that passes the admissibility test of ``build_collar`` (the charge gap
+    of ``CollarSpec`` and the curvature test of its lapse) wins.  Raises
+    PreconditionError when none passes.
     """
     refusals = []
     for route, case_id, kappa in _route_candidates(path, lam):

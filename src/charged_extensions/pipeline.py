@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -58,10 +58,10 @@ class PipelineConfig:
     The grid sizes, switch point, tolerances and seeds a caller may set
     live here; every report embeds the resolved values through ``as_dict``
     so that artifacts are self-describing.  Fixed constants of the
-    construction are not knobs: the 5% curvature-floor margin lives in
-    ``sphere_seed`` behind ``collar.select_route``, and the collar flare
-    spends at most 0.9 of the mass headroom (``_MASS_FRACTION``) and never
-    exceeds the collar's epsilon <= 1.
+    construction are not knobs: the 5% curvature-floor margin
+    (``collar._FLOOR_MARGIN``) lives where ``collar.select_route`` decides
+    kappa, and the collar flare spends at most 0.9 of the mass headroom
+    (``_MASS_FRACTION``) and never exceeds the collar's epsilon <= 1.
 
     - ``n_t``: number of time samples along the collar path.
     - ``n_theta``: polar samples of axisymmetric seed metrics.
@@ -445,8 +445,6 @@ def construct_extension(
     data: BartnikDataSpec,
     m: float,
     config: PipelineConfig | None = None,
-    *,
-    _path: ss.MetricPath | None = None,
 ) -> ExtensionReport:
     """Construct an admissible extension of total mass m for the data.
 
@@ -464,7 +462,7 @@ def construct_extension(
         raise DomainError(f"requested mass must be finite, got {m!r}")
 
     with _stage("seed"):
-        path = _path if _path is not None else _resolve_path(data, config)
+        path = _resolve_path(data, config)
         r_o = path.r_o
         m_o_val = ql.m_o(data.n, r_o, data.q, data.lam)
         if not m > m_o_val:
@@ -583,6 +581,8 @@ def bartnik_report(
 
     with _stage("seed"):
         path = _resolve_path(data, config)
+    # Every witness builds on this one path and its memoized fields.
+    ladder_data = replace(data, r_o=None, exponent=None, path=path)
     r_o = path.r_o
     m_o_val = ql.m_o(data.n, r_o, data.q, data.lam)
     verdict = ql.ql_subextremality(data.n, data.q, data.lam, r_o)
@@ -597,7 +597,7 @@ def bartnik_report(
         mass = (1.0 + 2.0 ** -k) * m_o_val
         entry: dict = {"k": k, "mass": mass}
         try:
-            report = construct_extension(data, mass, config, _path=path)
+            report = construct_extension(ladder_data, mass, config)
         except ExtensionError as exc:
             entry["succeeded"] = False
             entry["error"] = f"{type(exc).__name__}: {exc}"

@@ -12,15 +12,15 @@ exponent (1-t)w, and the raw family is then normalized so that
 
 The module also provides the Gaussian curvature of a seed, the first
 eigenvalue and eigenfunction of -Laplacian + K restricted to axisymmetric
-functions, curvature floors with lapse-threshold suggestions, and the
-composed slice fields (volume form, scalar curvature, time-derivative
-norms, eigenfunction data) consumed by the collar construction.
+functions, and the composed slice fields (volume form, scalar curvature,
+time-derivative norms, eigenfunction data) consumed by the collar
+construction, which reads its curvature floor from these fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "normalize_path",
     "round_path",
     "lambda1",
-    "CurvatureFloor",
     "curvature_floor_along_path",
     "slice_geometry",
     "eigen_along_path",
@@ -52,12 +51,6 @@ __all__ = [
 _DEFAULT_N_THETA = 1025
 _DEFAULT_N_T = 513
 _POLE_TOL = 1e-6
-# Slices of a path, evenly spaced in t, on which the first eigenvalue floor
-# is solved.
-_EIGEN_SAMPLES = 65
-# Relative distance every curvature-floor candidate keeps from the path
-# quantity it bounds.
-_FLOOR_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -66,13 +59,11 @@ class AxisymConformalMetric:
 
     The exponent w is sampled on a uniform theta grid over [0, pi] with
     both endpoints included.  Pole regularity (w'(0) = w'(pi) = 0 up to
-    grid tolerance) is enforced on construction; the order records how
-    many odd derivatives are required to vanish at the poles.
+    grid tolerance) is enforced on construction.
     """
 
     theta_grid: np.ndarray
     w: np.ndarray
-    pole_regularity_order: int = 1
 
     def __post_init__(self) -> None:
         theta = np.asarray(self.theta_grid, dtype=float)
@@ -168,30 +159,6 @@ class MetricPath:
         return self.metrics[0].volume_radius
 
     @cached_property
-    def min_curvature(self) -> float:
-        """Minimum Gaussian (sectional) curvature over every slice."""
-        if self.is_round:
-            return 1.0 / self.r_o ** 2
-        theta = self.metrics[0].theta_grid
-        return float(np.min(_curvature_of(
-            theta, np.array([metric.w for metric in self.metrics]))))
-
-    @cached_property
-    def min_lambda1(self) -> float:
-        """Minimum first eigenvalue of -Laplacian + K over the path.
-
-        Solved with ``lambda1`` on 65 slices evenly spaced in t; for a round
-        path it is half the scalar curvature n(n-1)/r_o^2.
-        """
-        if self.is_round:
-            return 0.5 * (self.n * (self.n - 1) / self.r_o ** 2)
-        count = min(_EIGEN_SAMPLES, self.t_grid.size)
-        indices = np.unique(
-            np.round(np.linspace(0, self.t_grid.size - 1, count)).astype(int)
-        )
-        return min(lambda1(self.metrics[idx])[0] for idx in indices)
-
-    @cached_property
     def slice_fields(self) -> SliceGeometry:
         return _slice_geometry(self)
 
@@ -279,15 +246,7 @@ def conformal_path(seed: AxisymConformalMetric, t: float) -> AxisymConformalMetr
     """Metric at time t of the conformal family with exponent (1-t)w."""
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"path time must lie in [0, 1], got {t!r}")
-    return AxisymConformalMetric(
-        theta_grid=metric_grid_copy(seed.theta_grid),
-        w=(1.0 - t) * seed.w,
-        pole_regularity_order=seed.pole_regularity_order,
-    )
-
-
-def metric_grid_copy(theta: np.ndarray) -> np.ndarray:
-    return np.array(theta, dtype=float, copy=True)
+    return AxisymConformalMetric(theta_grid=seed.theta_grid, w=(1.0 - t) * seed.w)
 
 
 def _time_clamp(t: np.ndarray, theta_switch: float) -> np.ndarray:
@@ -406,10 +365,9 @@ def normalize_path(
     ``volume_form_deviation``.
 
     Slices with the same ramp value (every t >= theta_switch) coincide and
-    are solved once; the maps of all slices are inverted in batches.  Path
-    quantities that only some routes read (the eigenvalue floor, slice and
-    eigen fields) are not computed here but on demand, memoized on the
-    returned path.
+    are solved once; the maps of all slices are inverted in batches.  The
+    slice and eigen fields, which only some collar routes read, are not
+    computed here but on demand, memoized on the returned path.
     """
     theta = seed.theta_grid
     t_grid = np.linspace(0.0, 1.0, n_t)
@@ -600,52 +558,14 @@ def lambda1(metric: AxisymConformalMetric) -> tuple[float, np.ndarray]:
     return value, u
 
 
-@dataclass(frozen=True)
-class CurvatureFloor:
-    """Curvature numbers of a path and the curvature-floor candidates.
+def curvature_floor_along_path(path: MetricPath) -> float:
+    """Minimum scalar curvature over every slice of the path.
 
-    ``min_curvature`` is the minimum sectional curvature over the path
-    (Gaussian curvature for n = 2).  Each candidate is a floor kappa of one
-    collar route, kept a fixed 5% (``_FLOOR_MARGIN``) away from the
-    quantity it bounds: the eigenfunction route scales the minimum first
-    eigenvalue down; the positive-scalar route scales half the minimum
-    scalar curvature down (present only if that minimum is positive); the
-    negative-floor route scales the negative part of the curvature up.  Which candidate a collar
-    uses is decided by ``collar.select_route``.
-
-    ``kappa_eigenfunction`` is computed on demand: the first read solves
-    the eigenvalue floor of the path (``MetricPath.min_lambda1``), which is
-    memoized on the path, so routes that never read it never pay for it.
+    Read from the memoized slice fields (``slice_geometry``), the same
+    fields the collar's energy condition reads.  ``collar.select_route``
+    derives each constant-lapse curvature floor from it.
     """
-
-    path: MetricPath = field(repr=False, compare=False)
-    min_curvature: float
-    kappa_negative_floor: float
-    kappa_positive_scalar: float | None
-
-    @property
-    def kappa_eigenfunction(self) -> float:
-        return self.path.min_lambda1 * (1.0 - _FLOOR_MARGIN)
-
-
-def curvature_floor_along_path(path: MetricPath) -> CurvatureFloor:
-    """Curvature minimum and curvature-floor candidates of a path.
-
-    The curvature minimum is memoized on the path and the eigenvalue floor
-    is computed on demand (see CurvatureFloor), so this only applies the
-    fixed 5% margin.
-    """
-    min_k = path.min_curvature
-    n = path.n
-    min_scal = n * (n - 1) / path.r_o ** 2 if path.is_round else 2.0 * min_k
-    return CurvatureFloor(
-        path=path,
-        min_curvature=min_k,
-        kappa_negative_floor=max(0.0, -min_k) * (1.0 + _FLOOR_MARGIN),
-        kappa_positive_scalar=(
-            0.5 * min_scal * (1.0 - _FLOOR_MARGIN) if min_scal > 0.0 else None
-        ),
-    )
+    return float(np.min(path.slice_fields.scalar_curvature))
 
 
 def _composed_fields(path: MetricPath):

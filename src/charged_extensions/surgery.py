@@ -14,6 +14,7 @@ model end of prescribed mass and charge onto a collar tail.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -64,7 +65,6 @@ __all__ = [
 
 _EQUALITY_TOL = 1e-9
 _GL64 = leggauss(64)
-_MOLLIFIER_NORM = None
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +435,11 @@ def build_bridge(inputs: GlueInputs, shifted: SampledProfile) -> BridgedProfile:
 # Variable-radius mollification
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _mollifier_norm() -> float:
-    global _MOLLIFIER_NORM
-    if _MOLLIFIER_NORM is None:
-        val, _ = quad(lambda s: math.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0,
-                      epsabs=1e-15, epsrel=1e-13)
-        _MOLLIFIER_NORM = 1.0 / val
-    return _MOLLIFIER_NORM
+    val, _ = quad(lambda s: math.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0,
+                  epsabs=1e-15, epsrel=1e-13)
+    return 1.0 / val
 
 
 def _bump(s: np.ndarray) -> np.ndarray:

@@ -289,10 +289,11 @@ class TestConstructExtension:
         mass = 1.05 * ql.m_o(2, r_o, q, -0.1)
         report = pl.construct_extension(data, mass, config)
         path = report.collar.spec.path
-        assert path.min_curvature < 0.0
+        assert sphere_seed.curvature_floor_along_path(path) < 0.0
         assert report.diagnostics["route"] == "eigenfunction"
         assert report.collar.spec.case_id == co.EIGENFUNCTION_LAPSE
-        assert report.diagnostics["kappa"] == path.min_lambda1 * (1.0 - 0.05)
+        min_lam1 = float(np.min(sphere_seed.eigen_along_path(path).lambda1))
+        assert report.diagnostics["kappa"] == min_lam1 * (1.0 - 0.05)
         assert abs(report.achieved_mass - mass) <= 1e-8 * (1.0 + mass)
         assert report.min_margin > 0.0
         assert pl.verify_outward_minimizing(report) == "pass"
@@ -384,22 +385,22 @@ def test_round_construction_classifies_once(monkeypatch, n, q, lam):
 
 
 class TestPathWorkOncePerPath:
-    """The eigenvalue floor is solved only on the eigenfunction route, and
-    at most once per path: 65 lambda1 solves, shared by a whole ladder."""
+    """A ladder normalizes its path once and builds each path field once:
+    no route solves ``lambda1``, and only the eigenfunction route builds
+    the eigen fields, once for a whole ladder."""
 
     CONFIG = pl.PipelineConfig(n_t=129, n_theta=257)
 
     @pytest.fixture
-    def lambda1_calls(self, monkeypatch):
-        calls = []
-        solve = sphere_seed.lambda1
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(("lambda1", "_eigen_path", "normalize_path"), 0)
+        for name in counts:
+            def counting(*args, name=name, original=getattr(sphere_seed, name), **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
 
-        def counting(metric):
-            calls.append(metric)
-            return solve(metric)
-
-        monkeypatch.setattr(sphere_seed, "lambda1", counting)
-        return calls
+            monkeypatch.setattr(sphere_seed, name, counting)
+        return counts
 
     @staticmethod
     def cos_data(a, lam):
@@ -407,25 +408,25 @@ class TestPathWorkOncePerPath:
             n=2, q=0.0, lam=lam, exponent=lambda theta: a * np.cos(theta))
 
     @pytest.mark.parametrize("a, lam", [(0.3, 0.0), (0.6, -3.5)])
-    def test_scalar_and_negative_floor_ladders_solve_no_eigenvalue(
-            self, lambda1_calls, a, lam):
+    def test_scalar_and_negative_floor_ladders_solve_no_eigenvalue(self, calls, a, lam):
         report = pl.bartnik_report(self.cos_data(a, lam), self.CONFIG)
+        assert len(report.witnesses) == 7
         assert all(entry["succeeded"] for entry in report.witnesses)
-        assert len(lambda1_calls) == 0
+        assert calls == {"lambda1": 0, "_eigen_path": 0, "normalize_path": 1}
 
-    def test_eigenfunction_route_solves_65_slices(self, lambda1_calls):
+    def test_eigenfunction_route_builds_eigen_fields_once(self, calls):
         data = self.cos_data(0.6, 0.0)
         m_o = ql.m_o(2, sphere_seed.axisym_metric_from_function(
             data.exponent, n_theta=257).volume_radius, 0.0, 0.0)
         report = pl.construct_extension(data, 1.1 * m_o, self.CONFIG)
         assert report.diagnostics["route"] == "eigenfunction"
-        assert len(lambda1_calls) == 65
+        assert calls == {"lambda1": 0, "_eigen_path": 1, "normalize_path": 1}
 
-    def test_ladder_shares_one_eigenvalue_floor(self, lambda1_calls):
+    def test_ladder_shares_one_eigenvalue_floor(self, calls):
         report = pl.bartnik_report(self.cos_data(0.6, 0.0), self.CONFIG)
         assert len(report.witnesses) == 7
         assert all(entry["succeeded"] for entry in report.witnesses)
-        assert len(lambda1_calls) == 65
+        assert calls == {"lambda1": 0, "_eigen_path": 1, "normalize_path": 1}
 
 
 class TestSelftest:

@@ -229,13 +229,18 @@ def test_lambda1_stays_above_threshold_along_path(cos_path):
 
 
 # The curvature-floor route table: collar.select_route against each route's
-# formula, bit for bit.  A positive-scalar floor is 0.95 * (1/2) min scalar
-# curvature, a negative floor 1.05 * max(0, -min K), an eigenvalue floor
-# 0.95 * min lambda1 over 65 slices.
+# formula on the path's own memoized fields, bit for bit.  A positive-scalar
+# floor is 0.95 * (1/2) min slice scalar curvature, a negative floor
+# 1.05 * max(0, -(1/2) min slice scalar curvature), an eigenvalue floor
+# 0.95 * min lambda1 of the eigen fields.
 
 
 def cos_route_path(a):
     return normalize_path(axisym_metric_from_function(lambda t: a * np.cos(t)), n_t=65)
+
+
+def min_scalar(path):
+    return float(np.min(slice_geometry(path).scalar_curvature))
 
 
 def assert_route(path, lam, route, case_id, kappa):
@@ -244,9 +249,7 @@ def assert_route(path, lam, route, case_id, kappa):
 
 def test_curvature_floor_round_unit():
     path = round_path(2, 1.0, n_t=65)
-    floor = curvature_floor_along_path(path)
-    assert floor.min_curvature == 1.0
-    assert floor.kappa_eigenfunction == 0.5 * 2.0 * (1.0 - 0.05)
+    assert curvature_floor_along_path(path) == min_scalar(path) == 2.0
     assert_route(path, 0.0, "positive-scalar", CONSTANT_LAPSE, 0.5 * 2.0 * (1.0 - 0.05))
     # Against lam < 0 the negative floor comes first, at kappa = 0.
     assert_route(path, -1.0, "negative-floor", CONSTANT_LAPSE, 0.0)
@@ -262,30 +265,50 @@ def test_curvature_floor_higher_dimension_round():
 
 def test_curvature_floor_positive_cos_seed():
     path = cos_route_path(0.3)
-    min_k = path.min_curvature
-    assert min_k > 0.0
-    kappa = 0.5 * (2.0 * min_k) * (1.0 - 0.05)
-    assert_route(path, 0.0, "positive-scalar", CONSTANT_LAPSE, kappa)
+    min_scal = min_scalar(path)
+    assert curvature_floor_along_path(path) == min_scal > 0.0
+    assert_route(path, 0.0, "positive-scalar", CONSTANT_LAPSE, 0.5 * min_scal * (1.0 - 0.05))
 
 
 def test_curvature_floor_negative_curvature_rule():
     path = cos_route_path(0.6)
-    floor = curvature_floor_along_path(path)
-    assert floor.min_curvature < 0.0
-    assert floor.kappa_positive_scalar is None
-    kappa = max(0.0, -path.min_curvature) * (1.0 + 0.05)
+    min_scal = min_scalar(path)
+    assert curvature_floor_along_path(path) == min_scal < 0.0
+    kappa = max(0.0, -0.5 * min_scal) * (1.0 + 0.05)
     assert_route(path, -3.5, "negative-floor", CONSTANT_LAPSE, kappa)
+    # The negative floor admits the path before the eigen fields are read.
+    assert "eigen_fields" not in vars(path)
 
 
-def test_lazy_eigenvalue_floor_equals_eager_formula():
-    # The floor the eigenvalue route used to compute eagerly: lambda1 on 65
-    # evenly spaced slices, scaled down by the margin.  With 129 slices the
-    # 65 are a proper subset, so the subsampled index set is pinned too.
+@pytest.mark.parametrize("a", [0.3, 0.62, -0.7])
+def test_slice_curvature_minimum_matches_the_gauge_curvature(a):
+    # The slice fields compose the gauge curvature with the area maps; the
+    # minimum sits at a pole, where the one-sided stencils of the gauge
+    # curvature cancel to about 1e-9 relative.
+    path = cos_route_path(a)
+    gauge = min(float(np.min(gaussian_curvature(metric))) for metric in path.metrics)
+    assert math.isclose(curvature_floor_along_path(path), 2.0 * gauge, rel_tol=1e-8)
+
+
+def test_eigenvalue_floor_is_the_eigen_fields_minimum():
     path = normalize_path(axisym_metric_from_function(lambda t: 0.62 * np.cos(t)), n_t=129)
-    assert path.t_grid.size == 129
-    indices = np.unique(np.round(np.linspace(0, path.t_grid.size - 1, 65)).astype(int))
-    eager = min(lambda1(path.metrics[idx])[0] for idx in indices)
-    assert_route(path, 0.0, "eigenfunction", EIGENFUNCTION_LAPSE, eager * (1.0 - 0.05))
+    route = select_route(path, 0.0, 0.0)
+    min_lam1 = float(np.min(eigen_along_path(path).lambda1))
+    assert route == ("eigenfunction", EIGENFUNCTION_LAPSE, min_lam1 * (1.0 - 0.05))
+
+
+def test_eigenfunction_route_builds_slice_fields_first(monkeypatch):
+    # Built in the other order, the slice fields' temporaries would come on
+    # top of the memoized eigen fields and raise a cold path's peak memory.
+    built = []
+    for name in ("_slice_geometry", "_eigen_path"):
+        def recording(path, name=name, original=getattr(sphere_seed, name)):
+            built.append(name)
+            return original(path)
+
+        monkeypatch.setattr(sphere_seed, name, recording)
+    assert select_route(cos_route_path(0.6), 0.0, 0.0)[0] == "eigenfunction"
+    assert built == ["_slice_geometry", "_eigen_path"]
 
 
 def test_axisym_path_radius_takes_one_area_integral(monkeypatch):

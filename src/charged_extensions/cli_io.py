@@ -131,10 +131,7 @@ def collar_grid_csv(built: co.ChargedCollar) -> str:
     """
     scalar = built.scalar_curvature
     rows, cols = scalar.shape
-    if cols == 1:
-        thetas = np.array([0.0])
-    else:
-        thetas = ss.slice_geometry(built.spec.path).theta_grid
+    thetas = ss.slice_geometry(built.spec.path).theta_grid
     t_text = [fmt17(t) for t in built.spec.path.t_grid.tolist()]
     return _table(
         "t,theta,R,dec_margin",

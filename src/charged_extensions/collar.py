@@ -320,29 +320,19 @@ def collar_scalar_curvature(spec: CollarSpec, t: float, theta: float = 0.0) -> f
     """Scalar curvature of the collar at the grid point nearest (t, theta)."""
     base, well, _, _ = spec.margin_fields
     t_idx = int(np.argmin(np.abs(spec.path.t_grid - t)))
-    if well.shape[1] == 1:
-        theta_idx = 0
-    else:
-        theta_grid = slice_geometry(spec.path).theta_grid
-        theta_idx = int(np.argmin(np.abs(theta_grid - theta)))
+    theta_idx = int(np.argmin(np.abs(slice_geometry(spec.path).theta_grid - theta)))
     return float(base[t_idx, theta_idx] + well[t_idx, theta_idx] / spec.A ** 2)
 
 
 def _slice_inverse_square_integral(spec: CollarSpec) -> np.ndarray:
     """Integral of u^(-2) over each slice of the path."""
-    n_t = spec.path.t_grid.size
     if spec.case_id == CONSTANT_LAPSE or spec.path.is_round:
         area = unit_sphere_volume(spec.n) * spec.r_o ** spec.n
-        return np.full(n_t, area)
+        return np.full(spec.path.t_grid.size, area)
     geometry = slice_geometry(spec.path)
     eigen = eigen_along_path(spec.path)
     dtheta = float(geometry.theta_grid[1] - geometry.theta_grid[0])
-    values = np.empty(n_t)
-    for k in range(n_t):
-        values[k] = 2.0 * math.pi * simpson_uniform(
-            geometry.sqrt_det[k] / eigen.u[k] ** 2, dtheta
-        )
-    return values
+    return 2.0 * math.pi * simpson_uniform(geometry.sqrt_det / eigen.u ** 2, dtheta)
 
 
 def _hawking_along_collar(spec: CollarSpec) -> HawkingCurve:
@@ -375,11 +365,7 @@ def build_collar(spec: CollarSpec) -> ChargedCollar:
     worst = np.unravel_index(flat, margin.shape)
     min_margin = float(margin[worst])
     if not min_margin > 0.0:
-        theta_grid = (
-            slice_geometry(spec.path).theta_grid
-            if margin.shape[1] > 1
-            else np.zeros(1)
-        )
+        theta_grid = slice_geometry(spec.path).theta_grid
         raise ConstructionError(
             "energy condition violated on the collar",
             diagnostics={
@@ -534,13 +520,10 @@ def _slice_curvature_integral(collar: ChargedCollar) -> float:
         return n * (n - 1) * unit_sphere_volume(n) * spec.r_o ** (n - 2)
     geometry = slice_geometry(path)
     dtheta = float(geometry.theta_grid[1] - geometry.theta_grid[0])
-    values = [
-        2.0 * math.pi * simpson_uniform(
-            geometry.scalar_curvature[k] * geometry.sqrt_det[k], dtheta
-        )
-        for k in range(path.t_grid.size)
-    ]
-    return max(values)
+    values = 2.0 * math.pi * simpson_uniform(
+        geometry.scalar_curvature * geometry.sqrt_det, dtheta
+    )
+    return float(np.max(values))
 
 
 def monotonicity_check(collar: ChargedCollar, tol: float = 1e-8) -> MonotonicityReport:
@@ -606,22 +589,18 @@ def tail_to_arclength(collar: ChargedCollar) -> SampledProfile:
     On the tail the path is a fixed round sphere of radius r_o, so with
     s = A t the collar metric is ds^2 + f(s)^2 g* with
     f(s) = sqrt(1 + eps s^2 / A^2) r_o; the profile carries analytic
-    derivatives and a dense evaluator.
+    derivatives and a dense evaluator.  The path itself is round on the
+    tail (``MetricPath`` validates that); an eigenfunction lapse must also
+    be constant there.
     """
     spec = collar.spec
     path = spec.path
-    if not path.is_round:
-        tail_first = int(np.searchsorted(path.t_grid, path.theta_switch - 1e-15))
-        for k in range(tail_first, path.t_grid.size):
-            w_k = path.metrics[k].w
-            if float(np.max(w_k) - np.min(w_k)) > 1e-10:
-                raise PreconditionError("collar tail is not round")
-        if spec.case_id == EIGENFUNCTION_LAPSE:
-            u_tail = eigen_along_path(path).u[tail_first:]
-            if float(np.max(np.abs(u_tail - 1.0))) > 1e-6:
-                raise PreconditionError("lapse is not constant on the collar tail")
-
     keep = path.t_grid >= path.theta_switch - 1e-15
+    if spec.case_id == EIGENFUNCTION_LAPSE:
+        u_tail = eigen_along_path(path).u[keep]
+        if float(np.max(np.abs(u_tail - 1.0))) > 1e-6:
+            raise PreconditionError("lapse is not constant on the collar tail")
+
     t_tail = path.t_grid[keep]
     amplitude = spec.A
     epsilon = spec.epsilon
@@ -636,16 +615,15 @@ def tail_to_arclength(collar: ChargedCollar) -> SampledProfile:
 
     s_grid = amplitude * t_tail
     f, df, d2f = evaluate(s_grid)
-    profile = SampledProfile(
+    return SampledProfile(
         s_grid=s_grid,
         f=f,
         df=df,
         d2f=d2f,
         provenance=np.array(["collar"] * s_grid.size),
         charge=spec.q,
+        evaluator=evaluate,
     )
-    profile.evaluator = evaluate
-    return profile
 
 
 def imcf_reparametrization(collar: ChargedCollar, t_start: float | None = None) -> IMCFReport:

@@ -380,10 +380,10 @@ def radial_coordinate(params: RNParams, r: float) -> float:
     return model_arclength(params, r, cls=cls)
 
 
-def _attach_exact_evaluator(params: RNParams, profile: SampledProfile) -> None:
+def _exact_evaluator(params: RNParams, s_grid, f, df):
     """Dense evaluator: spline for f, exact first-integral identities for
     df = sqrt(p(f)) and d2f = p'(f)/2."""
-    spline = CubicHermiteSpline(profile.s_grid, profile.f, profile.df)
+    spline = CubicHermiteSpline(s_grid, f, df)
 
     def evaluate(s):
         s = np.asarray(s, dtype=float)
@@ -392,7 +392,7 @@ def _attach_exact_evaluator(params: RNParams, profile: SampledProfile) -> None:
         d2f = 0.5 * eval_dp(params, f)
         return f, df, d2f
 
-    profile.evaluator = evaluate
+    return evaluate
 
 
 _GL16 = leggauss(16)
@@ -616,9 +616,8 @@ def _model_profile(params: RNParams, mu: float | None, s_max: float,
         raise DomainError("need s_max > 0 and at least 9 grid points")
     s_grid = np.linspace(0.0, s_max, grid_n)
     f, df, d2f = _profile_arclength(params, mu, cls).sample(s_grid)
-    profile = SampledProfile(s_grid, f, df, d2f, provenance, charge=params.q)
-    _attach_exact_evaluator(params, profile)
-    return profile
+    return SampledProfile(s_grid, f, df, d2f, provenance, charge=params.q,
+                          evaluator=_exact_evaluator(params, s_grid, f, df))
 
 
 def rn_profile(params: RNParams, s_max: float, grid_n: int = 4097, *,

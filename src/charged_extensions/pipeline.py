@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
-from .numutil import json_text
+from .numutil import json_text, simpson_uniform
 
 __all__ = [
     "PipelineConfig",
@@ -992,9 +992,11 @@ def _criterion_area_gauge(config: PipelineConfig) -> dict:
         f"{deviation_tol!r}",
     )
     target = ql.unit_sphere_volume(2) * path.r_o ** 2
-    worst = max(
-        abs(metric.area() - target) for metric in path.metrics
+    # Each distinct slice's area; the t samples repeat these rows.
+    areas = 2.0 * math.pi * simpson_uniform(
+        np.exp(2.0 * path.w) * np.sin(seed.theta_grid), seed.theta_step
     )
+    worst = float(np.max(np.abs(areas - target)))
     _require(
         worst <= area_tol * (1.0 + target),
         f"slice area drifts by {worst!r} from {target!r}",

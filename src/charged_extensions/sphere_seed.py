@@ -107,19 +107,24 @@ class AxisymConformalMetric:
 class MetricPath:
     """Path of metrics on the sphere over t in [0, 1].
 
-    Either a genuinely axisymmetric path (``metrics`` holds one conformal
-    gauge representative per t and ``reparam`` the theta maps taking the
-    gauge representative to the area-normalized slice) or a constant round
-    path tagged by ``round_radius``.  ``volume_form_deviation`` is the
-    measured maximum time derivative of the slice area form.
+    Either a constant round path tagged by ``round_radius`` or an
+    axisymmetric path (n = 2) from the validated ``seed``, stored once per
+    distinct slice: row j of ``w`` is a conformal-gauge exponent, row j of
+    ``reparam`` the theta map taking it to the area-normalized slice, and
+    ``slice_of[k]`` the row at t sample k.  The slices are round from
+    ``theta_switch`` on, and the three arrays are read-only, so memoized
+    fields cannot go stale.  ``volume_form_deviation`` is the measured
+    maximum time derivative of the slice area form.
     """
 
     n: int
     t_grid: np.ndarray
     theta_switch: float
     volume_form_deviation: float
-    metrics: tuple | None = None
+    seed: AxisymConformalMetric | None = None
+    w: np.ndarray | None = None
     reparam: np.ndarray | None = None
+    slice_of: np.ndarray | None = None
     round_radius: float | None = None
 
     def __post_init__(self) -> None:
@@ -132,19 +137,33 @@ class MetricPath:
             raise DomainError("t_grid must span [0, 1]")
         if not 0.0 < self.theta_switch < 1.0:
             raise DomainError("theta_switch must lie in (0, 1)")
-        if (self.round_radius is None) == (self.metrics is None):
-            raise DomainError("exactly one of metrics / round_radius must be set")
+        if (self.round_radius is None) == (self.seed is None):
+            raise DomainError("exactly one of seed / round_radius must be set")
         if self.round_radius is not None and not self.round_radius > 0.0:
             raise DomainError("round_radius must be positive")
-        if self.metrics is not None:
-            if len(self.metrics) != t.size:
-                raise DomainError("need one metric per t sample")
-            if self.reparam is None or self.reparam.shape != (
-                t.size,
-                self.metrics[0].theta_grid.size,
-            ):
-                raise DomainError("reparam must hold one theta map per t sample")
         object.__setattr__(self, "t_grid", t)
+        if self.seed is not None:
+            self._validate_slices()
+
+    def _validate_slices(self) -> None:
+        w, reparam = np.array(self.w, dtype=float), np.array(self.reparam, dtype=float)
+        slice_of = np.array(self.slice_of)
+        rows = w.shape[0] if w.ndim == 2 else 0
+        if self.n != 2:
+            raise DomainError(f"axisymmetric paths need n = 2, got {self.n!r}")
+        if w.shape != (rows, self.seed.theta_grid.size) or reparam.shape != w.shape:
+            raise DomainError("w and reparam must hold one row per distinct slice")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(reparam))):
+            raise DomainError("w and reparam must be finite")
+        if (slice_of.dtype.kind not in "iu" or slice_of.shape != self.t_grid.shape
+                or not np.all((slice_of >= 0) & (slice_of < rows))):
+            raise DomainError("slice_of must name a row of w for every t sample")
+        tail = w[slice_of[self.t_grid >= self.theta_switch - 1e-15]]
+        if float(np.max(np.ptp(tail, axis=1))) > 1e-10:
+            raise DomainError("path is not round on t >= theta_switch")
+        for name, value in (("w", w), ("reparam", reparam), ("slice_of", slice_of)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def is_round(self) -> bool:
@@ -156,7 +175,7 @@ class MetricPath:
         integral on axisymmetric paths, taken once)."""
         if self.round_radius is not None:
             return self.round_radius
-        return self.metrics[0].volume_radius
+        return self.seed.volume_radius
 
     @cached_property
     def slice_fields(self) -> SliceGeometry:
@@ -364,10 +383,11 @@ def normalize_path(
     (Newton-inverted maps differentiated on their own) and reported as
     ``volume_form_deviation``.
 
-    Slices with the same ramp value (every t >= theta_switch) coincide and
-    are solved once; the maps of all slices are inverted in batches.  The
-    slice and eigen fields, which only some collar routes read, are not
-    computed here but on demand, memoized on the returned path.
+    Slices with the same ramp value (every t >= theta_switch) coincide, so
+    the path stores one row per distinct slice, an affine blend of the
+    seed; the maps of all rows are inverted in batches.  The slice and
+    eigen fields, which only some collar routes read, are computed on
+    demand and memoized on the returned path.
     """
     theta = seed.theta_grid
     t_grid = np.linspace(0.0, 1.0, n_t)
@@ -391,21 +411,19 @@ def normalize_path(
     # undilated cumulative against a rescaled target.
     maps, totals = _match_cumulative_areas(theta, w_raw, cumulative0(theta), total0)
     # Dilations bringing each slice area back to the seed area.
-    distinct = [
-        AxisymConformalMetric(theta_grid=theta, w=w + 0.5 * math.log(total0 / total))
-        for w, total in zip(w_raw, totals)
-    ]
-    metrics = tuple(distinct[j] for j in slice_of)
-    maps = maps[slice_of]
+    dilation = np.array([0.5 * math.log(total0 / total) for total in totals])
+    w = w_raw + dilation[:, None]
 
-    deviation = _measure_volume_form_deviation(t_grid, theta, metrics, maps)
+    deviation = _measure_volume_form_deviation(t_grid, theta, w, maps, slice_of)
     return MetricPath(
         n=2,
         t_grid=t_grid,
         theta_switch=theta_switch,
         volume_form_deviation=deviation,
-        metrics=metrics,
+        seed=seed,
+        w=w,
         reparam=maps,
+        slice_of=slice_of,
     )
 
 
@@ -430,20 +448,19 @@ def _compose_rows(theta: np.ndarray, rows: np.ndarray, points: np.ndarray,
     return out
 
 
-def _measure_volume_form_deviation(t_grid, theta, metrics, maps) -> float:
+def _measure_volume_form_deviation(t_grid, theta, w, maps, slice_of) -> float:
     """Max time derivative of the composed area form, measured honestly.
 
     The theta derivative of each reparametrizing map is taken from the
     sampled map itself (spline differentiation), not from the chain-rule
     identity that would make the area form static by construction.
     """
-    w_rows = np.array([metric.w for metric in metrics])
     knots = np.broadcast_to(theta, maps.shape)
     dmap = _compose_rows(theta, maps, knots, nu=1)
-    sqrt_det = (np.exp(2.0 * _compose_rows(theta, w_rows, maps))
+    sqrt_det = (np.exp(2.0 * _compose_rows(theta, w, maps))
                 * np.sin(maps) * dmap)
     dt = float(t_grid[1] - t_grid[0])
-    time_deriv = diff1_4th(sqrt_det.T, dt).T
+    time_deriv = diff1_4th(sqrt_det[slice_of].T, dt).T
     return float(np.max(np.abs(time_deriv)))
 
 
@@ -550,12 +567,17 @@ def lambda1(metric: AxisymConformalMetric) -> tuple[float, np.ndarray]:
     value_fine, u_fine = _solve_sl(fine_theta, fine_w)
 
     value = (4.0 * value_fine - value_coarse) / 3.0
-    u = u_fine[::2]
+    return value, _area_normalized(theta, metric.w, u_fine[::2])
 
-    weight = np.exp(2.0 * metric.w) * np.sin(theta)
-    norm_sq = 2.0 * math.pi * simpson_uniform(u * u * weight, metric.theta_step)
-    u = u * math.sqrt(metric.area() / norm_sq)
-    return value, u
+
+def _area_normalized(theta: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u scaled so its squared integral over the slice e^(2w) g* equals
+    the slice area."""
+    dtheta = float(theta[1] - theta[0])
+    weight = np.exp(2.0 * w) * np.sin(theta)
+    area = 2.0 * math.pi * simpson_uniform(weight, dtheta)
+    norm_sq = 2.0 * math.pi * simpson_uniform(u * u * weight, dtheta)
+    return u * math.sqrt(area / norm_sq)
 
 
 def curvature_floor_along_path(path: MetricPath) -> float:
@@ -569,40 +591,34 @@ def curvature_floor_along_path(path: MetricPath) -> float:
 
 
 def _composed_fields(path: MetricPath):
-    """Composed conformal data of every slice in the fixed area gauge.
+    """Composed conformal data of every distinct slice in the fixed area gauge.
 
-    Returns exponent, curvature, map derivative and map arrays of shape
-    (n_t, n_theta), where each row is the conformal-gauge field evaluated
-    along the reparametrizing map.  The map derivative uses the chain
-    rule through the cumulative-area identity, which is the derivative of
-    the exact solution map.
+    Returns exponent, curvature, map derivative and map arrays with one
+    row per row of ``path.w``: the conformal-gauge field evaluated along
+    the reparametrizing map.  The map derivative uses the chain rule
+    through the cumulative-area identity, dTheta/dtheta =
+    density0(theta) / density_t(Theta), the derivative of the exact map.
     """
-    theta = path.metrics[0].theta_grid
+    theta = path.seed.theta_grid
     maps = path.reparam
-    w_rows = np.array([metric.w for metric in path.metrics])
-    exponent = _compose_rows(theta, w_rows, maps)
-    curvature = _compose_rows(theta, _curvature_of(theta, w_rows), maps)
-    density0, _ = _cumulative_area_spline(theta, path.metrics[0].w)
-    base_density = density0(theta)
-    dmap = np.empty_like(maps)
-    for k in range(path.t_grid.size):
-        # Chain rule: dTheta/dtheta = density0(theta) / density_t(Theta),
-        # with both densities measured in the common area normalization.
-        density_t = np.exp(2.0 * exponent[k]) * np.sin(maps[k])
-        dmap[k] = _safe_ratio(base_density, density_t, theta, maps[k])
-    return exponent, curvature, dmap, maps
+    exponent = _compose_rows(theta, path.w, maps)
+    curvature = _compose_rows(theta, _curvature_of(theta, path.w), maps)
+    density0, _ = _cumulative_area_spline(theta, path.seed.w)
+    density = np.exp(2.0 * exponent) * np.sin(maps)
+    return exponent, curvature, _pole_parity_ratio(density0(theta), density), maps
 
 
-def _safe_ratio(numer, denom, theta, composed):
-    """Ratio of area densities with pole values filled by parity."""
-    out = np.empty_like(numer)
-    interior = slice(1, -1)
-    out[interior] = numer[interior] / denom[interior]
-    # At the poles both densities vanish linearly, so the ratio extends to
-    # an even smooth function; fit out = c0 + c2 theta^2 to the two nearest
-    # interior values.
-    out[0] = out[1] - (out[2] - out[1]) / 3.0
-    out[-1] = out[-2] - (out[-3] - out[-2]) / 3.0
+def _pole_parity_ratio(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """numer / denom along the last axis, divided at interior samples only.
+
+    Both vanish at the poles, so the ratio extends to an even smooth
+    function; its pole values fit c0 + c2 theta^2 to the two nearest
+    interior values.
+    """
+    out = np.empty(np.broadcast_shapes(np.shape(numer), np.shape(denom)))
+    out[..., 1:-1] = numer[..., 1:-1] / denom[..., 1:-1]
+    out[..., 0] = out[..., 1] - (out[..., 2] - out[..., 1]) / 3.0
+    out[..., -1] = out[..., -2] - (out[..., -3] - out[..., -2]) / 3.0
     return out
 
 
@@ -629,29 +645,22 @@ def _slice_geometry(path: MetricPath) -> SliceGeometry:
             trace_gprime=np.zeros(shape),
         )
 
-    theta = path.metrics[0].theta_grid
     exponent, curvature, dmap, maps = _composed_fields(path)
     conf = np.exp(2.0 * exponent)
-    a_comp = conf * dmap ** 2
-    b_comp = conf * np.sin(maps) ** 2
+    # Expanded to every t sample for the time derivatives.
+    a_comp = (conf * dmap ** 2)[path.slice_of]
+    b_comp = (conf * np.sin(maps) ** 2)[path.slice_of]
 
     dt = float(path.t_grid[1] - path.t_grid[0])
-    da = diff1_4th(a_comp.T, dt).T
-    db_full = diff1_4th(b_comp.T, dt).T
-
-    # The azimuthal component vanishes quadratically at the poles; its
-    # logarithmic derivative is continued from the interior by parity.
-    ratio_b = np.empty_like(db_full)
-    ratio_b[:, 1:-1] = db_full[:, 1:-1] / b_comp[:, 1:-1]
-    ratio_b[:, 0] = ratio_b[:, 1] - (ratio_b[:, 2] - ratio_b[:, 1]) / 3.0
-    ratio_b[:, -1] = ratio_b[:, -2] - (ratio_b[:, -3] - ratio_b[:, -2]) / 3.0
-    ratio_a = da / a_comp
+    ratio_a = diff1_4th(a_comp.T, dt).T / a_comp
+    # The azimuthal component vanishes at the poles.
+    ratio_b = _pole_parity_ratio(diff1_4th(b_comp.T, dt).T, b_comp)
 
     return SliceGeometry(
         t_grid=path.t_grid,
-        theta_grid=theta,
+        theta_grid=path.seed.theta_grid,
         sqrt_det=np.sqrt(a_comp * b_comp),
-        scalar_curvature=2.0 * curvature,
+        scalar_curvature=2.0 * curvature[path.slice_of],
         gprime_sq=ratio_a ** 2 + ratio_b ** 2,
         trace_gprime=ratio_a + ratio_b,
     )
@@ -660,9 +669,9 @@ def _slice_geometry(path: MetricPath) -> SliceGeometry:
 def eigen_along_path(path: MetricPath) -> EigenPath:
     """Eigenfunction data of -Laplacian + K along a normalized path.
 
-    Eigenpairs are computed per slice in the conformal gauge, composed
-    with the reparametrizing maps, and differentiated in time.  Memoized
-    on the path (``MetricPath.eigen_fields``).
+    Eigenpairs are computed once per distinct slice in the conformal gauge,
+    composed with the reparametrizing maps, expanded to every t sample and
+    differentiated in time.  Memoized on the path (``MetricPath.eigen_fields``).
     """
     return path.eigen_fields
 
@@ -682,27 +691,21 @@ def _eigen_path(path: MetricPath) -> EigenPath:
             laplace_u=np.zeros(shape),
         )
 
-    theta = path.metrics[0].theta_grid
-    values = np.empty(n_t)
-    u_gauge = np.empty((n_t, theta.size))
-    lap_gauge = np.empty((n_t, theta.size))
-    for k in range(n_t):
-        metric = path.metrics[k]
-        value, u = _solve_sl(theta, metric.w)
-        weight = np.exp(2.0 * metric.w) * np.sin(theta)
-        norm_sq = 2.0 * math.pi * simpson_uniform(u * u * weight, metric.theta_step)
-        u_gauge[k] = u * math.sqrt(metric.area() / norm_sq)
-        values[k] = value
-        lap_gauge[k] = np.exp(-2.0 * metric.w) * _laplacian_axisym(theta, u_gauge[k])
-    u_comp = _compose_rows(theta, u_gauge, path.reparam)
-    lap_comp = _compose_rows(theta, lap_gauge, path.reparam)
+    theta = path.seed.theta_grid
+    values, u_raw = zip(*(_solve_sl(theta, w) for w in path.w))
+    u_gauge = np.array([_area_normalized(theta, w, u) for w, u in zip(path.w, u_raw)])
+    # One Laplacian per row: a 2-d stencil rounds the pole rows differently.
+    lap_u = np.array([_laplacian_axisym(theta, u) for u in u_gauge])
+    lap_gauge = np.exp(-2.0 * path.w) * lap_u
+    u_comp = _compose_rows(theta, u_gauge, path.reparam)[path.slice_of]
+    lap_comp = _compose_rows(theta, lap_gauge, path.reparam)[path.slice_of]
 
     dt = float(path.t_grid[1] - path.t_grid[0])
     du_dt = diff1_4th(u_comp.T, dt).T
     return EigenPath(
         t_grid=path.t_grid,
         theta_grid=theta,
-        lambda1=values,
+        lambda1=np.array(values)[path.slice_of],
         u=u_comp,
         du_dt=du_dt,
         laplace_u=lap_comp,

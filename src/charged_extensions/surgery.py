@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -278,6 +278,17 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _istep_table() -> tuple[np.ndarray, np.ndarray]:
+    """Grid on [0, 1] and the running integral of smooth_step over it,
+    shared by every bridge."""
+    xs = np.linspace(0.0, 1.0, 16385)
+    table = (xs, _cumulative_simpson(smooth_step(xs), xs[1]))
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
 @dataclass(eq=False)
 class BridgedProfile:
     """A C^{1,1} join: left profile, monotone bridge segment, right profile.
@@ -296,13 +307,6 @@ class BridgedProfile:
     b2: float
     x_c: float
     rho: float
-    _istep_table: np.ndarray = field(repr=False, default=None)
-    _table_x: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        xs = np.linspace(0.0, 1.0, 16385)
-        self._table_x = xs
-        self._istep_table = _cumulative_simpson(smooth_step(xs), xs[1])
 
     @property
     def f1_b1(self) -> float:
@@ -342,8 +346,7 @@ class BridgedProfile:
         out = np.where(w >= 1.0, w - 0.5, 0.0)
         inner = (w > 0.0) & (w < 1.0)
         out = np.where(inner,
-                       np.interp(np.clip(w, 0.0, 1.0),
-                                 self._table_x, self._istep_table),
+                       np.interp(np.clip(w, 0.0, 1.0), *_istep_table()),
                        out)
         return out
 

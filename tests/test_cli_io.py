@@ -22,6 +22,8 @@ from charged_extensions.errors import (
     VerificationError,
 )
 
+from artifact_cases import CASES
+
 
 @pytest.fixture(scope="module")
 def extend_artifacts(tmp_path_factory):
@@ -639,3 +641,10 @@ class TestExitCodes:
         )
         assert rc == 1
         assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_artifact_cases_parse(name, argv):
+    # The byte-identity case set (tests/artifact_cases.py) stays runnable.
+    assert cli_io.parse_config(argv).command == argv[0]
+    assert [case for case, _ in CASES].count(name) == 1

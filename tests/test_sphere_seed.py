@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,20 @@ def cos_seed():
 @pytest.fixture(scope="module")
 def cos_path(cos_seed):
     return normalize_path(cos_seed, n_t=129)
+
+
+def metric_at(path, k):
+    """The slice metric of a normalized path at t sample k."""
+    return AxisymConformalMetric(theta_grid=path.seed.theta_grid, w=path.w[path.slice_of[k]])
+
+
+def reparam_at(path, k):
+    """The theta map of a normalized path at t sample k."""
+    return path.reparam[path.slice_of[k]]
+
+
+def slice_metrics(path):
+    return [metric_at(path, k) for k in range(path.t_grid.size)]
 
 
 def total_curvature(metric):
@@ -93,21 +108,21 @@ def test_normalize_round_seed_is_constant():
 
 def test_normalized_path_endpoints_and_clamp(cos_path, cos_seed):
     # Starts at the seed exactly.
-    assert np.array_equal(cos_path.metrics[0].w, cos_seed.w)
-    assert np.allclose(cos_path.reparam[0], cos_seed.theta_grid, atol=1e-12)
+    assert np.array_equal(metric_at(cos_path, 0).w, cos_seed.w)
+    assert np.allclose(reparam_at(cos_path, 0), cos_seed.theta_grid, atol=1e-12)
     # Constant after the switch time.
     frozen = [k for k, t in enumerate(cos_path.t_grid) if t >= cos_path.theta_switch]
     for k in frozen[1:]:
-        assert np.array_equal(cos_path.metrics[k].w, cos_path.metrics[frozen[0]].w)
-        assert np.array_equal(cos_path.reparam[k], cos_path.reparam[frozen[0]])
+        assert np.array_equal(metric_at(cos_path, k).w, metric_at(cos_path, frozen[0]).w)
+        assert np.array_equal(reparam_at(cos_path, k), reparam_at(cos_path, frozen[0]))
     # Ends round.
-    final = cos_path.metrics[-1].w
+    final = metric_at(cos_path, -1).w
     assert np.max(final) - np.min(final) < 1e-12
 
 
 def test_normalized_path_area_every_slice(cos_path):
     target = unit_sphere_volume(2) * cos_path.r_o ** 2
-    for metric in cos_path.metrics:
+    for metric in slice_metrics(cos_path):
         assert abs(metric.area() - target) < 1e-10 * target
 
 
@@ -158,11 +173,13 @@ def test_batched_normalization_matches_per_slice_reference(a):
     seed = axisym_metric_from_function(lambda t: a * np.cos(t))
     path = normalize_path(seed)
     maps, exponents = _reference_normalization(seed, path.t_grid.size)
-    assert np.max(np.abs(path.reparam - maps)) <= 1e-11
-    assert np.max(np.abs(np.array([m.w for m in path.metrics]) - exponents)) <= 1e-11
+    metrics = slice_metrics(path)
+    reparam = np.array([reparam_at(path, k) for k in range(path.t_grid.size)])
+    assert np.max(np.abs(reparam - maps)) <= 1e-11
+    assert np.max(np.abs(np.array([m.w for m in metrics]) - exponents)) <= 1e-11
     assert path.volume_form_deviation < 1e-7
     target = unit_sphere_volume(2) * path.r_o ** 2
-    for metric in path.metrics:
+    for metric in metrics:
         assert abs(metric.area() - target) < 1e-10 * target
 
 
@@ -181,7 +198,7 @@ def test_intervals_match_searchsorted():
 
 def test_gauss_bonnet_along_path(cos_path):
     for k in (0, 32, 64, 96, 128):
-        assert abs(total_curvature(cos_path.metrics[k]) - 4.0 * math.pi) < 1e-6
+        assert abs(total_curvature(metric_at(cos_path, k)) - 4.0 * math.pi) < 1e-6
 
 
 def test_lambda1_round_unit():
@@ -215,16 +232,16 @@ def test_lambda1_normalization(cos_seed):
 
 
 def test_lambda1_path_endpoint(cos_path):
-    value, _ = lambda1(cos_path.metrics[-1])
+    value, _ = lambda1(metric_at(cos_path, -1))
     assert abs(value - 1.0 / cos_path.r_o ** 2) < 1e-8
 
 
 def test_lambda1_stays_above_threshold_along_path(cos_path):
-    v0, _ = lambda1(cos_path.metrics[0])
-    v1, _ = lambda1(cos_path.metrics[-1])
+    v0, _ = lambda1(metric_at(cos_path, 0))
+    v1, _ = lambda1(metric_at(cos_path, -1))
     kappa = 0.95 * min(v0, v1)
     for k in range(0, cos_path.t_grid.size, 16):
-        value, _ = lambda1(cos_path.metrics[k])
+        value, _ = lambda1(metric_at(cos_path, k))
         assert value > kappa
 
 
@@ -286,7 +303,7 @@ def test_slice_curvature_minimum_matches_the_gauge_curvature(a):
     # minimum sits at a pole, where the one-sided stencils of the gauge
     # curvature cancel to about 1e-9 relative.
     path = cos_route_path(a)
-    gauge = min(float(np.min(gaussian_curvature(metric))) for metric in path.metrics)
+    gauge = min(float(np.min(gaussian_curvature(metric))) for metric in slice_metrics(path))
     assert math.isclose(curvature_floor_along_path(path), 2.0 * gauge, rel_tol=1e-8)
 
 
@@ -323,7 +340,7 @@ def test_axisym_path_radius_takes_one_area_integral(monkeypatch):
     monkeypatch.setattr(AxisymConformalMetric, "area", counting)
     radii = [path.r_o for _ in range(4)]
     assert len(calls) == 1
-    assert radii == [path.metrics[0].volume_radius] * 4
+    assert radii == [metric_at(path, 0).volume_radius] * 4
 
 
 def test_slice_geometry_round():
@@ -358,8 +375,8 @@ def test_slice_geometry_curvature_independent_route(cos_path):
     theta = geometry.theta_grid
     dtheta = float(theta[1] - theta[0])
     for k in (10, 40, 80):
-        metric = cos_path.metrics[k]
-        composed = cos_path.reparam[k]
+        metric = metric_at(cos_path, k)
+        composed = reparam_at(cos_path, k)
         from scipy.interpolate import CubicSpline
 
         w_spline = CubicSpline(theta, metric.w)
@@ -389,7 +406,7 @@ def test_eigen_along_path_round():
 def test_eigen_along_path_matches_per_slice(cos_path):
     eigen = eigen_along_path(cos_path)
     for k in (0, 64, 128):
-        value, _ = lambda1(cos_path.metrics[k])
+        value, _ = lambda1(metric_at(cos_path, k))
         assert abs(eigen.lambda1[k] - value) < 1e-5
     assert np.min(eigen.u) > 0.0
     assert np.max(np.abs(eigen.du_dt[-1])) < 1e-10
@@ -422,3 +439,134 @@ def test_round_path_validation():
         round_path(1, 1.0)
     with pytest.raises(DomainError):
         round_path(2, -1.0)
+
+
+def _parity_fill(ratio):
+    ratio[..., 0] = ratio[..., 1] - (ratio[..., 2] - ratio[..., 1]) / 3.0
+    ratio[..., -1] = ratio[..., -2] - (ratio[..., -3] - ratio[..., -2]) / 3.0
+    return ratio
+
+
+def _per_sample_fields(path):
+    """Slice fields, eigen fields and volume-form deviation of a path built
+    t sample by t sample: one metric per sample, every per-slice stage run
+    on each of them, as before the path kept one row per distinct slice."""
+    theta = path.seed.theta_grid
+    n_t = path.t_grid.size
+    dt = float(path.t_grid[1] - path.t_grid[0])
+    metrics = slice_metrics(path)
+    maps = np.array([reparam_at(path, k) for k in range(n_t)])
+    w_rows = np.array([metric.w for metric in metrics])
+    compose = sphere_seed._compose_rows
+
+    knots = np.broadcast_to(theta, maps.shape)
+    area_form = (np.exp(2.0 * compose(theta, w_rows, maps)) * np.sin(maps)
+                 * compose(theta, maps, knots, nu=1))
+    deviation = float(np.max(np.abs(diff1_4th(area_form.T, dt).T)))
+
+    exponent = compose(theta, w_rows, maps)
+    curvature = compose(theta, sphere_seed._curvature_of(theta, w_rows), maps)
+    density0, _ = sphere_seed._cumulative_area_spline(theta, metrics[0].w)
+    base_density = density0(theta)
+    dmap = np.empty_like(maps)
+    for k in range(n_t):
+        density_t = np.exp(2.0 * exponent[k]) * np.sin(maps[k])
+        dmap[k, 1:-1] = base_density[1:-1] / density_t[1:-1]
+    dmap = _parity_fill(dmap)
+    conf = np.exp(2.0 * exponent)
+    a_comp = conf * dmap ** 2
+    b_comp = conf * np.sin(maps) ** 2
+    ratio_a = diff1_4th(a_comp.T, dt).T / a_comp
+    db = diff1_4th(b_comp.T, dt).T
+    ratio_b = np.empty_like(db)
+    ratio_b[:, 1:-1] = db[:, 1:-1] / b_comp[:, 1:-1]
+    ratio_b = _parity_fill(ratio_b)
+    geometry = {
+        "sqrt_det": np.sqrt(a_comp * b_comp),
+        "scalar_curvature": 2.0 * curvature,
+        "gprime_sq": ratio_a ** 2 + ratio_b ** 2,
+        "trace_gprime": ratio_a + ratio_b,
+    }
+
+    values = np.empty(n_t)
+    u_gauge = np.empty(maps.shape)
+    lap_gauge = np.empty(maps.shape)
+    for k, metric in enumerate(metrics):
+        values[k], u = sphere_seed._solve_sl(theta, metric.w)
+        weight = np.exp(2.0 * metric.w) * np.sin(theta)
+        norm_sq = 2.0 * math.pi * simpson_uniform(u * u * weight, metric.theta_step)
+        u_gauge[k] = u * math.sqrt(metric.area() / norm_sq)
+        lap_gauge[k] = np.exp(-2.0 * metric.w) * sphere_seed._laplacian_axisym(theta, u_gauge[k])
+    u_comp = compose(theta, u_gauge, maps)
+    eigen = {
+        "lambda1": values,
+        "u": u_comp,
+        "du_dt": diff1_4th(u_comp.T, dt).T,
+        "laplace_u": compose(theta, lap_gauge, maps),
+    }
+    return deviation, geometry, eigen
+
+
+@pytest.mark.parametrize("a", [0.3, 0.62, -0.7])
+def test_distinct_slice_fields_bitwise_equal_per_sample_reference(a):
+    path = normalize_path(axisym_metric_from_function(lambda t: a * np.cos(t)), n_t=129)
+    deviation, geometry, eigen = _per_sample_fields(path)
+    assert path.volume_form_deviation == deviation
+    fields = slice_geometry(path)
+    for name, reference in geometry.items():
+        assert np.array_equal(getattr(fields, name), reference), name
+    fields = eigen_along_path(path)
+    for name, reference in eigen.items():
+        assert np.array_equal(getattr(fields, name), reference), name
+
+
+def test_eigen_fields_solve_each_distinct_slice_once(cos_seed, monkeypatch):
+    # 95 distinct ramp values among 129 t samples: every sample from the
+    # switch time on shares the round slice.
+    path = normalize_path(cos_seed, n_t=129)
+    solves = []
+
+    def counting(theta, w, original=sphere_seed._solve_sl):
+        solves.append(w)
+        return original(theta, w)
+
+    monkeypatch.setattr(sphere_seed, "_solve_sl", counting)
+    eigen_along_path(path)
+    assert len(solves) == 95
+    assert path.w.shape[0] == 95
+
+
+def test_normalize_path_builds_no_slice_metrics(cos_seed, monkeypatch):
+    built = []
+    post_init = AxisymConformalMetric.__post_init__
+
+    def counting(metric):
+        built.append(metric)
+        post_init(metric)
+
+    monkeypatch.setattr(AxisymConformalMetric, "__post_init__", counting)
+    path = normalize_path(cos_seed, n_t=129)
+    assert built == []
+    assert path.w.shape == (95, cos_seed.theta_grid.size)
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda path: {"n": 3}, "n = 2"),
+    (lambda path: {"slice_of": path.slice_of + 1}, "row of w for every t sample"),
+    (lambda path: {"reparam": path.reparam[:, :-1]}, "one row per distinct slice"),
+    (lambda path: {"w": path.w * np.nan}, "finite"),
+    # Every sample on the seed's row, which is not round.
+    (lambda path: {"slice_of": np.zeros_like(path.slice_of)}, "not round"),
+], ids=["n-3", "slice-of-out-of-range", "reparam-shape", "non-finite-w", "non-round-tail"])
+def test_axisym_path_validation(cos_path, change, message):
+    with pytest.raises(DomainError, match=message):
+        dataclasses.replace(cos_path, **change(cos_path))
+
+
+def test_axisym_path_arrays_are_read_only(cos_path):
+    with pytest.raises(ValueError):
+        cos_path.w[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        cos_path.reparam[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        cos_path.slice_of[0] = 1

@@ -395,14 +395,22 @@ def _exact_evaluator(params: RNParams, s_grid, f, df):
     return evaluate
 
 
-_GL16 = leggauss(16)
-# The first quadrature panel ends at this fraction of sqrt(start); panels
-# double from there.  Near tau = 0 the integrand varies on the scale
+# Panels grow geometrically by 2^(1/4) from a first panel ending at
+# _FIRST_PANEL sqrt(start).  Near tau = 0 the integrand varies on the scale
 # sqrt(start - r0) set by the nearest root r0 below the start.  That scale
 # is 2^-30 sqrt(start) for the closest start glue_to_rn takes (2^-60 above a
 # degenerate horizon), so even there every panel is smooth on its width.
+# The nearest singularity of the speed then lies at least 8 half-widths
+# from a panel's midpoint (11 beyond the first panel), so 8 Gauss-Legendre
+# nodes integrate a whole panel to rounding, and 6 nodes the short stretch
+# a Newton correction covers.  A cubic Hermite guess on a quarter-octave
+# panel is good to about 2e-5 in tau, so the first Newton correction
+# leaves a step far below the 1e-8 tau stopping test.
 _FIRST_PANEL = 2.0 ** -32
-_PANELS_PER_BATCH = 8
+_PANELS_PER_OCTAVE = 4
+_PANELS_PER_BATCH = 32
+_GL_EDGE = leggauss(8)
+_GL_STEP = leggauss(6)
 _NEWTON_STEPS = 8
 
 
@@ -417,8 +425,11 @@ class _Arclength:
     of nearby values is taken; at a horizon p(start) = 0 and g = 2/sqrt(D).
     Above a double root of p (a degenerate horizon) D itself cancels, and p
     is evaluated in the factored form of :func:`_second_divided` instead.
-    S is tabulated at the edges of geometric panels by Gauss-Legendre
-    quadrature and inverted at all requested arclengths at once.
+    S and dr/ds are tabulated at the edges of quarter-octave panels, grown
+    in batches as far as a caller asks; the table depends only on (params,
+    start), so one table serves every caller of the same start.  Arclengths
+    between edges are 8-node Gauss-Legendre integrals from the panel's
+    lower edge.
     """
 
     def __init__(self, params: RNParams, start: float, p_start: float,
@@ -433,6 +444,7 @@ class _Arclength:
         first = math.sqrt(start) * _FIRST_PANEL
         self.tau = np.array([0.0, first])
         self.s = np.array([0.0, float(self._integral(0.0, first))])
+        self.rate = self._rate(self.tau)
 
     def _divided(self, r):
         """D(r) = (p(r) - p(start)) / (r - start) without cancellation."""
@@ -468,19 +480,21 @@ class _Arclength:
             return 2.0 / np.sqrt(self._divided(self.start + tau * tau))
         return 2.0 * tau / self._rate(tau)
 
-    def _integral(self, lo, hi):
-        """Integral of the speed over [lo, hi], elementwise, one panel each."""
-        nodes, weights = _GL16
+    def _integral(self, lo, hi, rule=_GL_EDGE):
+        """Integral of the speed over [lo, hi], elementwise, by the Gauss-
+        Legendre rule (nodes, weights)."""
+        nodes, weights = rule
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         half = 0.5 * (hi - lo)
         tau = half[..., None] * nodes + (0.5 * (hi + lo))[..., None]
         return half * (self._speed(tau) @ weights)
 
     def _grow(self, covered) -> None:
-        """Append doubling panels until covered(table) holds."""
+        """Append batches of panels until covered(table) holds."""
+        steps = np.arange(1, _PANELS_PER_BATCH + 1) / _PANELS_PER_OCTAVE
         while not covered():
             last = self.tau[-1]
-            edges = last * 2.0 ** np.arange(1, _PANELS_PER_BATCH + 1)
+            edges = last * 2.0 ** steps
             edges = edges[self.start + edges * edges <= self.r_max]
             if edges.size == 0:
                 raise DomainError(
@@ -490,6 +504,7 @@ class _Arclength:
             pieces = self._integral(lows, edges)
             self.tau = np.concatenate([self.tau, edges])
             self.s = np.concatenate([self.s, self.s[-1] + np.cumsum(pieces)])
+            self.rate = np.concatenate([self.rate, self._rate(edges)])
 
     def at_radius(self, r):
         """Arclength from the start to the radii r >= start."""
@@ -500,8 +515,14 @@ class _Arclength:
         return self.s[j] + self._integral(self.tau[j], tau)
 
     def tau_at(self, s):
-        """tau with S(tau) = s for every s in [0, S(inf)), by Newton steps
-        tau <- tau - (S(tau) - s)/g(tau) inside each point's panel."""
+        """tau with S(tau) = s for every s in [0, S(inf)).
+
+        A cubic Hermite guess inside each point's panel is refined by Newton
+        steps tau <- tau - (S(tau) - s)/g(tau).  S at the guess is an 8-node
+        integral from the panel edge; each correction adds only the 6-node
+        integral over the step, S(tau_new) = S(tau) + integral of g from
+        tau to tau_new.
+        """
         s = np.asarray(s, dtype=float)
         self._grow(lambda: self.s[-1] >= np.max(s))
         j = np.clip(np.searchsorted(self.s, s, side="right") - 1,
@@ -512,19 +533,22 @@ class _Arclength:
         # with slope dr/ds at the panel edges.
         u = (s - s_lo) / width
         guess = ((1.0 + 2.0 * u) * (1.0 - u) ** 2 * lo * lo
-                 + u * (1.0 - u) ** 2 * width * self._rate(lo)
+                 + u * (1.0 - u) ** 2 * width * self.rate[j]
                  + u * u * (3.0 - 2.0 * u) * hi * hi
-                 + u * u * (u - 1.0) * width * self._rate(hi))
+                 + u * u * (u - 1.0) * width * self.rate[j + 1])
         tau = np.zeros_like(s)
         live = s > 0.0
         lo, hi, s_lo, s = lo[live], hi[live], s_lo[live], s[live]
         t = np.clip(np.sqrt(np.maximum(guess[live], 0.0)), lo, hi)
+        s_t = s_lo + self._integral(lo, t)
         for _ in range(_NEWTON_STEPS):
-            step = (s_lo + self._integral(lo, t) - s) / self._speed(t)
-            t = np.clip(t - step, lo, hi)
-            if np.all(np.abs(step) <= 1e-8 * t):
-                tau[live] = t
+            step = (s_t - s) / self._speed(t)
+            t_new = np.clip(t - step, lo, hi)
+            if np.all(np.abs(step) <= 1e-8 * t_new):
+                tau[live] = t_new
                 return tau
+            s_t = s_t + self._integral(t, t_new, _GL_STEP)
+            t = t_new
         raise InternalConsistencyError(
             "arclength inversion did not converge: largest Newton step "
             f"{float(np.max(np.abs(step)))}")
@@ -561,13 +585,33 @@ def _second_divided(params: RNParams, root: float, r):
     return x * x * y * (q * q * c - 2.0 * m * c_mass) - k_lam
 
 
+def _p_beyond_root(params: RNParams, cls: ExtremalityClass, r: float) -> float:
+    """p(r) at a radius r beyond the largest root of p; cls is the
+    classification of params.  Above a degenerate horizon p is taken in the
+    factored form (r - r_plus)^2 p[r_plus, r_plus, r] of
+    :func:`_second_divided`, which keeps its relative accuracy however
+    close r comes to the horizon, where eval_p cancels to noise."""
+    if cls.kind == EXTREMAL:
+        root = cls.r_plus
+        return (r - root) ** 2 * _second_divided(params, root, r)
+    return float(eval_p(params, r))
+
+
 def _profile_arclength(params: RNParams, mu: float | None,
-                       cls: ExtremalityClass | None) -> _Arclength:
+                       cls: ExtremalityClass | None,
+                       arclength: _Arclength | None = None) -> _Arclength:
     """Arclength from the profile start: the horizon r_plus (p = 0 exactly)
     when mu is None, otherwise mu, which must lie beyond every root with
     p(mu) > 0.  cls is the classification of params, computed here when
     None; above a degenerate horizon p is taken in factored form
-    (:func:`_second_divided`)."""
+    (:func:`_second_divided`).  A table a caller built for params and the
+    same start is passed as arclength and returned as it is."""
+    if arclength is not None:
+        if (arclength.params != params or (arclength.p_start == 0.0) != (mu is None)
+                or (mu is not None and arclength.start != float(mu))):
+            raise DomainError(
+                "arclength table belongs to other parameters or another start")
+        return arclength
     cls = classify(params) if cls is None else cls
     if mu is None:
         if cls.kind != SUB_EXTREMAL:
@@ -581,26 +625,27 @@ def _profile_arclength(params: RNParams, mu: float | None,
     if cls.r_plus is not None and mu <= cls.r_plus:
         raise DomainError(
             f"mu={mu} must exceed the largest root {cls.r_plus}")
-    if cls.kind == EXTREMAL:
-        root = cls.r_plus
-        p_mu = (mu - root) ** 2 * _second_divided(params, root, mu)
-    else:
-        root, p_mu = None, eval_p(params, mu)
+    p_mu = _p_beyond_root(params, cls, mu)
     if p_mu <= 0.0:
         raise DomainError(f"p(mu) must be positive, got {p_mu} at mu={mu}")
-    return _Arclength(params, mu, p_mu, root)
+    return _Arclength(params, mu, p_mu, cls.r_plus if cls.kind == EXTREMAL else None)
 
 
 def model_arclength(params: RNParams, r, mu: float | None = None, *,
-                    cls: ExtremalityClass | None = None):
+                    cls: ExtremalityClass | None = None,
+                    arclength: _Arclength | None = None):
     """Arclength at which the model profile reaches radius r (scalar or array).
 
     The profile starts at the horizon r_plus when mu is None, as in
     rn_profile, and at mu otherwise, as in rn_profile_mu; the value is the
     one those profiles invert, so the profile samples radius r exactly there.
-    A caller that has classified params passes the class as cls.
+    A caller that has classified params passes the class as cls.  A caller
+    that samples the profile of the same start as well builds the arclength
+    table once and passes it as arclength to both calls; the table grows as
+    far as either asks, and every value is bit-identical to one from a
+    fresh table.
     """
-    arclength = _profile_arclength(params, mu, cls)
+    arclength = _profile_arclength(params, mu, cls, arclength)
     r = np.asarray(r, dtype=float)
     if np.any(r < arclength.start) or not np.all(np.isfinite(r)):
         raise DomainError(
@@ -609,45 +654,49 @@ def model_arclength(params: RNParams, r, mu: float | None = None, *,
     return s if s.ndim else float(s)
 
 
-def _model_profile(params: RNParams, mu: float | None, s_max: float,
-                   grid_n: int, provenance: np.ndarray,
-                   cls: ExtremalityClass | None) -> SampledProfile:
+def _model_profile(arclength: _Arclength, s_max: float, grid_n: int,
+                   provenance: np.ndarray) -> SampledProfile:
     if s_max <= 0.0 or grid_n < 9:
         raise DomainError("need s_max > 0 and at least 9 grid points")
     s_grid = np.linspace(0.0, s_max, grid_n)
-    f, df, d2f = _profile_arclength(params, mu, cls).sample(s_grid)
+    f, df, d2f = arclength.sample(s_grid)
+    params = arclength.params
     return SampledProfile(s_grid, f, df, d2f, provenance, charge=params.q,
                           evaluator=_exact_evaluator(params, s_grid, f, df))
 
 
 def rn_profile(params: RNParams, s_max: float, grid_n: int = 4097, *,
-               cls: ExtremalityClass | None = None) -> SampledProfile:
+               cls: ExtremalityClass | None = None,
+               arclength: _Arclength | None = None) -> SampledProfile:
     """Boundary-extended radial profile u on [0, s_max].
 
     u solves u' = sqrt(p(u)) with u(0) = r_plus and u'(0) = 0.  Every sample
     inverts the arclength s(r) = integral of p^(-1/2) from r_plus, whose
     horizon singularity the substitution r = r_plus + tau^2 removes, so
     u' = sqrt(p(u)) and u'' = p'(u)/2 hold at each sample to rounding.
-    cls, when given, is the classification of params.
+    cls, when given, is the classification of params; arclength, when
+    given, is the table model_arclength read for the same start.
     """
-    return _model_profile(params, None, s_max, grid_n,
-                          np.array(["analytic"] + ["ode"] * (grid_n - 1)), cls)
+    arclength = _profile_arclength(params, None, cls, arclength)
+    return _model_profile(arclength, s_max, grid_n,
+                          np.repeat(["analytic", "ode"], [1, grid_n - 1]))
 
 
 def rn_profile_mu(params: RNParams, mu: float, s_max: float,
                   grid_n: int = 4097, *,
-                  cls: ExtremalityClass | None = None) -> SampledProfile:
+                  cls: ExtremalityClass | None = None,
+                  arclength: _Arclength | None = None) -> SampledProfile:
     """Interior-started radial profile with u(0) = mu, u'(0) = sqrt(p(mu)).
 
     Valid whenever p(mu) > 0 and mu lies beyond the largest root if one
     exists; covers the degenerate and rootless configurations that the
     boundary-extended profile cannot reach.  Samples invert the arclength
-    from mu exactly as in rn_profile; cls, when given, is the classification
-    of params.  Above a degenerate horizon p(mu) is evaluated in factored
-    form, so mu may come as close to the horizon as floats resolve.
+    from mu exactly as in rn_profile; cls and arclength are as there.
+    Above a degenerate horizon p(mu) is evaluated in factored form, so mu
+    may come as close to the horizon as floats resolve.
     """
-    return _model_profile(params, mu, s_max, grid_n, np.array(["ode"] * grid_n),
-                          cls)
+    arclength = _profile_arclength(params, mu, cls, arclength)
+    return _model_profile(arclength, s_max, grid_n, np.full(grid_n, "ode"))
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,18 @@ class MetricPath:
         tail = w[slice_of[self.t_grid >= self.theta_switch - 1e-15]]
         if float(np.max(np.ptp(tail, axis=1))) > 1e-10:
             raise DomainError("path is not round on t >= theta_switch")
+        # r_o, the collar and the Hawking mass take every slice to have the
+        # seed's area.  The bound is C11's 1e-10 (1 + r_o) on the volume
+        # radius at the default theta grid; normalize_path meets its gauge to
+        # fourth order in the theta step, so coarser grids get that factor.
+        r_o = self.seed.volume_radius
+        areas = 2.0 * math.pi * simpson_uniform(
+            np.exp(2.0 * w) * np.sin(self.seed.theta_grid), self.seed.theta_step)
+        drift = float(np.max(np.abs(np.sqrt(areas / unit_sphere_volume(2)) - r_o)))
+        coarse = max(1.0, ((_DEFAULT_N_THETA - 1) / (w.shape[1] - 1)) ** 4)
+        if drift > 1e-10 * (1.0 + r_o) * coarse:
+            raise DomainError(
+                f"slice volume radii drift by {drift!r} from the seed's {r_o!r}")
         for name, value in (("w", w), ("reparam", reparam), ("slice_of", slice_of)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)

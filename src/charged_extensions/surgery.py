@@ -38,9 +38,10 @@ from .lambda_rn import (
     ExtremalityClass,
     RNParams,
     SampledProfile,
+    _p_beyond_root,
+    _profile_arclength,
     classify,
     eval_h,
-    eval_p,
     model_arclength,
     radial_coordinate,
     rn_profile,
@@ -631,9 +632,13 @@ def mollify_and_certify(bridge: BridgedProfile, q: float, lam: float,
     seg2 = np.linspace(b1, a2, 257)
     seg3 = np.linspace(a2, mid2, 257)
     middle = np.concatenate([seg1, seg2[1:], seg3[1:]])
-    left_last = float(bridge.left.s_grid[left_keep][-1])
-    right_first = float(bridge.right.s_grid[right_keep][0])
-    middle = middle[(middle > left_last) & (middle < right_first)]
+    # An input sample at mid1 or mid2 (a piece of an odd sample count has
+    # one there) may round to either side of it, and the mollification
+    # reproduces the inputs at both; a middle point within half a middle
+    # step of a kept sample would repeat that sample an ulp away.
+    above = float(bridge.left.s_grid[left_keep][-1]) + 0.5 * (seg1[1] - seg1[0])
+    below = float(bridge.right.s_grid[right_keep][0]) - 0.5 * (seg3[1] - seg3[0])
+    middle = middle[(middle > above) & (middle < below)]
 
     ft, dft, d2ft = bridge.evaluate(middle)
     fmax = float(np.max(np.abs(ft)))
@@ -902,18 +907,23 @@ def _bent_piece(bend_res: BendResult, charge: float) -> SampledProfile:
                           charge=charge, evaluator=bend_res.profile.evaluator)
 
 
-def _locate_station(params, start, f_b, df_b, in_image):
+def _locate_station(params, cls, start, f_b, df_b, in_image):
     """Pick the radius r_C of the station where bending will start.
 
     The model slope at radius r is sqrt(p(r)), so the station is found in
-    radius.  In-image: shoot the radius target f_b + eps downward in eps
-    until the slope there falls strictly below the tail slope.  Out of
-    image: the radius beyond the profile start where the slope reaches a
-    fixed fraction of the tail slope, which exists because the slope grows
-    continuously from its value at the start.
+    radius; cls is the classification of params, and above a degenerate
+    horizon p is taken in factored form.  In-image: shoot the radius target
+    f_b + eps downward in eps until the slope there falls strictly below
+    the tail slope.  Out of image: the radius beyond the profile start
+    where the slope reaches a fixed fraction of the tail slope, which
+    exists because the slope grows continuously from its value at the
+    start.
     """
+    def p(r):
+        return _p_beyond_root(params, cls, r)
+
     def slope(r):
-        return math.sqrt(max(float(eval_p(params, r)), 0.0))
+        return math.sqrt(max(p(r), 0.0))
 
     if in_image:
         target = df_b * (1.0 - 1e-6)
@@ -934,7 +944,7 @@ def _locate_station(params, start, f_b, df_b, in_image):
     width = start
     for _ in range(40):
         if slope(start + width) > target:
-            return brentq(lambda r: float(eval_p(params, r)) - target * target,
+            return brentq(lambda r: p(r) - target * target,
                           start, start + width, xtol=1e-14, rtol=8.9e-16)
         width *= 2.0
     raise ConstructionError(
@@ -1006,8 +1016,8 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
             mu = None
             for j in range(1, 61):
                 cand = cls.r_plus * (1.0 + 2.0 ** -j)
-                if (float(eval_p(params_e, cand)) > 0.0
-                        and math.sqrt(float(eval_p(params_e, cand))) <= 0.5 * df_b):
+                p_cand = _p_beyond_root(params_e, cls, cand)
+                if p_cand > 0.0 and math.sqrt(p_cand) <= 0.5 * df_b:
                     mu = cand
                     break
             if mu is None:
@@ -1019,7 +1029,7 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
         mu = f_b
         in_image = True
 
-    r_c = _locate_station(params_e, cls.r_plus if mu is None else mu,
+    r_c = _locate_station(params_e, cls, cls.r_plus if mu is None else mu,
                           f_b, df_b, in_image)
     if not r_c > f_b:
         raise InternalConsistencyError(
@@ -1029,15 +1039,17 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
     # no further than that beyond r_C in radius: where the radius grows
     # exponentially (lam < 0) the far-end mass f^(n-1)(p(f) - f'^2)/2 would
     # otherwise cancel to no digits.  For lam = 0, f' < 1 and the radius
-    # bound never binds.
+    # bound never binds.  The station arclengths and the profile read one
+    # arclength table.
     reach = 4.0 * max(1.0, r_c)
+    table = _profile_arclength(params_e, mu, cls)
     s0, s_reach = (float(s) for s in
-                   model_arclength(params_e, [r_c, r_c + reach], mu, cls=cls))
+                   model_arclength(params_e, [r_c, r_c + reach], mu, arclength=table))
     s_cut = min(s0 + reach, s_reach)
     if mu is None:
-        model = rn_profile(params_e, s_cut, cls=cls)
+        model = rn_profile(params_e, s_cut, arclength=table)
     else:
-        model = rn_profile_mu(params_e, mu, s_cut, cls=cls)
+        model = rn_profile_mu(params_e, mu, s_cut, arclength=table)
     bend_res = bend(params_e, s0, alpha=f_b, slope_cap=df_b, profile=model)
     right = _bent_piece(bend_res, q_e)
 

@@ -24,6 +24,10 @@ CASES = [
     ("classify", ["classify", "--n", "2", "--m", "1.25", "--q", "0.75", "--lambda", "0"]),
     ("rn-profile", ["rn-profile", "--n", "2", "--m", "1", "--s-max", "10",
                     "--out", "profile.csv"]),
+    ("rn-profile-n3", ["rn-profile", "--n", "3", "--m", "1", "--q", "0.3",
+                       "--lambda", "-1.5", "--s-max", "10", "--out", "profile.csv"]),
+    ("rn-profile-n4", ["rn-profile", "--n", "4", "--m", "0.5", "--q", "0.2",
+                       "--lambda", "-3", "--s-max", "6", "--out", "profile.csv"]),
     ("collar-round", ["collar", "--n", "2", "--r-o", "1.0", "--epsilon", "0.05",
                       "--hawking-out", "hawking.csv", "--grid-out", "grid.csv"]),
     ("glue", ["glue", "--n", "2", "--m", "1.0", "--mass", "1.2",

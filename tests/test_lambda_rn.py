@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from charged_extensions import lambda_rn
 from charged_extensions.errors import DomainError, NotApplicableError
 from charged_extensions.lambda_rn import (
     EXTREMAL,
@@ -268,15 +269,29 @@ def test_rn_profile_mu_domain_errors() -> None:
 
 
 def test_rn_profile_near_horizon_matches_closed_form() -> None:
-    # s(r) = sqrt(r(r-2)) + 2 asinh(sqrt((r-2)/2)) for n=2, m=1, q=lam=0;
-    # the first samples sit where the integrand's horizon singularity acts.
-    # Rounding f to a float moves s(f) by up to ulp(f) * ds/dr = ulp(f)/f'.
+    # s(r) = sqrt(r(r-2)) + 2 asinh(sqrt((r-2)/2)) for n=2, m=1, q=lam=0, at
+    # every sample; the first samples sit where the integrand's horizon
+    # singularity acts.  Rounding f to a float moves s(f) by up to
+    # ulp(f) * ds/dr = ulp(f)/f'.
     profile = rn_profile(SCHWARZSCHILD, 10.0, 4097)
-    for k in (1, 2, 3, 8, 32, 4096):
-        r, s = float(profile.f[k]), float(profile.s_grid[k])
-        exact = math.sqrt(r * (r - 2.0)) + 2.0 * math.asinh(math.sqrt((r - 2.0) / 2.0))
-        tol = 1e-13 * (1.0 + s) + math.ulp(r) / profile.df[k]
-        assert abs(exact - s) <= tol, k
+    r, s = profile.f[1:], profile.s_grid[1:]
+    exact = np.sqrt(r * (r - 2.0)) + 2.0 * np.arcsinh(np.sqrt((r - 2.0) / 2.0))
+    tol = 1e-13 * (1.0 + s) + np.spacing(r) / profile.df[1:]
+    assert np.all(np.abs(exact - s) <= tol)
+
+
+@pytest.mark.parametrize("m", [0.7, 2.5])
+def test_rn_profile_tangherlini_closed_form_at_every_sample(m) -> None:
+    # n = 3, q = lam = 0: p = 1 - 2m/r^2, so s(r) = sqrt(r^2 - 2m) and
+    # f(s) = sqrt(s^2 + 2m), f'(s) = s/f.  An error in f moves
+    # f' = sqrt(p(f)) by p'(f)/(2 f') = 2m/(f^3 f') times as much.
+    profile = rn_profile(RNParams(3, m, 0.0, 0.0), 10.0, 4097)
+    s, f, df = profile.s_grid, profile.f, profile.df
+    exact = np.sqrt(s * s + 2.0 * m)
+    assert np.all(np.abs(f - exact) <= 8.0 * np.spacing(exact))
+    assert df[0] == 0.0
+    tol = 8.0 * (np.spacing(f[1:]) * 2.0 * m / (f[1:] ** 3 * df[1:]) + np.spacing(df[1:]))
+    assert np.all(np.abs(df[1:] - s[1:] / exact[1:]) <= tol)
 
 
 EXTREMAL_UNIT = RNParams(2, 1.0, 1.0, 0.0)
@@ -395,6 +410,99 @@ def test_profiles_scale_covariantly(params) -> None:
         assert np.all(np.abs(big.f - c * base.f) <= 1e-12 * c * base.f)
         assert np.all(np.abs(big.df - base.df) <= 1e-12 * (1.0 + base.df))
         assert np.all(np.abs(c * big.d2f - base.d2f) <= 1e-12 * (1.0 + np.abs(base.d2f)))
+
+
+_GL16 = np.polynomial.legendre.leggauss(16)
+
+
+def _independent_arclength(arclength, tau):
+    """S(tau), the integral of the kernel's speed from 0, by a 16-node
+    Gauss-Legendre rule on the octaves [tau 2^-k-1, tau 2^-k], k < 60, and
+    [0, tau 2^-60]: no table, no panel of the kernel, no Newton step."""
+    nodes, weights = _GL16
+    edges = 2.0 ** -np.arange(60.0, -1.0, -1.0)
+    lo_frac = np.concatenate([[0.0], edges[:-1]])
+    total = np.empty_like(tau)
+    for start in range(0, tau.size, 256):
+        t = tau[start:start + 256, None]
+        lo, hi = t * lo_frac, t * edges
+        half = 0.5 * (hi - lo)
+        x = half[..., None] * nodes + (0.5 * (hi + lo))[..., None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # tau = 0 gives 0/0 off a horizon start, where the speed is 0.
+            g = np.nan_to_num(arclength._speed(x), nan=0.0)
+        total[start:start + 256] = np.sum(half * (g @ weights), axis=1)
+    return total
+
+
+PROFILE_GRID = [RNParams(n, 1.0, q, lam) for n in (2, 3, 4)
+                for q, lam in ((0.0, 0.0), (0.3, 0.0), (0.0, -1.5),
+                               (0.3, -1.5), (0.3, -4.0))]
+
+
+@pytest.mark.parametrize("params", PROFILE_GRID, ids=str)
+def test_profile_kernel_inverts_an_independent_arclength(params) -> None:
+    # Every sample of both profiles: f = start + tau^2 with S(tau) = s to a
+    # few ulps, and the first-integral relations, with no overflow, invalid
+    # operation or division by zero anywhere in the kernel.
+    r_plus = classify(params).r_plus
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for mu, sample in ((None, rn_profile(params, 6.0, 1025)),
+                           (1.5 * r_plus, rn_profile_mu(params, 1.5 * r_plus, 6.0, 1025))):
+            arclength = lambda_rn._profile_arclength(params, mu, None)
+            s = sample.s_grid
+            tau = arclength.tau_at(s)
+            assert np.array_equal(sample.f, arclength.start + tau * tau)
+            assert np.all(np.abs(_independent_arclength(arclength, tau) - s)
+                          <= 8.0 * np.spacing(np.maximum(s, 1.0)))
+            p = eval_p(params, sample.f[1:])
+            assert np.all(np.abs(sample.df[1:] ** 2 - p) <= 1e-12 * (1.0 + np.abs(p)))
+
+
+def test_profile_kernel_2_to_minus_40_above_a_degenerate_horizon() -> None:
+    mu = 1.0 + 2.0 ** -40
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        profile = rn_profile_mu(EXTREMAL_UNIT, mu, 5.0, 4097)
+        arclength = lambda_rn._profile_arclength(EXTREMAL_UNIT, mu, None)
+        tau = arclength.tau_at(profile.s_grid)
+        stray = _independent_arclength(arclength, tau) - profile.s_grid
+    assert np.array_equal(profile.f, mu + tau * tau)
+    assert np.all(np.abs(stray) <= 8.0 * np.spacing(np.maximum(profile.s_grid, 1.0)))
+    slope = (profile.f - 1.0) / profile.f
+    assert np.all(np.abs(profile.df - slope) <= 1e-12 * slope)
+
+
+@pytest.mark.parametrize("params, mu", [
+    (RNParams(2, 1.0, 0.3, -1.5), None),
+    (RNParams(3, 0.8, 0.3, -4.0), 1.5),
+    (EXTREMAL_UNIT, 1.0 + 2.0 ** -30),
+])
+def test_shared_arclength_table_is_bit_identical(params, mu) -> None:
+    # A table that model_arclength grew first serves the profile as well; its
+    # prefix is the one a fresh table builds, so nothing moves by a bit.
+    table = lambda_rn._profile_arclength(params, mu, None)
+    start = table.start
+    radii = [start + 0.5, start + 40.0]
+    shared_s = model_arclength(params, radii, mu, arclength=table)
+    assert np.array_equal(shared_s, model_arclength(params, radii, mu))
+    if mu is None:
+        shared, fresh = (rn_profile(params, 6.0, arclength=table),
+                         rn_profile(params, 6.0))
+    else:
+        shared, fresh = (rn_profile_mu(params, mu, 6.0, arclength=table),
+                         rn_profile_mu(params, mu, 6.0))
+    for name in ("s_grid", "f", "df", "d2f", "provenance"):
+        assert np.array_equal(getattr(shared, name), getattr(fresh, name)), name
+
+
+def test_arclength_table_of_another_start_is_refused() -> None:
+    table = lambda_rn._profile_arclength(SCHWARZSCHILD, 3.0, None)
+    with pytest.raises(DomainError):
+        rn_profile(SCHWARZSCHILD, 4.0, arclength=table)
+    with pytest.raises(DomainError):
+        rn_profile_mu(SCHWARZSCHILD, 2.5, 4.0, arclength=table)
+    with pytest.raises(DomainError):
+        model_arclength(RNParams(2, 1.5, 0.0, 0.0), 4.0, 3.0, arclength=table)
 
 
 def test_verify_model_identities_saturation() -> None:

@@ -570,3 +570,13 @@ def test_axisym_path_arrays_are_read_only(cos_path):
         cos_path.reparam[0, 0] = 1.0
     with pytest.raises(ValueError):
         cos_path.slice_of[0] = 1
+
+
+@pytest.mark.parametrize("n_theta, shift", [(1025, 0.1), (1025, 1e-8), (257, 1e-6)])
+def test_axisym_path_slices_must_keep_the_seed_area(n_theta, shift):
+    # r_o reads the seed's volume radius, so a path whose slices have
+    # another area must be refused, not carry a wrong r_o.
+    seed = axisym_metric_from_function(lambda t: 0.3 * np.cos(t), n_theta=n_theta)
+    path = normalize_path(seed, n_t=65)
+    with pytest.raises(DomainError, match="volume radii drift"):
+        dataclasses.replace(path, w=path.w + shift)

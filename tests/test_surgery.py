@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from charged_extensions import collar as co
+from charged_extensions import lambda_rn
 from charged_extensions import sphere_seed
 from charged_extensions import surgery as su
 from charged_extensions.errors import DomainError, PreconditionError
@@ -375,6 +377,23 @@ class TestMollifyAndCertify:
         with pytest.raises(PreconditionError):
             su.mollify_and_certify(bridge, 0.0, 0.0, 2)
 
+    def test_input_sample_an_ulp_inside_a_cutoff_edge_is_not_repeated(
+            self, strict_inputs):
+        # A piece of odd sample count has a sample at its cutoff edge (mid1
+        # on the left, mid2 on the right).  Rounded an ulp inward, the
+        # mollification must not repeat it with its own point at the edge.
+        s = strict_inputs.left.s_grid.copy()
+        s[32] = np.nextafter(0.75, 0.0)
+        left = dataclasses.replace(strict_inputs.left, s_grid=s, f=s.copy())
+        inputs = dataclasses.replace(strict_inputs, left=left)
+        shifted, _ = su.translate_right_interval(inputs)
+        s = shifted.s_grid.copy()
+        s[32] = np.nextafter(0.5 * (s[0] + s[-1]), np.inf)
+        shifted = dataclasses.replace(shifted, s_grid=s)
+        smoothed = su.mollify_and_certify(
+            su.build_bridge(inputs, shifted), 0.0, -3.0, 2)
+        assert float(np.min(np.diff(smoothed.s_grid))) > 1e-6
+
 
     @pytest.mark.parametrize("which", ["line", "charged", "short"])
     def test_batched_points_bitwise_equal_point_reference(
@@ -585,6 +604,48 @@ class TestGlueToRN:
         assert profile.charge == 0.3
         assert record["q_e"] == 0.3
         assert float(np.min(profile.df)) > 0.0
+
+    def test_one_arclength_table_per_glue(self, round_tail, monkeypatch):
+        # The station arclengths and the model profile read one table.
+        built = []
+        init = lambda_rn._Arclength.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(lambda_rn._Arclength, "__init__", counting)
+        f_b, df_b = float(round_tail.f[-1]), float(round_tail.df[-1])
+        m_star = hawking_rotsym(2, 0.0, 0.0, f_b, df_b)
+        su.glue_to_rn(2, round_tail, m_star, 1.05 * m_star, 0.0, 0.0)
+        assert len(built) == 1
+
+    def test_extremal_start_resolves_a_slope_of_2_to_minus_27(self, monkeypatch):
+        # The end (2, 1, 1, 0) is extremal with r_h = 1 and p = (1 - 1/r)^2.
+        # A tail ending on the horizon with slope 2^-27 (charge a hair above
+        # 1, so the tail sits on the junction floor) needs the start
+        # r_h (1 + 2^-28) and a station where sqrt(p) = 0.55 * 2^-27; p
+        # cancels to rounding noise in eval_p that close to the horizon.
+        picked = {}
+        locate = su._locate_station
+
+        class Located(Exception):
+            pass
+
+        def stop_after(params, cls, start, f_b, df_b, in_image):
+            picked["start"] = start
+            picked["r_c"] = locate(params, cls, start, f_b, df_b, in_image)
+            raise Located
+
+        monkeypatch.setattr(su, "_locate_station", stop_after)
+        slope = 2.0 ** -27
+        tail = line_profile(0.0, 1.0, 1.0 - slope, slope, charge=1.0 + 2.0 ** -42)
+        assert float(tail.f[-1]) == 1.0
+        with pytest.raises(Located):
+            su.glue_to_rn(2, tail, 1.0, 1.0, 1.0, 0.0)
+        assert picked["start"] == 1.0 + 2.0 ** -28
+        r_c = picked["r_c"]
+        assert abs((r_c - 1.0) / r_c / (0.55 * slope) - 1.0) < 1e-5
 
     def test_charged_station_inside_profile_image(self, charged_tail, charged_glue):
         _, m_e, _, record = charged_glue

@@ -18,8 +18,10 @@ This module classifies parameter tuples by the largest positive root of p
 trichotomy, and performs the arclength change of variables s(r), the
 integral of p^(-1/2).  The boundary-extended radial profile u with
 u(0) = r_plus, u'(0) = 0 and its interior-started variant are sampled by
-inverting s(r) at every grid point: tabulated Gauss-Legendre quadrature of
-s(tau) under r = start + tau^2, then vectorized Newton steps, so that
+inverting s(r) at every grid point: s(tau) under r = start + tau^2 is
+tabulated by Gauss-Legendre quadrature on quarter-octave panels, a cubic
+Hermite guess inside each sample's panel is refined by vectorized Newton
+steps, and each step integrates only over the stretch it moves, so that
 u' = sqrt(p(u)) and u'' = p'(u)/2 hold exactly at the samples.
 """
 
@@ -503,7 +505,7 @@ class _Arclength:
             lows = np.concatenate([[last], edges[:-1]])
             pieces = self._integral(lows, edges)
             self.tau = np.concatenate([self.tau, edges])
-            self.s = np.concatenate([self.s, self.s[-1] + np.cumsum(pieces)])
+            self.s = np.concatenate([self.s, _running_sum(self.s[-1], pieces)])
             self.rate = np.concatenate([self.rate, self._rate(edges)])
 
     def at_radius(self, r):
@@ -518,10 +520,10 @@ class _Arclength:
         """tau with S(tau) = s for every s in [0, S(inf)).
 
         A cubic Hermite guess inside each point's panel is refined by Newton
-        steps tau <- tau - (S(tau) - s)/g(tau).  S at the guess is an 8-node
-        integral from the panel edge; each correction adds only the 6-node
-        integral over the step, S(tau_new) = S(tau) + integral of g from
-        tau to tau_new.
+        steps tau <- tau - (S(tau) - s)/g(tau).  S(tau) is the table value at
+        the panel edge plus the integral of g from the edge: an 8-node
+        integral at the guess, to which each correction adds only the
+        6-node integral over its own step.
         """
         s = np.asarray(s, dtype=float)
         self._grow(lambda: self.s[-1] >= np.max(s))
@@ -540,14 +542,14 @@ class _Arclength:
         live = s > 0.0
         lo, hi, s_lo, s = lo[live], hi[live], s_lo[live], s[live]
         t = np.clip(np.sqrt(np.maximum(guess[live], 0.0)), lo, hi)
-        s_t = s_lo + self._integral(lo, t)
+        part = self._integral(lo, t)
         for _ in range(_NEWTON_STEPS):
-            step = (s_t - s) / self._speed(t)
+            step = (s_lo + part - s) / self._speed(t)
             t_new = np.clip(t - step, lo, hi)
             if np.all(np.abs(step) <= 1e-8 * t_new):
                 tau[live] = t_new
                 return tau
-            s_t = s_t + self._integral(t, t_new, _GL_STEP)
+            part = part + self._integral(t, t_new, _GL_STEP)
             t = t_new
         raise InternalConsistencyError(
             "arclength inversion did not converge: largest Newton step "
@@ -559,6 +561,21 @@ class _Arclength:
         f = self.start + tau * tau
         df = np.sqrt(self._p(f, f - self.start))
         return f, df, 0.5 * eval_dp(self.params, f)
+
+
+def _running_sum(first, pieces):
+    """first + pieces[0] + ... + pieces[k] for every k, each rounded once.
+
+    np.cumsum adds left to right, so the rounding error of each partial sum
+    is recovered exactly by TwoSum and the errors are added back; a table
+    of many panels then carries one rounding per batch, not one per panel.
+    """
+    x = np.concatenate([[first], pieces])
+    total = np.cumsum(x)
+    before, after = total[:-1], total[1:]
+    added = after - before
+    error = (before - (after - added)) + (x[1:] - added)
+    return after + np.cumsum(error)
 
 
 def _second_divided(params: RNParams, root: float, r):

@@ -428,8 +428,10 @@ class _Arclength:
     Above a double root of p (a degenerate horizon) D itself cancels, and p
     is evaluated in the factored form of :func:`_second_divided` instead.
     S and dr/ds are tabulated at the edges of quarter-octave panels, grown
-    in batches as far as a caller asks; the table depends only on (params,
-    start), so one table serves every caller of the same start.  Arclengths
+    in batches as far as a caller asks, S as a compensated running sum of
+    the panel integrals (:func:`_running_sum`); the table depends only on
+    (params, start), so one table serves every caller of the same start.
+    Arclengths
     between edges are 8-node Gauss-Legendre integrals from the panel's
     lower edge.
     """

@@ -464,6 +464,17 @@ def test_profile_kernel_inverts_an_independent_arclength(params) -> None:
                           <= 8.0 * np.spacing(np.maximum(s, 1.0)))
 
 
+def test_table_running_sum_matches_exact_prefix_sums() -> None:
+    # Panel integrals of a slowly growing S, added to a large running sum:
+    # each prefix sum must be the exactly rounded one to within an ulp.
+    rng = np.random.default_rng(13)
+    first = 7.3
+    pieces = rng.uniform(0.1, 0.4, 32) * 10.0 ** rng.integers(-8, 1, 32)
+    got = lambda_rn._running_sum(first, pieces)
+    want = [math.fsum([first, *pieces[:k + 1]]) for k in range(pieces.size)]
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+
 @pytest.mark.parametrize("params, mu", [
     (RNParams(2, 1.0, 0.3, -1.5), None),
     (RNParams(3, 0.8, 0.3, -4.0), 1.5),

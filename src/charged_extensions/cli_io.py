@@ -32,9 +32,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "UsageError",
     "RunConfig",
-    "fmt17",
     "parse_config",
-    "serialize_config",
     "profile_csv",
     "hawking_csv",
     "collar_grid_csv",
@@ -189,14 +187,11 @@ def _pipeline_option(key: str, help: str) -> _Option:
 _PATH = (
     _pipeline_option("n_t", "time samples along the collar path"),
     _pipeline_option("n_theta", "polar samples of axisymmetric seeds"),
-    _pipeline_option("theta_switch", "start of the constant far half"),
 )
 
 _PIPELINE = _PATH + (
     _pipeline_option("mass_gap_tol", "mass agreement tolerance"),
     _pipeline_option("witness_floor", "largest witness exponent"),
-    _pipeline_option("tolerance_scale", "selftest tolerance scale"),
-    _pipeline_option("seed", "RNG seed of randomized checks"),
 )
 
 
@@ -360,18 +355,6 @@ def parse_config(argv=None) -> RunConfig:
     return RunConfig(command=command, options=resolved)
 
 
-def serialize_config(config: RunConfig) -> str:
-    """Flat key-value JSON holding the set options of a RunConfig.
-
-    Unset optional values are omitted, so feeding the text back through
-    ``--config`` under the same subcommand reproduces the RunConfig.
-    """
-    payload = {
-        key: value for key, value in config.options.items() if value is not None
-    }
-    return json_text(payload)
-
-
 # ---------------------------------------------------------------------------
 # Shared handler pieces
 # ---------------------------------------------------------------------------
@@ -494,7 +477,7 @@ def _run_collar(config: RunConfig) -> int:
         )
     )
     mono = co.monotonicity_check(built)
-    curve = co.hawking_curve(built)
+    curve = built.hawking
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": _config_echo(config),

@@ -23,7 +23,6 @@ from . import lambda_rn
 from .errors import (
     ConstructionError,
     DomainError,
-    NotApplicableError,
     PreconditionError,
 )
 from .lambda_rn import RNParams, SampledProfile
@@ -42,17 +41,13 @@ __all__ = [
     "CollarSpec",
     "ChargedCollar",
     "MonotonicityReport",
-    "IMCFReport",
     "select_route",
-    "collar_scalar_curvature",
     "build_collar",
     "find_A0_bound",
     "find_A0",
-    "hawking_curve",
     "find_eps0",
     "monotonicity_check",
     "tail_to_arclength",
-    "imcf_reparametrization",
 ]
 
 EIGENFUNCTION_LAPSE = "EigenfunctionLapse"
@@ -61,6 +56,10 @@ CONSTANT_LAPSE = "ConstantLapse"
 # Relative distance every curvature-floor candidate keeps from the path
 # quantity it bounds.
 _FLOOR_MARGIN = 0.05
+
+# How far below zero monotonicity_check lets dM/dt dip before it reports a
+# violation where no sign is asserted pointwise.
+_MONOTONE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -167,15 +166,6 @@ class MonotonicityReport:
     integral_condition_value: float | None
     integral_condition_ok: bool | None
     verdict: str
-
-
-@dataclass(frozen=True)
-class IMCFReport:
-    """Arclength reparametrization with the inverse-flow speed check."""
-
-    t_samples: np.ndarray
-    s_samples: np.ndarray
-    max_speed_error: float
 
 
 def _shape_factor(spec: CollarSpec):
@@ -316,14 +306,6 @@ def _reference_density(spec: CollarSpec):
     return 2.0 * spec.lam + charge_density
 
 
-def collar_scalar_curvature(spec: CollarSpec, t: float, theta: float = 0.0) -> float:
-    """Scalar curvature of the collar at the grid point nearest (t, theta)."""
-    base, well, _, _ = spec.margin_fields
-    t_idx = int(np.argmin(np.abs(spec.path.t_grid - t)))
-    theta_idx = int(np.argmin(np.abs(slice_geometry(spec.path).theta_grid - theta)))
-    return float(base[t_idx, theta_idx] + well[t_idx, theta_idx] / spec.A ** 2)
-
-
 def _slice_inverse_square_integral(spec: CollarSpec) -> np.ndarray:
     """Integral of u^(-2) over each slice of the path."""
     if spec.case_id == CONSTANT_LAPSE or spec.path.is_round:
@@ -459,11 +441,6 @@ def find_A0(
     return hi
 
 
-def hawking_curve(collar: ChargedCollar) -> HawkingCurve:
-    """Hawking mass along the collar foliation."""
-    return collar.hawking
-
-
 def _far_end_mass(n, r_o, q, lam, epsilon, amplitude) -> float:
     """Mass of the last collar slice for a round constant-lapse collar."""
     params = RNParams(n=n, m=0.0, q=q, lam=lam)
@@ -526,10 +503,11 @@ def _slice_curvature_integral(collar: ChargedCollar) -> float:
     return float(np.max(values))
 
 
-def monotonicity_check(collar: ChargedCollar, tol: float = 1e-8) -> MonotonicityReport:
+def monotonicity_check(collar: ChargedCollar) -> MonotonicityReport:
     """Sign verdict for dM/dt along the collar.
 
-    For n = 2 the mass is nondecreasing unconditionally (up to tol).  For
+    For n = 2 the mass is nondecreasing unconditionally (up to
+    ``_MONOTONE_TOL``, which the report records as ``tol``).  For
     n >= 3 with constant lapse the verdict is asserted when the amplitude
     reaches the explicit threshold a1 and the slice curvature integral
     stays within the round-value bound; with the eigenfunction lapse the
@@ -537,6 +515,7 @@ def monotonicity_check(collar: ChargedCollar, tol: float = 1e-8) -> Monotonicity
     """
     spec = collar.spec
     n = spec.n
+    tol = _MONOTONE_TOL
     dm = collar.hawking.dmass_dt
     min_dm = float(np.min(dm))
     origin = float(dm[0])
@@ -624,35 +603,3 @@ def tail_to_arclength(collar: ChargedCollar) -> SampledProfile:
         charge=spec.q,
         evaluator=evaluate,
     )
-
-
-def imcf_reparametrization(collar: ChargedCollar, t_start: float | None = None) -> IMCFReport:
-    """Arclength of the inverse-flow time s(t) = n log F(t) with speed check.
-
-    Verifies |v (dt/ds) H - 1| pointwise on the selected samples, which
-    certifies that the foliation runs at inverse mean curvature speed.
-    Only defined when the lapse is constant on slices.
-    """
-    spec = collar.spec
-    if spec.case_id == EIGENFUNCTION_LAPSE and not spec.path.is_round:
-        raise NotApplicableError(
-            "inverse-flow reparametrization needs a slice-constant lapse"
-        )
-    t, F, _, _ = _shape_factor(spec)
-    if t_start is None:
-        t_start = float(t[1])
-    if t_start < 0.0:
-        raise PreconditionError("t_start must be nonnegative")
-    keep = t >= t_start - 1e-15
-    t_sel = t[keep]
-    if t_sel.size < 5:
-        raise PreconditionError("too few samples beyond t_start")
-    s_sel = spec.n * np.log(F[keep])
-    ds_dt = diff1_4th(s_sel, float(t_sel[1] - t_sel[0]))
-    h_sel = collar.mean_curvature[keep]
-    positive = t_sel > 0.0
-    speed_error = np.abs(
-        spec.A * h_sel[positive] / ds_dt[positive] - 1.0
-    )
-    max_error = float(np.max(speed_error)) if speed_error.size else 0.0
-    return IMCFReport(t_samples=t_sel, s_samples=s_sel, max_speed_error=max_error)

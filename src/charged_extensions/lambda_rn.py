@@ -60,7 +60,6 @@ __all__ = [
     "rn_profile",
     "rn_profile_mu",
     "verify_model_identities",
-    "horizon_mean_curvature",
 ]
 
 SUB_EXTREMAL = "SubExtremal"
@@ -68,6 +67,15 @@ EXTREMAL = "Extremal"
 SUPER_EXTREMAL = "SuperExtremal"
 
 _BRENTQ_KW = dict(xtol=1e-14, rtol=8.9e-16, maxiter=200)
+
+# Degeneracy band of a root of p: |p'| <= _DEGENERACY_TOL (1 + |p''| r) at
+# the root counts as a double root.  classify and
+# quasilocal.ql_subextremality read the same band.
+_DEGENERACY_TOL = 1e-9
+
+# Largest violation of the model scalar-curvature identity that
+# verify_model_identities accepts.
+_IDENTITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -260,14 +268,14 @@ def _crosscheck_root(params: RNParams, r0: float) -> None:
             f"root derivative identity violated at r={r0}: residual {resid}")
 
 
-def classify(params: RNParams, tol: float = 1e-9) -> ExtremalityClass:
+def classify(params: RNParams) -> ExtremalityClass:
     """Classify the parameters by the positive roots of p.
 
     The largest root r_plus, when present, is non-degenerate exactly when
     p'(r_plus) > 0, equivalently h(r_plus) > 0. Numerically a degenerate root
-    is declared inside the band |p'(r_plus)| <= tol * (1 + |p''(r_plus)| *
-    r_plus); the trichotomy is exact in the continuum and the band is a
-    documented, configurable choice.
+    is declared inside the band |p'(r_plus)| <= ``_DEGENERACY_TOL`` *
+    (1 + |p''(r_plus)| * r_plus); the trichotomy is exact in the continuum
+    and the band is a documented choice.
 
     Roots are located by bracketed bisection (brentq) on the polynomial form
     r^(2(n-1)) p(r) followed by a Newton polish, with the companion h
@@ -277,10 +285,8 @@ def classify(params: RNParams, tol: float = 1e-9) -> ExtremalityClass:
     bracketed within the float range, or resolved by brentq in float64,
     raise DomainError.
     """
-    if tol <= 0.0:
-        raise DomainError("classification tolerance must be positive")
     try:
-        return _classify(params, tol)
+        return _classify(params)
     except (OverflowError, RuntimeError) as exc:
         # RuntimeError is brentq's non-convergence: the rounding noise of p
         # exceeds the root tolerance at the scale of these parameters.
@@ -289,7 +295,7 @@ def classify(params: RNParams, tol: float = 1e-9) -> ExtremalityClass:
             f"float64: {exc}") from exc
 
 
-def _classify(params: RNParams, tol: float) -> ExtremalityClass:
+def _classify(params: RNParams) -> ExtremalityClass:
     n, m, q = params.n, params.m, params.q
 
     # A charge whose square underflows is uncharged in every formula of p.
@@ -318,7 +324,7 @@ def _classify(params: RNParams, tol: float) -> ExtremalityClass:
     # p'(r_h) = -(n-1) p(r_h) / r_h, so the degeneracy band on p' translates
     # directly to a band on p(r_h).
     dp_rh = -(n - 1) * p_rh / r_h
-    band = tol * (1.0 + abs(eval_d2p(params, r_h)) * r_h)
+    band = _DEGENERACY_TOL * (1.0 + abs(eval_d2p(params, r_h)) * r_h)
     if abs(dp_rh) <= band:
         return ExtremalityClass(EXTREMAL, r_plus=r_h)
     if p_rh > 0.0:
@@ -685,7 +691,6 @@ def _model_profile(arclength: _Arclength, s_max: float, grid_n: int,
 
 
 def rn_profile(params: RNParams, s_max: float, grid_n: int = 4097, *,
-               cls: ExtremalityClass | None = None,
                arclength: _Arclength | None = None) -> SampledProfile:
     """Boundary-extended radial profile u on [0, s_max].
 
@@ -693,28 +698,27 @@ def rn_profile(params: RNParams, s_max: float, grid_n: int = 4097, *,
     inverts the arclength s(r) = integral of p^(-1/2) from r_plus, whose
     horizon singularity the substitution r = r_plus + tau^2 removes, so
     u' = sqrt(p(u)) and u'' = p'(u)/2 hold at each sample to rounding.
-    cls, when given, is the classification of params; arclength, when
-    given, is the table model_arclength read for the same start.
+    arclength, when given, is the table model_arclength read for the same
+    start.
     """
-    arclength = _profile_arclength(params, None, cls, arclength)
+    arclength = _profile_arclength(params, None, None, arclength)
     return _model_profile(arclength, s_max, grid_n,
                           np.repeat(["analytic", "ode"], [1, grid_n - 1]))
 
 
 def rn_profile_mu(params: RNParams, mu: float, s_max: float,
                   grid_n: int = 4097, *,
-                  cls: ExtremalityClass | None = None,
                   arclength: _Arclength | None = None) -> SampledProfile:
     """Interior-started radial profile with u(0) = mu, u'(0) = sqrt(p(mu)).
 
     Valid whenever p(mu) > 0 and mu lies beyond the largest root if one
     exists; covers the degenerate and rootless configurations that the
     boundary-extended profile cannot reach.  Samples invert the arclength
-    from mu exactly as in rn_profile; cls and arclength are as there.
+    from mu exactly as in rn_profile; arclength is as there.
     Above a degenerate horizon p(mu) is evaluated in factored form, so mu
     may come as close to the horizon as floats resolve.
     """
-    arclength = _profile_arclength(params, mu, cls, arclength)
+    arclength = _profile_arclength(params, mu, None, arclength)
     return _model_profile(arclength, s_max, grid_n, np.full(grid_n, "ode"))
 
 
@@ -722,14 +726,14 @@ def rn_profile_mu(params: RNParams, mu: float, s_max: float,
 # Verification
 # ---------------------------------------------------------------------------
 
-def verify_model_identities(params: RNParams, profile: SampledProfile,
-                            tol: float = 1e-6) -> DECReport:
+def verify_model_identities(params: RNParams, profile: SampledProfile) -> DECReport:
     """Check that the profile reproduces the model scalar-curvature identity.
 
     In rotational symmetry R = n((n-1)(1 - f'^2) - 2 f f'')/f^2, and on the
     model family this must equal 2*lam + n(n-1) q^2 / f^(2n) pointwise, so
     the residual measures how well the stored f' and f'' satisfy the
-    first-integral relations f'^2 = p(f) and f'' = p'(f)/2.
+    first-integral relations f'^2 = p(f) and f'' = p'(f)/2.  The profile
+    passes when the largest residual stays below ``_IDENTITY_TOL``.
     """
     n, q, lam = params.n, params.q, params.lam
     f, df, d2f = profile.f, profile.df, profile.d2f
@@ -738,23 +742,6 @@ def verify_model_identities(params: RNParams, profile: SampledProfile,
     violation = np.abs(scalar - expected)
     worst = int(np.argmax(violation))
     max_violation = float(violation[worst])
-    return DECReport(max_violation=max_violation, tol=tol,
-                     passed=bool(max_violation < tol),
+    return DECReport(max_violation=max_violation, tol=_IDENTITY_TOL,
+                     passed=bool(max_violation < _IDENTITY_TOL),
                      worst_s=float(profile.s_grid[worst]))
-
-
-def horizon_mean_curvature(params: RNParams, r: float) -> float:
-    """Mean curvature n*sqrt(p(r))/r of the coordinate sphere of radius r.
-
-    Zero exactly at the largest root (the minimal sphere) and positive
-    beyond it; radii inside the largest root are rejected.
-    """
-    r = float(r)
-    if r <= 0.0:
-        raise DomainError("radius must be positive")
-    cls = classify(params)
-    r_plus = cls.r_plus if cls.r_plus is not None else 0.0
-    if r < r_plus * (1.0 - 1e-12):
-        raise DomainError(f"radius {r} lies inside the minimal sphere radius {r_plus}")
-    p_val = eval_p(params, r)
-    return params.n * math.sqrt(max(p_val, 0.0)) / r

@@ -55,34 +55,27 @@ __all__ = [
 class PipelineConfig:
     """Numeric knobs of the construction pipeline.
 
-    The grid sizes, switch point, tolerances and seeds a caller may set
-    live here; every report embeds the resolved values through ``as_dict``
-    so that artifacts are self-describing.  Fixed constants of the
-    construction are not knobs: the 5% curvature-floor margin
-    (``collar._FLOOR_MARGIN``) lives where ``collar.select_route`` decides
-    kappa, and the collar flare spends at most 0.9 of the mass headroom
-    (``_MASS_FRACTION``) and never exceeds the collar's epsilon <= 1.
+    The grid sizes and tolerances a caller may set live here; every report
+    embeds the resolved values through ``as_dict`` so that artifacts are
+    self-describing.  Fixed constants of the construction are not knobs:
+    the path's switch time (``sphere_seed._THETA_SWITCH``), the 5%
+    curvature-floor margin (``collar._FLOOR_MARGIN``), which lives where
+    ``collar.select_route`` decides kappa, the collar flare's cap of 0.9 of
+    the mass headroom (``_MASS_FRACTION``) and the selftest's fixed
+    tolerances and RNG seed (``_SELFTEST_SEED``).
 
     - ``n_t``: number of time samples along the collar path.
     - ``n_theta``: polar samples of axisymmetric seed metrics.
-    - ``theta_switch``: start of the constant far half of the path.
     - ``mass_gap_tol``: relative gap required between the far collar
       mass and the requested mass, and the far-end mass agreement bound.
     - ``witness_floor``: largest exponent k of the mass witnesses
       (1 + 2^-k) m_o tried by ``bartnik_report``.
-    - ``tolerance_scale``: global multiplier on selftest tolerances; a
-      value below one marks the run as a calibration run and failures
-      under the tightened tolerances are recorded as expected.
-    - ``seed``: RNG seed of the randomized selftest draws.
     """
 
     n_t: int = 513
     n_theta: int = 1025
-    theta_switch: float = 0.75
     mass_gap_tol: float = 1e-8
     witness_floor: int = 7
-    tolerance_scale: float = 1.0
-    seed: int = 20260823
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_t, int) or self.n_t < 3:
@@ -90,10 +83,6 @@ class PipelineConfig:
         if not isinstance(self.n_theta, int) or self.n_theta < 5:
             raise DomainError(
                 f"n_theta must be an integer >= 5, got {self.n_theta!r}"
-            )
-        if not 0.0 < self.theta_switch < 1.0:
-            raise DomainError(
-                f"theta_switch must lie in (0, 1), got {self.theta_switch!r}"
             )
         if not self.mass_gap_tol > 0.0:
             raise DomainError(
@@ -103,12 +92,6 @@ class PipelineConfig:
             raise DomainError(
                 f"witness_floor must be an integer >= 1, got {self.witness_floor!r}"
             )
-        if not self.tolerance_scale > 0.0:
-            raise DomainError(
-                f"tolerance_scale must be positive, got {self.tolerance_scale!r}"
-            )
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def as_dict(self) -> dict:
         return {spec.name: getattr(self, spec.name) for spec in fields(self)}
@@ -120,10 +103,6 @@ def _resolve_config(config: PipelineConfig | None) -> PipelineConfig:
     if not isinstance(config, PipelineConfig):
         raise DomainError(f"config must be a PipelineConfig, got {type(config)!r}")
     return config
-
-
-def _tol(config: PipelineConfig, base: float) -> float:
-    return base * config.tolerance_scale
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +173,8 @@ def _resolve_path(data: BartnikDataSpec, config: PipelineConfig) -> ss.MetricPat
         return data.path
     if data.exponent is not None:
         seed = ss.axisym_metric_from_function(data.exponent, n_theta=config.n_theta)
-        return ss.normalize_path(
-            seed, n_t=config.n_t, theta_switch=config.theta_switch
-        )
-    return ss.round_path(
-        data.n, data.r_o, n_t=config.n_t, theta_switch=config.theta_switch
-    )
+        return ss.normalize_path(seed, n_t=config.n_t)
+    return ss.round_path(data.n, data.r_o, n_t=config.n_t)
 
 
 # ---------------------------------------------------------------------------
@@ -504,30 +479,21 @@ def construct_extension(
         )
 
 
-def verify_outward_minimizing(target) -> str:
-    """Verdict on whether the boundary is outward-minimizing.
+def verify_outward_minimizing(report: ExtensionReport) -> str:
+    """Verdict on whether the boundary of an extension is outward-minimizing.
 
-    Accepts either an ``ExtensionReport`` or a bare radial profile.  The
-    verdict is ``"pass"`` when the boundary slice is minimal and every
+    The verdict is ``"pass"`` when the boundary slice is minimal and every
     later slice of the foliation has strictly positive mean curvature,
-    which rules out competing minimal surfaces; anything else, including
-    a profile without a minimal first slice, is ``"fail"``.
+    which rules out competing minimal surfaces, and ``"fail"`` otherwise.
     """
-    if isinstance(target, ExtensionReport):
-        h_profile = target.n * target.profile.df / target.profile.f
-        ok = (
-            target.boundary_mean_curvature == 0.0
-            and target.min_mean_curvature > 0.0
-            and bool(np.all(h_profile > 0.0))
-        )
-        return "pass" if ok else "fail"
-    if not isinstance(target, rn.SampledProfile):
-        raise DomainError(
-            f"expected an ExtensionReport or SampledProfile, got {type(target)!r}"
-        )
-    slope = np.asarray(target.df, dtype=float)
-    scale = 1e-12 * (1.0 + float(np.max(np.abs(slope))))
-    ok = abs(float(slope[0])) <= scale and bool(np.all(slope[1:] > 0.0))
+    if not isinstance(report, ExtensionReport):
+        raise DomainError(f"expected an ExtensionReport, got {type(report)!r}")
+    h_profile = report.n * report.profile.df / report.profile.f
+    ok = (
+        report.boundary_mean_curvature == 0.0
+        and report.min_mean_curvature > 0.0
+        and bool(np.all(h_profile > 0.0))
+    )
     return "pass" if ok else "fail"
 
 
@@ -633,14 +599,18 @@ def bartnik_report(
 # ---------------------------------------------------------------------------
 
 
+# RNG seed of the randomized criteria C1 and C2.
+_SELFTEST_SEED = 20260823
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise VerificationError(message)
 
 
 def _criterion_horizons(config: PipelineConfig) -> dict:
-    tol = _tol(config, 1e-10)
-    rng = np.random.default_rng(config.seed)
+    tol = 1e-10
+    rng = np.random.default_rng(_SELFTEST_SEED)
     worst = 0.0
     for _ in range(200):
         n = int(rng.integers(2, 5))
@@ -667,8 +637,8 @@ def _criterion_horizons(config: PipelineConfig) -> dict:
 
 
 def _criterion_root_identity(config: PipelineConfig) -> dict:
-    tol = _tol(config, 1e-8)
-    rng = np.random.default_rng(config.seed + 1)
+    tol = 1e-8
+    rng = np.random.default_rng(_SELFTEST_SEED + 1)
     worst = 0.0
     roots = 0
     for _ in range(200):
@@ -696,7 +666,7 @@ def _criterion_root_identity(config: PipelineConfig) -> dict:
 
 
 def _criterion_profiles(config: PipelineConfig) -> dict:
-    tol = _tol(config, 1e-8)
+    tol = 1e-8
     worst = 0.0
     count = 0
     for n in (2, 3):
@@ -723,7 +693,6 @@ def _criterion_profiles(config: PipelineConfig) -> dict:
 
 
 def _criterion_model_identity(config: PipelineConfig) -> dict:
-    tol = _tol(config, 1e-6)
     cases = (
         rn.RNParams(n=2, m=1.0, q=0.0, lam=0.0),
         rn.RNParams(n=2, m=1.25, q=0.75, lam=0.0),
@@ -732,14 +701,14 @@ def _criterion_model_identity(config: PipelineConfig) -> dict:
     worst = 0.0
     for params in cases:
         profile = rn.rn_profile(params, 8.0)
-        report = rn.verify_model_identities(params, profile, tol=tol)
+        report = rn.verify_model_identities(params, profile)
         _require(
             report.passed,
             f"scalar-curvature identity fails for {params}: "
             f"max violation {report.max_violation!r}",
         )
         worst = max(worst, report.max_violation)
-    return {"cases": len(cases), "max_violation": worst, "tol": tol}
+    return {"cases": len(cases), "max_violation": worst, "tol": report.tol}
 
 
 def _wobble(theta):
@@ -765,14 +734,14 @@ def _scalar_collar(
 
 
 def _criterion_collar_masses(config: PipelineConfig) -> dict:
-    tol = _tol(config, 1e-12)
+    tol = 1e-12
     details = []
     for n in (2, 3):
         reference = ql.m_o(n, 1.0, 0.0, 0.0)
-        path = ss.round_path(n, 1.0, n_t=config.n_t, theta_switch=config.theta_switch)
+        path = ss.round_path(n, 1.0, n_t=config.n_t)
         for eps in (0.05, 0.1):
             built = _scalar_collar(path, eps)
-            curve = co.hawking_curve(built)
+            curve = built.hawking
             start = float(curve.mass[0])
             end = float(curve.mass[-1])
             bound = (1.0 + eps) ** ((n + 1) / 2.0) * reference
@@ -791,38 +760,37 @@ def _criterion_collar_masses(config: PipelineConfig) -> dict:
 
 
 def _criterion_monotonicity(config: PipelineConfig) -> dict:
-    tol = _tol(config, 1e-8)
     details = {}
 
-    round2 = ss.round_path(2, 1.0, n_t=config.n_t, theta_switch=config.theta_switch)
+    round2 = ss.round_path(2, 1.0, n_t=config.n_t)
     built = _scalar_collar(round2, 0.05)
-    report = co.monotonicity_check(built, tol=tol)
+    report = co.monotonicity_check(built)
     _require(
-        report.monotone and report.min_dmass_dt >= -tol,
+        report.monotone,
         f"round n=2 mass derivative dips to {report.min_dmass_dt!r}",
     )
     details["round_n2_min"] = report.min_dmass_dt
 
     seed = ss.axisym_metric_from_function(_wobble, n_theta=config.n_theta)
-    path = ss.normalize_path(seed, n_t=config.n_t, theta_switch=config.theta_switch)
-    report = co.monotonicity_check(_scalar_collar(path, 0.05), tol=tol)
+    path = ss.normalize_path(seed, n_t=config.n_t)
+    report = co.monotonicity_check(_scalar_collar(path, 0.05))
     _require(
-        report.monotone and report.min_dmass_dt >= -tol,
+        report.monotone,
         f"axisymmetric mass derivative dips to {report.min_dmass_dt!r}",
     )
     details["axisym_min"] = report.min_dmass_dt
 
-    round3 = ss.round_path(3, 1.0, n_t=config.n_t, theta_switch=config.theta_switch)
+    round3 = ss.round_path(3, 1.0, n_t=config.n_t)
     built3 = _scalar_collar(round3, 0.05)
-    report = co.monotonicity_check(built3, tol=tol)
+    report = co.monotonicity_check(built3)
     if not report.asserted and report.a1 is not None:
         built3 = _scalar_collar(round3, 0.05, min_amplitude=1.05 * report.a1)
-        report = co.monotonicity_check(built3, tol=tol)
+        report = co.monotonicity_check(built3)
     _require(
         report.asserted,
         f"n=3 monotonicity is not asserted: {report.verdict}",
     )
-    curve = co.hawking_curve(built3)
+    curve = built3.hawking
     mask = curve.t_grid > 0.02
     interior = float(np.min(curve.dmass_dt[mask]))
     _require(
@@ -860,7 +828,7 @@ def _criterion_gluing(config: PipelineConfig) -> dict:
     overall = float(np.min(margins))
     _require(interior > 0.0, f"mollified margin is not positive: {interior!r}")
     _require(
-        overall >= -_tol(config, 1e-9),
+        overall >= -1e-9,
         f"saturated-tail margin dips to {overall!r}",
     )
     return {
@@ -872,7 +840,7 @@ def _criterion_gluing(config: PipelineConfig) -> dict:
 
 
 def _criterion_extensions(config: PipelineConfig) -> dict:
-    tol = _tol(config, 1e-8)
+    tol = 1e-8
     details = []
 
     round_data = BartnikDataSpec(n=2, q=0.0, lam=0.0, r_o=1.0)
@@ -941,7 +909,7 @@ def _criterion_extensions(config: PipelineConfig) -> dict:
 
 
 def _criterion_mass_dial(config: PipelineConfig) -> dict:
-    tol = _tol(config, 1e-8)
+    tol = 1e-8
     data = BartnikDataSpec(n=2, q=0.0, lam=0.0, r_o=1.0)
     reference = ql.m_o(2, 1.0, 0.0, 0.0)
     masses = []
@@ -961,7 +929,7 @@ def _criterion_mass_dial(config: PipelineConfig) -> dict:
 
 
 def _criterion_eigenvalue(config: PipelineConfig) -> dict:
-    tol = _tol(config, 1e-6)
+    tol = 1e-6
     value, _ = ss.lambda1(ss.round_metric(1.0, n_theta=config.n_theta))
     _require(
         abs(value - 1.0) < tol,
@@ -982,10 +950,10 @@ def _criterion_eigenvalue(config: PipelineConfig) -> dict:
 
 
 def _criterion_area_gauge(config: PipelineConfig) -> dict:
-    deviation_tol = _tol(config, 1e-7)
-    area_tol = _tol(config, 1e-10)
+    deviation_tol = 1e-7
+    area_tol = 1e-10
     seed = ss.axisym_metric_from_function(_wobble, n_theta=config.n_theta)
-    path = ss.normalize_path(seed, n_t=config.n_t, theta_switch=config.theta_switch)
+    path = ss.normalize_path(seed, n_t=config.n_t)
     _require(
         path.volume_form_deviation < deviation_tol,
         f"volume-form deviation {path.volume_form_deviation!r} exceeds "
@@ -1046,16 +1014,10 @@ class SelftestEntry:
     criterion: int
     name: str
     passed: bool
-    expected_failure: bool
     detail: dict
 
     def line(self) -> str:
-        if self.passed:
-            status = "PASS"
-        elif self.expected_failure:
-            status = "XFAIL"
-        else:
-            status = "FAIL"
+        status = "PASS" if self.passed else "FAIL"
         return f"[C{self.criterion}] {status} {self.name}"
 
 
@@ -1063,23 +1025,19 @@ class SelftestEntry:
 class SelftestResult:
     """Machine-readable ledger of a selftest run.
 
-    ``passed`` ignores expected failures, which only occur in
-    calibration runs (tolerance scale below one).  ``to_json`` is
-    deterministic: two runs with the same configuration serialize to
-    byte-identical ledgers.
+    ``to_json`` is deterministic: two runs with the same configuration
+    serialize to byte-identical ledgers.
     """
 
     entries: tuple[SelftestEntry, ...]
     config: dict
     passed: bool
-    calibration_run: bool
 
     def lines(self) -> list[str]:
         return [entry.line() for entry in self.entries]
 
     def as_dict(self) -> dict:
         return {
-            "calibration_run": self.calibration_run,
             "passed": self.passed,
             "config": self.config,
             "entries": [
@@ -1087,7 +1045,6 @@ class SelftestResult:
                     "criterion": entry.criterion,
                     "name": entry.name,
                     "passed": entry.passed,
-                    "expected_failure": entry.expected_failure,
                     "detail": entry.detail,
                 }
                 for entry in self.entries
@@ -1105,8 +1062,10 @@ def selftest(
     """Run the acceptance criteria and return a deterministic ledger.
 
     ``criteria`` selects a subset by number; the default runs all of
-    them.  Failures under a tightened tolerance scale are marked as
-    expected rather than failing the whole run.
+    them.  Each criterion checks at its own fixed tolerance, which its
+    ``detail`` records next to the measured value, and the randomized
+    criteria draw from the fixed seed ``_SELFTEST_SEED``; ``config`` sets
+    only the grids of the paths and constructions they build.
     """
     config = _resolve_config(config)
     if criteria is None:
@@ -1118,7 +1077,6 @@ def selftest(
             raise DomainError(f"unknown selftest criteria: {unknown!r}")
 
     entries = []
-    calibration = config.tolerance_scale < 1.0
     for number in picked:
         name, check = _CRITERIA[number]
         try:
@@ -1128,18 +1086,10 @@ def selftest(
             detail = {"error": f"{type(exc).__name__}: {exc}"}
             passed = False
         entries.append(
-            SelftestEntry(
-                criterion=number,
-                name=name,
-                passed=passed,
-                expected_failure=(not passed) and calibration,
-                detail=detail,
-            )
+            SelftestEntry(criterion=number, name=name, passed=passed, detail=detail)
         )
-    ok = all(entry.passed or entry.expected_failure for entry in entries)
     return SelftestResult(
         entries=tuple(entries),
         config=config.as_dict(),
-        passed=ok,
-        calibration_run=calibration,
+        passed=all(entry.passed for entry in entries),
     )

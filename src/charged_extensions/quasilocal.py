@@ -4,8 +4,8 @@ This module evaluates the generalized Hawking mass of a sphere from its
 area, mean-curvature integral, charge and cosmological constant, both in
 the general form and in the closed form available in rotational symmetry.
 It also decides quasi-local sub-extremality of minimal spheres, computes
-the reference mass of a minimal boundary, and exposes small helpers used
-by the reporting layer (charge bookkeeping and inequality slack).
+the reference mass of a minimal boundary and the slack of the mass
+inequality.
 
 All quantities are scalars; curve containers hold numpy arrays.
 """
@@ -27,7 +27,6 @@ __all__ = [
     "unit_sphere_volume",
     "hawking_mass",
     "hawking_rotsym",
-    "quasi_local_charge_rotsym",
     "ql_subextremality",
     "m_o",
     "penrose_slack",
@@ -193,21 +192,7 @@ def hawking_rotsym(n: int, q: float, lam: float, f: float, df: float) -> float:
     return values[0]
 
 
-def quasi_local_charge_rotsym(q_param: float) -> float:
-    """Charge of every coordinate sphere of a rotationally symmetric field.
-
-    The radial field q / f^n * d_s is divergence free, so the flux through
-    each coordinate sphere equals the construction parameter q.  Exposed so
-    reports can quote the charge through the same interface as the mass.
-    """
-    if not math.isfinite(q_param):
-        raise DomainError(f"charge must be finite, got {q_param!r}")
-    return q_param
-
-
-def ql_subextremality(
-    n: int, q: float, lam: float, r_sigma: float, tol: float = 1e-9
-) -> str:
+def ql_subextremality(n: int, q: float, lam: float, r_sigma: float) -> str:
     """Classify the extremality of a minimal sphere of volume radius r_sigma.
 
     The minimal sphere has Hawking mass m_o(n, r_sigma, q, lam), and the
@@ -231,7 +216,7 @@ def ql_subextremality(
     # and there p' = (n-1) h / r^(2n-1).  Using the same acceptance band as
     # the model classifier keeps the two decisions consistent.
     dp = (n - 1) * hv / r_sigma ** (2 * n - 1)
-    band = tol * (1.0 + abs(lambda_rn.eval_d2p(params, r_sigma)) * r_sigma)
+    band = lambda_rn._DEGENERACY_TOL * (1.0 + abs(lambda_rn.eval_d2p(params, r_sigma)) * r_sigma)
     if abs(dp) <= band:
         return lambda_rn.EXTREMAL
 

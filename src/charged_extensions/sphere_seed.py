@@ -39,7 +39,6 @@ __all__ = [
     "axisym_metric_from_function",
     "round_metric",
     "gaussian_curvature",
-    "conformal_path",
     "normalize_path",
     "round_path",
     "lambda1",
@@ -51,6 +50,9 @@ __all__ = [
 _DEFAULT_N_THETA = 1025
 _DEFAULT_N_T = 513
 _POLE_TOL = 1e-6
+# Path time from which normalize_path and round_path hold every slice
+# round and fixed.
+_THETA_SWITCH = 0.75
 
 
 @dataclass(frozen=True)
@@ -273,13 +275,6 @@ def gaussian_curvature(metric: AxisymConformalMetric) -> np.ndarray:
     return _curvature_of(metric.theta_grid, metric.w)
 
 
-def conformal_path(seed: AxisymConformalMetric, t: float) -> AxisymConformalMetric:
-    """Metric at time t of the conformal family with exponent (1-t)w."""
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"path time must lie in [0, 1], got {t!r}")
-    return AxisymConformalMetric(theta_grid=seed.theta_grid, w=(1.0 - t) * seed.w)
-
-
 def _time_clamp(t: np.ndarray, theta_switch: float) -> np.ndarray:
     """Smooth ramp from 0 at t=0 to exactly 1 for t >= theta_switch."""
     return smooth_step(np.asarray(t, dtype=float) / theta_switch)
@@ -380,37 +375,33 @@ def _match_cumulative_areas(theta, w_rows, base, total0):
     return maps, totals
 
 
-def normalize_path(
-    seed: AxisymConformalMetric,
-    n_t: int = _DEFAULT_N_T,
-    theta_switch: float = 0.75,
-) -> MetricPath:
+def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> MetricPath:
     """Normalize the conformal family of an axisymmetric seed.
 
     Applies, in order: a smooth time clamp making the path constant on
-    [theta_switch, 1]; a per-slice dilation fixing every total area to the
-    seed area; and a theta reparametrization per slice matching cumulative
-    area functions, which renders the area form time independent.  The
-    residual time dependence of the area form is measured independently
-    (Newton-inverted maps differentiated on their own) and reported as
-    ``volume_form_deviation``.
+    [``_THETA_SWITCH``, 1]; a per-slice dilation fixing every total area
+    to the seed area; and a theta reparametrization per slice matching
+    cumulative area functions, which renders the area form time
+    independent.  The residual time dependence of the area form is
+    measured independently (Newton-inverted maps differentiated on their
+    own) and reported as ``volume_form_deviation``.
 
-    Slices with the same ramp value (every t >= theta_switch) coincide, so
-    the path stores one row per distinct slice, an affine blend of the
-    seed; the maps of all rows are inverted in batches.  The slice and
-    eigen fields, which only some collar routes read, are computed on
-    demand and memoized on the returned path.
+    Slices with the same ramp value (every t >= ``_THETA_SWITCH``)
+    coincide, so the path stores one row per distinct slice, an affine
+    blend of the seed; the maps of all rows are inverted in batches.  The
+    slice and eigen fields, which only some collar routes read, are
+    computed on demand and memoized on the returned path.
     """
     theta = seed.theta_grid
     t_grid = np.linspace(0.0, 1.0, n_t)
-    ramp = _time_clamp(t_grid, theta_switch)
+    ramp = _time_clamp(t_grid, _THETA_SWITCH)
 
     if float(np.max(np.abs(seed.w - seed.w[0]))) == 0.0:
         # Constant exponent: the path never moves.
         return MetricPath(
             n=2,
             t_grid=t_grid,
-            theta_switch=theta_switch,
+            theta_switch=_THETA_SWITCH,
             volume_form_deviation=0.0,
             round_radius=seed.volume_radius,
         )
@@ -430,7 +421,7 @@ def normalize_path(
     return MetricPath(
         n=2,
         t_grid=t_grid,
-        theta_switch=theta_switch,
+        theta_switch=_THETA_SWITCH,
         volume_form_deviation=deviation,
         seed=seed,
         w=w,
@@ -476,13 +467,9 @@ def _measure_volume_form_deviation(t_grid, theta, w, maps, slice_of) -> float:
     return float(np.max(np.abs(time_deriv)))
 
 
-def round_path(
-    n: int,
-    r_o: float,
-    n_t: int = _DEFAULT_N_T,
-    theta_switch: float = 0.75,
-) -> MetricPath:
-    """Constant round path in dimension n with slice radius r_o."""
+def round_path(n: int, r_o: float, n_t: int = _DEFAULT_N_T) -> MetricPath:
+    """Constant round path in dimension n with slice radius r_o, switching
+    at ``_THETA_SWITCH`` like ``normalize_path``'s."""
     if not isinstance(n, int) or n < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
     if not r_o > 0.0:
@@ -490,7 +477,7 @@ def round_path(
     return MetricPath(
         n=n,
         t_grid=np.linspace(0.0, 1.0, n_t),
-        theta_switch=theta_switch,
+        theta_switch=_THETA_SWITCH,
         volume_form_deviation=0.0,
         round_radius=r_o,
     )

@@ -337,11 +337,6 @@ class BridgedProfile:
         psi = 1.0 - smooth_step(self._step_arg(tau))
         return self.slope_right + (self.slope_left - self.slope_right) * psi
 
-    def zeta_prime(self, s):
-        tau = (np.asarray(s, dtype=float) - self.b1) / self.length
-        dpsi = -smooth_step_d1(self._step_arg(tau)) / (2.0 * self.rho)
-        return (self.slope_left - self.slope_right) * dpsi / self.length
-
     def _istep(self, w):
         w = np.asarray(w, dtype=float)
         out = np.where(w >= 1.0, w - 0.5, 0.0)
@@ -967,7 +962,8 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
     combined profile and an attachment record with the matching radius r_C
     and station s_match beyond which the output is exactly the model
     profile.  A caller that has classified (n, m_e, q_e, lam) passes the
-    class as cls; it is classified here otherwise.
+    class as cls; it is classified here otherwise.  A degenerate end needs
+    a tail ending beyond its horizon.
     """
     if int(n) != n or n < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {n}")
@@ -1008,24 +1004,16 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
     if cls.kind == SUB_EXTREMAL:
         mu = None
         in_image = f_b >= cls.r_plus
-    elif cls.kind == EXTREMAL:
-        if f_b > cls.r_plus:
-            mu = f_b
-            in_image = True
-        else:
-            mu = None
-            for j in range(1, 61):
-                cand = cls.r_plus * (1.0 + 2.0 ** -j)
-                p_cand = _p_beyond_root(params_e, cls, cand)
-                if p_cand > 0.0 and math.sqrt(p_cand) <= 0.5 * df_b:
-                    mu = cand
-                    break
-            if mu is None:
-                raise ConstructionError(
-                    "no start radius near the degenerate horizon matches the "
-                    "tail slope", {"tail_slope": df_b, "r_plus": cls.r_plus})
-            in_image = False
     else:
+        if cls.kind == EXTREMAL and f_b <= cls.r_plus:
+            # A degenerate end's mass is the junction floor at its horizon,
+            # and the floor falls with radius and grows with the charge, so
+            # a tail ending at or inside the horizon has floor(f_b) >= m_e
+            # >= m_star: the preconditions above admit it only within their
+            # 1e-12 slack below the floor.
+            raise PreconditionError(
+                f"tail radius {f_b} does not exceed the degenerate horizon "
+                f"radius {cls.r_plus} of the end parameters")
         mu = f_b
         in_image = True
 

@@ -75,11 +75,8 @@ class TestParseConfig:
             "mass",
             "n_t",
             "n_theta",
-            "theta_switch",
             "mass_gap_tol",
             "witness_floor",
-            "tolerance_scale",
-            "seed",
             "out",
             "profile_out",
             "plot_prefix",
@@ -113,11 +110,11 @@ class TestParseConfig:
         path = tmp_path / "cfg.json"
         path.write_text('{"n": 2, "r_o": 1.0, "mass": 0.6, "mass_gap_tol": 1e-6}')
         monkeypatch.setenv("CHARGED_EXTENSIONS_MASS_GAP_TOL", "1e-5")
-        monkeypatch.setenv("CHARGED_EXTENSIONS_TOLERANCE_SCALE", "5.0")
+        monkeypatch.setenv("CHARGED_EXTENSIONS_WITNESS_FLOOR", "5")
         monkeypatch.setenv("CHARGED_EXTENSIONS_N_T", "99")
         config = cli_io.parse_config(["extend", "--config", str(path)])
         assert config.options["mass_gap_tol"] == 1e-6
-        assert config.options["tolerance_scale"] == 1.0
+        assert config.options["witness_floor"] == 7
         assert config.options["n_t"] == 513
 
     def test_unknown_config_key_names_the_key(self, tmp_path):
@@ -168,35 +165,41 @@ class TestParseConfig:
         with pytest.raises(cli_io.UsageError, match="lambda"):
             cli_io.parse_config(["classify", "--config", str(path)])
 
+    @pytest.mark.parametrize("command", ["extend", "bartnik", "selftest", "collar"])
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["classify", "--n", "2", "--m", "1.25", "--q", "0.75"],
-            ["extend", "--n", "3", "--r-o", "1.5", "--mass", "2.0", "--n-t", "129"],
-            ["collar", "--n", "2", "--seed-cos", "0.15", "--epsilon", "0.0625"],
-            ["selftest", "--criteria", "1,2", "--tolerance-scale", "2.0"],
-            ["glue", "--n", "2", "--m", "1.0", "--mass", "1.2", "--radius", "3.5"],
-        ],
+        "flag", ["--tolerance-scale=0.5", "--seed=7", "--theta-switch=0.5"]
     )
-    def test_serialize_round_trip(self, tmp_path, argv):
-        config = cli_io.parse_config(argv)
+    def test_retired_pipeline_flags_are_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_io.parse_config([command, flag])
+        assert exc.value.code == 2
+        # --seed is refused as an ambiguous prefix where --seed-cos and
+        # --seed-csv exist, and as unrecognized elsewhere.
+        assert flag.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["tolerance_scale", "seed", "theta_switch"])
+    def test_retired_pipeline_keys_in_config_file_name_the_key(self, tmp_path, key):
         path = tmp_path / "cfg.json"
-        path.write_text(cli_io.serialize_config(config))
-        again = cli_io.parse_config([argv[0], "--config", str(path)])
-        assert again == config
+        path.write_text(json.dumps({"n": 2, "r_o": 1.0, "mass": 0.6, key: 1}))
+        with pytest.raises(cli_io.UsageError, match=f"'{key}'"):
+            cli_io.parse_config(["extend", "--config", str(path)])
+
+    def test_options_per_subcommand(self):
+        commands = ("extend", "bartnik", "selftest", "collar")
+        assert [len(cli_io._COMMANDS[c]) for c in commands] == [14, 11, 6, 13]
 
 
 class TestFormatting:
     def test_fmt17_round_trips_random_floats(self):
         rng = np.random.default_rng(11)
         for value in rng.uniform(-1e6, 1e6, size=200):
-            assert float(cli_io.fmt17(value)) == value
+            assert float(numutil.fmt17(value)) == value
 
     def test_fmt17_rejects_non_finite(self):
         with pytest.raises(DomainError):
-            cli_io.fmt17(math.inf)
+            numutil.fmt17(math.inf)
         with pytest.raises(DomainError):
-            cli_io.fmt17(math.nan)
+            numutil.fmt17(math.nan)
 
     def test_json_emitter_sorts_keys_and_handles_numpy(self):
         payload = {
@@ -243,7 +246,7 @@ class TestCsvSerialization:
         assert float(lines[1].split(",")[5]) == 0.5
 
     def test_hawking_and_grid_csv(self):
-        path = ss.round_path(2, 1.0, n_t=65, theta_switch=0.75)
+        path = ss.round_path(2, 1.0, n_t=65)
         spec = co.CollarSpec(
             path=path,
             epsilon=0.05,

@@ -12,7 +12,6 @@ from charged_extensions import lambda_rn, sphere_seed
 from charged_extensions.errors import (
     ConstructionError,
     DomainError,
-    NotApplicableError,
     PreconditionError,
 )
 from charged_extensions.quasilocal import hawking_rotsym, m_o, unit_sphere_volume
@@ -85,10 +84,16 @@ class TestSpecValidation:
             assert round_spec(path).r_o == path.r_o
 
 
+def scalar_curvature_at(spec, t):
+    """Scalar curvature of the built collar at the t sample nearest t."""
+    k = int(np.argmin(np.abs(spec.path.t_grid - t)))
+    return float(co.build_collar(spec).scalar_curvature[k, 0])
+
+
 class TestScalarCurvature:
     def test_boundary_slice_closed_form(self, round2):
         spec = round_spec(round2, epsilon=0.1, amplitude=2.0)
-        value = co.collar_scalar_curvature(spec, 0.0)
+        value = scalar_curvature_at(spec, 0.0)
         assert math.isclose(value, 2.0 - 4.0 * 0.1 / 4.0, rel_tol=0.0, abs_tol=1e-12)
 
     def test_round_matches_radial_formula(self, round2):
@@ -100,14 +105,14 @@ class TestScalarCurvature:
             df = epsilon * s / (amplitude ** 2 * f)
             d2f = epsilon / (amplitude ** 2 * f) - df * df / f
             expected = n * ((n - 1) * (1.0 - df * df) - 2.0 * f * d2f) / f ** 2
-            got = co.collar_scalar_curvature(spec, t)
+            got = scalar_curvature_at(spec, t)
             assert math.isclose(got, expected, rel_tol=0.0, abs_tol=1e-10)
 
     def test_small_epsilon_limit(self, round2):
         spec = round_spec(round2, epsilon=1e-6, amplitude=50.0)
         for t in (0.0, 0.5, 1.0):
             assert math.isclose(
-                co.collar_scalar_curvature(spec, t), 2.0, rel_tol=0.0, abs_tol=1e-5
+                scalar_curvature_at(spec, t), 2.0, rel_tol=0.0, abs_tol=1e-5
             )
 
 
@@ -260,10 +265,6 @@ class TestHawkingCurve:
         gain = curve.mass[-1] - 0.5
         assert math.isclose(gain, epsilon / 4.0, rel_tol=0.02)
 
-    def test_accessor_returns_stored_curve(self, round2):
-        built = co.build_collar(round_spec(round2))
-        assert co.hawking_curve(built) is built.hawking
-
 
 class TestEpsilonSearch:
     def test_frozen_values(self):
@@ -378,38 +379,9 @@ class TestTailProfile:
         epsilon, amplitude = 0.1, 2.0
         built = co.build_collar(round_spec(round2, epsilon=epsilon, amplitude=amplitude))
         profile = co.tail_to_arclength(built)
-        for s in profile.s_grid[:: 32]:
+        tail = built.scalar_curvature[round2.t_grid >= round2.theta_switch, 0]
+        assert tail.size == profile.s_grid.size
+        for s, collar_value in zip(profile.s_grid[:: 32], tail[:: 32]):
             f, df, d2f = profile.evaluator(float(s))
             radial = 2.0 * ((1.0 - df * df) - 2.0 * f * d2f / 1.0) / f ** 2
-            collar_value = co.collar_scalar_curvature(built.spec, float(s) / amplitude)
             assert math.isclose(radial, collar_value, rel_tol=0.0, abs_tol=1e-6)
-
-
-class TestInverseFlow:
-    def test_round_speed_error_small(self, round2):
-        built = co.build_collar(round_spec(round2, epsilon=0.1, amplitude=2.0))
-        report = co.imcf_reparametrization(built)
-        assert report.max_speed_error < 1e-8
-        assert math.isclose(
-            report.s_samples[-1], 2.0 * math.log(math.sqrt(1.1)), rel_tol=1e-14
-        )
-
-    def test_axisym_constant_lapse_allowed(self, cos_path):
-        built = co.build_collar(round_spec(cos_path, epsilon=0.1, amplitude=3.0, kappa=0.8))
-        report = co.imcf_reparametrization(built)
-        assert report.max_speed_error < 1e-8
-
-    def test_axisym_eigen_lapse_rejected(self, cos_path):
-        built = co.build_collar(
-            round_spec(cos_path, epsilon=0.1, amplitude=3.0, kappa=0.2,
-                       case=co.EIGENFUNCTION_LAPSE)
-        )
-        with pytest.raises(NotApplicableError):
-            co.imcf_reparametrization(built)
-
-    def test_round_eigen_lapse_allowed(self, round2):
-        built = co.build_collar(
-            round_spec(round2, epsilon=0.1, amplitude=2.0, case=co.EIGENFUNCTION_LAPSE)
-        )
-        report = co.imcf_reparametrization(built)
-        assert report.max_speed_error < 1e-8

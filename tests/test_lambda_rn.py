@@ -18,7 +18,6 @@ from charged_extensions.lambda_rn import (
     eval_dp,
     eval_h,
     eval_p,
-    horizon_mean_curvature,
     model_arclength,
     radial_coordinate,
     rn_profile,
@@ -528,17 +527,3 @@ def test_verify_model_identities_flat() -> None:
     scalar = n * ((n - 1) * (1.0 - profile.df ** 2)
                   - 2.0 * profile.f * profile.d2f) / profile.f ** 2
     assert np.abs(scalar).max() < 1e-12
-
-
-def test_horizon_mean_curvature_values() -> None:
-    assert horizon_mean_curvature(SCHWARZSCHILD, 2.0) == 0.0
-    flat = RNParams(2, 0.0, 0.0, 0.0)
-    assert math.isclose(horizon_mean_curvature(flat, 3.0), 2.0 / 3.0, abs_tol=1e-15)
-    with pytest.raises(DomainError):
-        horizon_mean_curvature(SCHWARZSCHILD, 1.5)
-
-
-def test_horizon_mean_curvature_increasing_off_horizon() -> None:
-    values = [horizon_mean_curvature(SCHWARZSCHILD, r)
-              for r in (2.0, 2.01, 2.05, 2.1)]
-    assert all(b > a for a, b in zip(values, values[1:]))

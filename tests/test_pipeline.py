@@ -18,14 +18,9 @@ from charged_extensions.errors import (
     ExtensionError,
     NotApplicableError,
     PreconditionError,
+    VerificationError,
 )
-from charged_extensions.lambda_rn import (
-    SUB_EXTREMAL,
-    RNParams,
-    SampledProfile,
-    rn_profile,
-    rn_profile_mu,
-)
+from charged_extensions.lambda_rn import SUB_EXTREMAL, RNParams, rn_profile
 
 
 def wobble(theta):
@@ -62,27 +57,23 @@ class TestPipelineConfig:
         config = pl.PipelineConfig()
         echoed = config.as_dict()
         assert echoed["n_t"] == 513
-        assert echoed["theta_switch"] == 0.75
         assert echoed["witness_floor"] == 7
         assert pl.PipelineConfig(**echoed) == config
-        assert list(echoed) == [
-            "n_t", "n_theta", "theta_switch", "mass_gap_tol", "witness_floor",
-            "tolerance_scale", "seed",
-        ]
+        assert list(echoed) == ["n_t", "n_theta", "mass_gap_tol", "witness_floor"]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"n_t": 2},
             {"n_theta": 4},
-            {"theta_switch": 1.0},
+            {"n_theta": 1025.0},
             {"n_t": 513.0},
-            {"theta_switch": 0.0},
+            {"mass_gap_tol": -1e-8},
             {"mass_gap_tol": float("nan")},
             {"mass_gap_tol": 0.0},
             {"witness_floor": 0},
-            {"tolerance_scale": 0.0},
-            {"seed": -1},
+            {"witness_floor": 7.0},
+            {"n_theta": -1025},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -204,9 +195,7 @@ class TestConstructExtension:
 
     def test_declared_path_matches_round_seed(self, round_report):
         config = pl.PipelineConfig()
-        path = sphere_seed.round_path(
-            2, 1.0, n_t=config.n_t, theta_switch=config.theta_switch
-        )
+        path = sphere_seed.round_path(2, 1.0, n_t=config.n_t)
         data = pl.BartnikDataSpec(n=2, q=0.0, lam=0.0, path=path)
         report = pl.construct_extension(data, 0.55, config)
         assert report.record == round_report.record
@@ -317,27 +306,13 @@ class TestVerifyOutwardMinimizing:
     def test_extension_report_passes(self, round_report):
         assert pl.verify_outward_minimizing(round_report) == "pass"
 
-    def test_model_profile_passes(self):
-        profile = rn_profile(RNParams(n=2, m=1.0, q=0.0, lam=0.0), 6.0)
-        assert pl.verify_outward_minimizing(profile) == "pass"
-
-    def test_neck_profile_fails(self):
-        s = np.linspace(0.0, 1.0, 65)
-        f = 2.0 + 0.1 * np.cos(2.0 * np.pi * s)
-        df = -0.2 * np.pi * np.sin(2.0 * np.pi * s)
-        d2f = -0.4 * np.pi ** 2 * np.cos(2.0 * np.pi * s)
-        profile = SampledProfile(
-            s, f, df, d2f, np.array(["synthetic"] * 65), charge=0.0
-        )
-        assert pl.verify_outward_minimizing(profile) == "fail"
-
-    def test_profile_without_minimal_boundary_fails(self):
-        profile = rn_profile_mu(RNParams(n=2, m=1.0, q=0.0, lam=0.0), 3.0, 4.0, 65)
-        assert pl.verify_outward_minimizing(profile) == "fail"
-
     def test_rejects_other_types(self):
         with pytest.raises(DomainError):
             pl.verify_outward_minimizing([1.0, 2.0])
+        with pytest.raises(DomainError):
+            pl.verify_outward_minimizing(
+                rn_profile(RNParams(n=2, m=1.0, q=0.0, lam=0.0), 6.0)
+            )
 
 
 class TestBartnikReport:
@@ -374,9 +349,9 @@ def test_round_construction_classifies_once(monkeypatch, n, q, lam):
     calls = []
     classify = lambda_rn._classify
 
-    def counting(params, tol):
+    def counting(params):
         calls.append(params)
-        return classify(params, tol)
+        return classify(params)
 
     monkeypatch.setattr(lambda_rn, "_classify", counting)
     m = 1.05 * ql.m_o(n, 1.0, q, lam)
@@ -433,7 +408,7 @@ class TestSelftest:
     def test_subset_passes_and_reports(self):
         result = pl.selftest(criteria=(1, 2))
         assert [entry.criterion for entry in result.entries] == [1, 2]
-        assert result.passed and not result.calibration_run
+        assert result.passed
         assert result.lines()[0].startswith("[C1] PASS ")
         json.dumps(result.as_dict())
 
@@ -449,8 +424,8 @@ class TestSelftest:
             "values": np.array([0.25, 1.5]),
             "x": np.float64(0.1),
         }
-        entry = pl.SelftestEntry(1, "numpy detail", True, False, detail)
-        result = pl.SelftestResult((entry,), {"seed": 1}, True, False)
+        entry = pl.SelftestEntry(1, "numpy detail", True, detail)
+        result = pl.SelftestResult((entry,), {"n_t": 513}, True)
         parsed = json.loads(result.to_json())["entries"][0]["detail"]
         assert parsed == {"count": 3, "flag": True, "pair": [0.5, 2],
                           "values": [0.25, 1.5], "x": 0.1}
@@ -462,21 +437,18 @@ class TestSelftest:
         assert first == second
 
     def test_config_is_embedded(self):
-        config = pl.PipelineConfig(seed=7)
+        config = pl.PipelineConfig(witness_floor=3)
         result = pl.selftest(config, criteria=(1,))
-        assert result.config["seed"] == 7
+        assert result.config == config.as_dict()
+        assert "tolerance_scale" not in result.config
 
-    def test_calibration_marks_expected_failures(self):
-        config = pl.PipelineConfig(tolerance_scale=1e-12)
-        result = pl.selftest(config, criteria=(3,))
-        entry = result.entries[0]
-        assert not entry.passed
-        assert entry.expected_failure
-        assert result.calibration_run
-        assert result.passed
-        assert entry.line().startswith("[C3] XFAIL ")
+    def test_failed_criterion_fails_the_run(self, monkeypatch):
+        def failing(config):
+            raise VerificationError("forced")
 
-    def test_loosened_tolerances_are_not_calibration(self):
-        config = pl.PipelineConfig(tolerance_scale=10.0)
-        result = pl.selftest(config, criteria=(1,))
-        assert not result.calibration_run
+        monkeypatch.setitem(pl._CRITERIA, 3, ("forced failure", failing))
+        result = pl.selftest(criteria=(1, 3))
+        assert [entry.passed for entry in result.entries] == [True, False]
+        assert not result.passed
+        assert result.lines()[1] == "[C3] FAIL forced failure"
+        assert result.entries[1].detail == {"error": "VerificationError: forced"}

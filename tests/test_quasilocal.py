@@ -18,7 +18,6 @@ from charged_extensions.quasilocal import (
     m_o,
     penrose_slack,
     ql_subextremality,
-    quasi_local_charge_rotsym,
     unit_sphere_volume,
 )
 
@@ -162,12 +161,6 @@ def test_hawking_rotsym_auxiliary_mass_independence():
 def test_hawking_rotsym_rejects_nonpositive_radius():
     with pytest.raises(DomainError):
         hawking_rotsym(2, 0.0, 0.0, 0.0, 1.0)
-
-
-def test_quasi_local_charge_identity():
-    assert quasi_local_charge_rotsym(0.3) == 0.3
-    assert quasi_local_charge_rotsym(0.0) == 0.0
-    assert quasi_local_charge_rotsym(-1.25) == -1.25
 
 
 def test_ql_subextremality_uncharged_flat():

@@ -17,7 +17,6 @@ from charged_extensions.quasilocal import unit_sphere_volume
 from charged_extensions.sphere_seed import (
     AxisymConformalMetric,
     axisym_metric_from_function,
-    conformal_path,
     curvature_floor_along_path,
     eigen_along_path,
     gaussian_curvature,
@@ -86,17 +85,6 @@ def test_pole_irregular_exponent_rejected():
     theta = np.linspace(0.0, math.pi, 257)
     with pytest.raises(DomainError):
         AxisymConformalMetric(theta_grid=theta, w=0.1 * theta)
-
-
-def test_conformal_path_endpoints(cos_seed):
-    start = conformal_path(cos_seed, 0.0)
-    assert np.array_equal(start.w, cos_seed.w)
-    end = conformal_path(cos_seed, 1.0)
-    assert np.max(np.abs(end.w)) == 0.0
-    half = conformal_path(axisym_metric_from_function(lambda t: 0.2 * np.cos(t)), 0.5)
-    assert np.allclose(half.w, 0.1 * np.cos(half.theta_grid), atol=1e-15)
-    with pytest.raises(DomainError):
-        conformal_path(cos_seed, 1.5)
 
 
 def test_normalize_round_seed_is_constant():

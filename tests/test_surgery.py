@@ -286,7 +286,8 @@ class TestBuildBridge:
     def test_slope_is_nonincreasing(self, line_glue):
         bridge, _, _ = line_glue
         ss = np.linspace(bridge.b1, bridge.a2, 2049)
-        assert np.all(bridge.zeta_prime(ss) <= 0.0)
+        inner = ss[(ss > bridge.b1) & (ss < bridge.a2)]
+        assert np.all(bridge.evaluate(inner)[2] <= 0.0)
         zeta = bridge.zeta(ss)
         assert np.all(zeta <= 1.0 + 1e-15)
         assert np.all(zeta >= 0.5 - 1e-15)
@@ -620,32 +621,16 @@ class TestGlueToRN:
         su.glue_to_rn(2, round_tail, m_star, 1.05 * m_star, 0.0, 0.0)
         assert len(built) == 1
 
-    def test_extremal_start_resolves_a_slope_of_2_to_minus_27(self, monkeypatch):
-        # The end (2, 1, 1, 0) is extremal with r_h = 1 and p = (1 - 1/r)^2.
-        # A tail ending on the horizon with slope 2^-27 (charge a hair above
-        # 1, so the tail sits on the junction floor) needs the start
-        # r_h (1 + 2^-28) and a station where sqrt(p) = 0.55 * 2^-27; p
-        # cancels to rounding noise in eval_p that close to the horizon.
-        picked = {}
-        locate = su._locate_station
-
-        class Located(Exception):
-            pass
-
-        def stop_after(params, cls, start, f_b, df_b, in_image):
-            picked["start"] = start
-            picked["r_c"] = locate(params, cls, start, f_b, df_b, in_image)
-            raise Located
-
-        monkeypatch.setattr(su, "_locate_station", stop_after)
+    def test_extremal_end_refuses_a_tail_ending_at_its_horizon(self):
+        # The end (2, 1, 1, 0) is extremal with r_h = 1.  A tail ending on
+        # the horizon (charge a hair above 1, slope 2^-27) sits on the
+        # junction floor inside the precondition's 1e-12 slack, the only
+        # way such a tail passes the preconditions; it is refused typed.
         slope = 2.0 ** -27
         tail = line_profile(0.0, 1.0, 1.0 - slope, slope, charge=1.0 + 2.0 ** -42)
         assert float(tail.f[-1]) == 1.0
-        with pytest.raises(Located):
+        with pytest.raises(PreconditionError, match="degenerate horizon"):
             su.glue_to_rn(2, tail, 1.0, 1.0, 1.0, 0.0)
-        assert picked["start"] == 1.0 + 2.0 ** -28
-        r_c = picked["r_c"]
-        assert abs((r_c - 1.0) / r_c / (0.55 * slope) - 1.0) < 1e-5
 
     def test_charged_station_inside_profile_image(self, charged_tail, charged_glue):
         _, m_e, _, record = charged_glue
@@ -653,3 +638,23 @@ class TestGlueToRN:
         r_plus = classify(RNParams(2, m_e, 0.3, -3.0)).r_plus
         assert r_plus < f_b
         assert f_b < record["r_C"] < 1.1 * f_b
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_extremal_end_mass_is_the_junction_floor_at_its_horizon(n, lam):
+    """An extremal end's mass is the junction floor at its horizon, and the
+    floor grows inward and with the charge: a tail ending at or inside the
+    horizon (charge q, q^2 >= q_e^2) has floor(f_b) >= m_e, so glue_to_rn's
+    preconditions admit it only within their slack below the floor."""
+    for q_e in (0.3, 1.0, 2.5):
+        m_e = lambda_rn.critical_mass(n, q_e, lam)
+        cls = classify(RNParams(n, m_e, q_e, lam))
+        assert cls.kind == lambda_rn.EXTREMAL
+        r_h = cls.r_plus
+        floor = su.junction_mass_floor(n, q_e, lam, r_h)
+        assert abs(floor - m_e) <= 1e-14 * m_e
+        for k in (1, 4, 20, 40):
+            f_b = r_h * (1.0 - 2.0 ** -k)
+            for q in (q_e, -q_e, 1.01 * q_e):
+                assert su.junction_mass_floor(n, q, lam, f_b) > m_e

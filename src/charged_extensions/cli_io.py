@@ -248,10 +248,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="charged-extensions",
         description="Construct and verify charged extensions of minimal sphere data.",
+        allow_abbrev=False,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command, options in _COMMANDS.items():
-        sub = subparsers.add_parser(command)
+        # Only full flag names: a prefix accepted today would change meaning
+        # once an option sharing it is added.
+        sub = subparsers.add_parser(command, allow_abbrev=False)
         sub.add_argument(
             "--config",
             type=str,

@@ -211,18 +211,24 @@ def _route_floor(spec: CollarSpec) -> float:
 
 
 def _route_candidates(path: MetricPath, lam: float):
-    """(route, case_id, kappa) for each route with a candidate floor, in
-    order of preference (see select_route); the eigen fields are built
-    only if the eigenfunction route is reached."""
+    """(route, case_id, kappa, refusal) for each route with a candidate
+    floor, in order of preference (see select_route); refusal is None or
+    why the route cannot be offered.  The eigen fields are built only if
+    the eigenfunction route is reached."""
     min_scal = curvature_floor_along_path(path)
     if path.n == 2 and lam < 0.0:
         yield ("negative-floor", CONSTANT_LAPSE,
-               max(0.0, -0.5 * min_scal) * (1.0 + _FLOOR_MARGIN))
+               max(0.0, -0.5 * min_scal) * (1.0 + _FLOOR_MARGIN), None)
     if path.n == 2 and min_scal <= 0.0:
         min_lam1 = float(np.min(eigen_along_path(path).lambda1))
-        yield "eigenfunction", EIGENFUNCTION_LAPSE, min_lam1 * (1.0 - _FLOOR_MARGIN)
+        refusal = None if min_lam1 > 0.0 else (
+            "the seed is outside the stability hypothesis lambda1(-Laplacian + K) > 0 "
+            f"of the eigenfunction lapse (min lambda1 = {min_lam1!r})")
+        yield ("eigenfunction", EIGENFUNCTION_LAPSE, min_lam1 * (1.0 - _FLOOR_MARGIN),
+               refusal)
     if min_scal > 0.0:
-        yield "positive-scalar", CONSTANT_LAPSE, 0.5 * min_scal * (1.0 - _FLOOR_MARGIN)
+        yield ("positive-scalar", CONSTANT_LAPSE,
+               0.5 * min_scal * (1.0 - _FLOOR_MARGIN), None)
 
 
 def select_route(path: MetricPath, q: float, lam: float) -> tuple[str, str, float]:
@@ -237,7 +243,8 @@ def select_route(path: MetricPath, q: float, lam: float) -> tuple[str, str, floa
     - ``eigenfunction`` for n = 2 when the minimum slice scalar curvature
       is not positive; kappa is 0.95 times the minimum first eigenvalue of
       the path's eigen fields, built on this read, once per path and
-      after the slice fields;
+      after the slice fields.  It is offered only when that minimum is
+      positive, the stability hypothesis of Mantoulidis-Schoen;
     - ``positive-scalar`` (constant lapse) when the minimum slice scalar
       curvature is positive; kappa is 0.95 times half of it.
 
@@ -245,17 +252,19 @@ def select_route(path: MetricPath, q: float, lam: float) -> tuple[str, str, floa
     fields the admissibility test and the collar read.  The first candidate
     that passes the admissibility test of ``build_collar`` (the charge gap
     of ``CollarSpec`` and the curvature test of its lapse) wins.  Raises
-    PreconditionError when none passes.
+    PreconditionError, naming each route's refusal, when none passes.
     """
     refusals = []
-    for route, case_id, kappa in _route_candidates(path, lam):
-        try:
-            # The flare and amplitude (1.0 here) do not enter the test.
-            _route_floor(CollarSpec(path, 1.0, 1.0, kappa, case_id, q, lam))
-        except PreconditionError as exc:
-            refusals.append(f"{route}: {exc}")
-            continue
-        return route, case_id, kappa
+    for route, case_id, kappa, refusal in _route_candidates(path, lam):
+        if refusal is None:
+            try:
+                # The flare and amplitude (1.0 here) do not enter the test.
+                _route_floor(CollarSpec(path, 1.0, 1.0, kappa, case_id, q, lam))
+            except PreconditionError as exc:
+                refusal = str(exc)
+            else:
+                return route, case_id, kappa
+        refusals.append(f"{route}: {refusal}")
     raise PreconditionError(
         f"no curvature-floor route admits q={q!r}, lam={lam!r}: "
         + "; ".join(refusals)

@@ -388,6 +388,13 @@ def _assemble_report(
             f"extension of total mass {m!r}"
         ),
     }
+    if route == "eigenfunction":
+        eigen = ss.eigen_along_path(built.spec.path)
+        diagnostics["eigen"] = {
+            "modes": eigen.modes,
+            "tail": eigen.tail,
+            "min_lambda1": float(np.min(eigen.lambda1)),
+        }
     return ExtensionReport(
         n=n,
         charge=data.q,

@@ -12,7 +12,8 @@ exponent (1-t)w, and the raw family is then normalized so that
 
 The module also provides the Gaussian curvature of a seed, the first
 eigenvalue and eigenfunction of -Laplacian + K restricted to axisymmetric
-functions, and the composed slice fields (volume form, scalar curvature,
+functions (a Legendre-Galerkin solve in x = cos(theta)), and the composed
+slice fields (volume form, scalar curvature,
 time-derivative norms, eigenfunction data) consumed by the collar
 construction, which reads its curvature floor from these fields.
 """
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import dct
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConstructionError, DomainError, InternalConsistencyError
 from .numutil import diff1_4th, diff2_4th, simpson_uniform, smooth_step
@@ -223,7 +224,9 @@ class EigenPath:
 
     ``u`` is normalized so the integral of u^2 over each slice equals the
     slice area, ``du_dt`` is its time derivative, and ``laplace_u`` the
-    slice Laplacian of u.  Shapes follow SliceGeometry.
+    slice Laplacian of u.  Shapes follow SliceGeometry.  ``modes`` is the
+    Legendre mode count of the solve and ``tail`` the coefficient tail it
+    passed (1 and 0 on round paths).
     """
 
     t_grid: np.ndarray
@@ -232,6 +235,8 @@ class EigenPath:
     u: np.ndarray
     du_dt: np.ndarray
     laplace_u: np.ndarray
+    modes: int
+    tail: float
 
 
 def axisym_metric_from_function(fn, n_theta: int = _DEFAULT_N_THETA) -> AxisymConformalMetric:
@@ -483,100 +488,141 @@ def round_path(n: int, r_o: float, n_t: int = _DEFAULT_N_T) -> MetricPath:
     )
 
 
-def _sl_matrices(theta: np.ndarray, w: np.ndarray):
-    """Tridiagonal discretization of -(sin u')' + K e^(2w) sin u = lam e^(2w) sin u.
+# Legendre-Galerkin solve of the slice eigen problem.  Mode counts start
+# at _FIRST_MODES and double until the ground state's coefficient tail
+# (see _ground_states) is below _TAIL_TOL, up to _MAX_MODES.
+_FIRST_MODES = 16
+_MAX_MODES = 128
+_TAIL_TOL = 1e-10
 
-    Finite-volume form with lumped weights; pole cells use the quadratic
-    vanishing of the weight.  Returns the symmetrized tridiagonal (diag,
-    offdiag), the lumping weights, and the scaling used to symmetrize.
+
+def _chebyshev_series(rows: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients in x = cos(theta) of rows sampled on the
+    uniform theta grid, which is the Chebyshev-Lobatto grid in x.
+
+    Pole-regular axisymmetric data are smooth functions of x, so the
+    series converges spectrally.  Trailing coefficients at the rounding
+    level of a row (16 eps times its largest sample) are set to zero, and
+    the columns past every row's last kept coefficient are dropped.
     """
-    dtheta = float(theta[1] - theta[0])
-    size = theta.size
-    lap_w = _laplacian_axisym(theta, w)
-    # K e^(2w) = 1 - Laplacian(w) in this gauge.
-    potential_density = (1.0 - lap_w) * np.sin(theta)
-    weight_density = np.exp(2.0 * w) * np.sin(theta)
-
-    mass = np.empty(size)
-    pot = np.empty(size)
-    mass[1:-1] = dtheta * weight_density[1:-1]
-    pot[1:-1] = dtheta * potential_density[1:-1]
-    mass[0] = math.exp(2.0 * w[0]) * dtheta ** 2 / 8.0
-    mass[-1] = math.exp(2.0 * w[-1]) * dtheta ** 2 / 8.0
-    pot[0] = (1.0 - lap_w[0]) * dtheta ** 2 / 8.0
-    pot[-1] = (1.0 - lap_w[-1]) * dtheta ** 2 / 8.0
-
-    face = np.sin(theta[:-1] + 0.5 * dtheta) / dtheta
-    diag = pot.copy()
-    diag[0] += face[0]
-    diag[-1] += face[-1]
-    diag[1:-1] += face[:-1] + face[1:]
-    off = -face
-
-    scale = np.sqrt(mass)
-    sym_diag = diag / mass
-    sym_off = off / (scale[:-1] * scale[1:])
-    return sym_diag, sym_off, mass, scale
+    size = rows.shape[-1]
+    coeffs = dct(rows, type=1, axis=-1) / (size - 1)
+    coeffs[..., 0] *= 0.5
+    coeffs[..., -1] *= 0.5
+    floor = 16.0 * np.finfo(float).eps * np.max(np.abs(rows), axis=-1, keepdims=True)
+    significant = np.abs(coeffs) > floor
+    kept = np.where(np.any(significant, axis=-1),
+                    size - np.argmax(significant[..., ::-1], axis=-1), 1)
+    coeffs[np.arange(size) >= kept[..., None]] = 0.0
+    return coeffs[..., :int(np.max(kept))]
 
 
-def _solve_sl(theta: np.ndarray, w: np.ndarray):
-    """Lowest eigenpair of the discretized operator on the given grid."""
-    sym_diag, sym_off, mass, scale = _sl_matrices(theta, w)
-    vals, vecs = eigh_tridiagonal(
-        sym_diag, sym_off, select="i", select_range=(0, 0)
-    )
-    u = vecs[:, 0] / scale
-    if u[np.argmax(np.abs(u))] < 0.0:
-        u = -u
-    if np.min(u) <= 0.0:
+def _row_sums(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """coeffs @ table, one row at a time (a stack of one-row products), so a
+    row rounds alike whatever stack it is in."""
+    return (coeffs[:, None, :] @ table)[:, 0, :]
+
+
+def _legendre_table(x: np.ndarray, modes: int):
+    """Orthonormal Legendre polynomials p_k on [-1, 1], k < modes, and their
+    derivatives at x, each of shape (modes, x.size)."""
+    p = np.zeros((modes, x.size))
+    dp = np.zeros((modes, x.size))
+    p[0] = 1.0
+    if modes > 1:
+        p[1] = x
+        dp[1] = 1.0
+    for k in range(1, modes - 1):
+        p[k + 1] = ((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1)
+        dp[k + 1] = dp[k - 1] + (2 * k + 1) * p[k]
+    norm = np.sqrt(np.arange(modes) + 0.5)[:, None]
+    return p * norm, dp * norm
+
+
+def _galerkin(series: np.ndarray, modes: int):
+    """Lowest eigenpair of -Laplacian + K on every row, by Rayleigh-Ritz.
+
+    In x = cos(theta) the slice e^(2w) g* turns the problem into: find u
+    with, for every v,
+    int (1-x^2) u_x v_x + int u v + int (1-x^2) w_x (u v)_x = lam int e^(2w) u v,
+    where the third term is int -Laplacian(w) u v integrated by parts.  The
+    basis is p_0 .. p_(modes-1); the integrals take 3 * modes Gauss nodes,
+    with w and w_x from each row's Chebyshev series.  One Cholesky
+    reduction and one eigh run on the stack of all rows.  Returns the
+    eigenvalues and the ground states' coefficients, signed so the mean is
+    positive and scaled so int e^(2w) u^2 equals int e^(2w), the area.
+    """
+    x, weights = np.polynomial.legendre.leggauss(3 * modes)
+    cheb = np.polynomial.chebyshev
+    w = _row_sums(series, cheb.chebvander(x, series.shape[-1] - 1).T)
+    derivative = cheb.chebder(series, axis=-1)
+    w_x = _row_sums(derivative, cheb.chebvander(x, derivative.shape[-1] - 1).T)
+    p, dp = _legendre_table(x, modes)
+    density = np.exp(2.0 * w) * weights
+    mass = (p * density[:, None, :]) @ p.T
+    cross = (dp * ((1.0 - x * x) * w_x * weights)[:, None, :]) @ p.T
+    k = np.arange(modes)
+    stiffness = np.diag(k * (k + 1) + 1.0) + cross + np.swapaxes(cross, 1, 2)
+    inv_chol_t = np.swapaxes(np.linalg.inv(np.linalg.cholesky(mass)), 1, 2)
+    reduced = np.swapaxes(inv_chol_t, 1, 2) @ stiffness @ inv_chol_t
+    values, vectors = np.linalg.eigh(reduced)
+    coeffs = inv_chol_t @ vectors[..., :1]
+    norm_sq = (np.swapaxes(coeffs, 1, 2) @ mass @ coeffs)[:, 0, 0]
+    coeffs = coeffs[..., 0] * np.sqrt(np.sum(density, axis=-1) / norm_sq)[:, None]
+    return values[:, 0], coeffs * np.sign(coeffs[:, :1])
+
+
+def _ground_states(theta: np.ndarray, rows: np.ndarray):
+    """First eigenvalue, ground state and its round-sphere Laplacian on the
+    theta grid for each exponent row, with the mode count and its tail.
+
+    The mode count doubles from ``_FIRST_MODES`` until the tail test holds:
+    on every row the Legendre coefficients of the last quarter of the
+    modes are at most ``_TAIL_TOL`` of the largest.  Spectral decay then
+    leaves u and its Laplacian good to about that tolerance, and the
+    eigenvalue, whose error is quadratic in it, good to rounding.  Past
+    ``_MAX_MODES`` it raises ConstructionError.  u and the round-sphere
+    Laplacian(u) = -sum k(k+1) c_k p_k are summed from the coefficients;
+    a ground state that is not positive on the grid raises
+    ConstructionError.
+    """
+    series = _chebyshev_series(rows)
+    modes = _FIRST_MODES
+    while True:
+        values, coeffs = _galerkin(series, modes)
+        magnitude = np.abs(coeffs)
+        tail = float(np.max(np.max(magnitude[:, 3 * modes // 4:], axis=1)
+                            / np.max(magnitude, axis=1)))
+        if tail <= _TAIL_TOL:
+            break
+        if modes >= _MAX_MODES:
+            raise ConstructionError(
+                f"eigen solve did not resolve the ground state in {modes} Legendre modes",
+                diagnostics={"modes": modes, "tail": tail, "tail_tol": _TAIL_TOL},
+            )
+        modes *= 2
+    p_grid, _ = _legendre_table(np.cos(theta), modes)
+    k = np.arange(modes)
+    u = _row_sums(coeffs, p_grid)
+    if not np.min(u) > 0.0:
         raise ConstructionError(
             "ground state is not positive",
             diagnostics={"min_u": float(np.min(u))},
         )
-    residual = _sl_residual(sym_diag, sym_off, float(vals[0]), vecs[:, 0])
-    if residual > 1e-8:
-        raise ConstructionError(
-            "eigenvalue solve did not converge",
-            diagnostics={"residual": residual},
-        )
-    return float(vals[0]), u
-
-
-def _sl_residual(diag, off, value, vec) -> float:
-    prod = diag * vec
-    prod[:-1] += off * vec[1:]
-    prod[1:] += off * vec[:-1]
-    return float(np.linalg.norm(prod - value * vec) / np.linalg.norm(vec))
+    return values, u, _row_sums(coeffs * -(k * (k + 1.0)), p_grid), modes, tail
 
 
 def lambda1(metric: AxisymConformalMetric) -> tuple[float, np.ndarray]:
     """First eigenvalue and eigenfunction of -Laplacian + K on the metric.
 
-    The operator is restricted to axisymmetric functions and discretized
-    as a weighted Sturm-Liouville problem; the eigenvalue is Richardson
-    extrapolated from the metric grid and a doubled grid, and the
-    eigenfunction (from the fine grid, restricted back) is normalized so
-    its squared integral equals the total area.
+    The operator is restricted to axisymmetric functions and solved by the
+    Legendre-Galerkin method of ``_ground_states``, so the eigenvalue is
+    good to rounding for smooth seeds; the eigenfunction is sampled on the
+    metric grid and normalized so its squared integral equals the total
+    area.
     """
-    theta = metric.theta_grid
-    value_coarse, _ = _solve_sl(theta, metric.w)
-
-    fine_theta = np.linspace(0.0, math.pi, 2 * (theta.size - 1) + 1)
-    fine_w = CubicSpline(theta, metric.w)(fine_theta)
-    value_fine, u_fine = _solve_sl(fine_theta, fine_w)
-
-    value = (4.0 * value_fine - value_coarse) / 3.0
-    return value, _area_normalized(theta, metric.w, u_fine[::2])
-
-
-def _area_normalized(theta: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u scaled so its squared integral over the slice e^(2w) g* equals
-    the slice area."""
-    dtheta = float(theta[1] - theta[0])
-    weight = np.exp(2.0 * w) * np.sin(theta)
-    area = 2.0 * math.pi * simpson_uniform(weight, dtheta)
-    norm_sq = 2.0 * math.pi * simpson_uniform(u * u * weight, dtheta)
-    return u * math.sqrt(area / norm_sq)
+    values, u, _, _, _ = _ground_states(metric.theta_grid, metric.w[None, :])
+    return float(values[0]), u[0]
 
 
 def curvature_floor_along_path(path: MetricPath) -> float:
@@ -668,9 +714,11 @@ def _slice_geometry(path: MetricPath) -> SliceGeometry:
 def eigen_along_path(path: MetricPath) -> EigenPath:
     """Eigenfunction data of -Laplacian + K along a normalized path.
 
-    Eigenpairs are computed once per distinct slice in the conformal gauge,
-    composed with the reparametrizing maps, expanded to every t sample and
-    differentiated in time.  Memoized on the path (``MetricPath.eigen_fields``).
+    Eigenpairs of every distinct slice come from one batched
+    Legendre-Galerkin solve in the conformal gauge (``_ground_states``),
+    are composed with the reparametrizing maps, expanded to every t sample
+    and differentiated in time.  Memoized on the path
+    (``MetricPath.eigen_fields``).
     """
     return path.eigen_fields
 
@@ -688,14 +736,13 @@ def _eigen_path(path: MetricPath) -> EigenPath:
             u=np.ones(shape),
             du_dt=np.zeros(shape),
             laplace_u=np.zeros(shape),
+            modes=1,
+            tail=0.0,
         )
 
     theta = path.seed.theta_grid
-    values, u_raw = zip(*(_solve_sl(theta, w) for w in path.w))
-    u_gauge = np.array([_area_normalized(theta, w, u) for w, u in zip(path.w, u_raw)])
-    # One Laplacian per row: a 2-d stencil rounds the pole rows differently.
-    lap_u = np.array([_laplacian_axisym(theta, u) for u in u_gauge])
-    lap_gauge = np.exp(-2.0 * path.w) * lap_u
+    values, u_gauge, lap_round, modes, tail = _ground_states(theta, path.w)
+    lap_gauge = np.exp(-2.0 * path.w) * lap_round
     u_comp = _compose_rows(theta, u_gauge, path.reparam)[path.slice_of]
     lap_comp = _compose_rows(theta, lap_gauge, path.reparam)[path.slice_of]
 
@@ -704,8 +751,10 @@ def _eigen_path(path: MetricPath) -> EigenPath:
     return EigenPath(
         t_grid=path.t_grid,
         theta_grid=theta,
-        lambda1=np.array(values)[path.slice_of],
+        lambda1=values[path.slice_of],
         u=u_comp,
         du_dt=du_dt,
         laplace_u=lap_comp,
+        modes=modes,
+        tail=tail,
     )

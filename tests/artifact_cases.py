@@ -3,20 +3,27 @@
 Usage::
 
     PYTHONPATH=src python tests/artifact_cases.py OUTDIR
+    python tests/artifact_cases.py --compare OLD NEW
 
 Each case runs in-process through ``cli_io.main`` inside its own directory
 ``OUTDIR/<name>``, with output paths relative to it (artifacts echo their
 own output paths), and its stdout, stderr and exit code are written next to
 its artifacts.  Two trees agree byte for byte when ``diff -r`` of their
-output directories is empty.  Not collected by pytest; ``test_cli_io``
-checks that every argv still parses.
+output directories is empty.  ``--compare`` lists, for every file that
+differs between two such trees, which numeric fields moved and their
+largest relative and absolute shift; it exits 1 when any file differs.
+Not collected by pytest; ``test_cli_io`` checks that every argv still
+parses and that the comparison reads JSON, tables and text.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
+import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -76,7 +83,97 @@ def write_cases(outdir) -> None:
         print(f"{name}: exit {code}")
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
+
+
+def _flatten(value, key, fields) -> None:
+    """Leaves of a JSON value by key path; list entries share ``key[]``."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _flatten(item, f"{key}.{name}" if key else name, fields)
+    elif isinstance(value, list):
+        for item in value:
+            _flatten(item, key + "[]", fields)
+    else:
+        fields.setdefault(key, []).append(value)
+
+
+def _fields(text: str) -> dict[str, list]:
+    """Values of an artifact by field: JSON by key path, a table with a
+    header row (``#`` allowed) by column name, other text as ``line k``
+    with its numbers parsed and its words kept as they are."""
+    try:
+        fields: dict[str, list] = {}
+        _flatten(json.loads(text), "", fields)
+        return fields
+    except ValueError:
+        pass
+    rows = [re.split(r"[,\s]+", line.strip().lstrip("#").strip())
+            for line in text.splitlines() if line.strip()]
+    if (len(rows) > 1 and not any(_NUMBER.fullmatch(cell) for cell in rows[0])
+            and all(len(row) == len(rows[0]) for row in rows)):
+        return {name: [row[j] for row in rows[1:]] for j, name in enumerate(rows[0])}
+    return {f"line {k + 1}": re.split(r"[,\s]+", line.strip())
+            for k, line in enumerate(text.splitlines())}
+
+
+def _number(value):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, str) and _NUMBER.fullmatch(value):
+        return float(value)
+    return None
+
+
+def _shift(old: list, new: list) -> str | None:
+    """How a field moved between two trees, or None if it did not."""
+    if old == new:
+        return None
+    if not (old and new):
+        return f"only in {'old' if old else 'new'}"
+    if len(old) != len(new):
+        return f"count {len(old)} -> {len(new)}"
+    rel = abs_ = 0.0
+    for a, b in zip(old, new):
+        x, y = _number(a), _number(b)
+        if x is None or y is None:
+            if a != b:
+                return f"non-numeric value {a!r} -> {b!r}"
+            continue
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        abs_ = max(abs_, abs(y - x))
+        rel = max(rel, abs(y - x) / abs(x) if x != 0.0 else math.inf)
+    return f"max rel shift {rel:.2g} (abs {abs_:.2g})"
+
+
+def compare_trees(old, new) -> list[str]:
+    """One line per moved field of every file that differs between two
+    output trees of ``write_cases``, and one per file found in one only."""
+    old, new = Path(old), Path(new)
+    names = sorted({p.relative_to(root).as_posix() for root in (old, new)
+                    for p in root.rglob("*") if p.is_file()})
+    lines = []
+    for name in names:
+        a, b = old / name, new / name
+        if not (a.is_file() and b.is_file()):
+            lines.append(f"{name}: only in {'old' if a.is_file() else 'new'}")
+            continue
+        if a.read_bytes() == b.read_bytes():
+            continue
+        before = _fields(a.read_text(encoding="utf-8"))
+        after = _fields(b.read_text(encoding="utf-8"))
+        moved = [f"{name}: {key} {change}" for key in sorted(set(before) | set(after))
+                 if (change := _shift(before.get(key, []), after.get(key, [])))]
+        lines.extend(moved or [f"{name}: differs in layout only"])
+    return lines
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        report = compare_trees(sys.argv[2], sys.argv[3])
+        print("\n".join(report) if report else "identical")
+        raise SystemExit(1 if report else 0)
     if len(sys.argv) != 2:
-        raise SystemExit("usage: python tests/artifact_cases.py OUTDIR")
+        raise SystemExit("usage: python tests/artifact_cases.py OUTDIR | --compare OLD NEW")
     write_cases(Path(sys.argv[1]).resolve())

@@ -22,7 +22,7 @@ from charged_extensions.errors import (
     VerificationError,
 )
 
-from artifact_cases import CASES
+from artifact_cases import CASES, compare_trees
 
 
 @pytest.fixture(scope="module")
@@ -173,9 +173,15 @@ class TestParseConfig:
         with pytest.raises(SystemExit) as exc:
             cli_io.parse_config([command, flag])
         assert exc.value.code == 2
-        # --seed is refused as an ambiguous prefix where --seed-cos and
-        # --seed-csv exist, and as unrecognized elsewhere.
         assert flag.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prefix", [["--witness", "3"], ["--mass-gap", "1e-6"]])
+    def test_flag_prefixes_are_rejected(self, prefix, capsys):
+        # Only full names parse: --witness-floor and --mass-gap-tol.
+        with pytest.raises(SystemExit) as exc:
+            cli_io.main(["extend", "--n", "2", "--r-o", "1.0", "--mass", "0.6"] + prefix)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(prefix) in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["tolerance_scale", "seed", "theta_switch"])
     def test_retired_pipeline_keys_in_config_file_name_the_key(self, tmp_path, key):
@@ -535,6 +541,15 @@ class TestExtendCommand:
         err = capsys.readouterr().err
         assert "PreconditionError: [stage: curvature-floor]" in err
 
+    def test_seed_past_the_stability_edge_exits_with_precondition_code(self, capsys):
+        # lambda1(-Laplacian + K) < 0 for 1.5 cos(theta), outside the
+        # hypothesis of the eigenfunction lapse; no other route admits it.
+        rc = cli_io.main(["extend", "--n", "2", "--seed-cos", "1.5", "--mass", "2.0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "PreconditionError: [stage: curvature-floor]" in err
+        assert "stability hypothesis" in err and "min lambda1 = -0.238" in err
+
     def test_missing_required_flag_exits_with_usage_code(self, capsys):
         rc = cli_io.main(["extend", "--n", "2", "--r-o", "1.0"])
         assert rc == 2
@@ -651,3 +666,27 @@ def test_artifact_cases_parse(name, argv):
     # The byte-identity case set (tests/artifact_cases.py) stays runnable.
     assert cli_io.parse_config(argv).command == argv[0]
     assert [case for case, _ in CASES].count(name) == 1
+
+
+def test_artifact_compare_lists_moved_fields(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    files = {
+        "a/report.json": ('{"x": 1.0, "w": [{"s": 2.0}, {"s": 4.0}], "k": "eigen"}',
+                          '{"x": 1.0, "w": [{"s": 2.0}, {"s": 4.4}], "k": "eigen"}'),
+        "a/profile.csv": ("s,f\n0,1\n1,2\n", "s,f\n0,1\n1,2.5\n"),
+        "a/run.dat": ("# s f\n0 1\n", "# s f\n0 1\n"),
+        "b/stdout.txt": ("[C10] PASS 1\n", "[C10] FAIL 1\n"),
+        "b/old.txt": ("1\n", None),
+    }
+    for name, (before, after) in files.items():
+        for root, text in ((old, before), (new, after)):
+            if text is not None:
+                (root / name).parent.mkdir(parents=True, exist_ok=True)
+                (root / name).write_text(text)
+    assert compare_trees(old, new) == [
+        "a/profile.csv: f max rel shift 0.25 (abs 0.5)",
+        "a/report.json: w[].s max rel shift 0.1 (abs 0.4)",
+        "b/old.txt: only in old",
+        "b/stdout.txt: line 1 non-numeric value 'PASS' -> 'FAIL'",
+    ]
+    assert compare_trees(old, old) == []

@@ -139,6 +139,8 @@ class TestConstructExtension:
         assert round_report.bartnik_upper_bound == 0.5
         assert round_report.boundary_mean_curvature == 0.0
         assert round_report.min_mean_curvature > 0.0
+        # Only eigenfunction-route reports record the eigen solve.
+        assert "eigen" not in round_report.diagnostics
 
     def test_round_flat_margins(self, round_report):
         assert round_report.min_margin > 0.0
@@ -281,11 +283,41 @@ class TestConstructExtension:
         assert sphere_seed.curvature_floor_along_path(path) < 0.0
         assert report.diagnostics["route"] == "eigenfunction"
         assert report.collar.spec.case_id == co.EIGENFUNCTION_LAPSE
-        min_lam1 = float(np.min(sphere_seed.eigen_along_path(path).lambda1))
+        eigen = sphere_seed.eigen_along_path(path)
+        min_lam1 = float(np.min(eigen.lambda1))
         assert report.diagnostics["kappa"] == min_lam1 * (1.0 - 0.05)
+        assert report.diagnostics["eigen"] == {
+            "modes": eigen.modes, "tail": eigen.tail, "min_lambda1": min_lam1}
         assert abs(report.achieved_mass - mass) <= 1e-8 * (1.0 + mass)
         assert report.min_margin > 0.0
         assert pl.verify_outward_minimizing(report) == "pass"
+
+    @pytest.mark.parametrize("q,lam", [(0.0, 0.0), (0.3, -1.0), (0.0, -3.5)])
+    def test_seed_past_the_stability_edge_is_refused(self, q, lam):
+        # lambda1(-Laplacian + K) = -0.238 for 1.5 cos(theta): the
+        # eigenfunction route is refused by name, not by a DomainError on a
+        # negative kappa, and the negative floor has no charge gap.
+        config = pl.PipelineConfig(n_t=129, n_theta=257)
+        data = pl.BartnikDataSpec(
+            n=2, q=q, lam=lam, exponent=lambda theta: 1.5 * np.cos(theta))
+        r_o = sphere_seed.axisym_metric_from_function(
+            data.exponent, n_theta=257).volume_radius
+        with pytest.raises(PreconditionError,
+                           match=r"^\[stage: curvature-floor\].*min lambda1 = -0\.23"):
+            pl.construct_extension(data, 1.05 * ql.m_o(2, r_o, q, lam), config)
+
+    @pytest.mark.parametrize("q,lam", [(0.0, 0.0), (0.3, -1.0)])
+    def test_seed_just_inside_the_stability_edge_certifies(self, q, lam):
+        # a = a*(1 - 2^-20) with a* = 1.4192884845, where lambda1 = 3.2e-6;
+        # an eigenvalue error of 4e-6 would flip its sign.
+        data = pl.BartnikDataSpec(
+            n=2, q=q, lam=lam, exponent=lambda theta: 1.4192871310 * np.cos(theta))
+        r_o = sphere_seed.axisym_metric_from_function(data.exponent).volume_radius
+        mass = 1.05 * ql.m_o(2, r_o, q, lam)
+        report = pl.construct_extension(data, mass)
+        assert report.diagnostics["route"] == "eigenfunction"
+        assert 3.2e-6 < report.diagnostics["eigen"]["min_lambda1"] < 3.3e-6
+        assert abs(report.achieved_mass - mass) <= 1e-8 * (1.0 + mass)
 
     def test_no_admissible_route_fails_in_curvature_floor_stage(self):
         data = pl.BartnikDataSpec(n=3, q=0.99, lam=0.0, r_o=1.0)

@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 
 from charged_extensions import sphere_seed
 from charged_extensions.collar import CONSTANT_LAPSE, EIGENFUNCTION_LAPSE, select_route
-from charged_extensions.errors import DomainError
+from charged_extensions.errors import ConstructionError, DomainError
 from charged_extensions.numutil import diff1_4th, simpson_uniform
 from charged_extensions.quasilocal import unit_sphere_volume
 from charged_extensions.sphere_seed import (
@@ -231,6 +231,85 @@ def test_lambda1_stays_above_threshold_along_path(cos_path):
     for k in range(0, cos_path.t_grid.size, 16):
         value, _ = lambda1(metric_at(cos_path, k))
         assert value > kappa
+
+
+def _oracle_lambda1(a: float, modes: int = 32) -> float:
+    """First eigenvalue of -Laplacian + K on e^(2a cos(theta)) g*.
+
+    Written out here, apart from the library: Legendre-Galerkin in
+    x = cos(theta) with the closed-form potential K e^(2w) = 1 - Laplacian(w)
+    = 1 + 2 a x, mass density e^(2 a x) and Gauss-Legendre integrals.
+    """
+    from scipy.linalg import eigh
+
+    legendre = np.polynomial.legendre
+    x, weights = legendre.leggauss(3 * modes)
+    basis = np.eye(modes)
+    p = legendre.legval(x, basis)
+    dp = legendre.legval(x, legendre.legder(basis))
+    stiffness = (dp * (1.0 - x * x) * weights) @ dp.T + (p * (1.0 + 2.0 * a * x) * weights) @ p.T
+    mass = (p * np.exp(2.0 * a * x) * weights) @ p.T
+    return float(eigh(stiffness, mass, eigvals_only=True, subset_by_index=(0, 0))[0])
+
+
+@pytest.mark.parametrize("a", [0.1, 0.62])
+def test_lambda1_matches_independent_oracle(a):
+    value, _ = lambda1(axisym_metric_from_function(lambda t: a * np.cos(t)))
+    reference = _oracle_lambda1(a)
+    assert abs(value - reference) <= 1e-12 * reference
+
+
+def test_lambda1_round_sphere_is_exact():
+    assert abs(lambda1(round_metric(1.0))[0] - 1.0) <= 1e-14
+    assert abs(lambda1(round_metric(2.0))[0] - 0.25) <= 1e-14 * 0.25
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0])
+def test_lambda1_of_the_dilation_seed_is_one(tau):
+    # e^(2w) g* with w = -ln(cosh tau - sinh tau cos theta) is a conformal
+    # dilation of the unit sphere: K = 1, so lambda1 = 1 with constant u.
+    seed = axisym_metric_from_function(
+        lambda t: -np.log(math.cosh(tau) - math.sinh(tau) * np.cos(t)))
+    value, u = lambda1(seed)
+    assert abs(value - 1.0) <= 1e-13
+    assert np.min(u) > 0.0
+
+
+def test_every_path_row_matches_independent_oracle():
+    # Row j of a cos path is (1 - l_j) a cos(theta) + d_j, whose eigenvalue
+    # is e^(-2 d_j) times the oracle's at amplitude (1 - l_j) a.  The
+    # default 513 x 1025 path has 375 distinct rows.
+    path = normalize_path(axisym_metric_from_function(lambda t: 0.62 * np.cos(t)))
+    eigen = eigen_along_path(path)
+    first = [int(np.argmax(path.slice_of == j)) for j in range(path.w.shape[0])]
+    for row, k in zip(path.w, first):
+        amplitude = 0.5 * (row[0] - row[-1])
+        reference = math.exp(-(row[0] + row[-1])) * _oracle_lambda1(amplitude)
+        assert abs(eigen.lambda1[k] - reference) <= 1e-12 * reference, k
+    # The round tail's eigenfunction is the constant 1.
+    tail = eigen.u[path.t_grid >= path.theta_switch]
+    assert np.max(np.abs(tail - 1.0)) <= 1e-13
+
+
+def _wobble_seed():
+    # Needs 32 Legendre modes: the tail test fails at 16 (3.5e-8).
+    return axisym_metric_from_function(lambda t: 0.3 * np.cos(2.0 * t) + 0.1 * np.cos(3.0 * t))
+
+
+def test_eigen_fields_record_the_mode_count():
+    for seed, modes in ((axisym_metric_from_function(lambda t: 0.62 * np.cos(t)), 16),
+                        (_wobble_seed(), 32)):
+        eigen = eigen_along_path(normalize_path(seed, n_t=65))
+        assert eigen.modes == modes
+        assert eigen.tail <= sphere_seed._TAIL_TOL
+    round_eigen = eigen_along_path(round_path(2, 1.0, n_t=65))
+    assert (round_eigen.modes, round_eigen.tail) == (1, 0.0)
+
+
+def test_unresolved_ground_state_is_a_construction_error(monkeypatch):
+    monkeypatch.setattr(sphere_seed, "_MAX_MODES", 16)
+    with pytest.raises(ConstructionError, match="did not resolve the ground state in 16"):
+        lambda1(_wobble_seed())
 
 
 # The curvature-floor route table: collar.select_route against each route's
@@ -476,21 +555,13 @@ def _per_sample_fields(path):
         "trace_gprime": ratio_a + ratio_b,
     }
 
-    values = np.empty(n_t)
-    u_gauge = np.empty(maps.shape)
-    lap_gauge = np.empty(maps.shape)
-    for k, metric in enumerate(metrics):
-        values[k], u = sphere_seed._solve_sl(theta, metric.w)
-        weight = np.exp(2.0 * metric.w) * np.sin(theta)
-        norm_sq = 2.0 * math.pi * simpson_uniform(u * u * weight, metric.theta_step)
-        u_gauge[k] = u * math.sqrt(metric.area() / norm_sq)
-        lap_gauge[k] = np.exp(-2.0 * metric.w) * sphere_seed._laplacian_axisym(theta, u_gauge[k])
+    values, u_gauge, lap_round, _, _ = sphere_seed._ground_states(theta, w_rows)
     u_comp = compose(theta, u_gauge, maps)
     eigen = {
         "lambda1": values,
         "u": u_comp,
         "du_dt": diff1_4th(u_comp.T, dt).T,
-        "laplace_u": compose(theta, lap_gauge, maps),
+        "laplace_u": compose(theta, np.exp(-2.0 * w_rows) * lap_round, maps),
     }
     return deviation, geometry, eigen
 
@@ -510,17 +581,17 @@ def test_distinct_slice_fields_bitwise_equal_per_sample_reference(a):
 
 def test_eigen_fields_solve_each_distinct_slice_once(cos_seed, monkeypatch):
     # 95 distinct ramp values among 129 t samples: every sample from the
-    # switch time on shares the round slice.
+    # switch time on shares the round slice.  One batched solve takes them.
     path = normalize_path(cos_seed, n_t=129)
     solves = []
 
-    def counting(theta, w, original=sphere_seed._solve_sl):
-        solves.append(w)
-        return original(theta, w)
+    def counting(theta, rows, original=sphere_seed._ground_states):
+        solves.append(rows.shape)
+        return original(theta, rows)
 
-    monkeypatch.setattr(sphere_seed, "_solve_sl", counting)
+    monkeypatch.setattr(sphere_seed, "_ground_states", counting)
     eigen_along_path(path)
-    assert len(solves) == 95
+    assert solves == [(95, cos_seed.theta_grid.size)]
     assert path.w.shape[0] == 95
 
 

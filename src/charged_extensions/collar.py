@@ -220,7 +220,15 @@ def _route_candidates(path: MetricPath, lam: float):
         yield ("negative-floor", CONSTANT_LAPSE,
                max(0.0, -0.5 * min_scal) * (1.0 + _FLOOR_MARGIN), None)
     if path.n == 2 and min_scal <= 0.0:
-        min_lam1 = float(np.min(eigen_along_path(path).lambda1))
+        try:
+            min_lam1 = float(np.min(eigen_along_path(path).lambda1))
+        except ConstructionError as exc:
+            # Far past the stability edge the ground state falls below the
+            # rounding level of its Legendre sum somewhere on the slice; the
+            # eigenvalue still says the hypothesis fails.
+            min_lam1 = exc.diagnostics.get("min_lambda1", math.nan)
+            if not min_lam1 <= 0.0:
+                raise
         refusal = None if min_lam1 > 0.0 else (
             "the seed is outside the stability hypothesis lambda1(-Laplacian + K) > 0 "
             f"of the eigenfunction lapse (min lambda1 = {min_lam1!r})")

@@ -292,18 +292,22 @@ class TestConstructExtension:
         assert report.min_margin > 0.0
         assert pl.verify_outward_minimizing(report) == "pass"
 
-    @pytest.mark.parametrize("q,lam", [(0.0, 0.0), (0.3, -1.0), (0.0, -3.5)])
-    def test_seed_past_the_stability_edge_is_refused(self, q, lam):
-        # lambda1(-Laplacian + K) = -0.238 for 1.5 cos(theta): the
-        # eigenfunction route is refused by name, not by a DomainError on a
-        # negative kappa, and the negative floor has no charge gap.
+    @pytest.mark.parametrize("a,q,lam,lam1", [
+        (1.5, 0.0, 0.0, "-0.238"), (1.5, 0.3, -1.0, "-0.238"), (1.5, 0.0, -3.5, "-0.238"),
+        # Its ground state falls below the rounding level of the Legendre
+        # sum near one pole, so the eigenvalue alone decides.
+        (3.0, 0.0, 0.0, "-124.6")])
+    def test_seed_past_the_stability_edge_is_refused(self, a, q, lam, lam1):
+        # lambda1(-Laplacian + K) < 0: the eigenfunction route is refused by
+        # name, not by a DomainError on a negative kappa, and the negative
+        # floor has no charge gap.
         config = pl.PipelineConfig(n_t=129, n_theta=257)
         data = pl.BartnikDataSpec(
-            n=2, q=q, lam=lam, exponent=lambda theta: 1.5 * np.cos(theta))
+            n=2, q=q, lam=lam, exponent=lambda theta: a * np.cos(theta))
         r_o = sphere_seed.axisym_metric_from_function(
             data.exponent, n_theta=257).volume_radius
-        with pytest.raises(PreconditionError,
-                           match=r"^\[stage: curvature-floor\].*min lambda1 = -0\.23"):
+        with pytest.raises(PreconditionError, match=r"^\[stage: curvature-floor\].*"
+                           + f"min lambda1 = {lam1}".replace(".", r"\.")):
             pl.construct_extension(data, 1.05 * ql.m_o(2, r_o, q, lam), config)
 
     @pytest.mark.parametrize("q,lam", [(0.0, 0.0), (0.3, -1.0)])

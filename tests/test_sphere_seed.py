@@ -306,6 +306,16 @@ def test_eigen_fields_record_the_mode_count():
     assert (round_eigen.modes, round_eigen.tail) == (1, 0.0)
 
 
+def test_ground_state_below_rounding_is_a_construction_error():
+    # Far past the stability edge u spans more than 13 decades, so its
+    # Legendre sum dips below zero near the pole where it is smallest; the
+    # error carries the eigenvalue, which select_route refuses by.
+    with pytest.raises(ConstructionError, match="not positive") as exc:
+        lambda1(axisym_metric_from_function(lambda t: 3.0 * np.cos(t)))
+    assert exc.value.diagnostics["min_u"] <= 0.0
+    assert exc.value.diagnostics["min_lambda1"] < -124.0
+
+
 def test_unresolved_ground_state_is_a_construction_error(monkeypatch):
     monkeypatch.setattr(sphere_seed, "_MAX_MODES", 16)
     with pytest.raises(ConstructionError, match="did not resolve the ground state in 16"):

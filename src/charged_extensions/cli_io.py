@@ -465,20 +465,13 @@ def _run_collar(config: RunConfig) -> int:
     path = pl._resolve_path(data, _pipeline_config(options, _PATH))
     route, case_id, kappa = co.select_route(path, data.q, data.lam)
     epsilon = options["epsilon"]
-    amplitude = options["amplitude"]
-    if amplitude is None:
-        amplitude = 2.0 * co.find_A0(path, epsilon, kappa, case_id, data.q, data.lam)
-    built = co.build_collar(
-        co.CollarSpec(
-            path=path,
-            epsilon=epsilon,
-            A=amplitude,
-            kappa=kappa,
-            case_id=case_id,
-            q=data.q,
-            lam=data.lam,
-        )
-    )
+    if options["amplitude"] is None:
+        spec = co.find_A0(path, epsilon, kappa, case_id, data.q, data.lam)
+        spec = spec.at_amplitude(2.0 * spec.A)
+    else:
+        spec = co.CollarSpec(
+            path, epsilon, options["amplitude"], kappa, case_id, data.q, data.lam)
+    built = co.build_collar(spec)
     mono = co.monotonicity_check(built)
     curve = built.hawking
     payload = {
@@ -488,7 +481,7 @@ def _run_collar(config: RunConfig) -> int:
         "case_id": case_id,
         "kappa": kappa,
         "epsilon": epsilon,
-        "amplitude": amplitude,
+        "amplitude": spec.A,
         "r_o": path.r_o,
         "mass_start": float(curve.mass[0]),
         "mass_end": float(curve.mass[-1]),
@@ -679,12 +672,15 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    """Entry point: 0 success, 1 I/O failure, 2 usage violation, otherwise
-    the ``exit_code`` of the library error (2 precondition violation,
-    3 construction failure, 4 verification failure)."""
+    """Entry point: 0 success or ``--help``, 1 I/O failure, 2 usage
+    violation (argparse's rejections included), otherwise the ``exit_code``
+    of the library error (2 precondition violation, 3 construction failure,
+    4 verification failure).  Every outcome is returned, none raised."""
     try:
         config = parse_config(argv)
         return run(config)
+    except SystemExit as exc:  # argparse: 2 after a usage message, 0 after --help
+        return exc.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ round tail of the collar into an arclength radial profile for gluing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -111,6 +111,13 @@ class CollarSpec:
         """Amplitude-independent (base, well, u, reference), memoized per spec."""
         base, well, u = _margin_parts(self)
         return base, well, u, _reference_density(self)[:, None]
+
+    def at_amplitude(self, A: float) -> CollarSpec:
+        """This spec at lapse amplitude A, sharing the memoized margin
+        fields, which do not depend on the amplitude."""
+        spec = replace(self, A=A)
+        spec.__dict__["margin_fields"] = self.margin_fields
+        return spec
 
     def _charge_gap_scalar(self) -> float:
         """Floor of the positive-scalar/eigenfunction energy inequality."""
@@ -415,13 +422,13 @@ def find_A0_bound(
 
 def find_A0(
     path: MetricPath, epsilon: float, kappa: float, case_id: str, q: float, lam: float
-) -> float:
-    """Smallest workable lapse amplitude, to a factor 1.05.
+) -> CollarSpec:
+    """Collar spec at the smallest workable lapse amplitude, to a factor 1.05.
 
     Starts from the closed-form estimate of find_A0_bound and refines
     downward by geometric bisection against the direct pointwise margin
     check, which is authoritative; the returned amplitude always passes
-    the direct check.
+    the direct check.  The spec carries the margin fields of the search.
     """
     probe = CollarSpec(path, epsilon, 1.0, kappa, case_id, q, lam)
     base, well, _, reference = probe.margin_fields
@@ -447,7 +454,7 @@ def find_A0(
         else:
             break
     else:
-        return hi
+        return probe.at_amplitude(hi)
     lo = hi / 2.0
     while hi / lo > 1.05:
         mid = math.sqrt(hi * lo)
@@ -455,7 +462,7 @@ def find_A0(
             hi = mid
         else:
             lo = mid
-    return hi
+    return probe.at_amplitude(hi)
 
 
 def _far_end_mass(n, r_o, q, lam, epsilon, amplitude) -> float:

@@ -207,24 +207,25 @@ def _flare_parameters(
     m_o_val: float,
     kappa: float,
     case_id: str,
-) -> tuple[float, float]:
+) -> co.CollarSpec:
     """Joint choice of the collar flare epsilon and amplitude.
 
     The flare is capped by ``_MASS_FRACTION`` of the mass headroom (so the
     far collar mass stays below the requested total mass), by the collar's
     epsilon <= 1 and by the largest admissible value for the resulting
     amplitude; amplitude and flare feed each other, so the pair is iterated
-    to a fixed point.
+    to a fixed point.  Returns the collar spec of the pair.
     """
     headroom = (m / m_o_val) ** (2.0 / (data.n + 1)) - 1.0
     eps = min(1.0, _MASS_FRACTION * headroom)
     for _ in range(6):
-        amplitude = co.find_A0(path, eps, kappa, case_id, data.q, data.lam)
-        allowed = co.find_eps0(data.n, path.r_o, data.q, data.lam, amplitude)
+        spec = co.find_A0(path, eps, kappa, case_id, data.q, data.lam)
+        allowed = co.find_eps0(data.n, path.r_o, data.q, data.lam, spec.A)
         if allowed >= eps:
-            return eps, amplitude
-        eps = allowed
-    return eps, co.find_A0(path, eps, kappa, case_id, data.q, data.lam)
+            return spec
+        # Drop this spec's margin fields before the next search builds its own.
+        eps, spec = allowed, None
+    return co.find_A0(path, eps, kappa, case_id, data.q, data.lam)
 
 
 def _build_collar_tail(
@@ -237,33 +238,24 @@ def _build_collar_tail(
     case_id: str,
 ):
     """Build the collar, halving the flare until its far mass clears m."""
-    eps, amplitude = _flare_parameters(path, data, m, m_o_val, kappa, case_id)
-    floor = eps * 2.0 ** -20
+    spec = _flare_parameters(path, data, m, m_o_val, kappa, case_id)
+    floor = spec.epsilon * 2.0 ** -20
     while True:
-        spec = co.CollarSpec(
-            path=path,
-            epsilon=eps,
-            A=amplitude,
-            kappa=kappa,
-            case_id=case_id,
-            q=data.q,
-            lam=data.lam,
-        )
         built = co.build_collar(spec)
         tail = co.tail_to_arclength(built)
         f_b = float(tail.f[-1])
         df_b = float(tail.df[-1])
         m_star = ql.hawking_rotsym(data.n, data.q, data.lam, f_b, df_b)
         if m_star < m and m - m_star > config.mass_gap_tol * (1.0 + abs(m)):
-            return built, tail, m_star, eps, amplitude
-        if eps <= floor:
+            return built, tail, m_star, spec.epsilon, spec.A
+        if spec.epsilon <= floor:
             raise ConstructionError(
                 "collar flare cannot be made small enough to keep the far "
                 "collar mass below the requested mass",
-                diagnostics={"m": m, "m_star": m_star, "epsilon": eps},
+                diagnostics={"m": m, "m_star": m_star, "epsilon": spec.epsilon},
             )
-        eps = max(floor, 0.5 * eps)
-        amplitude = co.find_A0(path, eps, kappa, case_id, data.q, data.lam)
+        eps = max(floor, 0.5 * spec.epsilon)
+        spec = co.find_A0(path, eps, kappa, case_id, data.q, data.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -727,17 +719,8 @@ def _scalar_collar(
     path: ss.MetricPath, eps: float, min_amplitude: float = 0.0
 ) -> co.ChargedCollar:
     _, case_id, kappa = co.select_route(path, 0.0, 0.0)
-    base = co.find_A0(path, eps, kappa, case_id, 0.0, 0.0)
-    spec = co.CollarSpec(
-        path=path,
-        epsilon=eps,
-        A=max(2.0 * base, min_amplitude),
-        kappa=kappa,
-        case_id=case_id,
-        q=0.0,
-        lam=0.0,
-    )
-    return co.build_collar(spec)
+    spec = co.find_A0(path, eps, kappa, case_id, 0.0, 0.0)
+    return co.build_collar(spec.at_amplitude(max(2.0 * spec.A, min_amplitude)))
 
 
 def _criterion_collar_masses(config: PipelineConfig) -> dict:

@@ -116,14 +116,14 @@ class MetricPath:
     ``reparam`` the theta map taking it to the area-normalized slice, and
     ``slice_of[k]`` the row at t sample k.  The slices are round from
     ``theta_switch`` on, and the three arrays are read-only, so memoized
-    fields cannot go stale.  ``volume_form_deviation`` is the measured
-    maximum time derivative of the slice area form.
+    fields cannot go stale.  ``volume_form_deviation``, the measured
+    maximum time derivative of the slice area form, is measured on first
+    read (0 on round paths).
     """
 
     n: int
     t_grid: np.ndarray
     theta_switch: float
-    volume_form_deviation: float
     seed: AxisymConformalMetric | None = None
     w: np.ndarray | None = None
     reparam: np.ndarray | None = None
@@ -191,6 +191,12 @@ class MetricPath:
         if self.round_radius is not None:
             return self.round_radius
         return self.seed.volume_radius
+
+    @cached_property
+    def volume_form_deviation(self) -> float:
+        if self.round_radius is not None:
+            return 0.0
+        return _measure_volume_form_deviation(self)
 
     @cached_property
     def slice_fields(self) -> SliceGeometry:
@@ -333,10 +339,13 @@ def _match_cumulative_areas(theta, w_rows, base, total0):
     not-a-knot spline of e^(2w_k) sin(theta)), solve
     C_k(x) = base * C_k(pi) / total0 at every theta sample, where base is
     the seed's cumulative area on the grid and total0 its total.  Splines
-    are built per chunk of rows and Newton steps from piecewise-linear
-    guesses run on a whole chunk at once; points the Newton steps leave
-    off by more than 1e-12 of the total are bracketed by brentq on the
-    row's own spline.  Returns the maps and the totals C_k(pi).
+    are built per chunk of rows; their values at the knots are their
+    constant coefficients, and only the last knot is evaluated.  Newton
+    steps from piecewise-linear guesses run on a whole chunk at once;
+    interior points they leave off by more than 1e-12 of the total are
+    bracketed by brentq on the row's own spline (the end points are 0 and
+    pi).  Returns the maps and the totals C_k(pi).  The residual area-form
+    deviation is measured on first read of the path's, not here.
     """
     from scipy.optimize import brentq
 
@@ -345,9 +354,10 @@ def _match_cumulative_areas(theta, w_rows, base, total0):
     for lo in range(0, w_rows.shape[0], _ROW_CHUNK):
         chunk = slice(lo, lo + _ROW_CHUNK)
         density = CubicSpline(theta, np.exp(2.0 * w_rows[chunk]) * np.sin(theta), axis=1)
+        antiderivative = density.antiderivative()
         # Pieces numbered row by row: row r, interval i is r * intervals + i.
         pieces = [np.ascontiguousarray(np.swapaxes(c, 1, 2)).reshape(c.shape[0], -1)
-                  for c in (density.c, density.antiderivative().c)]
+                  for c in (density.c, antiderivative.c)]
         offsets = (np.arange(density.c.shape[2]) * (theta.size - 1))[:, None]
 
         def evaluate(x):
@@ -355,22 +365,22 @@ def _match_cumulative_areas(theta, w_rows, base, total0):
             idx, dx = _intervals(theta, x)
             return tuple(_ppoly_at(c, idx + offsets, dx) for c in pieces)
 
-        knot_density, samples = evaluate(np.broadcast_to(theta, w_rows[chunk].shape))
+        last_density, total = evaluate(np.full(offsets.shape, theta[-1]))
+        samples = np.concatenate([antiderivative.c[-1].T, total], axis=1)
         if not np.all(np.diff(samples, axis=1) > 0.0):
             raise InternalConsistencyError("cumulative area is not strictly increasing")
-        total = samples[:, -1:]
         targets = base * (total / total0)
         x = np.array([np.interp(row, grid, theta) for row, grid in zip(targets, samples)])
-        slope_floor = 1e-12 * np.max(knot_density, axis=1, keepdims=True)
+        slope_floor = 1e-12 * np.maximum(density.c[-1].max(axis=0)[:, None], last_density)
         for _ in range(6):
             slope, cumulative = evaluate(x)
             x = np.clip(x - (cumulative - targets) / np.maximum(slope, slope_floor),
                         0.0, math.pi)
         resid = np.abs(evaluate(x)[1] - targets)
-        for row, col in zip(*np.nonzero(resid > 1e-12 * total)):
+        for row, col in zip(*np.nonzero(resid[:, 1:-1] > 1e-12 * total)):
             _, row_cumulative = _cumulative_area_spline(theta, w_rows[lo + row])
-            x[row, col] = brentq(
-                lambda v, tt=targets[row, col]: row_cumulative(v) - tt, 0.0, math.pi,
+            x[row, col + 1] = brentq(
+                lambda v, tt=targets[row, col + 1]: row_cumulative(v) - tt, 0.0, math.pi,
                 xtol=1e-14, rtol=8.9e-16,
             )
         x[:, 0] = 0.0
@@ -387,9 +397,9 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
     [``_THETA_SWITCH``, 1]; a per-slice dilation fixing every total area
     to the seed area; and a theta reparametrization per slice matching
     cumulative area functions, which renders the area form time
-    independent.  The residual time dependence of the area form is
-    measured independently (Newton-inverted maps differentiated on their
-    own) and reported as ``volume_form_deviation``.
+    independent.  The residual time dependence of the area form
+    (Newton-inverted maps differentiated on their own) is the path's
+    ``volume_form_deviation``, measured on first read.
 
     Slices with the same ramp value (every t >= ``_THETA_SWITCH``)
     coincide, so the path stores one row per distinct slice, an affine
@@ -407,7 +417,6 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
             n=2,
             t_grid=t_grid,
             theta_switch=_THETA_SWITCH,
-            volume_form_deviation=0.0,
             round_radius=seed.volume_radius,
         )
 
@@ -420,16 +429,12 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
     maps, totals = _match_cumulative_areas(theta, w_raw, cumulative0(theta), total0)
     # Dilations bringing each slice area back to the seed area.
     dilation = np.array([0.5 * math.log(total0 / total) for total in totals])
-    w = w_raw + dilation[:, None]
-
-    deviation = _measure_volume_form_deviation(t_grid, theta, w, maps, slice_of)
     return MetricPath(
         n=2,
         t_grid=t_grid,
         theta_switch=_THETA_SWITCH,
-        volume_form_deviation=deviation,
         seed=seed,
-        w=w,
+        w=w_raw + dilation[:, None],
         reparam=maps,
         slice_of=slice_of,
     )
@@ -456,19 +461,26 @@ def _compose_rows(theta: np.ndarray, rows: np.ndarray, points: np.ndarray,
     return out
 
 
-def _measure_volume_form_deviation(t_grid, theta, w, maps, slice_of) -> float:
+def _measure_volume_form_deviation(path: MetricPath) -> float:
     """Max time derivative of the composed area form, measured honestly.
 
     The theta derivative of each reparametrizing map is taken from the
     sampled map itself (spline differentiation), not from the chain-rule
-    identity that would make the area form static by construction.
+    identity that would make the area form static by construction.  At a
+    knot it is the spline's linear coefficient; the last knot, which
+    closes the last piece, is evaluated.
     """
-    knots = np.broadcast_to(theta, maps.shape)
-    dmap = _compose_rows(theta, maps, knots, nu=1)
-    sqrt_det = (np.exp(2.0 * _compose_rows(theta, w, maps))
+    theta, maps = path.seed.theta_grid, path.reparam
+    h = theta[-1] - theta[-2]
+    dmap = np.empty(maps.shape)
+    for lo in range(0, maps.shape[0], _ROW_CHUNK):
+        c = CubicSpline(theta, maps[lo:lo + _ROW_CHUNK], axis=1).c
+        dmap[lo:lo + _ROW_CHUNK, :-1] = c[2].T
+        dmap[lo:lo + _ROW_CHUNK, -1] = (3.0 * c[0, -1] * h + 2.0 * c[1, -1]) * h + c[2, -1]
+    sqrt_det = (np.exp(2.0 * _compose_rows(theta, path.w, maps))
                 * np.sin(maps) * dmap)
-    dt = float(t_grid[1] - t_grid[0])
-    time_deriv = diff1_4th(sqrt_det[slice_of].T, dt).T
+    dt = float(path.t_grid[1] - path.t_grid[0])
+    time_deriv = diff1_4th(sqrt_det[path.slice_of].T, dt).T
     return float(np.max(np.abs(time_deriv)))
 
 
@@ -483,7 +495,6 @@ def round_path(n: int, r_o: float, n_t: int = _DEFAULT_N_T) -> MetricPath:
         n=n,
         t_grid=np.linspace(0.0, 1.0, n_t),
         theta_switch=_THETA_SWITCH,
-        volume_form_deviation=0.0,
         round_radius=r_o,
     )
 

@@ -178,10 +178,13 @@ class TestParseConfig:
     @pytest.mark.parametrize("prefix", [["--witness", "3"], ["--mass-gap", "1e-6"]])
     def test_flag_prefixes_are_rejected(self, prefix, capsys):
         # Only full names parse: --witness-floor and --mass-gap-tol.
-        with pytest.raises(SystemExit) as exc:
-            cli_io.main(["extend", "--n", "2", "--r-o", "1.0", "--mass", "0.6"] + prefix)
-        assert exc.value.code == 2
+        rc = cli_io.main(["extend", "--n", "2", "--r-o", "1.0", "--mass", "0.6"] + prefix)
+        assert rc == 2
         assert "unrecognized arguments: " + " ".join(prefix) in capsys.readouterr().err
+
+    def test_help_returns_zero(self, capsys):
+        assert cli_io.main(["extend", "--help"]) == 0
+        assert "--witness-floor" in capsys.readouterr().out
 
     @pytest.mark.parametrize("key", ["tolerance_scale", "seed", "theta_switch"])
     def test_retired_pipeline_keys_in_config_file_name_the_key(self, tmp_path, key):
@@ -256,7 +259,7 @@ class TestCsvSerialization:
         spec = co.CollarSpec(
             path=path,
             epsilon=0.05,
-            A=2.0 * co.find_A0(path, 0.05, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0),
+            A=2.0 * co.find_A0(path, 0.05, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0).A,
             kappa=0.95,
             case_id=co.CONSTANT_LAPSE,
             q=0.0,

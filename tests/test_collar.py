@@ -186,33 +186,57 @@ class TestAmplitudeSearch:
         assert abs(bound - math.sqrt(4.0 / 1.6)) < 1e-14
 
     def test_refined_below_bound_and_passes(self, round2):
-        a0 = co.find_A0(round2, 0.1, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0)
+        a0 = co.find_A0(round2, 0.1, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0).A
         bound = co.find_A0_bound(round2, 0.1, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0)
         assert 0.0 < a0 <= bound
         built = co.build_collar(round_spec(round2, epsilon=0.1, amplitude=a0))
         assert np.min(built.dec_margin) > 0.0
 
     def test_refined_is_locally_minimal(self, round2):
-        a0 = co.find_A0(round2, 0.1, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0)
+        a0 = co.find_A0(round2, 0.1, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0).A
         spec = round_spec(round2, epsilon=0.1, amplitude=a0 / 1.051)
         with pytest.raises(ConstructionError):
             co.build_collar(spec)
 
     def test_amplitude_grows_with_charge(self, round2):
         values = [
-            co.find_A0(round2, 0.1, 0.95, co.CONSTANT_LAPSE, q, 0.0)
+            co.find_A0(round2, 0.1, 0.95, co.CONSTANT_LAPSE, q, 0.0).A
             for q in (0.0, 0.4, 0.7)
         ]
         assert values[0] < values[1] < values[2]
 
     def test_double_amplitude_always_passes(self, round2, round3):
         for path in (round2, round3):
-            a0 = co.find_A0(path, 0.05, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0)
+            a0 = co.find_A0(path, 0.05, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0).A
             built = co.build_collar(round_spec(path, epsilon=0.05, amplitude=2 * a0))
             assert np.min(built.dec_margin) > 0.0
 
+    @pytest.mark.parametrize("case", [co.CONSTANT_LAPSE, co.EIGENFUNCTION_LAPSE])
+    def test_A0_spec_builds_from_the_search_margin_fields(self, cos_path, case, monkeypatch):
+        # The search's margin fields are the collar's, at A0 and at any other
+        # amplitude: the build computes none, and each collar equals one
+        # built from a fresh spec bit for bit.
+        spec = co.find_A0(cos_path, 0.1, 0.8, case, 0.1, -1.0)
+        assert spec == round_spec(cos_path, 0.1, spec.A, 0.8, case, 0.1, -1.0)
+        specs = (spec, spec.at_amplitude(2.0 * spec.A))
+        fresh = [co.build_collar(round_spec(cos_path, 0.1, s.A, 0.8, case, 0.1, -1.0))
+                 for s in specs]
+        parts = []
+
+        def counting(*args, original=co._margin_parts):
+            parts.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(co, "_margin_parts", counting)
+        for s, reference in zip(specs, fresh):
+            built = co.build_collar(s)
+            for name in ("scalar_curvature", "dec_margin", "mean_curvature"):
+                assert getattr(built, name).tobytes() == getattr(reference, name).tobytes()
+            assert built.hawking.mass.tobytes() == reference.hawking.mass.tobytes()
+        assert parts == []
+
     def test_axisym_refined_passes(self, cos_path):
-        a0 = co.find_A0(cos_path, 0.1, 0.8, co.CONSTANT_LAPSE, 0.0, 0.0)
+        a0 = co.find_A0(cos_path, 0.1, 0.8, co.CONSTANT_LAPSE, 0.0, 0.0).A
         built = co.build_collar(
             round_spec(cos_path, epsilon=0.1, amplitude=a0, kappa=0.8)
         )
@@ -251,7 +275,7 @@ class TestHawkingCurve:
         for path in (round2, round3):
             n = path.n
             for epsilon in (0.05, 0.1):
-                a0 = co.find_A0(path, epsilon, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0)
+                a0 = co.find_A0(path, epsilon, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0).A
                 spec = round_spec(path, epsilon=epsilon, amplitude=2 * a0)
                 curve = co.build_collar(spec).hawking
                 reference = m_o(n, 1.0, 0.0, 0.0)

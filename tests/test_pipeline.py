@@ -397,14 +397,16 @@ def test_round_construction_classifies_once(monkeypatch, n, q, lam):
 
 class TestPathWorkOncePerPath:
     """A ladder normalizes its path once and builds each path field once:
-    no route solves ``lambda1``, and only the eigenfunction route builds
-    the eigen fields, once for a whole ladder."""
+    no route solves ``lambda1`` or measures the volume-form deviation, and
+    only the eigenfunction route builds the eigen fields, once for a whole
+    ladder."""
 
     CONFIG = pl.PipelineConfig(n_t=129, n_theta=257)
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = dict.fromkeys(("lambda1", "_eigen_path", "normalize_path"), 0)
+        counts = dict.fromkeys(("lambda1", "_eigen_path", "normalize_path",
+                                "_measure_volume_form_deviation"), 0)
         for name in counts:
             def counting(*args, name=name, original=getattr(sphere_seed, name), **kwargs):
                 counts[name] += 1
@@ -423,7 +425,8 @@ class TestPathWorkOncePerPath:
         report = pl.bartnik_report(self.cos_data(a, lam), self.CONFIG)
         assert len(report.witnesses) == 7
         assert all(entry["succeeded"] for entry in report.witnesses)
-        assert calls == {"lambda1": 0, "_eigen_path": 0, "normalize_path": 1}
+        assert calls == {"lambda1": 0, "_eigen_path": 0, "normalize_path": 1,
+                         "_measure_volume_form_deviation": 0}
 
     def test_eigenfunction_route_builds_eigen_fields_once(self, calls):
         data = self.cos_data(0.6, 0.0)
@@ -431,13 +434,15 @@ class TestPathWorkOncePerPath:
             data.exponent, n_theta=257).volume_radius, 0.0, 0.0)
         report = pl.construct_extension(data, 1.1 * m_o, self.CONFIG)
         assert report.diagnostics["route"] == "eigenfunction"
-        assert calls == {"lambda1": 0, "_eigen_path": 1, "normalize_path": 1}
+        assert calls == {"lambda1": 0, "_eigen_path": 1, "normalize_path": 1,
+                         "_measure_volume_form_deviation": 0}
 
     def test_ladder_shares_one_eigenvalue_floor(self, calls):
         report = pl.bartnik_report(self.cos_data(0.6, 0.0), self.CONFIG)
         assert len(report.witnesses) == 7
         assert all(entry["succeeded"] for entry in report.witnesses)
-        assert calls == {"lambda1": 0, "_eigen_path": 1, "normalize_path": 1}
+        assert calls == {"lambda1": 0, "_eigen_path": 1, "normalize_path": 1,
+                         "_measure_volume_form_deviation": 0}
 
 
 class TestSelftest:

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from charged_extensions import sphere_seed
@@ -122,6 +123,73 @@ def test_normalized_path_volume_form_deviation_fine_grid():
     seed = axisym_metric_from_function(lambda t: 0.2 * np.cos(t), n_theta=2049)
     path = normalize_path(seed, n_t=65)
     assert path.volume_form_deviation < 1e-8
+
+
+def test_volume_form_deviation_is_measured_once_on_first_read(cos_seed, monkeypatch):
+    measured = []
+
+    def counting(path, original=sphere_seed._measure_volume_form_deviation):
+        measured.append(path)
+        return original(path)
+
+    monkeypatch.setattr(sphere_seed, "_measure_volume_form_deviation", counting)
+    path = normalize_path(cos_seed, n_t=65)
+    assert measured == []
+    first = path.volume_form_deviation
+    assert path.volume_form_deviation == first
+    assert measured == [path]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_round_path_volume_form_deviation_is_zero(n):
+    assert round_path(n, 1.7, n_t=65).volume_form_deviation == 0.0
+
+
+@pytest.mark.parametrize("a", [0.62, -0.7, 1.4192871310])
+@pytest.mark.parametrize("n_theta", [257, 1025])
+def test_knot_values_are_spline_coefficients(a, n_theta):
+    # The matching reads the density and cumulative area at the knots, and
+    # the deviation reads the map slope there, from the splines'
+    # coefficients; each equals the piecewise evaluation at the knot, bit
+    # for bit.  Only the last knot, closing the last piece, is evaluated.
+    path = normalize_path(axisym_metric_from_function(lambda t: a * np.cos(t),
+                                                      n_theta=n_theta), n_t=65)
+    theta = path.seed.theta_grid
+    idx, dx = sphere_seed._intervals(theta, theta)
+    density = CubicSpline(theta, np.exp(2.0 * path.w) * np.sin(theta), axis=1)
+    for spline in (density, density.antiderivative()):
+        for row in range(path.w.shape[0]):
+            c = spline.c[:, :, row]
+            evaluated = sphere_seed._ppoly_at(c, idx, dx)
+            assert evaluated[:-1].tobytes() == c[-1].tobytes()
+    knots = np.broadcast_to(theta, path.reparam.shape)
+    slope = CubicSpline(theta, path.reparam, axis=1).c[2].T
+    evaluated = sphere_seed._compose_rows(theta, path.reparam, knots, nu=1)
+    assert evaluated[:, :-1].tobytes() == slope.tobytes()
+
+
+def test_matching_runs_brentq_on_interior_columns_only(monkeypatch):
+    roots = []
+
+    def counting(*args, original=brentq, **kwargs):
+        roots.append(original(*args, **kwargs))
+        return roots[-1]
+
+    monkeypatch.setattr("scipy.optimize.brentq", counting)
+    # Newton leaves the pi column of the edge seed's slices off, where the
+    # density slope goes to 0; that column is pi by definition.
+    normalize_path(axisym_metric_from_function(lambda t: 1.4192871310 * np.cos(t),
+                                               n_theta=257), n_t=129)
+    assert roots == []
+    # A steep exponent on a coarse grid leaves interior points to brentq;
+    # every root lands in the returned map.
+    theta = np.linspace(0.0, math.pi, 33)
+    rows = np.linspace(1.0, 0.0, 9)[:, None] * (2.0 * np.cos(theta))
+    _, cumulative = sphere_seed._cumulative_area_spline(theta, rows[0])
+    maps, _ = sphere_seed._match_cumulative_areas(
+        theta, rows, cumulative(theta), float(cumulative(math.pi)))
+    assert roots
+    assert all(np.any(maps[:, 1:-1] == root) for root in roots)
 
 
 def _reference_normalization(seed, n_t, theta_switch=0.75):

@@ -36,7 +36,7 @@ def line_profile(lo, hi, start, slope, charge=0.0, count=65):
 @pytest.fixture(scope="module")
 def round_tail():
     path = sphere_seed.round_path(2, 1.0, n_t=513)
-    amplitude = co.find_A0(path, 0.05, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0)
+    amplitude = co.find_A0(path, 0.05, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0).A
     spec = co.CollarSpec(path=path, epsilon=0.05, A=amplitude, kappa=0.95,
                          case_id=co.CONSTANT_LAPSE, q=0.0, lam=0.0)
     return co.tail_to_arclength(co.build_collar(spec))
@@ -45,7 +45,7 @@ def round_tail():
 @pytest.fixture(scope="module")
 def charged_tail():
     path = sphere_seed.round_path(2, 1.0, n_t=513)
-    amplitude = co.find_A0(path, 0.5, 0.5, co.CONSTANT_LAPSE, 0.3, -3.0)
+    amplitude = co.find_A0(path, 0.5, 0.5, co.CONSTANT_LAPSE, 0.3, -3.0).A
     spec = co.CollarSpec(path=path, epsilon=0.5, A=amplitude, kappa=0.5,
                          case_id=co.CONSTANT_LAPSE, q=0.3, lam=-3.0)
     return co.tail_to_arclength(co.build_collar(spec))

@@ -410,7 +410,7 @@ def find_A0_bound(
     n = path.n
     c_n = 4.0 if n == 2 else float(n * (n - 1))
     geometry = slice_geometry(path)
-    numerator = c_n + 0.25 * float(np.max(geometry.gprime_sq))
+    numerator = c_n + 0.25 * geometry.max_gprime_sq
     min_u_sq = 1.0
     if case_id == EIGENFUNCTION_LAPSE:
         eigen = eigen_along_path(path)

@@ -21,14 +21,14 @@ construction, which reads its curvature floor from these fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy.fft import dct
 from scipy.interpolate import CubicSpline
 
-from .errors import ConstructionError, DomainError, InternalConsistencyError
+from .errors import ConstructionError, DomainError
 from .numutil import diff1_4th, diff2_4th, simpson_uniform, smooth_step
 from .quasilocal import unit_sphere_volume
 
@@ -112,20 +112,22 @@ class MetricPath:
 
     Either a constant round path tagged by ``round_radius`` or an
     axisymmetric path (n = 2) from the validated ``seed``, stored once per
-    distinct slice: row j of ``w`` is a conformal-gauge exponent, row j of
-    ``reparam`` the theta map taking it to the area-normalized slice, and
-    ``slice_of[k]`` the row at t sample k.  The slices are round from
-    ``theta_switch`` on, and the three arrays are read-only, so memoized
-    fields cannot go stale.  ``volume_form_deviation``, the measured
-    maximum time derivative of the slice area form, is measured on first
-    read (0 on round paths).
+    distinct slice as an affine blend of the seed: row j has the
+    conformal-gauge exponent ``scale[j] * seed.w + shift[j]`` (the
+    read-only ``w``), row j of ``reparam`` is the theta map taking it to
+    the area-normalized slice, and ``slice_of[k]`` is the row at t sample
+    k.  The slices are round (``scale`` 0) from ``theta_switch`` on, and
+    the arrays are read-only, so memoized fields cannot go stale.
+    ``volume_form_deviation``, the measured maximum time derivative of the
+    slice area form, is measured on first read (0 on round paths).
     """
 
     n: int
     t_grid: np.ndarray
     theta_switch: float
     seed: AxisymConformalMetric | None = None
-    w: np.ndarray | None = None
+    scale: np.ndarray | None = None
+    shift: np.ndarray | None = None
     reparam: np.ndarray | None = None
     slice_of: np.ndarray | None = None
     round_radius: float | None = None
@@ -149,40 +151,45 @@ class MetricPath:
             self._validate_slices()
 
     def _validate_slices(self) -> None:
-        w, reparam = np.array(self.w, dtype=float), np.array(self.reparam, dtype=float)
-        slice_of = np.array(self.slice_of)
-        rows = w.shape[0] if w.ndim == 2 else 0
+        scale, shift = np.array(self.scale, dtype=float), np.array(self.shift, dtype=float)
+        reparam, slice_of = np.array(self.reparam, dtype=float), np.array(self.slice_of)
+        rows = reparam.shape[0] if reparam.ndim == 2 else 0
         if self.n != 2:
             raise DomainError(f"axisymmetric paths need n = 2, got {self.n!r}")
-        if w.shape != (rows, self.seed.theta_grid.size) or reparam.shape != w.shape:
-            raise DomainError("w and reparam must hold one row per distinct slice")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(reparam))):
-            raise DomainError("w and reparam must be finite")
+        if (reparam.shape != (rows, self.seed.theta_grid.size)
+                or scale.shape != (rows,) or shift.shape != (rows,)):
+            raise DomainError("scale, shift and reparam must hold one row per distinct slice")
+        if not all(np.all(np.isfinite(value)) for value in (scale, shift, reparam)):
+            raise DomainError("scale, shift and reparam must be finite")
         if (slice_of.dtype.kind not in "iu" or slice_of.shape != self.t_grid.shape
                 or not np.all((slice_of >= 0) & (slice_of < rows))):
             raise DomainError("slice_of must name a row of w for every t sample")
-        tail = w[slice_of[self.t_grid >= self.theta_switch - 1e-15]]
-        if float(np.max(np.ptp(tail, axis=1))) > 1e-10:
+        if np.any(scale[slice_of[self.t_grid >= self.theta_switch - 1e-15]] != 0.0):
             raise DomainError("path is not round on t >= theta_switch")
-        # r_o, the collar and the Hawking mass take every slice to have the
-        # seed's area.  The bound is C11's 1e-10 (1 + r_o) on the volume
-        # radius at the default theta grid; normalize_path meets its gauge to
-        # fourth order in the theta step, so coarser grids get that factor.
-        r_o = self.seed.volume_radius
-        areas = 2.0 * math.pi * simpson_uniform(
-            np.exp(2.0 * w) * np.sin(self.seed.theta_grid), self.seed.theta_step)
-        drift = float(np.max(np.abs(np.sqrt(areas / unit_sphere_volume(2)) - r_o)))
-        coarse = max(1.0, ((_DEFAULT_N_THETA - 1) / (w.shape[1] - 1)) ** 4)
-        if drift > 1e-10 * (1.0 + r_o) * coarse:
-            raise DomainError(
-                f"slice volume radii drift by {drift!r} from the seed's {r_o!r}")
-        for name, value in (("w", w), ("reparam", reparam), ("slice_of", slice_of)):
+        for name, value in (("scale", scale), ("shift", shift), ("reparam", reparam),
+                            ("slice_of", slice_of)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        drift, bound = _radius_drift(self.seed, self.w)
+        if drift > bound:
+            raise DomainError(
+                f"slice volume radii drift by {drift!r} from the seed's "
+                f"{self.seed.volume_radius!r}")
 
     @property
     def is_round(self) -> bool:
         return self.round_radius is not None
+
+    @cached_property
+    def w(self) -> np.ndarray | None:
+        """Conformal-gauge exponent of every distinct slice, the blend
+        ``scale[:, None] * seed.w + shift[:, None]`` (read-only; None on
+        round paths)."""
+        if self.seed is None:
+            return None
+        w = self.scale[:, None] * self.seed.w + self.shift[:, None]
+        w.flags.writeable = False
+        return w
 
     @cached_property
     def r_o(self) -> float:
@@ -214,6 +221,9 @@ class SliceGeometry:
     Arrays have shape (n_t, n_theta); round paths use n_theta = 1.
     ``gprime_sq`` is the squared norm of the metric time derivative,
     ``trace_gprime`` its trace, both with respect to the slice metric.
+    ``min_scalar_curvature`` and ``max_gprime_sq`` are the path-wide
+    extremes that the route choice and the amplitude bound read, taken
+    once on construction.
     """
 
     t_grid: np.ndarray
@@ -222,6 +232,13 @@ class SliceGeometry:
     scalar_curvature: np.ndarray
     gprime_sq: np.ndarray
     trace_gprime: np.ndarray
+    min_scalar_curvature: float = field(init=False)
+    max_gprime_sq: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "min_scalar_curvature",
+                           float(np.min(self.scalar_curvature)))
+        object.__setattr__(self, "max_gprime_sq", float(np.max(self.gprime_sq)))
 
 
 @dataclass(frozen=True)
@@ -259,6 +276,22 @@ def round_metric(r_o: float, n_theta: int = _DEFAULT_N_THETA) -> AxisymConformal
     return AxisymConformalMetric(theta_grid=theta, w=np.full(n_theta, math.log(r_o)))
 
 
+def _radius_drift(seed: AxisymConformalMetric, w: np.ndarray) -> tuple[float, float]:
+    """Largest drift of the slices' volume radii from the seed's, and its bound.
+
+    r_o, the collar and the Hawking mass take every slice to have the
+    seed's area.  The bound is C11's 1e-10 (1 + r_o) on the volume radius
+    at the default theta grid; normalize_path meets its gauge to fourth
+    order in the theta step, so coarser grids get that factor.
+    """
+    r_o = seed.volume_radius
+    areas = 2.0 * math.pi * simpson_uniform(
+        np.exp(2.0 * w) * np.sin(seed.theta_grid), seed.theta_step)
+    drift = float(np.max(np.abs(np.sqrt(areas / unit_sphere_volume(2)) - r_o)))
+    coarse = max(1.0, ((_DEFAULT_N_THETA - 1) / (w.shape[1] - 1)) ** 4)
+    return drift, 1e-10 * (1.0 + r_o) * coarse
+
+
 def _laplacian_axisym(theta: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Round-sphere Laplacian of an axisymmetric function from samples.
 
@@ -276,14 +309,9 @@ def _laplacian_axisym(theta: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _curvature_of(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """K = e^(-2w) (1 - Laplacian w) for exponent samples along the last axis."""
-    return np.exp(-2.0 * w) * (1.0 - _laplacian_axisym(theta, w))
-
-
 def gaussian_curvature(metric: AxisymConformalMetric) -> np.ndarray:
     """Gaussian curvature samples K = e^(-2w) (1 - Laplacian w)."""
-    return _curvature_of(metric.theta_grid, metric.w)
+    return np.exp(-2.0 * metric.w) * (1.0 - _laplacian_axisym(metric.theta_grid, metric.w))
 
 
 def _time_clamp(t: np.ndarray, theta_switch: float) -> np.ndarray:
@@ -345,7 +373,10 @@ def _match_cumulative_areas(theta, w_rows, base, total0):
     interior points they leave off by more than 1e-12 of the total are
     bracketed by brentq on the row's own spline (the end points are 0 and
     pi).  Returns the maps and the totals C_k(pi).  The residual area-form
-    deviation is measured on first read of the path's, not here.
+    deviation is measured on first read of the path's, not here.  A
+    cumulative area that does not increase strictly over the knots is a
+    density the theta grid does not resolve: ConstructionError, naming the
+    row and column.
     """
     from scipy.optimize import brentq
 
@@ -367,8 +398,14 @@ def _match_cumulative_areas(theta, w_rows, base, total0):
 
         last_density, total = evaluate(np.full(offsets.shape, theta[-1]))
         samples = np.concatenate([antiderivative.c[-1].T, total], axis=1)
-        if not np.all(np.diff(samples, axis=1) > 0.0):
-            raise InternalConsistencyError("cumulative area is not strictly increasing")
+        flat = np.argwhere(~(np.diff(samples, axis=1) > 0.0))
+        if flat.size:
+            row, col = int(lo + flat[0, 0]), int(flat[0, 1]) + 1
+            raise ConstructionError(
+                f"cumulative area is not strictly increasing on slice row {row} at theta "
+                f"column {col}: the theta grid does not resolve the area density",
+                diagnostics={"row": row, "column": col, "theta": float(theta[col])},
+            )
         targets = base * (total / total0)
         x = np.array([np.interp(row, grid, theta) for row, grid in zip(targets, samples)])
         slope_floor = 1e-12 * np.maximum(density.c[-1].max(axis=0)[:, None], last_density)
@@ -377,11 +414,13 @@ def _match_cumulative_areas(theta, w_rows, base, total0):
             x = np.clip(x - (cumulative - targets) / np.maximum(slope, slope_floor),
                         0.0, math.pi)
         resid = np.abs(evaluate(x)[1] - targets)
+        row_cumulative = {}
         for row, col in zip(*np.nonzero(resid[:, 1:-1] > 1e-12 * total)):
-            _, row_cumulative = _cumulative_area_spline(theta, w_rows[lo + row])
+            if row not in row_cumulative:
+                _, row_cumulative[row] = _cumulative_area_spline(theta, w_rows[lo + row])
             x[row, col + 1] = brentq(
-                lambda v, tt=targets[row, col + 1]: row_cumulative(v) - tt, 0.0, math.pi,
-                xtol=1e-14, rtol=8.9e-16,
+                lambda v, tt=targets[row, col + 1], fn=row_cumulative[row]: fn(v) - tt,
+                0.0, math.pi, xtol=1e-14, rtol=8.9e-16,
             )
         x[:, 0] = 0.0
         x[:, -1] = math.pi
@@ -403,9 +442,16 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
 
     Slices with the same ramp value (every t >= ``_THETA_SWITCH``)
     coincide, so the path stores one row per distinct slice, an affine
-    blend of the seed; the maps of all rows are inverted in batches.  The
-    slice and eigen fields, which only some collar routes read, are
-    computed on demand and memoized on the returned path.
+    blend of the seed: ``scale`` is 1 - ramp and ``shift`` the dilation of
+    each row.  The maps of all rows are inverted in batches.  The slice
+    and eigen fields, which only some collar routes read, are computed on
+    demand and memoized on the returned path.
+
+    A seed too steep for the theta grid fails with ConstructionError: its
+    cumulative area stops increasing (``_match_cumulative_areas``), or the
+    slice areas drift from the seed's beyond the bound that a
+    hand-built ``MetricPath`` is refused for (diagnostics ``drift`` and
+    ``bound``).
     """
     theta = seed.theta_grid
     t_grid = np.linspace(0.0, 1.0, n_t)
@@ -423,42 +469,73 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
     _, cumulative0 = _cumulative_area_spline(theta, seed.w)
     total0 = float(cumulative0(math.pi))
     levels, slice_of = np.unique(ramp, return_inverse=True)
-    w_raw = (1.0 - levels)[:, None] * seed.w
+    scale = 1.0 - levels
+    w_raw = scale[:, None] * seed.w
     # Cumulative matching for the dilated metric reduces to matching the
     # undilated cumulative against a rescaled target.
     maps, totals = _match_cumulative_areas(theta, w_raw, cumulative0(theta), total0)
     # Dilations bringing each slice area back to the seed area.
-    dilation = np.array([0.5 * math.log(total0 / total) for total in totals])
+    shift = np.array([0.5 * math.log(total0 / total) for total in totals])
+    drift, bound = _radius_drift(seed, w_raw + shift[:, None])
+    if drift > bound:
+        raise ConstructionError(
+            f"slice volume radii drift by {drift!r}, above the bound {bound!r}: the theta "
+            "grid does not resolve the seed's area gauge",
+            diagnostics={"drift": drift, "bound": bound},
+        )
     return MetricPath(
         n=2,
         t_grid=t_grid,
         theta_switch=_THETA_SWITCH,
         seed=seed,
-        w=w_raw + dilation[:, None],
+        scale=scale,
+        shift=shift,
         reparam=maps,
         slice_of=slice_of,
     )
 
 
-def _compose_rows(theta: np.ndarray, rows: np.ndarray, points: np.ndarray,
-                  nu: int = 0) -> np.ndarray:
-    """Row k of ``rows``, as a not-a-knot cubic spline in theta (its nu-th
-    derivative for nu = 1), evaluated at row k of ``points``.
+def _compose_rows(theta: np.ndarray, stacks, points: np.ndarray) -> list[np.ndarray]:
+    """Row k of each array in ``stacks``, as a not-a-knot cubic spline in
+    theta, evaluated at row k of ``points``.
 
-    One spline is built per chunk of rows instead of one per row.
+    One spline is built per chunk of rows of each array instead of one per
+    row, and the arrays share the chunk's interval lookup.
     """
-    out = np.empty(points.shape)
-    for lo in range(0, rows.shape[0], _ROW_CHUNK):
+    out = [np.empty(points.shape) for _ in stacks]
+    for lo in range(0, points.shape[0], _ROW_CHUNK):
         chunk = slice(lo, lo + _ROW_CHUNK)
-        c = CubicSpline(theta, rows[chunk], axis=1).c
         idx, dx = _intervals(theta, points[chunk])
-        row = np.arange(c.shape[2])[:, None]
-        c3, c2, c1, c0 = (c[i][idx, row] for i in range(4))
-        if nu == 0:
-            out[chunk] = ((c3 * dx + c2) * dx + c1) * dx + c0
-        else:
-            out[chunk] = (3.0 * c3 * dx + 2.0 * c2) * dx + c1
+        row = np.arange(idx.shape[0])[:, None]
+        for rows, values in zip(stacks, out):
+            c = CubicSpline(theta, rows[chunk], axis=1).c
+            c3, c2, c1, c0 = (c[i][idx, row] for i in range(4))
+            values[chunk] = ((c3 * dx + c2) * dx + c1) * dx + c0
     return out
+
+
+def _seed_composition(path: MetricPath):
+    """Exponent and Gaussian curvature of every distinct slice, composed
+    with its reparametrizing map, from the seed's row alone.
+
+    Row j is the blend scale_j w + shift_j of the seed's w, so its
+    not-a-knot spline is the same blend of w's spline S_w, and its
+    Laplacian is scale_j Laplacian(w), taken on the seed row.  With S_lap
+    the spline of that Laplacian and one interval lookup at the maps
+    Theta_j, exponent_j = scale_j S_w(Theta_j) + shift_j and curvature_j =
+    e^(-2 exponent_j) (1 - scale_j S_lap(Theta_j)).
+    """
+    theta, w = path.seed.theta_grid, path.seed.w
+    idx, dx = _intervals(theta, path.reparam)
+
+    def at_maps(row):
+        c = CubicSpline(theta, row).c
+        return ((c[0][idx] * dx + c[1][idx]) * dx + c[2][idx]) * dx + c[3][idx]
+
+    scale = path.scale[:, None]
+    exponent = scale * at_maps(w) + path.shift[:, None]
+    laplacian = scale * at_maps(_laplacian_axisym(theta, w))
+    return exponent, np.exp(-2.0 * exponent) * (1.0 - laplacian)
 
 
 def _measure_volume_form_deviation(path: MetricPath) -> float:
@@ -468,7 +545,8 @@ def _measure_volume_form_deviation(path: MetricPath) -> float:
     sampled map itself (spline differentiation), not from the chain-rule
     identity that would make the area form static by construction.  At a
     knot it is the spline's linear coefficient; the last knot, which
-    closes the last piece, is evaluated.
+    closes the last piece, is evaluated.  The composed exponent is the
+    slice fields' (``_seed_composition``).
     """
     theta, maps = path.seed.theta_grid, path.reparam
     h = theta[-1] - theta[-2]
@@ -477,8 +555,7 @@ def _measure_volume_form_deviation(path: MetricPath) -> float:
         c = CubicSpline(theta, maps[lo:lo + _ROW_CHUNK], axis=1).c
         dmap[lo:lo + _ROW_CHUNK, :-1] = c[2].T
         dmap[lo:lo + _ROW_CHUNK, -1] = (3.0 * c[0, -1] * h + 2.0 * c[1, -1]) * h + c[2, -1]
-    sqrt_det = (np.exp(2.0 * _compose_rows(theta, path.w, maps))
-                * np.sin(maps) * dmap)
+    sqrt_det = np.exp(2.0 * _seed_composition(path)[0]) * np.sin(maps) * dmap
     dt = float(path.t_grid[1] - path.t_grid[0])
     time_deriv = diff1_4th(sqrt_det[path.slice_of].T, dt).T
     return float(np.max(np.abs(time_deriv)))
@@ -634,25 +711,27 @@ def curvature_floor_along_path(path: MetricPath) -> float:
     """Minimum scalar curvature over every slice of the path.
 
     Read from the memoized slice fields (``slice_geometry``), the same
-    fields the collar's energy condition reads.  ``collar.select_route``
-    derives each constant-lapse curvature floor from it.
+    fields the collar's energy condition reads; the minimum is taken once,
+    when they are built.  ``collar.select_route`` derives each
+    constant-lapse curvature floor from it.
     """
-    return float(np.min(path.slice_fields.scalar_curvature))
+    return path.slice_fields.min_scalar_curvature
 
 
 def _composed_fields(path: MetricPath):
     """Composed conformal data of every distinct slice in the fixed area gauge.
 
     Returns exponent, curvature, map derivative and map arrays with one
-    row per row of ``path.w``: the conformal-gauge field evaluated along
-    the reparametrizing map.  The map derivative uses the chain rule
-    through the cumulative-area identity, dTheta/dtheta =
-    density0(theta) / density_t(Theta), the derivative of the exact map.
+    row per distinct slice: the conformal-gauge field evaluated along the
+    reparametrizing map, composed from the seed's row by
+    ``_seed_composition`` (no spline or Laplacian of a slice row).  The
+    map derivative uses the chain rule through the cumulative-area
+    identity, dTheta/dtheta = density0(theta) / density_t(Theta), the
+    derivative of the exact map.
     """
     theta = path.seed.theta_grid
     maps = path.reparam
-    exponent = _compose_rows(theta, path.w, maps)
-    curvature = _compose_rows(theta, _curvature_of(theta, path.w), maps)
+    exponent, curvature = _seed_composition(path)
     density0, _ = _cumulative_area_spline(theta, path.seed.w)
     density = np.exp(2.0 * exponent) * np.sin(maps)
     return exponent, curvature, _pole_parity_ratio(density0(theta), density), maps
@@ -748,8 +827,8 @@ def _eigen_path(path: MetricPath) -> EigenPath:
     theta = path.seed.theta_grid
     values, u_gauge, lap_round, modes, tail = _ground_states(theta, path.w)
     lap_gauge = np.exp(-2.0 * path.w) * lap_round
-    u_comp = _compose_rows(theta, u_gauge, path.reparam)[path.slice_of]
-    lap_comp = _compose_rows(theta, lap_gauge, path.reparam)[path.slice_of]
+    u_comp, lap_comp = (composed[path.slice_of] for composed in
+                        _compose_rows(theta, (u_gauge, lap_gauge), path.reparam))
 
     dt = float(path.t_grid[1] - path.t_grid[0])
     du_dt = diff1_4th(u_comp.T, dt).T

@@ -553,6 +553,28 @@ class TestExtendCommand:
         assert "PreconditionError: [stage: curvature-floor]" in err
         assert "stability hypothesis" in err and "min lambda1 = -0.238" in err
 
+    @pytest.mark.parametrize("amplitude,message", [
+        ("6", "slice volume radii drift"),
+        ("8", "cumulative area is not strictly increasing"),
+    ])
+    def test_seed_too_steep_for_the_grid_exits_with_construction_code(
+            self, capsys, amplitude, message):
+        # The default theta grid does not resolve these seeds' area gauge:
+        # a construction limit, not a fault of the input.
+        rc = cli_io.main(["extend", "--n", "2", "--seed-cos", amplitude, "--mass", "100",
+                          "--n-t", "65"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "ConstructionError: [stage: seed]" in err and message in err
+
+    def test_steep_seed_inside_the_grid_gets_the_stability_refusal(self, capsys):
+        rc = cli_io.main(["extend", "--n", "2", "--seed-cos", "4", "--mass", "100",
+                          "--n-t", "65"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "PreconditionError: [stage: curvature-floor]" in err
+        assert "stability hypothesis" in err
+
     def test_missing_required_flag_exits_with_usage_code(self, capsys):
         rc = cli_io.main(["extend", "--n", "2", "--r-o", "1.0"])
         assert rc == 2

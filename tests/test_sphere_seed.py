@@ -162,10 +162,9 @@ def test_knot_values_are_spline_coefficients(a, n_theta):
             c = spline.c[:, :, row]
             evaluated = sphere_seed._ppoly_at(c, idx, dx)
             assert evaluated[:-1].tobytes() == c[-1].tobytes()
-    knots = np.broadcast_to(theta, path.reparam.shape)
-    slope = CubicSpline(theta, path.reparam, axis=1).c[2].T
-    evaluated = sphere_seed._compose_rows(theta, path.reparam, knots, nu=1)
-    assert evaluated[:, :-1].tobytes() == slope.tobytes()
+    maps = CubicSpline(theta, path.reparam, axis=1)
+    evaluated = maps(theta, 1)
+    assert evaluated[:, :-1].tobytes() == maps.c[2].T.tobytes()
 
 
 def test_matching_runs_brentq_on_interior_columns_only(monkeypatch):
@@ -592,11 +591,24 @@ def _parity_fill(ratio):
     return ratio
 
 
+def _horner(c, at, dx, nu=0):
+    """Cubic pieces with coefficients c (highest power first) picked by the
+    index tuple ``at``, at offsets dx; their derivative for nu = 1."""
+    c3, c2, c1, c0 = (c[i][at] for i in range(4))
+    if nu:
+        return (3.0 * c3 * dx + 2.0 * c2) * dx + c1
+    return ((c3 * dx + c2) * dx + c1) * dx + c0
+
+
 def _per_sample_fields(path):
     """Slice fields, eigen fields and volume-form deviation of a path built
     t sample by t sample: one metric per sample, every per-slice stage run
-    on each of them, as before the path kept one row per distinct slice."""
-    theta = path.seed.theta_grid
+    on each of them, as before the path kept one row per distinct slice.
+
+    Sample k's exponent is (1 - ramp_k) w + d_k for the seed's w and the
+    sample's dilation d_k, so its exponent and curvature are read from
+    splines of w and of Laplacian(w) at the sample's map."""
+    seed, theta = path.seed, path.seed.theta_grid
     n_t = path.t_grid.size
     dt = float(path.t_grid[1] - path.t_grid[0])
     metrics = slice_metrics(path)
@@ -604,13 +616,21 @@ def _per_sample_fields(path):
     w_rows = np.array([metric.w for metric in metrics])
     compose = sphere_seed._compose_rows
 
+    scale = (1.0 - sphere_seed._time_clamp(path.t_grid, path.theta_switch))[:, None]
+    dilation = path.shift[path.slice_of][:, None]
+    idx, dx = sphere_seed._intervals(theta, maps)
+    s_w, s_lap = (_horner(CubicSpline(theta, row).c, (idx,), dx)
+                  for row in (seed.w, sphere_seed._laplacian_axisym(theta, seed.w)))
+    exponent = scale * s_w + dilation
+    curvature = np.exp(-2.0 * exponent) * (1.0 - scale * s_lap)
+
     knots = np.broadcast_to(theta, maps.shape)
-    area_form = (np.exp(2.0 * compose(theta, w_rows, maps)) * np.sin(maps)
-                 * compose(theta, maps, knots, nu=1))
+    knot_idx, knot_dx = sphere_seed._intervals(theta, knots)
+    map_slope = _horner(CubicSpline(theta, maps, axis=1).c,
+                        (knot_idx, np.arange(n_t)[:, None]), knot_dx, nu=1)
+    area_form = np.exp(2.0 * exponent) * np.sin(maps) * map_slope
     deviation = float(np.max(np.abs(diff1_4th(area_form.T, dt).T)))
 
-    exponent = compose(theta, w_rows, maps)
-    curvature = compose(theta, sphere_seed._curvature_of(theta, w_rows), maps)
     density0, _ = sphere_seed._cumulative_area_spline(theta, metrics[0].w)
     base_density = density0(theta)
     dmap = np.empty_like(maps)
@@ -633,13 +653,16 @@ def _per_sample_fields(path):
         "trace_gprime": ratio_a + ratio_b,
     }
 
+    # u and its Laplacian composed in separate passes; the path composes
+    # them in one.
     values, u_gauge, lap_round, _, _ = sphere_seed._ground_states(theta, w_rows)
-    u_comp = compose(theta, u_gauge, maps)
+    [u_comp] = compose(theta, (u_gauge,), maps)
+    [lap_comp] = compose(theta, (np.exp(-2.0 * w_rows) * lap_round,), maps)
     eigen = {
         "lambda1": values,
         "u": u_comp,
         "du_dt": diff1_4th(u_comp.T, dt).T,
-        "laplace_u": compose(theta, np.exp(-2.0 * w_rows) * lap_round, maps),
+        "laplace_u": lap_comp,
     }
     return deviation, geometry, eigen
 
@@ -691,10 +714,15 @@ def test_normalize_path_builds_no_slice_metrics(cos_seed, monkeypatch):
     (lambda path: {"n": 3}, "n = 2"),
     (lambda path: {"slice_of": path.slice_of + 1}, "row of w for every t sample"),
     (lambda path: {"reparam": path.reparam[:, :-1]}, "one row per distinct slice"),
-    (lambda path: {"w": path.w * np.nan}, "finite"),
-    # Every sample on the seed's row, which is not round.
+    (lambda path: {"shift": path.shift[:-1]}, "one row per distinct slice"),
+    (lambda path: {"scale": path.scale * np.nan}, "finite"),
+    (lambda path: {"shift": path.shift * np.nan}, "finite"),
+    # Every row a full copy of the seed, which is not round.
+    (lambda path: {"scale": np.ones_like(path.scale)}, "not round"),
+    # Every sample on the seed's row.
     (lambda path: {"slice_of": np.zeros_like(path.slice_of)}, "not round"),
-], ids=["n-3", "slice-of-out-of-range", "reparam-shape", "non-finite-w", "non-round-tail"])
+], ids=["n-3", "slice-of-out-of-range", "reparam-shape", "shift-shape", "non-finite-scale",
+        "non-finite-shift", "non-round-scale", "non-round-tail"])
 def test_axisym_path_validation(cos_path, change, message):
     with pytest.raises(DomainError, match=message):
         dataclasses.replace(cos_path, **change(cos_path))
@@ -703,6 +731,10 @@ def test_axisym_path_validation(cos_path, change, message):
 def test_axisym_path_arrays_are_read_only(cos_path):
     with pytest.raises(ValueError):
         cos_path.w[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        cos_path.scale[0] = 1.0
+    with pytest.raises(ValueError):
+        cos_path.shift[0] = 1.0
     with pytest.raises(ValueError):
         cos_path.reparam[0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -716,4 +748,114 @@ def test_axisym_path_slices_must_keep_the_seed_area(n_theta, shift):
     seed = axisym_metric_from_function(lambda t: 0.3 * np.cos(t), n_theta=n_theta)
     path = normalize_path(seed, n_t=65)
     with pytest.raises(DomainError, match="volume radii drift"):
-        dataclasses.replace(path, w=path.w + shift)
+        dataclasses.replace(path, shift=path.shift + shift)
+
+
+@pytest.mark.parametrize("a", [0.62, -0.7])
+def test_path_w_is_the_seed_blend(a):
+    # Row j is (1 - l_j) w + d_j for ramp level l_j and the dilation d_j
+    # that restores the seed's area, bit for bit as built before the path
+    # stored the blend.
+    seed = axisym_metric_from_function(lambda t: a * np.cos(t))
+    path = normalize_path(seed, n_t=129)
+    levels = np.unique(sphere_seed._time_clamp(path.t_grid, path.theta_switch))
+    _, cumulative0 = sphere_seed._cumulative_area_spline(seed.theta_grid, seed.w)
+    total0 = float(cumulative0(math.pi))
+    dilation = np.array([
+        0.5 * math.log(total0 / float(sphere_seed._cumulative_area_spline(
+            seed.theta_grid, (1.0 - level) * seed.w)[1](math.pi)))
+        for level in levels])
+    assert np.array_equal(path.scale, 1.0 - levels)
+    assert np.array_equal(path.shift, dilation)
+    assert np.array_equal(path.w, (1.0 - levels)[:, None] * seed.w + dilation[:, None])
+    assert path.w is path.w
+    # The tail is round because its rows hold none of the seed.
+    assert np.all(path.scale[path.slice_of[path.t_grid >= path.theta_switch]] == 0.0)
+
+
+@pytest.mark.parametrize("a", [0.3, 0.62, -0.7])
+def test_composed_curvature_matches_closed_form(a):
+    # For w = a cos(theta), row j has exponent s_j a cos + d_j and Laplacian
+    # -2 s_j a cos, so at its map Theta the curvature is
+    # exp(-2 (s_j a cos Theta + d_j)) (1 + 2 s_j a cos Theta).  One-sided
+    # stencils at the poles leave more error there than inside.
+    path = normalize_path(axisym_metric_from_function(lambda t: a * np.cos(t)), n_t=129)
+    _, curvature, _, maps = sphere_seed._composed_fields(path)
+    x = path.scale[:, None] * a * np.cos(maps)
+    exact = np.exp(-2.0 * (x + path.shift[:, None])) * (1.0 + 2.0 * x)
+    error = np.abs(curvature - exact)
+    assert np.max(error[:, [0, -1]]) <= 2.5e-9
+    assert np.max(error[:, 1:-1]) <= 5e-10
+    fields = slice_geometry(path)
+    assert np.array_equal(fields.scalar_curvature, 2.0 * curvature[path.slice_of])
+
+
+def test_slice_fields_compose_from_the_seed_row(cos_seed, monkeypatch):
+    # Every slice is a blend of the seed, so the slice fields take one
+    # Laplacian, of the seed's row, and build only one-row splines.
+    path = normalize_path(cos_seed, n_t=129)
+    laplacians, splines = [], []
+
+    def counting_laplacian(theta, values, original=sphere_seed._laplacian_axisym):
+        laplacians.append(np.shape(values))
+        return original(theta, values)
+
+    def counting_spline(x, y, *args, original=sphere_seed.CubicSpline, **kwargs):
+        splines.append(np.shape(y))
+        return original(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(sphere_seed, "_laplacian_axisym", counting_laplacian)
+    monkeypatch.setattr(sphere_seed, "CubicSpline", counting_spline)
+    slice_geometry(path)
+    assert laplacians == [cos_seed.theta_grid.shape]
+    assert splines and all(shape == cos_seed.theta_grid.shape for shape in splines)
+
+
+@pytest.mark.parametrize("make_path", [
+    lambda: round_path(2, 1.3, n_t=65),
+    lambda: round_path(3, 0.8, n_t=65),
+    lambda: cos_route_path(0.62),
+], ids=["round-2", "round-3", "cos-0.62"])
+def test_slice_field_extremes_are_taken_once(make_path, monkeypatch):
+    path = make_path()
+    fields = slice_geometry(path)
+    assert fields.min_scalar_curvature == float(np.min(fields.scalar_curvature))
+    assert fields.max_gprime_sq == float(np.max(fields.gprime_sq))
+    # Readers take the memoized minimum; none reduces the arrays again.
+    reductions = []
+    monkeypatch.setattr(np, "min", lambda *args, **kwargs: reductions.append(args))
+    assert curvature_floor_along_path(path) == fields.min_scalar_curvature
+    assert reductions == []
+
+
+def test_eigen_fields_share_one_interval_lookup_per_chunk(cos_seed, monkeypatch):
+    # u and its Laplacian are composed in one pass: 95 rows are two chunks.
+    path = normalize_path(cos_seed, n_t=129)
+    lookups = []
+
+    def counting(theta, x, original=sphere_seed._intervals):
+        lookups.append(x.shape)
+        return original(theta, x)
+
+    monkeypatch.setattr(sphere_seed, "_intervals", counting)
+    eigen_along_path(path)
+    assert lookups == [(64, cos_seed.theta_grid.size), (31, cos_seed.theta_grid.size)]
+
+
+def test_seed_too_steep_for_the_area_gauge_is_a_construction_error():
+    # The slice areas of 6 cos(theta) drift past the bound on the default
+    # theta grid: a limit of the grid, not a fault of the seed.
+    seed = axisym_metric_from_function(lambda t: 6.0 * np.cos(t))
+    with pytest.raises(ConstructionError, match="volume radii drift") as info:
+        normalize_path(seed, n_t=65)
+    diagnostics = info.value.diagnostics
+    assert diagnostics["drift"] > diagnostics["bound"] > 0.0
+
+
+def test_seed_too_steep_for_the_cumulative_area_is_a_construction_error():
+    seed = axisym_metric_from_function(lambda t: 8.0 * np.cos(t))
+    with pytest.raises(ConstructionError, match="not strictly increasing") as info:
+        normalize_path(seed, n_t=65)
+    diagnostics = info.value.diagnostics
+    assert diagnostics["row"] == 0 and 0 < diagnostics["column"] < seed.theta_grid.size
+    assert diagnostics["theta"] == seed.theta_grid[diagnostics["column"]]

@@ -29,7 +29,7 @@ from scipy.fft import dct
 from scipy.interpolate import CubicSpline
 
 from .errors import ConstructionError, DomainError
-from .numutil import diff1_4th, diff2_4th, simpson_uniform, smooth_step
+from .numutil import diff1_4th, simpson_uniform, smooth_step
 from .quasilocal import unit_sphere_volume
 
 __all__ = [
@@ -293,20 +293,17 @@ def _radius_drift(seed: AxisymConformalMetric, w: np.ndarray) -> tuple[float, fl
 
 
 def _laplacian_axisym(theta: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Round-sphere Laplacian of an axisymmetric function from samples.
+    """Round-sphere Laplacian of a pole-regular axisymmetric row.
 
-    Computes f'' + cot(theta) f' with fourth-order differences along the
-    last axis; at the poles the limit is 2 f''(pole) for pole-regular data.
+    In x = cos(theta) the Laplacian is ((1 - x^2) f_x)_x.  It is taken on
+    the row's Chebyshev series (``_chebyshev_series``, the series the eigen
+    solve reads): differentiate, multiply by 1 - x^2 = (T_0 - T_2) / 2,
+    differentiate again and sum at cos(theta).  Pole-regular data are
+    smooth in x, so the poles need no closure of their own.
     """
-    dtheta = float(theta[1] - theta[0])
-    d1 = diff1_4th(values, dtheta)
-    d2 = diff2_4th(values, dtheta)
-    out = np.empty_like(values)
-    out[..., 1:-1] = (d2[..., 1:-1]
-                      + d1[..., 1:-1] * (np.cos(theta[1:-1]) / np.sin(theta[1:-1])))
-    out[..., 0] = 2.0 * d2[..., 0]
-    out[..., -1] = 2.0 * d2[..., -1]
-    return out
+    cheb = np.polynomial.chebyshev
+    flux = cheb.chebmul(cheb.chebder(_chebyshev_series(values)), (0.5, 0.0, -0.5))
+    return cheb.chebval(np.cos(theta), cheb.chebder(flux))
 
 
 def gaussian_curvature(metric: AxisymConformalMetric) -> np.ndarray:
@@ -360,28 +357,35 @@ def _ppoly_at(c: np.ndarray, flat: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return value
 
 
-def _match_cumulative_areas(theta, w_rows, base, total0):
-    """Reparametrizing maps matching each slice's area to the seed's.
+def _match_cumulative_areas(seed: AxisymConformalMetric, w_rows: np.ndarray):
+    """Reparametrizing maps and dilations matching each slice's area to the seed's.
 
     For exponent row w_k with cumulative area C_k (antiderivative of the
-    not-a-knot spline of e^(2w_k) sin(theta)), solve
-    C_k(x) = base * C_k(pi) / total0 at every theta sample, where base is
-    the seed's cumulative area on the grid and total0 its total.  Splines
-    are built per chunk of rows; their values at the knots are their
-    constant coefficients, and only the last knot is evaluated.  Newton
-    steps from piecewise-linear guesses run on a whole chunk at once;
-    interior points they leave off by more than 1e-12 of the total are
-    bracketed by brentq on the row's own spline (the end points are 0 and
-    pi).  Returns the maps and the totals C_k(pi).  The residual area-form
-    deviation is measured on first read of the path's, not here.  A
-    cumulative area that does not increase strictly over the knots is a
-    density the theta grid does not resolve: ConstructionError, naming the
-    row and column.
+    not-a-knot spline of e^(2w_k) sin(theta)), the dilation
+    0.5 log(C_0(pi) / C_k(pi)) brings its total back to the seed's C_0(pi),
+    and the map solves C_k(x) = C_0(theta) * C_k(pi) / C_0(pi) at every
+    theta sample.  Splines are built per chunk of rows; their values at the
+    knots are their constant coefficients, and only the last knot is
+    evaluated.  Newton steps from piecewise-linear guesses run on a whole
+    chunk at once; interior points they leave off by more than 1e-12 of the
+    total are bracketed by brentq on the row's own spline (the end points
+    are 0 and pi).  Returns the maps and the dilations.  The residual
+    area-form deviation is measured on first read of the path's, not here.
+
+    Each chunk is checked before its Newton steps; a seed too steep for the
+    theta grid fails with ConstructionError when a cumulative area does not
+    increase strictly over the knots (diagnostics ``row``, ``column``,
+    ``theta``), or when the dilated slices' volume radii drift past
+    ``_radius_drift``'s bound (``drift`` and ``bound`` of the first chunk
+    past it).
     """
     from scipy.optimize import brentq
 
+    theta = seed.theta_grid
+    _, cumulative0 = _cumulative_area_spline(theta, seed.w)
+    base, total0 = cumulative0(theta), float(cumulative0(math.pi))
     maps = np.empty(w_rows.shape)
-    totals = np.empty(w_rows.shape[0])
+    shift = np.empty(w_rows.shape[0])
     for lo in range(0, w_rows.shape[0], _ROW_CHUNK):
         chunk = slice(lo, lo + _ROW_CHUNK)
         density = CubicSpline(theta, np.exp(2.0 * w_rows[chunk]) * np.sin(theta), axis=1)
@@ -406,6 +410,14 @@ def _match_cumulative_areas(theta, w_rows, base, total0):
                 f"column {col}: the theta grid does not resolve the area density",
                 diagnostics={"row": row, "column": col, "theta": float(theta[col])},
             )
+        shift[chunk] = [0.5 * math.log(total0 / row_total) for row_total in total[:, 0]]
+        drift, bound = _radius_drift(seed, w_rows[chunk] + shift[chunk, None])
+        if drift > bound:
+            raise ConstructionError(
+                f"slice volume radii drift by {drift!r}, above the bound {bound!r}: the "
+                "theta grid does not resolve the seed's area gauge",
+                diagnostics={"drift": drift, "bound": bound},
+            )
         targets = base * (total / total0)
         x = np.array([np.interp(row, grid, theta) for row, grid in zip(targets, samples)])
         slope_floor = 1e-12 * np.maximum(density.c[-1].max(axis=0)[:, None], last_density)
@@ -425,8 +437,7 @@ def _match_cumulative_areas(theta, w_rows, base, total0):
         x[:, 0] = 0.0
         x[:, -1] = math.pi
         maps[chunk] = x
-        totals[chunk] = total[:, 0]
-    return maps, totals
+    return maps, shift
 
 
 def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> MetricPath:
@@ -447,13 +458,11 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
     and eigen fields, which only some collar routes read, are computed on
     demand and memoized on the returned path.
 
-    A seed too steep for the theta grid fails with ConstructionError: its
-    cumulative area stops increasing (``_match_cumulative_areas``), or the
-    slice areas drift from the seed's beyond the bound that a
-    hand-built ``MetricPath`` is refused for (diagnostics ``drift`` and
-    ``bound``).
+    A seed too steep for the theta grid fails with ConstructionError in
+    ``_match_cumulative_areas``, before any map is inverted: its cumulative
+    area stops increasing, or the slice areas drift from the seed's beyond
+    the bound that a hand-built ``MetricPath`` is refused for.
     """
-    theta = seed.theta_grid
     t_grid = np.linspace(0.0, 1.0, n_t)
     ramp = _time_clamp(t_grid, _THETA_SWITCH)
 
@@ -466,23 +475,9 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
             round_radius=seed.volume_radius,
         )
 
-    _, cumulative0 = _cumulative_area_spline(theta, seed.w)
-    total0 = float(cumulative0(math.pi))
     levels, slice_of = np.unique(ramp, return_inverse=True)
     scale = 1.0 - levels
-    w_raw = scale[:, None] * seed.w
-    # Cumulative matching for the dilated metric reduces to matching the
-    # undilated cumulative against a rescaled target.
-    maps, totals = _match_cumulative_areas(theta, w_raw, cumulative0(theta), total0)
-    # Dilations bringing each slice area back to the seed area.
-    shift = np.array([0.5 * math.log(total0 / total) for total in totals])
-    drift, bound = _radius_drift(seed, w_raw + shift[:, None])
-    if drift > bound:
-        raise ConstructionError(
-            f"slice volume radii drift by {drift!r}, above the bound {bound!r}: the theta "
-            "grid does not resolve the seed's area gauge",
-            diagnostics={"drift": drift, "bound": bound},
-        )
+    maps, shift = _match_cumulative_areas(seed, scale[:, None] * seed.w)
     return MetricPath(
         n=2,
         t_grid=t_grid,
@@ -520,7 +515,8 @@ def _seed_composition(path: MetricPath):
 
     Row j is the blend scale_j w + shift_j of the seed's w, so its
     not-a-knot spline is the same blend of w's spline S_w, and its
-    Laplacian is scale_j Laplacian(w), taken on the seed row.  With S_lap
+    Laplacian is scale_j Laplacian(w), taken once on the seed row's
+    Chebyshev series (``_laplacian_axisym``).  With S_lap
     the spline of that Laplacian and one interval lookup at the maps
     Theta_j, exponent_j = scale_j S_w(Theta_j) + shift_j and curvature_j =
     e^(-2 exponent_j) (1 - scale_j S_lap(Theta_j)).
@@ -591,9 +587,10 @@ def _chebyshev_series(rows: np.ndarray) -> np.ndarray:
     uniform theta grid, which is the Chebyshev-Lobatto grid in x.
 
     Pole-regular axisymmetric data are smooth functions of x, so the
-    series converges spectrally.  Trailing coefficients at the rounding
-    level of a row (16 eps times its largest sample) are set to zero, and
-    the columns past every row's last kept coefficient are dropped.
+    series converges spectrally; the eigen solve and ``_laplacian_axisym``
+    read it.  Trailing coefficients at the rounding level of a row (16 eps
+    times its largest sample) are set to zero, and the columns past every
+    row's last kept coefficient are dropped.
     """
     size = rows.shape[-1]
     coeffs = dct(rows, type=1, axis=-1) / (size - 1)

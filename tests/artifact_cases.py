@@ -59,7 +59,19 @@ CASES = [
                         "--grid-out", "grid.csv", "--hawking-out", "hawking.csv"]),
     ("extend-n3", ["extend", "--n", "3", "--r-o", "1.0", "--q", "0.1",
                    "--lambda", "-1.5", "--mass", "0.65"]),
+    ("extend-csv-0.3", ["extend", "--n", "2", "--seed-csv", "seed.csv", "--mass", "0.7"]),
 ]
+
+
+def _cos_seed_csv(a: float, samples: int = 41) -> str:
+    """A ``--seed-csv`` file sampling a cos(theta) at uniform polar angles."""
+    thetas = (math.pi * k / (samples - 1) for k in range(samples))
+    return "\n".join(["theta,w"] + [f"{t!r},{a * math.cos(t)!r}" for t in thetas]) + "\n"
+
+
+# Input files of a case, written into its directory before it runs, so its
+# argv names them relatively and its echoed config is byte-stable.
+INPUTS = {"extend-csv-0.3": {"seed.csv": _cos_seed_csv(0.3)}}
 
 
 def write_cases(outdir) -> None:
@@ -70,6 +82,8 @@ def write_cases(outdir) -> None:
     for name, argv in CASES:
         case_dir = Path(outdir, name)
         case_dir.mkdir(parents=True, exist_ok=True)
+        for file, text in INPUTS.get(name, {}).items():
+            (case_dir / file).write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         os.chdir(case_dir)
         try:

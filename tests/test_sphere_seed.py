@@ -39,6 +39,19 @@ def cos_path(cos_seed):
     return normalize_path(cos_seed, n_t=129)
 
 
+@pytest.fixture
+def brentq_roots(monkeypatch):
+    """Roots of every scipy.optimize.brentq call the test makes."""
+    roots = []
+
+    def counting(*args, original=brentq, **kwargs):
+        roots.append(original(*args, **kwargs))
+        return roots[-1]
+
+    monkeypatch.setattr("scipy.optimize.brentq", counting)
+    return roots
+
+
 def metric_at(path, k):
     """The slice metric of a normalized path at t sample k."""
     return AxisymConformalMetric(theta_grid=path.seed.theta_grid, w=path.w[path.slice_of[k]])
@@ -71,7 +84,17 @@ def test_gaussian_curvature_cosine_closed_form():
     metric = axisym_metric_from_function(lambda t: 0.1 * np.cos(t))
     theta = metric.theta_grid
     expected = np.exp(-0.2 * np.cos(theta)) * (1.0 + 0.2 * np.cos(theta))
-    assert np.max(np.abs(gaussian_curvature(metric) - expected)) < 1e-8
+    assert np.max(np.abs(gaussian_curvature(metric) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("n_theta", [257, 1025])
+@pytest.mark.parametrize("tau", [0.3, 1.0])
+def test_gaussian_curvature_of_the_dilation_seed_is_one(tau, n_theta):
+    # A conformal dilation of the unit sphere has K = 1 everywhere, the
+    # poles included: the Laplacian has no pole closure of its own.
+    seed = axisym_metric_from_function(
+        lambda t: -np.log(math.cosh(tau) - math.sinh(tau) * np.cos(t)), n_theta=n_theta)
+    assert np.max(np.abs(gaussian_curvature(seed) - 1.0)) <= 1e-10
 
 
 def test_gaussian_curvature_refined_grid_oracle():
@@ -167,28 +190,19 @@ def test_knot_values_are_spline_coefficients(a, n_theta):
     assert evaluated[:, :-1].tobytes() == maps.c[2].T.tobytes()
 
 
-def test_matching_runs_brentq_on_interior_columns_only(monkeypatch):
-    roots = []
-
-    def counting(*args, original=brentq, **kwargs):
-        roots.append(original(*args, **kwargs))
-        return roots[-1]
-
-    monkeypatch.setattr("scipy.optimize.brentq", counting)
+def test_matching_runs_brentq_on_interior_columns_only(brentq_roots):
     # Newton leaves the pi column of the edge seed's slices off, where the
     # density slope goes to 0; that column is pi by definition.
     normalize_path(axisym_metric_from_function(lambda t: 1.4192871310 * np.cos(t),
                                                n_theta=257), n_t=129)
-    assert roots == []
+    assert brentq_roots == []
     # A steep exponent on a coarse grid leaves interior points to brentq;
     # every root lands in the returned map.
-    theta = np.linspace(0.0, math.pi, 33)
-    rows = np.linspace(1.0, 0.0, 9)[:, None] * (2.0 * np.cos(theta))
-    _, cumulative = sphere_seed._cumulative_area_spline(theta, rows[0])
-    maps, _ = sphere_seed._match_cumulative_areas(
-        theta, rows, cumulative(theta), float(cumulative(math.pi)))
-    assert roots
-    assert all(np.any(maps[:, 1:-1] == root) for root in roots)
+    seed = axisym_metric_from_function(lambda t: 2.0 * np.cos(t), n_theta=65)
+    rows = np.linspace(1.0, 0.0, 9)[:, None] * seed.w
+    maps, _ = sphere_seed._match_cumulative_areas(seed, rows)
+    assert brentq_roots
+    assert all(np.any(maps[:, 1:-1] == root) for root in brentq_roots)
 
 
 def _reference_normalization(seed, n_t, theta_switch=0.75):
@@ -444,8 +458,7 @@ def test_curvature_floor_negative_curvature_rule():
 @pytest.mark.parametrize("a", [0.3, 0.62, -0.7])
 def test_slice_curvature_minimum_matches_the_gauge_curvature(a):
     # The slice fields compose the gauge curvature with the area maps; the
-    # minimum sits at a pole, where the one-sided stencils of the gauge
-    # curvature cancel to about 1e-9 relative.
+    # minimum sits at a pole.
     path = cos_route_path(a)
     gauge = min(float(np.min(gaussian_curvature(metric))) for metric in slice_metrics(path))
     assert math.isclose(curvature_floor_along_path(path), 2.0 * gauge, rel_tol=1e-8)
@@ -777,15 +790,14 @@ def test_path_w_is_the_seed_blend(a):
 def test_composed_curvature_matches_closed_form(a):
     # For w = a cos(theta), row j has exponent s_j a cos + d_j and Laplacian
     # -2 s_j a cos, so at its map Theta the curvature is
-    # exp(-2 (s_j a cos Theta + d_j)) (1 + 2 s_j a cos Theta).  One-sided
-    # stencils at the poles leave more error there than inside.
+    # exp(-2 (s_j a cos Theta + d_j)) (1 + 2 s_j a cos Theta).
     path = normalize_path(axisym_metric_from_function(lambda t: a * np.cos(t)), n_t=129)
     _, curvature, _, maps = sphere_seed._composed_fields(path)
     x = path.scale[:, None] * a * np.cos(maps)
     exact = np.exp(-2.0 * (x + path.shift[:, None])) * (1.0 + 2.0 * x)
     error = np.abs(curvature - exact)
-    assert np.max(error[:, [0, -1]]) <= 2.5e-9
-    assert np.max(error[:, 1:-1]) <= 5e-10
+    assert np.max(error[:, [0, -1]]) <= 1e-11
+    assert np.max(error[:, 1:-1]) <= 1e-11
     fields = slice_geometry(path)
     assert np.array_equal(fields.scalar_curvature, 2.0 * curvature[path.slice_of])
 
@@ -842,14 +854,17 @@ def test_eigen_fields_share_one_interval_lookup_per_chunk(cos_seed, monkeypatch)
     assert lookups == [(64, cos_seed.theta_grid.size), (31, cos_seed.theta_grid.size)]
 
 
-def test_seed_too_steep_for_the_area_gauge_is_a_construction_error():
+def test_seed_too_steep_for_the_area_gauge_is_a_construction_error(brentq_roots):
     # The slice areas of 6 cos(theta) drift past the bound on the default
-    # theta grid: a limit of the grid, not a fault of the seed.
+    # theta grid: a limit of the grid, not a fault of the seed.  The drift
+    # reads only each row's total, so the first chunk past the bound is
+    # refused before its maps are inverted: no brentq fallback runs.
     seed = axisym_metric_from_function(lambda t: 6.0 * np.cos(t))
     with pytest.raises(ConstructionError, match="volume radii drift") as info:
         normalize_path(seed, n_t=65)
     diagnostics = info.value.diagnostics
     assert diagnostics["drift"] > diagnostics["bound"] > 0.0
+    assert brentq_roots == []
 
 
 def test_seed_too_steep_for_the_cumulative_area_is_a_construction_error():

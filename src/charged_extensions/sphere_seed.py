@@ -28,8 +28,8 @@ import numpy as np
 from scipy.fft import dct
 from scipy.interpolate import CubicSpline
 
-from .errors import ConstructionError, DomainError
-from .numutil import diff1_4th, simpson_uniform, smooth_step
+from .errors import ConstructionError, DomainError, InternalConsistencyError
+from .numutil import _D1_EDGE, diff1_4th, simpson_uniform, smooth_step
 from .quasilocal import unit_sphere_volume
 
 __all__ = [
@@ -51,6 +51,9 @@ __all__ = [
 _DEFAULT_N_THETA = 1025
 _DEFAULT_N_T = 513
 _POLE_TOL = 1e-6
+# Step tolerance (a few ulps of pi) and step cap of the area-map inversion.
+_STEP_TOL = 4.0 * float(np.spacing(math.pi))
+_MAX_STEPS = 64
 # Path time from which normalize_path and round_path hold every slice
 # round and fixed.
 _THETA_SWITCH = 0.75
@@ -62,7 +65,8 @@ class AxisymConformalMetric:
 
     The exponent w is sampled on a uniform theta grid over [0, pi] with
     both endpoints included.  Pole regularity (w'(0) = w'(pi) = 0 up to
-    grid tolerance) is enforced on construction.
+    1e-6 (1 + max|w'|) plus the one-sided stencil's truncation error
+    |d_2h - d_h| / 15) is enforced on construction.
     """
 
     theta_grid: np.ndarray
@@ -85,12 +89,12 @@ class AxisymConformalMetric:
         object.__setattr__(self, "theta_grid", theta)
         object.__setattr__(self, "w", w)
         dw = diff1_4th(w, float(steps[0]))
-        scale = _POLE_TOL * (1.0 + float(np.max(np.abs(dw))))
-        if abs(dw[0]) > scale or abs(dw[-1]) > scale:
+        poles = dw[[0, -1]]
+        coarse = np.array([w[:9:2], -w[::-1][:9:2]]) @ _D1_EDGE[0] / (2.0 * steps[0])
+        scale = _POLE_TOL * (1.0 + float(np.max(np.abs(dw)))) + np.abs(coarse - poles) / 15.0
+        if np.any(np.abs(poles) > scale):
             raise DomainError(
-                "pole-irregular exponent: w'(0) = "
-                f"{dw[0]!r}, w'(pi) = {dw[-1]!r}"
-            )
+                f"pole-irregular exponent: w'(0) = {dw[0]!r}, w'(pi) = {dw[-1]!r}")
 
     @property
     def theta_step(self) -> float:
@@ -316,13 +320,6 @@ def _time_clamp(t: np.ndarray, theta_switch: float) -> np.ndarray:
     return smooth_step(np.asarray(t, dtype=float) / theta_switch)
 
 
-def _cumulative_area_spline(theta: np.ndarray, w: np.ndarray):
-    """Spline of the area integrand e^(2w) sin(theta) and its antiderivative."""
-    integrand = np.exp(2.0 * w) * np.sin(theta)
-    density = CubicSpline(theta, integrand)
-    return density, density.antiderivative()
-
-
 # Rows per batched spline construction: large enough to amortize the
 # per-call cost, small enough that the coefficient arrays stay a few MB.
 _ROW_CHUNK = 64
@@ -342,67 +339,85 @@ def _intervals(theta: np.ndarray, x: np.ndarray):
     return idx, x - theta[idx]
 
 
-def _ppoly_at(c: np.ndarray, flat: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Piecewise polynomials at offsets dx into the pieces numbered flat.
-
-    c holds PPoly coefficients, highest power first, of shape
-    (order, pieces).  The power sum runs in PPoly's own order, so every
-    value equals the evaluation of a PPoly holding that piece.
-    """
-    value = c[-1].take(flat)
-    power = dx
+def _cumulative_area_pieces(theta: np.ndarray, w_rows: np.ndarray):
+    """PPoly coefficients, shape (5, intervals, rows), of each row's cumulative
+    area (the antiderivative of the not-a-knot spline of e^(2w) sin(theta)),
+    and its knot values, shape (rows, knots): the constant coefficients, then
+    the last piece summed at its end in PPoly's power order, so each equals
+    PPoly's own evaluation bit for bit."""
+    c = CubicSpline(theta, np.exp(2.0 * w_rows) * np.sin(theta), axis=1).antiderivative().c
+    h = theta[-1] - theta[-2]
+    last, power = c[-1, -1], h
     for k in range(c.shape[0] - 2, -1, -1):
-        value = value + c[k].take(flat) * power
-        power = power * dx
-    return value
+        last, power = last + c[k, -1] * power, power * h
+    return c, np.concatenate([c[-1].T, last[:, None]], axis=1)
+
+
+def _invert_on_pieces(theta: np.ndarray, c: np.ndarray, knots: np.ndarray,
+                      targets: np.ndarray) -> np.ndarray:
+    """x with each row's cumulative area (``_cumulative_area_pieces``) at its targets.
+
+    The knot values bracket each target in one knot interval, whose quartic
+    is gathered once.  Newton solves for the offset dx into it, bisecting the
+    bracket [lo, hi] when a step leaves it, until no point moves by more than
+    ``_STEP_TOL``.  Still moving after ``_MAX_STEPS`` steps, or a residual
+    above 1e-12 of the row's total, raises InternalConsistencyError.
+    """
+    idx = np.array([np.searchsorted(row, t, side="right") for row, t in zip(knots, targets)])
+    idx = np.minimum(idx - 1, theta.size - 2)
+    row = np.arange(idx.shape[0])[:, None]
+    c4, c3, c2, c1, knot = (coef[idx, row] for coef in c)
+    rise = targets - knot
+    lo, hi = np.zeros(idx.shape), theta[idx + 1] - theta[idx]
+    dx = hi * (rise / (knots[row, idx + 1] - knot))
+
+    def residual(dx):
+        return dx * (c1 + dx * (c2 + dx * (c3 + dx * c4))) - rise
+
+    for _ in range(_MAX_STEPS):
+        resid = residual(dx)
+        lo, hi = np.where(resid < 0.0, dx, lo), np.where(resid > 0.0, dx, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = dx - resid / (c1 + dx * (2.0 * c2 + dx * (3.0 * c3 + dx * 4.0 * c4)))
+        step = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+        moved, dx = float(np.max(np.abs(step - dx))), step
+        if moved <= _STEP_TOL:
+            break
+    worst = float(np.max(np.abs(residual(dx)) / knots[:, -1:]))
+    if moved > _STEP_TOL or worst > 1e-12:
+        raise InternalConsistencyError(
+            f"area map inversion left a residual of {worst!r} of the total, its last "
+            f"step moving by {moved!r}")
+    return theta[idx] + dx
 
 
 def _match_cumulative_areas(seed: AxisymConformalMetric, w_rows: np.ndarray):
     """Reparametrizing maps and dilations matching each slice's area to the seed's.
 
-    For exponent row w_k with cumulative area C_k (antiderivative of the
-    not-a-knot spline of e^(2w_k) sin(theta)), the dilation
-    0.5 log(C_0(pi) / C_k(pi)) brings its total back to the seed's C_0(pi),
-    and the map solves C_k(x) = C_0(theta) * C_k(pi) / C_0(pi) at every
-    theta sample.  Splines are built per chunk of rows; their values at the
-    knots are their constant coefficients, and only the last knot is
-    evaluated.  Newton steps from piecewise-linear guesses run on a whole
-    chunk at once; interior points they leave off by more than 1e-12 of the
-    total are bracketed by brentq on the row's own spline (the end points
-    are 0 and pi).  Returns the maps and the dilations.  The residual
-    area-form deviation is measured on first read of the path's, not here.
+    For exponent row w_k with cumulative area C_k (``_cumulative_area_pieces``),
+    the dilation 0.5 log(C_0(pi) / C_k(pi)) brings its total back to the
+    seed's C_0(pi), and the map solves C_k(x) = C_0(theta) * C_k(pi) / C_0(pi)
+    at every interior theta sample (``_invert_on_pieces``); the end points
+    are 0 and pi.  Splines are built per chunk of rows.  Returns the maps
+    and the dilations.
 
-    Each chunk is checked before its Newton steps; a seed too steep for the
-    theta grid fails with ConstructionError when a cumulative area does not
-    increase strictly over the knots (diagnostics ``row``, ``column``,
-    ``theta``), or when the dilated slices' volume radii drift past
-    ``_radius_drift``'s bound (``drift`` and ``bound`` of the first chunk
-    past it).
+    Each chunk is checked before its maps are inverted; a seed too steep
+    for the theta grid fails with ConstructionError when a cumulative area
+    does not increase strictly over the knots (diagnostics ``row``,
+    ``column``, ``theta``), or when the dilated slices' volume radii drift
+    past ``_radius_drift``'s bound (``drift`` and ``bound`` of the first
+    chunk past it).
     """
-    from scipy.optimize import brentq
-
     theta = seed.theta_grid
-    _, cumulative0 = _cumulative_area_spline(theta, seed.w)
-    base, total0 = cumulative0(theta), float(cumulative0(math.pi))
+    _, seed_knots = _cumulative_area_pieces(theta, seed.w[None, :])
+    base, total0 = seed_knots[0, 1:-1], float(seed_knots[0, -1])
     maps = np.empty(w_rows.shape)
+    maps[:, 0], maps[:, -1] = 0.0, math.pi
     shift = np.empty(w_rows.shape[0])
     for lo in range(0, w_rows.shape[0], _ROW_CHUNK):
         chunk = slice(lo, lo + _ROW_CHUNK)
-        density = CubicSpline(theta, np.exp(2.0 * w_rows[chunk]) * np.sin(theta), axis=1)
-        antiderivative = density.antiderivative()
-        # Pieces numbered row by row: row r, interval i is r * intervals + i.
-        pieces = [np.ascontiguousarray(np.swapaxes(c, 1, 2)).reshape(c.shape[0], -1)
-                  for c in (density.c, antiderivative.c)]
-        offsets = (np.arange(density.c.shape[2]) * (theta.size - 1))[:, None]
-
-        def evaluate(x):
-            """Density and cumulative area of every row at its points x."""
-            idx, dx = _intervals(theta, x)
-            return tuple(_ppoly_at(c, idx + offsets, dx) for c in pieces)
-
-        last_density, total = evaluate(np.full(offsets.shape, theta[-1]))
-        samples = np.concatenate([antiderivative.c[-1].T, total], axis=1)
-        flat = np.argwhere(~(np.diff(samples, axis=1) > 0.0))
+        c, knots = _cumulative_area_pieces(theta, w_rows[chunk])
+        flat = np.argwhere(~(np.diff(knots, axis=1) > 0.0))
         if flat.size:
             row, col = int(lo + flat[0, 0]), int(flat[0, 1]) + 1
             raise ConstructionError(
@@ -410,7 +425,7 @@ def _match_cumulative_areas(seed: AxisymConformalMetric, w_rows: np.ndarray):
                 f"column {col}: the theta grid does not resolve the area density",
                 diagnostics={"row": row, "column": col, "theta": float(theta[col])},
             )
-        shift[chunk] = [0.5 * math.log(total0 / row_total) for row_total in total[:, 0]]
+        shift[chunk] = [0.5 * math.log(total0 / row_total) for row_total in knots[:, -1]]
         drift, bound = _radius_drift(seed, w_rows[chunk] + shift[chunk, None])
         if drift > bound:
             raise ConstructionError(
@@ -418,25 +433,7 @@ def _match_cumulative_areas(seed: AxisymConformalMetric, w_rows: np.ndarray):
                 "theta grid does not resolve the seed's area gauge",
                 diagnostics={"drift": drift, "bound": bound},
             )
-        targets = base * (total / total0)
-        x = np.array([np.interp(row, grid, theta) for row, grid in zip(targets, samples)])
-        slope_floor = 1e-12 * np.maximum(density.c[-1].max(axis=0)[:, None], last_density)
-        for _ in range(6):
-            slope, cumulative = evaluate(x)
-            x = np.clip(x - (cumulative - targets) / np.maximum(slope, slope_floor),
-                        0.0, math.pi)
-        resid = np.abs(evaluate(x)[1] - targets)
-        row_cumulative = {}
-        for row, col in zip(*np.nonzero(resid[:, 1:-1] > 1e-12 * total)):
-            if row not in row_cumulative:
-                _, row_cumulative[row] = _cumulative_area_spline(theta, w_rows[lo + row])
-            x[row, col + 1] = brentq(
-                lambda v, tt=targets[row, col + 1], fn=row_cumulative[row]: fn(v) - tt,
-                0.0, math.pi, xtol=1e-14, rtol=8.9e-16,
-            )
-        x[:, 0] = 0.0
-        x[:, -1] = math.pi
-        maps[chunk] = x
+        maps[chunk, 1:-1] = _invert_on_pieces(theta, c, knots, base * (knots[:, -1:] / total0))
     return maps, shift
 
 
@@ -447,9 +444,10 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
     [``_THETA_SWITCH``, 1]; a per-slice dilation fixing every total area
     to the seed area; and a theta reparametrization per slice matching
     cumulative area functions, which renders the area form time
-    independent.  The residual time dependence of the area form
-    (Newton-inverted maps differentiated on their own) is the path's
-    ``volume_form_deviation``, measured on first read.
+    independent.  The residual time dependence of the area form (the
+    maps, each inverted to rounding on its target's knot interval,
+    differentiated on their own) is the path's ``volume_form_deviation``,
+    measured on first read.
 
     Slices with the same ramp value (every t >= ``_THETA_SWITCH``)
     coincide, so the path stores one row per distinct slice, an affine
@@ -724,14 +722,14 @@ def _composed_fields(path: MetricPath):
     ``_seed_composition`` (no spline or Laplacian of a slice row).  The
     map derivative uses the chain rule through the cumulative-area
     identity, dTheta/dtheta = density0(theta) / density_t(Theta), the
-    derivative of the exact map.
+    derivative of the exact map, with the seed's density taken at its
+    samples.
     """
-    theta = path.seed.theta_grid
     maps = path.reparam
     exponent, curvature = _seed_composition(path)
-    density0, _ = _cumulative_area_spline(theta, path.seed.w)
+    density0 = np.exp(2.0 * path.seed.w) * np.sin(path.seed.theta_grid)
     density = np.exp(2.0 * exponent) * np.sin(maps)
-    return exponent, curvature, _pole_parity_ratio(density0(theta), density), maps
+    return exponent, curvature, _pole_parity_ratio(density0, density), maps
 
 
 def _pole_parity_ratio(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:

@@ -60,6 +60,8 @@ CASES = [
     ("extend-n3", ["extend", "--n", "3", "--r-o", "1.0", "--q", "0.1",
                    "--lambda", "-1.5", "--mass", "0.65"]),
     ("extend-csv-0.3", ["extend", "--n", "2", "--seed-csv", "seed.csv", "--mass", "0.7"]),
+    ("extend-cos-2-lam", ["extend", "--n", "2", "--seed-cos", "2", "--lambda", "-200",
+                          "--mass", "700"]),
 ]
 
 

@@ -575,6 +575,22 @@ class TestExtendCommand:
         assert "PreconditionError: [stage: curvature-floor]" in err
         assert "stability hypothesis" in err
 
+    def test_pole_regular_seed_on_a_coarse_grid_certifies(self, capsys):
+        # The pole check allows for its stencil's truncation error, so an
+        # exactly regular seed on 33 points is not refused as an input fault.
+        rc = cli_io.main(["extend", "--n", "2", "--seed-cos", "0.62", "--n-theta", "33",
+                          "--n-t", "65", "--mass", "0.9"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["diagnostics"]["route"] == "eigenfunction"
+        assert payload["achieved_mass"] == 0.9
+        rc = cli_io.main(["extend", "--n", "2", "--seed-cos", "2", "--n-theta", "33",
+                          "--n-t", "65", "--mass", "3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "PreconditionError: [stage: curvature-floor]" in err
+        assert "stability hypothesis" in err
+
     def test_missing_required_flag_exits_with_usage_code(self, capsys):
         rc = cli_io.main(["extend", "--n", "2", "--r-o", "1.0"])
         assert rc == 2

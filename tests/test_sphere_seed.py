@@ -39,17 +39,10 @@ def cos_path(cos_seed):
     return normalize_path(cos_seed, n_t=129)
 
 
-@pytest.fixture
-def brentq_roots(monkeypatch):
-    """Roots of every scipy.optimize.brentq call the test makes."""
-    roots = []
-
-    def counting(*args, original=brentq, **kwargs):
-        roots.append(original(*args, **kwargs))
-        return roots[-1]
-
-    monkeypatch.setattr("scipy.optimize.brentq", counting)
-    return roots
+def cumulative_area(theta, w):
+    """PPoly cumulative area of exponent w (rows along the last axis): the
+    antiderivative of the not-a-knot spline of e^(2w) sin(theta)."""
+    return CubicSpline(theta, np.exp(2.0 * w) * np.sin(theta), axis=-1).antiderivative()
 
 
 def metric_at(path, k):
@@ -105,10 +98,23 @@ def test_gaussian_curvature_refined_grid_oracle():
     assert np.max(np.abs(k_coarse - k_fine)) < 1e-6
 
 
-def test_pole_irregular_exponent_rejected():
-    theta = np.linspace(0.0, math.pi, 257)
-    with pytest.raises(DomainError):
+@pytest.mark.parametrize("n_theta", [9, 17, 33, 65, 257, 1025])
+def test_pole_irregular_exponent_rejected(n_theta):
+    theta = np.linspace(0.0, math.pi, n_theta)
+    with pytest.raises(DomainError, match="pole-irregular"):
         AxisymConformalMetric(theta_grid=theta, w=0.1 * theta)
+    if n_theta >= 17:
+        with pytest.raises(DomainError, match="pole-irregular"):
+            AxisymConformalMetric(theta_grid=theta, w=np.cos(theta) + 1e-4 * theta)
+
+
+@pytest.mark.parametrize("a, n_theta", [(0.62, 33), (2.0, 33), (0.3, 17), (1.0, 9)])
+def test_pole_regular_exponent_accepted_on_coarse_grids(a, n_theta):
+    # The one-sided stencil's truncation error at the pole, estimated from
+    # the same stencil at twice the step, widens the tolerance: w'(0) of
+    # 2 cos(theta) reads 6.0e-6 at 33 points.
+    metric = axisym_metric_from_function(lambda t: a * np.cos(t), n_theta=n_theta)
+    assert metric.theta_grid.size == n_theta
 
 
 def test_normalize_round_seed_is_constant():
@@ -171,53 +177,72 @@ def test_round_path_volume_form_deviation_is_zero(n):
 @pytest.mark.parametrize("a", [0.62, -0.7, 1.4192871310])
 @pytest.mark.parametrize("n_theta", [257, 1025])
 def test_knot_values_are_spline_coefficients(a, n_theta):
-    # The matching reads the density and cumulative area at the knots, and
-    # the deviation reads the map slope there, from the splines'
-    # coefficients; each equals the piecewise evaluation at the knot, bit
-    # for bit.  Only the last knot, closing the last piece, is evaluated.
+    # The matching reads the cumulative area at the knots, and the deviation
+    # reads the map slope there, from the splines' coefficients; each equals
+    # PPoly's own evaluation at the knot, bit for bit.  Only the last knot,
+    # closing the last piece, is summed.
     path = normalize_path(axisym_metric_from_function(lambda t: a * np.cos(t),
                                                       n_theta=n_theta), n_t=65)
     theta = path.seed.theta_grid
-    idx, dx = sphere_seed._intervals(theta, theta)
-    density = CubicSpline(theta, np.exp(2.0 * path.w) * np.sin(theta), axis=1)
-    for spline in (density, density.antiderivative()):
-        for row in range(path.w.shape[0]):
-            c = spline.c[:, :, row]
-            evaluated = sphere_seed._ppoly_at(c, idx, dx)
-            assert evaluated[:-1].tobytes() == c[-1].tobytes()
+    c, knots = sphere_seed._cumulative_area_pieces(theta, path.w)
+    cumulative = cumulative_area(theta, path.w)
+    assert c.tobytes() == cumulative.c.tobytes()
+    assert knots.tobytes() == cumulative(theta).tobytes()
     maps = CubicSpline(theta, path.reparam, axis=1)
     evaluated = maps(theta, 1)
     assert evaluated[:, :-1].tobytes() == maps.c[2].T.tobytes()
 
 
-def test_matching_runs_brentq_on_interior_columns_only(brentq_roots):
-    # Newton leaves the pi column of the edge seed's slices off, where the
-    # density slope goes to 0; that column is pi by definition.
-    normalize_path(axisym_metric_from_function(lambda t: 1.4192871310 * np.cos(t),
-                                               n_theta=257), n_t=129)
-    assert brentq_roots == []
-    # A steep exponent on a coarse grid leaves interior points to brentq;
-    # every root lands in the returned map.
+def matching_residual(seed, rows, maps):
+    """Largest |C_k(map) - target| over interior columns, relative to the
+    row's total, with C_k evaluated by PPoly."""
+    theta = seed.theta_grid
+    cumulative0 = cumulative_area(theta, seed.w)
+    base, total0 = cumulative0(theta), float(cumulative0(math.pi))
+    worst = 0.0
+    for row, x in zip(rows, maps):
+        cumulative = cumulative_area(theta, row)
+        total = float(cumulative(math.pi))
+        resid = cumulative(x[1:-1]) - base[1:-1] * (total / total0)
+        worst = max(worst, float(np.max(np.abs(resid))) / total)
+    return worst
+
+
+def test_area_maps_solve_the_matching_to_rounding():
+    # The edge seed's path on 65 x 65 and a steep exponent's rows on a
+    # coarse grid, each map inverted on its target's knot interval.
+    seed = axisym_metric_from_function(lambda t: 1.4192871310 * np.cos(t), n_theta=65)
+    path = normalize_path(seed, n_t=65)
+    rows = path.scale[:, None] * seed.w
+    assert matching_residual(seed, rows, path.reparam) <= 2e-15
     seed = axisym_metric_from_function(lambda t: 2.0 * np.cos(t), n_theta=65)
     rows = np.linspace(1.0, 0.0, 9)[:, None] * seed.w
     maps, _ = sphere_seed._match_cumulative_areas(seed, rows)
-    assert brentq_roots
-    assert all(np.any(maps[:, 1:-1] == root) for root in brentq_roots)
+    assert matching_residual(seed, rows, maps) <= 2e-15
+    assert np.all(maps[:, 0] == 0.0) and np.all(maps[:, -1] == math.pi)
+
+
+def test_steep_cos_path_keeps_the_area_gauge():
+    # 2 cos(theta) on the default grid: C11's 1e-7 bound on the measured
+    # time derivative of the slice area form.
+    path = normalize_path(axisym_metric_from_function(lambda t: 2.0 * np.cos(t)))
+    assert path.volume_form_deviation < 1e-7
 
 
 def _reference_normalization(seed, n_t, theta_switch=0.75):
     """Maps and exponents of normalize_path from one cumulative-area spline
-    per slice, each Newton-inverted on its own with the per-point brentq
-    fallback: the loop the batched inversion replaces."""
+    per slice, each Newton-inverted on its own with a per-point brentq
+    fallback."""
     theta = seed.theta_grid
     ramp = sphere_seed._time_clamp(np.linspace(0.0, 1.0, n_t), theta_switch)
-    _, cumulative0 = sphere_seed._cumulative_area_spline(theta, seed.w)
+    cumulative0 = cumulative_area(theta, seed.w)
     total0 = float(cumulative0(math.pi))
     maps = np.empty((n_t, theta.size))
     exponents = np.empty((n_t, theta.size))
     for k in range(n_t):
         w_raw = (1.0 - ramp[k]) * seed.w
-        density, cumulative = sphere_seed._cumulative_area_spline(theta, w_raw)
+        density = CubicSpline(theta, np.exp(2.0 * w_raw) * np.sin(theta))
+        cumulative = density.antiderivative()
         total = float(cumulative(math.pi))
         exponents[k] = w_raw + 0.5 * math.log(total0 / total)
         targets = cumulative0(theta) * (total / total0)
@@ -644,8 +669,7 @@ def _per_sample_fields(path):
     area_form = np.exp(2.0 * exponent) * np.sin(maps) * map_slope
     deviation = float(np.max(np.abs(diff1_4th(area_form.T, dt).T)))
 
-    density0, _ = sphere_seed._cumulative_area_spline(theta, metrics[0].w)
-    base_density = density0(theta)
+    base_density = np.exp(2.0 * metrics[0].w) * np.sin(theta)
     dmap = np.empty_like(maps)
     for k in range(n_t):
         density_t = np.exp(2.0 * exponent[k]) * np.sin(maps[k])
@@ -772,11 +796,10 @@ def test_path_w_is_the_seed_blend(a):
     seed = axisym_metric_from_function(lambda t: a * np.cos(t))
     path = normalize_path(seed, n_t=129)
     levels = np.unique(sphere_seed._time_clamp(path.t_grid, path.theta_switch))
-    _, cumulative0 = sphere_seed._cumulative_area_spline(seed.theta_grid, seed.w)
-    total0 = float(cumulative0(math.pi))
+    total0 = float(cumulative_area(seed.theta_grid, seed.w)(math.pi))
     dilation = np.array([
-        0.5 * math.log(total0 / float(sphere_seed._cumulative_area_spline(
-            seed.theta_grid, (1.0 - level) * seed.w)[1](math.pi)))
+        0.5 * math.log(total0 / float(cumulative_area(
+            seed.theta_grid, (1.0 - level) * seed.w)(math.pi)))
         for level in levels])
     assert np.array_equal(path.scale, 1.0 - levels)
     assert np.array_equal(path.shift, dilation)
@@ -854,17 +877,20 @@ def test_eigen_fields_share_one_interval_lookup_per_chunk(cos_seed, monkeypatch)
     assert lookups == [(64, cos_seed.theta_grid.size), (31, cos_seed.theta_grid.size)]
 
 
-def test_seed_too_steep_for_the_area_gauge_is_a_construction_error(brentq_roots):
+def test_seed_too_steep_for_the_area_gauge_is_a_construction_error(monkeypatch):
     # The slice areas of 6 cos(theta) drift past the bound on the default
     # theta grid: a limit of the grid, not a fault of the seed.  The drift
     # reads only each row's total, so the first chunk past the bound is
-    # refused before its maps are inverted: no brentq fallback runs.
+    # refused before its maps are inverted.
+    inversions = []
+    monkeypatch.setattr(sphere_seed, "_invert_on_pieces",
+                        lambda *args: inversions.append(args))
     seed = axisym_metric_from_function(lambda t: 6.0 * np.cos(t))
     with pytest.raises(ConstructionError, match="volume radii drift") as info:
         normalize_path(seed, n_t=65)
     diagnostics = info.value.diagnostics
     assert diagnostics["drift"] > diagnostics["bound"] > 0.0
-    assert brentq_roots == []
+    assert inversions == []
 
 
 def test_seed_too_steep_for_the_cumulative_area_is_a_construction_error():

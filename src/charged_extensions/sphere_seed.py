@@ -363,7 +363,7 @@ def _invert_on_pieces(theta: np.ndarray, c: np.ndarray, knots: np.ndarray,
     ``_STEP_TOL``.  Still moving after ``_MAX_STEPS`` steps, or a residual
     above 1e-12 of the row's total, raises InternalConsistencyError.
     """
-    idx = np.array([np.searchsorted(row, t, side="right") for row, t in zip(knots, targets)])
+    idx = np.array([np.searchsorted(k, t, side="right") for k, t in zip(knots, targets)])
     idx = np.minimum(idx - 1, theta.size - 2)
     row = np.arange(idx.shape[0])[:, None]
     c4, c3, c2, c1, knot = (coef[idx, row] for coef in c)

@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 
 from charged_extensions import sphere_seed
 from charged_extensions.collar import CONSTANT_LAPSE, EIGENFUNCTION_LAPSE, select_route
-from charged_extensions.errors import ConstructionError, DomainError
+from charged_extensions.errors import ConstructionError, DomainError, InternalConsistencyError
 from charged_extensions.numutil import diff1_4th, simpson_uniform
 from charged_extensions.quasilocal import unit_sphere_volume
 from charged_extensions.sphere_seed import (
@@ -220,6 +220,13 @@ def test_area_maps_solve_the_matching_to_rounding():
     maps, _ = sphere_seed._match_cumulative_areas(seed, rows)
     assert matching_residual(seed, rows, maps) <= 2e-15
     assert np.all(maps[:, 0] == 0.0) and np.all(maps[:, -1] == math.pi)
+
+
+def test_unsettled_area_map_inversion_is_an_internal_consistency_error(cos_seed, monkeypatch):
+    # One step leaves points moving: a breakdown of the inversion, typed.
+    monkeypatch.setattr(sphere_seed, "_MAX_STEPS", 1)
+    with pytest.raises(InternalConsistencyError, match="area map inversion"):
+        normalize_path(cos_seed, n_t=65)
 
 
 def test_steep_cos_path_keeps_the_area_gauge():

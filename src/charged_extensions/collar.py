@@ -465,21 +465,14 @@ def find_A0(
     return probe.at_amplitude(hi)
 
 
-def _far_end_mass(n, r_o, q, lam, epsilon, amplitude) -> float:
-    """Mass of the last collar slice for a round constant-lapse collar."""
-    params = RNParams(n=n, m=0.0, q=q, lam=lam)
-    stretch = 1.0 + epsilon
-    radius = math.sqrt(stretch) * r_o
-    loss = epsilon ** 2 * r_o ** 2 / (stretch * amplitude ** 2)
-    return 0.5 * radius ** (n - 1) * (lambda_rn.eval_p(params, radius) - loss)
-
-
 def find_eps0(n: int, r_o: float, q: float, lam: float, a0: float) -> float:
     """Largest grid epsilon for which the far-end mass exceeds m_o.
 
     Searches the geometric grid 1, 1/2, ..., 2^-52 (the float resolution
     of 1 + epsilon) and requires the mass gain at the given amplitude and at
     ten times it (the gain grows with the amplitude, which this spot-checks).
+    The far-end mass is that of the last slice of a round constant-lapse
+    collar, for the whole grid at both amplitudes in one array.
     """
     params = RNParams(n=n, m=0.0, q=q, lam=lam)
     if not lambda_rn.eval_h(params, r_o) > 0.0:
@@ -487,12 +480,18 @@ def find_eps0(n: int, r_o: float, q: float, lam: float, a0: float) -> float:
             f"quasi-local sub-extremality fails at r_o = {r_o!r}"
         )
     reference = m_o(n, r_o, q, lam)
-    for k in range(53):
-        epsilon = 2.0 ** (-k)
-        gain = _far_end_mass(n, r_o, q, lam, epsilon, a0) - reference
-        gain_big = _far_end_mass(n, r_o, q, lam, epsilon, 10.0 * a0) - reference
-        if gain > 0.0 and gain_big > 0.0:
-            return epsilon
+    epsilon = np.ldexp(1.0, -np.arange(53))
+    stretch = 1.0 + epsilon
+    radius = np.sqrt(stretch) * r_o
+    # radius^(n-1) by Python's float power, which NumPy's array power does
+    # not always match, so each mass rounds as a scalar evaluation does.
+    area = np.array([r ** (n - 1) for r in radius.tolist()])
+    amplitude_sq = np.array([[a0 ** 2], [(10.0 * a0) ** 2]])
+    loss = epsilon * epsilon * r_o ** 2 / (stretch * amplitude_sq)
+    gain = 0.5 * area * (lambda_rn.eval_p(params, radius) - loss) - reference
+    grows = (gain > 0.0).all(axis=0)
+    if grows.any():
+        return float(epsilon[int(np.argmax(grows))])
     raise ConstructionError(
         "no epsilon on the geometric grid grows the far-end mass",
         diagnostics={"r_o": r_o, "q": q, "lam": lam, "a0": a0},

@@ -159,7 +159,12 @@ class DECReport:
 
 def _check_positive_radius(r) -> np.ndarray:
     arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+    if arr.ndim:
+        positive = (arr > 0.0).all() and np.isfinite(arr).all()
+    else:
+        value = float(arr)
+        positive = value > 0.0 and math.isfinite(value)
+    if not positive:
         raise DomainError("radius must be a positive finite real")
     return arr
 

@@ -1,9 +1,9 @@
 """Shared numerical helpers.
 
 Uniform-grid Simpson quadrature, fourth-order finite differences with
-one-sided closures, an infinitely smooth monotone step with two analytic
-derivatives, and the deterministic artifact text: the float formatter and
-the JSON renderer every artifact goes through. Everything here is pure and
+one-sided closures, an infinitely smooth monotone step and the jet of its
+first two analytic derivatives, and the deterministic artifact text: the
+float formatter and the JSON renderer every artifact goes through. Everything here is pure and
 allocation-light; the heavier machinery (root finding, splines, banded
 solves) is imported from scipy at the point of use.
 """
@@ -22,8 +22,6 @@ __all__ = [
     "diff1_4th",
     "diff2_4th",
     "smooth_step",
-    "smooth_step_d1",
-    "smooth_step_d2",
     "fmt17",
     "json_text",
 ]
@@ -90,35 +88,51 @@ def diff2_4th(y: np.ndarray, dx: float) -> np.ndarray:
 _PHI_ZERO = 1.0 / 746.0
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    """exp(-1/x) for x > 0, identically zero otherwise; C-infinity at 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > _PHI_ZERO
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        out[pos] = np.exp(-1.0 / x[pos])
-    return out
-
-
-def _phi_d1(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
+def _phi_jet(x: np.ndarray, order: int) -> list[np.ndarray]:
+    """phi(x) = exp(-1/x) for x > 0 (identically zero otherwise; C-infinity
+    at 0) and its first ``order`` derivatives, all from one exp."""
+    jet = [np.zeros_like(x) for _ in range(order + 1)]
     pos = x > _PHI_ZERO
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         xp = x[pos]
-        out[pos] = np.exp(-1.0 / xp) / (xp * xp)
-    return out
+        e = np.exp(-1.0 / xp)
+        jet[0][pos] = e
+        if order >= 1:
+            xp2 = xp * xp
+            jet[1][pos] = e / xp2
+        if order >= 2:
+            jet[2][pos] = e * (1.0 - 2.0 * xp) / (xp2 * xp2)
+    return jet
 
 
-def _phi_d2(x: np.ndarray) -> np.ndarray:
+def _smooth_step_jet(x, order: int) -> tuple:
+    """:func:`smooth_step` at x and its first ``order`` (at most 2) derivatives.
+
+    phi(x) and phi(1-x) take one exp each.  Powers are explicit products:
+    NumPy evaluates ** on a 0-d input with a scalar power routine that can
+    round differently from its array loop, and a value must not depend on
+    whether it was computed alone or inside an array.  Derivatives are 0
+    outside (0, 1) and the first is nonnegative.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > _PHI_ZERO
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        xp = x[pos]
-        xp2 = xp * xp
-        out[pos] = np.exp(-1.0 / xp) * (1.0 - 2.0 * xp) / (xp2 * xp2)
-    return out
+    a = _phi_jet(x, order)
+    b = _phi_jet(1.0 - x, order)
+    s = a[0] + b[0]
+    jet = [np.where((x > 0.0) & (x < 1.0),
+                    np.divide(a[0], s, out=np.zeros_like(s), where=s > 0.0),
+                    np.where(x >= 1.0, 1.0, 0.0))]
+    outside = (x <= 0.0) | (x >= 1.0)
+    if order >= 1:
+        num1 = a[1] * b[0] + a[0] * b[1]
+        den = s * s
+        jet.append(np.where(outside, 0.0, np.divide(
+            num1, den, out=np.zeros_like(num1), where=den > 0.0)))
+    if order >= 2:
+        num = (a[2] * b[0] - a[0] * b[2]) * s - 2.0 * num1 * (a[1] - b[1])
+        den = s * s * s
+        jet.append(np.where(outside, 0.0, np.divide(
+            num, den, out=np.zeros_like(num), where=den > 0.0)))
+    return tuple(v if v.ndim else float(v) for v in jet)
 
 
 def smooth_step(x):
@@ -126,50 +140,9 @@ def smooth_step(x):
 
     Built as phi(x) / (phi(x) + phi(1-x)) with phi(x) = exp(-1/x); all
     derivatives vanish at both endpoints, so compositions stay smooth across
-    gluing seams.
+    gluing seams.  Its derivatives come from ``_smooth_step_jet``.
     """
-    x = np.asarray(x, dtype=float)
-    a = _phi(x)
-    b = _phi(1.0 - x)
-    den = a + b
-    out = np.where(x >= 1.0, 1.0, np.where(x <= 0.0, 0.0, 0.0))
-    inner = (x > 0.0) & (x < 1.0)
-    out = np.where(inner, np.divide(a, den, out=np.zeros_like(a),
-                                    where=den > 0.0), out)
-    return out if out.ndim else float(out)
-
-
-def smooth_step_d1(x):
-    """First derivative of :func:`smooth_step`; nonnegative everywhere.
-
-    Powers are explicit products here and in :func:`smooth_step_d2`: NumPy
-    evaluates ** on a 0-d input with a scalar power routine that can round
-    differently from its array loop, and a value must not depend on whether
-    it was computed alone or inside an array.
-    """
-    x = np.asarray(x, dtype=float)
-    a, b = _phi(x), _phi(1.0 - x)
-    a1, b1 = _phi_d1(x), _phi_d1(1.0 - x)
-    s = a + b
-    den = s * s
-    num = a1 * b + a * b1
-    out = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-    out = np.where((x <= 0.0) | (x >= 1.0), 0.0, out)
-    return out if out.ndim else float(out)
-
-
-def smooth_step_d2(x):
-    """Second derivative of :func:`smooth_step`."""
-    x = np.asarray(x, dtype=float)
-    a, b = _phi(x), _phi(1.0 - x)
-    a1, b1 = _phi_d1(x), _phi_d1(1.0 - x)
-    a2, b2 = _phi_d2(x), _phi_d2(1.0 - x)
-    s = a + b
-    num = (a2 * b - a * b2) * s - 2.0 * (a1 * b + a * b1) * (a1 - b1)
-    den = s * s * s
-    out = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-    out = np.where((x <= 0.0) | (x >= 1.0), 0.0, out)
-    return out if out.ndim else float(out)
+    return _smooth_step_jet(x, 0)[0]
 
 
 def fmt17(value) -> str:

@@ -360,30 +360,49 @@ def _invert_on_pieces(theta: np.ndarray, c: np.ndarray, knots: np.ndarray,
     The knot values bracket each target in one knot interval, whose quartic
     is gathered once.  Newton solves for the offset dx into it, bisecting the
     bracket [lo, hi] when a step leaves it, until no point moves by more than
-    ``_STEP_TOL``.  Still moving after ``_MAX_STEPS`` steps, or a residual
+    ``_STEP_TOL``.  A point whose step leaves its dx unchanged is a fixed
+    point of the iteration; such points leave the loop once they are half
+    of those in it.  Still moving after ``_MAX_STEPS`` steps, or a residual
     above 1e-12 of the row's total, raises InternalConsistencyError.
     """
     idx = np.array([np.searchsorted(k, t, side="right") for k, t in zip(knots, targets)])
     idx = np.minimum(idx - 1, theta.size - 2)
     row = np.arange(idx.shape[0])[:, None]
-    c4, c3, c2, c1, knot = (coef[idx, row] for coef in c)
-    rise = targets - knot
-    lo, hi = np.zeros(idx.shape), theta[idx + 1] - theta[idx]
-    dx = hi * (rise / (knots[row, idx + 1] - knot))
+    pieces = [coef[idx, row] for coef in c]
+    rise = targets - pieces[-1]
+    hi = theta[idx + 1] - theta[idx]
+    dx = hi * (rise / (knots[row, idx + 1] - pieces[-1]))
 
-    def residual(dx):
+    def residual(dx, c4, c3, c2, c1, rise):
         return dx * (c1 + dx * (c2 + dx * (c3 + dx * c4))) - rise
 
+    # The moving points, flattened: coefficients, rise, bracket and dx.
+    active = np.arange(dx.size)
+    state = [a.ravel() for a in (*pieces[:-1], rise, np.zeros(idx.shape), hi, dx)]
+    dx = dx.ravel().copy()
     for _ in range(_MAX_STEPS):
-        resid = residual(dx)
-        lo, hi = np.where(resid < 0.0, dx, lo), np.where(resid > 0.0, dx, hi)
+        c4, c3, c2, c1, rise_a, lo, hi, x = state
+        resid = residual(x, c4, c3, c2, c1, rise_a)
+        lo_next, hi_next = np.where(resid < 0.0, x, lo), np.where(resid > 0.0, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = dx - resid / (c1 + dx * (2.0 * c2 + dx * (3.0 * c3 + dx * 4.0 * c4)))
-        step = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
-        moved, dx = float(np.max(np.abs(step - dx))), step
+            newton = x - resid / (c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * 4.0 * c4)))
+        step = np.where((newton >= lo_next) & (newton <= hi_next), newton,
+                        0.5 * (lo_next + hi_next))
+        moved = float(np.max(np.abs(step - x)))
+        state[-3:] = lo_next, hi_next, step
         if moved <= _STEP_TOL:
             break
-    worst = float(np.max(np.abs(residual(dx)) / knots[:, -1:]))
+        # A step that leaves dx unchanged repeats its residual, and so its
+        # bracket and step, from then on.  Dropping such points costs a
+        # gather of every state array, which pays once they are half.
+        settled = step == x
+        if 2 * np.count_nonzero(settled) >= x.size:
+            done, keep = np.flatnonzero(settled), np.flatnonzero(~settled)
+            dx[active[done]] = step[done]
+            active, state = active[keep], [a.take(keep) for a in state]
+    dx[active] = state[-1]
+    dx = dx.reshape(idx.shape)
+    worst = float(np.max(np.abs(residual(dx, *pieces[:-1], rise)) / knots[:, -1:]))
     if moved > _STEP_TOL or worst > 1e-12:
         raise InternalConsistencyError(
             f"area map inversion left a residual of {worst!r} of the total, its last "

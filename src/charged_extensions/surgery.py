@@ -47,7 +47,7 @@ from .lambda_rn import (
     rn_profile,
     rn_profile_mu,
 )
-from .numutil import simpson_uniform, smooth_step, smooth_step_d1, smooth_step_d2
+from .numutil import _smooth_step_jet, simpson_uniform, smooth_step
 from .quasilocal import hawking_rotsym
 
 __all__ = [
@@ -352,9 +352,25 @@ class BridgedProfile:
         psi_integral = tau - 2.0 * self.rho * self._istep(w)
         dc = self.slope_left - self.slope_right
         f = self.f1_b1 + self.length * (self.slope_right * tau + dc * psi_integral)
-        df = self.slope_right + dc * (1.0 - smooth_step(w))
-        d2f = -dc * smooth_step_d1(w) / (2.0 * self.rho * self.length)
+        step, dstep = _smooth_step_jet(w, 1)
+        df = self.slope_right + dc * (1.0 - step)
+        d2f = -dc * dstep / (2.0 * self.rho * self.length)
         return f, df, d2f
+
+    def _pieces(self, lo, hi):
+        """Index into :meth:`_evaluators` for points spanning [lo, hi] (arrays
+        of extremes give one index each): 0 when all lie in the left piece,
+        1 in the right piece, 2 strictly inside the bridge, 3 across a
+        junction.  Each point goes to the piece :meth:`evaluate` puts it in.
+        """
+        return np.where(hi <= self.b1, 0, np.where(
+            lo >= self.a2, 1, np.where((lo > self.b1) & (hi < self.a2), 2, 3)))
+
+    def _evaluators(self):
+        """Evaluators of the left piece, the right piece and the bridge, and
+        :meth:`evaluate` for points on more than one of them."""
+        return (_evaluator_of(self.left), _evaluator_of(self.right),
+                self._bridge_values, self.evaluate)
 
     def evaluate(self, s):
         """Piecewise values (f, f', f'') across left piece, bridge, right piece."""
@@ -472,8 +488,9 @@ class _Cutoff:
         rising = t < self.lo_hi
         width = np.where(rising, self.w_l, self.w_r)
         x = np.where(rising, t - self.mid1, self.mid2 - t) / width
-        d1 = smooth_step_d1(x) / width
-        return np.where(rising, d1, -d1), smooth_step_d2(x) / (width * width)
+        _, d1, d2 = _smooth_step_jet(x, 2)
+        d1 = d1 / width
+        return np.where(rising, d1, -d1), d2 / (width * width)
 
 
 def _gl_panels(lo: float, hi: float, breaks, nodes, weights):
@@ -523,10 +540,13 @@ def _mollified_points(bridge: BridgedProfile, cutoff: _Cutoff, eps: float, ts):
     The points fall into groups: radius-0 points (evaluated directly),
     partial-cutoff points (on the 64 shared nodes), and plateau points by
     how many junction breaks their support holds (0, 1 or 2, on that many
-    more panels).  Each group is one (points x nodes) array pass, the nodes
-    of all groups go through a single bridge evaluation, and the weighted
-    sums are row-wise 1-D dot products (:func:`_row_dots`); every value
-    equals the one-point-at-a-time value bit for bit.
+    more panels).  Each group is one (points x nodes) array of node
+    arguments.  A row whose nodes all lie in one piece of the join goes to
+    that piece's evaluator, with one call per piece over the rows of every
+    group; only rows across a junction take the masked
+    :meth:`BridgedProfile.evaluate`.  The weighted sums are row-wise 1-D dot
+    products (:func:`_row_dots`); every value equals the one-point-at-a-time
+    value bit for bit.
     """
     ts = np.asarray(ts, dtype=float)
     etas = cutoff.value(ts)
@@ -538,25 +558,38 @@ def _mollified_points(bridge: BridgedProfile, cutoff: _Cutoff, eps: float, ts):
     phi64 = _bump(xs64) * ws64
     deta, d2eta = (d[:, None] for d in cutoff.derivatives(ts[partial]))
 
-    # One group per kind of point: indices, nodes, weights times bump, and
-    # the arguments of its nodes; the partial-cutoff group comes first.
+    # One group per kind of point: indices, nodes, weights times bump (None
+    # for the radius-0 points, each its own single node), and the arguments
+    # of its nodes.  Break-free plateau rows sit on the 64 shared nodes.
     tp = ts[plateau]
-    groups = [(np.flatnonzero(partial), xs64, phi64,
+    groups = [(np.flatnonzero(zero), None, None, ts[zero, None]),
+              (np.flatnonzero(partial), xs64, phi64,
                ts[partial, None] - radius[partial, None] * xs64)]
     for breaks in (0, 1, 2):
         rows, xs, ws = _plateau_panels(tp, eps, bridge.junctions, breaks)
-        groups.append((np.flatnonzero(plateau)[rows], xs, _bump(xs) * ws,
-                       tp[rows, None] - eps * xs))
-    sizes = [np.count_nonzero(zero)] + [arg.size for *_, arg in groups]
-    values = bridge.evaluate(np.concatenate(
-        [ts[zero]] + [arg.ravel() for *_, arg in groups]))
-    pieces = zip(*(np.split(v, np.cumsum(sizes)[:-1]) for v in values))
+        xs, phi = (xs64, phi64) if breaks == 0 else (xs, _bump(xs) * ws)
+        groups.append((np.flatnonzero(plateau)[rows], xs, phi, tp[rows, None] - eps * xs))
+
+    args = [arg for *_, arg in groups]
+    kinds = [bridge._pieces(arg.min(axis=1), arg.max(axis=1)) for arg in args]
+    values = [np.empty((3,) + arg.shape) for arg in args]
+    for kind, evaluate in enumerate(bridge._evaluators()):
+        picks = [k == kind for k in kinds]
+        sizes = [np.count_nonzero(pick) * arg.shape[1] for pick, arg in zip(picks, args)]
+        if not any(sizes):
+            continue
+        flat = np.stack(evaluate(np.concatenate(
+            [arg[pick].ravel() for pick, arg in zip(picks, args)])))
+        parts = np.split(flat, np.cumsum(sizes)[:-1], axis=1)
+        for value, pick, part in zip(values, picks, parts):
+            value[:, pick] = part.reshape(3, -1, value.shape[2])
 
     out = np.empty((3, ts.size))
-    out[:, zero] = next(pieces)
-    for j, ((index, xs, phi, arg), piece) in enumerate(zip(groups, pieces)):
-        f, df, d2f = (v.reshape(arg.shape) for v in piece)
-        if j == 0:
+    for j, ((index, xs, phi, _), (f, df, d2f)) in enumerate(zip(groups, values)):
+        if phi is None:
+            out[:, index] = f[:, 0], df[:, 0], d2f[:, 0]
+            continue
+        if j == 1:
             # The radius eps * eta(t) varies with t: chain rule.
             chain = 1.0 - eps * deta * xs
             df, d2f = df * chain, d2f * chain ** 2 - df * eps * d2eta * xs
@@ -586,11 +619,12 @@ def _fd_crosscheck(t, h, values, df_ref, d2f_ref, fmax):
 def _margin_floor(bridge: BridgedProfile, n: int, q: float, lam: float) -> float:
     """Infimum of the margin over the join, excluding the two junction points."""
     worst = math.inf
+    evaluators = bridge._evaluators()
     for lo, hi, sl in ((bridge.a1, bridge.b1, np.s_[:-1]),
                        (bridge.b1, bridge.a2, np.s_[1:-1]),
                        (bridge.a2, bridge.b2, np.s_[1:])):
         ss = np.linspace(lo, hi, 2049)[sl]
-        f, df, d2f = bridge.evaluate(ss)
+        f, df, d2f = evaluators[int(bridge._pieces(ss.min(), ss.max()))](ss)
         worst = min(worst, float(np.min(_margin_arrays(n, q, lam, f, df, d2f))))
     return worst
 
@@ -713,47 +747,34 @@ class BendResult:
 
 
 def _deformation(scale: float, s0: float):
-    """Closures sigma, sigma', sigma'' of the bend reparametrization.
+    """Jet s -> (sigma, sigma', sigma'') of the bend reparametrization.
 
     sigma(s) = s - G(s0 - s) with G(y) the integral of exp(-(scale/x)^2)
     from 0 to y, evaluated in closed form via the complementary error
     function; sigma is smooth, increasing, below the identity on s < s0 and
-    exactly the identity beyond.
+    exactly the identity beyond.  The three share one exp(-(scale/y)^2).
     """
     root_pi = math.sqrt(math.pi)
 
-    def g_int(y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        pos = y > 0.0
-        z = scale / y[pos]
-        out[pos] = y[pos] * np.exp(-z * z) - scale * root_pi * erfc(z)
-        return out
-
-    def sigma(s):
-        s = np.asarray(s, dtype=float)
-        return s - g_int(s0 - s)
-
-    def sigma_dot(s):
+    def jet(s):
         s = np.asarray(s, dtype=float)
         y = s0 - s
-        out = np.ones_like(y)
         pos = y > 0.0
-        out[pos] += np.exp(-((scale / y[pos]) ** 2))
-        return out
+        yp = y[pos]
+        z = scale / yp
+        e = np.exp(-z * z)
+        g = np.zeros_like(y)
+        g[pos] = yp * e - scale * root_pi * erfc(z)
+        sdot = np.ones_like(y)
+        sdot[pos] += e
+        sddot = np.zeros_like(y)
+        sddot[pos] = -2.0 * scale * scale * e / yp ** 3
+        return s - g, sdot, sddot
 
-    def sigma_ddot(s):
-        s = np.asarray(s, dtype=float)
-        y = s0 - s
-        out = np.zeros_like(y)
-        pos = y > 0.0
-        out[pos] = -2.0 * scale * scale * np.exp(-((scale / y[pos]) ** 2)) / y[pos] ** 3
-        return out
-
-    return sigma, sigma_dot, sigma_ddot
+    return jet
 
 
-def _bend_certificate(params, base_eval, sigma_fns, s_band):
+def _bend_certificate(params, base_eval, deform, s_band):
     """Margins on the bent band by two routes.
 
     The direct route evaluates Omega - f'' on the composed profile.  The
@@ -766,11 +787,8 @@ def _bend_certificate(params, base_eval, sigma_fns, s_band):
     deformation.  The two must agree to rounding, and the closed form must
     be strictly positive wherever the deformation is numerically nonzero.
     """
-    sigma, sigma_dot, sigma_ddot = sigma_fns
     n = params.n
-    sig = sigma(s_band)
-    sdot = sigma_dot(s_band)
-    sddot = sigma_ddot(s_band)
+    sig, sdot, sddot = deform(s_band)
     u, du, d2u = base_eval(sig)
     f = u
     df = du * sdot
@@ -831,15 +849,15 @@ def bend(params: RNParams, s0: float, alpha: float | None = None,
         else:
             bump_target = 0.3
         scale = delta * math.sqrt(-math.log(bump_target))
-        sigma_fns = _deformation(scale, s0)
-        if float(sigma_fns[0](np.array([s0 - delta]))[0]) < float(base.s_grid[0]):
+        deform = _deformation(scale, s0)
+        if float(deform(np.array([s0 - delta]))[0][0]) < float(base.s_grid[0]):
             trace.append({"delta": delta, "reason": "band leaves the profile domain"})
             delta *= 0.5
             continue
 
         band = np.linspace(s0 - delta, s0, 1025)
         f, df, d2f, direct, closed, bump = _bend_certificate(
-            params, base_eval, sigma_fns, band)
+            params, base_eval, deform, band)
         active = bump > 0.0
         agree_tol = 1e-8 * (1.0 + float(np.max(np.abs(d2f))) + float(np.max(np.abs(direct))))
         reasons = []
@@ -866,13 +884,10 @@ def bend(params: RNParams, s0: float, alpha: float | None = None,
             d2f_all = np.concatenate([d2f, d2ut])
             provenance = np.concatenate([
                 np.array(["bent"] * band.size), np.array(["ode"] * tail.size)])
-            sigma_samples = sigma_fns[0](grid)
+            sigma_samples = deform(grid)[0]
 
-            def evaluate(s, _sig=sigma_fns, _ev=base_eval, _s0=s0):
-                s = np.asarray(s, dtype=float)
-                sig = _sig[0](s)
-                sdot = _sig[1](s)
-                sddot = _sig[2](s)
+            def evaluate(s, _deform=deform, _ev=base_eval):
+                sig, sdot, sddot = _deform(s)
                 u, du, d2u = _ev(sig)
                 return u, du * sdot, d2u * sdot ** 2 + du * sddot
 

@@ -62,6 +62,10 @@ CASES = [
     ("extend-csv-0.3", ["extend", "--n", "2", "--seed-csv", "seed.csv", "--mass", "0.7"]),
     ("extend-cos-2-lam", ["extend", "--n", "2", "--seed-cos", "2", "--lambda", "-200",
                           "--mass", "700"]),
+    ("extend-round-n4", ["extend", "--n", "4", "--r-o", "2", "--q", "3.2", "--lambda", "-0.5",
+                         "--mass", "5.4400830078125"]),
+    ("extend-round-small", ["extend", "--n", "2", "--r-o", "0.5", "--q", "0.1",
+                            "--lambda", "-4", "--mass", "0.3647916666666667"]),
 ]
 
 

@@ -307,6 +307,44 @@ class TestEpsilonSearch:
         with pytest.raises(PreconditionError):
             co.find_eps0(2, 1.0, 1.0, 0.0, 2.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("r_o", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("u, lam_r2", [(0.0, 0.0), (0.3, 0.0), (0.45, -2.5)])
+    def test_batched_grid_matches_the_scalar_loop(self, n, r_o, u, lam_r2):
+        q, lam = u * r_o ** (n - 1), lam_r2 / r_o ** 2
+        for a0 in (1e-9, 3e-8, 1e-5, 0.05, 0.5, 1.46, 30.0):
+            want = _scalar_eps0(n, r_o, q, lam, a0)
+            try:
+                got = co.find_eps0(n, r_o, q, lam, a0)
+            except ConstructionError:
+                got = None
+            assert got == want, a0
+
+    def test_no_growing_epsilon_is_a_construction_error(self):
+        assert _scalar_eps0(2, 1.0, 0.0, 0.0, 1e-9) is None
+        with pytest.raises(ConstructionError, match="no epsilon on the geometric grid"):
+            co.find_eps0(2, 1.0, 0.0, 0.0, 1e-9)
+
+
+def _scalar_eps0(n, r_o, q, lam, a0):
+    """The flare search one epsilon and one amplitude at a time (None when no
+    epsilon grows the far-end mass): the reference for the batched grid."""
+    params = lambda_rn.RNParams(n=n, m=0.0, q=q, lam=lam)
+    reference = m_o(n, r_o, q, lam)
+
+    def far_end_mass(epsilon, amplitude):
+        stretch = 1.0 + epsilon
+        radius = math.sqrt(stretch) * r_o
+        loss = epsilon ** 2 * r_o ** 2 / (stretch * amplitude ** 2)
+        return 0.5 * radius ** (n - 1) * (lambda_rn.eval_p(params, radius) - loss)
+
+    for k in range(53):
+        epsilon = 2.0 ** (-k)
+        if (far_end_mass(epsilon, a0) - reference > 0.0
+                and far_end_mass(epsilon, 10.0 * a0) - reference > 0.0):
+            return epsilon
+    return None
+
 
 class TestMonotonicity:
     def test_round_2_nondecreasing(self, round2):

@@ -23,6 +23,7 @@ from charged_extensions.lambda_rn import (
 )
 from charged_extensions.numutil import simpson_uniform
 from charged_extensions.quasilocal import hawking_rotsym
+from scipy.special import erfc
 
 
 def line_profile(lo, hi, start, slope, charge=0.0, count=65):
@@ -141,6 +142,42 @@ def _reference_mollified_point(bridge, cutoff, eps, t):
     df = (dfv * chain) @ phi
     d2f = ((d2fv * chain ** 2 - dfv * eps * d2eta * xs)) @ phi
     return float(f), float(df), float(d2f)
+
+
+def _three_closure_deformation(scale, s0):
+    """sigma, sigma', sigma'' of the bend, one closure and one exp each: the
+    reference for the jet of su._deformation."""
+    root_pi = math.sqrt(math.pi)
+
+    def g_int(y):
+        y = np.asarray(y, dtype=float)
+        out = np.zeros_like(y)
+        pos = y > 0.0
+        z = scale / y[pos]
+        out[pos] = y[pos] * np.exp(-z * z) - scale * root_pi * erfc(z)
+        return out
+
+    def sigma(s):
+        s = np.asarray(s, dtype=float)
+        return s - g_int(s0 - s)
+
+    def sigma_dot(s):
+        s = np.asarray(s, dtype=float)
+        y = s0 - s
+        out = np.ones_like(y)
+        pos = y > 0.0
+        out[pos] += np.exp(-((scale / y[pos]) ** 2))
+        return out
+
+    def sigma_ddot(s):
+        s = np.asarray(s, dtype=float)
+        y = s0 - s
+        out = np.zeros_like(y)
+        pos = y > 0.0
+        out[pos] = -2.0 * scale * scale * np.exp(-((scale / y[pos]) ** 2)) / y[pos] ** 3
+        return out
+
+    return sigma, sigma_dot, sigma_ddot
 
 
 class TestMarginOperator:
@@ -423,33 +460,70 @@ class TestMollifyAndCertify:
             assert np.array_equal(got, want)
         assert held >= ({0, 1, 2} if which == "short" else {0, 1})
 
-    def test_one_evaluation_and_fixed_bump_calls_per_invocation(
+    def test_evaluator_and_bump_calls_do_not_grow_with_the_points(
             self, line_glue, monkeypatch):
         bridge = line_glue[0]
         a1, b1, a2, b2 = bridge.a1, bridge.b1, bridge.a2, bridge.b2
         mid1, mid2 = 0.5 * (a1 + b1), 0.5 * (a2 + b2)
         cutoff = su._Cutoff(mid1, b1, a2, mid2)
         eps = 0.5 * min(cutoff.plateau, mid1 - a1, b2 - mid2)
-        calls = {"evaluate": 0, "bump": 0}
-        evaluate, bump = su.BridgedProfile.evaluate, su._bump
+        calls = {"evaluate": 0, "bridge": 0, "piece": 0, "bump": 0}
+        evaluate, bridge_values = su.BridgedProfile.evaluate, su.BridgedProfile._bridge_values
+        evaluator_of, bump = su._evaluator_of, su._bump
 
-        def counting_evaluate(self, s):
-            calls["evaluate"] += 1
-            return evaluate(self, s)
+        def counting(key, fn):
+            def counted(*args):
+                calls[key] += 1
+                return fn(*args)
+            return counted
 
-        def counting_bump(s):
-            calls["bump"] += 1
-            return bump(s)
-
-        monkeypatch.setattr(su.BridgedProfile, "evaluate", counting_evaluate)
-        monkeypatch.setattr(su, "_bump", counting_bump)
+        monkeypatch.setattr(su.BridgedProfile, "evaluate", counting("evaluate", evaluate))
+        monkeypatch.setattr(su.BridgedProfile, "_bridge_values",
+                            counting("bridge", bridge_values))
+        monkeypatch.setattr(su, "_evaluator_of",
+                            lambda profile: counting("piece", evaluator_of(profile)))
+        monkeypatch.setattr(su, "_bump", counting("bump", bump))
         counts = []
         for size in (50, 800):
-            calls.update(evaluate=0, bump=0)
+            calls.update(evaluate=0, bridge=0, piece=0, bump=0)
             su._mollified_points(bridge, cutoff, eps, np.linspace(a1, b2, size))
             counts.append(dict(calls))
-        assert counts[0]["evaluate"] == counts[1]["evaluate"] == 1
-        assert counts[0]["bump"] == counts[1]["bump"]
+        assert counts[0] == counts[1]
+        # One call per piece, one masked evaluation for the rows across a
+        # junction, and the bridge once directly and once inside it.
+        assert counts[1]["evaluate"] == 1 and counts[1]["bridge"] <= 2
+        assert counts[1]["piece"] <= 4
+
+    @pytest.mark.parametrize("which", ["line", "charged", "short"])
+    def test_support_ending_on_a_junction_bitwise_equal_point_reference(
+            self, which, line_glue, charged_bridge, short_bridge):
+        # A plateau point whose support [t - eps, t + eps] ends exactly on b1
+        # or a2 holds no break; its nodes lie on one side of the junction
+        # unless one rounds onto it, which the masked evaluation would put
+        # in the left piece.
+        bridge = {"line": line_glue[0], "charged": charged_bridge,
+                  "short": short_bridge}[which]
+        a1, b1, a2, b2 = bridge.a1, bridge.b1, bridge.a2, bridge.b2
+        mid1, mid2 = 0.5 * (a1 + b1), 0.5 * (a2 + b2)
+        cutoff = su._Cutoff(mid1, b1, a2, mid2)
+        eps0 = 0.5 * min(cutoff.plateau, mid1 - a1, b2 - mid2)
+        for eps in (eps0, eps0 / 8.0, eps0 * 2.0 ** -20):
+            points = []
+            for j in (b1, a2):
+                for sign in (-1.0, 1.0):
+                    t = j + sign * eps
+                    for _ in range(8):
+                        if t - sign * eps == j:
+                            break
+                        t = np.nextafter(t, -np.inf if t - sign * eps > j else np.inf)
+                    assert t - sign * eps == j
+                    points.append(t)
+            points = np.array(points)
+            assert np.all(cutoff.value(points) >= 1.0)
+            got = su._mollified_points(bridge, cutoff, eps, points)
+            want = np.array([_reference_mollified_point(bridge, cutoff, eps, t)
+                             for t in points]).T
+            assert np.array_equal(got, want)
 
 
 class TestBend:
@@ -461,6 +535,16 @@ class TestBend:
         strict = res.profile.s_grid < s0 - res.scale / 5.0
         assert float(np.min(margins[strict])) > 0.0
         assert float(np.min(margins[~strict])) >= -1e-9
+
+    def test_deformation_jet_equals_three_closures_bitwise(self, schwarzschild_bend):
+        params, s0, res = schwarzschild_bend
+        jet = su._deformation(res.scale, s0)
+        reference = _three_closure_deformation(res.scale, s0)
+        band = np.concatenate([np.linspace(s0 - res.delta, s0, 1025),
+                               np.linspace(s0, s0 + 1.0, 17)])
+        for s in (band, band[:1], float(band[7]), s0):
+            for got, ref in zip(jet(s), reference):
+                assert np.array_equal(got, ref(s))
 
     def test_identity_beyond_station_bitwise(self, schwarzschild_bend):
         params, s0, res = schwarzschild_bend

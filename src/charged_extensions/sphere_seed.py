@@ -353,6 +353,21 @@ def _cumulative_area_pieces(theta: np.ndarray, w_rows: np.ndarray):
     return c, np.concatenate([c[-1].T, last[:, None]], axis=1)
 
 
+def _area_residual(dx, c4, c3, c2, c1, rise):
+    """The quartic piece at offset dx, less the target's rise over its knot."""
+    return dx * (c1 + dx * (c2 + dx * (c3 + dx * c4))) - rise
+
+
+def _bracketed_newton_step(c4, c3, c2, c1, rise, lo, hi, dx):
+    """The bracket [lo, hi] narrowed by the residual at dx, and the Newton
+    step from dx, or the bracket's midpoint when that step leaves it."""
+    resid = _area_residual(dx, c4, c3, c2, c1, rise)
+    lo, hi = np.where(resid < 0.0, dx, lo), np.where(resid > 0.0, dx, hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = dx - resid / (c1 + dx * (2.0 * c2 + dx * (3.0 * c3 + dx * 4.0 * c4)))
+    return lo, hi, np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+
+
 def _invert_on_pieces(theta: np.ndarray, c: np.ndarray, knots: np.ndarray,
                       targets: np.ndarray) -> np.ndarray:
     """x with each row's cumulative area (``_cumulative_area_pieces``) at its targets.
@@ -373,36 +388,29 @@ def _invert_on_pieces(theta: np.ndarray, c: np.ndarray, knots: np.ndarray,
     hi = theta[idx + 1] - theta[idx]
     dx = hi * (rise / (knots[row, idx + 1] - pieces[-1]))
 
-    def residual(dx, c4, c3, c2, c1, rise):
-        return dx * (c1 + dx * (c2 + dx * (c3 + dx * c4))) - rise
-
     # The moving points, flattened: coefficients, rise, bracket and dx.
     active = np.arange(dx.size)
     state = [a.ravel() for a in (*pieces[:-1], rise, np.zeros(idx.shape), hi, dx)]
-    dx = dx.ravel().copy()
+    dx = dx.ravel()
     for _ in range(_MAX_STEPS):
-        c4, c3, c2, c1, rise_a, lo, hi, x = state
-        resid = residual(x, c4, c3, c2, c1, rise_a)
-        lo_next, hi_next = np.where(resid < 0.0, x, lo), np.where(resid > 0.0, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - resid / (c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * 4.0 * c4)))
-        step = np.where((newton >= lo_next) & (newton <= hi_next), newton,
-                        0.5 * (lo_next + hi_next))
-        moved = float(np.max(np.abs(step - x)))
-        state[-3:] = lo_next, hi_next, step
+        x = state[-1]
+        state[-3:] = _bracketed_newton_step(*state)
+        moved = float(np.max(np.abs(state[-1] - x)))
         if moved <= _STEP_TOL:
             break
         # A step that leaves dx unchanged repeats its residual, and so its
         # bracket and step, from then on.  Dropping such points costs a
         # gather of every state array, which pays once they are half.
-        settled = step == x
+        settled = state[-1] == x
         if 2 * np.count_nonzero(settled) >= x.size:
             done, keep = np.flatnonzero(settled), np.flatnonzero(~settled)
-            dx[active[done]] = step[done]
-            active, state = active[keep], [a.take(keep) for a in state]
+            dx[active[done]] = x[done]
+            active = active[keep]
+            for k, a in enumerate(state):
+                state[k] = a.take(keep)
     dx[active] = state[-1]
     dx = dx.reshape(idx.shape)
-    worst = float(np.max(np.abs(residual(dx, *pieces[:-1], rise)) / knots[:, -1:]))
+    worst = float(np.max(np.abs(_area_residual(dx, *pieces[:-1], rise)) / knots[:, -1:]))
     if moved > _STEP_TOL or worst > 1e-12:
         raise InternalConsistencyError(
             f"area map inversion left a residual of {worst!r} of the total, its last "

@@ -71,7 +71,8 @@ def test_smooth_steps_round_alike_alone_and_in_arrays(order) -> None:
     assert not np.any(np.isnan(batch))
     for k, value in enumerate(x):
         alone = np.asarray(_smooth_step_jet(value, order))
-        assert np.array_equal(alone, np.asarray(_smooth_step_jet(np.array([value]), order))[:, 0]), value
+        single = np.asarray(_smooth_step_jet(np.array([value]), order))
+        assert np.array_equal(alone, single[:, 0]), value
         assert np.array_equal(alone, batch[:, k]), value
 
 

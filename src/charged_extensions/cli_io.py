@@ -25,7 +25,7 @@ from . import lambda_rn as rn
 from . import pipeline as pl
 from . import sphere_seed as ss
 from . import surgery as su
-from .errors import ExtensionError, PreconditionError
+from .errors import ExtensionError, PreconditionError, VerificationError
 from .numutil import fmt17, json_text
 
 __all__ = [
@@ -625,7 +625,7 @@ def _run_selftest(config: RunConfig) -> int:
             "result": result.as_dict(),
         }
         _atomic_write(options["out"], json_text(payload))
-    return 0 if result.passed else 4
+    return 0 if result.passed else VerificationError.exit_code
 
 
 def emit_plotdata(report: pl.ExtensionReport, prefix) -> list[str]:

@@ -67,7 +67,10 @@ class PipelineConfig:
     - ``n_t``: number of time samples along the collar path.
     - ``n_theta``: polar samples of axisymmetric seed metrics.
     - ``mass_gap_tol``: relative gap required between the far collar
-      mass and the requested mass, and the far-end mass agreement bound.
+      mass and the requested mass.  It also bounds the glue record's end
+      mass ``m_e`` against the requested mass, which ``surgery.glue_to_rn``
+      records as given.  The far-end Hawking mass is not checked with it:
+      ``glue_to_rn`` holds that to its own 1e-8 (1 + |m_e|).
     - ``witness_floor``: largest exponent k of the mass witnesses
       (1 + 2^-k) m_o tried by ``bartnik_report``.
     """
@@ -237,7 +240,11 @@ def _build_collar_tail(
     kappa: float,
     case_id: str,
 ):
-    """Build the collar, halving the flare until its far mass clears m."""
+    """Build the collar, halving the flare until its far mass clears m.
+
+    Returns the collar, its arclength tail and the tail's far mass; the
+    collar's spec carries the flare, amplitude and kappa it was built with.
+    """
     spec = _flare_parameters(path, data, m, m_o_val, kappa, case_id)
     floor = spec.epsilon * 2.0 ** -20
     while True:
@@ -247,7 +254,7 @@ def _build_collar_tail(
         df_b = float(tail.df[-1])
         m_star = ql.hawking_rotsym(data.n, data.q, data.lam, f_b, df_b)
         if m_star < m and m - m_star > config.mass_gap_tol * (1.0 + abs(m)):
-            return built, tail, m_star, spec.epsilon, spec.A
+            return built, tail, m_star
         if spec.epsilon <= floor:
             raise ConstructionError(
                 "collar flare cannot be made small enough to keep the far "
@@ -304,18 +311,15 @@ def _assemble_report(
     config: PipelineConfig,
     m: float,
     m_o_val: float,
-    r_o: float,
     built: co.ChargedCollar,
     profile: rn.SampledProfile,
     record: dict,
     cls: rn.ExtremalityClass,
     route: str,
-    eps: float,
-    amplitude: float,
-    kappa: float,
     m_star: float,
 ) -> ExtensionReport:
-    n = data.n
+    n, spec = data.n, built.spec
+    r_o = spec.r_o
     achieved = float(record["m_e"])
     if abs(achieved - m) > config.mass_gap_tol * (1.0 + abs(m)):
         raise VerificationError(
@@ -367,9 +371,9 @@ def _assemble_report(
 
     diagnostics = {
         "route": route,
-        "kappa": kappa,
-        "epsilon": eps,
-        "amplitude": amplitude,
+        "kappa": spec.kappa,
+        "epsilon": spec.epsilon,
+        "amplitude": spec.A,
         "far_collar_mass": m_star,
         "boundary_radius": r_o,
         "gluing_radius": float(record["r_C"]),
@@ -381,7 +385,7 @@ def _assemble_report(
         ),
     }
     if route == "eigenfunction":
-        eigen = ss.eigen_along_path(built.spec.path)
+        eigen = ss.eigen_along_path(spec.path)
         diagnostics["eigen"] = {
             "modes": eigen.modes,
             "tail": eigen.tail,
@@ -437,8 +441,7 @@ def construct_extension(
 
     with _stage("seed"):
         path = _resolve_path(data, config)
-        r_o = path.r_o
-        m_o_val = ql.m_o(data.n, r_o, data.q, data.lam)
+        m_o_val = ql.m_o(data.n, path.r_o, data.q, data.lam)
         if not m > m_o_val:
             raise PreconditionError(
                 f"requested mass {m!r} does not exceed the optimal mass "
@@ -449,7 +452,7 @@ def construct_extension(
         route, case_id, kappa = co.select_route(path, data.q, data.lam)
 
     with _stage("collar"):
-        built, tail, m_star, eps, amplitude = _build_collar_tail(
+        built, tail, m_star = _build_collar_tail(
             path, data, config, m, m_o_val, kappa, case_id
         )
 
@@ -461,20 +464,7 @@ def construct_extension(
 
     with _stage("verification"):
         return _assemble_report(
-            data,
-            config,
-            m,
-            m_o_val,
-            r_o,
-            built,
-            profile,
-            record,
-            cls,
-            route,
-            eps,
-            amplitude,
-            kappa,
-            m_star,
+            data, config, m, m_o_val, built, profile, record, cls, route, m_star
         )
 
 

@@ -353,21 +353,6 @@ def _cumulative_area_pieces(theta: np.ndarray, w_rows: np.ndarray):
     return c, np.concatenate([c[-1].T, last[:, None]], axis=1)
 
 
-def _area_residual(dx, c4, c3, c2, c1, rise):
-    """The quartic piece at offset dx, less the target's rise over its knot."""
-    return dx * (c1 + dx * (c2 + dx * (c3 + dx * c4))) - rise
-
-
-def _bracketed_newton_step(c4, c3, c2, c1, rise, lo, hi, dx):
-    """The bracket [lo, hi] narrowed by the residual at dx, and the Newton
-    step from dx, or the bracket's midpoint when that step leaves it."""
-    resid = _area_residual(dx, c4, c3, c2, c1, rise)
-    lo, hi = np.where(resid < 0.0, dx, lo), np.where(resid > 0.0, dx, hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        newton = dx - resid / (c1 + dx * (2.0 * c2 + dx * (3.0 * c3 + dx * 4.0 * c4)))
-    return lo, hi, np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
-
-
 def _invert_on_pieces(theta: np.ndarray, c: np.ndarray, knots: np.ndarray,
                       targets: np.ndarray) -> np.ndarray:
     """x with each row's cumulative area (``_cumulative_area_pieces``) at its targets.
@@ -375,42 +360,30 @@ def _invert_on_pieces(theta: np.ndarray, c: np.ndarray, knots: np.ndarray,
     The knot values bracket each target in one knot interval, whose quartic
     is gathered once.  Newton solves for the offset dx into it, bisecting the
     bracket [lo, hi] when a step leaves it, until no point moves by more than
-    ``_STEP_TOL``.  A point whose step leaves its dx unchanged is a fixed
-    point of the iteration; such points leave the loop once they are half
-    of those in it.  Still moving after ``_MAX_STEPS`` steps, or a residual
+    ``_STEP_TOL``.  Still moving after ``_MAX_STEPS`` steps, or a residual
     above 1e-12 of the row's total, raises InternalConsistencyError.
     """
     idx = np.array([np.searchsorted(k, t, side="right") for k, t in zip(knots, targets)])
     idx = np.minimum(idx - 1, theta.size - 2)
     row = np.arange(idx.shape[0])[:, None]
-    pieces = [coef[idx, row] for coef in c]
-    rise = targets - pieces[-1]
-    hi = theta[idx + 1] - theta[idx]
-    dx = hi * (rise / (knots[row, idx + 1] - pieces[-1]))
+    c4, c3, c2, c1, knot = (coef[idx, row] for coef in c)
+    rise = targets - knot
+    lo, hi = np.zeros(idx.shape), theta[idx + 1] - theta[idx]
+    dx = hi * (rise / (knots[row, idx + 1] - knot))
 
-    # The moving points, flattened: coefficients, rise, bracket and dx.
-    active = np.arange(dx.size)
-    state = [a.ravel() for a in (*pieces[:-1], rise, np.zeros(idx.shape), hi, dx)]
-    dx = dx.ravel()
+    def residual(dx):
+        return dx * (c1 + dx * (c2 + dx * (c3 + dx * c4))) - rise
+
     for _ in range(_MAX_STEPS):
-        x = state[-1]
-        state[-3:] = _bracketed_newton_step(*state)
-        moved = float(np.max(np.abs(state[-1] - x)))
+        resid = residual(dx)
+        lo, hi = np.where(resid < 0.0, dx, lo), np.where(resid > 0.0, dx, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = dx - resid / (c1 + dx * (2.0 * c2 + dx * (3.0 * c3 + dx * 4.0 * c4)))
+        step = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+        moved, dx = float(np.max(np.abs(step - dx))), step
         if moved <= _STEP_TOL:
             break
-        # A step that leaves dx unchanged repeats its residual, and so its
-        # bracket and step, from then on.  Dropping such points costs a
-        # gather of every state array, which pays once they are half.
-        settled = state[-1] == x
-        if 2 * np.count_nonzero(settled) >= x.size:
-            done, keep = np.flatnonzero(settled), np.flatnonzero(~settled)
-            dx[active[done]] = x[done]
-            active = active[keep]
-            for k, a in enumerate(state):
-                state[k] = a.take(keep)
-    dx[active] = state[-1]
-    dx = dx.reshape(idx.shape)
-    worst = float(np.max(np.abs(_area_residual(dx, *pieces[:-1], rise)) / knots[:, -1:]))
+    worst = float(np.max(np.abs(residual(dx)) / knots[:, -1:]))
     if moved > _STEP_TOL or worst > 1e-12:
         raise InternalConsistencyError(
             f"area map inversion left a residual of {worst!r} of the total, its last "
@@ -750,27 +723,17 @@ def _composed_fields(path: MetricPath):
     map derivative uses the chain rule through the cumulative-area
     identity, dTheta/dtheta = density0(theta) / density_t(Theta), the
     derivative of the exact map, with the seed's density taken at its
-    samples.
+    samples.  Both densities vanish at the poles, where the identity's
+    limit gives dTheta/dtheta = e^(w_seed - exponent).
     """
     maps = path.reparam
     exponent, curvature = _seed_composition(path)
     density0 = np.exp(2.0 * path.seed.w) * np.sin(path.seed.theta_grid)
     density = np.exp(2.0 * exponent) * np.sin(maps)
-    return exponent, curvature, _pole_parity_ratio(density0, density), maps
-
-
-def _pole_parity_ratio(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """numer / denom along the last axis, divided at interior samples only.
-
-    Both vanish at the poles, so the ratio extends to an even smooth
-    function; its pole values fit c0 + c2 theta^2 to the two nearest
-    interior values.
-    """
-    out = np.empty(np.broadcast_shapes(np.shape(numer), np.shape(denom)))
-    out[..., 1:-1] = numer[..., 1:-1] / denom[..., 1:-1]
-    out[..., 0] = out[..., 1] - (out[..., 2] - out[..., 1]) / 3.0
-    out[..., -1] = out[..., -2] - (out[..., -3] - out[..., -2]) / 3.0
-    return out
+    dmap, poles = np.empty(maps.shape), [0, -1]
+    dmap[:, 1:-1] = density0[1:-1] / density[:, 1:-1]
+    dmap[:, poles] = np.exp(path.seed.w[poles] - exponent[:, poles])
+    return exponent, curvature, dmap, maps
 
 
 def slice_geometry(path: MetricPath) -> SliceGeometry:
@@ -804,8 +767,11 @@ def _slice_geometry(path: MetricPath) -> SliceGeometry:
 
     dt = float(path.t_grid[1] - path.t_grid[0])
     ratio_a = diff1_4th(a_comp.T, dt).T / a_comp
-    # The azimuthal component vanishes at the poles.
-    ratio_b = _pole_parity_ratio(diff1_4th(b_comp.T, dt).T, b_comp)
+    ratio_b = np.empty(a_comp.shape)
+    ratio_b[:, 1:-1] = diff1_4th(b_comp.T, dt).T[:, 1:-1] / b_comp[:, 1:-1]
+    # At a pole the composed metric is e^(2 w_seed) g* for every t, so both
+    # time derivatives vanish there (b'/b tends to a'/a).
+    ratio_a[:, [0, -1]] = ratio_b[:, [0, -1]] = 0.0
 
     return SliceGeometry(
         t_grid=path.t_grid,

@@ -57,6 +57,12 @@ CASES = [
                          "--grid-out", "grid.csv", "--hawking-out", "hawking.csv"]),
     ("collar-cos-0.3", ["collar", "--n", "2", "--seed-cos", "0.3",
                         "--grid-out", "grid.csv", "--hawking-out", "hawking.csv"]),
+    # On a coarse grid the pole columns carry the most weight.
+    ("collar-cos-0.62-coarse", ["collar", "--n", "2", "--seed-cos", "0.62", "--n-theta", "33",
+                                "--n-t", "65", "--grid-out", "grid.csv",
+                                "--hawking-out", "hawking.csv"]),
+    ("extend-cos-0.62-coarse", ["extend", "--n", "2", "--seed-cos", "0.62", "--n-theta", "33",
+                                "--n-t", "65", "--mass", "0.9"]),
     ("extend-n3", ["extend", "--n", "3", "--r-o", "1.0", "--q", "0.1",
                    "--lambda", "-1.5", "--mass", "0.65"]),
     ("extend-csv-0.3", ["extend", "--n", "2", "--seed-csv", "seed.csv", "--mass", "0.7"]),

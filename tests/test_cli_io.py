@@ -670,6 +670,13 @@ class TestSelftestCommand:
         assert rc == 2
         assert "criteria" in capsys.readouterr().err
 
+    def test_failed_criterion_exits_with_the_verification_code(self, monkeypatch, capsys):
+        entry = pl.SelftestEntry(criterion=1, name="stub", passed=False, detail={})
+        failed = pl.SelftestResult(entries=(entry,), config={}, passed=False)
+        monkeypatch.setattr(pl, "selftest", lambda *args, **kwargs: failed)
+        assert cli_io.main(["selftest"]) == VerificationError.exit_code == 4
+        assert capsys.readouterr().out.startswith("[C1] FAIL")
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -630,12 +631,6 @@ def test_round_path_validation():
         round_path(2, -1.0)
 
 
-def _parity_fill(ratio):
-    ratio[..., 0] = ratio[..., 1] - (ratio[..., 2] - ratio[..., 1]) / 3.0
-    ratio[..., -1] = ratio[..., -2] - (ratio[..., -3] - ratio[..., -2]) / 3.0
-    return ratio
-
-
 def _horner(c, at, dx, nu=0):
     """Cubic pieces with coefficients c (highest power first) picked by the
     index tuple ``at``, at offsets dx; their derivative for nu = 1."""
@@ -676,12 +671,15 @@ def _per_sample_fields(path):
     area_form = np.exp(2.0 * exponent) * np.sin(maps) * map_slope
     deviation = float(np.max(np.abs(diff1_4th(area_form.T, dt).T)))
 
+    # Pole limits in the exact area gauge: the map slope is
+    # e^(w_seed - exponent), and the composed metric there is static.
     base_density = np.exp(2.0 * metrics[0].w) * np.sin(theta)
     dmap = np.empty_like(maps)
     for k in range(n_t):
         density_t = np.exp(2.0 * exponent[k]) * np.sin(maps[k])
         dmap[k, 1:-1] = base_density[1:-1] / density_t[1:-1]
-    dmap = _parity_fill(dmap)
+        for pole in (0, -1):
+            dmap[k, pole] = np.exp(seed.w[pole] - exponent[k, pole])
     conf = np.exp(2.0 * exponent)
     a_comp = conf * dmap ** 2
     b_comp = conf * np.sin(maps) ** 2
@@ -689,7 +687,8 @@ def _per_sample_fields(path):
     db = diff1_4th(b_comp.T, dt).T
     ratio_b = np.empty_like(db)
     ratio_b[:, 1:-1] = db[:, 1:-1] / b_comp[:, 1:-1]
-    ratio_b = _parity_fill(ratio_b)
+    for ratio in (ratio_a, ratio_b):
+        ratio[:, [0, -1]] = 0.0
     geometry = {
         "sqrt_det": np.sqrt(a_comp * b_comp),
         "scalar_curvature": 2.0 * curvature,
@@ -830,6 +829,64 @@ def test_composed_curvature_matches_closed_form(a):
     assert np.max(error[:, 1:-1]) <= 1e-11
     fields = slice_geometry(path)
     assert np.array_equal(fields.scalar_curvature, 2.0 * curvature[path.slice_of])
+
+
+def _exact_cos_maps(a, scale, theta):
+    """Exact area-gauge maps Theta(theta) of the rows of a cos(theta)'s
+    normalized path, at the mpf angles ``theta``, to 40 digits.
+
+    Row s a x + d (x = cos(theta)) has cumulative area
+    e^(2d) (e^(2sa) - e^(2sax)) / (2sa) from theta = 0, and d gives it the
+    seed's total, so C_row(Theta) = C_seed(theta) inverts in closed form.
+    Returns one list of mpf per row; the caller works at 40 digits.
+    """
+    def area(sa, x):
+        return (mpmath.exp(2 * sa) - mpmath.exp(2 * sa * x)) / (2 * sa) if sa else 1 - x
+
+    def inverse(sa, target):
+        return mpmath.log(mpmath.exp(2 * sa) - 2 * sa * target) / (2 * sa) if sa else 1 - target
+
+    a = mpmath.mpf(a)
+    seed = [area(a, mpmath.cos(t)) for t in theta]
+    maps = []
+    for s in scale:
+        sa = mpmath.mpf(float(s)) * a
+        gain = area(sa, -1) / area(a, -1)
+        maps.append([mpmath.acos(inverse(sa, c * gain)) for c in seed])
+    return maps
+
+
+@pytest.mark.parametrize("a", [0.15, 0.62, -0.7])
+def test_pole_map_slope_is_the_exact_maps(a):
+    # The exact map is odd about each pole, so Theta(delta) / delta and
+    # (pi - Theta(pi - delta)) / delta are its pole slopes to O(delta^2).
+    path = normalize_path(axisym_metric_from_function(lambda t: a * np.cos(t)), n_t=17)
+    with mpmath.workdps(40):
+        delta = mpmath.mpf("1e-10")
+        exact = np.array([[float(near / delta), float((mpmath.pi - far) / delta)]
+                          for near, far in _exact_cos_maps(a, path.scale,
+                                                           [delta, mpmath.pi - delta])])
+    _, _, dmap, _ = sphere_seed._composed_fields(path)
+    assert np.max(np.abs(dmap[:, [0, -1]] - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("a, bound", [(0.15, 7.9e-13), (0.62, 3.7e-12), (-0.7, 4.4e-12),
+                                      (2.0, 5.4e-11)])
+def test_cos_seed_maps_match_the_closed_form(a, bound):
+    # Bounds are twice the errors measured at 1025 theta samples.
+    path = normalize_path(axisym_metric_from_function(lambda t: a * np.cos(t)), n_t=17)
+    theta = path.seed.theta_grid
+    with mpmath.workdps(40):
+        exact = _exact_cos_maps(a, path.scale, [mpmath.mpf(float(t)) for t in theta[1:-1]])
+        exact = np.array([[float(x) for x in row] for row in exact])
+    assert np.max(np.abs(path.reparam[:, 1:-1] - exact)) <= bound
+
+
+def test_time_derivatives_vanish_at_the_poles(cos_path):
+    # The composed metric at a pole is e^(2 w_seed) g* for every t.
+    fields = slice_geometry(cos_path)
+    assert np.all(fields.gprime_sq[:, [0, -1]] == 0.0)
+    assert np.all(fields.trace_gprime[:, [0, -1]] == 0.0)
 
 
 def test_slice_fields_compose_from_the_seed_row(cos_seed, monkeypatch):

@@ -3,9 +3,9 @@
 Uniform-grid Simpson quadrature, fourth-order finite differences with
 one-sided closures, an infinitely smooth monotone step and the jet of its
 first two analytic derivatives, and the deterministic artifact text: the
-float formatter and the JSON renderer every artifact goes through. Everything here is pure and
-allocation-light; the heavier machinery (root finding, splines, banded
-solves) is imported from scipy at the point of use.
+float formatter and the JSON renderer every artifact goes through.
+Everything here is pure NumPy and allocation-light; root finding and
+splines are left to the modules that use them.
 """
 
 from __future__ import annotations

@@ -10,12 +10,15 @@ exponent (1-t)w, and the raw family is then normalized so that
 - the area form is independent of time, achieved by matching cumulative
   area functions through a monotone reparametrization of theta.
 
-The module also provides the Gaussian curvature of a seed, the first
-eigenvalue and eigenfunction of -Laplacian + K restricted to axisymmetric
-functions (a Legendre-Galerkin solve in x = cos(theta)), and the composed
-slice fields (volume form, scalar curvature,
-time-derivative norms, eigenfunction data) consumed by the collar
-construction, which reads its curvature floor from these fields.
+The seed's Chebyshev series in x = cos(theta) gives its Gaussian
+curvature, the first eigenvalue and eigenfunction of -Laplacian + K
+restricted to axisymmetric functions (a Legendre-Galerkin solve), and
+every field composed with the reparametrizing maps: the slice fields
+(volume form, scalar curvature, time-derivative norms) and the eigen
+fields, which the collar construction reads, its curvature floor among
+them.  Not-a-knot cubic splines carry only the area gauge: the cumulative
+areas whose inversion gives the maps, and the maps' own derivative in the
+measured volume-form deviation.
 """
 
 from __future__ import annotations
@@ -296,23 +299,24 @@ def _radius_drift(seed: AxisymConformalMetric, w: np.ndarray) -> tuple[float, fl
     return drift, 1e-10 * (1.0 + r_o) * coarse
 
 
-def _laplacian_axisym(theta: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Round-sphere Laplacian of a pole-regular axisymmetric row.
+def _laplacian_series(series: np.ndarray) -> np.ndarray:
+    """Chebyshev series in x = cos(theta) of the round-sphere Laplacian of a
+    pole-regular axisymmetric function, from its own series.
 
-    In x = cos(theta) the Laplacian is ((1 - x^2) f_x)_x.  It is taken on
-    the row's Chebyshev series (``_chebyshev_series``, the series the eigen
-    solve reads): differentiate, multiply by 1 - x^2 = (T_0 - T_2) / 2,
-    differentiate again and sum at cos(theta).  Pole-regular data are
-    smooth in x, so the poles need no closure of their own.
+    In x the Laplacian is ((1 - x^2) f_x)_x: differentiate, multiply by
+    1 - x^2 = (T_0 - T_2) / 2 and differentiate again.  Pole-regular data
+    are smooth in x, so the poles need no closure of their own.
     """
     cheb = np.polynomial.chebyshev
-    flux = cheb.chebmul(cheb.chebder(_chebyshev_series(values)), (0.5, 0.0, -0.5))
-    return cheb.chebval(np.cos(theta), cheb.chebder(flux))
+    return cheb.chebder(cheb.chebmul(cheb.chebder(series), (0.5, 0.0, -0.5)))
 
 
 def gaussian_curvature(metric: AxisymConformalMetric) -> np.ndarray:
-    """Gaussian curvature samples K = e^(-2w) (1 - Laplacian w)."""
-    return np.exp(-2.0 * metric.w) * (1.0 - _laplacian_axisym(metric.theta_grid, metric.w))
+    """Gaussian curvature samples K = e^(-2w) (1 - Laplacian w), the
+    Laplacian summed on the grid from w's Chebyshev series."""
+    laplacian = np.polynomial.chebyshev.chebval(
+        np.cos(metric.theta_grid), _laplacian_series(_chebyshev_series(metric.w)))
+    return np.exp(-2.0 * metric.w) * (1.0 - laplacian)
 
 
 def _time_clamp(t: np.ndarray, theta_switch: float) -> np.ndarray:
@@ -323,20 +327,6 @@ def _time_clamp(t: np.ndarray, theta_switch: float) -> np.ndarray:
 # Rows per batched spline construction: large enough to amortize the
 # per-call cost, small enough that the coefficient arrays stay a few MB.
 _ROW_CHUNK = 64
-
-
-def _intervals(theta: np.ndarray, x: np.ndarray):
-    """Spline interval i with theta[i] <= x < theta[i+1] (the last interval
-    also holds theta[-1]) and the offset x - theta[i], for a uniform grid.
-
-    x / h finds the interval up to one place where the float grid points
-    are not exact multiples of h; the two comparisons settle it exactly.
-    """
-    last = theta.size - 2
-    idx = np.clip((x * (1.0 / (theta[1] - theta[0]))).astype(np.intp), 0, last)
-    idx -= (x < theta[idx]) & (idx > 0)
-    idx += (x >= theta[idx + 1]) & (idx < last)
-    return idx, x - theta[idx]
 
 
 def _cumulative_area_pieces(theta: np.ndarray, w_rows: np.ndarray):
@@ -488,48 +478,17 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
     )
 
 
-def _compose_rows(theta: np.ndarray, stacks, points: np.ndarray) -> list[np.ndarray]:
-    """Row k of each array in ``stacks``, as a not-a-knot cubic spline in
-    theta, evaluated at row k of ``points``.
+def _composed_exponent(path: MetricPath):
+    """The seed's Chebyshev series, the points x = cos(Theta_j) of every
+    distinct slice's map, and each slice's exponent composed with its map.
 
-    One spline is built per chunk of rows of each array instead of one per
-    row, and the arrays share the chunk's interval lookup.
+    Row j is the blend scale_j w + shift_j of the seed's w, so at x it is
+    scale_j w(x) + shift_j, with w(x) summed from w's series (Clenshaw).
     """
-    out = [np.empty(points.shape) for _ in stacks]
-    for lo in range(0, points.shape[0], _ROW_CHUNK):
-        chunk = slice(lo, lo + _ROW_CHUNK)
-        idx, dx = _intervals(theta, points[chunk])
-        row = np.arange(idx.shape[0])[:, None]
-        for rows, values in zip(stacks, out):
-            c = CubicSpline(theta, rows[chunk], axis=1).c
-            c3, c2, c1, c0 = (c[i][idx, row] for i in range(4))
-            values[chunk] = ((c3 * dx + c2) * dx + c1) * dx + c0
-    return out
-
-
-def _seed_composition(path: MetricPath):
-    """Exponent and Gaussian curvature of every distinct slice, composed
-    with its reparametrizing map, from the seed's row alone.
-
-    Row j is the blend scale_j w + shift_j of the seed's w, so its
-    not-a-knot spline is the same blend of w's spline S_w, and its
-    Laplacian is scale_j Laplacian(w), taken once on the seed row's
-    Chebyshev series (``_laplacian_axisym``).  With S_lap
-    the spline of that Laplacian and one interval lookup at the maps
-    Theta_j, exponent_j = scale_j S_w(Theta_j) + shift_j and curvature_j =
-    e^(-2 exponent_j) (1 - scale_j S_lap(Theta_j)).
-    """
-    theta, w = path.seed.theta_grid, path.seed.w
-    idx, dx = _intervals(theta, path.reparam)
-
-    def at_maps(row):
-        c = CubicSpline(theta, row).c
-        return ((c[0][idx] * dx + c[1][idx]) * dx + c[2][idx]) * dx + c[3][idx]
-
-    scale = path.scale[:, None]
-    exponent = scale * at_maps(w) + path.shift[:, None]
-    laplacian = scale * at_maps(_laplacian_axisym(theta, w))
-    return exponent, np.exp(-2.0 * exponent) * (1.0 - laplacian)
+    series = _chebyshev_series(path.seed.w)
+    x = np.cos(path.reparam)
+    exponent = path.scale[:, None] * np.polynomial.chebyshev.chebval(x, series)
+    return series, x, exponent + path.shift[:, None]
 
 
 def _measure_volume_form_deviation(path: MetricPath) -> float:
@@ -540,7 +499,7 @@ def _measure_volume_form_deviation(path: MetricPath) -> float:
     identity that would make the area form static by construction.  At a
     knot it is the spline's linear coefficient; the last knot, which
     closes the last piece, is evaluated.  The composed exponent is the
-    slice fields' (``_seed_composition``).
+    slice fields' (``_composed_exponent``).
     """
     theta, maps = path.seed.theta_grid, path.reparam
     h = theta[-1] - theta[-2]
@@ -549,7 +508,7 @@ def _measure_volume_form_deviation(path: MetricPath) -> float:
         c = CubicSpline(theta, maps[lo:lo + _ROW_CHUNK], axis=1).c
         dmap[lo:lo + _ROW_CHUNK, :-1] = c[2].T
         dmap[lo:lo + _ROW_CHUNK, -1] = (3.0 * c[0, -1] * h + 2.0 * c[1, -1]) * h + c[2, -1]
-    sqrt_det = np.exp(2.0 * _seed_composition(path)[0]) * np.sin(maps) * dmap
+    sqrt_det = np.exp(2.0 * _composed_exponent(path)[2]) * np.sin(maps) * dmap
     dt = float(path.t_grid[1] - path.t_grid[0])
     time_deriv = diff1_4th(sqrt_det[path.slice_of].T, dt).T
     return float(np.max(np.abs(time_deriv)))
@@ -585,7 +544,8 @@ def _chebyshev_series(rows: np.ndarray) -> np.ndarray:
     uniform theta grid, which is the Chebyshev-Lobatto grid in x.
 
     Pole-regular axisymmetric data are smooth functions of x, so the
-    series converges spectrally; the eigen solve and ``_laplacian_axisym``
+    series converges spectrally; the eigen solve, ``gaussian_curvature``
+    and the composed fields (``_composed_exponent``, ``_composed_fields``)
     read it.  Trailing coefficients at the rounding level of a row (16 eps
     times its largest sample) are set to zero, and the columns past every
     row's last kept coefficient are dropped.
@@ -608,14 +568,6 @@ def _row_sums(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (coeffs[:, None, :] @ table)[:, 0, :]
 
 
-def _legendre_table(x: np.ndarray, modes: int):
-    """Orthonormal Legendre polynomials p_k on [-1, 1], k < modes, and their
-    derivatives at x, each of shape (modes, x.size)."""
-    legendre = np.polynomial.legendre
-    basis = np.diag(np.sqrt(np.arange(modes) + 0.5))
-    return legendre.legval(x, basis), legendre.legval(x, legendre.legder(basis))
-
-
 def _galerkin(series: np.ndarray, modes: int):
     """Lowest eigenpair of -Laplacian + K on every row, by Rayleigh-Ritz.
 
@@ -623,18 +575,20 @@ def _galerkin(series: np.ndarray, modes: int):
     with, for every v,
     int (1-x^2) u_x v_x + int u v + int (1-x^2) w_x (u v)_x = lam int e^(2w) u v,
     where the third term is int -Laplacian(w) u v integrated by parts.  The
-    basis is p_0 .. p_(modes-1); the integrals take 3 * modes Gauss nodes,
+    basis is the orthonormal Legendre polynomials p_0 .. p_(modes-1),
+    p_k = sqrt(k + 1/2) P_k; the integrals take 3 * modes Gauss nodes,
     with w and w_x from each row's Chebyshev series.  One Cholesky
     reduction and one eigh run on the stack of all rows.  Returns the
     eigenvalues and the ground states' coefficients, signed so the mean is
     positive and scaled so int e^(2w) u^2 equals int e^(2w), the area.
     """
-    x, weights = np.polynomial.legendre.leggauss(3 * modes)
-    cheb = np.polynomial.chebyshev
+    legendre, cheb = np.polynomial.legendre, np.polynomial.chebyshev
+    x, weights = legendre.leggauss(3 * modes)
     w = _row_sums(series, cheb.chebvander(x, series.shape[-1] - 1).T)
     derivative = cheb.chebder(series, axis=-1)
     w_x = _row_sums(derivative, cheb.chebvander(x, derivative.shape[-1] - 1).T)
-    p, dp = _legendre_table(x, modes)
+    basis = np.diag(np.sqrt(np.arange(modes) + 0.5))
+    p, dp = legendre.legval(x, basis), legendre.legval(x, legendre.legder(basis))
     density = np.exp(2.0 * w) * weights
     mass = (p * density[:, None, :]) @ p.T
     cross = (dp * ((1.0 - x * x) * w_x * weights)[:, None, :]) @ p.T
@@ -649,19 +603,17 @@ def _galerkin(series: np.ndarray, modes: int):
     return values[:, 0], coeffs * np.sign(coeffs[:, :1])
 
 
-def _ground_states(theta: np.ndarray, rows: np.ndarray):
-    """First eigenvalue, ground state and its round-sphere Laplacian on the
-    theta grid for each exponent row, with the mode count and its tail.
+def _ground_states(rows: np.ndarray):
+    """First eigenvalue and ground state's Legendre coefficients for each
+    exponent row, with the mode count and its tail.
 
     The mode count doubles from ``_FIRST_MODES`` until the tail test holds:
     on every row the Legendre coefficients of the last quarter of the
     modes are at most ``_TAIL_TOL`` of the largest.  Spectral decay then
     leaves u and its Laplacian good to about that tolerance, and the
     eigenvalue, whose error is quadratic in it, good to rounding.  Past
-    ``_MAX_MODES`` it raises ConstructionError.  u and the round-sphere
-    Laplacian(u) = -sum k(k+1) c_k p_k are summed from the coefficients;
-    a ground state that is not positive on the grid raises
-    ConstructionError.
+    ``_MAX_MODES`` it raises ConstructionError.  ``_ground_state_sums``
+    sums the coefficients.
     """
     series = _chebyshev_series(rows)
     modes = _FIRST_MODES
@@ -671,22 +623,39 @@ def _ground_states(theta: np.ndarray, rows: np.ndarray):
         tail = float(np.max(np.max(magnitude[:, 3 * modes // 4:], axis=1)
                             / np.max(magnitude, axis=1)))
         if tail <= _TAIL_TOL:
-            break
+            return values, coeffs, modes, tail
         if modes >= _MAX_MODES:
             raise ConstructionError(
                 f"eigen solve did not resolve the ground state in {modes} Legendre modes",
                 diagnostics={"modes": modes, "tail": tail, "tail_tol": _TAIL_TOL},
             )
         modes *= 2
-    p_grid, _ = _legendre_table(np.cos(theta), modes)
-    k = np.arange(modes)
-    u = _row_sums(coeffs, p_grid)
+
+
+def _ground_state_sums(values: np.ndarray, coeffs: np.ndarray, x: np.ndarray):
+    """Ground states u = sum c_k p_k and their round-sphere Laplacians
+    -sum k(k+1) c_k p_k, row j of ``coeffs`` summed at row j of x.
+
+    Both sums take one forward pass of the recurrence
+    (k+1) P_(k+1) = (2k+1) x P_k - k P_(k-1).
+    A ground state that is not positive at x raises ConstructionError,
+    which carries the smallest of the eigenvalues ``values``.
+    """
+    weights = coeffs * np.sqrt(np.arange(coeffs.shape[1]) + 0.5)
+    previous, current = np.zeros(x.shape), np.ones(x.shape)
+    u = weights[:, :1] * current
+    laplacian = np.zeros(u.shape)
+    for k in range(1, coeffs.shape[1]):
+        previous, current = current, ((2 * k - 1) / k) * x * current - ((k - 1) / k) * previous
+        term = weights[:, k, None] * current
+        u += term
+        laplacian -= (k * (k + 1.0)) * term
     if not np.min(u) > 0.0:
         raise ConstructionError(
             "ground state is not positive",
             diagnostics={"min_u": float(np.min(u)), "min_lambda1": float(np.min(values))},
         )
-    return values, u, _row_sums(coeffs * -(k * (k + 1.0)), p_grid), modes, tail
+    return u, laplacian
 
 
 def lambda1(metric: AxisymConformalMetric) -> tuple[float, np.ndarray]:
@@ -694,11 +663,12 @@ def lambda1(metric: AxisymConformalMetric) -> tuple[float, np.ndarray]:
 
     The operator is restricted to axisymmetric functions and solved by the
     Legendre-Galerkin method of ``_ground_states``, so the eigenvalue is
-    good to rounding for smooth seeds; the eigenfunction is sampled on the
+    good to rounding for smooth seeds; the eigenfunction is summed on the
     metric grid and normalized so its squared integral equals the total
     area.
     """
-    values, u, _, _, _ = _ground_states(metric.theta_grid, metric.w[None, :])
+    values, coeffs, _, _ = _ground_states(metric.w[None, :])
+    u, _ = _ground_state_sums(values, coeffs, np.cos(metric.theta_grid)[None, :])
     return float(values[0]), u[0]
 
 
@@ -717,17 +687,19 @@ def _composed_fields(path: MetricPath):
     """Composed conformal data of every distinct slice in the fixed area gauge.
 
     Returns exponent, curvature, map derivative and map arrays with one
-    row per distinct slice: the conformal-gauge field evaluated along the
-    reparametrizing map, composed from the seed's row by
-    ``_seed_composition`` (no spline or Laplacian of a slice row).  The
-    map derivative uses the chain rule through the cumulative-area
-    identity, dTheta/dtheta = density0(theta) / density_t(Theta), the
+    row per distinct slice, summed at the maps from the seed's Chebyshev
+    series: the exponent is ``_composed_exponent``'s and row j's curvature
+    e^(-2 exponent) (1 - scale_j Laplacian(w)).  The map derivative uses
+    the chain rule through the cumulative-area identity, dTheta/dtheta = density0(theta) / density_t(Theta), the
     derivative of the exact map, with the seed's density taken at its
     samples.  Both densities vanish at the poles, where the identity's
     limit gives dTheta/dtheta = e^(w_seed - exponent).
     """
     maps = path.reparam
-    exponent, curvature = _seed_composition(path)
+    series, x, exponent = _composed_exponent(path)
+    laplacian = path.scale[:, None] * np.polynomial.chebyshev.chebval(
+        x, _laplacian_series(series))
+    curvature = np.exp(-2.0 * exponent) * (1.0 - laplacian)
     density0 = np.exp(2.0 * path.seed.w) * np.sin(path.seed.theta_grid)
     density = np.exp(2.0 * exponent) * np.sin(maps)
     dmap, poles = np.empty(maps.shape), [0, -1]
@@ -788,9 +760,9 @@ def eigen_along_path(path: MetricPath) -> EigenPath:
 
     Eigenpairs of every distinct slice come from one batched
     Legendre-Galerkin solve in the conformal gauge (``_ground_states``),
-    are composed with the reparametrizing maps, expanded to every t sample
-    and differentiated in time.  Memoized on the path
-    (``MetricPath.eigen_fields``).
+    are summed at the reparametrizing maps (``_ground_state_sums``),
+    expanded to every t sample and differentiated in time.  Memoized on
+    the path (``MetricPath.eigen_fields``).
     """
     return path.eigen_fields
 
@@ -812,17 +784,17 @@ def _eigen_path(path: MetricPath) -> EigenPath:
             tail=0.0,
         )
 
-    theta = path.seed.theta_grid
-    values, u_gauge, lap_round, modes, tail = _ground_states(theta, path.w)
-    lap_gauge = np.exp(-2.0 * path.w) * lap_round
-    u_comp, lap_comp = (composed[path.slice_of] for composed in
-                        _compose_rows(theta, (u_gauge, lap_gauge), path.reparam))
+    values, coeffs, modes, tail = _ground_states(path.w)
+    _, x, exponent = _composed_exponent(path)
+    u, lap_round = _ground_state_sums(values, coeffs, x)
+    u_comp = u[path.slice_of]
+    lap_comp = (np.exp(-2.0 * exponent) * lap_round)[path.slice_of]
 
     dt = float(path.t_grid[1] - path.t_grid[0])
     du_dt = diff1_4th(u_comp.T, dt).T
     return EigenPath(
         t_grid=path.t_grid,
-        theta_grid=theta,
+        theta_grid=path.seed.theta_grid,
         lambda1=values[path.slice_of],
         u=u_comp,
         du_dt=du_dt,

@@ -11,7 +11,8 @@ own output paths), and its stdout, stderr and exit code are written next to
 its artifacts.  Two trees agree byte for byte when ``diff -r`` of their
 output directories is empty.  ``--compare`` lists, for every file that
 differs between two such trees, which numeric fields moved and their
-largest relative and absolute shift; it exits 1 when any file differs.
+largest absolute shift, also relative to the field's largest magnitude in
+the old tree; it exits 1 when any file differs.
 Not collected by pytest; ``test_cli_io`` checks that every argv still
 parses and that the comparison reads JSON, tables and text.
 """
@@ -152,24 +153,29 @@ def _number(value):
 
 
 def _shift(old: list, new: list) -> str | None:
-    """How a field moved between two trees, or None if it did not."""
+    """How a field moved between two trees, or None if it did not.  The
+    relative shift is the largest absolute one over the field's largest
+    finite magnitude in the old tree, so exact zeros in a field do not make
+    it infinite."""
     if old == new:
         return None
     if not (old and new):
         return f"only in {'old' if old else 'new'}"
     if len(old) != len(new):
         return f"count {len(old)} -> {len(new)}"
-    rel = abs_ = 0.0
+    scale = abs_ = 0.0
     for a, b in zip(old, new):
         x, y = _number(a), _number(b)
         if x is None or y is None:
             if a != b:
                 return f"non-numeric value {a!r} -> {b!r}"
             continue
+        if math.isfinite(x):
+            scale = max(scale, abs(x))
         if x == y or (math.isnan(x) and math.isnan(y)):
             continue
         abs_ = max(abs_, abs(y - x))
-        rel = max(rel, abs(y - x) / abs(x) if x != 0.0 else math.inf)
+    rel = abs_ / scale if scale else math.inf
     return f"max rel shift {rel:.2g} (abs {abs_:.2g})"
 
 

@@ -721,7 +721,7 @@ def test_artifact_compare_lists_moved_fields(tmp_path):
     files = {
         "a/report.json": ('{"x": 1.0, "w": [{"s": 2.0}, {"s": 4.0}], "k": "eigen"}',
                           '{"x": 1.0, "w": [{"s": 2.0}, {"s": 4.4}], "k": "eigen"}'),
-        "a/profile.csv": ("s,f\n0,1\n1,2\n", "s,f\n0,1\n1,2.5\n"),
+        "a/profile.csv": ("s,f,margin\n0,1,0\n1,2,-4\n", "s,f,margin\n0,1,1e-3\n1,2.5,-4\n"),
         "a/run.dat": ("# s f\n0 1\n", "# s f\n0 1\n"),
         "b/stdout.txt": ("[C10] PASS 1\n", "[C10] FAIL 1\n"),
         "b/old.txt": ("1\n", None),
@@ -733,6 +733,8 @@ def test_artifact_compare_lists_moved_fields(tmp_path):
                 (root / name).write_text(text)
     assert compare_trees(old, new) == [
         "a/profile.csv: f max rel shift 0.25 (abs 0.5)",
+        # A field with exact zeros is measured against its largest magnitude.
+        "a/profile.csv: margin max rel shift 0.00025 (abs 0.001)",
         "a/report.json: w[].s max rel shift 0.1 (abs 0.4)",
         "b/old.txt: only in old",
         "b/stdout.txt: line 1 non-numeric value 'PASS' -> 'FAIL'",

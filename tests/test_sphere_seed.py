@@ -285,19 +285,6 @@ def test_batched_normalization_matches_per_slice_reference(a):
         assert abs(metric.area() - target) < 1e-10 * target
 
 
-def test_intervals_match_searchsorted():
-    # Knots, their float neighbours and random points; the interval rule is
-    # PPoly's: theta[i] <= x < theta[i+1], with pi in the last interval.
-    theta = np.linspace(0.0, math.pi, 1025)
-    rng = np.random.default_rng(5)
-    x = np.concatenate([theta, np.nextafter(theta, -1.0)[1:],
-                        np.nextafter(theta, 4.0)[:-1], rng.uniform(0.0, math.pi, 4000)])
-    idx, dx = sphere_seed._intervals(theta, x)
-    expected = np.clip(np.searchsorted(theta, x, side="right") - 1, 0, theta.size - 2)
-    assert np.array_equal(idx, expected)
-    assert np.array_equal(dx, x - theta[expected])
-
-
 def test_gauss_bonnet_along_path(cos_path):
     for k in (0, 32, 64, 96, 128):
         assert abs(total_curvature(metric_at(cos_path, k)) - 4.0 * math.pi) < 1e-6
@@ -631,43 +618,36 @@ def test_round_path_validation():
         round_path(2, -1.0)
 
 
-def _horner(c, at, dx, nu=0):
-    """Cubic pieces with coefficients c (highest power first) picked by the
-    index tuple ``at``, at offsets dx; their derivative for nu = 1."""
-    c3, c2, c1, c0 = (c[i][at] for i in range(4))
-    if nu:
-        return (3.0 * c3 * dx + 2.0 * c2) * dx + c1
-    return ((c3 * dx + c2) * dx + c1) * dx + c0
-
-
 def _per_sample_fields(path):
     """Slice fields, eigen fields and volume-form deviation of a path built
     t sample by t sample: one metric per sample, every per-slice stage run
     on each of them, as before the path kept one row per distinct slice.
 
     Sample k's exponent is (1 - ramp_k) w + d_k for the seed's w and the
-    sample's dilation d_k, so its exponent and curvature are read from
-    splines of w and of Laplacian(w) at the sample's map."""
+    sample's dilation d_k, so its exponent and curvature are summed from
+    the series of w and of Laplacian(w) at x = cos of the sample's map."""
     seed, theta = path.seed, path.seed.theta_grid
     n_t = path.t_grid.size
     dt = float(path.t_grid[1] - path.t_grid[0])
     metrics = slice_metrics(path)
     maps = np.array([reparam_at(path, k) for k in range(n_t)])
     w_rows = np.array([metric.w for metric in metrics])
-    compose = sphere_seed._compose_rows
 
     scale = (1.0 - sphere_seed._time_clamp(path.t_grid, path.theta_switch))[:, None]
     dilation = path.shift[path.slice_of][:, None]
-    idx, dx = sphere_seed._intervals(theta, maps)
-    s_w, s_lap = (_horner(CubicSpline(theta, row).c, (idx,), dx)
-                  for row in (seed.w, sphere_seed._laplacian_axisym(theta, seed.w)))
-    exponent = scale * s_w + dilation
-    curvature = np.exp(-2.0 * exponent) * (1.0 - scale * s_lap)
+    x = np.cos(maps)
+    series = sphere_seed._chebyshev_series(seed.w)
+    cheb = np.polynomial.chebyshev
+    exponent = scale * cheb.chebval(x, series) + dilation
+    laplacian = scale * cheb.chebval(x, sphere_seed._laplacian_series(series))
+    curvature = np.exp(-2.0 * exponent) * (1.0 - laplacian)
 
-    knots = np.broadcast_to(theta, maps.shape)
-    knot_idx, knot_dx = sphere_seed._intervals(theta, knots)
-    map_slope = _horner(CubicSpline(theta, maps, axis=1).c,
-                        (knot_idx, np.arange(n_t)[:, None]), knot_dx, nu=1)
+    # The honest map slope: the spline's linear coefficient at each knot,
+    # the last piece evaluated at its end.
+    knot_idx = np.minimum(np.arange(theta.size), theta.size - 2)
+    c3, c2, c1, _ = CubicSpline(theta, maps, axis=1).c[:, knot_idx, np.arange(n_t)[:, None]]
+    offset = theta - theta[knot_idx]
+    map_slope = (3.0 * c3 * offset + 2.0 * c2) * offset + c1
     area_form = np.exp(2.0 * exponent) * np.sin(maps) * map_slope
     deviation = float(np.max(np.abs(diff1_4th(area_form.T, dt).T)))
 
@@ -696,16 +676,14 @@ def _per_sample_fields(path):
         "trace_gprime": ratio_a + ratio_b,
     }
 
-    # u and its Laplacian composed in separate passes; the path composes
-    # them in one.
-    values, u_gauge, lap_round, _, _ = sphere_seed._ground_states(theta, w_rows)
-    [u_comp] = compose(theta, (u_gauge,), maps)
-    [lap_comp] = compose(theta, (np.exp(-2.0 * w_rows) * lap_round,), maps)
+    # One eigen solve per sample, summed at the sample's map.
+    values, coeffs, _, _ = sphere_seed._ground_states(w_rows)
+    u_comp, lap_round = sphere_seed._ground_state_sums(values, coeffs, x)
     eigen = {
         "lambda1": values,
         "u": u_comp,
         "du_dt": diff1_4th(u_comp.T, dt).T,
-        "laplace_u": lap_comp,
+        "laplace_u": np.exp(-2.0 * exponent) * lap_round,
     }
     return deviation, geometry, eigen
 
@@ -729,9 +707,9 @@ def test_eigen_fields_solve_each_distinct_slice_once(cos_seed, monkeypatch):
     path = normalize_path(cos_seed, n_t=129)
     solves = []
 
-    def counting(theta, rows, original=sphere_seed._ground_states):
+    def counting(rows, original=sphere_seed._ground_states):
         solves.append(rows.shape)
-        return original(theta, rows)
+        return original(rows)
 
     monkeypatch.setattr(sphere_seed, "_ground_states", counting)
     eigen_along_path(path)
@@ -831,6 +809,47 @@ def test_composed_curvature_matches_closed_form(a):
     assert np.array_equal(fields.scalar_curvature, 2.0 * curvature[path.slice_of])
 
 
+@pytest.mark.parametrize("n_theta", [1025, 33])
+@pytest.mark.parametrize("a", [0.15, 0.62, -0.7, 2.0])
+def test_composed_fields_are_exact_for_cos_seeds(a, n_theta):
+    # At its map Theta, row j of a cos(theta)'s path has exponent
+    # s_j a cos(Theta) + d_j and curvature e^(-2 exponent) (1 + 2 s_j a cos(Theta)),
+    # taken here at 40 digits.  The series of a x holds two terms, so the
+    # composed fields are exact up to rounding on any grid.
+    path = normalize_path(axisym_metric_from_function(lambda t: a * np.cos(t), n_theta=n_theta),
+                          n_t=17)
+    exponent, curvature, _, maps = sphere_seed._composed_fields(path)
+    exact_exponent, exact_curvature = np.empty(maps.shape), np.empty(maps.shape)
+    with mpmath.workdps(40):
+        for j, (s, d) in enumerate(zip(path.scale, path.shift)):
+            for i, angle in enumerate(maps[j]):
+                x = mpmath.mpf(float(s)) * a * mpmath.cos(mpmath.mpf(float(angle)))
+                exact_exponent[j, i] = float(x + mpmath.mpf(float(d)))
+                exact_curvature[j, i] = float(mpmath.exp(-2 * (x + mpmath.mpf(float(d))))
+                                              * (1 + 2 * x))
+    assert np.max(np.abs(exponent - exact_exponent)) <= 1e-15
+    scale = np.max(np.abs(exact_curvature))
+    assert np.max(np.abs(curvature - exact_curvature)) <= 1e-14 * scale
+
+
+def test_slice_and_eigen_fields_build_no_spline(monkeypatch):
+    # Only the area gauge reads splines; the composed fields are summed
+    # from series.
+    path = normalize_path(axisym_metric_from_function(lambda t: 0.62 * np.cos(t)), n_t=65)
+    splines = []
+
+    def counting(*args, original=sphere_seed.CubicSpline, **kwargs):
+        splines.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sphere_seed, "CubicSpline", counting)
+    slice_geometry(path)
+    eigen_along_path(path)
+    assert splines == []
+    assert path.volume_form_deviation > 0.0
+    assert splines
+
+
 def _exact_cos_maps(a, scale, theta):
     """Exact area-gauge maps Theta(theta) of the rows of a cos(theta)'s
     normalized path, at the mpf angles ``theta``, to 40 digits.
@@ -889,27 +908,6 @@ def test_time_derivatives_vanish_at_the_poles(cos_path):
     assert np.all(fields.trace_gprime[:, [0, -1]] == 0.0)
 
 
-def test_slice_fields_compose_from_the_seed_row(cos_seed, monkeypatch):
-    # Every slice is a blend of the seed, so the slice fields take one
-    # Laplacian, of the seed's row, and build only one-row splines.
-    path = normalize_path(cos_seed, n_t=129)
-    laplacians, splines = [], []
-
-    def counting_laplacian(theta, values, original=sphere_seed._laplacian_axisym):
-        laplacians.append(np.shape(values))
-        return original(theta, values)
-
-    def counting_spline(x, y, *args, original=sphere_seed.CubicSpline, **kwargs):
-        splines.append(np.shape(y))
-        return original(x, y, *args, **kwargs)
-
-    monkeypatch.setattr(sphere_seed, "_laplacian_axisym", counting_laplacian)
-    monkeypatch.setattr(sphere_seed, "CubicSpline", counting_spline)
-    slice_geometry(path)
-    assert laplacians == [cos_seed.theta_grid.shape]
-    assert splines and all(shape == cos_seed.theta_grid.shape for shape in splines)
-
-
 @pytest.mark.parametrize("make_path", [
     lambda: round_path(2, 1.3, n_t=65),
     lambda: round_path(3, 0.8, n_t=65),
@@ -925,20 +923,6 @@ def test_slice_field_extremes_are_taken_once(make_path, monkeypatch):
     monkeypatch.setattr(np, "min", lambda *args, **kwargs: reductions.append(args))
     assert curvature_floor_along_path(path) == fields.min_scalar_curvature
     assert reductions == []
-
-
-def test_eigen_fields_share_one_interval_lookup_per_chunk(cos_seed, monkeypatch):
-    # u and its Laplacian are composed in one pass: 95 rows are two chunks.
-    path = normalize_path(cos_seed, n_t=129)
-    lookups = []
-
-    def counting(theta, x, original=sphere_seed._intervals):
-        lookups.append(x.shape)
-        return original(theta, x)
-
-    monkeypatch.setattr(sphere_seed, "_intervals", counting)
-    eigen_along_path(path)
-    assert lookups == [(64, cos_seed.theta_grid.size), (31, cos_seed.theta_grid.size)]
 
 
 def test_seed_too_steep_for_the_area_gauge_is_a_construction_error(monkeypatch):

@@ -12,7 +12,7 @@ from charged_extensions import collar as co
 from charged_extensions import lambda_rn
 from charged_extensions import sphere_seed
 from charged_extensions import surgery as su
-from charged_extensions.errors import DomainError, PreconditionError
+from charged_extensions.errors import DomainError, PreconditionError, VerificationError
 from charged_extensions.lambda_rn import (
     RNParams,
     SampledProfile,
@@ -654,6 +654,20 @@ class TestGlueToRN:
         _, _, profile, _ = schwarzschild_glue
         assert float(np.min(profile.df)) > 0.0
         assert np.all(np.diff(profile.f) > 0.0)
+
+    def test_far_end_mass_off_is_a_verification_error(self, round_tail, monkeypatch):
+        # The far-end Hawking mass is the check that binds the model end to
+        # the requested mass: read 1e-6 off there, the glue is refused.
+        f_b, df_b = float(round_tail.f[-1]), float(round_tail.df[-1])
+        m_star = hawking_rotsym(2, 0.0, 0.0, f_b, df_b)
+
+        def far_off(n, q, lam, f, df):
+            mass = hawking_rotsym(n, q, lam, f, df)
+            return mass if f == f_b else mass + 1e-6
+
+        monkeypatch.setattr(su, "hawking_rotsym", far_off)
+        with pytest.raises(VerificationError, match="far-end Hawking mass"):
+            su.glue_to_rn(2, round_tail, m_star, 1.05 * m_star, 0.0, 0.0)
 
     def test_rejects_equal_end_parameters(self, round_tail):
         f_b, df_b = float(round_tail.f[-1]), float(round_tail.df[-1])

@@ -824,9 +824,9 @@ def test_composed_fields_are_exact_for_cos_seeds(a, n_theta):
         for j, (s, d) in enumerate(zip(path.scale, path.shift)):
             for i, angle in enumerate(maps[j]):
                 x = mpmath.mpf(float(s)) * a * mpmath.cos(mpmath.mpf(float(angle)))
-                exact_exponent[j, i] = float(x + mpmath.mpf(float(d)))
-                exact_curvature[j, i] = float(mpmath.exp(-2 * (x + mpmath.mpf(float(d))))
-                                              * (1 + 2 * x))
+                value = x + mpmath.mpf(float(d))
+                exact_exponent[j, i] = float(value)
+                exact_curvature[j, i] = float(mpmath.exp(-2 * value) * (1 + 2 * x))
     assert np.max(np.abs(exponent - exact_exponent)) <= 1e-15
     scale = np.max(np.abs(exact_curvature))
     assert np.max(np.abs(curvature - exact_curvature)) <= 1e-14 * scale

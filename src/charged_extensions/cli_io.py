@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import collar as co
 from . import lambda_rn as rn
@@ -373,12 +373,19 @@ def _model_params(options: dict) -> rn.RNParams:
     )
 
 
-def _exponent_from_csv(path: str):
-    """Conformal exponent interpolated from CSV rows theta,w.
+# Largest distance, in radians, of a seed file's polar angle from its node.
+_CSV_NODE_TOL = 1e-12
 
-    The header must be exactly ``theta,w``; the polar angles must be
-    strictly increasing.  Interpolation clamps the slope to zero at both
-    ends, keeping the exponent pole-regular.
+
+def _exponent_from_csv(path: str):
+    """Conformal exponent summed from the Chebyshev series of CSV rows theta,w.
+
+    The header must be exactly ``theta,w``, followed by N >= 4 rows whose
+    angles are the uniform grid theta_k = pi k / (N - 1) from 0 to pi, each
+    within ``_CSV_NODE_TOL``; any other angles are a UsageError.  Those
+    nodes are the Chebyshev-Lobatto points in x = cos(theta), so the
+    samples' series (``sphere_seed._chebyshev_series``) is their exact
+    polynomial interpolant in x, pole-regular as every polynomial in x is.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -402,10 +409,18 @@ def _exponent_from_csv(path: str):
             ) from exc
     if len(thetas) < 4:
         raise UsageError(f"seed file '{path}' needs at least 4 sample rows")
-    spline = CubicSpline(np.asarray(thetas), np.asarray(values), bc_type="clamped")
+    nodes = np.linspace(0.0, math.pi, len(thetas))
+    off = np.flatnonzero(~(np.abs(np.asarray(thetas) - nodes) <= _CSV_NODE_TOL))
+    if off.size:
+        k = int(off[0])
+        raise UsageError(
+            f"seed file '{path}' must sample theta uniformly from 0 to pi: sample k of "
+            f"N = {len(thetas)} at pi k / (N - 1), within {_CSV_NODE_TOL:g}; sample "
+            f"{k} has theta {thetas[k]!r}, not {float(nodes[k])!r}")
+    series = ss._chebyshev_series(np.asarray(values))
 
     def exponent(theta):
-        return spline(theta)
+        return np.polynomial.chebyshev.chebval(np.cos(theta), series)
 
     return exponent
 

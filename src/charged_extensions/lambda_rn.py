@@ -32,14 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
     InternalConsistencyError,
     NotApplicableError,
 )
+from .numutil import CubicHermite, brent_root
 
 __all__ = [
     "SUB_EXTREMAL",
@@ -66,7 +65,7 @@ SUB_EXTREMAL = "SubExtremal"
 EXTREMAL = "Extremal"
 SUPER_EXTREMAL = "SuperExtremal"
 
-_BRENTQ_KW = dict(xtol=1e-14, rtol=8.9e-16, maxiter=200)
+_BRENT_KW = dict(xtol=1e-14, rtol=8.9e-16, maxiter=200)
 
 # Degeneracy band of a root of p: |p'| <= _DEGENERACY_TOL (1 + |p''| r) at
 # the root counts as a double root.  classify and
@@ -237,7 +236,7 @@ def _h_root(params: RNParams) -> float:
                 lo *= 0.5
                 if lo < 1e-300:
                     raise InternalConsistencyError("failed to bracket the root of h")
-            return brentq(lambda r: eval_h(params, r), lo, r0, **_BRENTQ_KW)
+            return brent_root(lambda r: eval_h(params, r), lo, r0, **_BRENT_KW)
     except FloatingPointError as exc:
         raise DomainError(f"h overflows while its root is bracketed for {params}") from exc
 
@@ -282,19 +281,20 @@ def classify(params: RNParams) -> ExtremalityClass:
     (1 + |p''(r_plus)| * r_plus); the trichotomy is exact in the continuum
     and the band is a documented choice.
 
-    Roots are located by bracketed bisection (brentq) on the polynomial form
-    r^(2(n-1)) p(r) followed by a Newton polish, with the companion h
-    providing the brackets: for q != 0 its unique root separates the two
-    roots of p whenever they exist. Every root is cross-checked against the
-    derivative identity linking p' and h.  Parameters whose roots cannot be
-    bracketed within the float range, or resolved by brentq in float64,
-    raise DomainError.
+    Roots are located by Brent's bracketed method (``brent_root``) on the
+    polynomial form r^(2(n-1)) p(r) followed by a Newton polish, with the
+    companion h providing the brackets: for q != 0 its unique root separates
+    the two roots of p whenever they exist. Every root is cross-checked
+    against the derivative identity linking p' and h.  Parameters whose
+    roots cannot be bracketed within the float range, or resolved by
+    Brent's method in float64, raise DomainError.
     """
     try:
         return _classify(params)
     except (OverflowError, RuntimeError) as exc:
-        # RuntimeError is brentq's non-convergence: the rounding noise of p
-        # exceeds the root tolerance at the scale of these parameters.
+        # RuntimeError is brent_root's refusal: no convergence, because the
+        # rounding noise of p exceeds the root tolerance at the scale of
+        # these parameters, or a NaN value of p.
         raise DomainError(
             f"the roots of p for parameters {params} cannot be located in "
             f"float64: {exc}") from exc
@@ -319,7 +319,7 @@ def _classify(params: RNParams) -> ExtremalityClass:
         lo = hi
         while g(lo) >= 0.0:
             lo *= 0.5
-        r_plus = _newton_polish(params, brentq(g, lo, hi, **_BRENTQ_KW))
+        r_plus = _newton_polish(params, brent_root(g, lo, hi, **_BRENT_KW))
         _crosscheck_root(params, r_plus)
         return ExtremalityClass(SUB_EXTREMAL, r_plus=r_plus)
 
@@ -342,12 +342,12 @@ def _classify(params: RNParams) -> ExtremalityClass:
     while _poly_p(params, hi) <= 0.0:
         hi *= 2.0
     r_plus = _newton_polish(
-        params, brentq(lambda r: _poly_p(params, r), r_h, hi, **_BRENTQ_KW))
+        params, brent_root(lambda r: _poly_p(params, r), r_h, hi, **_BRENT_KW))
     lo = r_h
     while _poly_p(params, lo) <= 0.0:
         lo *= 0.5
     r_minus = _newton_polish(
-        params, brentq(lambda r: _poly_p(params, r), lo, r_h, **_BRENTQ_KW))
+        params, brent_root(lambda r: _poly_p(params, r), lo, r_h, **_BRENT_KW))
     _crosscheck_root(params, r_plus)
     _crosscheck_root(params, r_minus)
     return ExtremalityClass(SUB_EXTREMAL, r_plus=r_plus, r_minus=r_minus)
@@ -394,9 +394,9 @@ def radial_coordinate(params: RNParams, r: float) -> float:
 
 
 def _exact_evaluator(params: RNParams, s_grid, f, df):
-    """Dense evaluator: spline for f, exact first-integral identities for
-    df = sqrt(p(f)) and d2f = p'(f)/2."""
-    spline = CubicHermiteSpline(s_grid, f, df)
+    """Dense evaluator: cubic Hermite interpolant for f, exact first-integral
+    identities for df = sqrt(p(f)) and d2f = p'(f)/2."""
+    spline = CubicHermite(s_grid, f, df)
 
     def evaluate(s):
         s = np.asarray(s, dtype=float)

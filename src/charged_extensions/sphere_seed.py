@@ -18,7 +18,8 @@ every field composed with the reparametrizing maps: the slice fields
 fields, which the collar construction reads, its curvature floor among
 them.  Not-a-knot cubic splines carry only the area gauge: the cumulative
 areas whose inversion gives the maps, and the maps' own derivative in the
-measured volume-form deviation.
+measured volume-form deviation.  They are the package's one use of scipy,
+imported by ``_not_a_knot`` on first call, so round paths never load it.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import dct
-from scipy.interpolate import CubicSpline
 
 from .errors import ConstructionError, DomainError, InternalConsistencyError
-from .numutil import _D1_EDGE, diff1_4th, simpson_uniform, smooth_step
+from .numutil import _D1_EDGE, dct1, diff1_4th, simpson_uniform, smooth_step
 from .quasilocal import unit_sphere_volume
 
 __all__ = [
@@ -329,13 +328,25 @@ def _time_clamp(t: np.ndarray, theta_switch: float) -> np.ndarray:
 _ROW_CHUNK = 64
 
 
+def _not_a_knot(theta: np.ndarray, rows: np.ndarray):
+    """scipy's not-a-knot ``CubicSpline`` of each row over theta.
+
+    scipy.interpolate is imported here, on first call, because loading it
+    costs far more than a round construction and only the area gauge of
+    non-round seeds reads it.
+    """
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline(theta, rows, axis=1)
+
+
 def _cumulative_area_pieces(theta: np.ndarray, w_rows: np.ndarray):
     """PPoly coefficients, shape (5, intervals, rows), of each row's cumulative
     area (the antiderivative of the not-a-knot spline of e^(2w) sin(theta)),
     and its knot values, shape (rows, knots): the constant coefficients, then
     the last piece summed at its end in PPoly's power order, so each equals
     PPoly's own evaluation bit for bit."""
-    c = CubicSpline(theta, np.exp(2.0 * w_rows) * np.sin(theta), axis=1).antiderivative().c
+    c = _not_a_knot(theta, np.exp(2.0 * w_rows) * np.sin(theta)).antiderivative().c
     h = theta[-1] - theta[-2]
     last, power = c[-1, -1], h
     for k in range(c.shape[0] - 2, -1, -1):
@@ -505,7 +516,7 @@ def _measure_volume_form_deviation(path: MetricPath) -> float:
     h = theta[-1] - theta[-2]
     dmap = np.empty(maps.shape)
     for lo in range(0, maps.shape[0], _ROW_CHUNK):
-        c = CubicSpline(theta, maps[lo:lo + _ROW_CHUNK], axis=1).c
+        c = _not_a_knot(theta, maps[lo:lo + _ROW_CHUNK]).c
         dmap[lo:lo + _ROW_CHUNK, :-1] = c[2].T
         dmap[lo:lo + _ROW_CHUNK, -1] = (3.0 * c[0, -1] * h + 2.0 * c[1, -1]) * h + c[2, -1]
     sqrt_det = np.exp(2.0 * _composed_exponent(path)[2]) * np.sin(maps) * dmap
@@ -551,7 +562,7 @@ def _chebyshev_series(rows: np.ndarray) -> np.ndarray:
     row's last kept coefficient are dropped.
     """
     size = rows.shape[-1]
-    coeffs = dct(rows, type=1, axis=-1) / (size - 1)
+    coeffs = dct1(rows) / (size - 1)
     coeffs[..., 0] *= 0.5
     coeffs[..., -1] *= 0.5
     floor = 16.0 * np.finfo(float).eps * np.max(np.abs(rows), axis=-1, keepdims=True)

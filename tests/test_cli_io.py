@@ -22,7 +22,7 @@ from charged_extensions.errors import (
     VerificationError,
 )
 
-from artifact_cases import CASES, compare_trees
+from artifact_cases import CASES, _cos_seed_csv, compare_trees
 
 
 @pytest.fixture(scope="module")
@@ -415,6 +415,58 @@ class TestCollarCommand:
         rc = cli_io.main(["collar", "--n", "2", "--seed-csv", str(seed)])
         assert rc == 2
         assert "theta,w" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("thetas", [
+        np.linspace(0.0, math.pi, 41) ** 1.01 / math.pi ** 0.01,  # not uniform
+        np.linspace(0.0, 3.0, 41),  # stops short of pi
+        np.linspace(0.05, math.pi, 41),  # starts past 0
+        np.linspace(0.0, math.pi, 41) + 2e-12,  # off every node by more than 1e-12
+    ])
+    def test_seed_csv_off_the_uniform_grid_is_a_usage_error(self, thetas, tmp_path, capsys):
+        seed = tmp_path / "seed.csv"
+        rows = [f"{float(t)!r},{0.1 * math.cos(t)!r}" for t in thetas]
+        seed.write_text("\n".join(["theta,w"] + rows) + "\n")
+        rc = cli_io.main(["collar", "--n", "2", "--seed-csv", str(seed)])
+        assert rc == 2
+        assert "must sample theta uniformly from 0 to pi" in capsys.readouterr().err
+
+    def test_seed_csv_is_the_chebyshev_interpolant_of_its_samples(self, tmp_path):
+        seed = tmp_path / "seed.csv"
+        seed.write_text(_cos_seed_csv(0.3))
+        theta = np.linspace(0.0, math.pi, 1025)
+        w = cli_io._exponent_from_csv(str(seed))(theta)
+        assert ss._chebyshev_series(w).shape == (2,)
+        assert np.max(np.abs(w - 0.3 * np.cos(theta))) < 1e-16
+
+    def test_extend_from_csv_samples_matches_the_cos_seed(self, tmp_path, capsys):
+        # The file samples 0.3 cos(theta), so both runs build one seed up to
+        # rounding and every report field agrees to 1e-12 of its magnitude.
+        seed = tmp_path / "seed.csv"
+        seed.write_text(_cos_seed_csv(0.3))
+        reports = []
+        for source in (["--seed-csv", str(seed)], ["--seed-cos", "0.3"]):
+            assert cli_io.main(["extend", "--n", "2", "--mass", "0.7", *source]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+
+        def leaves(value, key=""):
+            if isinstance(value, dict):
+                for name, item in value.items():
+                    yield from leaves(item, f"{key}.{name}")
+            elif isinstance(value, list):
+                for k, item in enumerate(value):
+                    yield from leaves(item, f"{key}[{k}]")
+            else:
+                yield key, value
+
+        csv, cos = (dict(leaves(report)) for report in reports)
+        assert csv.keys() == cos.keys()
+        for key, value in cos.items():
+            if key.startswith(".config."):
+                continue
+            if isinstance(value, float):
+                assert abs(csv[key] - value) <= 1e-12 * abs(value), key
+            else:
+                assert csv[key] == value, key
 
     def test_undersized_amplitude_is_a_construction_failure(self, capsys):
         rc = cli_io.main(

@@ -2,17 +2,150 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.fft import dct
+from scipy.integrate import quad
+from scipy.interpolate import CubicHermiteSpline
+from scipy.optimize import brentq
+from scipy.special import erfc as scipy_erfc
 
+from charged_extensions import lambda_rn, surgery
 from charged_extensions.numutil import (
+    CubicHermite,
     _smooth_step_jet,
+    brent_root,
+    dct1,
     diff1_4th,
     diff2_4th,
+    erfc,
     fmt17,
     simpson_uniform,
     smooth_step,
 )
+
+# The (xtol, rtol, maxiter) of every brent_root call in the package.
+_ROOT_SETTINGS = [
+    lambda_rn._BRENT_KW,
+    dict(xtol=1e-15, rtol=8.9e-16, maxiter=100),
+    dict(xtol=1e-14, rtol=8.9e-16, maxiter=100),
+]
+
+
+def _random_brackets(count: int, seed: int):
+    """Functions with one sign change in their bracket: steep, flat and
+    cubic crossings at random roots and scales, with random bracket ends."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        root = float(rng.uniform(-3.0, 3.0)) * 10.0 ** float(rng.integers(-3, 4))
+        width = abs(root) + 10.0 ** float(rng.uniform(-6, 1))
+        lo = root - float(rng.uniform(1e-9, 1.0)) * width
+        hi = root + float(rng.uniform(1e-9, 1.0)) * width
+        rate, power = float(rng.uniform(0.1, 5.0)), int(rng.integers(1, 4))
+
+        def f(x, root=root, rate=rate, power=power, width=width):
+            u = (x - root) / width
+            return math.sinh(rate * u) + 0.3 * u ** (2 * power + 1)
+
+        yield f, lo, hi
+
+
+@pytest.mark.parametrize("settings", _ROOT_SETTINGS)
+def test_brent_root_equals_brentq_bitwise(settings) -> None:
+    for f, lo, hi in _random_brackets(1000, seed=11):
+        assert brent_root(f, lo, hi, **settings) == brentq(f, lo, hi, **settings), (lo, hi)
+
+
+def test_brent_root_refusals_are_runtime_errors() -> None:
+    # lambda_rn.classify turns a RuntimeError into a DomainError; a NaN value
+    # and a loop that runs out of iterations must both raise one.
+    tol = dict(xtol=1e-14, rtol=8.9e-16)
+    with pytest.raises(RuntimeError, match="NaN"):
+        brent_root(lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, **tol)
+    with pytest.raises(RuntimeError, match="converge"):
+        brent_root(lambda x: math.atan(x - 0.3), -1e3, 1e3, maxiter=3, **tol)
+    with pytest.raises(ValueError):
+        brent_root(lambda x: x * x + 1.0, -1.0, 1.0, **tol)
+    assert brent_root(lambda x: x - 0.25, 0.25, 1.0, **tol) == 0.25
+
+
+def test_cubic_hermite_equals_scipy_bitwise() -> None:
+    rng = np.random.default_rng(5)
+    knots = np.cumsum(rng.uniform(0.01, 1.0, 60))
+    y, dydx = rng.standard_normal(60), rng.standard_normal(60)
+    points = np.concatenate([
+        rng.uniform(knots[0], knots[-1], 5000),  # inside
+        knots,  # every knot, the last included
+        knots[0] - rng.uniform(0.0, 2.0, 100),  # outside, both ends
+        knots[-1] + rng.uniform(0.0, 2.0, 100),
+    ])
+    ours, theirs = CubicHermite(knots, y, dydx), CubicHermiteSpline(knots, y, dydx)
+    assert np.array_equal(ours(points), theirs(points))
+    assert np.array_equal(ours(points, nu=1), theirs.derivative()(points))
+    grid = points.reshape(10, -1)
+    assert np.array_equal(ours(grid), theirs(grid))
+    alone = ours(float(points[3]))
+    assert alone.shape == () and alone == theirs(float(points[3]))
+
+
+@pytest.mark.parametrize("shape", [(375, 1025), (7, 33), (3, 65), (1, 9)])
+def test_dct1_equals_scipy_bitwise(shape) -> None:
+    rows = np.random.default_rng(shape[1]).standard_normal(shape)
+    assert np.array_equal(dct1(rows), dct(rows, type=1, axis=-1))
+
+
+def test_mollifier_norm_literal() -> None:
+    value, _ = quad(lambda s: math.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0,
+                    epsabs=1e-15, epsrel=1e-13)
+    assert surgery._MOLLIFIER_NORM == 1.0 / value
+    with mpmath.workdps(40):
+        exact = 1 / mpmath.quad(lambda s: mpmath.exp(-1 / (1 - s * s)), [-1, 0, 1])
+        ulps = abs(mpmath.mpf(surgery._MOLLIFIER_NORM) - exact) / math.ulp(float(exact))
+    assert ulps <= 2
+
+
+def _erfc_arguments(seed: int) -> np.ndarray:
+    """z >= 0 across every branch: the rational form below 1, the two
+    forms from 1 and from 8 on, the cut to 0 past z^2 = log(max double),
+    the branch edges and huge arguments."""
+    rng = np.random.default_rng(seed)
+    edges = [0.0, 5e-324, 1e-300, 1e-8, np.nextafter(1.0, 0.0), 1.0, np.nextafter(8.0, 0.0),
+             8.0, math.sqrt(709.78), 26.65, 27.3, 40.0, 1e10, 1e300, math.inf]
+    return np.concatenate([np.linspace(0.0, 30.0, 3001), rng.uniform(0.0, 1.0, 300),
+                           rng.uniform(1.0, 8.0, 300), rng.uniform(8.0, 27.3, 300), edges])
+
+
+def test_erfc_against_40_digits() -> None:
+    # Bound: relative error 4 eps (1 + z^2) where erfc(z) is a normal
+    # double, absolute error below the smallest normal double elsewhere.
+    # The z^2 term is the rounding of z^2 inside exp(-z^2), which scipy's
+    # erfc carries too.
+    z = _erfc_arguments(3)
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.erfc(mpmath.mpf(float(v)))) if v < 30.0 else 0.0
+                          for v in z])
+    got = erfc(z)
+    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    normal = exact >= tiny
+    rel = np.abs(got[normal] - exact[normal]) / exact[normal]
+    assert np.all(rel <= 4.0 * eps * (1.0 + z[normal] ** 2))
+    assert np.all(np.abs(got[~normal] - exact[~normal]) < tiny)
+    assert erfc(0.0) == 1.0 and isinstance(erfc(0.5), float)
+    assert math.isnan(erfc(math.nan))
+
+
+def test_erfc_matches_scipy_where_normal() -> None:
+    rng = np.random.default_rng(9)
+    z = np.concatenate([_erfc_arguments(4), rng.uniform(0.0, 27.3, 100_000)])
+    reference = scipy_erfc(z)
+    normal = reference >= np.finfo(float).tiny
+    got = erfc(z)
+    assert np.all(np.abs(got[normal] - reference[normal]) <= 1e-15 * reference[normal])
+    assert np.all(np.abs(got[~normal] - reference[~normal]) < np.finfo(float).tiny)
+    # The bend jet passes its own exp(-z^2); the value must not depend on it.
+    with np.errstate(over="ignore"):
+        assert np.array_equal(erfc(z, np.exp(-z * z)), got)
 
 
 def test_simpson_polynomial_exactness() -> None:

@@ -838,11 +838,11 @@ def test_slice_and_eigen_fields_build_no_spline(monkeypatch):
     path = normalize_path(axisym_metric_from_function(lambda t: 0.62 * np.cos(t)), n_t=65)
     splines = []
 
-    def counting(*args, original=sphere_seed.CubicSpline, **kwargs):
+    def counting(*args, original=sphere_seed._not_a_knot):
         splines.append(args)
-        return original(*args, **kwargs)
+        return original(*args)
 
-    monkeypatch.setattr(sphere_seed, "CubicSpline", counting)
+    monkeypatch.setattr(sphere_seed, "_not_a_knot", counting)
     slice_geometry(path)
     eigen_along_path(path)
     assert splines == []

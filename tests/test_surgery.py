@@ -21,9 +21,8 @@ from charged_extensions.lambda_rn import (
     rn_profile,
     rn_profile_mu,
 )
-from charged_extensions.numutil import simpson_uniform
+from charged_extensions.numutil import erfc, simpson_uniform
 from charged_extensions.quasilocal import hawking_rotsym
-from scipy.special import erfc
 
 
 def line_profile(lo, hi, start, slope, charge=0.0, count=65):

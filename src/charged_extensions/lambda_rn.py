@@ -117,9 +117,11 @@ class SampledProfile:
     """A positive radial profile f(s) sampled on an increasing grid.
 
     df and d2f hold first and second derivative values at the samples;
-    provenance tags each sample as analytic, ode, or mollified. An optional
-    evaluator gives dense access as a callable s -> (f, df, d2f); it is an
-    implementation convenience and is excluded from equality and export.
+    provenance tags each sample as analytic, ode, or mollified. The
+    evaluator gives dense access as an elementwise callable s -> (f, df,
+    d2f); surgery inputs must carry one (``surgery.GlueInputs`` refuses a
+    piece without), while a finished profile may leave it None.  It is
+    excluded from equality and export.
     """
 
     s_grid: np.ndarray

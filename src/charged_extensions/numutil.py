@@ -110,8 +110,7 @@ class CubicHermite:
     ``CubicHermiteSpline``: each piece is a cubic in the offset from its
     left knot, summed in ascending powers, a point on an interior knot
     belongs to the piece it starts and the last knot to the last piece.
-    ``nu=1`` evaluates the derivative with the coefficients of scipy's
-    ``derivative()``.
+    It evaluates values only, no derivative.
     """
 
     def __init__(self, x, y, dydx):
@@ -125,19 +124,11 @@ class CubicHermite:
         # offset^0..^3; a point gathers its whole column at once.
         self._table = np.stack([x[:-1], y[:-1], dydx[:-1], (slope - dydx[:-1]) / dx - t, t / dx])
         self._inner = x[1:-1].copy()
-        self._slopes = None
 
-    def __call__(self, s, nu: int = 0) -> np.ndarray:
+    def __call__(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        if nu == 0:
-            table = self._table
-        else:
-            if self._slopes is None:
-                self._slopes = np.stack([self._table[0]] + [
-                    k * self._table[k + 1] for k in range(1, 4)])
-            table = self._slopes
         # The count of interior knots at or below s is its piece.
-        column = table.take(np.searchsorted(self._inner, s.ravel(), side="right"), axis=1)
+        column = self._table.take(np.searchsorted(self._inner, s.ravel(), side="right"), axis=1)
         ds = s.ravel() - column[0]
         out = column[1]
         out += 0.0  # scipy's sum starts from 0.0, which turns -0.0 into 0.0

@@ -225,8 +225,8 @@ class SliceGeometry:
     """Composed per-slice fields of a normalized path.
 
     Arrays have shape (n_t, n_theta); round paths use n_theta = 1.
-    ``gprime_sq`` is the squared norm of the metric time derivative,
-    ``trace_gprime`` its trace, both with respect to the slice metric.
+    ``gprime_sq`` is the squared norm of the metric time derivative with
+    respect to the slice metric.
     ``min_scalar_curvature`` and ``max_gprime_sq`` are the path-wide
     extremes that the route choice and the amplitude bound read, taken
     once on construction.
@@ -237,7 +237,6 @@ class SliceGeometry:
     sqrt_det: np.ndarray
     scalar_curvature: np.ndarray
     gprime_sq: np.ndarray
-    trace_gprime: np.ndarray
     min_scalar_curvature: float = field(init=False)
     max_gprime_sq: float = field(init=False)
 
@@ -739,7 +738,6 @@ def _slice_geometry(path: MetricPath) -> SliceGeometry:
             sqrt_det=np.full(shape, r_o ** path.n),
             scalar_curvature=np.full(shape, path.n * (path.n - 1) / r_o ** 2),
             gprime_sq=np.zeros(shape),
-            trace_gprime=np.zeros(shape),
         )
 
     exponent, curvature, dmap, maps = _composed_fields(path)
@@ -762,7 +760,6 @@ def _slice_geometry(path: MetricPath) -> SliceGeometry:
         sqrt_det=np.sqrt(a_comp * b_comp),
         scalar_curvature=2.0 * curvature[path.slice_of],
         gprime_sq=ratio_a ** 2 + ratio_b ** 2,
-        trace_gprime=ratio_a + ratio_b,
     )
 
 

@@ -44,7 +44,6 @@ from .lambda_rn import (
     rn_profile_mu,
 )
 from .numutil import (
-    CubicHermite,
     _smooth_step_jet,
     brent_root,
     erfc,
@@ -108,43 +107,6 @@ def junction_mass_floor(n: int, q: float, lam: float, radius: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dense evaluation of sampled profiles
-# ---------------------------------------------------------------------------
-
-def _spline_evaluator(profile: SampledProfile):
-    """Hermite fallback for profiles that carry no dense evaluator."""
-    fsp = CubicHermite(profile.s_grid, profile.f, profile.df)
-    dsp = CubicHermite(profile.s_grid, profile.df, profile.d2f)
-
-    def evaluate(s):
-        s = np.asarray(s, dtype=float)
-        return fsp(s), dsp(s), dsp(s, nu=1)
-
-    return evaluate
-
-
-def _evaluator_of(profile: SampledProfile):
-    return profile.evaluator if profile.evaluator is not None else _spline_evaluator(profile)
-
-
-def _shift_profile(profile: SampledProfile, shift: float) -> SampledProfile:
-    base = _evaluator_of(profile)
-
-    def evaluate(s):
-        return base(np.asarray(s, dtype=float) - shift)
-
-    return SampledProfile(
-        profile.s_grid + shift,
-        profile.f.copy(),
-        profile.df.copy(),
-        profile.d2f.copy(),
-        profile.provenance.copy(),
-        charge=profile.charge,
-        evaluator=evaluate,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Inputs of the junction surgery
 # ---------------------------------------------------------------------------
 
@@ -158,6 +120,8 @@ class GlueInputs:
     above :func:`junction_mass_floor`; when one sits exactly on the floor the
     target charge must be strictly smaller in magnitude than that profile's
     charge, otherwise the joined profile could not keep a strict margin.
+    Each profile carries its dense evaluator, which the bridge and the
+    mollification read between its samples.
     """
 
     n: int
@@ -170,6 +134,9 @@ class GlueInputs:
         if int(self.n) != self.n or self.n < 2:
             raise DomainError(f"dimension must be an integer >= 2, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
+        for side, profile in (("left", self.left), ("right", self.right)):
+            if profile.evaluator is None:
+                raise DomainError(f"{side} profile carries no dense evaluator")
         lam = float(self.lam)
         if not math.isfinite(lam) or lam > 0.0:
             raise DomainError(f"cosmological constant must be finite and <= 0, got {lam}")
@@ -237,6 +204,23 @@ class GlueInputs:
 # ---------------------------------------------------------------------------
 # Interval translation
 # ---------------------------------------------------------------------------
+
+def _shift_profile(profile: SampledProfile, shift: float) -> SampledProfile:
+    base = profile.evaluator
+
+    def evaluate(s):
+        return base(np.asarray(s, dtype=float) - shift)
+
+    return SampledProfile(
+        profile.s_grid + shift,
+        profile.f.copy(),
+        profile.df.copy(),
+        profile.d2f.copy(),
+        profile.provenance.copy(),
+        charge=profile.charge,
+        evaluator=evaluate,
+    )
+
 
 def translate_right_interval(inputs: GlueInputs):
     """Slide the right profile so a monotone concave bridge can span the gap.
@@ -359,39 +343,18 @@ class BridgedProfile:
         d2f = -dc * dstep / (2.0 * self.rho * self.length)
         return f, df, d2f
 
-    def _pieces(self, lo, hi):
-        """Index into :meth:`_evaluators` for points spanning [lo, hi] (arrays
-        of extremes give one index each): 0 when all lie in the left piece,
-        1 in the right piece, 2 strictly inside the bridge, 3 across a
-        junction.  Each point goes to the piece :meth:`evaluate` puts it in.
-        """
-        return np.where(hi <= self.b1, 0, np.where(
-            lo >= self.a2, 1, np.where((lo > self.b1) & (hi < self.a2), 2, 3)))
-
-    def _evaluators(self):
-        """Evaluators of the left piece, the right piece and the bridge, and
-        :meth:`evaluate` for points on more than one of them."""
-        return (_evaluator_of(self.left), _evaluator_of(self.right),
-                self._bridge_values, self.evaluate)
-
     def evaluate(self, s):
-        """Piecewise values (f, f', f'') across left piece, bridge, right piece."""
+        """Piecewise values (f, f', f'') across left piece, bridge and right
+        piece, as the rows of one array; each piece's own evaluator takes
+        all of its points in one call."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        f = np.empty_like(s)
-        df = np.empty_like(s)
-        d2f = np.empty_like(s)
-        left_mask = s <= self.b1
-        right_mask = s >= self.a2
-        mid_mask = ~(left_mask | right_mask)
-        if np.any(left_mask):
-            vals = _evaluator_of(self.left)(s[left_mask])
-            f[left_mask], df[left_mask], d2f[left_mask] = vals
-        if np.any(right_mask):
-            vals = _evaluator_of(self.right)(s[right_mask])
-            f[right_mask], df[right_mask], d2f[right_mask] = vals
-        if np.any(mid_mask):
-            f[mid_mask], df[mid_mask], d2f[mid_mask] = self._bridge_values(s[mid_mask])
-        return f, df, d2f
+        out = np.empty((3,) + s.shape)
+        left, right = s <= self.b1, s >= self.a2
+        for mask, values in ((left, self.left.evaluator), (right, self.right.evaluator),
+                             (~(left | right), self._bridge_values)):
+            if np.any(mask):
+                out[:, mask] = values(s[mask])
+        return out
 
 
 def build_bridge(inputs: GlueInputs, shifted: SampledProfile) -> BridgedProfile:
@@ -542,12 +505,11 @@ def _mollified_points(bridge: BridgedProfile, cutoff: _Cutoff, eps: float, ts):
     partial-cutoff points (on the 64 shared nodes), and plateau points by
     how many junction breaks their support holds (0, 1 or 2, on that many
     more panels).  Each group is one (points x nodes) array of node
-    arguments.  A row whose nodes all lie in one piece of the join goes to
-    that piece's evaluator, with one call per piece over the rows of every
-    group; only rows across a junction take the masked
+    arguments, and the nodes of all groups take one masked
     :meth:`BridgedProfile.evaluate`.  The weighted sums are row-wise 1-D dot
-    products (:func:`_row_dots`); every value equals the one-point-at-a-time
-    value bit for bit.
+    products (:func:`_row_dots`); since every piece's evaluator is
+    elementwise, every value equals the one-point-at-a-time value bit for
+    bit.
     """
     ts = np.asarray(ts, dtype=float)
     etas = cutoff.value(ts)
@@ -572,18 +534,10 @@ def _mollified_points(bridge: BridgedProfile, cutoff: _Cutoff, eps: float, ts):
         groups.append((np.flatnonzero(plateau)[rows], xs, phi, tp[rows, None] - eps * xs))
 
     args = [arg for *_, arg in groups]
-    kinds = [bridge._pieces(arg.min(axis=1), arg.max(axis=1)) for arg in args]
-    values = [np.empty((3,) + arg.shape) for arg in args]
-    for kind, evaluate in enumerate(bridge._evaluators()):
-        picks = [k == kind for k in kinds]
-        sizes = [np.count_nonzero(pick) * arg.shape[1] for pick, arg in zip(picks, args)]
-        if not any(sizes):
-            continue
-        flat = np.stack(evaluate(np.concatenate(
-            [arg[pick].ravel() for pick, arg in zip(picks, args)])))
-        parts = np.split(flat, np.cumsum(sizes)[:-1], axis=1)
-        for value, pick, part in zip(values, picks, parts):
-            value[:, pick] = part.reshape(3, -1, value.shape[2])
+    flat = bridge.evaluate(np.concatenate([arg.ravel() for arg in args]))
+    bounds = np.cumsum([arg.size for arg in args])[:-1]
+    values = [part.reshape((3,) + arg.shape)
+              for part, arg in zip(np.split(flat, bounds, axis=1), args)]
 
     out = np.empty((3, ts.size))
     for j, ((index, xs, phi, _), (f, df, d2f)) in enumerate(zip(groups, values)):
@@ -620,12 +574,11 @@ def _fd_crosscheck(t, h, values, df_ref, d2f_ref, fmax):
 def _margin_floor(bridge: BridgedProfile, n: int, q: float, lam: float) -> float:
     """Infimum of the margin over the join, excluding the two junction points."""
     worst = math.inf
-    evaluators = bridge._evaluators()
     for lo, hi, sl in ((bridge.a1, bridge.b1, np.s_[:-1]),
                        (bridge.b1, bridge.a2, np.s_[1:-1]),
                        (bridge.a2, bridge.b2, np.s_[1:])):
         ss = np.linspace(lo, hi, 2049)[sl]
-        f, df, d2f = evaluators[int(bridge._pieces(ss.min(), ss.max()))](ss)
+        f, df, d2f = bridge.evaluate(ss)
         worst = min(worst, float(np.min(_margin_arrays(n, q, lam, f, df, d2f))))
     return worst
 
@@ -640,9 +593,10 @@ def mollify_and_certify(bridge: BridgedProfile, q: float, lam: float,
     around the bridge.  The margin infimum of the join away from the two
     junction points sets a floor 3d > 0; eps is halved until the smoothed
     profile stays C^1-close to the join and keeps margin >= d/2 everywhere.
-    Each eps is one array pass over all points and their Gauss nodes, with
-    a single bridge evaluation (:func:`_mollified_points`), and the output
-    is bit for bit the one of a point-by-point evaluation.
+    The floor and each eps read the join through :meth:`BridgedProfile.evaluate`
+    alone.  Each eps is one array pass over all points and their Gauss
+    nodes, with a single such evaluation (:func:`_mollified_points`), and
+    the output is bit for bit the one of a point-by-point evaluation.
     """
     a1, b1, a2, b2 = bridge.a1, bridge.b1, bridge.a2, bridge.b2
     mid1 = 0.5 * (a1 + b1)
@@ -979,7 +933,8 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
     and station s_match beyond which the output is exactly the model
     profile.  A caller that has classified (n, m_e, q_e, lam) passes the
     class as cls; it is classified here otherwise.  A degenerate end needs
-    a tail ending beyond its horizon.
+    a tail ending beyond its horizon.  The tail must carry a dense
+    evaluator (:class:`GlueInputs` refuses it with a DomainError otherwise).
     """
     if int(n) != n or n < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {n}")

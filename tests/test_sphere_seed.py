@@ -525,7 +525,6 @@ def test_slice_geometry_round():
     geometry = slice_geometry(path)
     assert np.all(geometry.gprime_sq == 0.0)
     assert np.allclose(geometry.scalar_curvature, 6.0 / 4.0, atol=1e-15)
-    assert np.all(geometry.trace_gprime == 0.0)
 
 
 def test_slice_geometry_volume_form_static(cos_path):
@@ -533,11 +532,6 @@ def test_slice_geometry_volume_form_static(cos_path):
     base = geometry.sqrt_det[0]
     spread = np.max(np.abs(geometry.sqrt_det - base[None, :]))
     assert spread < 1e-12 * max(1.0, float(np.max(base)))
-
-
-def test_slice_geometry_trace_free(cos_path):
-    geometry = slice_geometry(cos_path)
-    assert np.max(np.abs(geometry.trace_gprime)) < 1e-8
 
 
 def test_slice_geometry_frozen_tail(cos_path):
@@ -673,7 +667,6 @@ def _per_sample_fields(path):
         "sqrt_det": np.sqrt(a_comp * b_comp),
         "scalar_curvature": 2.0 * curvature,
         "gprime_sq": ratio_a ** 2 + ratio_b ** 2,
-        "trace_gprime": ratio_a + ratio_b,
     }
 
     # One eigen solve per sample, summed at the sample's map.
@@ -905,7 +898,6 @@ def test_time_derivatives_vanish_at_the_poles(cos_path):
     # The composed metric at a pole is e^(2 w_seed) g* for every t.
     fields = slice_geometry(cos_path)
     assert np.all(fields.gprime_sq[:, [0, -1]] == 0.0)
-    assert np.all(fields.trace_gprime[:, [0, -1]] == 0.0)
 
 
 @pytest.mark.parametrize("make_path", [

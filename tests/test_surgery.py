@@ -26,11 +26,13 @@ from charged_extensions.quasilocal import hawking_rotsym
 
 
 def line_profile(lo, hi, start, slope, charge=0.0, count=65):
+    def evaluate(s):
+        s = np.asarray(s, dtype=float)
+        return start + slope * (s - lo), np.full(s.shape, float(slope)), np.zeros(s.shape)
+
     s = np.linspace(lo, hi, count)
-    f = start + slope * (s - lo)
-    return SampledProfile(
-        s, f, np.full(count, slope), np.zeros(count),
-        np.array(["synthetic"] * count), charge=charge)
+    return SampledProfile(s, *evaluate(s), np.array(["synthetic"] * count),
+                          charge=charge, evaluator=evaluate)
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +273,12 @@ class TestGlueInputs:
         with pytest.raises(DomainError):
             su.GlueInputs(1, strict_inputs.left, strict_inputs.right, -3.0, 0.0)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_rejects_a_piece_without_an_evaluator(self, strict_inputs, side):
+        bare = dataclasses.replace(getattr(strict_inputs, side), evaluator=None)
+        with pytest.raises(DomainError, match=f"{side} profile carries no dense evaluator"):
+            dataclasses.replace(strict_inputs, **{side: bare})
+
 
 class TestTranslateRightInterval:
     def test_unequal_slopes_use_harmonic_gap_length(self, strict_inputs):
@@ -402,12 +410,22 @@ class TestMollifyAndCertify:
         heavier = RNParams(2, 1.2, 0.0, 0.0)
         left_src = rn_profile_mu(heavy, 2.5, 1.0, 513)
         right_src = rn_profile_mu(heavier, 3.5, 1.0, 513)
+
+        def left_eval(s):
+            f, df, d2f = left_src.evaluator(s)
+            return f, df, d2f + 1e-6
+
+        def right_eval(s):
+            return right_src.evaluator(np.asarray(s, dtype=float) - 2.0)
+
         left = SampledProfile(left_src.s_grid, left_src.f, left_src.df,
                               left_src.d2f + 1e-6,
-                              np.array(["ode"] * left_src.s_grid.size))
+                              np.array(["ode"] * left_src.s_grid.size),
+                              evaluator=left_eval)
         right = SampledProfile(right_src.s_grid + 2.0, right_src.f,
                                right_src.df, right_src.d2f,
-                               np.array(["ode"] * right_src.s_grid.size))
+                               np.array(["ode"] * right_src.s_grid.size),
+                               evaluator=right_eval)
         inputs = su.GlueInputs(2, left, right, 0.0, 0.0)
         shifted, _ = su.translate_right_interval(inputs)
         bridge = su.build_bridge(inputs, shifted)
@@ -461,14 +479,7 @@ class TestMollifyAndCertify:
 
     def test_evaluator_and_bump_calls_do_not_grow_with_the_points(
             self, line_glue, monkeypatch):
-        bridge = line_glue[0]
-        a1, b1, a2, b2 = bridge.a1, bridge.b1, bridge.a2, bridge.b2
-        mid1, mid2 = 0.5 * (a1 + b1), 0.5 * (a2 + b2)
-        cutoff = su._Cutoff(mid1, b1, a2, mid2)
-        eps = 0.5 * min(cutoff.plateau, mid1 - a1, b2 - mid2)
-        calls = {"evaluate": 0, "bridge": 0, "piece": 0, "bump": 0}
-        evaluate, bridge_values = su.BridgedProfile.evaluate, su.BridgedProfile._bridge_values
-        evaluator_of, bump = su._evaluator_of, su._bump
+        calls = {"evaluate": 0, "bridge": 0, "left": 0, "right": 0, "bump": 0}
 
         def counting(key, fn):
             def counted(*args):
@@ -476,22 +487,28 @@ class TestMollifyAndCertify:
                 return fn(*args)
             return counted
 
-        monkeypatch.setattr(su.BridgedProfile, "evaluate", counting("evaluate", evaluate))
+        bridge = line_glue[0]
+        bridge = dataclasses.replace(bridge, **{
+            side: dataclasses.replace(piece, evaluator=counting(side, piece.evaluator))
+            for side, piece in (("left", bridge.left), ("right", bridge.right))})
+        a1, b1, a2, b2 = bridge.a1, bridge.b1, bridge.a2, bridge.b2
+        mid1, mid2 = 0.5 * (a1 + b1), 0.5 * (a2 + b2)
+        cutoff = su._Cutoff(mid1, b1, a2, mid2)
+        eps = 0.5 * min(cutoff.plateau, mid1 - a1, b2 - mid2)
+        monkeypatch.setattr(su.BridgedProfile, "evaluate",
+                            counting("evaluate", su.BridgedProfile.evaluate))
         monkeypatch.setattr(su.BridgedProfile, "_bridge_values",
-                            counting("bridge", bridge_values))
-        monkeypatch.setattr(su, "_evaluator_of",
-                            lambda profile: counting("piece", evaluator_of(profile)))
-        monkeypatch.setattr(su, "_bump", counting("bump", bump))
-        counts = []
+                            counting("bridge", su.BridgedProfile._bridge_values))
+        monkeypatch.setattr(su, "_bump", counting("bump", su._bump))
         for size in (50, 800):
-            calls.update(evaluate=0, bridge=0, piece=0, bump=0)
+            calls.update(dict.fromkeys(calls, 0))
             su._mollified_points(bridge, cutoff, eps, np.linspace(a1, b2, size))
-            counts.append(dict(calls))
-        assert counts[0] == counts[1]
-        # One call per piece, one masked evaluation for the rows across a
-        # junction, and the bridge once directly and once inside it.
-        assert counts[1]["evaluate"] == 1 and counts[1]["bridge"] <= 2
-        assert counts[1]["piece"] <= 4
+            # One masked evaluation of every node, in which each piece
+            # takes all of its nodes at once; the bump weighs the shared
+            # nodes and the panels of one and of two junction breaks.
+            assert calls["evaluate"] == 1 and calls["bridge"] == 1, size
+            assert calls["left"] <= 1 and calls["right"] <= 1, size
+            assert calls["bump"] == 3, size
 
     @pytest.mark.parametrize("which", ["line", "charged", "short"])
     def test_support_ending_on_a_junction_bitwise_equal_point_reference(

@@ -512,18 +512,13 @@ def _a1_threshold(collar: ChargedCollar) -> float:
 
 
 def _slice_curvature_integral(collar: ChargedCollar) -> float:
-    """Max over t of the integral of R(g(t)) over the slice."""
-    spec = collar.spec
-    path = spec.path
-    n = spec.n
-    if path.is_round:
-        return n * (n - 1) * unit_sphere_volume(n) * spec.r_o ** (n - 2)
-    geometry = slice_geometry(path)
-    dtheta = float(geometry.theta_grid[1] - geometry.theta_grid[0])
-    values = 2.0 * math.pi * simpson_uniform(
-        geometry.scalar_curvature * geometry.sqrt_det, dtheta
-    )
-    return float(np.max(values))
+    """Max over t of the integral of R(g(t)) over the slice, for n >= 3.
+
+    MetricPath admits axisymmetric paths only for n = 2, so an n >= 3
+    path is round and every slice has the round value.
+    """
+    n, r_o = collar.spec.n, collar.spec.r_o
+    return n * (n - 1) * unit_sphere_volume(n) * r_o ** (n - 2)
 
 
 def monotonicity_check(collar: ChargedCollar) -> MonotonicityReport:

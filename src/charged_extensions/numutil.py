@@ -5,9 +5,9 @@ one-sided closures, an infinitely smooth monotone step and the jet of its
 first two analytic derivatives, and the deterministic artifact text: the
 float formatter and the JSON renderer every artifact goes through.
 
-It also holds the kernels that keep the round construction free of
-scipy, each a port of the scipy routine it replaces, so that roots,
-profiles and fields keep their bits: Brent's bracketed root finder
+It also holds the kernels that keep the package free of scipy, each a
+port of the scipy routine it replaces, so that roots, profiles and
+fields keep their bits: Brent's bracketed root finder
 (``brent_root``, scipy's ``brentq`` loop), the piecewise cubic Hermite
 interpolant (``CubicHermite``, scipy's ``CubicHermiteSpline`` coefficients
 and evaluation), the complementary error function for nonnegative

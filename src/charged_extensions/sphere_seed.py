@@ -3,23 +3,28 @@
 Round seeds are supported in every dimension; non-round seeds are
 axisymmetric conformal metrics e^(2w(theta)) g* on the 2-sphere.  A seed
 is deformed to the round metric through the conformal family with
-exponent (1-t)w, and the raw family is then normalized so that
+exponent s w, where s = 1 - ramp(t), and the raw family is then normalized
+so that
 
 - the path starts at the seed and is constant after a switch time,
 - every time slice has the same total area as the seed,
-- the area form is independent of time, achieved by matching cumulative
-  area functions through a monotone reparametrization of theta.
+- the area form is independent of time.
+
+The last is Moser's trick: the slices are pulled back along the flow of a
+field xi d/dtheta whose divergence cancels the time derivative of the
+area form.  Every field the collar reads is pointwise, an extreme over
+the sphere or an area integral, so each slice is sampled on its own
+uniform theta grid, and the flow enters only through time derivatives:
+the metric velocity g' + L_X g and the lapse's u' + xi u_theta.  No area
+map is inverted.
 
 The seed's Chebyshev series in x = cos(theta) gives its Gaussian
-curvature, the first eigenvalue and eigenfunction of -Laplacian + K
-restricted to axisymmetric functions (a Legendre-Galerkin solve), and
-every field composed with the reparametrizing maps: the slice fields
-(volume form, scalar curvature, time-derivative norms) and the eigen
-fields, which the collar construction reads, its curvature floor among
-them.  Not-a-knot cubic splines carry only the area gauge: the cumulative
-areas whose inversion gives the maps, and the maps' own derivative in the
-measured volume-form deviation.  They are the package's one use of scipy,
-imported by ``_not_a_knot`` on first call, so round paths never load it.
+curvature, the slices' dilations and Moser fields, the first eigenvalue
+and eigenfunction of -Laplacian + K restricted to axisymmetric functions
+(a Legendre-Galerkin solve), and the slice fields (volume form, scalar
+curvature, metric velocity) and eigen fields, which the collar
+construction reads, its curvature floor among them.  The module reads
+NumPy alone.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, InternalConsistencyError
-from .numutil import _D1_EDGE, dct1, diff1_4th, simpson_uniform, smooth_step
+from .errors import ConstructionError, DomainError
+from .numutil import _D1_EDGE, _smooth_step_jet, dct1, diff1_4th, simpson_uniform, smooth_step
 from .quasilocal import unit_sphere_volume
 
 __all__ = [
@@ -53,9 +58,6 @@ __all__ = [
 _DEFAULT_N_THETA = 1025
 _DEFAULT_N_T = 513
 _POLE_TOL = 1e-6
-# Step tolerance (a few ulps of pi) and step cap of the area-map inversion.
-_STEP_TOL = 4.0 * float(np.spacing(math.pi))
-_MAX_STEPS = 64
 # Path time from which normalize_path and round_path hold every slice
 # round and fixed.
 _THETA_SWITCH = 0.75
@@ -120,12 +122,14 @@ class MetricPath:
     axisymmetric path (n = 2) from the validated ``seed``, stored once per
     distinct slice as an affine blend of the seed: row j has the
     conformal-gauge exponent ``scale[j] * seed.w + shift[j]`` (the
-    read-only ``w``), row j of ``reparam`` is the theta map taking it to
-    the area-normalized slice, and ``slice_of[k]`` is the row at t sample
-    k.  The slices are round (``scale`` 0) from ``theta_switch`` on, and
-    the arrays are read-only, so memoized fields cannot go stale.
-    ``volume_form_deviation``, the measured maximum time derivative of the
-    slice area form, is measured on first read (0 on round paths).
+    read-only ``w``) on the seed's theta grid, which is every slice's own
+    grid.  ``mean_w[j]`` is the mean of seed.w under row j's area density
+    and row j of ``xi`` the Moser field per unit d(scale)/dt that keeps the
+    area form fixed (``_moser_gauge``); ``slice_of[k]`` is the row at t
+    sample k.  The slices are round (``scale`` 0) from ``theta_switch`` on,
+    and the arrays are read-only, so memoized fields cannot go stale.
+    ``volume_form_deviation``, the measured residual of the flow's
+    continuity equation, is measured on first read (0 on round paths).
     """
 
     n: int
@@ -134,7 +138,8 @@ class MetricPath:
     seed: AxisymConformalMetric | None = None
     scale: np.ndarray | None = None
     shift: np.ndarray | None = None
-    reparam: np.ndarray | None = None
+    mean_w: np.ndarray | None = None
+    xi: np.ndarray | None = None
     slice_of: np.ndarray | None = None
     round_radius: float | None = None
 
@@ -157,27 +162,27 @@ class MetricPath:
             self._validate_slices()
 
     def _validate_slices(self) -> None:
-        scale, shift = np.array(self.scale, dtype=float), np.array(self.shift, dtype=float)
-        reparam, slice_of = np.array(self.reparam, dtype=float), np.array(self.slice_of)
-        rows = reparam.shape[0] if reparam.ndim == 2 else 0
+        names = ("scale", "shift", "mean_w", "xi")
+        rows_of = {name: np.array(getattr(self, name), dtype=float) for name in names}
+        slice_of, xi = np.array(self.slice_of), rows_of["xi"]
+        rows = xi.shape[0] if xi.ndim == 2 else 0
         if self.n != 2:
             raise DomainError(f"axisymmetric paths need n = 2, got {self.n!r}")
-        if (reparam.shape != (rows, self.seed.theta_grid.size)
-                or scale.shape != (rows,) or shift.shape != (rows,)):
-            raise DomainError("scale, shift and reparam must hold one row per distinct slice")
-        if not all(np.all(np.isfinite(value)) for value in (scale, shift, reparam)):
-            raise DomainError("scale, shift and reparam must be finite")
+        if (xi.shape != (rows, self.seed.theta_grid.size)
+                or any(rows_of[name].shape != (rows,) for name in names[:3])):
+            raise DomainError("scale, shift, mean_w and xi must hold one row per distinct slice")
+        if not all(np.all(np.isfinite(value)) for value in rows_of.values()):
+            raise DomainError("scale, shift, mean_w and xi must be finite")
         if (slice_of.dtype.kind not in "iu" or slice_of.shape != self.t_grid.shape
                 or not np.all((slice_of >= 0) & (slice_of < rows))):
             raise DomainError("slice_of must name a row of w for every t sample")
-        if np.any(scale[slice_of[self.t_grid >= self.theta_switch - 1e-15]] != 0.0):
+        if np.any(rows_of["scale"][slice_of[self.t_grid >= self.theta_switch - 1e-15]] != 0.0):
             raise DomainError("path is not round on t >= theta_switch")
-        for name, value in (("scale", scale), ("shift", shift), ("reparam", reparam),
-                            ("slice_of", slice_of)):
+        for name, value in (*rows_of.items(), ("slice_of", slice_of)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         drift, bound = _radius_drift(self.seed, self.w)
-        if drift > bound:
+        if not drift <= bound:
             raise DomainError(
                 f"slice volume radii drift by {drift!r} from the seed's "
                 f"{self.seed.volume_radius!r}")
@@ -222,11 +227,14 @@ class MetricPath:
 
 @dataclass(frozen=True)
 class SliceGeometry:
-    """Composed per-slice fields of a normalized path.
+    """Per-slice fields of a normalized path, each slice on its own grid.
 
-    Arrays have shape (n_t, n_theta); round paths use n_theta = 1.
-    ``gprime_sq`` is the squared norm of the metric time derivative with
-    respect to the slice metric.
+    Arrays have shape (n_t, n_theta); round paths use n_theta = 1.  Row k
+    samples the slice at t sample k on the theta grid of its conformal
+    gauge: ``sqrt_det`` is its area density e^(2w) sin(theta),
+    ``scalar_curvature`` its scalar curvature and ``gprime_sq`` the
+    squared norm, with respect to the slice metric, of its metric velocity
+    in the fixed area gauge, g' + L_X g for the Moser field X.
     ``min_scalar_curvature`` and ``max_gprime_sq`` are the path-wide
     extremes that the route choice and the amplitude bound read, taken
     once on construction.
@@ -251,10 +259,10 @@ class EigenPath:
     """Eigenfunction data of -Laplacian + K along a normalized path.
 
     ``u`` is normalized so the integral of u^2 over each slice equals the
-    slice area, ``du_dt`` is its time derivative, and ``laplace_u`` the
-    slice Laplacian of u.  Shapes follow SliceGeometry.  ``modes`` is the
-    Legendre mode count of the solve and ``tail`` the coefficient tail it
-    passed (1 and 0 on round paths).
+    slice area, ``du_dt`` is its time derivative along the Moser flow, and
+    ``laplace_u`` the slice Laplacian of u.  Shapes and grids follow
+    SliceGeometry.  ``modes`` is the Legendre mode count of the solve and
+    ``tail`` the coefficient tail it passed (1 and 0 on round paths).
     """
 
     t_grid: np.ndarray
@@ -286,8 +294,10 @@ def _radius_drift(seed: AxisymConformalMetric, w: np.ndarray) -> tuple[float, fl
 
     r_o, the collar and the Hawking mass take every slice to have the
     seed's area.  The bound is C11's 1e-10 (1 + r_o) on the volume radius
-    at the default theta grid; normalize_path meets its gauge to fourth
-    order in the theta step, so coarser grids get that factor.
+    at the default theta grid.  normalize_path's dilations are exact
+    integrals of the rows' series, and this Simpson sum, independent of
+    them, is good to fourth order in the theta step, so coarser grids get
+    that factor.
     """
     r_o = seed.volume_radius
     areas = 2.0 * math.pi * simpson_uniform(
@@ -322,119 +332,53 @@ def _time_clamp(t: np.ndarray, theta_switch: float) -> np.ndarray:
     return smooth_step(np.asarray(t, dtype=float) / theta_switch)
 
 
-# Rows per batched spline construction: large enough to amortize the
-# per-call cost, small enough that the coefficient arrays stay a few MB.
-_ROW_CHUNK = 64
+def _lobatto_values(series: np.ndarray, size: int) -> np.ndarray:
+    """Chebyshev series (last axis, at most size + 1 terms) summed at the
+    size Lobatto points x_j = cos(pi j / (size - 1)) by one DCT, the
+    inverse of ``_chebyshev_series``; T_size takes T_(size-2)'s values
+    there."""
+    coeffs = np.zeros(series.shape[:-1] + (size,))
+    kept = min(series.shape[-1], size)
+    coeffs[..., :kept] = series[..., :kept]
+    if series.shape[-1] > size:
+        coeffs[..., size - 2] += series[..., size]
+    coeffs[..., 1:-1] *= 0.5
+    return dct1(coeffs)
 
 
-def _not_a_knot(theta: np.ndarray, rows: np.ndarray):
-    """scipy's not-a-knot ``CubicSpline`` of each row over theta.
+def _moser_gauge(seed: AxisymConformalMetric, scale: np.ndarray):
+    """Dilation, mean exponent and Moser field of each row scale_j * w of
+    the seed's conformal family, whose row 0 is the seed (scale 1).
 
-    scipy.interpolate is imported here, on first call, because loading it
-    costs far more than a round construction and only the area gauge of
-    non-round seeds reads it.
+    In x = cos(theta) row s has the area density e^(2sw) dx dphi.  One DCT
+    of the rows e^(2sw) and w e^(2sw) gives both series, whose exact
+    integrals over [-1, 1] are the area A_s and A_s times the mean <w>_s of
+    w under the density.  The dilation c_s = 0.5 log(A_1 / A_s) gives row
+    s the seed's area, and since dc/ds = -<w>_s the area form
+    rho_s = e^(2(sw + c_s)) sin(theta) moves as d rho/ds = 2 (w - <w>_s) rho.
+    The Moser field per unit ds,
+        Xi_s = -2 int_x^1 (w - <w>_s) e^(2sw) dx' / (e^(2sw) sin(theta)),
+    carries that change: d rho/ds + d(Xi rho)/dtheta = 0.  The integral is
+    one ``chebint`` of the series of (w - <w>_s) e^(2sw), summed at the
+    nodes and taken from the nearer pole (its integral over [-1, 1] is
+    zero); Xi is 0 at the poles.  Returns the dilations, the means and Xi,
+    one row per scale.
     """
-    from scipy.interpolate import CubicSpline
-
-    return CubicSpline(theta, rows, axis=1)
-
-
-def _cumulative_area_pieces(theta: np.ndarray, w_rows: np.ndarray):
-    """PPoly coefficients, shape (5, intervals, rows), of each row's cumulative
-    area (the antiderivative of the not-a-knot spline of e^(2w) sin(theta)),
-    and its knot values, shape (rows, knots): the constant coefficients, then
-    the last piece summed at its end in PPoly's power order, so each equals
-    PPoly's own evaluation bit for bit."""
-    c = _not_a_knot(theta, np.exp(2.0 * w_rows) * np.sin(theta)).antiderivative().c
-    h = theta[-1] - theta[-2]
-    last, power = c[-1, -1], h
-    for k in range(c.shape[0] - 2, -1, -1):
-        last, power = last + c[k, -1] * power, power * h
-    return c, np.concatenate([c[-1].T, last[:, None]], axis=1)
-
-
-def _invert_on_pieces(theta: np.ndarray, c: np.ndarray, knots: np.ndarray,
-                      targets: np.ndarray) -> np.ndarray:
-    """x with each row's cumulative area (``_cumulative_area_pieces``) at its targets.
-
-    The knot values bracket each target in one knot interval, whose quartic
-    is gathered once.  Newton solves for the offset dx into it, bisecting the
-    bracket [lo, hi] when a step leaves it, until no point moves by more than
-    ``_STEP_TOL``.  Still moving after ``_MAX_STEPS`` steps, or a residual
-    above 1e-12 of the row's total, raises InternalConsistencyError.
-    """
-    idx = np.array([np.searchsorted(k, t, side="right") for k, t in zip(knots, targets)])
-    idx = np.minimum(idx - 1, theta.size - 2)
-    row = np.arange(idx.shape[0])[:, None]
-    c4, c3, c2, c1, knot = (coef[idx, row] for coef in c)
-    rise = targets - knot
-    lo, hi = np.zeros(idx.shape), theta[idx + 1] - theta[idx]
-    dx = hi * (rise / (knots[row, idx + 1] - knot))
-
-    def residual(dx):
-        return dx * (c1 + dx * (c2 + dx * (c3 + dx * c4))) - rise
-
-    for _ in range(_MAX_STEPS):
-        resid = residual(dx)
-        lo, hi = np.where(resid < 0.0, dx, lo), np.where(resid > 0.0, dx, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = dx - resid / (c1 + dx * (2.0 * c2 + dx * (3.0 * c3 + dx * 4.0 * c4)))
-        step = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
-        moved, dx = float(np.max(np.abs(step - dx))), step
-        if moved <= _STEP_TOL:
-            break
-    worst = float(np.max(np.abs(residual(dx)) / knots[:, -1:]))
-    if moved > _STEP_TOL or worst > 1e-12:
-        raise InternalConsistencyError(
-            f"area map inversion left a residual of {worst!r} of the total, its last "
-            f"step moving by {moved!r}")
-    return theta[idx] + dx
-
-
-def _match_cumulative_areas(seed: AxisymConformalMetric, w_rows: np.ndarray):
-    """Reparametrizing maps and dilations matching each slice's area to the seed's.
-
-    For exponent row w_k with cumulative area C_k (``_cumulative_area_pieces``),
-    the dilation 0.5 log(C_0(pi) / C_k(pi)) brings its total back to the
-    seed's C_0(pi), and the map solves C_k(x) = C_0(theta) * C_k(pi) / C_0(pi)
-    at every interior theta sample (``_invert_on_pieces``); the end points
-    are 0 and pi.  Splines are built per chunk of rows.  Returns the maps
-    and the dilations.
-
-    Each chunk is checked before its maps are inverted; a seed too steep
-    for the theta grid fails with ConstructionError when a cumulative area
-    does not increase strictly over the knots (diagnostics ``row``,
-    ``column``, ``theta``), or when the dilated slices' volume radii drift
-    past ``_radius_drift``'s bound (``drift`` and ``bound`` of the first
-    chunk past it).
-    """
-    theta = seed.theta_grid
-    _, seed_knots = _cumulative_area_pieces(theta, seed.w[None, :])
-    base, total0 = seed_knots[0, 1:-1], float(seed_knots[0, -1])
-    maps = np.empty(w_rows.shape)
-    maps[:, 0], maps[:, -1] = 0.0, math.pi
-    shift = np.empty(w_rows.shape[0])
-    for lo in range(0, w_rows.shape[0], _ROW_CHUNK):
-        chunk = slice(lo, lo + _ROW_CHUNK)
-        c, knots = _cumulative_area_pieces(theta, w_rows[chunk])
-        flat = np.argwhere(~(np.diff(knots, axis=1) > 0.0))
-        if flat.size:
-            row, col = int(lo + flat[0, 0]), int(flat[0, 1]) + 1
-            raise ConstructionError(
-                f"cumulative area is not strictly increasing on slice row {row} at theta "
-                f"column {col}: the theta grid does not resolve the area density",
-                diagnostics={"row": row, "column": col, "theta": float(theta[col])},
-            )
-        shift[chunk] = [0.5 * math.log(total0 / row_total) for row_total in knots[:, -1]]
-        drift, bound = _radius_drift(seed, w_rows[chunk] + shift[chunk, None])
-        if drift > bound:
-            raise ConstructionError(
-                f"slice volume radii drift by {drift!r}, above the bound {bound!r}: the "
-                "theta grid does not resolve the seed's area gauge",
-                diagnostics={"drift": drift, "bound": bound},
-            )
-        maps[chunk, 1:-1] = _invert_on_pieces(theta, c, knots, base * (knots[:, -1:] / total0))
-    return maps, shift
+    w, rows = seed.w, scale.size
+    density = np.exp(2.0 * scale[:, None] * w)
+    series = _chebyshev_series(np.concatenate([density, w * density]))
+    # The integral of T_k over [-1, 1] is 2 / (1 - k^2) for even k, 0 for odd k.
+    weights = np.zeros(series.shape[-1])
+    weights[::2] = 2.0 / (1.0 - np.arange(0, series.shape[-1], 2) ** 2.0)
+    area, moment = np.split(np.sum(series * weights, axis=-1), 2)
+    mean = moment / area
+    antiderivative = _lobatto_values(np.polynomial.chebyshev.chebint(
+        series[rows:] - mean[:, None] * series[:rows], axis=-1), w.size)
+    pole = np.where(np.arange(w.size) < w.size // 2, 0, w.size - 1)
+    flux = antiderivative[:, pole] - antiderivative
+    xi = np.zeros(density.shape)
+    xi[:, 1:-1] = -2.0 * flux[:, 1:-1] / (density[:, 1:-1] * np.sin(seed.theta_grid[1:-1]))
+    return 0.5 * np.log(area[0] / area), mean, xi
 
 
 def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> MetricPath:
@@ -442,24 +386,21 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
 
     Applies, in order: a smooth time clamp making the path constant on
     [``_THETA_SWITCH``, 1]; a per-slice dilation fixing every total area
-    to the seed area; and a theta reparametrization per slice matching
-    cumulative area functions, which renders the area form time
-    independent.  The residual time dependence of the area form (the
-    maps, each inverted to rounding on its target's knot interval,
-    differentiated on their own) is the path's ``volume_form_deviation``,
+    to the seed area; and the Moser field of every slice, whose flow
+    renders the area form time independent (``_moser_gauge``, one batched
+    DCT pass).  The residual of the flow's continuity equation, measured
+    in a second discretization, is the path's ``volume_form_deviation``,
     measured on first read.
 
     Slices with the same ramp value (every t >= ``_THETA_SWITCH``)
     coincide, so the path stores one row per distinct slice, an affine
     blend of the seed: ``scale`` is 1 - ramp and ``shift`` the dilation of
-    each row.  The maps of all rows are inverted in batches.  The slice
-    and eigen fields, which only some collar routes read, are computed on
-    demand and memoized on the returned path.
+    each row.  The slice and eigen fields, which only some collar routes
+    read, are computed on demand and memoized on the returned path.
 
-    A seed too steep for the theta grid fails with ConstructionError in
-    ``_match_cumulative_areas``, before any map is inverted: its cumulative
-    area stops increasing, or the slice areas drift from the seed's beyond
-    the bound that a hand-built ``MetricPath`` is refused for.
+    A seed too steep for the theta grid fails with ConstructionError: the
+    dilated slices' areas, summed by Simpson's rule, drift from the seed's
+    beyond the bound that a hand-built ``MetricPath`` is refused for.
     """
     t_grid = np.linspace(0.0, 1.0, n_t)
     ramp = _time_clamp(t_grid, _THETA_SWITCH)
@@ -475,7 +416,14 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
 
     levels, slice_of = np.unique(ramp, return_inverse=True)
     scale = 1.0 - levels
-    maps, shift = _match_cumulative_areas(seed, scale[:, None] * seed.w)
+    shift, mean_w, xi = _moser_gauge(seed, scale)
+    drift, bound = _radius_drift(seed, scale[:, None] * seed.w + shift[:, None])
+    if not drift <= bound:
+        raise ConstructionError(
+            f"slice volume radii drift by {drift!r}, above the bound {bound!r}: the "
+            "theta grid does not resolve the seed's area gauge",
+            diagnostics={"drift": drift, "bound": bound},
+        )
     return MetricPath(
         n=2,
         t_grid=t_grid,
@@ -483,45 +431,35 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
         seed=seed,
         scale=scale,
         shift=shift,
-        reparam=maps,
+        mean_w=mean_w,
+        xi=xi,
         slice_of=slice_of,
     )
 
 
-def _composed_exponent(path: MetricPath):
-    """The seed's Chebyshev series, the points x = cos(Theta_j) of every
-    distinct slice's map, and each slice's exponent composed with its map.
-
-    Row j is the blend scale_j w + shift_j of the seed's w, so at x it is
-    scale_j w(x) + shift_j, with w(x) summed from w's series (Clenshaw).
-    """
-    series = _chebyshev_series(path.seed.w)
-    x = np.cos(path.reparam)
-    exponent = path.scale[:, None] * np.polynomial.chebyshev.chebval(x, series)
-    return series, x, exponent + path.shift[:, None]
+def _scale_rate(path: MetricPath) -> np.ndarray:
+    """d(scale)/dt at every t sample: minus the time clamp's slope, exactly
+    0 from ``theta_switch`` on."""
+    return -_smooth_step_jet(path.t_grid / path.theta_switch, 1)[1] / path.theta_switch
 
 
 def _measure_volume_form_deviation(path: MetricPath) -> float:
-    """Max time derivative of the composed area form, measured honestly.
+    """Largest residual of the Moser flow's continuity equation,
+    |d rho/dt + d(xi rho)/dtheta|, over every (t, theta) sample.
 
-    The theta derivative of each reparametrizing map is taken from the
-    sampled map itself (spline differentiation), not from the chain-rule
-    identity that would make the area form static by construction.  At a
-    knot it is the spline's linear coefficient; the last knot, which
-    closes the last piece, is evaluated.  The composed exponent is the
-    slice fields' (``_composed_exponent``).
+    Both terms are d(scale)/dt times a field of the row: d rho/ds =
+    2 (w - <w>_s) rho exactly, and d(Xi rho)/dtheta by the fourth-order
+    theta stencil of Xi rho as ``_moser_gauge`` built it from the series,
+    a second discretization of the same identity.  A wrong mean would
+    break Xi at the equator, where its two pole integrals meet, and the
+    stencil sees that.
     """
-    theta, maps = path.seed.theta_grid, path.reparam
-    h = theta[-1] - theta[-2]
-    dmap = np.empty(maps.shape)
-    for lo in range(0, maps.shape[0], _ROW_CHUNK):
-        c = _not_a_knot(theta, maps[lo:lo + _ROW_CHUNK]).c
-        dmap[lo:lo + _ROW_CHUNK, :-1] = c[2].T
-        dmap[lo:lo + _ROW_CHUNK, -1] = (3.0 * c[0, -1] * h + 2.0 * c[1, -1]) * h + c[2, -1]
-    sqrt_det = np.exp(2.0 * _composed_exponent(path)[2]) * np.sin(maps) * dmap
-    dt = float(path.t_grid[1] - path.t_grid[0])
-    time_deriv = diff1_4th(sqrt_det[path.slice_of].T, dt).T
-    return float(np.max(np.abs(time_deriv)))
+    seed = path.seed
+    density = np.exp(2.0 * path.w) * np.sin(seed.theta_grid)
+    residual = (2.0 * (seed.w - path.mean_w[:, None]) * density
+                + diff1_4th(path.xi * density, seed.theta_step))
+    worst = np.max(np.abs(residual), axis=1)
+    return float(np.max(np.abs(_scale_rate(path)) * worst[path.slice_of]))
 
 
 def round_path(n: int, r_o: float, n_t: int = _DEFAULT_N_T) -> MetricPath:
@@ -554,11 +492,11 @@ def _chebyshev_series(rows: np.ndarray) -> np.ndarray:
     uniform theta grid, which is the Chebyshev-Lobatto grid in x.
 
     Pole-regular axisymmetric data are smooth functions of x, so the
-    series converges spectrally; the eigen solve, ``gaussian_curvature``
-    and the composed fields (``_composed_exponent``, ``_composed_fields``)
-    read it.  Trailing coefficients at the rounding level of a row (16 eps
-    times its largest sample) are set to zero, and the columns past every
-    row's last kept coefficient are dropped.
+    series converges spectrally; the eigen solve, ``gaussian_curvature``,
+    the Moser gauge and the slice fields read it.  Trailing coefficients
+    at the rounding level of a row (16 eps times its largest sample) are
+    set to zero, and the columns past every row's last kept coefficient
+    are dropped.
     """
     size = rows.shape[-1]
     coeffs = dct1(rows) / (size - 1)
@@ -643,29 +581,27 @@ def _ground_states(rows: np.ndarray):
 
 
 def _ground_state_sums(values: np.ndarray, coeffs: np.ndarray, x: np.ndarray):
-    """Ground states u = sum c_k p_k and their round-sphere Laplacians
-    -sum k(k+1) c_k p_k, row j of ``coeffs`` summed at row j of x.
+    """Ground states u = sum c_k p_k, their round-sphere Laplacians
+    -sum k(k+1) c_k p_k and their x-derivatives sum c_k p_k', every row of
+    ``coeffs`` summed at the points x.
 
-    Both sums take one forward pass of the recurrence
-    (k+1) P_(k+1) = (2k+1) x P_k - k P_(k-1).
-    A ground state that is not positive at x raises ConstructionError,
-    which carries the smallest of the eigenvalues ``values``.
+    Each row is one product with the tables of p_k and p_k' at x
+    (``_row_sums``).  A ground state that is not positive at x raises
+    ConstructionError, which carries the smallest of the eigenvalues
+    ``values``.
     """
-    weights = coeffs * np.sqrt(np.arange(coeffs.shape[1]) + 0.5)
-    previous, current = np.zeros(x.shape), np.ones(x.shape)
-    u = weights[:, :1] * current
-    laplacian = np.zeros(u.shape)
-    for k in range(1, coeffs.shape[1]):
-        previous, current = current, ((2 * k - 1) / k) * x * current - ((k - 1) / k) * previous
-        term = weights[:, k, None] * current
-        u += term
-        laplacian -= (k * (k + 1.0)) * term
+    legendre = np.polynomial.legendre
+    k = np.arange(coeffs.shape[1])
+    basis = np.diag(np.sqrt(k + 0.5))
+    table = legendre.legval(x, basis)
+    u = _row_sums(coeffs, table)
     if not np.min(u) > 0.0:
         raise ConstructionError(
             "ground state is not positive",
             diagnostics={"min_u": float(np.min(u)), "min_lambda1": float(np.min(values))},
         )
-    return u, laplacian
+    laplacian = _row_sums(coeffs * -(k * (k + 1.0)), table)
+    return u, laplacian, _row_sums(coeffs, legendre.legval(x, legendre.legder(basis)))
 
 
 def lambda1(metric: AxisymConformalMetric) -> tuple[float, np.ndarray]:
@@ -678,7 +614,7 @@ def lambda1(metric: AxisymConformalMetric) -> tuple[float, np.ndarray]:
     area.
     """
     values, coeffs, _, _ = _ground_states(metric.w[None, :])
-    u, _ = _ground_state_sums(values, coeffs, np.cos(metric.theta_grid)[None, :])
+    u, _, _ = _ground_state_sums(values, coeffs, np.cos(metric.theta_grid))
     return float(values[0]), u[0]
 
 
@@ -691,31 +627,6 @@ def curvature_floor_along_path(path: MetricPath) -> float:
     constant-lapse curvature floor from it.
     """
     return path.slice_fields.min_scalar_curvature
-
-
-def _composed_fields(path: MetricPath):
-    """Composed conformal data of every distinct slice in the fixed area gauge.
-
-    Returns exponent, curvature, map derivative and map arrays with one
-    row per distinct slice, summed at the maps from the seed's Chebyshev
-    series: the exponent is ``_composed_exponent``'s and row j's curvature
-    e^(-2 exponent) (1 - scale_j Laplacian(w)).  The map derivative uses
-    the chain rule through the cumulative-area identity, dTheta/dtheta = density0(theta) / density_t(Theta), the
-    derivative of the exact map, with the seed's density taken at its
-    samples.  Both densities vanish at the poles, where the identity's
-    limit gives dTheta/dtheta = e^(w_seed - exponent).
-    """
-    maps = path.reparam
-    series, x, exponent = _composed_exponent(path)
-    laplacian = path.scale[:, None] * np.polynomial.chebyshev.chebval(
-        x, _laplacian_series(series))
-    curvature = np.exp(-2.0 * exponent) * (1.0 - laplacian)
-    density0 = np.exp(2.0 * path.seed.w) * np.sin(path.seed.theta_grid)
-    density = np.exp(2.0 * exponent) * np.sin(maps)
-    dmap, poles = np.empty(maps.shape), [0, -1]
-    dmap[:, 1:-1] = density0[1:-1] / density[:, 1:-1]
-    dmap[:, poles] = np.exp(path.seed.w[poles] - exponent[:, poles])
-    return exponent, curvature, dmap, maps
 
 
 def slice_geometry(path: MetricPath) -> SliceGeometry:
@@ -740,26 +651,29 @@ def _slice_geometry(path: MetricPath) -> SliceGeometry:
             gprime_sq=np.zeros(shape),
         )
 
-    exponent, curvature, dmap, maps = _composed_fields(path)
-    conf = np.exp(2.0 * exponent)
-    # Expanded to every t sample for the time derivatives.
-    a_comp = (conf * dmap ** 2)[path.slice_of]
-    b_comp = (conf * np.sin(maps) ** 2)[path.slice_of]
-
-    dt = float(path.t_grid[1] - path.t_grid[0])
-    ratio_a = diff1_4th(a_comp.T, dt).T / a_comp
-    ratio_b = np.empty(a_comp.shape)
-    ratio_b[:, 1:-1] = diff1_4th(b_comp.T, dt).T[:, 1:-1] / b_comp[:, 1:-1]
-    # At a pole the composed metric is e^(2 w_seed) g* for every t, so both
-    # time derivatives vanish there (b'/b tends to a'/a).
-    ratio_a[:, [0, -1]] = ratio_b[:, [0, -1]] = 0.0
-
+    # Row j is e^(2 w_j) g* with w_j = s_j w + c_j, so its scalar curvature
+    # is 2 e^(-2 w_j) (1 - s_j Laplacian(w)), and its metric velocity in the
+    # area gauge, g' + L_X g with g' = 2 s' (w - <w>_s) g, is s' beta_j
+    # (diag(-1, 1) relative to g) with
+    # beta = 2 ((w - <w>_s) + Xi_s (s w_theta + cot(theta))), so that
+    # |g' + L_X g|^2 = 2 s'^2 beta^2; beta tends to 0 at the poles.
+    seed, cheb = path.seed, np.polynomial.chebyshev
+    theta, scale = seed.theta_grid, path.scale[:, None]
+    series = _chebyshev_series(seed.w)
+    x, sin = np.cos(theta), np.sin(theta)
+    curvature = 2.0 * np.exp(-2.0 * path.w) * (
+        1.0 - scale * cheb.chebval(x, _laplacian_series(series)))
+    w_theta = -sin * cheb.chebval(x, cheb.chebder(series))
+    cot = np.zeros(theta.shape)
+    cot[1:-1] = x[1:-1] / sin[1:-1]
+    beta = 2.0 * ((seed.w - path.mean_w[:, None]) + path.xi * (scale * w_theta + cot))
+    beta[:, [0, -1]] = 0.0
     return SliceGeometry(
         t_grid=path.t_grid,
-        theta_grid=path.seed.theta_grid,
-        sqrt_det=np.sqrt(a_comp * b_comp),
-        scalar_curvature=2.0 * curvature[path.slice_of],
-        gprime_sq=ratio_a ** 2 + ratio_b ** 2,
+        theta_grid=theta,
+        sqrt_det=(np.exp(2.0 * path.w) * sin)[path.slice_of],
+        scalar_curvature=curvature[path.slice_of],
+        gprime_sq=(_scale_rate(path) ** 2)[:, None] * (2.0 * beta ** 2)[path.slice_of],
     )
 
 
@@ -767,10 +681,13 @@ def eigen_along_path(path: MetricPath) -> EigenPath:
     """Eigenfunction data of -Laplacian + K along a normalized path.
 
     Eigenpairs of every distinct slice come from one batched
-    Legendre-Galerkin solve in the conformal gauge (``_ground_states``),
-    are summed at the reparametrizing maps (``_ground_state_sums``),
-    expanded to every t sample and differentiated in time.  Memoized on
-    the path (``MetricPath.eigen_fields``).
+    Legendre-Galerkin solve in the conformal gauge (``_ground_states``)
+    and are summed at the slice's own theta grid (``_ground_state_sums``).
+    The time derivative along the Moser flow is the derivative at fixed
+    theta, the fourth-order t stencil of u expanded to every t sample,
+    plus d(scale)/dt Xi u_theta, with u_theta from the Legendre derivative
+    sum of each distinct row.  Memoized on the path
+    (``MetricPath.eigen_fields``).
     """
     return path.eigen_fields
 
@@ -792,21 +709,19 @@ def _eigen_path(path: MetricPath) -> EigenPath:
             tail=0.0,
         )
 
+    theta = path.seed.theta_grid
     values, coeffs, modes, tail = _ground_states(path.w)
-    _, x, exponent = _composed_exponent(path)
-    u, lap_round = _ground_state_sums(values, coeffs, x)
+    u, lap_round, du_dx = _ground_state_sums(values, coeffs, np.cos(theta))
+    flow = path.xi * -np.sin(theta) * du_dx
     u_comp = u[path.slice_of]
-    lap_comp = (np.exp(-2.0 * exponent) * lap_round)[path.slice_of]
-
     dt = float(path.t_grid[1] - path.t_grid[0])
-    du_dt = diff1_4th(u_comp.T, dt).T
     return EigenPath(
         t_grid=path.t_grid,
-        theta_grid=path.seed.theta_grid,
+        theta_grid=theta,
         lambda1=values[path.slice_of],
         u=u_comp,
-        du_dt=du_dt,
-        laplace_u=lap_comp,
+        du_dt=diff1_4th(u_comp.T, dt).T + _scale_rate(path)[:, None] * flow[path.slice_of],
+        laplace_u=(np.exp(-2.0 * path.w) * lap_round)[path.slice_of],
         modes=modes,
         tail=tail,
     )

@@ -934,10 +934,13 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
     profile.  A caller that has classified (n, m_e, q_e, lam) passes the
     class as cls; it is classified here otherwise.  A degenerate end needs
     a tail ending beyond its horizon.  The tail must carry a dense
-    evaluator (:class:`GlueInputs` refuses it with a DomainError otherwise).
+    evaluator: one without is refused with :class:`GlueInputs`' DomainError
+    on entry, before any model-end work.
     """
     if int(n) != n or n < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {n}")
+    if collar_tail.evaluator is None:
+        raise DomainError("left profile carries no dense evaluator")
     n = int(n)
     q = float(collar_tail.charge)
     m_star, m_e, q_e, lam = (float(v) for v in (m_star, m_e, q_e, lam))

@@ -607,7 +607,7 @@ class TestExtendCommand:
 
     @pytest.mark.parametrize("amplitude,message", [
         ("6", "slice volume radii drift"),
-        ("8", "cumulative area is not strictly increasing"),
+        ("8", "slice volume radii drift"),
     ])
     def test_seed_too_steep_for_the_grid_exits_with_construction_code(
             self, capsys, amplitude, message):

@@ -708,6 +708,18 @@ class TestGlueToRN:
         with pytest.raises(PreconditionError):
             su.glue_to_rn(2, flat, 0.5, 0.6, 0.0, 0.0)
 
+    def test_refuses_a_tail_without_an_evaluator_before_the_bend(self, round_tail,
+                                                                monkeypatch):
+        # The join reads the tail through its dense evaluator, so a tail
+        # without one is refused on entry, before the model end is built.
+        bends = []
+        monkeypatch.setattr(su, "bend", lambda *args, **kwargs: bends.append(args))
+        bare = dataclasses.replace(round_tail, evaluator=None)
+        m_star = hawking_rotsym(2, 0.0, 0.0, float(bare.f[-1]), float(bare.df[-1]))
+        with pytest.raises(DomainError, match="left profile carries no dense evaluator"):
+            su.glue_to_rn(2, bare, m_star, 1.05 * m_star, 0.0, 0.0)
+        assert bends == []
+
     def test_charged_attachment_succeeds(self, charged_tail, charged_glue):
         _, m_e, profile, record = charged_glue
         far = hawking_rotsym(2, 0.3, -3.0, float(profile.f[-1]), float(profile.df[-1]))

@@ -934,6 +934,9 @@ def _criterion_eigenvalue(config: PipelineConfig) -> dict:
 
 
 def _criterion_area_gauge(config: PipelineConfig) -> dict:
+    """The wobble seed's path keeps the Moser flow's continuity equation
+    (``volume_form_deviation``, with d(xi rho)/dtheta taken by a theta
+    stencil) within 1e-7, and every slice's Simpson area the seed's."""
     deviation_tol = 1e-7
     area_tol = 1e-10
     seed = ss.axisym_metric_from_function(_wobble, n_theta=config.n_theta)

@@ -387,8 +387,8 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
     Applies, in order: a smooth time clamp making the path constant on
     [``_THETA_SWITCH``, 1]; a per-slice dilation fixing every total area
     to the seed area; and the Moser field of every slice, whose flow
-    renders the area form time independent (``_moser_gauge``, one batched
-    DCT pass).  The residual of the flow's continuity equation, measured
+    renders the area form time independent (``_moser_gauge``: one batched
+    DCT to the rows' series and one back to the nodes).  The residual of the flow's continuity equation, measured
     in a second discretization, is the path's ``volume_form_deviation``,
     measured on first read.
 

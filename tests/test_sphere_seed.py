@@ -344,6 +344,38 @@ def test_eigen_fields_record_the_mode_count():
     assert (round_eigen.modes, round_eigen.tail) == (1, 0.0)
 
 
+def _legendre_recurrence_sums(coeffs, x):
+    """u, its round-sphere Laplacian and du/dx for each row of orthonormal
+    Legendre coefficients, by one forward pass of the recurrences
+    k P_k = (2k - 1) x P_(k-1) - (k - 1) P_(k-2) and
+    P_k' = P_(k-2)' + (2k - 1) P_(k-1)."""
+    weights = coeffs * np.sqrt(np.arange(coeffs.shape[1]) + 0.5)
+    previous, current = np.zeros(x.shape), np.ones(x.shape)
+    d_previous, d_current = np.zeros(x.shape), np.zeros(x.shape)
+    u, laplacian, du_dx = weights[:, :1] * current, np.zeros((coeffs.shape[0], x.size)), 0.0
+    for k in range(1, coeffs.shape[1]):
+        previous, current, d_previous, d_current = (
+            current, ((2 * k - 1) / k) * x * current - ((k - 1) / k) * previous,
+            d_current, d_previous + (2 * k - 1) * current)
+        u = u + weights[:, k, None] * current
+        laplacian = laplacian - (k * (k + 1.0)) * weights[:, k, None] * current
+        du_dx = du_dx + weights[:, k, None] * d_current
+    return u, laplacian, du_dx
+
+
+@pytest.mark.parametrize("fn", [lambda t: 0.62 * np.cos(t), wobble], ids=["0.62", "wobble"])
+def test_ground_state_sums_match_the_legendre_recurrence(fn):
+    # The table products sum in another order than the recurrence, so they
+    # agree to a rounding bound that grows with the mode count.
+    seed = axisym_metric_from_function(fn)
+    values, coeffs, modes, _ = sphere_seed._ground_states(normalize_path(seed, n_t=65).w)
+    x = np.cos(seed.theta_grid)
+    sums = sphere_seed._ground_state_sums(values, coeffs, x)
+    for got, reference in zip(sums, _legendre_recurrence_sums(coeffs, x)):
+        assert np.max(np.abs(got - reference)) <= 8 * modes * np.finfo(float).eps * np.max(
+            np.abs(reference))
+
+
 def test_ground_state_below_rounding_is_a_construction_error():
     # Far past the stability edge u spans more than 13 decades, so its
     # Legendre sum dips below zero near the pole where it is smallest; the

@@ -293,6 +293,12 @@ def _margin_parts(spec: CollarSpec):
     scalar curvature is base + well / A^2 plus the electromagnetic and
     cosmological reference gives dec margin = (base - reference) + well / A^2.
     Caching the amplitude-independent parts keeps the A search cheap.
+
+    The eigenfunction lapse u contributes -2 (Laplacian u / u) / F^2 to base
+    and the factor u^-2 and the drift 2n (du/dt / u) F' / F to well.  A
+    constant lapse has none of them, so its branch forms base = R / F^2 and
+    well = -shape - |g'|^2 / 4 directly; dropping the zero terms and the
+    unit factor changes no bit, because the shape term is positive.
     """
     n = spec.n
     geometry = slice_geometry(spec.path)
@@ -301,23 +307,21 @@ def _margin_parts(spec: CollarSpec):
 
     r_scal = geometry.scalar_curvature
     gp_sq = geometry.gprime_sq
+    shape = n * ((n - 1) * col(dF) ** 2 + 2.0 * col(F) * col(d2F)) / col(F) ** 2
     if spec.case_id == EIGENFUNCTION_LAPSE:
         eigen = eigen_along_path(spec.path)
         u = eigen.u
         lap_ratio = eigen.laplace_u / u
         uprime_ratio = eigen.du_dt / u
         inv_u_sq = 1.0 / (u * u)
+        base = r_scal / col(F) ** 2 - 2.0 * lap_ratio / col(F) ** 2
+        well = inv_u_sq * (
+            2.0 * n * uprime_ratio * col(dF) / col(F) - shape - 0.25 * gp_sq
+        )
     else:
         u = None
-        lap_ratio = 0.0
-        uprime_ratio = 0.0
-        inv_u_sq = 1.0
-
-    base = r_scal / col(F) ** 2 - 2.0 * lap_ratio / col(F) ** 2
-    shape = n * ((n - 1) * col(dF) ** 2 + 2.0 * col(F) * col(d2F)) / col(F) ** 2
-    well = inv_u_sq * (
-        2.0 * n * uprime_ratio * col(dF) / col(F) - shape - 0.25 * gp_sq
-    )
+        base = r_scal / col(F) ** 2
+        well = -shape - 0.25 * gp_sq
     base = np.broadcast_to(base, well.shape) if np.shape(base) != np.shape(well) else base
     return base, well, u
 
@@ -420,6 +424,33 @@ def find_A0_bound(
     return math.sqrt(numerator / (floor * min_u_sq))
 
 
+# Relative band around the crossing amplitude^2 inside which find_A0 decides
+# a probe by the elementwise margin test.  Rounding moves each verdict's
+# threshold by a few units of 2^-53 only, far inside the band.
+_CROSSING_BAND = 1e-12
+
+
+def _margin_passes(core: np.ndarray, well: np.ndarray, amplitude: float) -> bool:
+    """The elementwise margin test: core + well / amplitude^2 > 0 everywhere."""
+    return float(np.min(core + well / amplitude ** 2)) > 0.0
+
+
+def _crossing(core: np.ndarray, well: np.ndarray) -> float | None:
+    """The amplitude^2 above which the margin core + well / A^2 is positive.
+
+    When every sample has a normal core > 0 > well, sample i's margin
+    crosses zero at A^2 = -well_i / core_i, and the returned crossing is
+    the largest of these quotients, -min(well / core).  Returns None for
+    any other field (a sample with core <= 0 or well >= 0, a subnormal
+    core, a NaN) or when the crossing is not a normal finite float.
+    """
+    tiny = np.finfo(float).tiny
+    if not (float(np.min(core)) >= tiny and float(np.max(well)) < 0.0):
+        return None
+    lower = -float(np.min(well / core))
+    return lower if tiny <= lower < math.inf else None
+
+
 def find_A0(
     path: MetricPath, epsilon: float, kappa: float, case_id: str, q: float, lam: float
 ) -> CollarSpec:
@@ -429,13 +460,33 @@ def find_A0(
     downward by geometric bisection against the direct pointwise margin
     check, which is authoritative; the returned amplitude always passes
     the direct check.  The spec carries the margin fields of the search.
+
+    Each probe is decided from the margin's crossing (``_crossing``) when
+    the field has one: A passes when A^2 lies above it by more than the
+    relative ``_CROSSING_BAND`` and fails when A^2 lies below it by more.
+    Each such verdict is the elementwise test's (``_margin_passes``): with
+    u = 2^-53, every quotient and every well_i / A^2 is rounded to within a
+    factor 1 + u (core and the crossing are normal), so outside the band
+    fl(-well_i / A^2) < core_i holds at every sample or fails at the
+    sample of the crossing, and the rounded sum core_i + fl(well_i / A^2)
+    has the sign of the exact one.  Probes inside the band, and every
+    probe on a field without a crossing, run the elementwise test; so the
+    bisection, the returned amplitude and the error of a field no
+    amplitude passes are those of the elementwise test at every probe.
     """
     probe = CollarSpec(path, epsilon, 1.0, kappa, case_id, q, lam)
     base, well, _, reference = probe.margin_fields
     core = base - reference
+    lower = _crossing(core, well)
 
     def passes(amplitude: float) -> bool:
-        return float(np.min(core + well / amplitude ** 2)) > 0.0
+        if lower is not None:
+            amplitude_sq = amplitude ** 2
+            if amplitude_sq > lower * (1.0 + _CROSSING_BAND):
+                return True
+            if amplitude_sq < lower * (1.0 - _CROSSING_BAND):
+                return False
+        return _margin_passes(core, well, amplitude)
 
     hi = find_A0_bound(path, epsilon, kappa, case_id, q, lam)
     bumps = 0

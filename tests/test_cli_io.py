@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -759,6 +761,26 @@ class TestExitCodes:
         )
         assert rc == 1
         assert "i/o error" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_the_command(self, tmp_path):
+        # `python -m charged_extensions.cli_io` runs main and exits with its
+        # code: the round extend prints its report, a bad flag exits 2.
+        src = Path(cli_io.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "charged_extensions.cli_io", *argv],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+
+        done = run("extend", "--n", "2", "--r-o", "1.0", "--mass", "0.55")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["requested_mass"] == 0.55
+        bad = run("extend", "--n", "2", "--r-o", "1.0", "--mass", "0.55", "--bogus")
+        assert bad.returncode == 2
+        assert bad.stdout == ""
+        assert "unrecognized arguments: --bogus" in bad.stderr
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])

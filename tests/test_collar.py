@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from charged_extensions import collar as co
-from charged_extensions import lambda_rn, sphere_seed
+from charged_extensions import lambda_rn, pipeline, sphere_seed
 from charged_extensions.errors import (
     ConstructionError,
     DomainError,
@@ -241,6 +241,202 @@ class TestAmplitudeSearch:
             round_spec(cos_path, epsilon=0.1, amplitude=a0, kappa=0.8)
         )
         assert np.min(built.dec_margin) > 0.0
+
+
+def _elementwise_find_A0(path, epsilon, kappa, case, q, lam):
+    """The amplitude search with the elementwise margin test at every probe.
+
+    Returns (outcome, amplitude, probes): outcome "found" with the amplitude
+    found, or "raised" with the ``last_tried`` of the search's error.
+    """
+    spec = co.CollarSpec(path, epsilon, 1.0, kappa, case, q, lam)
+    base, well, _, reference = spec.margin_fields
+    core = base - reference
+    probes = []
+
+    def passes(amplitude):
+        probes.append(amplitude)
+        return float(np.min(core + well / amplitude ** 2)) > 0.0
+
+    hi = co.find_A0_bound(path, epsilon, kappa, case, q, lam)
+    bumps = 0
+    while not passes(hi):
+        hi *= 1.05
+        bumps += 1
+        if bumps > 200:
+            return "raised", hi, len(probes)
+    for _ in range(60):
+        if passes(hi / 2.0):
+            hi /= 2.0
+        else:
+            break
+    else:
+        return "found", hi, len(probes)
+    lo = hi / 2.0
+    while hi / lo > 1.05:
+        mid = math.sqrt(hi * lo)
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return "found", hi, len(probes)
+
+
+def _searched(path, epsilon, kappa, case, q, lam):
+    """find_A0 in the shape of _elementwise_find_A0's first two entries."""
+    try:
+        return "found", co.find_A0(path, epsilon, kappa, case, q, lam).A
+    except ConstructionError as exc:
+        assert str(exc) == "no lapse amplitude passes the margin check"
+        return "raised", exc.diagnostics["last_tried"]
+
+
+def _cos_route_path(a, n_theta, n_t):
+    seed = sphere_seed.axisym_metric_from_function(lambda theta: a * np.cos(theta),
+                                                   n_theta=n_theta)
+    return sphere_seed.normalize_path(seed, n_t=n_t)
+
+
+# (route, seed amplitude, q, lam) for each curvature-floor route on cos seeds.
+_COS_ROUTES = [
+    ("positive-scalar", 0.3, 0.1, 0.0),
+    ("eigenfunction", 0.62, 0.0, 0.0),
+    ("negative-floor", 0.6, 0.2, -3.5),
+]
+_EPSILONS = [1.0, 2.0 ** -2, 2.0 ** -5, 2.0 ** -9]
+
+
+class TestAmplitudeCrossing:
+    """find_A0 decides probes from the margin's crossing with the verdicts,
+    and so the amplitude, of the elementwise search."""
+
+    @pytest.mark.parametrize("n_theta, n_t", [(1025, 513), (33, 65)])
+    @pytest.mark.parametrize("route, a, q, lam", _COS_ROUTES,
+                             ids=[r[0] for r in _COS_ROUTES])
+    def test_cos_amplitudes_match_the_elementwise_search(self, route, a, q, lam,
+                                                         n_theta, n_t):
+        path = _cos_route_path(a, n_theta, n_t)
+        chosen, case, kappa = co.select_route(path, q, lam)
+        assert chosen == route
+        for epsilon in _EPSILONS:
+            want = _elementwise_find_A0(path, epsilon, kappa, case, q, lam)
+            got = _searched(path, epsilon, kappa, case, q, lam)
+            assert got == want[:2], epsilon
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+    @pytest.mark.parametrize("n, q, lam", [(2, 0.2, -1.0), (3, 0.1, 0.0), (4, 0.05, -2.0)])
+    def test_round_amplitudes_match_the_elementwise_search(self, n, q, lam):
+        path = sphere_seed.round_path(n, 1.0, n_t=513)
+        _, case, kappa = co.select_route(path, q, lam)
+        for epsilon in _EPSILONS:
+            want = _elementwise_find_A0(path, epsilon, kappa, case, q, lam)
+            got = _searched(path, epsilon, kappa, case, q, lam)
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+            assert got[0] == want[0] == "found"
+
+    def test_constant_lapse_parts_are_the_full_expression(self, cos_path, round3):
+        # The constant-lapse branch drops the eigen terms, which are exactly
+        # zero there, and its unit factor; every bit of base and well stays.
+        for path in (cos_path, round3):
+            spec = round_spec(path, epsilon=0.3, kappa=0.5)
+            base, well, u = co._margin_parts(spec)
+            geometry = sphere_seed.slice_geometry(path)
+            _, F, dF, d2F = co._shape_factor(spec)
+            F, dF, d2F = F[:, None], dF[:, None], d2F[:, None]
+            n = path.n
+            shape = n * ((n - 1) * dF ** 2 + 2.0 * F * d2F) / F ** 2
+            full_base = geometry.scalar_curvature / F ** 2 - 2.0 * 0.0 / F ** 2
+            full_well = 1.0 * (2.0 * n * 0.0 * dF / F - shape - 0.25 * geometry.gprime_sq)
+            full_base = np.broadcast_to(full_base, full_well.shape)
+            assert u is None
+            assert base.tobytes() == full_base.tobytes()
+            assert well.tobytes() == full_well.tobytes()
+
+    @staticmethod
+    def _fields(kind, hi):
+        """(base, well) over the round 2-sphere path's 513 x 4 grid, for a
+        spec with q = 0 and lam = 0, whose reference density is 0."""
+        base = np.ones((513, 4))
+        well = -np.ones((513, 4))
+        if kind == "core-negative":  # passes for 1 < A^2 < 4 only
+            base[100, 2], well[100, 2] = -0.5, 2.0
+        elif kind == "core-zero":
+            base[100, 2], well[100, 2] = 0.0, 0.5
+        elif kind == "core-subnormal":  # well / A^2 rounds back onto core
+            well[:] = -0.1
+            base[7, 1], well[7, 1] = 1.5e-323, -1.5e-323
+        elif kind == "well-zero":
+            well[:, 3] = 0.0
+        elif kind == "well-positive":
+            well[300, 0] = 0.1
+        elif kind == "core-nan":
+            base[5, 0] = math.nan
+        elif kind == "well-nan":
+            well[200, 1] = math.nan
+        elif kind == "never":
+            base[:] = -1.0
+        elif kind == "band":  # the crossing sits exactly on the probe hi / 2
+            well[:] = -0.1
+            well[40, 2] = -((hi / 2.0) ** 2)
+        return base, well
+
+    @pytest.mark.parametrize("kind", ["core-negative", "core-zero", "core-subnormal",
+                                      "well-zero", "well-positive", "core-nan",
+                                      "well-nan", "never", "band"])
+    def test_fields_without_a_clear_crossing_run_the_elementwise_test(
+            self, round2, kind, monkeypatch):
+        # Each field either has no crossing (mixed signs, a subnormal core, a
+        # NaN) or puts a probe inside the band around it; those probes run
+        # the elementwise test, and the search ends as the elementwise one
+        # does, with the same error and last_tried where no amplitude passes.
+        args = (round2, 0.1, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0)
+        hi = co.find_A0_bound(*args)
+        base, well = self._fields(kind, hi)
+        monkeypatch.setattr(co, "_margin_parts", lambda spec: (base, well, None))
+        calls = []
+
+        def counting(*parts, original=co._margin_passes):
+            calls.append(parts[2])
+            return original(*parts)
+
+        want = _elementwise_find_A0(*args)
+        monkeypatch.setattr(co, "_margin_passes", counting)
+        got = _searched(*args)
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+        assert got[0] == want[0]
+        if kind == "band":
+            assert calls == [hi / 2.0]
+        else:
+            assert len(calls) == want[2]
+        if kind in ("core-nan", "well-nan", "never"):
+            assert want[0] == "raised"
+
+    def test_default_cos_extension_decides_almost_every_probe_by_the_crossing(
+            self, monkeypatch):
+        # A guard on work: the eigen-route 0.62 cos extension at the default
+        # grids runs the elementwise test at most once per search, where
+        # the elementwise search runs it at every probe.
+        searches, calls = [], []
+        original_find = co.find_A0
+
+        def recording(*args):
+            searches.append(args)
+            return original_find(*args)
+
+        def counting(*parts, original=co._margin_passes):
+            calls.append(parts[2])
+            return original(*parts)
+
+        monkeypatch.setattr(co, "find_A0", recording)
+        monkeypatch.setattr(co, "_margin_passes", counting)
+        data = pipeline.BartnikDataSpec(n=2, q=0.0, lam=0.0,
+                                        exponent=lambda theta: 0.62 * np.cos(theta))
+        report = pipeline.construct_extension(data, 0.58)
+        assert report.diagnostics["route"] == "eigenfunction"
+        assert searches
+        assert len(calls) <= len(searches)
+        probes = [_elementwise_find_A0(*args)[2] for args in searches]
+        assert min(probes) >= 5
 
 
 class TestHawkingCurve:

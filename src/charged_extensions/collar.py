@@ -465,14 +465,16 @@ def find_A0(
     the field has one: A passes when A^2 lies above it by more than the
     relative ``_CROSSING_BAND`` and fails when A^2 lies below it by more.
     Each such verdict is the elementwise test's (``_margin_passes``): with
-    u = 2^-53, every quotient and every well_i / A^2 is rounded to within a
-    factor 1 + u (core and the crossing are normal), so outside the band
-    fl(-well_i / A^2) < core_i holds at every sample or fails at the
-    sample of the crossing, and the rounded sum core_i + fl(well_i / A^2)
-    has the sign of the exact one.  Probes inside the band, and every
-    probe on a field without a crossing, run the elementwise test; so the
-    bisection, the returned amplitude and the error of a field no
-    amplitude passes are those of the elementwise test at every probe.
+    u = 2^-53, every rounded quotient is within a factor 1 + u of the exact
+    one or below the smallest normal float, which the normal core and
+    crossing dominate.  So outside the band fl(-well_i / A^2) < core_i
+    holds at every sample or fails at the sample of the crossing, and the
+    rounded sum core_i + fl(well_i / A^2) has the sign of the exact one
+    (a difference of floats rounds to zero only when it is zero).  Probes
+    inside the band, and every probe on a field without a crossing, run
+    the elementwise test; so the bisection, the returned amplitude and the
+    error of a field no amplitude passes are those of the elementwise test
+    at every probe.
     """
     probe = CollarSpec(path, epsilon, 1.0, kappa, case_id, q, lam)
     base, well, _, reference = probe.margin_fields

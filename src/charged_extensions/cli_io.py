@@ -89,28 +89,49 @@ def _emit(text: str, out) -> None:
 def _table(header: str, columns, sep: str = ",") -> str:
     """Header line, then one line per row of the columns joined by sep.
 
-    Numeric columns print through ``fmt17``; text columns print as they
-    are.
+    Numeric columns print through ``fmt17``, one call per column; text
+    columns, and lists of cells already printed, print as they are.
     """
-    cells = []
-    for column in columns:
-        values = np.asarray(column)
-        if values.dtype.kind == "U":
-            cells.append(values.tolist())
-        else:
-            cells.append([fmt17(value) for value in values.tolist()])
+    cells = [_printed(column) for column in columns]
     return "\n".join([header, *(sep.join(row) for row in zip(*cells))]) + "\n"
 
 
-def profile_csv(profile: rn.SampledProfile, margins=None) -> str:
-    """CSV text with header s,f,df,d2f,provenance (plus margin when given)."""
-    header = "s,f,df,d2f,provenance"
-    columns = [profile.s_grid, profile.f, profile.df, profile.d2f,
-               profile.provenance.astype(str)]
+def _printed(column) -> list:
+    values = np.asarray(column)
+    return values.tolist() if values.dtype.kind == "U" else fmt17(values)
+
+
+class _Cells(dict):
+    """The printed cells of named columns, each printed on first read, so
+    artifacts sharing a column print it once."""
+
+    def __init__(self, **columns):
+        super().__init__()
+        self.columns = columns
+
+    def __missing__(self, name):
+        cells = self[name] = _printed(self.columns[name])
+        return cells
+
+
+def _profile_cells(profile: rn.SampledProfile, margins=None) -> _Cells:
+    columns = dict(s=profile.s_grid, f=profile.f, df=profile.df, d2f=profile.d2f,
+                   provenance=profile.provenance.astype(str))
     if margins is not None:
-        header += ",margin"
-        columns.append(margins)
-    return _table(header, columns)
+        columns["margin"] = margins
+    return _Cells(**columns)
+
+
+def profile_csv(profile: rn.SampledProfile, margins=None, *, cells=None) -> str:
+    """CSV text with header s,f,df,d2f,provenance (plus margin when given).
+
+    ``cells``, the printed columns of the profile and margins (which then
+    need not be given), lets another artifact share them.
+    """
+    cells = _profile_cells(profile, margins) if cells is None else cells
+    names = [name for name in ("s", "f", "df", "d2f", "provenance", "margin")
+             if name in cells.columns]
+    return _table(",".join(names), [cells[name] for name in names])
 
 
 def hawking_csv(curve) -> str:
@@ -130,7 +151,7 @@ def collar_grid_csv(built: co.ChargedCollar) -> str:
     scalar = built.scalar_curvature
     rows, cols = scalar.shape
     thetas = ss.slice_geometry(built.spec.path).theta_grid
-    t_text = [fmt17(t) for t in built.spec.path.t_grid.tolist()]
+    t_text = fmt17(built.spec.path.t_grid)
     return _table(
         "t,theta,R,dec_margin",
         (np.repeat(t_text, cols), np.tile(thetas, rows), scalar.ravel(),
@@ -579,15 +600,15 @@ def _run_extend(config: RunConfig) -> int:
         data, options["mass"], _pipeline_config(options)
     )
     _emit(json_text(_extension_payload(config, report)), options["out"])
+    if options["profile_out"] is None and options["plot_prefix"] is None:
+        return 0
+    # One margin evaluation and one printing of each column serve both.
+    cells = _profile_cells(report.profile, su.dec_margin_operator(
+        report.n, report.charge, report.lam, report.profile))
     if options["profile_out"] is not None:
-        margins = su.dec_margin_operator(
-            report.n, report.charge, report.lam, report.profile
-        )
-        _atomic_write(
-            options["profile_out"], profile_csv(report.profile, margins)
-        )
+        _atomic_write(options["profile_out"], profile_csv(report.profile, cells=cells))
     if options["plot_prefix"] is not None:
-        emit_plotdata(report, options["plot_prefix"])
+        emit_plotdata(report, options["plot_prefix"], cells=cells)
     return 0
 
 
@@ -643,24 +664,25 @@ def _run_selftest(config: RunConfig) -> int:
     return 0 if result.passed else VerificationError.exit_code
 
 
-def emit_plotdata(report: pl.ExtensionReport, prefix) -> list[str]:
+def emit_plotdata(report: pl.ExtensionReport, prefix, *, cells=None) -> list[str]:
     """Write gnuplot-ready whitespace-separated two-column data files.
 
     Emits ``<prefix>.profile.dat`` with (s, f), ``<prefix>.hawking.dat``
     with (t, mass) along the collar foliation, and ``<prefix>.margin.dat``
-    with (s, energy margin).  Returns the written paths.
+    with (s, energy margin).  ``cells`` are the printed profile columns
+    with their margins, as ``profile_csv`` takes them.  Returns the
+    written paths.
     """
     prefix = str(prefix)
-    profile = report.profile
-    margins = su.dec_margin_operator(
-        report.n, report.charge, report.lam, profile
-    )
+    if cells is None:
+        cells = _profile_cells(report.profile, su.dec_margin_operator(
+            report.n, report.charge, report.lam, report.profile))
     curve = report.collar.hawking
     written = []
     for suffix, header, columns in (
-        (".profile.dat", "# s f", (profile.s_grid, profile.f)),
+        (".profile.dat", "# s f", (cells["s"], cells["f"])),
         (".hawking.dat", "# t mass", (curve.t_grid, curve.mass)),
-        (".margin.dat", "# s margin", (profile.s_grid, margins)),
+        (".margin.dat", "# s margin", (cells["s"], cells["margin"])),
     ):
         path = prefix + suffix
         _atomic_write(path, _table(header, columns, sep=" "))

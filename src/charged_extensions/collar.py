@@ -14,7 +14,7 @@ round tail of the collar into an arclength radial profile for gluing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -39,6 +39,7 @@ __all__ = [
     "EIGENFUNCTION_LAPSE",
     "CONSTANT_LAPSE",
     "CollarSpec",
+    "CollarMargin",
     "ChargedCollar",
     "MonotonicityReport",
     "select_route",
@@ -70,7 +71,9 @@ class CollarSpec:
     positive in the case-appropriate combination) is validated here; the
     curvature-floor admissibility of the path itself is validated when
     the collar is built (see select_route).  The boundary radius ``r_o`` is
-    the path's.
+    the path's.  ``margin`` is the amplitude-independent energy margin of
+    every field but ``A``: a spec made without one, or with one of other
+    fields, gets a fresh one, and ``at_amplitude`` passes it on.
     """
 
     path: MetricPath
@@ -80,6 +83,7 @@ class CollarSpec:
     case_id: str
     q: float
     lam: float
+    margin: CollarMargin | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.case_id not in (EIGENFUNCTION_LAPSE, CONSTANT_LAPSE):
@@ -97,6 +101,10 @@ class CollarSpec:
                 "charge too large for the curvature floor: "
                 f"q={self.q!r}, kappa={self.kappa!r}, lam={self.lam!r}"
             )
+        key = (self.epsilon, self.kappa, self.case_id, self.q, self.lam)
+        margin = self.margin
+        if margin is None or margin.path is not self.path or margin.key != key:
+            object.__setattr__(self, "margin", CollarMargin(self.path, *key))
 
     @property
     def n(self) -> int:
@@ -106,18 +114,14 @@ class CollarSpec:
     def r_o(self) -> float:
         return self.path.r_o
 
-    @cached_property
+    @property
     def margin_fields(self):
-        """Amplitude-independent (base, well, u, reference), memoized per spec."""
-        base, well, u = _margin_parts(self)
-        return base, well, u, _reference_density(self)[:, None]
+        """The margin's elementwise (base, well, u, reference)."""
+        return self.margin.fields
 
     def at_amplitude(self, A: float) -> CollarSpec:
-        """This spec at lapse amplitude A, sharing the memoized margin
-        fields, which do not depend on the amplitude."""
-        spec = replace(self, A=A)
-        spec.__dict__["margin_fields"] = self.margin_fields
-        return spec
+        """This spec at lapse amplitude A, with the same margin."""
+        return replace(self, A=A)
 
     def _charge_gap_scalar(self) -> float:
         """Floor of the positive-scalar/eigenfunction energy inequality."""
@@ -131,30 +135,180 @@ class CollarSpec:
         return -2.0 * (self.kappa + self.lam) - 2.0 * self.q ** 2 / self.r_o ** 4
 
 
+@dataclass(frozen=True, eq=False)
+class CollarMargin:
+    """The amplitude-independent energy margin of a collar.
+
+    Keyed by the path (held, so it cannot be freed while the margin
+    lives) and (epsilon, kappa, case_id, q, lam): every field of a
+    ``CollarSpec`` but the amplitude, so it also reads as a spec for the
+    helpers that build its fields.  At amplitude A the energy margin is
+    core + well / A^2 over (t, theta), with core = base - reference, where
+    base + well / A^2 is the collar's scalar curvature (``_margin_parts``)
+    and reference = 2 Lambda + n(n-1)|E|^2 per t (``_reference_density``).
+
+    Its verdicts come from per-row extremes of base and well
+    (``_row_extremes``) and from the margin's ``crossing``; the
+    elementwise ``fields`` and ``core`` are built only for a verdict those
+    cannot decide.  Everything is computed on first read and kept.
+    """
+
+    path: MetricPath
+    epsilon: float
+    kappa: float
+    case_id: str
+    q: float
+    lam: float
+
+    @property
+    def n(self) -> int:
+        return self.path.n
+
+    @property
+    def r_o(self) -> float:
+        return self.path.r_o
+
+    @property
+    def key(self) -> tuple:
+        return (self.epsilon, self.kappa, self.case_id, self.q, self.lam)
+
+    @cached_property
+    def reference(self) -> np.ndarray:
+        """2 Lambda + n(n-1)|E|^2 per t."""
+        return _reference_density(self)
+
+    @cached_property
+    def fields(self):
+        """Elementwise (base, well, u, reference) over (t, theta)."""
+        base, well, u = _margin_parts(self)
+        return base, well, u, self.reference[:, None]
+
+    @cached_property
+    def core(self) -> np.ndarray:
+        base, _, _, reference = self.fields
+        return base - reference
+
+    @cached_property
+    def _extremes(self):
+        """(core_min, size, well_min, well_max, smallest) per t row: the
+        smallest core, the largest |base| and the extremes of well; smallest
+        is min(well / core) over the grid, or None where ``crossing`` is to
+        find it from the rows."""
+        base_min, base_max, well_min, well_max, smallest = _row_extremes(self)
+        size = np.maximum(np.abs(base_min), np.abs(base_max))
+        # core = base - reference grows with base, and rounding is monotone.
+        return base_min - self.reference, size, well_min, well_max, smallest
+
+    @cached_property
+    def crossing(self) -> float | None:
+        """The amplitude^2 above which the margin is positive.
+
+        When every sample has a normal core > 0 > well, sample i's margin
+        crosses zero at A^2 = -well_i / core_i, and the crossing is the
+        largest of these quotients, -min(well / core).  None for any other
+        field (a sample with core <= 0 or well >= 0, a subnormal core, a
+        NaN) or when the crossing is not a normal finite float.
+
+        Without the quotient from ``_row_extremes`` (the constant lapse),
+        the smallest quotient is searched row by row: a row's quotients
+        are at least that of its smallest well and smallest core (where
+        well < 0 < core a quotient grows with either, and rounding is
+        monotone), so after the row of the smallest such bound only rows
+        whose bound lies below the smallest quotient found are evaluated.
+        The result is min(well / core) bit for bit.
+        """
+        core_min, _, well_min, well_max, smallest = self._extremes
+        tiny = np.finfo(float).tiny
+        if not (float(np.min(core_min)) >= tiny and float(np.max(well_max)) < 0.0):
+            return None
+        if smallest is None:
+            bound = well_min / core_min
+            smallest = self._smallest_quotient(np.argmin(bound, keepdims=True))
+            rows = np.flatnonzero(bound < smallest)
+            if rows.size:
+                smallest = min(smallest, self._smallest_quotient(rows))
+        lower = -smallest
+        return lower if tiny <= lower < math.inf else None
+
+    def _smallest_quotient(self, rows: np.ndarray) -> float:
+        base, well = _margin_rows(self, rows)
+        return float(np.min(well / (base - self.reference[rows, None])))
+
+    def passes(self, amplitude: float) -> bool:
+        """find_A0's probe: is core + well / amplitude^2 > 0 everywhere?
+
+        Decided from the ``crossing`` when the field has one: A passes when
+        A^2 lies above it by more than the relative ``_CROSSING_BAND`` and
+        fails when A^2 lies below it by more.  Each such verdict is the
+        elementwise test's (``_margin_passes``): with u = 2^-53, every
+        rounded quotient is within a factor 1 + u of the exact one or below
+        the smallest normal float, which the normal core and crossing
+        dominate.  So outside the band fl(-well_i / A^2) < core_i holds at
+        every sample or fails at the sample of the crossing, and the
+        rounded sum core_i + fl(well_i / A^2) has the sign of the exact one
+        (a difference of floats rounds to zero only when it is zero).
+        Probes inside the band, and every probe on a field without a
+        crossing, run the elementwise test.
+        """
+        lower = self.crossing
+        if lower is not None:
+            amplitude_sq = amplitude ** 2
+            if amplitude_sq > lower * (1.0 + _CROSSING_BAND):
+                return True
+            if amplitude_sq < lower * (1.0 - _CROSSING_BAND):
+                return False
+        return _margin_passes(self.core, self.fields[1], amplitude)
+
+    def certifies(self, amplitude: float) -> bool:
+        """True when the crossing shows build_collar's elementwise margin
+        (base + well / A^2) - reference positive at every sample; False
+        leaves the verdict to the elementwise check.
+
+        Above the band, -fl(well / A^2) <= rho core with rho < 1 - band +
+        5u at every sample, so the exact margin of the rounded sum is at
+        least core (band - 7u) - u |base|.  Each row's smallest core and
+        largest |base| bound that below; the test asks for band / 4 where
+        band - 7u > band / 2, which leaves room for its own rounding.
+        """
+        lower = self.crossing
+        if lower is None or not amplitude ** 2 > lower * (1.0 + _CROSSING_BAND):
+            return False
+        core_min, size, _, _, _ = self._extremes
+        unit = np.finfo(float).eps / 2.0
+        return bool(np.all(core_min * (0.25 * _CROSSING_BAND) > unit * size))
+
+
 @dataclass(frozen=True)
 class ChargedCollar:
     """A built collar with its verification fields.
 
     scalar_curvature and dec_margin are sampled over (t, theta) with a
-    single theta column for round paths; mean_curvature is per t (the
-    slice minimum when the lapse varies over the slice).
+    single theta column for round paths, from the spec's margin fields on
+    first read (``build_collar`` certifies the margin without them);
+    mean_curvature is per t (the slice minimum when the lapse varies over
+    the slice).
     """
 
     spec: CollarSpec
-    scalar_curvature: np.ndarray
-    dec_margin: np.ndarray
     mean_curvature: np.ndarray
     hawking: HawkingCurve
 
     def __post_init__(self) -> None:
-        for name in ("scalar_curvature", "dec_margin", "mean_curvature"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not np.min(self.dec_margin) > 0.0:
-            raise DomainError("energy margin must be strictly positive")
+        object.__setattr__(self, "mean_curvature",
+                           np.asarray(self.mean_curvature, dtype=float))
         if self.mean_curvature[0] != 0.0:
             raise DomainError("mean curvature must vanish on the boundary slice")
         if not np.all(self.mean_curvature[1:] > 0.0):
             raise DomainError("mean curvature must be positive off the boundary")
+
+    @cached_property
+    def scalar_curvature(self) -> np.ndarray:
+        base, well, _, _ = self.spec.margin.fields
+        return base + well / self.spec.A ** 2
+
+    @cached_property
+    def dec_margin(self) -> np.ndarray:
+        return self.scalar_curvature - self.spec.margin.fields[3]
 
 
 @dataclass(frozen=True)
@@ -289,41 +443,91 @@ def select_route(path: MetricPath, q: float, lam: float) -> tuple[str, str, floa
 def _margin_parts(spec: CollarSpec):
     """Decompose collar curvature fields by their lapse dependence.
 
-    Returns arrays (base, well) over (t, theta) such that the collar
-    scalar curvature is base + well / A^2 plus the electromagnetic and
-    cosmological reference gives dec margin = (base - reference) + well / A^2.
-    Caching the amplitude-independent parts keeps the A search cheap.
+    Returns arrays (base, well, u) over (t, theta) such that the collar
+    scalar curvature is base + well / A^2 and, with the electromagnetic
+    and cosmological reference, dec margin = (base - reference) + well / A^2;
+    u is the eigenfunction lapse's, or None.  See ``_margin_rows``.
+    """
+    base, well = _margin_rows(spec, slice(None))
+    u = eigen_along_path(spec.path).u if spec.case_id == EIGENFUNCTION_LAPSE else None
+    return base, well, u
+
+
+def _margin_rows(spec: CollarSpec, rows):
+    """(base, well) of ``_margin_parts`` on the t rows ``rows`` (a slice
+    or an index array), bit for bit.
 
     The eigenfunction lapse u contributes -2 (Laplacian u / u) / F^2 to base
     and the factor u^-2 and the drift 2n (du/dt / u) F' / F to well.  A
     constant lapse has none of them, so its branch forms base = R / F^2 and
-    well = -shape - |g'|^2 / 4 directly; dropping the zero terms and the
-    unit factor changes no bit, because the shape term is positive.
+    well = -shape - |g'|^2 / 4 directly (``_lapse_free``); dropping the zero
+    terms and the unit factor changes no bit, because the shape term is
+    positive.
     """
     n = spec.n
     geometry = slice_geometry(spec.path)
-    t, F, dF, d2F = _shape_factor(spec)
-    col = lambda a: a[:, None]
+    _, F, dF, d2F = _shape_factor(spec)
+    F, dF, d2F = F[rows, None], dF[rows, None], d2F[rows, None]
+    r_scal = geometry.scalar_curvature[rows]
+    gp_sq = geometry.gprime_sq[rows]
+    if spec.case_id == CONSTANT_LAPSE:
+        return _lapse_free(n, F, dF, d2F, r_scal, gp_sq)
+    eigen = eigen_along_path(spec.path)
+    u = eigen.u[rows]
+    # In place, so that at most three grids are live: each step rounds as
+    # base = R / F^2 - 2 (Laplacian u / u) / F^2 and
+    # well = u^-2 (2n (du/dt / u) F' / F - shape - |g'|^2 / 4) do.
+    base = np.divide(eigen.laplace_u[rows], u)
+    base *= 2.0
+    base /= F ** 2
+    np.subtract(r_scal / F ** 2, base, out=base)
+    well = np.divide(eigen.du_dt[rows], u)
+    well *= 2.0 * n
+    well *= dF
+    well /= F
+    well -= _shape_term(n, F, dF, d2F)
+    well -= 0.25 * gp_sq
+    inv_u_sq = u * u
+    np.divide(1.0, inv_u_sq, out=inv_u_sq)
+    well *= inv_u_sq
+    return base, well
 
-    r_scal = geometry.scalar_curvature
-    gp_sq = geometry.gprime_sq
-    shape = n * ((n - 1) * col(dF) ** 2 + 2.0 * col(F) * col(d2F)) / col(F) ** 2
-    if spec.case_id == EIGENFUNCTION_LAPSE:
-        eigen = eigen_along_path(spec.path)
-        u = eigen.u
-        lap_ratio = eigen.laplace_u / u
-        uprime_ratio = eigen.du_dt / u
-        inv_u_sq = 1.0 / (u * u)
-        base = r_scal / col(F) ** 2 - 2.0 * lap_ratio / col(F) ** 2
-        well = inv_u_sq * (
-            2.0 * n * uprime_ratio * col(dF) / col(F) - shape - 0.25 * gp_sq
-        )
-    else:
-        u = None
-        base = r_scal / col(F) ** 2
-        well = -shape - 0.25 * gp_sq
-    base = np.broadcast_to(base, well.shape) if np.shape(base) != np.shape(well) else base
-    return base, well, u
+
+def _shape_term(n: int, F, dF, d2F):
+    return n * ((n - 1) * dF ** 2 + 2.0 * F * d2F) / F ** 2
+
+
+def _lapse_free(n: int, F, dF, d2F, r_scal, gp_sq):
+    """The constant lapse's (base, well) = (R / F^2, -shape - |g'|^2 / 4)."""
+    return r_scal / F ** 2, -_shape_term(n, F, dF, d2F) - 0.25 * gp_sq
+
+
+def _row_extremes(spec: CollarSpec):
+    """(base_min, base_max, well_min, well_max, smallest) per t row.
+
+    The first four are each row's extremes of the ``_margin_parts``
+    fields.  The constant lapse takes them from the path's per-row
+    extremes of R and |g'|^2: base grows with R and well falls with
+    |g'|^2, and rounding is monotone, so they are the fields' extremes bit
+    for bit; smallest is None.  The eigenfunction lapse reduces its fields
+    in one pass, in which smallest is min(well / core) over the grid.
+    """
+    if spec.case_id == CONSTANT_LAPSE:
+        geometry = slice_geometry(spec.path)
+        _, F, dF, d2F = _shape_factor(spec)
+        r_min, r_max = geometry.scalar_curvature_rows
+        gp_min, gp_max = geometry.gprime_sq_rows
+        base_min, well_min = _lapse_free(spec.n, F, dF, d2F, r_min, gp_max)
+        base_max, well_max = _lapse_free(spec.n, F, dF, d2F, r_max, gp_min)
+        return base_min, base_max, well_min, well_max, None
+    base, well = _margin_rows(spec, slice(None))
+    core = base - _reference_density(spec)[:, None]
+    extremes = (np.min(base, axis=1), np.max(base, axis=1),
+                np.min(well, axis=1), np.max(well, axis=1))
+    # The quotient is read only where core > 0 > well everywhere.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        smallest = float(np.min(np.divide(well, core, out=core)))
+    return (*extremes, smallest)
 
 
 def _reference_density(spec: CollarSpec):
@@ -364,37 +568,38 @@ def _hawking_along_collar(spec: CollarSpec) -> HawkingCurve:
 def build_collar(spec: CollarSpec) -> ChargedCollar:
     """Assemble a collar and verify the strict energy condition.
 
-    Raises a construction error carrying the worst (t, theta) sample if
-    the margin R - 2 Lambda - n(n-1)|E|^2 is not strictly positive.
+    The verdict is the margin's crossing where ``CollarMargin.certifies``
+    shows that rounding cannot flip it; otherwise the margin
+    R - 2 Lambda - n(n-1)|E|^2 is checked sample by sample, and a
+    construction error carrying the worst (t, theta) sample is raised if
+    it is not strictly positive.
     """
     _route_floor(spec)
-    base, well, u, reference = spec.margin_fields
-    scalar = base + well / spec.A ** 2
-    margin = scalar - reference
-    flat = int(np.argmin(margin))
-    worst = np.unravel_index(flat, margin.shape)
-    min_margin = float(margin[worst])
-    if not min_margin > 0.0:
-        theta_grid = slice_geometry(spec.path).theta_grid
-        raise ConstructionError(
-            "energy condition violated on the collar",
-            diagnostics={
-                "min_margin": min_margin,
-                "t": float(spec.path.t_grid[worst[0]]),
-                "theta": float(theta_grid[worst[1]]),
-            },
-        )
+    if not spec.margin.certifies(spec.A):
+        base, well, _, reference = spec.margin.fields
+        margin = (base + well / spec.A ** 2) - reference
+        flat = int(np.argmin(margin))
+        worst = np.unravel_index(flat, margin.shape)
+        min_margin = float(margin[worst])
+        if not min_margin > 0.0:
+            theta_grid = slice_geometry(spec.path).theta_grid
+            raise ConstructionError(
+                "energy condition violated on the collar",
+                diagnostics={
+                    "min_margin": min_margin,
+                    "t": float(spec.path.t_grid[worst[0]]),
+                    "theta": float(theta_grid[worst[1]]),
+                },
+            )
 
     _, F, dF, _ = _shape_factor(spec)
-    if u is None:
+    if spec.case_id == CONSTANT_LAPSE:
         u_max = np.ones_like(F)
     else:
-        u_max = np.max(u, axis=1)
+        u_max = np.max(eigen_along_path(spec.path).u, axis=1)
     mean_curvature = spec.n * dF / (spec.A * F * u_max)
     return ChargedCollar(
         spec=spec,
-        scalar_curvature=scalar,
-        dec_margin=margin,
         mean_curvature=mean_curvature,
         hawking=_hawking_along_collar(spec),
     )
@@ -435,22 +640,6 @@ def _margin_passes(core: np.ndarray, well: np.ndarray, amplitude: float) -> bool
     return float(np.min(core + well / amplitude ** 2)) > 0.0
 
 
-def _crossing(core: np.ndarray, well: np.ndarray) -> float | None:
-    """The amplitude^2 above which the margin core + well / A^2 is positive.
-
-    When every sample has a normal core > 0 > well, sample i's margin
-    crosses zero at A^2 = -well_i / core_i, and the returned crossing is
-    the largest of these quotients, -min(well / core).  Returns None for
-    any other field (a sample with core <= 0 or well >= 0, a subnormal
-    core, a NaN) or when the crossing is not a normal finite float.
-    """
-    tiny = np.finfo(float).tiny
-    if not (float(np.min(core)) >= tiny and float(np.max(well)) < 0.0):
-        return None
-    lower = -float(np.min(well / core))
-    return lower if tiny <= lower < math.inf else None
-
-
 def find_A0(
     path: MetricPath, epsilon: float, kappa: float, case_id: str, q: float, lam: float
 ) -> CollarSpec:
@@ -459,36 +648,16 @@ def find_A0(
     Starts from the closed-form estimate of find_A0_bound and refines
     downward by geometric bisection against the direct pointwise margin
     check, which is authoritative; the returned amplitude always passes
-    the direct check.  The spec carries the margin fields of the search.
+    the direct check.  The spec carries the margin of the search.
 
-    Each probe is decided from the margin's crossing (``_crossing``) when
-    the field has one: A passes when A^2 lies above it by more than the
-    relative ``_CROSSING_BAND`` and fails when A^2 lies below it by more.
-    Each such verdict is the elementwise test's (``_margin_passes``): with
-    u = 2^-53, every rounded quotient is within a factor 1 + u of the exact
-    one or below the smallest normal float, which the normal core and
-    crossing dominate.  So outside the band fl(-well_i / A^2) < core_i
-    holds at every sample or fails at the sample of the crossing, and the
-    rounded sum core_i + fl(well_i / A^2) has the sign of the exact one
-    (a difference of floats rounds to zero only when it is zero).  Probes
-    inside the band, and every probe on a field without a crossing, run
-    the elementwise test; so the bisection, the returned amplitude and the
-    error of a field no amplitude passes are those of the elementwise test
-    at every probe.
+    Each probe is ``CollarMargin.passes``, decided from the margin's
+    crossing outside a relative band around it and by the elementwise
+    test inside it or on a field without a crossing; so the bisection,
+    the returned amplitude and the error of a field no amplitude passes
+    are those of the elementwise test at every probe.
     """
     probe = CollarSpec(path, epsilon, 1.0, kappa, case_id, q, lam)
-    base, well, _, reference = probe.margin_fields
-    core = base - reference
-    lower = _crossing(core, well)
-
-    def passes(amplitude: float) -> bool:
-        if lower is not None:
-            amplitude_sq = amplitude ** 2
-            if amplitude_sq > lower * (1.0 + _CROSSING_BAND):
-                return True
-            if amplitude_sq < lower * (1.0 - _CROSSING_BAND):
-                return False
-        return _margin_passes(core, well, amplitude)
+    passes = probe.margin.passes
 
     hi = find_A0_bound(path, epsilon, kappa, case_id, q, lam)
     bumps = 0

@@ -338,13 +338,21 @@ def smooth_step(x):
     return _smooth_step_jet(x, 0)[0]
 
 
-def fmt17(value) -> str:
-    """Format a float with 17 significant digits (lossless round-trip);
-    a non-finite value raises DomainError."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise DomainError(f"non-finite value in output: {number!r}")
-    return format(number, ".17g")
+def fmt17(value):
+    """Format a float with 17 significant digits (lossless round-trip), or
+    each float of an array into a list after one finiteness check of the
+    whole array; a non-finite value raises DomainError."""
+    if isinstance(value, np.ndarray):
+        numbers = np.asarray(value, dtype=float).ravel()
+        finite = np.isfinite(numbers)
+        if finite.all():
+            return [format(number, ".17g") for number in numbers.tolist()]
+        number = float(numbers[np.argmin(finite)])
+    else:
+        number = float(value)
+        if math.isfinite(number):
+            return format(number, ".17g")
+    raise DomainError(f"non-finite value in output: {number!r}")
 
 
 def _render_json(value, level: int) -> str:

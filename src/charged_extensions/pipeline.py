@@ -225,7 +225,7 @@ def _flare_parameters(
         allowed = co.find_eps0(data.n, path.r_o, data.q, data.lam, spec.A)
         if allowed >= eps:
             return spec
-        # Drop this spec's margin fields before the next search builds its own.
+        # Drop this spec's margin before the next search builds its own.
         eps, spec = allowed, None
     return co.find_A0(path, eps, kappa, case_id, data.q, data.lam)
 

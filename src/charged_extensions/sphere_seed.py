@@ -235,9 +235,11 @@ class SliceGeometry:
     ``scalar_curvature`` its scalar curvature and ``gprime_sq`` the
     squared norm, with respect to the slice metric, of its metric velocity
     in the fixed area gauge, g' + L_X g for the Moser field X.
-    ``min_scalar_curvature`` and ``max_gprime_sq`` are the path-wide
-    extremes that the route choice and the amplitude bound read, taken
-    once on construction.
+    ``scalar_curvature_rows`` and ``gprime_sq_rows`` are the (min, max)
+    of each row, shape (2, n_t), which the collar's margin reads in place
+    of the arrays; ``min_scalar_curvature`` and ``max_gprime_sq`` are the
+    path-wide extremes that the route choice and the amplitude bound read.
+    All are taken once, on construction.
     """
 
     t_grid: np.ndarray
@@ -245,13 +247,20 @@ class SliceGeometry:
     sqrt_det: np.ndarray
     scalar_curvature: np.ndarray
     gprime_sq: np.ndarray
+    scalar_curvature_rows: np.ndarray = field(init=False)
+    gprime_sq_rows: np.ndarray = field(init=False)
     min_scalar_curvature: float = field(init=False)
     max_gprime_sq: float = field(init=False)
 
     def __post_init__(self) -> None:
+        for name in ("scalar_curvature", "gprime_sq"):
+            values = getattr(self, name)
+            rows = np.array([np.min(values, axis=1), np.max(values, axis=1)])
+            rows.flags.writeable = False
+            object.__setattr__(self, name + "_rows", rows)
         object.__setattr__(self, "min_scalar_curvature",
-                           float(np.min(self.scalar_curvature)))
-        object.__setattr__(self, "max_gprime_sq", float(np.max(self.gprime_sq)))
+                           float(np.min(self.scalar_curvature_rows[0])))
+        object.__setattr__(self, "max_gprime_sq", float(np.max(self.gprime_sq_rows[1])))
 
 
 @dataclass(frozen=True)

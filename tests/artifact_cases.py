@@ -58,6 +58,11 @@ CASES = [
                          "--grid-out", "grid.csv", "--hawking-out", "hawking.csv"]),
     ("collar-cos-0.3", ["collar", "--n", "2", "--seed-cos", "0.3",
                         "--grid-out", "grid.csv", "--hawking-out", "hawking.csv"]),
+    ("collar-cos-0.6-lam", ["collar", "--n", "2", "--seed-cos", "0.6", "--lambda", "-3.5",
+                            "--grid-out", "grid.csv", "--hawking-out", "hawking.csv"]),
+    # An amplitude below the margin's crossing: the energy condition fails.
+    ("collar-cos-0.3-below", ["collar", "--n", "2", "--seed-cos", "0.3",
+                              "--amplitude", "0.2"]),
     # On a coarse grid the pole columns carry the most weight.
     ("collar-cos-0.62-coarse", ["collar", "--n", "2", "--seed-cos", "0.62", "--n-theta", "33",
                                 "--n-t", "65", "--grid-out", "grid.csv",

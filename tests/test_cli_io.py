@@ -256,6 +256,19 @@ class TestCsvSerialization:
         assert lines[0] == "s,f,df,d2f,provenance,margin"
         assert float(lines[1].split(",")[5]) == 0.5
 
+    def test_non_finite_cell_is_a_domain_error(self):
+        profile = rn.rn_profile(rn.RNParams(n=2, m=1.0, q=0.0, lam=0.0), 2.0, 9)
+        margins = np.linspace(0.5, 1.0, 9)
+        margins[[3, 6]] = math.inf, math.nan
+        with pytest.raises(DomainError, match="non-finite value in output: inf"):
+            cli_io.profile_csv(profile, margins)
+
+    def test_fmt17_prints_an_array_as_its_floats(self):
+        values = np.array([0.1, -2.5e-300, 3.0, 1.0 / 3.0])
+        assert numutil.fmt17(values) == [numutil.fmt17(v) for v in values.tolist()]
+        with pytest.raises(DomainError, match="non-finite value in output: nan"):
+            numutil.fmt17(np.array([1.0, math.nan, math.inf]))
+
     def test_hawking_and_grid_csv(self):
         path = ss.round_path(2, 1.0, n_t=65)
         spec = co.CollarSpec(
@@ -535,6 +548,32 @@ class TestGlueCommand:
 
 
 class TestExtendCommand:
+    def test_each_artifact_column_is_computed_and_printed_once(self, tmp_path, monkeypatch):
+        # profile.csv and the plot files share s, f and the margin: one
+        # margin evaluation and one printing of each of the seven columns.
+        margins, printed = [], []
+
+        def margin_operator(*args, original=cli_io.su.dec_margin_operator):
+            margins.append(args)
+            return original(*args)
+
+        def fmt17(value, original=cli_io.fmt17):
+            if isinstance(value, np.ndarray):
+                printed.append(value.size)
+            return original(value)
+
+        monkeypatch.setattr(cli_io, "su", type("su", (), {
+            "dec_margin_operator": staticmethod(margin_operator)}))
+        monkeypatch.setattr(cli_io, "fmt17", fmt17)
+        rc = cli_io.main(["extend", "--n", "2", "--r-o", "1.0", "--mass", "0.55",
+                          "--out", str(tmp_path / "report.json"),
+                          "--profile-out", str(tmp_path / "profile.csv"),
+                          "--plot-prefix", str(tmp_path / "run")])
+        assert rc == 0
+        assert len(margins) == 1
+        samples = json.loads((tmp_path / "report.json").read_text())["diagnostics"]["samples"]
+        assert printed == [samples] * 5 + [513] * 2
+
     def test_report_payload(self, extend_artifacts):
         payload = json.loads(extend_artifacts["report"].read_text())
         assert payload["schema_version"] == 1

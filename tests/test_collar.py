@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from charged_extensions import collar as co
-from charged_extensions import lambda_rn, pipeline, sphere_seed
+from charged_extensions import cli_io, lambda_rn, pipeline, sphere_seed
 from charged_extensions.errors import (
     ConstructionError,
     DomainError,
@@ -213,14 +216,18 @@ class TestAmplitudeSearch:
 
     @pytest.mark.parametrize("case", [co.CONSTANT_LAPSE, co.EIGENFUNCTION_LAPSE])
     def test_A0_spec_builds_from_the_search_margin_fields(self, cos_path, case, monkeypatch):
-        # The search's margin fields are the collar's, at A0 and at any other
-        # amplitude: the build computes none, and each collar equals one
-        # built from a fresh spec bit for bit.
+        # The search's margin object is the collar's, at A0 and at any other
+        # amplitude: the build computes no margin fields, and each collar
+        # equals one built from a fresh spec bit for bit; the grids, read
+        # later, build the shared margin's fields once.
         spec = co.find_A0(cos_path, 0.1, 0.8, case, 0.1, -1.0)
         assert spec == round_spec(cos_path, 0.1, spec.A, 0.8, case, 0.1, -1.0)
         specs = (spec, spec.at_amplitude(2.0 * spec.A))
+        assert specs[1].margin is spec.margin
         fresh = [co.build_collar(round_spec(cos_path, 0.1, s.A, 0.8, case, 0.1, -1.0))
                  for s in specs]
+        names = ("scalar_curvature", "dec_margin", "mean_curvature")
+        want = [{name: getattr(r, name).tobytes() for name in names} for r in fresh]
         parts = []
 
         def counting(*args, original=co._margin_parts):
@@ -228,12 +235,25 @@ class TestAmplitudeSearch:
             return original(*args)
 
         monkeypatch.setattr(co, "_margin_parts", counting)
-        for s, reference in zip(specs, fresh):
-            built = co.build_collar(s)
-            for name in ("scalar_curvature", "dec_margin", "mean_curvature"):
-                assert getattr(built, name).tobytes() == getattr(reference, name).tobytes()
-            assert built.hawking.mass.tobytes() == reference.hawking.mass.tobytes()
+        built = [co.build_collar(s) for s in specs]
         assert parts == []
+        for collar, reference, grids in zip(built, fresh, want):
+            assert collar.spec.margin is spec.margin
+            assert {name: getattr(collar, name).tobytes() for name in names} == grids
+            assert collar.hawking.mass.tobytes() == reference.hawking.mass.tobytes()
+        assert parts == [(spec.margin,)]
+
+    def test_a_spec_of_other_fields_gets_its_own_margin(self, cos_path):
+        spec = round_spec(cos_path, epsilon=0.1, kappa=0.8)
+        assert spec.at_amplitude(3.0).margin is spec.margin
+        for changed in ({"epsilon": 0.2}, {"q": 0.1}, {"lam": -1.0}, {"kappa": 0.5},
+                        {"case_id": co.EIGENFUNCTION_LAPSE},
+                        {"path": _cos_route_path(0.2, 1025, 129)}):
+            other = replace(spec, **changed)
+            assert other.margin is not spec.margin
+            assert other.margin.path is other.path
+            assert other.margin.key == (other.epsilon, other.kappa, other.case_id,
+                                        other.q, other.lam)
 
     def test_axisym_refined_passes(self, cos_path):
         a0 = co.find_A0(cos_path, 0.1, 0.8, co.CONSTANT_LAPSE, 0.0, 0.0).A
@@ -289,6 +309,16 @@ def _searched(path, epsilon, kappa, case, q, lam):
     except ConstructionError as exc:
         assert str(exc) == "no lapse amplitude passes the margin check"
         return "raised", exc.diagnostics["last_tried"]
+
+
+def _substitute_fields(monkeypatch, base, well):
+    """Make (base, well) the constant-lapse margin fields of every spec,
+    for each reader of the margin: the elementwise fields and the rows of
+    ``_margin_rows``, and the per-row extremes of ``_row_extremes``."""
+    monkeypatch.setattr(co, "_margin_rows", lambda spec, rows: (base[rows], well[rows]))
+    monkeypatch.setattr(co, "_row_extremes", lambda spec: (
+        np.min(base, axis=1), np.max(base, axis=1),
+        np.min(well, axis=1), np.max(well, axis=1), None))
 
 
 def _cos_route_path(a, n_theta, n_t):
@@ -353,11 +383,11 @@ class TestAmplitudeCrossing:
             assert well.tobytes() == full_well.tobytes()
 
     @staticmethod
-    def _fields(kind, hi):
-        """(base, well) over the round 2-sphere path's 513 x 4 grid, for a
-        spec with q = 0 and lam = 0, whose reference density is 0."""
-        base = np.ones((513, 4))
-        well = -np.ones((513, 4))
+    def _fields(kind, hi, shape=(513, 4)):
+        """(base, well) over a 513 x 4 grid (or ``shape``), for a spec with
+        q = 0 and lam = 0, whose reference density is 0."""
+        base = np.ones(shape)
+        well = -np.ones(shape)
         if kind == "core-negative":  # passes for 1 < A^2 < 4 only
             base[100, 2], well[100, 2] = -0.5, 2.0
         elif kind == "core-zero":
@@ -378,6 +408,8 @@ class TestAmplitudeCrossing:
         elif kind == "band":  # the crossing sits exactly on the probe hi / 2
             well[:] = -0.1
             well[40, 2] = -((hi / 2.0) ** 2)
+        elif kind == "wide-row":  # a crossing, but a row too wide for its bound
+            base[100, 0], base[100, 1] = 1e-3, 1e6
         return base, well
 
     @pytest.mark.parametrize("kind", ["core-negative", "core-zero", "core-subnormal",
@@ -391,8 +423,7 @@ class TestAmplitudeCrossing:
         # does, with the same error and last_tried where no amplitude passes.
         args = (round2, 0.1, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0)
         hi = co.find_A0_bound(*args)
-        base, well = self._fields(kind, hi)
-        monkeypatch.setattr(co, "_margin_parts", lambda spec: (base, well, None))
+        _substitute_fields(monkeypatch, *self._fields(kind, hi))
         calls = []
 
         def counting(*parts, original=co._margin_passes):
@@ -410,6 +441,49 @@ class TestAmplitudeCrossing:
             assert len(calls) == want[2]
         if kind in ("core-nan", "well-nan", "never"):
             assert want[0] == "raised"
+
+    @pytest.mark.parametrize("kind", ["core-negative", "core-zero", "core-subnormal",
+                                      "well-zero", "well-positive", "core-nan",
+                                      "well-nan", "never", "band", "wide-row", "plain"])
+    def test_build_collar_verdicts_are_the_elementwise_check(self, kind, monkeypatch):
+        # build_collar takes a passing verdict from the crossing only where
+        # the per-row bound holds (not on "wide-row"), and runs the
+        # elementwise check for every other verdict: it passes where the
+        # elementwise reference does and otherwise raises its error, with
+        # the same worst sample.
+        path = _cos_route_path(0.2, 17, 513)
+        _, case, kappa = co.select_route(path, 0.0, 0.0)
+        args = (path, 0.1, kappa, case, 0.0, 0.0)
+        hi = co.find_A0_bound(*args)
+        base, well = self._fields(kind, hi, (513, 17))
+        _substitute_fields(monkeypatch, base, well)
+        found = _elementwise_find_A0(*args)
+        parts = []
+
+        def counting(*spec, original=co._margin_parts):
+            parts.append(spec)
+            return original(*spec)
+
+        monkeypatch.setattr(co, "_margin_parts", counting)
+        theta = sphere_seed.slice_geometry(path).theta_grid
+        amplitudes = [hi / 2.0, hi, 2.0 * hi, 40.0] + [found[1]] * (found[0] == "found")
+        for amplitude in amplitudes:
+            spec = co.CollarSpec(path, 0.1, amplitude, kappa, case, 0.0, 0.0)
+            margin = (base + well / amplitude ** 2) - co._reference_density(spec)[:, None]
+            worst = np.unravel_index(int(np.argmin(margin)), margin.shape)
+            parts.clear()
+            if margin[worst] > 0.0:
+                co.build_collar(spec)
+                elementwise = kind not in ("plain", "band") or amplitude == hi / 2.0
+                assert bool(parts) == elementwise, amplitude
+                continue
+            with pytest.raises(ConstructionError) as error:
+                co.build_collar(spec)
+            assert str(error.value) == "energy condition violated on the collar"
+            want = {"min_margin": float(margin[worst]),
+                    "t": float(path.t_grid[worst[0]]), "theta": float(theta[worst[1]])}
+            assert repr(error.value.diagnostics) == repr(want)
+            assert parts
 
     def test_default_cos_extension_decides_almost_every_probe_by_the_crossing(
             self, monkeypatch):
@@ -437,6 +511,54 @@ class TestAmplitudeCrossing:
         assert len(calls) <= len(searches)
         probes = [_elementwise_find_A0(*args)[2] for args in searches]
         assert min(probes) >= 5
+
+
+class TestMarginObject:
+    """The margin's crossing and row bounds read no elementwise field on the
+    ladders, and the grids a collar computes on first read are the eager
+    expressions'."""
+
+    @pytest.mark.parametrize("route, a, q, lam", _COS_ROUTES + [("round", 0.0, 0.1, -1.0)],
+                             ids=[r[0] for r in _COS_ROUTES] + ["round"])
+    def test_lazy_grids_and_crossing_are_the_eager_expressions(self, route, a, q, lam):
+        path = (sphere_seed.round_path(2, 1.0, n_t=513) if route == "round"
+                else _cos_route_path(a, 1025, 513))
+        _, case, kappa = co.select_route(path, q, lam)
+        spec = co.find_A0(path, 0.05, kappa, case, q, lam)
+        base, well, _ = co._margin_parts(spec)
+        reference = co._reference_density(spec)[:, None]
+        core = base - reference
+        assert spec.margin.crossing == -float(np.min(well / core))
+        for amplitude in (spec.A, 2.0 * spec.A):
+            built = co.build_collar(spec.at_amplitude(amplitude))
+            scalar = base + well / amplitude ** 2
+            assert built.scalar_curvature.tobytes() == scalar.tobytes()
+            assert built.dec_margin.tobytes() == (scalar - reference).tobytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["bartnik", "--n", "2", "--seed-cos", "0.3"],
+        ["bartnik", "--n", "2", "--seed-cos", "0.6", "--lambda", "-3.5"],
+    ], ids=["cos-0.3", "cos-0.6-lam"])
+    def test_ladders_build_no_elementwise_field(self, argv, monkeypatch):
+        # A guard on work: every probe and every build of a default cos
+        # ladder is decided from the crossing and the row bounds.
+        calls = []
+
+        def recording(name):
+            def record(*args):
+                calls.append(name)
+                raise AssertionError(name)
+            return record
+
+        monkeypatch.setattr(co, "_margin_parts", recording("_margin_parts"))
+        monkeypatch.setattr(co, "_margin_passes", recording("_margin_passes"))
+        for grid in ("scalar_curvature", "dec_margin"):
+            monkeypatch.setattr(co.ChargedCollar, grid, property(recording(grid)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli_io.main(argv) == 0
+        assert calls == []
+        assert out.getvalue().count('"succeeded": true') == 7
 
 
 class TestHawkingCurve:

@@ -887,6 +887,20 @@ def test_slice_field_extremes_are_taken_once(make_path, monkeypatch):
     assert reductions == []
 
 
+@pytest.mark.parametrize("make_path", [
+    lambda: round_path(2, 1.3, n_t=65),
+    lambda: cos_route_path(0.62),
+], ids=["round-2", "cos-0.62"])
+def test_slice_field_row_extremes(make_path):
+    fields = slice_geometry(make_path())
+    for name in ("scalar_curvature", "gprime_sq"):
+        values = getattr(fields, name)
+        rows = getattr(fields, name + "_rows")
+        assert rows.shape == (2, fields.t_grid.size)
+        assert rows[0].tobytes() == np.min(values, axis=1).tobytes()
+        assert rows[1].tobytes() == np.max(values, axis=1).tobytes()
+
+
 @pytest.mark.parametrize("a", [6.0, 8.0])
 def test_seed_too_steep_for_the_area_gauge_is_a_construction_error(a):
     # The slice areas of 6 cos(theta) and 8 cos(theta), summed by Simpson's

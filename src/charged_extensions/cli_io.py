@@ -97,6 +97,8 @@ def _table(header: str, columns, sep: str = ",") -> str:
 
 
 def _printed(column) -> list:
+    if isinstance(column, list):
+        return column
     values = np.asarray(column)
     return values.tolist() if values.dtype.kind == "U" else fmt17(values)
 
@@ -118,7 +120,7 @@ def _profile_cells(profile: rn.SampledProfile, margins=None) -> _Cells:
     columns = dict(s=profile.s_grid, f=profile.f, df=profile.df, d2f=profile.d2f,
                    provenance=profile.provenance.astype(str))
     if margins is not None:
-        columns["margin"] = margins
+        columns["margin"] = np.asarray(margins)
     return _Cells(**columns)
 
 

@@ -115,9 +115,9 @@ class CollarSpec:
         return self.path.r_o
 
     @property
-    def margin_fields(self):
-        """The margin's elementwise (base, well, u, reference)."""
-        return self.margin.fields
+    def shape_factor(self):
+        """The margin's (t, F, dF, d2F)."""
+        return self.margin.shape_factor
 
     def at_amplitude(self, A: float) -> CollarSpec:
         """This spec at lapse amplitude A, with the same margin."""
@@ -173,19 +173,31 @@ class CollarMargin:
         return (self.epsilon, self.kappa, self.case_id, self.q, self.lam)
 
     @cached_property
+    def shape_factor(self):
+        """(t, F, dF, d2F) of the collar's warping F = sqrt(1 + epsilon t^2)."""
+        t = self.path.t_grid
+        F = np.sqrt(1.0 + self.epsilon * t * t)
+        dF = self.epsilon * t / F
+        d2F = self.epsilon / F ** 3
+        # Shared by every reader of the margin, so none may write to them.
+        for array in (F, dF, d2F):
+            array.flags.writeable = False
+        return t, F, dF, d2F
+
+    @cached_property
     def reference(self) -> np.ndarray:
         """2 Lambda + n(n-1)|E|^2 per t."""
         return _reference_density(self)
 
     @cached_property
     def fields(self):
-        """Elementwise (base, well, u, reference) over (t, theta)."""
-        base, well, u = _margin_parts(self)
-        return base, well, u, self.reference[:, None]
+        """Elementwise (base, well, reference) over (t, theta)."""
+        base, well = _margin_parts(self)
+        return base, well, self.reference[:, None]
 
     @cached_property
     def core(self) -> np.ndarray:
-        base, _, _, reference = self.fields
+        base, _, reference = self.fields
         return base - reference
 
     @cached_property
@@ -303,12 +315,12 @@ class ChargedCollar:
 
     @cached_property
     def scalar_curvature(self) -> np.ndarray:
-        base, well, _, _ = self.spec.margin.fields
+        base, well, _ = self.spec.margin.fields
         return base + well / self.spec.A ** 2
 
     @cached_property
     def dec_margin(self) -> np.ndarray:
-        return self.scalar_curvature - self.spec.margin.fields[3]
+        return self.scalar_curvature - self.spec.margin.fields[2]
 
 
 @dataclass(frozen=True)
@@ -327,14 +339,6 @@ class MonotonicityReport:
     integral_condition_value: float | None
     integral_condition_ok: bool | None
     verdict: str
-
-
-def _shape_factor(spec: CollarSpec):
-    t = spec.path.t_grid
-    F = np.sqrt(1.0 + spec.epsilon * t * t)
-    dF = spec.epsilon * t / F
-    d2F = spec.epsilon / F ** 3
-    return t, F, dF, d2F
 
 
 def _route_floor(spec: CollarSpec) -> float:
@@ -443,14 +447,12 @@ def select_route(path: MetricPath, q: float, lam: float) -> tuple[str, str, floa
 def _margin_parts(spec: CollarSpec):
     """Decompose collar curvature fields by their lapse dependence.
 
-    Returns arrays (base, well, u) over (t, theta) such that the collar
+    Returns arrays (base, well) over (t, theta) such that the collar
     scalar curvature is base + well / A^2 and, with the electromagnetic
-    and cosmological reference, dec margin = (base - reference) + well / A^2;
-    u is the eigenfunction lapse's, or None.  See ``_margin_rows``.
+    and cosmological reference, dec margin = (base - reference) + well / A^2.
+    See ``_margin_rows``.
     """
-    base, well = _margin_rows(spec, slice(None))
-    u = eigen_along_path(spec.path).u if spec.case_id == EIGENFUNCTION_LAPSE else None
-    return base, well, u
+    return _margin_rows(spec, slice(None))
 
 
 def _margin_rows(spec: CollarSpec, rows):
@@ -466,12 +468,12 @@ def _margin_rows(spec: CollarSpec, rows):
     """
     n = spec.n
     geometry = slice_geometry(spec.path)
-    _, F, dF, d2F = _shape_factor(spec)
+    _, F, dF, d2F = spec.shape_factor
     F, dF, d2F = F[rows, None], dF[rows, None], d2F[rows, None]
     r_scal = geometry.scalar_curvature[rows]
     gp_sq = geometry.gprime_sq[rows]
     if spec.case_id == CONSTANT_LAPSE:
-        return _lapse_free(n, F, dF, d2F, r_scal, gp_sq)
+        return _lapse_free(_shape_term(n, F, dF, d2F), F, r_scal, gp_sq)
     eigen = eigen_along_path(spec.path)
     u = eigen.u[rows]
     # In place, so that at most three grids are live: each step rounds as
@@ -497,12 +499,12 @@ def _shape_term(n: int, F, dF, d2F):
     return n * ((n - 1) * dF ** 2 + 2.0 * F * d2F) / F ** 2
 
 
-def _lapse_free(n: int, F, dF, d2F, r_scal, gp_sq):
+def _lapse_free(shape, F, r_scal, gp_sq):
     """The constant lapse's (base, well) = (R / F^2, -shape - |g'|^2 / 4)."""
-    return r_scal / F ** 2, -_shape_term(n, F, dF, d2F) - 0.25 * gp_sq
+    return r_scal / F ** 2, -shape - 0.25 * gp_sq
 
 
-def _row_extremes(spec: CollarSpec):
+def _row_extremes(spec: CollarMargin):
     """(base_min, base_max, well_min, well_max, smallest) per t row.
 
     The first four are each row's extremes of the ``_margin_parts``
@@ -514,14 +516,15 @@ def _row_extremes(spec: CollarSpec):
     """
     if spec.case_id == CONSTANT_LAPSE:
         geometry = slice_geometry(spec.path)
-        _, F, dF, d2F = _shape_factor(spec)
+        _, F, dF, d2F = spec.shape_factor
         r_min, r_max = geometry.scalar_curvature_rows
         gp_min, gp_max = geometry.gprime_sq_rows
-        base_min, well_min = _lapse_free(spec.n, F, dF, d2F, r_min, gp_max)
-        base_max, well_max = _lapse_free(spec.n, F, dF, d2F, r_max, gp_min)
+        shape = _shape_term(spec.n, F, dF, d2F)
+        base_min, well_min = _lapse_free(shape, F, r_min, gp_max)
+        base_max, well_max = _lapse_free(shape, F, r_max, gp_min)
         return base_min, base_max, well_min, well_max, None
     base, well = _margin_rows(spec, slice(None))
-    core = base - _reference_density(spec)[:, None]
+    core = base - spec.reference[:, None]
     extremes = (np.min(base, axis=1), np.max(base, axis=1),
                 np.min(well, axis=1), np.max(well, axis=1))
     # The quotient is read only where core > 0 > well everywhere.
@@ -533,7 +536,7 @@ def _row_extremes(spec: CollarSpec):
 def _reference_density(spec: CollarSpec):
     """2 Lambda + n(n-1) |E|^2 along the collar, per t."""
     n = spec.n
-    _, F, _, _ = _shape_factor(spec)
+    _, F, _, _ = spec.shape_factor
     charge_density = n * (n - 1) * spec.q ** 2 / (spec.r_o ** (2 * n) * F ** (2 * n))
     return 2.0 * spec.lam + charge_density
 
@@ -551,7 +554,7 @@ def _slice_inverse_square_integral(spec: CollarSpec) -> np.ndarray:
 
 def _hawking_along_collar(spec: CollarSpec) -> HawkingCurve:
     n = spec.n
-    t, F, dF, _ = _shape_factor(spec)
+    t, F, dF, _ = spec.shape_factor
     radius = spec.r_o * F
     params = RNParams(n=n, m=0.0, q=spec.q, lam=spec.lam)
     inv_sq = _slice_inverse_square_integral(spec)
@@ -576,7 +579,7 @@ def build_collar(spec: CollarSpec) -> ChargedCollar:
     """
     _route_floor(spec)
     if not spec.margin.certifies(spec.A):
-        base, well, _, reference = spec.margin.fields
+        base, well, reference = spec.margin.fields
         margin = (base + well / spec.A ** 2) - reference
         flat = int(np.argmin(margin))
         worst = np.unravel_index(flat, margin.shape)
@@ -592,7 +595,7 @@ def build_collar(spec: CollarSpec) -> ChargedCollar:
                 },
             )
 
-    _, F, dF, _ = _shape_factor(spec)
+    _, F, dF, _ = spec.shape_factor
     if spec.case_id == CONSTANT_LAPSE:
         u_max = np.ones_like(F)
     else:
@@ -724,7 +727,7 @@ def _a1_threshold(collar: ChargedCollar) -> float:
     """Amplitude above which dM/dt > 0 off the boundary, n >= 3 constant lapse."""
     spec = collar.spec
     n = spec.n
-    _, F, dF, d2F = _shape_factor(spec)
+    _, F, dF, d2F = spec.shape_factor
     params = RNParams(n=n, m=0.0, q=spec.q, lam=spec.lam)
     h_start = lambda_rn.eval_h(params, spec.r_o * float(F[0]))
     grow = (n - 1) * float(np.max(F ** (n - 2) * dF ** 2))

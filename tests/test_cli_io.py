@@ -255,6 +255,8 @@ class TestCsvSerialization:
         lines = text.splitlines()
         assert lines[0] == "s,f,df,d2f,provenance,margin"
         assert float(lines[1].split(",")[5]) == 0.5
+        # A list of floats prints as the array does.
+        assert cli_io.profile_csv(profile, margins.tolist()) == text
 
     def test_non_finite_cell_is_a_domain_error(self):
         profile = rn.rn_profile(rn.RNParams(n=2, m=1.0, q=0.0, lam=0.0), 2.0, 9)

@@ -270,8 +270,8 @@ def _elementwise_find_A0(path, epsilon, kappa, case, q, lam):
     found, or "raised" with the ``last_tried`` of the search's error.
     """
     spec = co.CollarSpec(path, epsilon, 1.0, kappa, case, q, lam)
-    base, well, _, reference = spec.margin_fields
-    core = base - reference
+    base, well = co._margin_parts(spec)
+    core = base - co._reference_density(spec)[:, None]
     probes = []
 
     def passes(amplitude):
@@ -369,16 +369,15 @@ class TestAmplitudeCrossing:
         # zero there, and its unit factor; every bit of base and well stays.
         for path in (cos_path, round3):
             spec = round_spec(path, epsilon=0.3, kappa=0.5)
-            base, well, u = co._margin_parts(spec)
+            base, well = co._margin_parts(spec)
             geometry = sphere_seed.slice_geometry(path)
-            _, F, dF, d2F = co._shape_factor(spec)
+            _, F, dF, d2F = spec.shape_factor
             F, dF, d2F = F[:, None], dF[:, None], d2F[:, None]
             n = path.n
             shape = n * ((n - 1) * dF ** 2 + 2.0 * F * d2F) / F ** 2
             full_base = geometry.scalar_curvature / F ** 2 - 2.0 * 0.0 / F ** 2
             full_well = 1.0 * (2.0 * n * 0.0 * dF / F - shape - 0.25 * geometry.gprime_sq)
             full_base = np.broadcast_to(full_base, full_well.shape)
-            assert u is None
             assert base.tobytes() == full_base.tobytes()
             assert well.tobytes() == full_well.tobytes()
 
@@ -525,7 +524,7 @@ class TestMarginObject:
                 else _cos_route_path(a, 1025, 513))
         _, case, kappa = co.select_route(path, q, lam)
         spec = co.find_A0(path, 0.05, kappa, case, q, lam)
-        base, well, _ = co._margin_parts(spec)
+        base, well = co._margin_parts(spec)
         reference = co._reference_density(spec)[:, None]
         core = base - reference
         assert spec.margin.crossing == -float(np.min(well / core))

@@ -25,7 +25,7 @@ from . import lambda_rn as rn
 from . import pipeline as pl
 from . import sphere_seed as ss
 from . import surgery as su
-from .errors import ExtensionError, PreconditionError, VerificationError
+from .errors import DomainError, ExtensionError, PreconditionError, VerificationError
 from .numutil import fmt17, json_text
 
 __all__ = [
@@ -710,6 +710,15 @@ def run(config: RunConfig) -> int:
     return _HANDLERS[config.command](config)
 
 
+def _diagnostics_text(diagnostics: dict) -> str:
+    """A failure's diagnostics as artifact JSON, or one line saying why
+    they cannot be (a non-finite or unserializable value)."""
+    try:
+        return json_text(diagnostics)
+    except DomainError as exc:
+        return f"diagnostics not serializable: {exc}\n"
+
+
 def main(argv=None) -> int:
     """Entry point: 0 success or ``--help``, 1 I/O failure, 2 usage
     violation (argparse's rejections included), otherwise the ``exit_code``
@@ -725,6 +734,8 @@ def main(argv=None) -> int:
         return 2
     except ExtensionError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if exc.diagnostics:
+            print(_diagnostics_text(exc.diagnostics), end="", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
 )
 from .lambda_rn import RNParams, SampledProfile
-from .numutil import diff1_4th, simpson_uniform
+from .numutil import diff1_4th
 from .quasilocal import HawkingCurve, m_o, unit_sphere_volume
 from .sphere_seed import (
     MetricPath,
@@ -542,14 +542,12 @@ def _reference_density(spec: CollarSpec):
 
 
 def _slice_inverse_square_integral(spec: CollarSpec) -> np.ndarray:
-    """Integral of u^(-2) over each slice of the path."""
+    """Integral of u^(-2) over each slice of the path (the eigenfunction
+    lapse's is memoized on the path)."""
     if spec.case_id == CONSTANT_LAPSE or spec.path.is_round:
         area = unit_sphere_volume(spec.n) * spec.r_o ** spec.n
         return np.full(spec.path.t_grid.size, area)
-    geometry = slice_geometry(spec.path)
-    eigen = eigen_along_path(spec.path)
-    dtheta = float(geometry.theta_grid[1] - geometry.theta_grid[0])
-    return 2.0 * math.pi * simpson_uniform(geometry.sqrt_det / eigen.u ** 2, dtheta)
+    return spec.path.inverse_square_integral
 
 
 def _hawking_along_collar(spec: CollarSpec) -> HawkingCurve:
@@ -827,12 +825,14 @@ def tail_to_arclength(collar: ChargedCollar) -> SampledProfile:
     amplitude = spec.A
     epsilon = spec.epsilon
     r_o = spec.r_o
+    amp_sq, r_o_sq = amplitude ** 2, r_o ** 2
+    curvature = epsilon * r_o_sq
 
     def evaluate(s):
         s = np.asarray(s, dtype=float)
-        f = r_o * np.sqrt(1.0 + epsilon * s * s / amplitude ** 2)
-        df = epsilon * s * r_o ** 2 / (amplitude ** 2 * f)
-        d2f = epsilon * r_o ** 2 / (amplitude ** 2 * f) - df * df / f
+        f = r_o * np.sqrt(1.0 + epsilon * s * s / amp_sq)
+        df = epsilon * s * r_o_sq / (amp_sq * f)
+        d2f = curvature / (amp_sq * f) - df * df / f
         return f, df, d2f
 
     s_grid = amplitude * t_tail
@@ -842,7 +842,7 @@ def tail_to_arclength(collar: ChargedCollar) -> SampledProfile:
         f=f,
         df=df,
         d2f=d2f,
-        provenance=np.array(["collar"] * s_grid.size),
+        provenance=np.full(s_grid.size, "collar"),
         charge=spec.q,
         evaluator=evaluate,
     )

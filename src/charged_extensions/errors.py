@@ -15,9 +15,14 @@ from __future__ import annotations
 
 
 class ExtensionError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; ``diagnostics`` holds the figures
+    of the failing case (empty when the raiser gives none)."""
 
     exit_code = 3
+
+    def __init__(self, message: str, diagnostics: dict | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 class DomainError(ExtensionError):
@@ -44,10 +49,6 @@ class ConstructionError(ExtensionError):
     """A constructive search failed; carries diagnostics for the worst case."""
 
     exit_code = 3
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 class InternalConsistencyError(ExtensionError):

@@ -170,22 +170,30 @@ def _check_positive_radius(r) -> np.ndarray:
     return arr
 
 
+def _p_at(params: RNParams, arr):
+    """p at radii the caller has checked (:func:`_check_positive_radius`)."""
+    n, m, q, lam = params.n, params.m, params.q, params.lam
+    return (1.0 - 2.0 * m / arr ** (n - 1) + q * q / arr ** (2 * (n - 1))
+            - 2.0 * lam * arr ** 2 / (n * (n + 1)))
+
+
+def _dp_at(params: RNParams, arr):
+    """p' at radii the caller has checked (:func:`_check_positive_radius`)."""
+    n, m, q, lam = params.n, params.m, params.q, params.lam
+    return (2.0 * m * (n - 1) / arr ** n
+            - 2.0 * q * q * (n - 1) / arr ** (2 * n - 1)
+            - 4.0 * lam * arr / (n * (n + 1)))
+
+
 def eval_p(params: RNParams, r):
     """Evaluate the potential p at radius r (scalar or array), r > 0."""
-    arr = _check_positive_radius(r)
-    n, m, q, lam = params.n, params.m, params.q, params.lam
-    val = (1.0 - 2.0 * m / arr ** (n - 1) + q * q / arr ** (2 * (n - 1))
-           - 2.0 * lam * arr ** 2 / (n * (n + 1)))
+    val = _p_at(params, _check_positive_radius(r))
     return val if isinstance(val, np.ndarray) and val.ndim else float(val)
 
 
 def eval_dp(params: RNParams, r):
     """First derivative p'(r)."""
-    arr = _check_positive_radius(r)
-    n, m, q, lam = params.n, params.m, params.q, params.lam
-    val = (2.0 * m * (n - 1) / arr ** n
-           - 2.0 * q * q * (n - 1) / arr ** (2 * n - 1)
-           - 4.0 * lam * arr / (n * (n + 1)))
+    val = _dp_at(params, _check_positive_radius(r))
     return val if isinstance(val, np.ndarray) and val.ndim else float(val)
 
 
@@ -401,10 +409,9 @@ def _exact_evaluator(params: RNParams, s_grid, f, df):
     spline = CubicHermite(s_grid, f, df)
 
     def evaluate(s):
-        s = np.asarray(s, dtype=float)
-        f = spline(s)
-        df = np.sqrt(np.maximum(eval_p(params, f), 0.0))
-        d2f = 0.5 * eval_dp(params, f)
+        f = _check_positive_radius(spline(s))
+        df = np.sqrt(np.maximum(_p_at(params, f), 0.0))
+        d2f = 0.5 * _dp_at(params, f)
         return f, df, d2f
 
     return evaluate
@@ -469,27 +476,38 @@ class _Arclength:
         x, y = 1.0 / r, 1.0 / self.start
         # (r^-k - start^-k) / (r - start) = -x y b_k with
         # b_k = sum_{j<k} x^(k-1-j) y^j, built as b_{k+1} = x b_k + y^k;
-        # the mass term takes k = n-1, the charge term k = 2(n-1).
-        b, y_k = np.ones_like(x), 1.0
+        # the mass term takes k = n-1, the charge term k = 2(n-1).  b_1 = 1
+        # enters as a scalar (x * 1.0 is x); each b_k is a new array, so the
+        # in-place steps never touch b_mass.
+        b, y_k = 1.0, 1.0
         for k in range(1, 2 * n - 2):
             if k == n - 1:
                 b_mass = b
             y_k = y_k * y
-            b = x * b + y_k
+            b = x * b
+            b += y_k
         k_lam = 2.0 * self.params.lam / (n * (n + 1))
-        return (x * y * (2.0 * m * b_mass - q * q * b)
-                - k_lam * (r + self.start))
+        out = 2.0 * m * b_mass - q * q * b
+        out *= x * y
+        lam_term = r + self.start
+        lam_term *= k_lam
+        out -= lam_term
+        return out
 
     def _p(self, r, dr):
         """p(r) at r = start + dr, with no difference of nearby values."""
         if self.double_root is None:
-            return self.p_start + dr * self._divided(r)
+            p = self._divided(r)
+            p *= dr
+            p += self.p_start
+            return p
         root = self.double_root
         return ((self.start - root) + dr) ** 2 * _second_divided(self.params, root, r)
 
     def _rate(self, tau):
         """dr/ds = sqrt(p(start + tau^2))."""
-        return np.sqrt(self._p(self.start + tau * tau, tau * tau))
+        square = tau * tau
+        return np.sqrt(self._p(self.start + square, square))
 
     def _speed(self, tau):
         """ds/dtau = 2 tau / sqrt(p(start + tau^2))."""

@@ -166,10 +166,11 @@ _ERFC_MAXLOG = 7.09782712893383996843e2
 def _ratio(x: np.ndarray, num, den, scale) -> np.ndarray:
     """scale * num(x) / den(x) by Horner's rule in Cephes' rounding (polevl
     for the numerator, p1evl for the monic denominator), in place."""
-    p = np.full(x.shape, num[0])
-    for c in num[1:]:
-        p *= x
+    p = x * num[0]
+    for c in num[1:-1]:
         p += c
+        p *= x
+    p += num[-1]
     q = x + den[0]
     for c in den[1:]:
         q *= x
@@ -301,31 +302,38 @@ def _phi_jet(x: np.ndarray, order: int) -> list[np.ndarray]:
 def _smooth_step_jet(x, order: int) -> tuple:
     """:func:`smooth_step` at x and its first ``order`` (at most 2) derivatives.
 
-    phi(x) and phi(1-x) take one exp each.  Powers are explicit products:
-    NumPy evaluates ** on a 0-d input with a scalar power routine that can
-    round differently from its array loop, and a value must not depend on
-    whether it was computed alone or inside an array.  Derivatives are 0
-    outside (0, 1) and the first is nonnegative.
+    phi(x) and phi(1-x) take one exp each, at the points inside (0, 1)
+    only; outside, the step is 0 or 1 and its derivatives 0.  Powers are
+    explicit products: NumPy evaluates ** on a 0-d input with a scalar power
+    routine that can round differently from its array loop, and a value
+    must not depend on whether it was computed alone or inside an array.
+    The first derivative is nonnegative.
     """
     x = np.asarray(x, dtype=float)
+    inner = (x > 0.0) & (x < 1.0)
+    values = _inner_step_jet(x[inner], order)
+    jet = [np.where(x >= 1.0, 1.0, 0.0)] + [np.zeros_like(x) for _ in range(order)]
+    for full, part in zip(jet, values):
+        full[inner] = part
+    return tuple(v if v.ndim else float(v) for v in jet)
+
+
+def _inner_step_jet(x: np.ndarray, order: int) -> list[np.ndarray]:
+    """The jet of :func:`_smooth_step_jet` at points x inside (0, 1); its
+    temporaries are released before the caller spreads the values out."""
     a = _phi_jet(x, order)
     b = _phi_jet(1.0 - x, order)
     s = a[0] + b[0]
-    jet = [np.where((x > 0.0) & (x < 1.0),
-                    np.divide(a[0], s, out=np.zeros_like(s), where=s > 0.0),
-                    np.where(x >= 1.0, 1.0, 0.0))]
-    outside = (x <= 0.0) | (x >= 1.0)
+    values = [np.divide(a[0], s, out=np.zeros_like(s), where=s > 0.0)]
     if order >= 1:
         num1 = a[1] * b[0] + a[0] * b[1]
         den = s * s
-        jet.append(np.where(outside, 0.0, np.divide(
-            num1, den, out=np.zeros_like(num1), where=den > 0.0)))
+        values.append(np.divide(num1, den, out=np.zeros_like(num1), where=den > 0.0))
     if order >= 2:
         num = (a[2] * b[0] - a[0] * b[2]) * s - 2.0 * num1 * (a[1] - b[1])
         den = s * s * s
-        jet.append(np.where(outside, 0.0, np.divide(
-            num, den, out=np.zeros_like(num), where=den > 0.0)))
-    return tuple(v if v.ndim else float(v) for v in jet)
+        values.append(np.divide(num, den, out=np.zeros_like(num), where=den > 0.0))
+    return values
 
 
 def smooth_step(x):

@@ -36,7 +36,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .numutil import _D1_EDGE, _smooth_step_jet, dct1, diff1_4th, simpson_uniform, smooth_step
+from .numutil import (
+    _D1_EDGE,
+    _smooth_step_jet,
+    dct1,
+    diff1_4th,
+    fmt17,
+    simpson_uniform,
+    smooth_step,
+)
 from .quasilocal import unit_sphere_volume
 
 __all__ = [
@@ -98,7 +106,7 @@ class AxisymConformalMetric:
         scale = _POLE_TOL * (1.0 + float(np.max(np.abs(dw)))) + np.abs(coarse - poles) / 15.0
         if np.any(np.abs(poles) > scale):
             raise DomainError(
-                f"pole-irregular exponent: w'(0) = {dw[0]!r}, w'(pi) = {dw[-1]!r}")
+                f"pole-irregular exponent: w'(0) = {fmt17(dw[0])}, w'(pi) = {fmt17(dw[-1])}")
 
     @property
     def theta_step(self) -> float:
@@ -185,7 +193,8 @@ class MetricPath:
         if not drift <= bound:
             raise DomainError(
                 f"slice volume radii drift by {drift!r} from the seed's "
-                f"{self.seed.volume_radius!r}")
+                f"{self.seed.volume_radius!r}",
+                diagnostics={"drift": drift, "bound": bound})
 
     @property
     def is_round(self) -> bool:
@@ -223,6 +232,17 @@ class MetricPath:
     @cached_property
     def eigen_fields(self) -> EigenPath:
         return _eigen_path(self)
+
+    @cached_property
+    def inverse_square_integral(self) -> np.ndarray:
+        """Integral of u^(-2) over each slice, u the eigen fields' ground
+        state, shape (n_t,) (read-only; taken once, slice fields first)."""
+        geometry = self.slice_fields
+        u = self.eigen_fields.u
+        dtheta = float(geometry.theta_grid[1] - geometry.theta_grid[0])
+        integral = 2.0 * math.pi * simpson_uniform(geometry.sqrt_det / u ** 2, dtheta)
+        integral.flags.writeable = False
+        return integral
 
 
 @dataclass(frozen=True)
@@ -409,7 +429,8 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
 
     A seed too steep for the theta grid fails with ConstructionError: the
     dilated slices' areas, summed by Simpson's rule, drift from the seed's
-    beyond the bound that a hand-built ``MetricPath`` is refused for.
+    beyond the bound that a hand-built ``MetricPath`` is refused for (the
+    path's one drift check, turned into a construction failure here).
     """
     t_grid = np.linspace(0.0, 1.0, n_t)
     ramp = _time_clamp(t_grid, _THETA_SWITCH)
@@ -426,24 +447,29 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
     levels, slice_of = np.unique(ramp, return_inverse=True)
     scale = 1.0 - levels
     shift, mean_w, xi = _moser_gauge(seed, scale)
-    drift, bound = _radius_drift(seed, scale[:, None] * seed.w + shift[:, None])
-    if not drift <= bound:
+    try:
+        return MetricPath(
+            n=2,
+            t_grid=t_grid,
+            theta_switch=_THETA_SWITCH,
+            seed=seed,
+            scale=scale,
+            shift=shift,
+            mean_w=mean_w,
+            xi=xi,
+            slice_of=slice_of,
+        )
+    except DomainError as exc:
+        # The path checks its slices' radii once, on construction; for a
+        # seed, their drift is a limit of the theta grid.
+        if "drift" not in exc.diagnostics:
+            raise
+        drift, bound = exc.diagnostics["drift"], exc.diagnostics["bound"]
         raise ConstructionError(
             f"slice volume radii drift by {drift!r}, above the bound {bound!r}: the "
             "theta grid does not resolve the seed's area gauge",
-            diagnostics={"drift": drift, "bound": bound},
-        )
-    return MetricPath(
-        n=2,
-        t_grid=t_grid,
-        theta_switch=_THETA_SWITCH,
-        seed=seed,
-        scale=scale,
-        shift=shift,
-        mean_w=mean_w,
-        xi=xi,
-        slice_of=slice_of,
-    )
+            diagnostics=exc.diagnostics,
+        ) from None
 
 
 def _scale_rate(path: MetricPath) -> np.ndarray:

@@ -324,12 +324,12 @@ class BridgedProfile:
         return self.slope_right + (self.slope_left - self.slope_right) * psi
 
     def _istep(self, w):
+        """Integral of smooth_step from 0 to w, read from the shared table
+        at the w inside (0, 1) only."""
         w = np.asarray(w, dtype=float)
         out = np.where(w >= 1.0, w - 0.5, 0.0)
         inner = (w > 0.0) & (w < 1.0)
-        out = np.where(inner,
-                       np.interp(np.clip(w, 0.0, 1.0), *_istep_table()),
-                       out)
+        out[inner] = np.interp(w[inner], *_istep_table())
         return out
 
     def _bridge_values(self, s):
@@ -346,15 +346,22 @@ class BridgedProfile:
     def evaluate(self, s):
         """Piecewise values (f, f', f'') across left piece, bridge and right
         piece, as the rows of one array; each piece's own evaluator takes
-        all of its points in one call."""
+        all of its points in one call, and its values are written into the
+        rows one at a time."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.empty((3,) + s.shape)
         left, right = s <= self.b1, s >= self.a2
         for mask, values in ((left, self.left.evaluator), (right, self.right.evaluator),
                              (~(left | right), self._bridge_values)):
-            if np.any(mask):
-                out[:, mask] = values(s[mask])
+            if mask.any():
+                _scatter_rows(out, mask, values(s[mask]))
         return out
+
+
+def _scatter_rows(out, mask, rows) -> None:
+    """out[i][mask] = rows[i] for each row; the rows are released on return."""
+    for target, row in zip(out, rows):
+        target[mask] = row
 
 
 def build_bridge(inputs: GlueInputs, shifted: SampledProfile) -> BridgedProfile:
@@ -572,14 +579,18 @@ def _fd_crosscheck(t, h, values, df_ref, d2f_ref, fmax):
 
 
 def _margin_floor(bridge: BridgedProfile, n: int, q: float, lam: float) -> float:
-    """Infimum of the margin over the join, excluding the two junction points."""
+    """Infimum of the margin over the join, excluding the two junction points.
+
+    The three segments' samples take one evaluation; their minima are
+    folded segment by segment."""
+    segments = [np.linspace(lo, hi, 2049)[sl]
+                for lo, hi, sl in ((bridge.a1, bridge.b1, np.s_[:-1]),
+                                   (bridge.b1, bridge.a2, np.s_[1:-1]),
+                                   (bridge.a2, bridge.b2, np.s_[1:]))]
+    margins = _margin_arrays(n, q, lam, *bridge.evaluate(np.concatenate(segments)))
     worst = math.inf
-    for lo, hi, sl in ((bridge.a1, bridge.b1, np.s_[:-1]),
-                       (bridge.b1, bridge.a2, np.s_[1:-1]),
-                       (bridge.a2, bridge.b2, np.s_[1:])):
-        ss = np.linspace(lo, hi, 2049)[sl]
-        f, df, d2f = bridge.evaluate(ss)
-        worst = min(worst, float(np.min(_margin_arrays(n, q, lam, f, df, d2f))))
+    for part in np.split(margins, np.cumsum([ss.size for ss in segments])[:-1]):
+        worst = min(worst, float(np.min(part)))
     return worst
 
 
@@ -666,7 +677,7 @@ def mollify_and_certify(bridge: BridgedProfile, q: float, lam: float,
                                   bridge.right.d2f[right_keep]])
             provenance = np.concatenate([
                 bridge.left.provenance[left_keep],
-                np.array(["mollified"] * middle.size),
+                np.full(middle.size, "mollified"),
                 bridge.right.provenance[right_keep]])
             return SampledProfile(s_grid, f, df, d2f, provenance, charge=q)
         trace.append({"epsilon": eps, "min_margin": min_margin,
@@ -714,17 +725,21 @@ def _deformation(scale: float, s0: float):
     def jet(s):
         s = np.asarray(s, dtype=float)
         y = s0 - s
-        pos = y > 0.0
-        yp = y[pos]
+        # An array wholly inside the band (every y > 0) needs no masks.
+        banded = y.size > 0 and y.ndim > 0 and float(y.min()) > 0.0
+        pos = None if banded else y > 0.0
+        yp = y if banded else y[pos]
         z = scale / yp
         e = np.exp(-z * z)
-        g = np.zeros_like(y)
-        g[pos] = yp * e - scale * root_pi * erfc(z, e)
-        sdot = np.ones_like(y)
+        g = yp * e - scale * root_pi * erfc(z, e)
+        sddot = -2.0 * scale * scale * e / yp ** 3
+        if banded:
+            return s - g, 1.0 + e, sddot
+        g_all, sdot, sddot_all = np.zeros_like(y), np.ones_like(y), np.zeros_like(y)
+        g_all[pos] = g
         sdot[pos] += e
-        sddot = np.zeros_like(y)
-        sddot[pos] = -2.0 * scale * scale * e / yp ** 3
-        return s - g, sdot, sddot
+        sddot_all[pos] = sddot
+        return s - g_all, sdot, sddot_all
 
     return jet
 
@@ -838,7 +853,7 @@ def bend(params: RNParams, s0: float, alpha: float | None = None,
             df_all = np.concatenate([df, dut])
             d2f_all = np.concatenate([d2f, d2ut])
             provenance = np.concatenate([
-                np.array(["bent"] * band.size), np.array(["ode"] * tail.size)])
+                np.full(band.size, "bent"), np.full(tail.size, "ode")])
             sigma_samples = deform(grid)[0]
 
             def evaluate(s, _deform=deform, _ev=base_eval):
@@ -868,7 +883,7 @@ def _bent_piece(bend_res: BendResult, charge: float) -> SampledProfile:
     s0, delta = bend_res.s0, bend_res.delta
     piece = np.linspace(s0 - delta, s0 - 0.5 * delta, 257)
     f, df, d2f = bend_res.profile.evaluator(piece)
-    return SampledProfile(piece, f, df, d2f, np.array(["bent"] * piece.size),
+    return SampledProfile(piece, f, df, d2f, np.full(piece.size, "bent"),
                           charge=charge, evaluator=bend_res.profile.evaluator)
 
 

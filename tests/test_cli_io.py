@@ -662,6 +662,35 @@ class TestExtendCommand:
         err = capsys.readouterr().err
         assert "ConstructionError: [stage: seed]" in err and message in err
 
+    def test_construction_error_prints_its_diagnostics(self, capsys):
+        # Below the margin's crossing the collar fails; the worst sample
+        # follows the unchanged message line as artifact JSON.
+        rc = cli_io.main(["collar", "--n", "2", "--seed-cos", "0.3", "--amplitude", "0.2"])
+        assert rc == 3
+        first, rest = capsys.readouterr().err.split("\n", 1)
+        assert first == "error: ConstructionError: energy condition violated on the collar"
+        diagnostics = json.loads(rest)
+        assert set(diagnostics) == {"min_margin", "t", "theta"}
+        assert diagnostics["min_margin"] < 0.0
+        assert rest == numutil.json_text(diagnostics)
+
+    @pytest.mark.parametrize("exc, lines", [
+        (DomainError("bad"), ["error: DomainError: bad"]),
+        (ConstructionError("no luck", {"eps": 0.25, "trace": [1, 2]}),
+         ["error: ConstructionError: no luck", "{", '  "eps": 0.25,', '  "trace": [',
+          "    1,", "    2", "  ]", "}"]),
+        (PreconditionError("off", {"x": float("nan")}),
+         ["error: PreconditionError: off",
+          "diagnostics not serializable: non-finite value in output: nan"]),
+    ])
+    def test_error_lines_and_exit_codes(self, exc, lines, monkeypatch, capsys):
+        def fail(config):
+            raise exc
+
+        monkeypatch.setattr(cli_io, "run", fail)
+        assert cli_io.main(["classify", "--n", "2", "--m", "1"]) == exc.exit_code
+        assert capsys.readouterr().err.splitlines() == lines
+
     def test_steep_seed_inside_the_grid_gets_the_stability_refusal(self, capsys):
         rc = cli_io.main(["extend", "--n", "2", "--seed-cos", "4", "--mass", "100",
                           "--n-t", "65"])

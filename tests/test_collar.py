@@ -161,6 +161,20 @@ class TestBuildCollar:
         assert np.min(built.dec_margin) > 0.0
         assert built.mean_curvature[0] == 0.0
 
+    def test_eigen_collars_share_the_path_inverse_square_integral(self, cos_path, monkeypatch):
+        # Every eigenfunction-lapse collar of a path reads one memoized
+        # O(n_t) array; building more collars integrates no slice again.
+        spec = round_spec(cos_path, epsilon=0.1, amplitude=3.0, kappa=0.2,
+                          case=co.EIGENFUNCTION_LAPSE)
+        first = co.build_collar(spec).hawking
+        integral = co._slice_inverse_square_integral(spec)
+        assert integral is cos_path.inverse_square_integral
+        assert integral.shape == cos_path.t_grid.shape
+        monkeypatch.setattr(sphere_seed, "simpson_uniform", None)
+        again = co.build_collar(spec.at_amplitude(4.0)).hawking
+        assert co._slice_inverse_square_integral(spec.at_amplitude(4.0)) is integral
+        assert np.any(again.mass != first.mass)
+
     def test_inadmissible_floor_raises(self, round2):
         spec = round_spec(round2, kappa=1.2, lam=0.0, amplitude=5.0)
         with pytest.raises(PreconditionError):

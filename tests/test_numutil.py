@@ -208,6 +208,73 @@ def test_smooth_steps_round_alike_alone_and_in_arrays(order) -> None:
         assert np.array_equal(alone, batch[:, k]), value
 
 
+def _whole_array_smooth_step_jet(x, order):
+    """The jet with phi evaluated at every point and the outside values put
+    in by np.where: the formulation the interior-only jet replaced."""
+    from charged_extensions.numutil import _phi_jet
+
+    x = np.asarray(x, dtype=float)
+    with np.errstate(invalid="ignore"):  # phi'' at x = inf, put out by np.where
+        a, b = _phi_jet(x, order), _phi_jet(1.0 - x, order)
+    s = a[0] + b[0]
+    jet = [np.where((x > 0.0) & (x < 1.0),
+                    np.divide(a[0], s, out=np.zeros_like(s), where=s > 0.0),
+                    np.where(x >= 1.0, 1.0, 0.0))]
+    outside = (x <= 0.0) | (x >= 1.0)
+    if order >= 1:
+        num1 = a[1] * b[0] + a[0] * b[1]
+        den = s * s
+        jet.append(np.where(outside, 0.0, np.divide(
+            num1, den, out=np.zeros_like(num1), where=den > 0.0)))
+    if order >= 2:
+        num = (a[2] * b[0] - a[0] * b[2]) * s - 2.0 * num1 * (a[1] - b[1])
+        den = s * s * s
+        jet.append(np.where(outside, 0.0, np.divide(
+            num, den, out=np.zeros_like(num), where=den > 0.0)))
+    return tuple(v if v.ndim else float(v) for v in jet)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_interior_only_jet_is_the_whole_array_jet(order) -> None:
+    rng = np.random.default_rng(11)
+    x = np.concatenate([np.linspace(-0.5, 1.5, 2001), rng.random(500),
+                        [0.0, 1.0, 1.0 / 746.0, np.nextafter(0.0, 1.0),
+                         np.nextafter(1.0, 0.0), -np.inf, np.inf, np.nan]])
+    for arg in (x, x[:2508].reshape(-1, 4), x[:0], x[:1], 0.25, 1.5, np.nan):
+        got = _smooth_step_jet(arg, order)
+        want = _whole_array_smooth_step_jet(arg, order)
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            assert np.array_equal(g, w, equal_nan=True)
+    # Only the points inside (0, 1) reach phi.
+    inside = (x > 0.0) & (x < 1.0)
+    calls = []
+    from charged_extensions import numutil
+
+    phi_jet = numutil._phi_jet
+    try:
+        numutil._phi_jet = lambda y, k: calls.append(y.size) or phi_jet(y, k)
+        _smooth_step_jet(x, order)
+    finally:
+        numutil._phi_jet = phi_jet
+    assert calls == [int(np.count_nonzero(inside))] * 2
+
+
+def test_erfc_rational_forms_start_horner_from_the_leading_product() -> None:
+    # Cephes' polevl starts from c0 and multiplies by x first; x * c0 is the
+    # same float, so erfc keeps its values.
+    from charged_extensions.numutil import _ERFC_P, _ERFC_Q, _ratio
+
+    x = np.linspace(0.0, 9.0, 901)
+    p = np.full(x.shape, _ERFC_P[0])
+    for c in _ERFC_P[1:]:
+        p = p * x + c
+    q = x + _ERFC_Q[0]
+    for c in _ERFC_Q[1:]:
+        q = q * x + c
+    assert np.array_equal(_ratio(x, _ERFC_P, _ERFC_Q, 2.0), 2.0 * p / q)
+
+
 def test_fmt17_round_trip() -> None:
     for value in (math.pi, 1.0 / 3.0, 1e-17, 123456.789):
         assert float(fmt17(value)) == value

@@ -94,8 +94,13 @@ def test_gaussian_curvature_refined_grid_oracle():
 @pytest.mark.parametrize("n_theta", [9, 17, 33, 65, 257, 1025])
 def test_pole_irregular_exponent_rejected(n_theta):
     theta = np.linspace(0.0, math.pi, n_theta)
-    with pytest.raises(DomainError, match="pole-irregular"):
+    with pytest.raises(DomainError, match="pole-irregular") as info:
         AxisymConformalMetric(theta_grid=theta, w=0.1 * theta)
+    # The slopes print as 17-digit floats, not as NumPy reprs.
+    message = str(info.value)
+    assert "np.float64(" not in message
+    slopes = message.split("w'(0) = ")[1].split(", w'(pi) = ")
+    assert all(math.isfinite(float(slope)) for slope in slopes)
     if n_theta >= 17:
         with pytest.raises(DomainError, match="pole-irregular"):
             AxisymConformalMetric(theta_grid=theta, w=np.cos(theta) + 1e-4 * theta)
@@ -911,3 +916,41 @@ def test_seed_too_steep_for_the_area_gauge_is_a_construction_error(a):
         normalize_path(seed, n_t=65)
     diagnostics = info.value.diagnostics
     assert diagnostics["drift"] > diagnostics["bound"] > 0.0
+    assert str(info.value) == (
+        f"slice volume radii drift by {diagnostics['drift']!r}, above the bound "
+        f"{diagnostics['bound']!r}: the theta grid does not resolve the seed's area gauge")
+
+
+@pytest.mark.parametrize("a", [0.62, 8.0])
+def test_normalize_path_measures_the_radius_drift_once(a, monkeypatch):
+    calls = []
+    drift = sphere_seed._radius_drift
+
+    def counted(*args):
+        calls.append(args)
+        return drift(*args)
+
+    monkeypatch.setattr(sphere_seed, "_radius_drift", counted)
+    seed = axisym_metric_from_function(lambda t: a * np.cos(t))
+    try:
+        path = normalize_path(seed, n_t=65)
+    except ConstructionError:
+        path = None
+    assert len(calls) == 1
+    # It measured the path's own rows.
+    if path is not None:
+        assert calls[0][1] is path.w
+
+
+def test_inverse_square_integral_is_memoized_on_the_path(cos_path):
+    # The expression build_collar computed per eigenfunction-lapse collar.
+    geometry = slice_geometry(cos_path)
+    eigen = eigen_along_path(cos_path)
+    dtheta = float(geometry.theta_grid[1] - geometry.theta_grid[0])
+    want = 2.0 * math.pi * simpson_uniform(geometry.sqrt_det / eigen.u ** 2, dtheta)
+    got = cos_path.inverse_square_integral
+    assert got.shape == cos_path.t_grid.shape
+    assert got.tobytes() == want.tobytes()
+    assert cos_path.inverse_square_integral is got
+    with pytest.raises(ValueError):
+        got[0] = 1.0

@@ -21,7 +21,7 @@ from charged_extensions.lambda_rn import (
     rn_profile,
     rn_profile_mu,
 )
-from charged_extensions.numutil import erfc, simpson_uniform
+from charged_extensions.numutil import _smooth_step_jet, erfc, simpson_uniform
 from charged_extensions.quasilocal import hawking_rotsym
 
 
@@ -179,6 +179,91 @@ def _three_closure_deformation(scale, s0):
         return out
 
     return sigma, sigma_dot, sigma_ddot
+
+
+def _masked_evaluate(bridge, s):
+    """The masked formulation that the row-wise evaluation replaced: each
+    piece's (f, f', f'') tuple scattered as one 3 x k array."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    out = np.empty((3,) + s.shape)
+    left, right = s <= bridge.b1, s >= bridge.a2
+    for mask, values in ((left, bridge.left.evaluator), (right, bridge.right.evaluator),
+                         (~(left | right), _whole_array_bridge_values(bridge))):
+        if np.any(mask):
+            out[:, mask] = values(s[mask])
+    return out
+
+
+def _whole_array_istep(w):
+    """The step's integral with the table read at every node, clipped."""
+    w = np.asarray(w, dtype=float)
+    out = np.where(w >= 1.0, w - 0.5, 0.0)
+    inner = (w > 0.0) & (w < 1.0)
+    return np.where(inner, np.interp(np.clip(w, 0.0, 1.0), *su._istep_table()), out)
+
+
+def _whole_array_bridge_values(bridge):
+    """Bridge values with the step's integral and jet taken at every node."""
+    def values(s):
+        tau = (s - bridge.b1) / bridge.length
+        w = bridge._step_arg(tau)
+        psi_integral = tau - 2.0 * bridge.rho * _whole_array_istep(w)
+        dc = bridge.slope_left - bridge.slope_right
+        f = bridge.f1_b1 + bridge.length * (bridge.slope_right * tau + dc * psi_integral)
+        step, dstep = _smooth_step_jet(w, 1)
+        df = bridge.slope_right + dc * (1.0 - step)
+        d2f = -dc * dstep / (2.0 * bridge.rho * bridge.length)
+        return f, df, d2f
+
+    return values
+
+
+class TestBridgeKernels:
+    """The bridge's evaluation, bit for bit the formulations it replaced."""
+
+    @staticmethod
+    def _nodes(bridge):
+        b1, a2 = bridge.b1, bridge.a2
+        around = [np.nextafter(j, d) for j in (b1, a2) for d in (-np.inf, np.inf)]
+        return np.concatenate([np.linspace(bridge.a1, bridge.b2, 301), [b1, a2], around])
+
+    @pytest.mark.parametrize("which", ["line", "charged", "short"])
+    def test_evaluate_is_the_pointwise_and_the_masked_evaluation(
+            self, which, line_glue, charged_bridge, short_bridge):
+        bridge = {"line": line_glue[0], "charged": charged_bridge,
+                  "short": short_bridge}[which]
+        s = self._nodes(bridge)
+        assert np.any(s == bridge.b1) and np.any(s == bridge.a2)
+        got = bridge.evaluate(s)
+        assert got.shape == (3, s.size)
+        assert np.array_equal(got, _masked_evaluate(bridge, s))
+        pointwise = np.array([bridge.evaluate(np.array([t]))[:, 0] for t in s]).T
+        assert np.array_equal(got, pointwise)
+        # A 2-D argument gives the same values in its own shape.
+        grid = s[:300].reshape(20, 15)
+        assert np.array_equal(bridge.evaluate(grid), got[:, :300].reshape(3, 20, 15))
+        assert np.array_equal(bridge.evaluate(grid), _masked_evaluate(bridge, grid))
+
+    def test_evaluate_with_empty_pieces(self, charged_bridge):
+        bridge = charged_bridge
+        b1, a2 = bridge.b1, bridge.a2
+        for s in (np.linspace(bridge.a1, b1, 17),          # left piece only
+                  np.linspace(b1, a2, 19)[1:-1],            # bridge only
+                  np.linspace(a2, bridge.b2, 17),           # right piece only
+                  np.array([b1, a2])):                      # no bridge node
+            assert np.array_equal(bridge.evaluate(s), _masked_evaluate(bridge, s))
+
+    @pytest.mark.parametrize("which", ["line", "charged"])
+    def test_istep_at_the_band_edges(self, which, line_glue, charged_bridge):
+        bridge = {"line": line_glue[0], "charged": charged_bridge}[which]
+        w = np.array([-0.5, 0.0, 0.5, 1.0, 1.5])
+        got = bridge._istep(w)
+        assert np.array_equal(got, _whole_array_istep(w))
+        assert got[0] == 0.0 and got[1] == 0.0
+        assert got[3] == 0.5 and got[4] == 1.0
+        assert 0.0 < got[2] < 0.5
+        for k, value in enumerate(w):
+            assert np.array_equal(bridge._istep(np.array([value])), got[k:k + 1])
 
 
 class TestMarginOperator:
@@ -561,6 +646,20 @@ class TestBend:
         for s in (band, band[:1], float(band[7]), s0):
             for got, ref in zip(jet(s), reference):
                 assert np.array_equal(got, ref(s))
+
+    def test_deformation_jet_inside_the_band_is_the_masked_jet(self, schwarzschild_bend):
+        params, s0, res = schwarzschild_bend
+        jet = su._deformation(res.scale, s0)
+        band = np.linspace(s0 - res.delta, s0, 1025)[:-1]
+        mixed = np.concatenate([band, [s0], np.linspace(s0, s0 + 1.0, 17)])
+        assert np.all(band < s0)
+        for got, want in zip(jet(band), jet(mixed)):
+            assert np.array_equal(got, want[:band.size])
+        for got, ref in zip(jet(band), _three_closure_deformation(res.scale, s0)):
+            assert np.array_equal(got, ref(band))
+        # A one-node array takes the same path.
+        lone = jet(band[:1])
+        assert all(np.array_equal(v, w[:1]) for v, w in zip(lone, jet(band)))
 
     def test_identity_beyond_station_bitwise(self, schwarzschild_bend):
         params, s0, res = schwarzschild_bend

@@ -120,24 +120,25 @@ class CubicHermite:
         dx = np.diff(x)
         slope = np.diff(y) / dx
         t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-        # One column per piece: its left knot, then its coefficients of
-        # offset^0..^3; a point gathers its whole column at once.
+        # One row per field of a piece: its left knot, then its
+        # coefficients of offset^0..^3; a point gathers one row at a time.
         self._table = np.stack([x[:-1], y[:-1], dydx[:-1], (slope - dydx[:-1]) / dx - t, t / dx])
         self._inner = x[1:-1].copy()
 
     def __call__(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         # The count of interior knots at or below s is its piece.
-        column = self._table.take(np.searchsorted(self._inner, s.ravel(), side="right"), axis=1)
-        ds = s.ravel() - column[0]
-        out = column[1]
+        piece = np.searchsorted(self._inner, s.ravel(), side="right")
+        knot, *coefficients = self._table
+        ds = s.ravel() - knot.take(piece)
+        out = coefficients[0].take(piece)
         out += 0.0  # scipy's sum starts from 0.0, which turns -0.0 into 0.0
         power = ds
-        for k in range(2, column.shape[0]):
-            term = column[k]
+        for k, row in enumerate(coefficients[1:], start=1):
+            term = row.take(piece)
             term *= power
             out += term
-            if k + 1 < column.shape[0]:
+            if k + 1 < len(coefficients):
                 power = power * ds
         return out.reshape(s.shape)
 

@@ -236,7 +236,8 @@ class MetricPath:
     @cached_property
     def inverse_square_integral(self) -> np.ndarray:
         """Integral of u^(-2) over each slice, u the eigen fields' ground
-        state, shape (n_t,) (read-only; taken once, slice fields first)."""
+        state, shape (n_t,), read-only.  On a cold path the slice fields
+        are built before the eigen fields, which keeps the peak memory down."""
         geometry = self.slice_fields
         u = self.eigen_fields.u
         dtheta = float(geometry.theta_grid[1] - geometry.theta_grid[0])

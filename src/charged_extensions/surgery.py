@@ -333,14 +333,17 @@ class BridgedProfile:
         return out
 
     def _bridge_values(self, s):
+        """(f, f', f'') on the bridge; the step's jet, whose temporaries
+        are the largest, is taken while the fewest arrays are alive."""
         tau = (s - self.b1) / self.length
         w = self._step_arg(tau)
-        psi_integral = tau - 2.0 * self.rho * self._istep(w)
         dc = self.slope_left - self.slope_right
-        f = self.f1_b1 + self.length * (self.slope_right * tau + dc * psi_integral)
         step, dstep = _smooth_step_jet(w, 1)
         df = self.slope_right + dc * (1.0 - step)
         d2f = -dc * dstep / (2.0 * self.rho * self.length)
+        del step, dstep
+        psi_integral = tau - 2.0 * self.rho * self._istep(w)
+        f = self.f1_b1 + self.length * (self.slope_right * tau + dc * psi_integral)
         return f, df, d2f
 
     def evaluate(self, s):
@@ -722,24 +725,25 @@ def _deformation(scale: float, s0: float):
     """
     root_pi = math.sqrt(math.pi)
 
+    def band(y):
+        """G(y), exp(-(scale/y)^2) and sigma'' at an array of y > 0."""
+        z = scale / y
+        e = np.exp(-z * z)
+        return y * e - scale * root_pi * erfc(z, e), e, -2.0 * scale * scale * e / y ** 3
+
     def jet(s):
         s = np.asarray(s, dtype=float)
         y = s0 - s
-        # An array wholly inside the band (every y > 0) needs no masks.
-        banded = y.size > 0 and y.ndim > 0 and float(y.min()) > 0.0
-        pos = None if banded else y > 0.0
-        yp = y if banded else y[pos]
-        z = scale / yp
-        e = np.exp(-z * z)
-        g = yp * e - scale * root_pi * erfc(z, e)
-        sddot = -2.0 * scale * scale * e / yp ** 3
-        if banded:
+        # An array wholly inside the band needs no masks.  A 0-d y takes the
+        # masked path, whose y[pos] is 1-d: ** rounds there as in an array.
+        if y.ndim and y.size and float(y.min()) > 0.0:
+            g, e, sddot = band(y)
             return s - g, 1.0 + e, sddot
-        g_all, sdot, sddot_all = np.zeros_like(y), np.ones_like(y), np.zeros_like(y)
-        g_all[pos] = g
+        pos = y > 0.0
+        g, sdot, sddot = np.zeros_like(y), np.ones_like(y), np.zeros_like(y)
+        g[pos], e, sddot[pos] = band(y[pos])
         sdot[pos] += e
-        sddot_all[pos] = sddot
-        return s - g_all, sdot, sddot_all
+        return s - g, sdot, sddot
 
     return jet
 

@@ -5,8 +5,9 @@ F(t) = sqrt(1 + eps t^2), where g(t) is a normalized path of metrics and
 the lapse v is either a constant A or A times the first eigenfunction of
 -Laplacian + R/2 on each slice.  The module evaluates the scalar
 curvature of the collar, verifies the strict dominant energy condition
-against the electric field q / (v r_o^n F^n) d_t, searches for workable
-lapse amplitudes and bending parameters eps, computes the Hawking mass
+against the electric field q / (v r_o^n F^n) d_t, sets the lapse
+amplitude from the margin's crossing, searches for bending parameters
+eps, computes the Hawking mass
 curve along the foliation with monotonicity verdicts, and converts the
 round tail of the collar into an arclength radial profile for gluing.
 """
@@ -44,7 +45,6 @@ __all__ = [
     "MonotonicityReport",
     "select_route",
     "build_collar",
-    "find_A0_bound",
     "find_A0",
     "find_eps0",
     "monotonicity_check",
@@ -62,6 +62,17 @@ _FLOOR_MARGIN = 0.05
 # violation where no sign is asserted pointwise.
 _MONOTONE_TOL = 1e-8
 
+# find_A0's amplitude over the crossing amplitude sqrt(crossing): the
+# geometric middle of [1, 1.05), the bracket a bisection to a factor 1.05
+# leaves.  The collar margin is then at least (1 - 1 / 1.05) core at every
+# sample.
+_AMPLITUDE_FACTOR = math.sqrt(1.05)
+
+# Relative band above the crossing amplitude^2 inside which build_collar
+# leaves the verdict to the elementwise check.  Rounding moves the verdict's
+# threshold by a few units of 2^-53 only, far inside the band.
+_CROSSING_BAND = 1e-12
+
 
 @dataclass(frozen=True)
 class CollarSpec:
@@ -73,7 +84,8 @@ class CollarSpec:
     the collar is built (see select_route).  The boundary radius ``r_o`` is
     the path's.  ``margin`` is the amplitude-independent energy margin of
     every field but ``A``: a spec made without one, or with one of other
-    fields, gets a fresh one, and ``at_amplitude`` passes it on.
+    fields, gets a fresh one, and ``at_amplitude`` passes it on.  ``find_A0``
+    sets ``A`` from the margin's crossing.
     """
 
     path: MetricPath
@@ -147,10 +159,12 @@ class CollarMargin:
     base + well / A^2 is the collar's scalar curvature (``_margin_parts``)
     and reference = 2 Lambda + n(n-1)|E|^2 per t (``_reference_density``).
 
-    Its verdicts come from per-row extremes of base and well
-    (``_row_extremes``) and from the margin's ``crossing``; the
-    elementwise ``fields`` and ``core`` are built only for a verdict those
-    cannot decide.  Everything is computed on first read and kept.
+    Its ``crossing``, the amplitude^2 above which the margin is positive,
+    gives ``find_A0`` its amplitude in closed form.  The crossing and
+    ``build_collar``'s verdict come from per-row extremes of base and well
+    (``_row_extremes``); the elementwise ``fields`` and ``core`` are built
+    only for a verdict those cannot decide, or for the error of a margin
+    without a crossing.  Everything is computed on first read and kept.
     """
 
     path: MetricPath
@@ -202,36 +216,37 @@ class CollarMargin:
 
     @cached_property
     def _extremes(self):
-        """(core_min, size, well_min, well_max, smallest) per t row: the
-        smallest core, the largest |base| and the extremes of well; smallest
-        is min(well / core) over the grid, or None where ``crossing`` is to
+        """(core_min, size, well_min, smallest) per t row: the smallest
+        core, the largest |base| and the smallest well; smallest is
+        min(well / core) over the grid, or None where ``crossing`` is to
         find it from the rows."""
-        base_min, base_max, well_min, well_max, smallest = _row_extremes(self)
+        base_min, base_max, well_min, smallest = _row_extremes(self)
         size = np.maximum(np.abs(base_min), np.abs(base_max))
         # core = base - reference grows with base, and rounding is monotone.
-        return base_min - self.reference, size, well_min, well_max, smallest
+        return base_min - self.reference, size, well_min, smallest
 
     @cached_property
     def crossing(self) -> float | None:
         """The amplitude^2 above which the margin is positive.
 
-        When every sample has a normal core > 0 > well, sample i's margin
-        crosses zero at A^2 = -well_i / core_i, and the crossing is the
-        largest of these quotients, -min(well / core).  None for any other
-        field (a sample with core <= 0 or well >= 0, a subnormal core, a
-        NaN) or when the crossing is not a normal finite float.
+        Where core > 0, a sample's margin grows with A where well < 0,
+        crossing zero at A^2 = -well / core, and is positive at every A
+        where well >= 0.  So when every core is normal and positive and some
+        well < 0, the crossing is -min(well / core).  None for any other
+        field (a core <= 0 or subnormal, a NaN, no well < 0) or when the
+        crossing is not a normal finite float.
 
         Without the quotient from ``_row_extremes`` (the constant lapse),
-        the smallest quotient is searched row by row: a row's quotients
-        are at least that of its smallest well and smallest core (where
-        well < 0 < core a quotient grows with either, and rounding is
-        monotone), so after the row of the smallest such bound only rows
-        whose bound lies below the smallest quotient found are evaluated.
-        The result is min(well / core) bit for bit.
+        the smallest quotient is searched row by row: a row's quotients are
+        at least its smallest well over its smallest core where that well is
+        negative (rounding is monotone), and are all >= 0 otherwise, so
+        after the row of the smallest such bound only rows whose bound lies
+        below the smallest quotient found are evaluated.  The result is
+        min(well / core) bit for bit.
         """
-        core_min, _, well_min, well_max, smallest = self._extremes
+        core_min, _, well_min, smallest = self._extremes
         tiny = np.finfo(float).tiny
-        if not (float(np.min(core_min)) >= tiny and float(np.max(well_max)) < 0.0):
+        if not (float(np.min(core_min)) >= tiny and float(np.min(well_min)) < 0.0):
             return None
         if smallest is None:
             bound = well_min / core_min
@@ -246,46 +261,24 @@ class CollarMargin:
         base, well = _margin_rows(self, rows)
         return float(np.min(well / (base - self.reference[rows, None])))
 
-    def passes(self, amplitude: float) -> bool:
-        """find_A0's probe: is core + well / amplitude^2 > 0 everywhere?
-
-        Decided from the ``crossing`` when the field has one: A passes when
-        A^2 lies above it by more than the relative ``_CROSSING_BAND`` and
-        fails when A^2 lies below it by more.  Each such verdict is the
-        elementwise test's (``_margin_passes``): with u = 2^-53, every
-        rounded quotient is within a factor 1 + u of the exact one or below
-        the smallest normal float, which the normal core and crossing
-        dominate.  So outside the band fl(-well_i / A^2) < core_i holds at
-        every sample or fails at the sample of the crossing, and the
-        rounded sum core_i + fl(well_i / A^2) has the sign of the exact one
-        (a difference of floats rounds to zero only when it is zero).
-        Probes inside the band, and every probe on a field without a
-        crossing, run the elementwise test.
-        """
-        lower = self.crossing
-        if lower is not None:
-            amplitude_sq = amplitude ** 2
-            if amplitude_sq > lower * (1.0 + _CROSSING_BAND):
-                return True
-            if amplitude_sq < lower * (1.0 - _CROSSING_BAND):
-                return False
-        return _margin_passes(self.core, self.fields[1], amplitude)
-
     def certifies(self, amplitude: float) -> bool:
         """True when the crossing shows build_collar's elementwise margin
         (base + well / A^2) - reference positive at every sample; False
         leaves the verdict to the elementwise check.
 
-        Above the band, -fl(well / A^2) <= rho core with rho < 1 - band +
-        5u at every sample, so the exact margin of the rounded sum is at
-        least core (band - 7u) - u |base|.  Each row's smallest core and
-        largest |base| bound that below; the test asks for band / 4 where
-        band - 7u > band / 2, which leaves room for its own rounding.
+        Above the band, at a sample with well < 0, -fl(well / A^2) <= rho
+        core with rho < 1 - band + 5u, so the exact margin of the rounded
+        sum is at least core (band - 7u) - u |base|.  Each row's smallest
+        core and largest |base| bound that below; the test asks for band / 4
+        where band - 7u > band / 2, which leaves room for its own rounding.
+        At a sample with well >= 0, fl(well / A^2) >= 0, so by monotone
+        rounding the rounded margin is at least the rounded core, which is
+        positive.
         """
         lower = self.crossing
         if lower is None or not amplitude ** 2 > lower * (1.0 + _CROSSING_BAND):
             return False
-        core_min, size, _, _, _ = self._extremes
+        core_min, size, _, _ = self._extremes
         unit = np.finfo(float).eps / 2.0
         return bool(np.all(core_min * (0.25 * _CROSSING_BAND) > unit * size))
 
@@ -505,9 +498,9 @@ def _lapse_free(shape, F, r_scal, gp_sq):
 
 
 def _row_extremes(spec: CollarMargin):
-    """(base_min, base_max, well_min, well_max, smallest) per t row.
+    """(base_min, base_max, well_min, smallest) per t row.
 
-    The first four are each row's extremes of the ``_margin_parts``
+    The first three are each row's extremes of the ``_margin_parts``
     fields.  The constant lapse takes them from the path's per-row
     extremes of R and |g'|^2: base grows with R and well falls with
     |g'|^2, and rounding is monotone, so they are the fields' extremes bit
@@ -521,13 +514,12 @@ def _row_extremes(spec: CollarMargin):
         gp_min, gp_max = geometry.gprime_sq_rows
         shape = _shape_term(spec.n, F, dF, d2F)
         base_min, well_min = _lapse_free(shape, F, r_min, gp_max)
-        base_max, well_max = _lapse_free(shape, F, r_max, gp_min)
-        return base_min, base_max, well_min, well_max, None
+        base_max = _lapse_free(shape, F, r_max, gp_min)[0]
+        return base_min, base_max, well_min, None
     base, well = _margin_rows(spec, slice(None))
     core = base - spec.reference[:, None]
-    extremes = (np.min(base, axis=1), np.max(base, axis=1),
-                np.min(well, axis=1), np.max(well, axis=1))
-    # The quotient is read only where core > 0 > well everywhere.
+    extremes = (np.min(base, axis=1), np.max(base, axis=1), np.min(well, axis=1))
+    # The quotient is read only where core > 0 everywhere and some well < 0.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         smallest = float(np.min(np.divide(well, core, out=core)))
     return (*extremes, smallest)
@@ -566,6 +558,13 @@ def _hawking_along_collar(spec: CollarSpec) -> HawkingCurve:
     )
 
 
+def _worst_sample(path: MetricPath, values: np.ndarray):
+    """(index, t, theta) of the smallest sample of a (t, theta) field."""
+    worst = np.unravel_index(int(np.argmin(values)), values.shape)
+    theta_grid = slice_geometry(path).theta_grid
+    return worst, float(path.t_grid[worst[0]]), float(theta_grid[worst[1]])
+
+
 def build_collar(spec: CollarSpec) -> ChargedCollar:
     """Assemble a collar and verify the strict energy condition.
 
@@ -579,18 +578,12 @@ def build_collar(spec: CollarSpec) -> ChargedCollar:
     if not spec.margin.certifies(spec.A):
         base, well, reference = spec.margin.fields
         margin = (base + well / spec.A ** 2) - reference
-        flat = int(np.argmin(margin))
-        worst = np.unravel_index(flat, margin.shape)
+        worst, t, theta = _worst_sample(spec.path, margin)
         min_margin = float(margin[worst])
         if not min_margin > 0.0:
-            theta_grid = slice_geometry(spec.path).theta_grid
             raise ConstructionError(
                 "energy condition violated on the collar",
-                diagnostics={
-                    "min_margin": min_margin,
-                    "t": float(spec.path.t_grid[worst[0]]),
-                    "theta": float(theta_grid[worst[1]]),
-                },
+                diagnostics={"min_margin": min_margin, "t": t, "theta": theta},
             )
 
     _, F, dF, _ = spec.shape_factor
@@ -606,86 +599,32 @@ def build_collar(spec: CollarSpec) -> ChargedCollar:
     )
 
 
-def find_A0_bound(
-    path: MetricPath, epsilon: float, kappa: float, case_id: str, q: float, lam: float
-) -> float:
-    """Closed-form lapse amplitude from the conservative energy estimate.
-
-    The estimate bounds the collar margin below by floor - C / A^2 with
-    C collecting the shape constant (4 for n=2, n(n-1) otherwise), the
-    metric velocity and, for the eigenfunction lapse, the eigenfunction
-    terms; the bound is positive for A above sqrt(C / floor).
-    """
-    floor = _route_floor(CollarSpec(path, epsilon, 1.0, kappa, case_id, q, lam))
-    n = path.n
-    c_n = 4.0 if n == 2 else float(n * (n - 1))
-    geometry = slice_geometry(path)
-    numerator = c_n + 0.25 * geometry.max_gprime_sq
-    min_u_sq = 1.0
-    if case_id == EIGENFUNCTION_LAPSE:
-        eigen = eigen_along_path(path)
-        drift = 2.0 * n * eigen.du_dt / eigen.u
-        numerator -= min(0.0, float(np.min(drift)))
-        min_u_sq = float(np.min(eigen.u)) ** 2
-    return math.sqrt(numerator / (floor * min_u_sq))
-
-
-# Relative band around the crossing amplitude^2 inside which find_A0 decides
-# a probe by the elementwise margin test.  Rounding moves each verdict's
-# threshold by a few units of 2^-53 only, far inside the band.
-_CROSSING_BAND = 1e-12
-
-
-def _margin_passes(core: np.ndarray, well: np.ndarray, amplitude: float) -> bool:
-    """The elementwise margin test: core + well / amplitude^2 > 0 everywhere."""
-    return float(np.min(core + well / amplitude ** 2)) > 0.0
-
-
 def find_A0(
     path: MetricPath, epsilon: float, kappa: float, case_id: str, q: float, lam: float
 ) -> CollarSpec:
-    """Collar spec at the smallest workable lapse amplitude, to a factor 1.05.
+    """Collar spec at the lapse amplitude ``_AMPLITUDE_FACTOR`` sqrt(crossing).
 
-    Starts from the closed-form estimate of find_A0_bound and refines
-    downward by geometric bisection against the direct pointwise margin
-    check, which is authoritative; the returned amplitude always passes
-    the direct check.  The spec carries the margin of the search.
-
-    Each probe is ``CollarMargin.passes``, decided from the margin's
-    crossing outside a relative band around it and by the elementwise
-    test inside it or on a field without a crossing; so the bisection,
-    the returned amplitude and the error of a field no amplitude passes
-    are those of the elementwise test at every probe.
+    The margin core + well / A^2 is positive exactly for A^2 above the
+    margin's ``crossing``; at A0^2 = 1.05 crossing it is at least
+    (1 - 1 / 1.05) core at every sample, and ``build_collar`` confirms it.
+    The spec carries the margin its crossing came from.  Raises
+    PreconditionError when the curvature floor fails, and
+    ConstructionError, with the (t, theta) sample of the smallest core (or
+    the first NaN) and its core and well, when the margin has no crossing.
     """
-    probe = CollarSpec(path, epsilon, 1.0, kappa, case_id, q, lam)
-    passes = probe.margin.passes
-
-    hi = find_A0_bound(path, epsilon, kappa, case_id, q, lam)
-    bumps = 0
-    while not passes(hi):
-        hi *= 1.05
-        bumps += 1
-        if bumps > 200:
-            raise ConstructionError(
-                "no lapse amplitude passes the margin check",
-                diagnostics={"last_tried": hi},
-            )
-
-    for _ in range(60):
-        if passes(hi / 2.0):
-            hi /= 2.0
-        else:
-            break
-    else:
-        return probe.at_amplitude(hi)
-    lo = hi / 2.0
-    while hi / lo > 1.05:
-        mid = math.sqrt(hi * lo)
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return probe.at_amplitude(hi)
+    spec = CollarSpec(path, epsilon, 1.0, kappa, case_id, q, lam)
+    _route_floor(spec)
+    margin = spec.margin
+    if margin.crossing is None:
+        core, well = margin.core, margin.fields[1]
+        # A NaN well makes its sample the worst, as a NaN core does.
+        worst, t, theta = _worst_sample(path, np.where(np.isnan(well), np.nan, core))
+        raise ConstructionError(
+            "no lapse amplitude passes the margin check",
+            diagnostics={"core": float(core[worst]), "well": float(well[worst]),
+                         "t": t, "theta": theta},
+        )
+    return spec.at_amplitude(_AMPLITUDE_FACTOR * math.sqrt(margin.crossing))
 
 
 def find_eps0(n: int, r_o: float, q: float, lam: float, a0: float) -> float:

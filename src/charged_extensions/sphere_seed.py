@@ -258,9 +258,8 @@ class SliceGeometry:
     in the fixed area gauge, g' + L_X g for the Moser field X.
     ``scalar_curvature_rows`` and ``gprime_sq_rows`` are the (min, max)
     of each row, shape (2, n_t), which the collar's margin reads in place
-    of the arrays; ``min_scalar_curvature`` and ``max_gprime_sq`` are the
-    path-wide extremes that the route choice and the amplitude bound read.
-    All are taken once, on construction.
+    of the arrays; ``min_scalar_curvature`` is the path-wide minimum that
+    the route choice reads.  All are taken once, on construction.
     """
 
     t_grid: np.ndarray
@@ -271,7 +270,6 @@ class SliceGeometry:
     scalar_curvature_rows: np.ndarray = field(init=False)
     gprime_sq_rows: np.ndarray = field(init=False)
     min_scalar_curvature: float = field(init=False)
-    max_gprime_sq: float = field(init=False)
 
     def __post_init__(self) -> None:
         for name in ("scalar_curvature", "gprime_sq"):
@@ -281,7 +279,6 @@ class SliceGeometry:
             object.__setattr__(self, name + "_rows", rows)
         object.__setattr__(self, "min_scalar_curvature",
                            float(np.min(self.scalar_curvature_rows[0])))
-        object.__setattr__(self, "max_gprime_sq", float(np.max(self.gprime_sq_rows[1])))
 
 
 @dataclass(frozen=True)

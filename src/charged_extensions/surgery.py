@@ -584,17 +584,14 @@ def _fd_crosscheck(t, h, values, df_ref, d2f_ref, fmax):
 def _margin_floor(bridge: BridgedProfile, n: int, q: float, lam: float) -> float:
     """Infimum of the margin over the join, excluding the two junction points.
 
-    The three segments' samples take one evaluation; their minima are
-    folded segment by segment."""
+    The three segments' samples take one evaluation and one minimum, which
+    is NaN when any margin is."""
     segments = [np.linspace(lo, hi, 2049)[sl]
                 for lo, hi, sl in ((bridge.a1, bridge.b1, np.s_[:-1]),
                                    (bridge.b1, bridge.a2, np.s_[1:-1]),
                                    (bridge.a2, bridge.b2, np.s_[1:]))]
     margins = _margin_arrays(n, q, lam, *bridge.evaluate(np.concatenate(segments)))
-    worst = math.inf
-    for part in np.split(margins, np.cumsum([ss.size for ss in segments])[:-1]):
-        worst = min(worst, float(np.min(part)))
-    return worst
+    return float(np.min(margins))
 
 
 def mollify_and_certify(bridge: BridgedProfile, q: float, lam: float,
@@ -618,7 +615,7 @@ def mollify_and_certify(bridge: BridgedProfile, q: float, lam: float,
     cutoff = _Cutoff(mid1, b1, a2, mid2)
 
     floor3 = _margin_floor(bridge, n, q, lam)
-    if floor3 <= 0.0:
+    if not floor3 > 0.0:
         raise PreconditionError(
             f"margin floor off the junctions is {floor3}; the join must be "
             "strictly DEC away from the junction points before smoothing")

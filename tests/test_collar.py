@@ -11,18 +11,13 @@ import numpy as np
 import pytest
 
 from charged_extensions import collar as co
-from charged_extensions import cli_io, lambda_rn, pipeline, sphere_seed
+from charged_extensions import cli_io, lambda_rn, sphere_seed
 from charged_extensions.errors import (
     ConstructionError,
     DomainError,
     PreconditionError,
 )
 from charged_extensions.quasilocal import hawking_rotsym, m_o, unit_sphere_volume
-
-# Closed-form amplitude estimate for a round 2-sphere collar of unit
-# radius with kappa = 0.95 and no charge: sqrt(4 / 1.9).
-BOUND_ROUND_2 = math.sqrt(4.0 / (2.0 * 0.95))
-
 
 @pytest.fixture(scope="module")
 def round2():
@@ -188,26 +183,19 @@ class TestBuildCollar:
 
 
 class TestAmplitudeSearch:
-    def test_bound_round_frozen_value(self, round2):
-        bound = co.find_A0_bound(round2, 0.1, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0)
-        assert bound == BOUND_ROUND_2
-        assert math.isclose(bound, 1.4509525002200011, rel_tol=1e-13)
+    def test_amplitude_eigen_matches_constant_on_round(self, round2):
+        constant = co.find_A0(round2, 0.1, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0).A
+        eigen = co.find_A0(round2, 0.1, 0.95, co.EIGENFUNCTION_LAPSE, 0.0, 0.0).A
+        assert constant == eigen
 
-    def test_bound_eigen_matches_constant_on_round(self, round2):
-        bound_c = co.find_A0_bound(round2, 0.1, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0)
-        bound_e = co.find_A0_bound(round2, 0.1, 0.95, co.EIGENFUNCTION_LAPSE, 0.0, 0.0)
-        assert bound_c == bound_e
-
-    def test_bound_negative_floor_case(self, round2):
-        bound = co.find_A0_bound(round2, 0.1, 1.2, co.CONSTANT_LAPSE, 0.0, -2.0)
-        assert abs(bound - math.sqrt(4.0 / 1.6)) < 1e-14
-
-    def test_refined_below_bound_and_passes(self, round2):
-        a0 = co.find_A0(round2, 0.1, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0).A
-        bound = co.find_A0_bound(round2, 0.1, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0)
-        assert 0.0 < a0 <= bound
-        built = co.build_collar(round_spec(round2, epsilon=0.1, amplitude=a0))
-        assert np.min(built.dec_margin) > 0.0
+    @pytest.mark.parametrize("kappa", [0.95, 0.8])
+    def test_A0_margin_is_a_fraction_of_the_core(self, round2, cos_path, kappa):
+        # At A0^2 = 1.05 crossing the margin keeps (1 - 1 / 1.05) of the
+        # core at every sample, up to rounding.
+        path = round2 if kappa == 0.95 else cos_path
+        spec = co.find_A0(path, 0.1, kappa, co.CONSTANT_LAPSE, 0.0, 0.0)
+        margin = co.build_collar(spec).dec_margin
+        assert np.all(margin >= (1.0 - 1.0 / 1.05) * (1.0 - 1e-9) * spec.margin.core)
 
     def test_refined_is_locally_minimal(self, round2):
         a0 = co.find_A0(round2, 0.1, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0).A
@@ -230,10 +218,10 @@ class TestAmplitudeSearch:
 
     @pytest.mark.parametrize("case", [co.CONSTANT_LAPSE, co.EIGENFUNCTION_LAPSE])
     def test_A0_spec_builds_from_the_search_margin_fields(self, cos_path, case, monkeypatch):
-        # The search's margin object is the collar's, at A0 and at any other
-        # amplitude: the build computes no margin fields, and each collar
-        # equals one built from a fresh spec bit for bit; the grids, read
-        # later, build the shared margin's fields once.
+        # The margin object find_A0 read is the collar's, at A0 and at any
+        # other amplitude: the build computes no margin fields, and each
+        # collar equals one built from a fresh spec bit for bit; the grids,
+        # read later, build the shared margin's fields once.
         spec = co.find_A0(cos_path, 0.1, 0.8, case, 0.1, -1.0)
         assert spec == round_spec(cos_path, 0.1, spec.A, 0.8, case, 0.1, -1.0)
         specs = (spec, spec.at_amplitude(2.0 * spec.A))
@@ -277,52 +265,41 @@ class TestAmplitudeSearch:
         assert np.min(built.dec_margin) > 0.0
 
 
-def _elementwise_find_A0(path, epsilon, kappa, case, q, lam):
-    """The amplitude search with the elementwise margin test at every probe.
-
-    Returns (outcome, amplitude, probes): outcome "found" with the amplitude
-    found, or "raised" with the ``last_tried`` of the search's error.
-    """
-    spec = co.CollarSpec(path, epsilon, 1.0, kappa, case, q, lam)
+def _elementwise_crossing(spec):
+    """-min(well / core) over the samples with well < 0, from the
+    elementwise fields."""
     base, well = co._margin_parts(spec)
     core = base - co._reference_density(spec)[:, None]
-    probes = []
-
-    def passes(amplitude):
-        probes.append(amplitude)
-        return float(np.min(core + well / amplitude ** 2)) > 0.0
-
-    hi = co.find_A0_bound(path, epsilon, kappa, case, q, lam)
-    bumps = 0
-    while not passes(hi):
-        hi *= 1.05
-        bumps += 1
-        if bumps > 200:
-            return "raised", hi, len(probes)
-    for _ in range(60):
-        if passes(hi / 2.0):
-            hi /= 2.0
-        else:
-            break
-    else:
-        return "found", hi, len(probes)
-    lo = hi / 2.0
-    while hi / lo > 1.05:
-        mid = math.sqrt(hi * lo)
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return "found", hi, len(probes)
+    negative = well < 0.0
+    return -float(np.min(well[negative] / core[negative]))
 
 
-def _searched(path, epsilon, kappa, case, q, lam):
-    """find_A0 in the shape of _elementwise_find_A0's first two entries."""
-    try:
-        return "found", co.find_A0(path, epsilon, kappa, case, q, lam).A
-    except ConstructionError as exc:
-        assert str(exc) == "no lapse amplitude passes the margin check"
-        return "raised", exc.diagnostics["last_tried"]
+def _elementwise_failure(spec):
+    """build_collar's error diagnostics at spec, from the elementwise fields."""
+    base, well = co._margin_parts(spec)
+    margin = (base + well / spec.A ** 2) - co._reference_density(spec)[:, None]
+    worst = np.unravel_index(int(np.argmin(margin)), margin.shape)
+    theta = sphere_seed.slice_geometry(spec.path).theta_grid
+    return {"min_margin": float(margin[worst]), "t": float(spec.path.t_grid[worst[0]]),
+            "theta": float(theta[worst[1]])}
+
+
+def _assert_closed_form(path, epsilon, kappa, case, q, lam):
+    """find_A0 returns sqrt(1.05 crossing) to rounding, where the collar
+    certifies, and the collar a factor 1 - 2^-20 below sqrt(crossing)
+    fails at the elementwise margin's worst sample."""
+    spec = co.find_A0(path, epsilon, kappa, case, q, lam)
+    crossing = _elementwise_crossing(spec)
+    assert spec.margin.crossing == crossing
+    # sqrt(1.05), the square root, the product, the square and the quotient
+    # each round once.
+    assert math.isclose(spec.A ** 2 / crossing, 1.05, rel_tol=2.0 ** -49), epsilon
+    assert np.min(co.build_collar(spec).dec_margin) > 0.0
+    below = spec.at_amplitude(math.sqrt(crossing) * (1.0 - 2.0 ** -20))
+    with pytest.raises(ConstructionError) as error:
+        co.build_collar(below)
+    assert str(error.value) == "energy condition violated on the collar"
+    assert repr(error.value.diagnostics) == repr(_elementwise_failure(below))
 
 
 def _substitute_fields(monkeypatch, base, well):
@@ -331,8 +308,7 @@ def _substitute_fields(monkeypatch, base, well):
     ``_margin_rows``, and the per-row extremes of ``_row_extremes``."""
     monkeypatch.setattr(co, "_margin_rows", lambda spec, rows: (base[rows], well[rows]))
     monkeypatch.setattr(co, "_row_extremes", lambda spec: (
-        np.min(base, axis=1), np.max(base, axis=1),
-        np.min(well, axis=1), np.max(well, axis=1), None))
+        np.min(base, axis=1), np.max(base, axis=1), np.min(well, axis=1), None))
 
 
 def _cos_route_path(a, n_theta, n_t):
@@ -350,33 +326,32 @@ _COS_ROUTES = [
 _EPSILONS = [1.0, 2.0 ** -2, 2.0 ** -5, 2.0 ** -9]
 
 
+@pytest.fixture(scope="module")
+def coarse_cos():
+    """A cos path with 17 theta samples, for substituted 513 x 17 fields."""
+    return _cos_route_path(0.2, 17, 513)
+
+
 class TestAmplitudeCrossing:
-    """find_A0 decides probes from the margin's crossing with the verdicts,
-    and so the amplitude, of the elementwise search."""
+    """find_A0 takes the amplitude from the margin's crossing in closed form."""
 
     @pytest.mark.parametrize("n_theta, n_t", [(1025, 513), (33, 65)])
     @pytest.mark.parametrize("route, a, q, lam", _COS_ROUTES,
                              ids=[r[0] for r in _COS_ROUTES])
-    def test_cos_amplitudes_match_the_elementwise_search(self, route, a, q, lam,
-                                                         n_theta, n_t):
+    def test_cos_amplitudes_are_the_closed_form(self, route, a, q, lam, n_theta, n_t):
         path = _cos_route_path(a, n_theta, n_t)
         chosen, case, kappa = co.select_route(path, q, lam)
         assert chosen == route
         for epsilon in _EPSILONS:
-            want = _elementwise_find_A0(path, epsilon, kappa, case, q, lam)
-            got = _searched(path, epsilon, kappa, case, q, lam)
-            assert got == want[:2], epsilon
-            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+            _assert_closed_form(path, epsilon, kappa, case, q, lam)
 
+    @pytest.mark.parametrize("n_t", [513, 65])
     @pytest.mark.parametrize("n, q, lam", [(2, 0.2, -1.0), (3, 0.1, 0.0), (4, 0.05, -2.0)])
-    def test_round_amplitudes_match_the_elementwise_search(self, n, q, lam):
-        path = sphere_seed.round_path(n, 1.0, n_t=513)
+    def test_round_amplitudes_are_the_closed_form(self, n, q, lam, n_t):
+        path = sphere_seed.round_path(n, 1.0, n_t=n_t)
         _, case, kappa = co.select_route(path, q, lam)
         for epsilon in _EPSILONS:
-            want = _elementwise_find_A0(path, epsilon, kappa, case, q, lam)
-            got = _searched(path, epsilon, kappa, case, q, lam)
-            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
-            assert got[0] == want[0] == "found"
+            _assert_closed_form(path, epsilon, kappa, case, q, lam)
 
     def test_constant_lapse_parts_are_the_full_expression(self, cos_path, round3):
         # The constant-lapse branch drops the eigen terms, which are exactly
@@ -396,8 +371,8 @@ class TestAmplitudeCrossing:
             assert well.tobytes() == full_well.tobytes()
 
     @staticmethod
-    def _fields(kind, hi, shape=(513, 4)):
-        """(base, well) over a 513 x 4 grid (or ``shape``), for a spec with
+    def _fields(kind, shape=(513, 17)):
+        """(base, well) over a 513 x 17 grid (or ``shape``), for a spec with
         q = 0 and lam = 0, whose reference density is 0."""
         base = np.ones(shape)
         well = -np.ones(shape)
@@ -418,59 +393,63 @@ class TestAmplitudeCrossing:
             well[200, 1] = math.nan
         elif kind == "never":
             base[:] = -1.0
-        elif kind == "band":  # the crossing sits exactly on the probe hi / 2
+        elif kind == "band":  # the crossing sits exactly on the amplitude 1.5
             well[:] = -0.1
-            well[40, 2] = -((hi / 2.0) ** 2)
+            well[40, 2] = -(1.5 ** 2)
         elif kind == "wide-row":  # a crossing, but a row too wide for its bound
             base[100, 0], base[100, 1] = 1e-3, 1e6
         return base, well
 
-    @pytest.mark.parametrize("kind", ["core-negative", "core-zero", "core-subnormal",
-                                      "well-zero", "well-positive", "core-nan",
-                                      "well-nan", "never", "band"])
-    def test_fields_without_a_clear_crossing_run_the_elementwise_test(
-            self, round2, kind, monkeypatch):
-        # Each field either has no crossing (mixed signs, a subnormal core, a
-        # NaN) or puts a probe inside the band around it; those probes run
-        # the elementwise test, and the search ends as the elementwise one
-        # does, with the same error and last_tried where no amplitude passes.
-        args = (round2, 0.1, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0)
-        hi = co.find_A0_bound(*args)
-        _substitute_fields(monkeypatch, *self._fields(kind, hi))
-        calls = []
+    @pytest.mark.parametrize("kind, worst", [
+        ("core-negative", (100, 2)), ("core-zero", (100, 2)), ("core-subnormal", (7, 1)),
+        ("core-nan", (5, 0)), ("well-nan", (200, 1)), ("never", (0, 0))])
+    def test_fields_without_a_crossing_raise_at_the_worst_core(
+            self, coarse_cos, kind, worst, monkeypatch):
+        # A core <= 0 (even where a window of amplitudes would pass), a
+        # subnormal core or a NaN leaves the margin without a crossing;
+        # find_A0 names the sample of the smallest core, or of the first NaN.
+        base, well = self._fields(kind)
+        _substitute_fields(monkeypatch, base, well)
+        _, case, kappa = co.select_route(coarse_cos, 0.0, 0.0)
+        with pytest.raises(ConstructionError) as error:
+            co.find_A0(coarse_cos, 0.1, kappa, case, 0.0, 0.0)
+        assert str(error.value) == "no lapse amplitude passes the margin check"
+        theta = sphere_seed.slice_geometry(coarse_cos).theta_grid
+        want = {"core": float(base[worst]), "well": float(well[worst]),
+                "t": float(coarse_cos.t_grid[worst[0]]), "theta": float(theta[worst[1]])}
+        assert repr(error.value.diagnostics) == repr(want)
 
-        def counting(*parts, original=co._margin_passes):
-            calls.append(parts[2])
-            return original(*parts)
-
-        want = _elementwise_find_A0(*args)
-        monkeypatch.setattr(co, "_margin_passes", counting)
-        got = _searched(*args)
-        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
-        assert got[0] == want[0]
-        if kind == "band":
-            assert calls == [hi / 2.0]
-        else:
-            assert len(calls) == want[2]
-        if kind in ("core-nan", "well-nan", "never"):
-            assert want[0] == "raised"
+    @pytest.mark.parametrize("kind, crossing", [
+        ("well-zero", 1.0), ("well-positive", 1.0), ("band", 2.25), ("plain", 1.0)])
+    def test_wells_of_either_sign_have_a_crossing(self, coarse_cos, kind, crossing,
+                                                  monkeypatch):
+        # With core > 0 everywhere, samples with well >= 0 pass at every
+        # amplitude, and the crossing is taken over the samples with well < 0.
+        _substitute_fields(monkeypatch, *self._fields(kind))
+        _, case, kappa = co.select_route(coarse_cos, 0.0, 0.0)
+        spec = co.find_A0(coarse_cos, 0.1, kappa, case, 0.0, 0.0)
+        assert spec.margin.crossing == crossing
+        assert spec.A == math.sqrt(1.05) * math.sqrt(crossing)
 
     @pytest.mark.parametrize("kind", ["core-negative", "core-zero", "core-subnormal",
                                       "well-zero", "well-positive", "core-nan",
                                       "well-nan", "never", "band", "wide-row", "plain"])
-    def test_build_collar_verdicts_are_the_elementwise_check(self, kind, monkeypatch):
-        # build_collar takes a passing verdict from the crossing only where
-        # the per-row bound holds (not on "wide-row"), and runs the
-        # elementwise check for every other verdict: it passes where the
-        # elementwise reference does and otherwise raises its error, with
-        # the same worst sample.
-        path = _cos_route_path(0.2, 17, 513)
+    def test_build_collar_verdicts_are_the_elementwise_check(self, coarse_cos, kind,
+                                                             monkeypatch):
+        # build_collar takes a passing verdict from the crossing only above
+        # its band and where the per-row bound holds (not on "wide-row"), and
+        # runs the elementwise check for every other verdict: it passes
+        # where the elementwise reference does and otherwise raises its
+        # error, with the same worst sample.
+        path = coarse_cos
         _, case, kappa = co.select_route(path, 0.0, 0.0)
-        args = (path, 0.1, kappa, case, 0.0, 0.0)
-        hi = co.find_A0_bound(*args)
-        base, well = self._fields(kind, hi, (513, 17))
+        base, well = self._fields(kind)
         _substitute_fields(monkeypatch, base, well)
-        found = _elementwise_find_A0(*args)
+        with np.errstate(invalid="ignore"):
+            normal = bool(np.min(base) >= np.finfo(float).tiny)
+        negative = well < 0.0
+        crossing = (-float(np.min(well[negative] / base[negative]))
+                    if normal and not np.isnan(well).any() else None)
         parts = []
 
         def counting(*spec, original=co._margin_parts):
@@ -479,7 +458,11 @@ class TestAmplitudeCrossing:
 
         monkeypatch.setattr(co, "_margin_parts", counting)
         theta = sphere_seed.slice_geometry(path).theta_grid
-        amplitudes = [hi / 2.0, hi, 2.0 * hi, 40.0] + [found[1]] * (found[0] == "found")
+        amplitudes = [0.5, 1.0, 1.5, 2.0, 40.0]
+        if crossing is not None:
+            amplitudes += [math.sqrt(crossing) * (1.0 + 2.0 ** -20),
+                           math.sqrt(crossing) * (1.0 - 2.0 ** -20),
+                           co.find_A0(path, 0.1, kappa, case, 0.0, 0.0).A]
         for amplitude in amplitudes:
             spec = co.CollarSpec(path, 0.1, amplitude, kappa, case, 0.0, 0.0)
             margin = (base + well / amplitude ** 2) - co._reference_density(spec)[:, None]
@@ -487,8 +470,9 @@ class TestAmplitudeCrossing:
             parts.clear()
             if margin[worst] > 0.0:
                 co.build_collar(spec)
-                elementwise = kind not in ("plain", "band") or amplitude == hi / 2.0
-                assert bool(parts) == elementwise, amplitude
+                certified = (kind != "wide-row" and crossing is not None
+                             and amplitude ** 2 > crossing * (1.0 + 1e-12))
+                assert bool(parts) != certified, amplitude
                 continue
             with pytest.raises(ConstructionError) as error:
                 co.build_collar(spec)
@@ -497,33 +481,6 @@ class TestAmplitudeCrossing:
                     "t": float(path.t_grid[worst[0]]), "theta": float(theta[worst[1]])}
             assert repr(error.value.diagnostics) == repr(want)
             assert parts
-
-    def test_default_cos_extension_decides_almost_every_probe_by_the_crossing(
-            self, monkeypatch):
-        # A guard on work: the eigen-route 0.62 cos extension at the default
-        # grids runs the elementwise test at most once per search, where
-        # the elementwise search runs it at every probe.
-        searches, calls = [], []
-        original_find = co.find_A0
-
-        def recording(*args):
-            searches.append(args)
-            return original_find(*args)
-
-        def counting(*parts, original=co._margin_passes):
-            calls.append(parts[2])
-            return original(*parts)
-
-        monkeypatch.setattr(co, "find_A0", recording)
-        monkeypatch.setattr(co, "_margin_passes", counting)
-        data = pipeline.BartnikDataSpec(n=2, q=0.0, lam=0.0,
-                                        exponent=lambda theta: 0.62 * np.cos(theta))
-        report = pipeline.construct_extension(data, 0.58)
-        assert report.diagnostics["route"] == "eigenfunction"
-        assert searches
-        assert len(calls) <= len(searches)
-        probes = [_elementwise_find_A0(*args)[2] for args in searches]
-        assert min(probes) >= 5
 
 
 class TestMarginObject:
@@ -551,9 +508,10 @@ class TestMarginObject:
     @pytest.mark.parametrize("argv", [
         ["bartnik", "--n", "2", "--seed-cos", "0.3"],
         ["bartnik", "--n", "2", "--seed-cos", "0.6", "--lambda", "-3.5"],
-    ], ids=["cos-0.3", "cos-0.6-lam"])
+        ["bartnik", "--n", "2", "--seed-cos", "0.62"],
+    ], ids=["cos-0.3", "cos-0.6-lam", "cos-0.62-eigen"])
     def test_ladders_build_no_elementwise_field(self, argv, monkeypatch):
-        # A guard on work: every probe and every build of a default cos
+        # A guard on work: every amplitude and every build of a default cos
         # ladder is decided from the crossing and the row bounds.
         calls = []
 
@@ -564,7 +522,6 @@ class TestMarginObject:
             return record
 
         monkeypatch.setattr(co, "_margin_parts", recording("_margin_parts"))
-        monkeypatch.setattr(co, "_margin_passes", recording("_margin_passes"))
         for grid in ("scalar_curvature", "dec_margin"):
             monkeypatch.setattr(co.ChargedCollar, grid, property(recording(grid)))
         out = io.StringIO()

@@ -884,7 +884,6 @@ def test_slice_field_extremes_are_taken_once(make_path, monkeypatch):
     path = make_path()
     fields = slice_geometry(path)
     assert fields.min_scalar_curvature == float(np.min(fields.scalar_curvature))
-    assert fields.max_gprime_sq == float(np.max(fields.gprime_sq))
     # Readers take the memoized minimum; none reduces the arrays again.
     reductions = []
     monkeypatch.setattr(np, "min", lambda *args, **kwargs: reductions.append(args))

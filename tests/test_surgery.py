@@ -517,6 +517,25 @@ class TestMollifyAndCertify:
         with pytest.raises(PreconditionError):
             su.mollify_and_certify(bridge, 0.0, 0.0, 2)
 
+    def test_nan_margins_make_a_nan_floor_that_is_refused(self, strict_inputs):
+        # A left piece whose f'' is NaN on half the points of each call: the
+        # floor is NaN, not the minimum of the finite margins, and the
+        # mollifier refuses it before choosing a radius.
+        clean = strict_inputs.left.evaluator
+
+        def evaluate(s):
+            f, df, d2f = clean(s)
+            d2f.ravel()[::2] = math.nan
+            return f, df, d2f
+
+        left = dataclasses.replace(strict_inputs.left, evaluator=evaluate)
+        inputs = dataclasses.replace(strict_inputs, left=left)
+        shifted, _ = su.translate_right_interval(inputs)
+        bridge = su.build_bridge(inputs, shifted)
+        assert math.isnan(su._margin_floor(bridge, 2, 0.0, -3.0))
+        with pytest.raises(PreconditionError, match="margin floor off the junctions is nan"):
+            su.mollify_and_certify(bridge, 0.0, -3.0, 2)
+
     def test_input_sample_an_ulp_inside_a_cutoff_edge_is_not_repeated(
             self, strict_inputs):
         # A piece of odd sample count has a sample at its cutoff edge (mid1

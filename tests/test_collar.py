@@ -400,9 +400,11 @@ class TestAmplitudeCrossing:
             base[100, 0], base[100, 1] = 1e-3, 1e6
         return base, well
 
-    @pytest.mark.parametrize("kind, worst", [
-        ("core-negative", (100, 2)), ("core-zero", (100, 2)), ("core-subnormal", (7, 1)),
-        ("core-nan", (5, 0)), ("well-nan", (200, 1)), ("never", (0, 0))])
+    _WORST = [("core-negative", (100, 2)), ("core-zero", (100, 2)),
+              ("core-subnormal", (7, 1)), ("core-nan", (5, 0)), ("well-nan", (200, 1)),
+              ("never", (0, 0))]
+
+    @pytest.mark.parametrize("kind, worst", _WORST, ids=[kind for kind, _ in _WORST])
     def test_fields_without_a_crossing_raise_at_the_worst_core(
             self, coarse_cos, kind, worst, monkeypatch):
         # A core <= 0 (even where a window of amplitudes would pass), a
@@ -419,8 +421,9 @@ class TestAmplitudeCrossing:
                 "t": float(coarse_cos.t_grid[worst[0]]), "theta": float(theta[worst[1]])}
         assert repr(error.value.diagnostics) == repr(want)
 
-    @pytest.mark.parametrize("kind, crossing", [
-        ("well-zero", 1.0), ("well-positive", 1.0), ("band", 2.25), ("plain", 1.0)])
+    _CROSSING = [("well-zero", 1.0), ("well-positive", 1.0), ("band", 2.25), ("plain", 1.0)]
+
+    @pytest.mark.parametrize("kind, crossing", _CROSSING, ids=[kind for kind, _ in _CROSSING])
     def test_wells_of_either_sign_have_a_crossing(self, coarse_cos, kind, crossing,
                                                   monkeypatch):
         # With core > 0 everywhere, samples with well >= 0 pass at every

@@ -281,8 +281,8 @@ class BridgedProfile:
     """A C^{1,1} join: left profile, monotone bridge segment, right profile.
 
     The bridge slope is zeta(s) = c2 + (c1 - c2) * psi(tau) with psi a smooth
-    unit step falling from 1 to 0 across a band centered at x_c inside (0,1);
-    its center is the one free shape parameter.  The radius is the running
+    unit step falling from 1 to 0 across the band [x_c - rho, x_c + rho] of
+    (0,1), which ``build_bridge`` centers.  The radius is the running
     integral of zeta starting from the left junction value.
     """
 
@@ -370,38 +370,17 @@ def _scatter_rows(out, mask, rows) -> None:
 def build_bridge(inputs: GlueInputs, shifted: SampledProfile) -> BridgedProfile:
     """Join the left profile to the shifted right profile by a C^{1,1} bridge.
 
-    The step center is solved so the bridge slope integrates to exactly the
-    radius gap; by symmetry of the step the integral is an affine function of
-    the center, and the root is bracketed strictly inside (0,1) whenever the
-    translation left admissible room.  The solved bridge is re-integrated
-    numerically as an independent confirmation.
+    The step is centered at x_c = 1/2 with half-width rho = 0.475.  The
+    bridge slope then averages (c1 + c2) / 2, because the unit step is
+    symmetric about its center, and ``translate_right_interval`` set the
+    length to 2 gap / (c1 + c2): the slope integrates to the radius gap.
+    The bridge is re-integrated numerically as an independent confirmation.
     """
-    c1, c2 = inputs.slope_left, float(shifted.df[0])
     b1 = inputs.b1
     a2 = float(shifted.s_grid[0])
-    length = a2 - b1
-    if length <= 0.0:
+    if a2 - b1 <= 0.0:
         raise InternalConsistencyError("shifted right interval must start beyond b1")
     gap = float(shifted.f[0]) - inputs.f1_b1
-    dc = c1 - c2
-
-    if dc <= 1e-14 * (1.0 + abs(c1)):
-        if abs(length * c1 - gap) > 1e-9 * (1.0 + abs(gap)):
-            raise InternalConsistencyError(
-                "equal-slope bridge cannot meet the radius gap at this distance")
-        x_c = 0.5
-    else:
-        def residual(x):
-            return length * (c2 + dc * x) - gap
-
-        lo, hi = 1e-3, 1.0 - 1e-3
-        if not residual(lo) < 0.0 < residual(hi):
-            raise InternalConsistencyError(
-                "no admissible step center: the translated interval leaves "
-                "the required slope average out of range")
-        x_c = brent_root(residual, lo, hi, xtol=1e-15, rtol=8.9e-16)
-
-    rho = 0.95 * min(x_c, 1.0 - x_c)
     bridge = BridgedProfile(
         left=inputs.left,
         right=shifted,
@@ -409,8 +388,8 @@ def build_bridge(inputs: GlueInputs, shifted: SampledProfile) -> BridgedProfile:
         b1=b1,
         a2=a2,
         b2=float(shifted.s_grid[-1]),
-        x_c=x_c,
-        rho=rho,
+        x_c=0.5,
+        rho=0.475,
     )
 
     ss = np.linspace(b1, a2, 4097)

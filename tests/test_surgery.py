@@ -12,7 +12,12 @@ from charged_extensions import collar as co
 from charged_extensions import lambda_rn
 from charged_extensions import sphere_seed
 from charged_extensions import surgery as su
-from charged_extensions.errors import DomainError, PreconditionError, VerificationError
+from charged_extensions.errors import (
+    DomainError,
+    InternalConsistencyError,
+    PreconditionError,
+    VerificationError,
+)
 from charged_extensions.lambda_rn import (
     RNParams,
     SampledProfile,
@@ -398,8 +403,15 @@ class TestTranslateRightInterval:
 
 class TestBuildBridge:
     def test_step_center_solves_the_radius_gap(self, line_glue):
+        # The translated length 2 gap / (c1 + c2) puts the root of the
+        # affine residual length (c2 + (c1 - c2) x) - gap at x = 1/2.
         bridge, _, _ = line_glue
-        assert bridge.x_c == pytest.approx(0.5, abs=1e-12)
+        assert (bridge.x_c, bridge.rho) == (0.5, 0.475)
+
+    def test_length_off_the_radius_gap_fails_the_reintegration(self, strict_inputs):
+        shifted, _ = su.translate_right_interval(strict_inputs)
+        with pytest.raises(InternalConsistencyError, match="bridge slope integrates"):
+            su.build_bridge(strict_inputs, su._shift_profile(shifted, 0.1))
 
     def test_slope_matches_junction_slopes(self, line_glue):
         bridge, _, _ = line_glue

@@ -213,7 +213,6 @@ _PATH = (
 )
 
 _PIPELINE = _PATH + (
-    _pipeline_option("mass_gap_tol", "mass agreement tolerance"),
     _pipeline_option("witness_floor", "largest witness exponent"),
 )
 

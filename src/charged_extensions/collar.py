@@ -6,10 +6,10 @@ the lapse v is either a constant A or A times the first eigenfunction of
 -Laplacian + R/2 on each slice.  The module evaluates the scalar
 curvature of the collar, verifies the strict dominant energy condition
 against the electric field q / (v r_o^n F^n) d_t, sets the lapse
-amplitude from the margin's crossing, searches for bending parameters
-eps, computes the Hawking mass
-curve along the foliation with monotonicity verdicts, and converts the
-round tail of the collar into an arclength radial profile for gluing.
+amplitude from the margin's crossing, solves the flare eps for a stated
+far-mass gain, computes the Hawking mass curve along the foliation with
+monotonicity verdicts, and converts the round tail of the collar into an
+arclength radial profile for gluing.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     PreconditionError,
 )
 from .lambda_rn import RNParams, SampledProfile
-from .numutil import diff1_4th
+from .numutil import brent_root, diff1_4th
 from .quasilocal import HawkingCurve, m_o, unit_sphere_volume
 from .sphere_seed import (
     MetricPath,
@@ -627,37 +627,42 @@ def find_A0(
     return spec.at_amplitude(_AMPLITUDE_FACTOR * math.sqrt(margin.crossing))
 
 
-def find_eps0(n: int, r_o: float, q: float, lam: float, a0: float) -> float:
-    """Largest grid epsilon for which the far-end mass exceeds m_o.
+def find_eps0(n: int, r_o: float, q: float, lam: float, gain: float) -> float:
+    """The collar flare whose far-mass bound gains ``gain`` over m_o, capped at 1.
 
-    Searches the geometric grid 1, 1/2, ..., 2^-52 (the float resolution
-    of 1 + epsilon) and requires the mass gain at the given amplitude and at
-    ten times it (the gain grows with the amplitude, which this spot-checks).
-    The far-end mass is that of the last slice of a round constant-lapse
-    collar, for the whole grid at both amplitudes in one array.
+    At flare epsilon the round tail ends at r = r_o sqrt(1 + epsilon) with
+    far mass U(epsilon) - r^(n-1) epsilon^2 r_o^2 / (2 (1 + epsilon) A^2),
+    where U = r^(n-1) p_0(r) / 2 and p_0 is the model potential at zero
+    mass.  So U bounds the far mass from above at every amplitude A, and it
+    increases with epsilon: dU/dr = (n-1) h(r) / (2 r^n) > 0 once the
+    sub-extremality h(r_o) > 0 holds.  One bracketed root on (0, 1] solves
+    U(epsilon) - m_o = gain; where U(1) falls short of it the flare is 1.
+
+    U - m_o is taken term by term, each r^k - r_o^k as
+    r_o^k expm1(k log1p(epsilon) / 2), so no gain cancels against m_o.
+    Raises PreconditionError when the sub-extremality fails.
     """
     params = RNParams(n=n, m=0.0, q=q, lam=lam)
     if not lambda_rn.eval_h(params, r_o) > 0.0:
         raise PreconditionError(
             f"quasi-local sub-extremality fails at r_o = {r_o!r}"
         )
-    reference = m_o(n, r_o, q, lam)
-    epsilon = np.ldexp(1.0, -np.arange(53))
-    stretch = 1.0 + epsilon
-    radius = np.sqrt(stretch) * r_o
-    # radius^(n-1) by Python's float power, which NumPy's array power does
-    # not always match, so each mass rounds as a scalar evaluation does.
-    area = np.array([r ** (n - 1) for r in radius.tolist()])
-    amplitude_sq = np.array([[a0 ** 2], [(10.0 * a0) ** 2]])
-    loss = epsilon * epsilon * r_o ** 2 / (stretch * amplitude_sq)
-    gain = 0.5 * area * (lambda_rn.eval_p(params, radius) - loss) - reference
-    grows = (gain > 0.0).all(axis=0)
-    if grows.any():
-        return float(epsilon[int(np.argmax(grows))])
-    raise ConstructionError(
-        "no epsilon on the geometric grid grows the far-end mass",
-        diagnostics={"r_o": r_o, "q": q, "lam": lam, "a0": a0},
-    )
+    if not gain > 0.0:
+        raise DomainError(f"mass gain must be positive, got {gain!r}")
+    # 2 (U - m_o) / r_o^(n-1) = E(n-1) + charge E(1-n) - cosmological E(n+1),
+    # with E(k) = (1 + epsilon)^(k/2) - 1.
+    charge = q * q / r_o ** (2 * (n - 1))
+    cosmological = 2.0 * lam * r_o ** 2 / (n * (n + 1))
+    target = 2.0 * gain / r_o ** (n - 1)
+
+    def excess(epsilon):
+        half_log = 0.5 * math.log1p(epsilon)
+        return (math.expm1((n - 1) * half_log) + charge * math.expm1((1 - n) * half_log)
+                - cosmological * math.expm1((n + 1) * half_log)) - target
+
+    if not excess(1.0) > 0.0:
+        return 1.0
+    return brent_root(excess, 0.0, 1.0, xtol=0.0, rtol=8.9e-16)
 
 
 def _a1_threshold(collar: ChargedCollar) -> float:

@@ -2,8 +2,9 @@
 
 The pipeline accepts minimal-boundary sphere data (a round radius, an
 axisymmetric conformal exponent, or an explicit normalized metric path),
-builds a mass-gaining collar, and glues a model tail of any requested
-total mass above the optimal value.  Reports embed the full resolved
+builds a mass-gaining collar whose flare is solved to spend a fixed share
+of the gap between the requested and the optimal mass, and glues a model
+tail of the requested total mass.  Reports embed the full resolved
 configuration and the verification fields needed by downstream tooling.
 """
 
@@ -55,28 +56,23 @@ __all__ = [
 class PipelineConfig:
     """Numeric knobs of the construction pipeline.
 
-    The grid sizes and tolerances a caller may set live here; every report
-    embeds the resolved values through ``as_dict`` so that artifacts are
+    The grid sizes a caller may set live here; every report embeds the
+    resolved values through ``as_dict`` so that artifacts are
     self-describing.  Fixed constants of the construction are not knobs:
     the path's switch time (``sphere_seed._THETA_SWITCH``), the 5%
     curvature-floor margin (``collar._FLOOR_MARGIN``), which lives where
-    ``collar.select_route`` decides kappa, the collar flare's cap of 0.9 of
-    the mass headroom (``_MASS_FRACTION``) and the selftest's fixed
-    tolerances and RNG seed (``_SELFTEST_SEED``).
+    ``collar.select_route`` decides kappa, the share 0.9 of the mass gap
+    m - m_o that the collar flare spends (``_MASS_FRACTION``) and the
+    selftest's fixed tolerances and RNG seed (``_SELFTEST_SEED``).
 
     - ``n_t``: number of time samples along the collar path.
     - ``n_theta``: polar samples of axisymmetric seed metrics.
-    - ``mass_gap_tol``: relative gap required between the far collar
-      mass and the requested mass.  The model end's mass is not checked
-      with it: ``surgery.glue_to_rn`` holds the far-end Hawking mass to
-      the requested mass within its own 1e-8 (1 + |m_e|).
     - ``witness_floor``: largest exponent k of the mass witnesses
       (1 + 2^-k) m_o tried by ``bartnik_report``.
     """
 
     n_t: int = 513
     n_theta: int = 1025
-    mass_gap_tol: float = 1e-8
     witness_floor: int = 7
 
     def __post_init__(self) -> None:
@@ -85,10 +81,6 @@ class PipelineConfig:
         if not isinstance(self.n_theta, int) or self.n_theta < 5:
             raise DomainError(
                 f"n_theta must be an integer >= 5, got {self.n_theta!r}"
-            )
-        if not self.mass_gap_tol > 0.0:
-            raise DomainError(
-                f"mass_gap_tol must be positive, got {self.mass_gap_tol!r}"
             )
         if not isinstance(self.witness_floor, int) or self.witness_floor < 1:
             raise DomainError(
@@ -197,71 +189,46 @@ def _stage(name: str):
         raise
 
 
-# Fraction of the requested-mass headroom the collar flare may consume,
-# keeping the far collar mass strictly below the requested total mass.
+# Share of the mass gap m - m_o that the collar flare spends: find_eps0 puts
+# the round tail's far-mass bound U(eps) at m_o + _MASS_FRACTION (m - m_o),
+# so the far collar mass stays (1 - _MASS_FRACTION)(m - m_o) or more below m.
 _MASS_FRACTION = 0.9
-
-
-def _flare_parameters(
-    path: ss.MetricPath,
-    data: BartnikDataSpec,
-    m: float,
-    m_o_val: float,
-    kappa: float,
-    case_id: str,
-) -> co.CollarSpec:
-    """Joint choice of the collar flare epsilon and amplitude.
-
-    The flare is capped by ``_MASS_FRACTION`` of the mass headroom (so the
-    far collar mass stays below the requested total mass), by the collar's
-    epsilon <= 1 and by the largest admissible value for the resulting
-    amplitude; amplitude and flare feed each other, so the pair is iterated
-    to a fixed point.  Returns the collar spec of the pair.
-    """
-    headroom = (m / m_o_val) ** (2.0 / (data.n + 1)) - 1.0
-    eps = min(1.0, _MASS_FRACTION * headroom)
-    for _ in range(6):
-        spec = co.find_A0(path, eps, kappa, case_id, data.q, data.lam)
-        allowed = co.find_eps0(data.n, path.r_o, data.q, data.lam, spec.A)
-        if allowed >= eps:
-            return spec
-        # Drop this spec's margin before the next find_A0 builds its own.
-        eps, spec = allowed, None
-    return co.find_A0(path, eps, kappa, case_id, data.q, data.lam)
 
 
 def _build_collar_tail(
     path: ss.MetricPath,
     data: BartnikDataSpec,
-    config: PipelineConfig,
     m: float,
     m_o_val: float,
     kappa: float,
     case_id: str,
 ):
-    """Build the collar, halving the flare until its far mass clears m.
+    """Build the collar whose flare spends ``_MASS_FRACTION`` of the gap.
 
-    Returns the collar, its arclength tail and the tail's far mass; the
-    collar's spec carries the flare, amplitude and kappa it was built with.
+    The flare is solved once (``collar.find_eps0``), the amplitude set once
+    at it (``collar.find_A0``) and the collar built once.  Certifies that
+    the tail's far Hawking mass m_star lies strictly between m_o and m, or
+    raises ConstructionError with the flare, amplitude and both masses.
+    Returns the collar, its arclength tail and m_star; the collar's spec
+    carries the flare, amplitude and kappa it was built with.
     """
-    spec = _flare_parameters(path, data, m, m_o_val, kappa, case_id)
-    floor = spec.epsilon * 2.0 ** -20
-    while True:
-        built = co.build_collar(spec)
-        tail = co.tail_to_arclength(built)
-        f_b = float(tail.f[-1])
-        df_b = float(tail.df[-1])
-        m_star = ql.hawking_rotsym(data.n, data.q, data.lam, f_b, df_b)
-        if m_star < m and m - m_star > config.mass_gap_tol * (1.0 + abs(m)):
-            return built, tail, m_star
-        if spec.epsilon <= floor:
-            raise ConstructionError(
-                "collar flare cannot be made small enough to keep the far "
-                "collar mass below the requested mass",
-                diagnostics={"m": m, "m_star": m_star, "epsilon": spec.epsilon},
-            )
-        eps = max(floor, 0.5 * spec.epsilon)
-        spec = co.find_A0(path, eps, kappa, case_id, data.q, data.lam)
+    epsilon = co.find_eps0(
+        data.n, path.r_o, data.q, data.lam, _MASS_FRACTION * (m - m_o_val)
+    )
+    spec = co.find_A0(path, epsilon, kappa, case_id, data.q, data.lam)
+    built = co.build_collar(spec)
+    tail = co.tail_to_arclength(built)
+    m_star = ql.hawking_rotsym(
+        data.n, data.q, data.lam, float(tail.f[-1]), float(tail.df[-1])
+    )
+    if not m_o_val < m_star < m:
+        raise ConstructionError(
+            "far collar mass does not lie strictly between the optimal and "
+            "the requested mass",
+            diagnostics={"epsilon": epsilon, "amplitude": spec.A,
+                         "m_star": m_star, "m_o": m_o_val, "m": m},
+        )
+    return built, tail, m_star
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +415,7 @@ def construct_extension(
 
     with _stage("collar"):
         built, tail, m_star = _build_collar_tail(
-            path, data, config, m, m_o_val, kappa, case_id
+            path, data, m, m_o_val, kappa, case_id
         )
 
     with _stage("surgery"):

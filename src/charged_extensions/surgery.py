@@ -1002,6 +1002,11 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
     table = _profile_arclength(params_e, mu, cls)
     s0, s_reach = (float(s) for s in
                    model_arclength(params_e, [r_c, r_c + reach], mu, arclength=table))
+    if not s0 > 0.0:
+        # r_C so close to the model's start that its arclength rounds to 0.
+        raise ConstructionError(
+            "bend station arclength is not positive",
+            {"r_C": r_c, "r_plus": cls.r_plus, "s0": s0})
     s_cut = min(s0 + reach, s_reach)
     if mu is None:
         model = rn_profile(params_e, s_cut, arclength=table)

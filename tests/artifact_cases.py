@@ -78,6 +78,9 @@ CASES = [
                          "--mass", "5.4400830078125"]),
     ("extend-round-small", ["extend", "--n", "2", "--r-o", "0.5", "--q", "0.1",
                             "--lambda", "-4", "--mass", "0.3647916666666667"]),
+    # A mass dial rung m = (1 + 2^-28) m_o: the collar spends 0.9 of the gap.
+    ("extend-round-dial", ["extend", "--n", "2", "--r-o", "1.0",
+                           "--mass", "0.5000000018626451"]),
 ]
 
 

@@ -77,7 +77,6 @@ class TestParseConfig:
             "mass",
             "n_t",
             "n_theta",
-            "mass_gap_tol",
             "witness_floor",
             "out",
             "profile_out",
@@ -110,14 +109,25 @@ class TestParseConfig:
 
     def test_environment_is_not_an_option_source(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.json"
-        path.write_text('{"n": 2, "r_o": 1.0, "mass": 0.6, "mass_gap_tol": 1e-6}')
-        monkeypatch.setenv("CHARGED_EXTENSIONS_MASS_GAP_TOL", "1e-5")
+        path.write_text('{"n": 2, "r_o": 1.0, "mass": 0.6, "witness_floor": 4}')
         monkeypatch.setenv("CHARGED_EXTENSIONS_WITNESS_FLOOR", "5")
         monkeypatch.setenv("CHARGED_EXTENSIONS_N_T", "99")
+        monkeypatch.setenv("CHARGED_EXTENSIONS_N_THETA", "65")
         config = cli_io.parse_config(["extend", "--config", str(path)])
-        assert config.options["mass_gap_tol"] == 1e-6
-        assert config.options["witness_floor"] == 7
+        assert config.options["witness_floor"] == 4
         assert config.options["n_t"] == 513
+        assert config.options["n_theta"] == 1025
+
+    def test_mass_gap_tol_is_no_longer_an_option(self, tmp_path, capsys):
+        # The collar's far mass sits 0.1 (m - m_o) below m by construction.
+        path = tmp_path / "cfg.json"
+        path.write_text('{"n": 2, "r_o": 1.0, "mass": 0.6, "mass_gap_tol": 1e-6}')
+        with pytest.raises(cli_io.UsageError, match="mass_gap_tol"):
+            cli_io.parse_config(["extend", "--config", str(path)])
+        with pytest.raises(SystemExit):
+            cli_io.parse_config(["extend", "--n", "2", "--r-o", "1.0", "--mass", "0.6",
+                                 "--mass-gap-tol", "1e-6"])
+        assert "--mass-gap-tol" in capsys.readouterr().err
 
     def test_unknown_config_key_names_the_key(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -197,7 +207,7 @@ class TestParseConfig:
 
     def test_options_per_subcommand(self):
         commands = ("extend", "bartnik", "selftest", "collar")
-        assert [len(cli_io._COMMANDS[c]) for c in commands] == [14, 11, 6, 13]
+        assert [len(cli_io._COMMANDS[c]) for c in commands] == [13, 10, 5, 13]
 
 
 class TestFormatting:

@@ -6,6 +6,7 @@ import contextlib
 import io
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -581,60 +582,76 @@ class TestHawkingCurve:
         assert math.isclose(gain, epsilon / 4.0, rel_tol=0.02)
 
 
-class TestEpsilonSearch:
-    def test_frozen_values(self):
-        assert co.find_eps0(2, 1.0, 0.0, 0.0, 1.46) == 1.0
-        assert co.find_eps0(2, 1.0, 0.0, 0.0, 0.5) == 0.125
+# (n, r_o, q, lam) of the flare solve's cases: uncharged, charged, and
+# charged with a negative cosmological constant, at three radii.
+FLARE_CASES = [
+    (n, r_o, u * r_o ** (n - 1), lam_r2 / r_o ** 2)
+    for n in (2, 3, 4)
+    for r_o in (0.5, 1.0, 2.0)
+    for u, lam_r2 in ((0.0, 0.0), (0.3, 0.0), (0.45, -2.5))
+]
 
-    def test_gain_positive_at_returned_epsilon(self):
-        epsilon = co.find_eps0(2, 1.0, 0.0, 0.0, 0.5)
-        spec = round_spec(
-            sphere_seed.round_path(2, 1.0, n_t=65), epsilon=epsilon, amplitude=0.55
-        )
-        curve = co.build_collar(spec).hawking
-        assert curve.mass[-1] > 0.5
+
+def _far_mass_gain(n, r_o, q, lam, epsilon):
+    """U(epsilon) - m_o of the round tail's far-mass bound, to 40 digits."""
+    with localcontext() as context:
+        context.prec = 40
+        r_o, q, lam = Decimal(r_o), Decimal(q), Decimal(lam)
+        r = r_o * (1 + Decimal(epsilon)).sqrt()
+
+        def u(radius):
+            return (radius ** (n - 1) + q * q / radius ** (n - 1)
+                    - 2 * lam * radius ** (n + 1) / (n * (n + 1))) / 2
+
+        return u(r) - u(r_o)
+
+
+class TestEpsilonSearch:
+    @pytest.mark.parametrize("n, r_o, q, lam", FLARE_CASES)
+    def test_far_mass_bound_gains_the_target(self, n, r_o, q, lam):
+        # U(eps) - m_o = 0.9 (m - m_o) within an ulp of m, from gaps that
+        # leave the flare below 1 down to 2^-50 (U - m_o taken by plain
+        # subtraction misses by up to 3.6 ulps on these cases).
+        reference = m_o(n, r_o, q, lam)
+        for k in (2, 5, 10, 20, 30, 40, 50):
+            mass = (1.0 + 2.0 ** -k) * reference
+            gain = 0.9 * (mass - reference)
+            epsilon = co.find_eps0(n, r_o, q, lam, gain)
+            assert 0.0 < epsilon < 1.0
+            error = _far_mass_gain(n, r_o, q, lam, epsilon) - Decimal(gain)
+            assert abs(error) <= Decimal(math.ulp(mass)), k
+
+    def test_flare_is_one_where_the_bound_falls_short(self):
+        # U(1) - m_o = (sqrt(2) - 1) / 2 for the unit uncharged n = 2 sphere.
+        short = 0.5 * (math.sqrt(2.0) - 1.0)
+        assert co.find_eps0(2, 1.0, 0.0, 0.0, 1.01 * short) == 1.0
+        assert co.find_eps0(2, 1.0, 0.0, 0.0, 10.0) == 1.0
+        assert co.find_eps0(2, 1.0, 0.0, 0.0, 0.99 * short) < 1.0
 
     def test_requires_subextremal_radius(self):
         with pytest.raises(PreconditionError):
-            co.find_eps0(2, 1.0, 1.0, 0.0, 2.0)
+            co.find_eps0(2, 1.0, 1.0, 0.0, 0.1)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("r_o", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("u, lam_r2", [(0.0, 0.0), (0.3, 0.0), (0.45, -2.5)])
-    def test_batched_grid_matches_the_scalar_loop(self, n, r_o, u, lam_r2):
-        q, lam = u * r_o ** (n - 1), lam_r2 / r_o ** 2
-        for a0 in (1e-9, 3e-8, 1e-5, 0.05, 0.5, 1.46, 30.0):
-            want = _scalar_eps0(n, r_o, q, lam, a0)
-            try:
-                got = co.find_eps0(n, r_o, q, lam, a0)
-            except ConstructionError:
-                got = None
-            assert got == want, a0
+    @pytest.mark.parametrize("n, q, lam", [(2, 0.0, 0.0), (3, 0.1, 0.0), (2, 0.2, -1.0),
+                                           (4, 0.3, -0.5)])
+    @pytest.mark.parametrize("gap", [0.3, 2.0 ** -20, 2.0 ** -45])
+    def test_flare_is_scale_free_bit_for_bit(self, n, q, lam, gap):
+        # (r_o, q, lam, gain) -> (c r_o, c^(n-1) q, lam / c^2, c^(n-1) gain)
+        # leaves the flare unchanged for c = 2^k.
+        r_o = 1.3
+        want = co.find_eps0(n, r_o, q, lam, gap)
+        for k in range(-20, 21):
+            c = 2.0 ** k
+            scale = c ** (n - 1)
+            got = co.find_eps0(n, c * r_o, scale * q, lam / c ** 2, scale * gap)
+            assert got == want, k
 
-    def test_no_growing_epsilon_is_a_construction_error(self):
-        assert _scalar_eps0(2, 1.0, 0.0, 0.0, 1e-9) is None
-        with pytest.raises(ConstructionError, match="no epsilon on the geometric grid"):
-            co.find_eps0(2, 1.0, 0.0, 0.0, 1e-9)
-
-
-def _scalar_eps0(n, r_o, q, lam, a0):
-    """The flare search one epsilon and one amplitude at a time (None when no
-    epsilon grows the far-end mass): the reference for the batched grid."""
-    params = lambda_rn.RNParams(n=n, m=0.0, q=q, lam=lam)
-    reference = m_o(n, r_o, q, lam)
-
-    def far_end_mass(epsilon, amplitude):
-        stretch = 1.0 + epsilon
-        radius = math.sqrt(stretch) * r_o
-        loss = epsilon ** 2 * r_o ** 2 / (stretch * amplitude ** 2)
-        return 0.5 * radius ** (n - 1) * (lambda_rn.eval_p(params, radius) - loss)
-
-    for k in range(53):
-        epsilon = 2.0 ** (-k)
-        if (far_end_mass(epsilon, a0) - reference > 0.0
-                and far_end_mass(epsilon, 10.0 * a0) - reference > 0.0):
-            return epsilon
-    return None
+    def test_gain_positive_at_returned_epsilon(self):
+        epsilon = co.find_eps0(2, 1.0, 0.0, 0.0, 0.9 * 0.05)
+        spec = co.find_A0(sphere_seed.round_path(2, 1.0, n_t=65), epsilon, 0.95,
+                          co.CONSTANT_LAPSE, 0.0, 0.0)
+        curve = co.build_collar(spec).hawking
+        assert 0.5 < curve.mass[-1] < 0.5 + 0.9 * 0.05
 
 
 class TestMonotonicity:

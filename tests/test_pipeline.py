@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ class TestPipelineConfig:
         assert echoed["n_t"] == 513
         assert echoed["witness_floor"] == 7
         assert pl.PipelineConfig(**echoed) == config
-        assert list(echoed) == ["n_t", "n_theta", "mass_gap_tol", "witness_floor"]
+        assert list(echoed) == ["n_t", "n_theta", "witness_floor"]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -68,9 +69,6 @@ class TestPipelineConfig:
             {"n_theta": 4},
             {"n_theta": 1025.0},
             {"n_t": 513.0},
-            {"mass_gap_tol": -1e-8},
-            {"mass_gap_tol": float("nan")},
-            {"mass_gap_tol": 0.0},
             {"witness_floor": 0},
             {"witness_floor": 7.0},
             {"n_theta": -1025},
@@ -209,20 +207,72 @@ class TestConstructExtension:
         assert abs(report.achieved_mass - mass) <= 1e-8
         assert abs(report.penrose_slack - 2.0 ** -7 * 0.5) <= 1e-8
 
-    @pytest.mark.parametrize("n, q, lam", [(2, 0.0, 0.0), (3, 0.1, 0.0), (2, 0.2, -1.0)])
-    def test_mass_dial_below_a_2_20_gap(self, n, q, lam):
-        # The flare grid reaches 2^-52, so the dial goes on past 2^-20 until
-        # the gap falls under mass_gap_tol (1e-8), where the collar stage
-        # fails with its typed error.
+    # (n, q, lam, k) of round seeds at r_o = 1 and the first rung
+    # m = (1 + 2^-k) m_o of the mass dial that does not certify.
+    DIAL = [(2, 0.0, 0.0, 31), (3, 0.1, 0.0, 30), (2, 0.2, -1.0, 31), (4, 0.0, 0.0, 30)]
+
+    @pytest.mark.parametrize("n, q, lam, limit", DIAL)
+    def test_mass_dial_below_a_2_20_gap(self, n, q, lam, limit):
+        # The solved flare keeps spending 0.9 of the gap, so the collar
+        # certifies every rung; the dial stops in the bend's band search.
         data = pl.BartnikDataSpec(n=n, q=q, lam=lam, r_o=1.0)
         m_o = ql.m_o(n, 1.0, q, lam)
-        for k in (20, 22, 24):
+        for k in range(20, limit):
             mass = (1.0 + 2.0 ** -k) * m_o
             report = pl.construct_extension(data, mass)
             assert abs(report.achieved_mass - mass) <= 1e-8 * (1.0 + mass)
             assert report.penrose_slack > 0.0
-        with pytest.raises(ConstructionError, match=r"\[stage: collar\]"):
-            pl.construct_extension(data, (1.0 + 2.0 ** -26) * m_o)
+            assert m_o < report.diagnostics["far_collar_mass"] < mass
+        with pytest.raises(ConstructionError,
+                           match=r"\[stage: surgery\] no band width certified the bend"):
+            pl.construct_extension(data, (1.0 + 2.0 ** -limit) * m_o)
+
+    @pytest.mark.parametrize("n, q, lam, limit", DIAL)
+    def test_mass_dial_fails_typed_down_to_2_52(self, n, q, lam, limit):
+        # Past its limit every rung is refused by a ConstructionError of the
+        # collar or surgery stage: none is a DomainError blaming the input.
+        data = pl.BartnikDataSpec(n=n, q=q, lam=lam, r_o=1.0)
+        m_o = ql.m_o(n, 1.0, q, lam)
+        for k in range(limit, 53):
+            with pytest.raises(ConstructionError,
+                               match=r"^\[stage: (collar|surgery)\] ") as caught:
+                pl.construct_extension(data, (1.0 + 2.0 ** -k) * m_o)
+            assert type(caught.value) is ConstructionError, k
+
+    def test_station_at_the_horizon_is_a_construction_error(self):
+        # At a 2^-45 gap the station radius rounds onto the horizon, where
+        # the model's arclength is 0: the bend has no band to work in.
+        data = pl.BartnikDataSpec(n=3, q=0.1, lam=0.0, r_o=1.0)
+        mass = (1.0 + 2.0 ** -45) * ql.m_o(3, 1.0, 0.1, 0.0)
+        with pytest.raises(ConstructionError, match=r"\[stage: surgery\] bend station "
+                           "arclength is not positive") as caught:
+            pl.construct_extension(data, mass)
+        diagnostics = caught.value.diagnostics
+        assert diagnostics["s0"] == 0.0
+        assert diagnostics["r_C"] == diagnostics["r_plus"] > 1.0
+
+    @pytest.mark.parametrize("side", ["no gain", "past m"])
+    def test_far_collar_mass_outside_the_gap_fails_at_the_collar(self, monkeypatch, side):
+        # A tail read at a fortieth of the collar's amplitude is steeper and
+        # gains no mass; a flare of 1 on a 2^-10 gap overshoots m.
+        tail_to_arclength, find_eps0 = co.tail_to_arclength, co.find_eps0
+        if side == "no gain":
+            monkeypatch.setattr(co, "tail_to_arclength", lambda built: tail_to_arclength(
+                replace(built, spec=built.spec.at_amplitude(built.spec.A / 40.0))))
+        else:
+            monkeypatch.setattr(co, "find_eps0", lambda *args: 1.0)
+        data = pl.BartnikDataSpec(n=2, q=0.0, lam=0.0, r_o=1.0)
+        mass = (1.0 + 2.0 ** -10) * 0.5
+        with pytest.raises(ConstructionError, match=r"\[stage: collar\] far collar mass "
+                           "does not lie strictly between") as caught:
+            pl.construct_extension(data, mass)
+        diagnostics = caught.value.diagnostics
+        assert set(diagnostics) == {"epsilon", "amplitude", "m_star", "m_o", "m"}
+        if side == "no gain":
+            assert diagnostics["m_star"] <= diagnostics["m_o"] == 0.5
+        else:
+            assert diagnostics["epsilon"] == 1.0
+            assert diagnostics["m_star"] >= diagnostics["m"] == mass
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_underflowing_charge_certifies(self, n):
@@ -443,6 +493,41 @@ class TestPathWorkOncePerPath:
         assert all(entry["succeeded"] for entry in report.witnesses)
         assert calls == {"lambda1": 0, "_eigen_path": 1, "normalize_path": 1,
                          "_measure_volume_form_deviation": 0}
+
+
+class TestCollarWorkOncePerConstruction:
+    """One flare solve, one amplitude and one collar build per construction,
+    on every route.  At m = 1.5 m_o each of these cases once took two flare
+    searches and two amplitudes."""
+
+    CONFIG = pl.PipelineConfig(n_t=129, n_theta=257)
+
+    @pytest.mark.parametrize("a, lam, route", [
+        (None, 0.0, "positive-scalar"),
+        (0.3, 0.0, "positive-scalar"),
+        (None, -1.0, "negative-floor"),
+        (0.6, 0.0, "eigenfunction"),
+    ])
+    def test_collar_functions_run_once(self, monkeypatch, a, lam, route):
+        counts = dict.fromkeys(("find_eps0", "find_A0", "build_collar"), 0)
+        for name in counts:
+            def counting(*args, name=name, original=getattr(co, name)):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(co, name, counting)
+        if a is None:
+            data = pl.BartnikDataSpec(n=2, q=0.0, lam=lam, r_o=1.0)
+            radius = 1.0
+        else:
+            data = pl.BartnikDataSpec(
+                n=2, q=0.0, lam=lam, exponent=lambda theta: a * np.cos(theta))
+            radius = sphere_seed.axisym_metric_from_function(
+                data.exponent, n_theta=257).volume_radius
+        report = pl.construct_extension(
+            data, 1.5 * ql.m_o(2, radius, 0.0, lam), self.CONFIG)
+        assert report.diagnostics["route"] == route
+        assert counts == {"find_eps0": 1, "find_A0": 1, "build_collar": 1}
 
 
 class TestSelftest:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .lambda_rn import RNParams, SampledProfile
 from .numutil import brent_root, diff1_4th
-from .quasilocal import HawkingCurve, m_o, unit_sphere_volume
+from .quasilocal import HawkingCurve, unit_sphere_volume
 from .sphere_seed import (
     MetricPath,
     curvature_floor_along_path,

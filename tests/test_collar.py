@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from charged_extensions import collar as co
-from charged_extensions import cli_io, lambda_rn, sphere_seed
+from charged_extensions import cli_io, sphere_seed
 from charged_extensions.errors import (
     ConstructionError,
     DomainError,

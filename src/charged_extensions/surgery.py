@@ -6,20 +6,21 @@ strict dominant energy condition is the pointwise inequality
     Omega[f] = (n-1)/(2f) * (h(f)/f^(2(n-1)) - f'^2) > f''
 
 with h the companion polynomial of the model family.  This module joins two
-such profiles across a gap (monotone bridge, then a variable-radius
-mollification certified against a margin floor), bends a model tail so its
+such profiles across a gap (a monotone bridge, whose junctions are then
+blended in f'' and certified against a margin floor), bends a model tail so its
 radius and slope can be matched from below, and combines the two to graft a
 model end of prescribed mass and charge onto a collar tail.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.chebyshev import chebint
 
 from .errors import (
     ConstructionError,
@@ -46,6 +47,7 @@ from .lambda_rn import (
 from .numutil import (
     _smooth_step_jet,
     brent_root,
+    dct1,
     erfc,
     simpson_uniform,
     smooth_step,
@@ -57,7 +59,6 @@ __all__ = [
     "BendResult",
     "dec_margin_operator",
     "junction_mass_floor",
-    "translate_right_interval",
     "BridgedProfile",
     "build_bridge",
     "mollify_and_certify",
@@ -67,7 +68,6 @@ __all__ = [
 ]
 
 _EQUALITY_TOL = 1e-9
-_GL64 = leggauss(64)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +120,8 @@ class GlueInputs:
     above :func:`junction_mass_floor`; when one sits exactly on the floor the
     target charge must be strictly smaller in magnitude than that profile's
     charge, otherwise the joined profile could not keep a strict margin.
-    Each profile carries its dense evaluator, which the bridge and the
-    mollification read between its samples.
+    Each profile carries its dense evaluator, which the join reads between
+    and beyond its samples.
     """
 
     n: int
@@ -202,7 +202,7 @@ class GlueInputs:
 
 
 # ---------------------------------------------------------------------------
-# Interval translation
+# The join: a bridge between two pieces, blended into each
 # ---------------------------------------------------------------------------
 
 def _shift_profile(profile: SampledProfile, shift: float) -> SampledProfile:
@@ -222,33 +222,6 @@ def _shift_profile(profile: SampledProfile, shift: float) -> SampledProfile:
     )
 
 
-def translate_right_interval(inputs: GlueInputs):
-    """Slide the right profile so a monotone concave bridge can span the gap.
-
-    With end slope c1, start slope c2 and radius gap df, the bridge length is
-    L = 2*df/(c1 + c2): for equal slopes this is the unique admissible
-    length df/c, otherwise L*c1 > df > L*c2 holds strictly, which is exactly
-    the room a decreasing bridge slope needs.  Returns the shifted right
-    profile together with the applied shift.
-    """
-    c1, c2 = inputs.slope_left, inputs.slope_right
-    gap = inputs.f2_a2 - inputs.f1_b1
-    if c1 <= 0.0:
-        raise InternalConsistencyError(
-            "left end slope must be positive to bridge a positive radius gap")
-    length = 2.0 * gap / (c1 + c2)
-    if not length * c1 >= gap * (1.0 - 1e-12):
-        raise InternalConsistencyError("bridge length violates the upper slope bound")
-    if c2 < c1 and not length * c2 <= gap * (1.0 + 1e-12):
-        raise InternalConsistencyError("bridge length violates the lower slope bound")
-    shift = (inputs.b1 + length) - inputs.a2
-    return _shift_profile(inputs.right, shift), shift
-
-
-# ---------------------------------------------------------------------------
-# Bridge construction
-# ---------------------------------------------------------------------------
-
 def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     """Running integral of uniform samples, fourth order.
 
@@ -265,77 +238,168 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+# The step's integral is tabulated at the knots j / 2^14 of [0, 1].
+_ISTEP_INTERVALS = 2 ** 14
+
+
 @functools.cache
-def _istep_table() -> tuple[np.ndarray, np.ndarray]:
-    """Grid on [0, 1] and the running integral of smooth_step over it,
-    shared by every bridge."""
-    xs = np.linspace(0.0, 1.0, 16385)
-    table = (xs, _cumulative_simpson(smooth_step(xs), xs[1]))
+def _istep_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Knots of [0, 1], the running integral of smooth_step at them and the
+    slope of each knot interval, shared by every bridge."""
+    xs = np.linspace(0.0, 1.0, _ISTEP_INTERVALS + 1)
+    values = _cumulative_simpson(smooth_step(xs), xs[1])
+    table = (xs, values, np.diff(values) / np.diff(xs))
     for array in table:
         array.flags.writeable = False
     return table
 
 
+# Chebyshev-Lobatto points cos(pi k / 128), k = 0..128, of the blend zones,
+# written as sines so that the set is exactly symmetric about its middle
+# point, which is exactly 0.
+_ZONE_DEGREE = 128
+_LOBATTO = np.sin(np.pi * np.arange(_ZONE_DEGREE, -_ZONE_DEGREE - 1, -2)
+                  / (2 * _ZONE_DEGREE))
+
+
+def _zone_weight(x, outer: float):
+    """Blend weight at x = (s - mid) / width of a zone: 1 at its outer end
+    x = outer, 0 at its inner end x = -outer, smooth_step between."""
+    return smooth_step(0.5 * (1.0 + outer * x))
+
+
+@dataclass(frozen=True)
+class _Zone:
+    """A junction zone [mid - width, mid + width] across which f'' blends
+    from a piece into the bridge.
+
+    f'' is the weight of :func:`_zone_weight` times the piece's f'', read
+    through the piece's evaluator; f' and f are the Chebyshev series of f''
+    on the Lobatto points, integrated once and twice from the piece's values
+    at the outer end.  The series are in x = (s - mid) / width, so a zone
+    moves with its piece by a new mid and evaluator.
+    """
+
+    evaluate: object
+    mid: float
+    width: float
+    outer: float
+    series: np.ndarray
+
+    @classmethod
+    def build(cls, evaluate, mid: float, width: float, outer: float) -> "_Zone":
+        f, df, d2f = evaluate(mid + width * _LOBATTO)
+        end = 0 if outer > 0.0 else -1
+        d2f_series = dct1(_zone_weight(_LOBATTO, outer) * d2f) / _ZONE_DEGREE
+        d2f_series[[0, -1]] *= 0.5
+        df_series = chebint(d2f_series, k=float(df[end]), lbnd=outer, scl=width)
+        f_series = chebint(df_series, k=float(f[end]), lbnd=outer, scl=width)
+        # Rows f, f' over T_0..T_130; f' has no T_130 term.
+        series = np.zeros((2, f_series.size))
+        series[0], series[1, :-1] = f_series, df_series
+        return cls(evaluate, mid, width, outer, series)
+
+    def inner(self) -> tuple[float, float]:
+        """(f, f') at the inner end x = -outer, where T_j = (-outer)^j and
+        the bridge takes over."""
+        f, df = self.series @ (-self.outer) ** np.arange(self.series.shape[1])
+        return float(f), float(df)
+
+    def values(self, s):
+        """(f, f', f'') at points s of the zone.  The series are summed
+        over T_j(x) = cos(j arccos x) point by point, so a value does not
+        depend on the other points."""
+        x = (s - self.mid) / self.width
+        d2f = _zone_weight(x, self.outer) * self.evaluate(s)[2]
+        chebyshev = np.cos(np.multiply.outer(np.arccos(np.clip(x, -1.0, 1.0)),
+                                             np.arange(self.series.shape[1])))
+        f, df = ((chebyshev * row).sum(axis=-1) for row in self.series)
+        return f, df, d2f
+
+
 @dataclass(eq=False)
 class BridgedProfile:
-    """A C^{1,1} join: left profile, monotone bridge segment, right profile.
+    """A join: left piece, bridge, right piece translated by shift.
 
-    The bridge slope is zeta(s) = c2 + (c1 - c2) * psi(tau) with psi a smooth
-    unit step falling from 1 to 0 across the band [x_c - rho, x_c + rho] of
-    (0,1), which ``build_bridge`` centers.  The radius is the running
-    integral of zeta starting from the left junction value.
+    The bridge runs from radius f_start and slope c1 = slope_left at
+    start = b1 + width to slope c2 = slope_right at end = a2 - width.  Its
+    slope is zeta(s) = c2 + (c1 - c2) * psi(tau) with psi a smooth unit step
+    falling from 1 to 0 across the band [x_c - rho, x_c + rho] of (0, 1),
+    and its radius is the running integral of zeta, so f'' vanishes near
+    both of its ends.  With width 0 the bridge meets the pieces' end
+    samples, a C^{1,1} join (:func:`build_bridge`); otherwise each junction
+    is a blend zone of that half-width (:class:`_Zone`) and the join is
+    C^infinity.  piece is the right piece before its translation.
     """
 
     left: SampledProfile
     right: SampledProfile
-    a1: float
-    b1: float
-    a2: float
-    b2: float
-    x_c: float
-    rho: float
+    piece: SampledProfile
+    shift: float
+    f_start: float
+    slope_left: float
+    slope_right: float
+    width: float = 0.0
+    zones: tuple = ()
+
+    x_c = 0.5
+    rho = 0.475
 
     @property
-    def f1_b1(self) -> float:
-        return float(self.left.f[-1])
+    def a1(self) -> float:
+        return float(self.left.s_grid[0])
 
     @property
-    def slope_left(self) -> float:
-        return float(self.left.df[-1])
+    def b1(self) -> float:
+        return float(self.left.s_grid[-1])
 
     @property
-    def slope_right(self) -> float:
-        return float(self.right.df[0])
+    def a2(self) -> float:
+        return float(self.right.s_grid[0])
+
+    @property
+    def b2(self) -> float:
+        return float(self.right.s_grid[-1])
+
+    @property
+    def start(self) -> float:
+        return self.b1 + self.width
+
+    @property
+    def end(self) -> float:
+        return self.a2 - self.width
 
     @property
     def length(self) -> float:
-        return self.a2 - self.b1
-
-    @property
-    def junctions(self):
-        return self.b1, self.a2
+        return self.end - self.start
 
     def _step_arg(self, tau):
         return (tau - (self.x_c - self.rho)) / (2.0 * self.rho)
 
     def zeta(self, s):
-        tau = (np.asarray(s, dtype=float) - self.b1) / self.length
+        tau = (np.asarray(s, dtype=float) - self.start) / self.length
         psi = 1.0 - smooth_step(self._step_arg(tau))
         return self.slope_right + (self.slope_left - self.slope_right) * psi
 
-    def _istep(self, w):
-        """Integral of smooth_step from 0 to w, read from the shared table
-        at the w inside (0, 1) only."""
+    @staticmethod
+    def _istep(w):
+        """Integral of smooth_step from 0 to w: at the w inside (0, 1) the
+        shared table's linear interpolation, whose knot interval is
+        floor(w 2^14) and whose value is the one np.interp gives bit for
+        bit."""
         w = np.asarray(w, dtype=float)
         out = np.where(w >= 1.0, w - 0.5, 0.0)
         inner = (w > 0.0) & (w < 1.0)
-        out[inner] = np.interp(w[inner], *_istep_table())
+        w = w[inner]
+        xs, values, slopes = _istep_table()
+        j = (w * _ISTEP_INTERVALS).astype(np.intp)
+        out[inner] = slopes[j] * (w - xs[j]) + values[j]
         return out
 
     def _bridge_values(self, s):
         """(f, f', f'') on the bridge; the step's jet, whose temporaries
         are the largest, is taken while the fewest arrays are alive."""
-        tau = (s - self.b1) / self.length
+        tau = (s - self.start) / self.length
         w = self._step_arg(tau)
         dc = self.slope_left - self.slope_right
         step, dstep = _smooth_step_jet(w, 1)
@@ -343,19 +407,25 @@ class BridgedProfile:
         d2f = -dc * dstep / (2.0 * self.rho * self.length)
         del step, dstep
         psi_integral = tau - 2.0 * self.rho * self._istep(w)
-        f = self.f1_b1 + self.length * (self.slope_right * tau + dc * psi_integral)
+        f = self.f_start + self.length * (self.slope_right * tau + dc * psi_integral)
         return f, df, d2f
 
     def evaluate(self, s):
-        """Piecewise values (f, f', f'') across left piece, bridge and right
-        piece, as the rows of one array; each piece's own evaluator takes
-        all of its points in one call, and its values are written into the
-        rows one at a time."""
+        """Piecewise values (f, f', f'') across left piece, zones, bridge
+        and right piece, as the rows of one array; each part takes all of
+        its points in one call, and its values are written into the rows
+        one at a time."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.empty((3,) + s.shape)
-        left, right = s <= self.b1, s >= self.a2
-        for mask, values in ((left, self.left.evaluator), (right, self.right.evaluator),
-                             (~(left | right), self._bridge_values)):
+        left, right = s <= self.b1 - self.width, s >= self.a2 + self.width
+        middle = ~(left | right)
+        parts = [(left, self.left.evaluator), (right, self.right.evaluator)]
+        if self.zones:
+            near = middle & (s < self.start)
+            far = middle & (s > self.end)
+            middle &= ~(near | far)
+            parts += [(near, self.zones[0].values), (far, self.zones[1].values)]
+        for mask, values in parts + [(middle, self._bridge_values)]:
             if mask.any():
                 _scatter_rows(out, mask, values(s[mask]))
         return out
@@ -367,32 +437,40 @@ def _scatter_rows(out, mask, rows) -> None:
         target[mask] = row
 
 
-def build_bridge(inputs: GlueInputs, shifted: SampledProfile) -> BridgedProfile:
-    """Join the left profile to the shifted right profile by a C^{1,1} bridge.
+def _close(left: SampledProfile, piece: SampledProfile, f_start: float, c1: float,
+           f_end: float, c2: float, width: float = 0.0, zones=()) -> BridgedProfile:
+    """Bridge (f_start, c1) at b1 + width to (f_end, c2), translating the
+    right piece so that the bridge has length 2 (f_end - f_start) / (c1 + c2).
 
-    The step is centered at x_c = 1/2 with half-width rho = 0.475.  The
-    bridge slope then averages (c1 + c2) / 2, because the unit step is
-    symmetric about its center, and ``translate_right_interval`` set the
-    length to 2 gap / (c1 + c2): the slope integrates to the radius gap.
-    The bridge is re-integrated numerically as an independent confirmation.
+    The step is centered at x_c = 1/2 and symmetric about it, so the bridge
+    slope averages (c1 + c2) / 2 and integrates to the radius gap.  zones
+    are in the pieces' own coordinates; the right one moves with its piece.
     """
-    b1 = inputs.b1
-    a2 = float(shifted.s_grid[0])
-    if a2 - b1 <= 0.0:
-        raise InternalConsistencyError("shifted right interval must start beyond b1")
-    gap = float(shifted.f[0]) - inputs.f1_b1
-    bridge = BridgedProfile(
-        left=inputs.left,
-        right=shifted,
-        a1=float(inputs.left.s_grid[0]),
-        b1=b1,
-        a2=a2,
-        b2=float(shifted.s_grid[-1]),
-        x_c=0.5,
-        rho=0.475,
-    )
+    length = 2.0 * (f_end - f_start) / (c1 + c2)
+    b1 = float(left.s_grid[-1])
+    shift = (b1 + width + length + width) - float(piece.s_grid[0])
+    right = _shift_profile(piece, shift)
+    if zones:
+        zones = (zones[0], dataclasses.replace(
+            zones[1], evaluate=right.evaluator, mid=float(right.s_grid[0])))
+    return BridgedProfile(left, right, piece, shift, f_start, c1, c2, width, zones)
 
-    ss = np.linspace(b1, a2, 4097)
+
+def build_bridge(inputs: GlueInputs) -> BridgedProfile:
+    """Join the two pieces of inputs by a C^{1,1} bridge.
+
+    The bridge meets the pieces' end samples, and the right piece is
+    translated to the closed-form length of :func:`_close`; the bridge slope
+    is re-integrated numerically as an independent confirmation.
+    """
+    c1 = inputs.slope_left
+    if c1 <= 0.0:
+        raise InternalConsistencyError(
+            "left end slope must be positive to bridge a positive radius gap")
+    bridge = _close(inputs.left, inputs.right, inputs.f1_b1, c1,
+                    inputs.f2_a2, inputs.slope_right)
+    gap = inputs.f2_a2 - inputs.f1_b1
+    ss = np.linspace(bridge.b1, bridge.a2, 4097)
     integral = simpson_uniform(bridge.zeta(ss), ss[1] - ss[0])
     if abs(integral - gap) > 1e-10 * (1.0 + abs(gap)):
         raise InternalConsistencyError(
@@ -400,164 +478,17 @@ def build_bridge(inputs: GlueInputs, shifted: SampledProfile) -> BridgedProfile:
     return bridge
 
 
-# ---------------------------------------------------------------------------
-# Variable-radius mollification
-# ---------------------------------------------------------------------------
-
-# 1 / the integral of exp(-1/(1 - s^2)) over (-1, 1): the reciprocal of
-# adaptive quadrature's 0.44399381616807937, one ulp above the correctly
-# rounded 1/integral.
-_MOLLIFIER_NORM = 2.2522836210435813
-
-
-def _bump(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    inner = np.abs(s) < 1.0
-    out[inner] = np.exp(-1.0 / (1.0 - s[inner] ** 2))
-    return _MOLLIFIER_NORM * out
-
-
-class _Cutoff:
-    """Smooth cutoff: 0 on the outer halves, 1 on a plateau around the gap."""
-
-    def __init__(self, mid1, b1, a2, mid2):
-        self.mid1, self.mid2 = mid1, mid2
-        self.plateau = min(b1 - mid1, mid2 - a2) / 4.0
-        self.lo_hi = b1 - self.plateau
-        self.hi_lo = a2 + self.plateau
-        self.w_l = self.lo_hi - mid1
-        self.w_r = mid2 - self.hi_lo
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        rising = smooth_step((t - self.mid1) / self.w_l)
-        falling = smooth_step((self.mid2 - t) / self.w_r)
-        return np.minimum(rising, falling)
-
-    def derivatives(self, t):
-        """First and second derivative at t (scalar or array); every value
-        is the same whether t comes alone or inside an array."""
-        t = np.asarray(t, dtype=float)
-        rising = t < self.lo_hi
-        width = np.where(rising, self.w_l, self.w_r)
-        x = np.where(rising, t - self.mid1, self.mid2 - t) / width
-        _, d1, d2 = _smooth_step_jet(x, 2)
-        d1 = d1 / width
-        return np.where(rising, d1, -d1), d2 / (width * width)
-
-
-def _gl_panels(lo: float, hi: float, breaks, nodes, weights):
-    """Gauss nodes and weights on [lo, hi] split at the interior breaks."""
-    edges = [lo] + [b for b in sorted(breaks) if lo < b < hi] + [hi]
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        xs.append(half * nodes + 0.5 * (a + b))
-        ws.append(half * weights)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def _plateau_panels(ts, eps: float, junctions, breaks: int):
-    """Gauss nodes and weights, one row per plateau point t in ts whose
-    support holds exactly `breaks` of the junction breaks (t - j)/eps.
-
-    Row by row these are the arrays of :func:`_gl_panels` on [-1, 1], built
-    by the same elementwise operations, so every entry is the same float.
-    """
-    nodes, weights = _GL64
-    # b1 < a2, so (t - a2)/eps <= (t - b1)/eps: the columns come sorted.
-    cuts = np.stack([(ts - j) / eps for j in reversed(junctions)], axis=1)
-    inside = (-1.0 < cuts) & (cuts < 1.0)
-    rows = inside.sum(axis=1) == breaks
-    count = int(np.count_nonzero(rows))
-    edges = np.concatenate([np.full((count, 1), -1.0),
-                            cuts[rows][inside[rows]].reshape(count, breaks),
-                            np.full((count, 1), 1.0)], axis=1)
-    lo, hi = edges[:, :-1, None], edges[:, 1:, None]
-    half = 0.5 * (hi - lo)
-    size = (breaks + 1) * nodes.size
-    xs = (half * nodes + 0.5 * (lo + hi)).reshape(count, size)
-    ws = (half * weights).reshape(count, size)
-    return rows, xs, ws
-
-
-def _row_dots(values, phi):
-    """Row-wise weighted sums; a stacked matmul of (1 x K) by (K x 1)
-    rounds each row exactly as the 1-D dot product values[i] @ phi[i]."""
-    return np.matmul(values[:, None, :], phi[..., None])[:, 0, 0]
-
-
-def _mollified_points(bridge: BridgedProfile, cutoff: _Cutoff, eps: float, ts):
-    """Values (f, f', f'') of the variable-radius mollification at points ts.
-
-    The points fall into groups: radius-0 points (evaluated directly),
-    partial-cutoff points (on the 64 shared nodes), and plateau points by
-    how many junction breaks their support holds (0, 1 or 2, on that many
-    more panels).  Each group is one (points x nodes) array of node
-    arguments, and the nodes of all groups take one masked
-    :meth:`BridgedProfile.evaluate`.  The weighted sums are row-wise 1-D dot
-    products (:func:`_row_dots`); since every piece's evaluator is
-    elementwise, every value equals the one-point-at-a-time value bit for
-    bit.
-    """
-    ts = np.asarray(ts, dtype=float)
-    etas = cutoff.value(ts)
-    radius = eps * etas
-    zero = radius == 0.0
-    plateau = ~zero & (etas >= 1.0)
-    partial = ~(zero | plateau)
-    xs64, ws64 = _GL64
-    phi64 = _bump(xs64) * ws64
-    deta, d2eta = (d[:, None] for d in cutoff.derivatives(ts[partial]))
-
-    # One group per kind of point: indices, nodes, weights times bump (None
-    # for the radius-0 points, each its own single node), and the arguments
-    # of its nodes.  Break-free plateau rows sit on the 64 shared nodes.
-    tp = ts[plateau]
-    groups = [(np.flatnonzero(zero), None, None, ts[zero, None]),
-              (np.flatnonzero(partial), xs64, phi64,
-               ts[partial, None] - radius[partial, None] * xs64)]
-    for breaks in (0, 1, 2):
-        rows, xs, ws = _plateau_panels(tp, eps, bridge.junctions, breaks)
-        xs, phi = (xs64, phi64) if breaks == 0 else (xs, _bump(xs) * ws)
-        groups.append((np.flatnonzero(plateau)[rows], xs, phi, tp[rows, None] - eps * xs))
-
-    args = [arg for *_, arg in groups]
-    flat = bridge.evaluate(np.concatenate([arg.ravel() for arg in args]))
-    bounds = np.cumsum([arg.size for arg in args])[:-1]
-    values = [part.reshape((3,) + arg.shape)
-              for part, arg in zip(np.split(flat, bounds, axis=1), args)]
-
-    out = np.empty((3, ts.size))
-    for j, ((index, xs, phi, _), (f, df, d2f)) in enumerate(zip(groups, values)):
-        if phi is None:
-            out[:, index] = f[:, 0], df[:, 0], d2f[:, 0]
-            continue
-        if j == 1:
-            # The radius eps * eta(t) varies with t: chain rule.
-            chain = 1.0 - eps * deta * xs
-            df, d2f = df * chain, d2f * chain ** 2 - df * eps * d2eta * xs
-        out[:, index] = [_row_dots(v, phi) for v in (f, df, d2f)]
-    return out
-
-
-_FD1_6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_FD2_6 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
-
-
-def _fd_crosscheck(t, h, values, df_ref, d2f_ref, fmax):
-    """Compare analytic mollified derivatives at t against sixth-order
-    stencils of the mollified values at t + (-3..3) h."""
-    fd1 = float(_FD1_6 @ values) / h
-    fd2 = float(_FD2_6 @ values) / (h * h)
-    round1 = 8.0 * np.finfo(float).eps * fmax / h
-    round2 = 8.0 * np.finfo(float).eps * fmax / (h * h)
-    tol1 = 1e-5 * (1.0 + abs(df_ref)) + round1
-    tol2 = 1e-5 * (1.0 + abs(d2f_ref)) + round2
-    if abs(fd1 - df_ref) > tol1 or abs(fd2 - d2f_ref) > tol2:
-        raise InternalConsistencyError(
-            "mollified derivatives disagree with finite differences at "
-            f"t={t}: f' {fd1} vs {df_ref}, f'' {fd2} vs {d2f_ref}")
+def _blend(bridge: BridgedProfile, width: float) -> BridgedProfile | None:
+    """The join of bridge's pieces with a blend zone of half-width width at
+    each junction, re-closed by a bridge between the zones' inner ends;
+    None when the zones' inner ends leave no bridge of positive length."""
+    zones = (_Zone.build(bridge.left.evaluator, bridge.b1, width, -1.0),
+             _Zone.build(bridge.piece.evaluator, float(bridge.piece.s_grid[0]),
+                         width, 1.0))
+    (f_start, c1), (f_end, c2) = (zone.inner() for zone in zones)
+    if not (f_end > f_start and c1 + c2 > 0.0):
+        return None
+    return _close(bridge.left, bridge.piece, f_start, c1, f_end, c2, width, zones)
 
 
 def _margin_floor(bridge: BridgedProfile, n: int, q: float, lam: float) -> float:
@@ -573,26 +504,51 @@ def _margin_floor(bridge: BridgedProfile, n: int, q: float, lam: float) -> float
     return float(np.min(margins))
 
 
+def _join_samples(join: BridgedProfile):
+    """The kept samples of each piece, outside its half nearest the
+    bridge, and the points between them: a 257-point grid on each of
+    [mid1, b1], [b1, a2] and [a2, mid2], and the zones' Lobatto points."""
+    mid1 = 0.5 * (join.a1 + join.b1)
+    mid2 = 0.5 * (join.a2 + join.b2)
+    left_keep = join.left.s_grid <= mid1
+    right_keep = join.right.s_grid >= mid2
+    seg1 = np.linspace(mid1, join.b1, 257)
+    seg3 = np.linspace(join.a2, mid2, 257)
+    middle = np.unique(np.concatenate(
+        [seg1, np.linspace(join.b1, join.a2, 257), seg3]
+        + [zone.mid + zone.width * _LOBATTO for zone in join.zones]))
+    # An input sample at mid1 or mid2 (a piece of an odd sample count has
+    # one there) may round to either side of it, and the join reproduces the
+    # inputs at both; a middle point within half a middle step of a kept
+    # sample would repeat that sample an ulp away.
+    above = float(join.left.s_grid[left_keep][-1]) + 0.5 * (seg1[1] - seg1[0])
+    below = float(join.right.s_grid[right_keep][0]) - 0.5 * (seg3[1] - seg3[0])
+    return left_keep, middle[(middle > above) & (middle < below)], right_keep
+
+
+# The blend width halves at most this many times.
+_WIDTH_HALVINGS = 30
+
+
 def mollify_and_certify(bridge: BridgedProfile, q: float, lam: float,
-                        n: int) -> SampledProfile:
-    """Smooth the C^{1,1} join into a certified strictly-DEC profile.
+                        n: int) -> tuple[SampledProfile, BridgedProfile]:
+    """Blend the C^{1,1} join of :func:`build_bridge` into a certified
+    strictly-DEC profile.
 
-    The mollification radius is eps scaled by a smooth cutoff that vanishes
-    on the outer half-intervals, so the output reproduces both inputs there
-    sample-exactly, and equals the plain eps-mollification on a plateau
-    around the bridge.  The margin infimum of the join away from the two
-    junction points sets a floor 3d > 0; eps is halved until the smoothed
-    profile stays C^1-close to the join and keeps margin >= d/2 everywhere.
-    The floor and each eps read the join through :meth:`BridgedProfile.evaluate`
-    alone.  Each eps is one array pass over all points and their Gauss
-    nodes, with a single such evaluation (:func:`_mollified_points`), and
-    the output is bit for bit the one of a point-by-point evaluation.
+    At each junction f'' becomes weight * (the piece's f'') on a zone of
+    half-width w about it (:class:`_Zone`), with a weight falling smoothly
+    from 1 where the piece goes on to 0 where the bridge, affine near its
+    ends, takes over; so every blended f'' lies between the two one-sided
+    values.  A bridge of the closed form re-closes the join between the
+    zones' inner ends (:func:`_blend`).  The margin infimum of the plain join
+    away from its two junction points sets a floor 3d > 0.  w starts at
+    min(0.02 bridge length, 1/4 of each piece) and halves while some sample
+    of the blend has margin below d/2.  The samples are a 257-point grid
+    on each of the bridge and the pieces' halves nearest it, and the
+    zones' Lobatto points, all tagged "mollified"; the pieces' other
+    samples are kept as they are.  Returns the sampled profile and the
+    blended join it samples, whose shift places the right piece.
     """
-    a1, b1, a2, b2 = bridge.a1, bridge.b1, bridge.a2, bridge.b2
-    mid1 = 0.5 * (a1 + b1)
-    mid2 = 0.5 * (a2 + b2)
-    cutoff = _Cutoff(mid1, b1, a2, mid2)
-
     floor3 = _margin_floor(bridge, n, q, lam)
     if not floor3 > 0.0:
         raise PreconditionError(
@@ -600,73 +556,38 @@ def mollify_and_certify(bridge: BridgedProfile, q: float, lam: float,
             "strictly DEC away from the junction points before smoothing")
     d = floor3 / 3.0
 
-    left_keep = bridge.left.s_grid <= mid1
-    right_keep = bridge.right.s_grid >= mid2
-    seg1 = np.linspace(mid1, b1, 257)
-    seg2 = np.linspace(b1, a2, 257)
-    seg3 = np.linspace(a2, mid2, 257)
-    middle = np.concatenate([seg1, seg2[1:], seg3[1:]])
-    # An input sample at mid1 or mid2 (a piece of an odd sample count has
-    # one there) may round to either side of it, and the mollification
-    # reproduces the inputs at both; a middle point within half a middle
-    # step of a kept sample would repeat that sample an ulp away.
-    above = float(bridge.left.s_grid[left_keep][-1]) + 0.5 * (seg1[1] - seg1[0])
-    below = float(bridge.right.s_grid[right_keep][0]) - 0.5 * (seg3[1] - seg3[0])
-    middle = middle[(middle > above) & (middle < below)]
-
-    ft, dft, d2ft = bridge.evaluate(middle)
-    fmax = float(np.max(np.abs(ft)))
-    tol_val = 0.01 * (1.0 + fmax)
-    tol_slope = 0.02 * (1.0 + float(np.max(np.abs(dft))))
-    monotone = float(np.min(bridge.left.df)) > 0.0 and float(np.min(bridge.right.df)) > 0.0
-    # Three points in each cutoff band, each followed by its seven stencil
-    # points, cross-check the analytic derivatives of the mollification.
-    checks = []
-    for band_lo, band_hi in ((mid1, cutoff.lo_hi), (cutoff.hi_lo, mid2)):
-        width = band_hi - band_lo
-        checks += [(band_lo + frac * width, width / 64.0)
-                   for frac in (0.35, 0.5, 0.65)]
-    points = np.concatenate(
-        [middle] + [[t, *(t + (np.arange(7) - 3) * h)] for t, h in checks])
-
-    eps = 0.5 * min(cutoff.plateau, mid1 - a1, b2 - mid2)
-    eps_floor = (b2 - a1) * 2.0 ** -30
+    width = min(0.02 * bridge.length, 0.25 * (bridge.b1 - bridge.a1),
+                0.25 * (bridge.b2 - bridge.a2))
     trace = []
-    while eps >= eps_floor:
-        values = _mollified_points(bridge, cutoff, eps, points)
-        fm, dfm, d2fm = values[:, :middle.size]
-        for j, (t, h) in enumerate(checks):
-            at = middle.size + 8 * j
-            _fd_crosscheck(t, h, values[0, at + 1:at + 8], values[1, at],
-                           values[2, at], fmax)
-
+    for _ in range(_WIDTH_HALVINGS):
+        join = _blend(bridge, width)
+        if join is None:
+            trace.append({"width": width, "reason": "no bridge between the zones"})
+            width *= 0.5
+            continue
+        left_keep, middle, right_keep = _join_samples(join)
+        fm, dfm, d2fm = join.evaluate(middle)
         margins = _margin_arrays(n, q, lam, fm, dfm, d2fm)
         min_margin = float(np.min(margins))
-        close = (float(np.max(np.abs(fm - ft))) <= tol_val
-                 and float(np.max(np.abs(dfm - dft))) <= tol_slope)
-        positive_slope = (not monotone) or float(np.min(dfm)) > 0.0
-        if min_margin >= 0.5 * d and close and positive_slope:
-            s_grid = np.concatenate([bridge.left.s_grid[left_keep], middle,
-                                     bridge.right.s_grid[right_keep]])
-            f = np.concatenate([bridge.left.f[left_keep], fm,
-                                bridge.right.f[right_keep]])
-            df = np.concatenate([bridge.left.df[left_keep], dfm,
-                                 bridge.right.df[right_keep]])
-            d2f = np.concatenate([bridge.left.d2f[left_keep], d2fm,
-                                  bridge.right.d2f[right_keep]])
-            provenance = np.concatenate([
-                bridge.left.provenance[left_keep],
-                np.full(middle.size, "mollified"),
-                bridge.right.provenance[right_keep]])
-            return SampledProfile(s_grid, f, df, d2f, provenance, charge=q)
-        trace.append({"epsilon": eps, "min_margin": min_margin,
-                      "worst_s": float(middle[int(np.argmin(margins))]),
-                      "c1_close": close})
-        eps *= 0.5
+        if min_margin >= 0.5 * d:
+            left, right = join.left, join.right
+            glued = SampledProfile(
+                np.concatenate([left.s_grid[left_keep], middle, right.s_grid[right_keep]]),
+                np.concatenate([left.f[left_keep], fm, right.f[right_keep]]),
+                np.concatenate([left.df[left_keep], dfm, right.df[right_keep]]),
+                np.concatenate([left.d2f[left_keep], d2fm, right.d2f[right_keep]]),
+                np.concatenate([left.provenance[left_keep],
+                                np.full(middle.size, "mollified"),
+                                right.provenance[right_keep]]),
+                charge=q)
+            return glued, join
+        trace.append({"width": width, "min_margin": min_margin,
+                      "worst_s": float(middle[int(np.argmin(margins))])})
+        width *= 0.5
 
     raise ConstructionError(
-        "no mollification radius certified the margin floor",
-        {"d": d, "margin_trace": trace})
+        "no blend width certified the margin floor",
+        {"d": d, "width_trace": trace})
 
 
 # ---------------------------------------------------------------------------
@@ -922,7 +843,7 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
     station radius is chosen so radius and slope can be matched from below;
     one model profile for (m_e, q_e, lam) is sampled from its start to the
     cut past the station and bent below the station, the bent piece is
-    bridged to the tail and mollified with target charge q_e, and the
+    bridged to the tail and blended with target charge q_e, and the
     untouched model tail is reattached beyond the surgery.  Returns the
     combined profile and an attachment record with the matching radius r_C
     and station s_match beyond which the output is exactly the model
@@ -1016,15 +937,15 @@ def glue_to_rn(n: int, collar_tail: SampledProfile, m_star: float, m_e: float,
     right = _bent_piece(bend_res, q_e)
 
     inputs = GlueInputs(n, collar_tail, right, lam, q_e)
-    shifted, shift = translate_right_interval(inputs)
-    bridge = build_bridge(inputs, shifted)
-    glued = mollify_and_certify(bridge, q_e, lam, n)
+    glued, join = mollify_and_certify(build_bridge(inputs), q_e, lam, n)
+    shift = join.shift
 
-    b2s = float(glued.s_grid[-1])
-    attach = np.linspace(b2s, s_cut + shift, 1025)[1:]
-    af, adf, ad2f = bend_res.profile.evaluator(attach - shift)
-    attach_prov = np.where(attach - shift < s0, "bent", "ode")
-    s_grid = np.concatenate([glued.s_grid, attach])
+    # The attachment is sampled in model arclength, so its last sample is
+    # the model end at exactly s_cut.
+    attach = np.linspace(float(glued.s_grid[-1]) - shift, s_cut, 1025)[1:]
+    af, adf, ad2f = bend_res.profile.evaluator(attach)
+    attach_prov = np.where(attach < s0, "bent", "ode")
+    s_grid = np.concatenate([glued.s_grid, attach + shift])
     f = np.concatenate([glued.f, af])
     df = np.concatenate([glued.df, adf])
     d2f = np.concatenate([glued.d2f, ad2f])

@@ -6,12 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.fft import dct
-from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 from scipy.special import erfc as scipy_erfc
 
-from charged_extensions import lambda_rn, surgery
+from charged_extensions import lambda_rn
 from charged_extensions.numutil import (
     CubicHermite,
     _smooth_step_jet,
@@ -92,16 +91,6 @@ def test_cubic_hermite_equals_scipy_bitwise() -> None:
 def test_dct1_equals_scipy_bitwise(shape) -> None:
     rows = np.random.default_rng(shape[1]).standard_normal(shape)
     assert np.array_equal(dct1(rows), dct(rows, type=1, axis=-1))
-
-
-def test_mollifier_norm_literal() -> None:
-    value, _ = quad(lambda s: math.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0,
-                    epsabs=1e-15, epsrel=1e-13)
-    assert surgery._MOLLIFIER_NORM == 1.0 / value
-    with mpmath.workdps(40):
-        exact = 1 / mpmath.quad(lambda s: mpmath.exp(-1 / (1 - s * s)), [-1, 0, 1])
-        ulps = abs(mpmath.mpf(surgery._MOLLIFIER_NORM) - exact) / math.ulp(float(exact))
-    assert ulps <= 2
 
 
 def _erfc_arguments(seed: int) -> np.ndarray:

@@ -274,6 +274,20 @@ class TestConstructExtension:
             assert diagnostics["epsilon"] == 1.0
             assert diagnostics["m_star"] >= diagnostics["m"] == mass
 
+    @pytest.mark.parametrize("c", [1e-4, 1e-2])
+    @pytest.mark.parametrize("n, q, lam", [(2, 0.0, 0.0), (3, 0.1, 0.0)])
+    def test_small_boundaries_certify(self, n, q, lam, c):
+        # (r_o, q, lam, m) -> (c r_o, c^(n-1) q, lam / c^2, c^(n-1) m) of the
+        # unit problem.  The join's mollifier failed its finite-difference
+        # cross-check on all four; the blended join has no such check.
+        data = pl.BartnikDataSpec(n=n, q=q * c ** (n - 1), lam=lam / c ** 2, r_o=c)
+        mass = 1.05 * ql.m_o(n, c, data.q, data.lam)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            report = pl.construct_extension(data, mass)
+        assert abs(report.achieved_mass - mass) <= 1e-8 * (1.0 + mass)
+        assert report.min_margin > 0.0
+        assert pl.verify_outward_minimizing(report) == "pass"
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_underflowing_charge_certifies(self, n):
         # q^2 underflows: the model end is the uncharged one, with no 0/0

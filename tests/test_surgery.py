@@ -5,14 +5,18 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from charged_extensions import collar as co
 from charged_extensions import lambda_rn
+from charged_extensions import pipeline as pl
+from charged_extensions import quasilocal as ql
 from charged_extensions import sphere_seed
 from charged_extensions import surgery as su
 from charged_extensions.errors import (
+    ConstructionError,
     DomainError,
     InternalConsistencyError,
     PreconditionError,
@@ -67,10 +71,11 @@ def strict_inputs():
 
 @pytest.fixture(scope="module")
 def line_glue(strict_inputs):
-    shifted, _ = su.translate_right_interval(strict_inputs)
-    bridge = su.build_bridge(strict_inputs, shifted)
-    smoothed = su.mollify_and_certify(bridge, 0.0, -3.0, 2)
-    return bridge, shifted, smoothed
+    """The plain join of two lines, the blended join certified from it and
+    its samples."""
+    bridge = su.build_bridge(strict_inputs)
+    smoothed, join = su.mollify_and_certify(bridge, 0.0, -3.0, 2)
+    return bridge, join, smoothed
 
 
 @pytest.fixture(scope="module")
@@ -99,55 +104,39 @@ def charged_glue(charged_tail):
 
 
 @pytest.fixture(scope="module")
-def charged_bridge(charged_tail):
-    """The bridge that glue_to_rn mollifies for the charged tail."""
-    bridges = []
+def charged_join(charged_tail):
+    """The plain join that glue_to_rn blends for the charged tail, the
+    blended join it certifies and its samples."""
+    joins = []
     mollify = su.mollify_and_certify
 
     def capture(bridge, *args):
-        bridges.append(bridge)
-        return mollify(bridge, *args)
+        glued, join = mollify(bridge, *args)
+        joins.append((bridge, join, glued))
+        return glued, join
 
     f_b, df_b = float(charged_tail.f[-1]), float(charged_tail.df[-1])
     m_star = hawking_rotsym(2, 0.3, -3.0, f_b, df_b)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(su, "mollify_and_certify", capture)
         su.glue_to_rn(2, charged_tail, m_star, 1.02 * m_star, 0.3, -3.0)
-    return bridges[0]
+    return joins[0]
 
 
 @pytest.fixture(scope="module")
-def short_bridge():
-    """A bridge shorter than the mollifier radius: plateau points between
-    its junctions hold both junction breaks in their support."""
+def short_join():
+    """A bridge a seventy-fifth as long as either line it joins: its blend
+    width is set by the bridge, not by the pieces."""
     inputs = su.GlueInputs(2, line_profile(0.5, 1.0, 0.5, 1.0),
                            line_profile(3.0, 4.0, 1.01, 0.5), -3.0, 0.0)
-    shifted, _ = su.translate_right_interval(inputs)
-    return su.build_bridge(inputs, shifted)
+    bridge = su.build_bridge(inputs)
+    smoothed, join = su.mollify_and_certify(bridge, 0.0, -3.0, 2)
+    return bridge, join, smoothed
 
 
-def _reference_mollified_point(bridge, cutoff, eps, t):
-    """One point at a time: the reference for the batched mollification."""
-    eta = float(cutoff.value(t))
-    radius = eps * eta
-    if radius == 0.0:
-        f, df, d2f = bridge.evaluate(t)
-        return float(f[0]), float(df[0]), float(d2f[0])
-    if eta >= 1.0:
-        breaks = [(t - j) / eps for j in bridge.junctions]
-        xs, ws = su._gl_panels(-1.0, 1.0, breaks, *su._GL64)
-        fv, dfv, d2fv = bridge.evaluate(t - eps * xs)
-        phi = su._bump(xs) * ws
-        return float(fv @ phi), float(dfv @ phi), float(d2fv @ phi)
-    xs, ws = su._GL64
-    fv, dfv, d2fv = bridge.evaluate(t - radius * xs)
-    phi = su._bump(xs) * ws
-    deta, d2eta = cutoff.derivatives(t)
-    chain = 1.0 - eps * deta * xs
-    f = fv @ phi
-    df = (dfv * chain) @ phi
-    d2f = ((d2fv * chain ** 2 - dfv * eps * d2eta * xs)) @ phi
-    return float(f), float(df), float(d2f)
+def _joins(which, line_glue, charged_join, short_join):
+    """(plain join, blended join, samples) of a named case."""
+    return {"line": line_glue, "charged": charged_join, "short": short_join}[which]
 
 
 def _three_closure_deformation(scale, s0):
@@ -186,89 +175,108 @@ def _three_closure_deformation(scale, s0):
     return sigma, sigma_dot, sigma_ddot
 
 
-def _masked_evaluate(bridge, s):
+def _masked_evaluate(join, s):
     """The masked formulation that the row-wise evaluation replaced: each
-    piece's (f, f', f'') tuple scattered as one 3 x k array."""
+    part's (f, f', f'') tuple scattered as one 3 x k array."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     out = np.empty((3,) + s.shape)
-    left, right = s <= bridge.b1, s >= bridge.a2
-    for mask, values in ((left, bridge.left.evaluator), (right, bridge.right.evaluator),
-                         (~(left | right), _whole_array_bridge_values(bridge))):
+    w = join.width
+    left, right = s <= join.b1 - w, s >= join.a2 + w
+    near = ~left & (s < join.b1 + w)
+    far = ~right & (s > join.a2 - w)
+    parts = [(left, join.left.evaluator), (right, join.right.evaluator)]
+    if join.zones:
+        parts += [(near, join.zones[0].values), (far, join.zones[1].values)]
+    parts.append((~(left | right | near | far), _whole_array_bridge_values(join)))
+    for mask, values in parts:
         if np.any(mask):
             out[:, mask] = values(s[mask])
     return out
 
 
 def _whole_array_istep(w):
-    """The step's integral with the table read at every node, clipped."""
+    """The step's integral with np.interp reading the table at every node,
+    clipped."""
     w = np.asarray(w, dtype=float)
     out = np.where(w >= 1.0, w - 0.5, 0.0)
     inner = (w > 0.0) & (w < 1.0)
-    return np.where(inner, np.interp(np.clip(w, 0.0, 1.0), *su._istep_table()), out)
+    xs, values, _ = su._istep_table()
+    return np.where(inner, np.interp(np.clip(w, 0.0, 1.0), xs, values), out)
 
 
-def _whole_array_bridge_values(bridge):
+def _whole_array_bridge_values(join):
     """Bridge values with the step's integral and jet taken at every node."""
     def values(s):
-        tau = (s - bridge.b1) / bridge.length
-        w = bridge._step_arg(tau)
-        psi_integral = tau - 2.0 * bridge.rho * _whole_array_istep(w)
-        dc = bridge.slope_left - bridge.slope_right
-        f = bridge.f1_b1 + bridge.length * (bridge.slope_right * tau + dc * psi_integral)
+        tau = (s - join.start) / join.length
+        w = join._step_arg(tau)
+        psi_integral = tau - 2.0 * join.rho * _whole_array_istep(w)
+        dc = join.slope_left - join.slope_right
+        f = join.f_start + join.length * (join.slope_right * tau + dc * psi_integral)
         step, dstep = _smooth_step_jet(w, 1)
-        df = bridge.slope_right + dc * (1.0 - step)
-        d2f = -dc * dstep / (2.0 * bridge.rho * bridge.length)
+        df = join.slope_right + dc * (1.0 - step)
+        d2f = -dc * dstep / (2.0 * join.rho * join.length)
         return f, df, d2f
 
     return values
 
 
 class TestBridgeKernels:
-    """The bridge's evaluation, bit for bit the formulations it replaced."""
+    """The join's evaluation, bit for bit the formulations it replaced."""
 
     @staticmethod
-    def _nodes(bridge):
-        b1, a2 = bridge.b1, bridge.a2
-        around = [np.nextafter(j, d) for j in (b1, a2) for d in (-np.inf, np.inf)]
-        return np.concatenate([np.linspace(bridge.a1, bridge.b2, 301), [b1, a2], around])
+    def _nodes(join):
+        ends = [join.b1, join.a2]
+        for zone in join.zones:
+            ends += [zone.mid - zone.width, zone.mid + zone.width]
+        around = [np.nextafter(j, d) for j in ends for d in (-np.inf, np.inf)]
+        return np.concatenate([np.linspace(join.a1, join.b2, 301), ends, around])
 
+    @pytest.mark.parametrize("blended", [False, True])
     @pytest.mark.parametrize("which", ["line", "charged", "short"])
     def test_evaluate_is_the_pointwise_and_the_masked_evaluation(
-            self, which, line_glue, charged_bridge, short_bridge):
-        bridge = {"line": line_glue[0], "charged": charged_bridge,
-                  "short": short_bridge}[which]
-        s = self._nodes(bridge)
-        assert np.any(s == bridge.b1) and np.any(s == bridge.a2)
-        got = bridge.evaluate(s)
+            self, which, blended, line_glue, charged_join, short_join):
+        join = _joins(which, line_glue, charged_join, short_join)[int(blended)]
+        assert bool(join.zones) == blended
+        s = self._nodes(join)
+        assert np.any(s == join.b1) and np.any(s == join.a2)
+        got = join.evaluate(s)
         assert got.shape == (3, s.size)
-        assert np.array_equal(got, _masked_evaluate(bridge, s))
-        pointwise = np.array([bridge.evaluate(np.array([t]))[:, 0] for t in s]).T
+        assert np.array_equal(got, _masked_evaluate(join, s))
+        pointwise = np.array([join.evaluate(np.array([t]))[:, 0] for t in s]).T
         assert np.array_equal(got, pointwise)
         # A 2-D argument gives the same values in its own shape.
         grid = s[:300].reshape(20, 15)
-        assert np.array_equal(bridge.evaluate(grid), got[:, :300].reshape(3, 20, 15))
-        assert np.array_equal(bridge.evaluate(grid), _masked_evaluate(bridge, grid))
+        assert np.array_equal(join.evaluate(grid), got[:, :300].reshape(3, 20, 15))
+        assert np.array_equal(join.evaluate(grid), _masked_evaluate(join, grid))
 
-    def test_evaluate_with_empty_pieces(self, charged_bridge):
-        bridge = charged_bridge
-        b1, a2 = bridge.b1, bridge.a2
-        for s in (np.linspace(bridge.a1, b1, 17),          # left piece only
-                  np.linspace(b1, a2, 19)[1:-1],            # bridge only
-                  np.linspace(a2, bridge.b2, 17),           # right piece only
+    @pytest.mark.parametrize("blended", [False, True])
+    def test_evaluate_with_empty_parts(self, blended, charged_join):
+        join = charged_join[int(blended)]
+        b1, a2 = join.b1, join.a2
+        for s in (np.linspace(join.a1, b1, 17),             # left piece and zone
+                  np.linspace(b1, a2, 19)[1:-1],            # zones and bridge
+                  np.linspace(a2, join.b2, 17),             # zone and right piece
                   np.array([b1, a2])):                      # no bridge node
-            assert np.array_equal(bridge.evaluate(s), _masked_evaluate(bridge, s))
+            assert np.array_equal(join.evaluate(s), _masked_evaluate(join, s))
 
-    @pytest.mark.parametrize("which", ["line", "charged"])
-    def test_istep_at_the_band_edges(self, which, line_glue, charged_bridge):
-        bridge = {"line": line_glue[0], "charged": charged_bridge}[which]
+    def test_istep_at_the_band_edges(self):
         w = np.array([-0.5, 0.0, 0.5, 1.0, 1.5])
-        got = bridge._istep(w)
+        got = su.BridgedProfile._istep(w)
         assert np.array_equal(got, _whole_array_istep(w))
         assert got[0] == 0.0 and got[1] == 0.0
         assert got[3] == 0.5 and got[4] == 1.0
         assert 0.0 < got[2] < 0.5
         for k, value in enumerate(w):
-            assert np.array_equal(bridge._istep(np.array([value])), got[k:k + 1])
+            assert np.array_equal(su.BridgedProfile._istep(np.array([value])), got[k:k + 1])
+
+    def test_istep_is_np_interp_bit_for_bit(self):
+        # The knot interval is floor(w 2^14) and the slope a cached table:
+        # every knot, both ulp neighbours of each, and random points.
+        xs = su._istep_table()[0]
+        assert np.array_equal(xs, np.arange(xs.size) / 2.0 ** 14)
+        w = np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
+                            np.random.default_rng(34).uniform(0.0, 1.0, 10 ** 5)])
+        assert np.array_equal(su.BridgedProfile._istep(w), _whole_array_istep(w))
 
 
 class TestMarginOperator:
@@ -370,48 +378,55 @@ class TestGlueInputs:
             dataclasses.replace(strict_inputs, **{side: bare})
 
 
-class TestTranslateRightInterval:
+class TestBuildBridge:
     def test_unequal_slopes_use_harmonic_gap_length(self, strict_inputs):
-        shifted, shift = su.translate_right_interval(strict_inputs)
-        assert float(shifted.s_grid[0]) == pytest.approx(1.0 + 4.0 / 3.0, rel=1e-14)
-        assert shift == pytest.approx(4.0 / 3.0 - 2.0, rel=1e-14)
+        bridge = su.build_bridge(strict_inputs)
+        assert bridge.a2 == pytest.approx(1.0 + 4.0 / 3.0, rel=1e-14)
+        assert bridge.shift == pytest.approx(4.0 / 3.0 - 2.0, rel=1e-14)
 
     def test_equal_slopes_use_exact_gap_length(self):
         left = line_profile(0.5, 1.0, 0.5, 1.0)
         right = line_profile(3.0, 4.0, 3.0, 1.0)
-        inputs = su.GlueInputs(2, left, right, -3.0, 0.0)
-        shifted, shift = su.translate_right_interval(inputs)
-        assert float(shifted.s_grid[0]) == pytest.approx(3.0, abs=1e-14)
-        assert shift == pytest.approx(0.0, abs=1e-14)
+        bridge = su.build_bridge(su.GlueInputs(2, left, right, -3.0, 0.0))
+        assert bridge.a2 == pytest.approx(3.0, abs=1e-14)
+        assert bridge.shift == pytest.approx(0.0, abs=1e-14)
 
     def test_degenerate_zero_slope_doubles_minimal_length(self):
         left = line_profile(0.5, 1.0, 0.5, 1.0)
         right = line_profile(2.6, 3.6, 2.0, 0.0)
-        inputs = su.GlueInputs(2, left, right, -3.0, 0.0)
-        shifted, shift = su.translate_right_interval(inputs)
-        assert float(shifted.s_grid[0]) == pytest.approx(3.0, abs=1e-14)
-        assert shift == pytest.approx(0.4, rel=1e-13)
+        bridge = su.build_bridge(su.GlueInputs(2, left, right, -3.0, 0.0))
+        assert bridge.a2 == pytest.approx(3.0, abs=1e-14)
+        assert bridge.shift == pytest.approx(0.4, rel=1e-13)
 
     def test_shift_preserves_values_and_evaluator(self, strict_inputs):
-        shifted, shift = su.translate_right_interval(strict_inputs)
+        bridge = su.build_bridge(strict_inputs)
+        shifted = bridge.right
+        assert bridge.piece is strict_inputs.right
+        assert np.array_equal(shifted.s_grid, strict_inputs.right.s_grid + bridge.shift)
         assert np.array_equal(shifted.f, strict_inputs.right.f)
         assert np.array_equal(shifted.df, strict_inputs.right.df)
         f, df, _ = shifted.evaluator(shifted.s_grid)
         assert float(np.max(np.abs(f - shifted.f))) < 1e-12
         assert float(np.max(np.abs(df - shifted.df))) < 1e-12
 
-
-class TestBuildBridge:
     def test_step_center_solves_the_radius_gap(self, line_glue):
         # The translated length 2 gap / (c1 + c2) puts the root of the
         # affine residual length (c2 + (c1 - c2) x) - gap at x = 1/2.
-        bridge, _, _ = line_glue
-        assert (bridge.x_c, bridge.rho) == (0.5, 0.475)
+        for join in line_glue[:2]:
+            assert (join.x_c, join.rho) == (0.5, 0.475)
 
-    def test_length_off_the_radius_gap_fails_the_reintegration(self, strict_inputs):
-        shifted, _ = su.translate_right_interval(strict_inputs)
+    def test_length_off_the_radius_gap_fails_the_reintegration(self, strict_inputs,
+                                                               monkeypatch):
+        close = su._close
+
+        def too_far(*args):
+            bridge = close(*args)
+            return dataclasses.replace(bridge, right=su._shift_profile(bridge.right, 0.1),
+                                       shift=bridge.shift + 0.1)
+
+        monkeypatch.setattr(su, "_close", too_far)
         with pytest.raises(InternalConsistencyError, match="bridge slope integrates"):
-            su.build_bridge(strict_inputs, su._shift_profile(shifted, 0.1))
+            su.build_bridge(strict_inputs)
 
     def test_slope_matches_junction_slopes(self, line_glue):
         bridge, _, _ = line_glue
@@ -443,9 +458,7 @@ class TestBuildBridge:
     def test_equal_slope_bridge_is_linear(self):
         left = line_profile(0.5, 1.0, 0.5, 1.0)
         right = line_profile(3.0, 4.0, 3.0, 1.0)
-        inputs = su.GlueInputs(2, left, right, -3.0, 0.0)
-        shifted, _ = su.translate_right_interval(inputs)
-        bridge = su.build_bridge(inputs, shifted)
+        bridge = su.build_bridge(su.GlueInputs(2, left, right, -3.0, 0.0))
         ss = np.linspace(bridge.b1, bridge.a2, 257)
         assert np.all(bridge.zeta(ss) == 1.0)
         f, _, _ = bridge.evaluate(np.array([2.0]))
@@ -464,7 +477,8 @@ class TestMollifyAndCertify:
         assert np.array_equal(out.d2f[:count], left.d2f[keep])
 
     def test_right_half_preserved_sample_exactly(self, line_glue):
-        _, shifted, out = line_glue
+        _, join, out = line_glue
+        shifted = join.right
         keep = shifted.s_grid >= 0.5 * (shifted.s_grid[0] + shifted.s_grid[-1])
         count = int(np.sum(keep))
         assert np.array_equal(out.s_grid[-count:], shifted.s_grid[keep])
@@ -479,7 +493,6 @@ class TestMollifyAndCertify:
                             (bridge.a2, bridge.b2, np.s_[1:])):
             ss = np.linspace(lo, hi, 4097)[cut]
             f, df, d2f = bridge.evaluate(ss)
-            params = RNParams(2, 0.0, 0.0, -3.0)
             h = (f ** 2 + 3.0 * f ** 4)
             omega = 0.5 / f * (h / f ** 2 - df ** 2)
             worst = min(worst, float(np.min(omega - d2f)))
@@ -523,16 +536,14 @@ class TestMollifyAndCertify:
                                right_src.df, right_src.d2f,
                                np.array(["ode"] * right_src.s_grid.size),
                                evaluator=right_eval)
-        inputs = su.GlueInputs(2, left, right, 0.0, 0.0)
-        shifted, _ = su.translate_right_interval(inputs)
-        bridge = su.build_bridge(inputs, shifted)
+        bridge = su.build_bridge(su.GlueInputs(2, left, right, 0.0, 0.0))
         with pytest.raises(PreconditionError):
             su.mollify_and_certify(bridge, 0.0, 0.0, 2)
 
     def test_nan_margins_make_a_nan_floor_that_is_refused(self, strict_inputs):
         # A left piece whose f'' is NaN on half the points of each call: the
-        # floor is NaN, not the minimum of the finite margins, and the
-        # mollifier refuses it before choosing a radius.
+        # floor is NaN, not the minimum of the finite margins, and it is
+        # refused before any blend width is tried.
         clean = strict_inputs.left.evaluator
 
         def evaluate(s):
@@ -541,121 +552,224 @@ class TestMollifyAndCertify:
             return f, df, d2f
 
         left = dataclasses.replace(strict_inputs.left, evaluator=evaluate)
-        inputs = dataclasses.replace(strict_inputs, left=left)
-        shifted, _ = su.translate_right_interval(inputs)
-        bridge = su.build_bridge(inputs, shifted)
+        bridge = su.build_bridge(dataclasses.replace(strict_inputs, left=left))
         assert math.isnan(su._margin_floor(bridge, 2, 0.0, -3.0))
         with pytest.raises(PreconditionError, match="margin floor off the junctions is nan"):
             su.mollify_and_certify(bridge, 0.0, -3.0, 2)
 
-    def test_input_sample_an_ulp_inside_a_cutoff_edge_is_not_repeated(
-            self, strict_inputs):
-        # A piece of odd sample count has a sample at its cutoff edge (mid1
-        # on the left, mid2 on the right).  Rounded an ulp inward, the
-        # mollification must not repeat it with its own point at the edge.
+    def test_input_sample_an_ulp_inside_a_half_edge_is_not_repeated(
+            self, strict_inputs, line_glue):
+        # A piece of odd sample count has a sample at the edge of its kept
+        # half (mid1 on the left, mid2 on the right).  Rounded an ulp inward,
+        # the join must not repeat it with its own point at the edge.
         s = strict_inputs.left.s_grid.copy()
         s[32] = np.nextafter(0.75, 0.0)
         left = dataclasses.replace(strict_inputs.left, s_grid=s, f=s.copy())
-        inputs = dataclasses.replace(strict_inputs, left=left)
-        shifted, _ = su.translate_right_interval(inputs)
-        s = shifted.s_grid.copy()
-        s[32] = np.nextafter(0.5 * (s[0] + s[-1]), np.inf)
-        shifted = dataclasses.replace(shifted, s_grid=s)
-        smoothed = su.mollify_and_certify(
-            su.build_bridge(inputs, shifted), 0.0, -3.0, 2)
+        # The right piece's sample 32 lands an ulp above mid2 once the
+        # blend has translated it; the translation reads only the first
+        # sample and the evaluator.
+        shift = line_glue[1].shift
+        right = strict_inputs.right
+        s = right.s_grid.copy()
+        a2, b2 = s[0] + shift, s[-1] + shift
+        target = np.nextafter(0.5 * (a2 + b2), np.inf)
+        t = target - shift
+        for _ in range(8):
+            if t + shift == target:
+                break
+            t = np.nextafter(t, np.inf if t + shift < target else -np.inf)
+        assert t + shift == target
+        s[32] = t
+        right = dataclasses.replace(right, s_grid=s)
+        bridge = su.build_bridge(dataclasses.replace(strict_inputs, left=left, right=right))
+        smoothed, join = su.mollify_and_certify(bridge, 0.0, -3.0, 2)
+        assert join.shift == shift
+        assert target in smoothed.s_grid
         assert float(np.min(np.diff(smoothed.s_grid))) > 1e-6
 
 
-    @pytest.mark.parametrize("which", ["line", "charged", "short"])
-    def test_batched_points_bitwise_equal_point_reference(
-            self, which, line_glue, charged_bridge, short_bridge):
-        bridge = {"line": line_glue[0], "charged": charged_bridge,
-                  "short": short_bridge}[which]
-        a1, b1, a2, b2 = bridge.a1, bridge.b1, bridge.a2, bridge.b2
-        mid1, mid2 = 0.5 * (a1 + b1), 0.5 * (a2 + b2)
-        cutoff = su._Cutoff(mid1, b1, a2, mid2)
-        ts = np.concatenate([np.linspace(a1, b2, 301), [mid1, b1, a2, mid2]])
-        etas = cutoff.value(ts)
-        assert np.any(etas == 0.0) and np.any(etas == 1.0)
-        assert np.any((etas > 0.0) & (etas < 1.0))
-        eps0 = 0.5 * min(cutoff.plateau, mid1 - a1, b2 - mid2)
-        held = set()
-        for eps in (eps0, eps0 / 8.0, eps0 * 2.0 ** -20):
-            # Plateau points within eps of a junction and between the two.
-            near = np.add.outer([b1, a2], eps * np.array([-0.75, -0.25, 0.25, 0.75]))
-            points = np.concatenate([ts, near.ravel(), [0.5 * (b1 + a2)]])
-            plateau = points[cutoff.value(points) >= 1.0]
-            held |= set(sum(np.abs((plateau - j) / eps) < 1.0
-                            for j in bridge.junctions).tolist())
-            got = su._mollified_points(bridge, cutoff, eps, points)
-            want = np.array([_reference_mollified_point(bridge, cutoff, eps, t)
-                             for t in points]).T
-            assert np.array_equal(got, want)
-        assert held >= ({0, 1, 2} if which == "short" else {0, 1})
+def _scaled_piece(c, lo, hi, shape, charge=0.0):
+    """A piece c F(s / c) on [c lo, c hi], F given with its two derivatives."""
+    def evaluate(s):
+        f, df, d2f = shape(np.asarray(s, dtype=float) / c)
+        return c * f, df, d2f / c
 
-    def test_evaluator_and_bump_calls_do_not_grow_with_the_points(
-            self, line_glue, monkeypatch):
-        calls = {"evaluate": 0, "bridge": 0, "left": 0, "right": 0, "bump": 0}
+    s = c * np.linspace(lo, hi, 65)
+    return SampledProfile(s, *evaluate(s), np.full(s.size, "synthetic"),
+                          charge=charge, evaluator=evaluate)
 
-        def counting(key, fn):
-            def counted(*args):
-                calls[key] += 1
-                return fn(*args)
-            return counted
 
-        bridge = line_glue[0]
-        bridge = dataclasses.replace(bridge, **{
-            side: dataclasses.replace(piece, evaluator=counting(side, piece.evaluator))
-            for side, piece in (("left", bridge.left), ("right", bridge.right))})
-        a1, b1, a2, b2 = bridge.a1, bridge.b1, bridge.a2, bridge.b2
-        mid1, mid2 = 0.5 * (a1 + b1), 0.5 * (a2 + b2)
-        cutoff = su._Cutoff(mid1, b1, a2, mid2)
-        eps = 0.5 * min(cutoff.plateau, mid1 - a1, b2 - mid2)
-        monkeypatch.setattr(su.BridgedProfile, "evaluate",
-                            counting("evaluate", su.BridgedProfile.evaluate))
-        monkeypatch.setattr(su.BridgedProfile, "_bridge_values",
-                            counting("bridge", su.BridgedProfile._bridge_values))
-        monkeypatch.setattr(su, "_bump", counting("bump", su._bump))
-        for size in (50, 800):
-            calls.update(dict.fromkeys(calls, 0))
-            su._mollified_points(bridge, cutoff, eps, np.linspace(a1, b2, size))
-            # One masked evaluation of every node, in which each piece
-            # takes all of its nodes at once; the bump weighs the shared
-            # nodes and the panels of one and of two junction breaks.
-            assert calls["evaluate"] == 1 and calls["bridge"] == 1, size
-            assert calls["left"] <= 1 and calls["right"] <= 1, size
-            assert calls["bump"] == 3, size
+def _convex(u):
+    f = np.sqrt(1.0 + 0.3 * u * u)
+    df = 0.3 * u / f
+    return f, df, 0.3 / f - df * df / f
+
+
+def _concave(u):
+    v = u - 3.0
+    return 2.0 + 0.2 * v - 0.05 * v * v, 0.2 - 0.1 * v, np.full(np.shape(u), -0.1)
+
+
+class TestBlend:
+    """The blend zones: exact f'' at their ends, convex combinations inside,
+    integrals to quadrature accuracy, and the pieces untouched outside."""
 
     @pytest.mark.parametrize("which", ["line", "charged", "short"])
-    def test_support_ending_on_a_junction_bitwise_equal_point_reference(
-            self, which, line_glue, charged_bridge, short_bridge):
-        # A plateau point whose support [t - eps, t + eps] ends exactly on b1
-        # or a2 holds no break; its nodes lie on one side of the junction
-        # unless one rounds onto it, which the masked evaluation would put
-        # in the left piece.
-        bridge = {"line": line_glue[0], "charged": charged_bridge,
-                  "short": short_bridge}[which]
-        a1, b1, a2, b2 = bridge.a1, bridge.b1, bridge.a2, bridge.b2
-        mid1, mid2 = 0.5 * (a1 + b1), 0.5 * (a2 + b2)
-        cutoff = su._Cutoff(mid1, b1, a2, mid2)
-        eps0 = 0.5 * min(cutoff.plateau, mid1 - a1, b2 - mid2)
-        for eps in (eps0, eps0 / 8.0, eps0 * 2.0 ** -20):
-            points = []
-            for j in (b1, a2):
-                for sign in (-1.0, 1.0):
-                    t = j + sign * eps
-                    for _ in range(8):
-                        if t - sign * eps == j:
-                            break
-                        t = np.nextafter(t, -np.inf if t - sign * eps > j else np.inf)
-                    assert t - sign * eps == j
-                    points.append(t)
-            points = np.array(points)
-            assert np.all(cutoff.value(points) >= 1.0)
-            got = su._mollified_points(bridge, cutoff, eps, points)
-            want = np.array([_reference_mollified_point(bridge, cutoff, eps, t)
-                             for t in points]).T
-            assert np.array_equal(got, want)
+    def test_width_is_never_halved_and_the_margin_holds_half_d(
+            self, which, line_glue, charged_join, short_join):
+        bridge, join, out = _joins(which, line_glue, charged_join, short_join)
+        assert join.width == min(0.02 * bridge.length, 0.25 * (bridge.b1 - bridge.a1),
+                                 0.25 * (bridge.b2 - bridge.a2))
+        q, lam = (0.3, -3.0) if which == "charged" else (0.0, -3.0)
+        d = su._margin_floor(bridge, 2, q, lam) / 3.0
+        margins = su.dec_margin_operator(2, q, lam, out)
+        assert float(np.min(margins[out.provenance == "mollified"])) >= 0.5 * d
+
+    @pytest.mark.parametrize("which", ["line", "charged", "short"])
+    def test_zone_ends_meet_the_piece_and_the_bridge(
+            self, which, line_glue, charged_join, short_join):
+        _, join, _ = _joins(which, line_glue, charged_join, short_join)
+        for zone in join.zones:
+            outer = zone.mid + zone.outer * zone.width
+            inner = zone.mid - zone.outer * zone.width
+            f, df, d2f = zone.values(np.array([outer, inner]))
+            piece = zone.evaluate(np.array([outer]))
+            bridge = join._bridge_values(np.array([inner]))
+            # f'' is the piece's at the outer end and the bridge's 0 at the
+            # inner end, exactly; f and f' meet both to rounding.
+            assert d2f[0] == piece[2][0] and d2f[1] == 0.0 == bridge[2][0]
+            assert f[0] == pytest.approx(piece[0][0], rel=1e-15, abs=1e-15)
+            assert df[0] == pytest.approx(piece[1][0], rel=1e-14, abs=1e-15)
+            assert f[1] == pytest.approx(bridge[0][0], rel=1e-15, abs=1e-15)
+            assert df[1] == pytest.approx(bridge[1][0], rel=1e-14, abs=1e-15)
+            # f''' of either side, by one-sided fourth-order differences of
+            # the join's f'' reaching w/64 from each end: they agree.
+            h = zone.width / 256.0
+            stencil = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
+            scale = abs(float(piece[2][0])) / zone.width
+            for end in (outer, inner):
+                into = np.sign(zone.mid - end)
+                inside = join.evaluate(end + into * h * np.arange(5))[2]
+                outside = join.evaluate(end - into * h * np.arange(5))[2]
+                third_in, third_out = into * (stencil @ inside), -into * (stencil @ outside)
+                assert abs(third_in - third_out) <= 1e-8 * scale, (end, third_in, third_out)
+
+    @pytest.mark.parametrize("which", ["line", "charged", "short"])
+    def test_zone_samples_lie_between_the_one_sided_values(
+            self, which, line_glue, charged_join, short_join):
+        _, join, out = _joins(which, line_glue, charged_join, short_join)
+        seen = 0
+        for zone in join.zones:
+            inside = np.abs(out.s_grid - zone.mid) <= zone.width
+            piece = zone.evaluate(out.s_grid[inside])[2]
+            d2f = out.d2f[inside]
+            assert np.all(np.minimum(piece, 0.0) <= d2f)
+            assert np.all(d2f <= np.maximum(piece, 0.0))
+            seen += int(np.count_nonzero(inside))
+        assert seen >= 2 * 129
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_zone_integrals_agree_with_quadrature(self, side, charged_join):
+        # A zone built from the piece's f'' with f and f' read as 0 at its
+        # outer end holds the blend's integrals from there alone.
+        zone = charged_join[1].zones[side]
+
+        def blend_only(s):
+            d2f = zone.evaluate(s)[2]
+            return np.zeros_like(d2f), np.zeros_like(d2f), d2f
+
+        bare = su._Zone.build(blend_only, zone.mid, zone.width, zone.outer)
+        twice, once = bare.inner()
+
+        # In x = (s - mid) / w: s itself resolves x only to ulp(s) / w.
+        def blend(x):
+            x = np.array([float(x)])
+            s = zone.mid + zone.width * x
+            return float(su._zone_weight(x, zone.outer)[0] * zone.evaluate(s)[2][0])
+
+        ends = [zone.outer, 0.0, -zone.outer]
+        with mpmath.workdps(30):
+            once_ref = zone.width * mpmath.quad(blend, ends)
+            twice_ref = zone.width ** 2 * mpmath.quad(
+                lambda x: (-zone.outer - x) * blend(x), ends)
+        assert abs(once - once_ref) <= 1e-13 * abs(once_ref)
+        assert abs(twice - twice_ref) <= 1e-13 * abs(twice_ref)
+
+    @pytest.mark.parametrize("which", ["line", "charged", "short"])
+    def test_outside_the_zones_the_output_is_the_pieces(
+            self, which, line_glue, charged_join, short_join):
+        _, join, out = _joins(which, line_glue, charged_join, short_join)
+        values = np.array([out.f, out.df, out.d2f])
+        for piece, side in ((join.left, out.s_grid <= join.b1 - join.width),
+                            (join.right, out.s_grid >= join.a2 + join.width)):
+            kept = (out.provenance != "mollified") & side
+            samples = np.isin(piece.s_grid, out.s_grid[kept])
+            assert np.count_nonzero(kept) >= piece.s_grid.size // 2
+            assert np.array_equal(values[:, kept],
+                                  np.array([piece.f, piece.df, piece.d2f])[:, samples])
+            between = side & ~kept
+            assert np.count_nonzero(between) > 0
+            assert np.array_equal(values[:, between],
+                                  np.array(piece.evaluator(out.s_grid[between])))
+
+    def test_forced_margin_failure_carries_the_width_trace(self, monkeypatch):
+        # A floor no blend can reach: every width halves, and the surgery
+        # stage's error carries each width with its worst margin.
+        monkeypatch.setattr(su, "_margin_floor", lambda *args: 1e300)
+        data = pl.BartnikDataSpec(n=2, q=0.2, lam=-1.0, r_o=1.0)
+        with pytest.raises(ConstructionError, match=r"^\[stage: surgery\] no blend width "
+                           "certified the margin floor") as caught:
+            pl.construct_extension(data, 1.05 * ql.m_o(2, 1.0, 0.2, -1.0))
+        assert type(caught.value) is ConstructionError
+        diagnostics = caught.value.diagnostics
+        trace = diagnostics["width_trace"]
+        assert diagnostics["d"] == 1e300 / 3.0
+        assert len(trace) == su._WIDTH_HALVINGS
+        widths = [entry["width"] for entry in trace]
+        assert all(b == 0.5 * a for a, b in zip(widths, widths[1:]))
+        assert all(0.0 < entry["min_margin"] < 1.0 for entry in trace)
+        assert all(math.isfinite(entry["worst_s"]) for entry in trace)
+
+    def test_zones_that_leave_no_bridge_halve_the_width(self, strict_inputs, monkeypatch):
+        # The first blend's right zone is made to end below the left one:
+        # no bridge can rise between them, so that width is traced and the
+        # next one is tried.
+        inner = su._Zone.inner
+        calls = []
+
+        def crossed(zone):
+            calls.append(zone)
+            f, df = inner(zone)
+            return (0.0, df) if len(calls) == 2 else (f, df)
+
+        monkeypatch.setattr(su._Zone, "inner", crossed)
+        bridge = su.build_bridge(strict_inputs)
+        _, join = su.mollify_and_certify(bridge, 0.0, -3.0, 2)
+        assert join.width == 0.5 * min(0.02 * bridge.length, 0.25 * (bridge.b1 - bridge.a1),
+                                       0.25 * (bridge.b2 - bridge.a2))
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("k", [-20, -3, 0, 5, 20])
+    def test_join_is_covariant_under_scaling(self, k):
+        # (s, f) -> (c s, c f) with c = 2^k: f' is kept, f'' divides by c,
+        # and every operation of the join scales exactly.
+        def glue(c):
+            inputs = su.GlueInputs(2, _scaled_piece(c, 0.5, 1.0, _convex),
+                                   _scaled_piece(c, 3.0, 4.0, _concave), -3.0 / (c * c), 0.0)
+            return su.mollify_and_certify(su.build_bridge(inputs), 0.0, -3.0 / (c * c), 2)
+
+        (unit, unit_join), (scaled, join) = glue(1.0), glue(2.0 ** k)
+        c = 2.0 ** k
+        assert join.width == c * unit_join.width and join.shift == c * unit_join.shift
+        assert np.array_equal(scaled.s_grid, c * unit.s_grid)
+        assert np.array_equal(scaled.f, c * unit.f)
+        assert np.array_equal(scaled.df, unit.df)
+        # The step's jet reaches subnormal values near the bridge's ends,
+        # where a power of 2 no longer scales exactly.
+        normal = np.abs(unit.d2f) >= 2.0 ** -1000
+        assert np.array_equal(scaled.d2f[normal], unit.d2f[normal] / c)
+        assert float(np.max(np.abs(scaled.d2f[~normal]), initial=0.0)) < 2.0 ** -950
+        assert np.array_equal(scaled.provenance, unit.provenance)
 
 
 class TestBend:
@@ -814,6 +928,26 @@ class TestGlueToRN:
         monkeypatch.setattr(su, "hawking_rotsym", far_off)
         with pytest.raises(VerificationError, match="far-end Hawking mass"):
             su.glue_to_rn(2, round_tail, m_star, 1.05 * m_star, 0.0, 0.0)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_far_end_is_the_model_at_its_cut(self, round_tail, monkeypatch, lam):
+        # The attachment is sampled in model arclength, so the last sample
+        # is the bent model read at exactly the end of its grid, the cut.
+        bends = []
+        bend = su.bend
+
+        def capture(*args, **kwargs):
+            result = bend(*args, **kwargs)
+            bends.append((kwargs["profile"], result))
+            return result
+
+        monkeypatch.setattr(su, "bend", capture)
+        f_b, df_b = float(round_tail.f[-1]), float(round_tail.df[-1])
+        m_star = hawking_rotsym(2, 0.0, lam, f_b, df_b)
+        profile, _ = su.glue_to_rn(2, round_tail, m_star, 1.05 * m_star, 0.0, lam)
+        model, result = bends[0]
+        want = result.profile.evaluator(model.s_grid[-1:])
+        assert np.array_equal([profile.f[-1:], profile.df[-1:], profile.d2f[-1:]], want)
 
     def test_rejects_equal_end_parameters(self, round_tail):
         f_b, df_b = float(round_tail.f[-1]), float(round_tail.df[-1])

@@ -502,13 +502,11 @@ def _run_collar(config: RunConfig) -> int:
     path = pl._resolve_path(data, _pipeline_config(options, _PATH))
     route, case_id, kappa = co.select_route(path, data.q, data.lam)
     epsilon = options["epsilon"]
-    if options["amplitude"] is None:
-        spec = co.find_A0(path, epsilon, kappa, case_id, data.q, data.lam)
-        spec = spec.at_amplitude(2.0 * spec.A)
-    else:
-        spec = co.CollarSpec(
-            path, epsilon, options["amplitude"], kappa, case_id, data.q, data.lam)
-    built = co.build_collar(spec)
+    spec = co.CollarSpec(path, epsilon, kappa, case_id, data.q, data.lam)
+    amplitude = options["amplitude"]
+    if amplitude is None:
+        amplitude = 2.0 * co.find_A0(spec)
+    built = co.build_collar(spec, amplitude)
     mono = co.monotonicity_check(built)
     curve = built.hawking
     payload = {
@@ -518,7 +516,7 @@ def _run_collar(config: RunConfig) -> int:
         "case_id": case_id,
         "kappa": kappa,
         "epsilon": epsilon,
-        "amplitude": spec.A,
+        "amplitude": amplitude,
         "r_o": path.r_o,
         "mass_start": float(curve.mass[0]),
         "mass_end": float(curve.mass[-1]),

@@ -15,7 +15,7 @@ arclength radial profile for gluing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +40,6 @@ __all__ = [
     "EIGENFUNCTION_LAPSE",
     "CONSTANT_LAPSE",
     "CollarSpec",
-    "CollarMargin",
     "ChargedCollar",
     "MonotonicityReport",
     "select_route",
@@ -76,34 +75,38 @@ _CROSSING_BAND = 1e-12
 
 @dataclass(frozen=True)
 class CollarSpec:
-    """Parameters of a collar extension.
+    """Parameters of a collar extension, with its amplitude-free energy margin.
 
-    The charge bound (curvature floor minus charge density must be
-    positive in the case-appropriate combination) is validated here; the
-    curvature-floor admissibility of the path itself is validated when
-    the collar is built (see select_route).  The boundary radius ``r_o`` is
-    the path's.  ``margin`` is the amplitude-independent energy margin of
-    every field but ``A``: a spec made without one, or with one of other
-    fields, gets a fresh one, and ``at_amplitude`` passes it on.  ``find_A0``
-    sets ``A`` from the margin's crossing.
+    At lapse amplitude A the collar's energy margin is core + well / A^2
+    over (t, theta), with core = base - reference, where base + well / A^2
+    is the collar's scalar curvature (``_margin_rows``) and reference =
+    2 Lambda + n(n-1)|E|^2 per t (``_reference_density``).  The amplitude is
+    the collar's one free number, so it is not a field: ``find_A0`` takes
+    it from the margin's ``crossing``, and ``build_collar`` takes it as an
+    argument, so collars of one spec at any amplitudes share its grids.
+
+    The constructor validates the fields, the charge bound (curvature floor
+    minus charge density positive in the case-appropriate combination) and
+    the curvature-floor test of the lapse (``_route_floor``).  The boundary
+    radius ``r_o`` is the path's.  The crossing and ``build_collar``'s
+    verdict come from per-row extremes of base and well (``_row_extremes``);
+    the elementwise ``fields`` and ``core`` are built only for a verdict
+    those cannot decide, or for the error of a margin without a crossing.
+    Everything is computed on first read and kept.
     """
 
     path: MetricPath
     epsilon: float
-    A: float
     kappa: float
     case_id: str
     q: float
     lam: float
-    margin: CollarMargin | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.case_id not in (EIGENFUNCTION_LAPSE, CONSTANT_LAPSE):
             raise DomainError(f"unknown lapse case {self.case_id!r}")
         if not 0.0 < self.epsilon <= 1.0:
             raise DomainError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
-        if not self.A > 0.0:
-            raise DomainError(f"lapse amplitude must be positive, got {self.A!r}")
         if self.kappa < 0.0:
             raise DomainError(f"kappa must be nonnegative, got {self.kappa!r}")
         if self.lam > 0.0:
@@ -113,10 +116,7 @@ class CollarSpec:
                 "charge too large for the curvature floor: "
                 f"q={self.q!r}, kappa={self.kappa!r}, lam={self.lam!r}"
             )
-        key = (self.epsilon, self.kappa, self.case_id, self.q, self.lam)
-        margin = self.margin
-        if margin is None or margin.path is not self.path or margin.key != key:
-            object.__setattr__(self, "margin", CollarMargin(self.path, *key))
+        _route_floor(self)
 
     @property
     def n(self) -> int:
@@ -125,15 +125,6 @@ class CollarSpec:
     @property
     def r_o(self) -> float:
         return self.path.r_o
-
-    @property
-    def shape_factor(self):
-        """The margin's (t, F, dF, d2F)."""
-        return self.margin.shape_factor
-
-    def at_amplitude(self, A: float) -> CollarSpec:
-        """This spec at lapse amplitude A, with the same margin."""
-        return replace(self, A=A)
 
     def _charge_gap_scalar(self) -> float:
         """Floor of the positive-scalar/eigenfunction energy inequality."""
@@ -146,46 +137,6 @@ class CollarSpec:
             return -math.inf
         return -2.0 * (self.kappa + self.lam) - 2.0 * self.q ** 2 / self.r_o ** 4
 
-
-@dataclass(frozen=True, eq=False)
-class CollarMargin:
-    """The amplitude-independent energy margin of a collar.
-
-    Keyed by the path (held, so it cannot be freed while the margin
-    lives) and (epsilon, kappa, case_id, q, lam): every field of a
-    ``CollarSpec`` but the amplitude, so it also reads as a spec for the
-    helpers that build its fields.  At amplitude A the energy margin is
-    core + well / A^2 over (t, theta), with core = base - reference, where
-    base + well / A^2 is the collar's scalar curvature (``_margin_parts``)
-    and reference = 2 Lambda + n(n-1)|E|^2 per t (``_reference_density``).
-
-    Its ``crossing``, the amplitude^2 above which the margin is positive,
-    gives ``find_A0`` its amplitude in closed form.  The crossing and
-    ``build_collar``'s verdict come from per-row extremes of base and well
-    (``_row_extremes``); the elementwise ``fields`` and ``core`` are built
-    only for a verdict those cannot decide, or for the error of a margin
-    without a crossing.  Everything is computed on first read and kept.
-    """
-
-    path: MetricPath
-    epsilon: float
-    kappa: float
-    case_id: str
-    q: float
-    lam: float
-
-    @property
-    def n(self) -> int:
-        return self.path.n
-
-    @property
-    def r_o(self) -> float:
-        return self.path.r_o
-
-    @property
-    def key(self) -> tuple:
-        return (self.epsilon, self.kappa, self.case_id, self.q, self.lam)
-
     @cached_property
     def shape_factor(self):
         """(t, F, dF, d2F) of the collar's warping F = sqrt(1 + epsilon t^2)."""
@@ -193,7 +144,7 @@ class CollarMargin:
         F = np.sqrt(1.0 + self.epsilon * t * t)
         dF = self.epsilon * t / F
         d2F = self.epsilon / F ** 3
-        # Shared by every reader of the margin, so none may write to them.
+        # Shared by every collar of the spec, so none may write to them.
         for array in (F, dF, d2F):
             array.flags.writeable = False
         return t, F, dF, d2F
@@ -206,7 +157,7 @@ class CollarMargin:
     @cached_property
     def fields(self):
         """Elementwise (base, well, reference) over (t, theta)."""
-        base, well = _margin_parts(self)
+        base, well = _margin_rows(self, slice(None))
         return base, well, self.reference[:, None]
 
     @cached_property
@@ -285,7 +236,7 @@ class CollarMargin:
 
 @dataclass(frozen=True)
 class ChargedCollar:
-    """A built collar with its verification fields.
+    """A built collar at lapse amplitude ``A``, with its verification fields.
 
     scalar_curvature and dec_margin are sampled over (t, theta) with a
     single theta column for round paths, from the spec's margin fields on
@@ -295,6 +246,7 @@ class ChargedCollar:
     """
 
     spec: CollarSpec
+    A: float
     mean_curvature: np.ndarray
     hawking: HawkingCurve
 
@@ -308,12 +260,12 @@ class ChargedCollar:
 
     @cached_property
     def scalar_curvature(self) -> np.ndarray:
-        base, well, _ = self.spec.margin.fields
-        return base + well / self.spec.A ** 2
+        base, well, _ = self.spec.fields
+        return base + well / self.A ** 2
 
     @cached_property
     def dec_margin(self) -> np.ndarray:
-        return self.scalar_curvature - self.spec.margin.fields[2]
+        return self.scalar_curvature - self.spec.fields[2]
 
 
 @dataclass(frozen=True)
@@ -334,15 +286,15 @@ class MonotonicityReport:
     verdict: str
 
 
-def _route_floor(spec: CollarSpec) -> float:
-    """Energy floor of the curvature-floor test the spec's lapse passes.
+def _route_floor(spec: CollarSpec) -> None:
+    """The curvature-floor test of the spec's lapse.
 
     The eigenfunction lapse needs kappa below the first eigenvalue along
     the path; a constant lapse needs kappa below half the slice scalar
     curvature (positive scalar) or, for n = 2, above minus half of it
-    (negative floor).  Each test also needs its charge gap positive, and
-    that gap is the floor returned.  Raises PreconditionError when no test
-    passes.  Reads only fields the spec's collar reads anyway.
+    (negative floor).  Each test also needs its charge gap positive.
+    Raises PreconditionError when no test passes.  Reads only fields the
+    spec's collar reads anyway.
     """
     scalar_gap = spec._charge_gap_scalar()
     # Slice fields before eigen fields, as the collar reads them: built in
@@ -352,16 +304,15 @@ def _route_floor(spec: CollarSpec) -> float:
     if spec.case_id == EIGENFUNCTION_LAPSE:
         min_lam1 = float(np.min(eigen_along_path(spec.path).lambda1))
         if min_lam1 > spec.kappa and scalar_gap > 0.0:
-            return scalar_gap
+            return
         raise PreconditionError(
             "eigenfunction lapse needs kappa below the first eigenvalue "
             f"(min lambda1 = {min_lam1!r}, kappa = {spec.kappa!r})"
         )
     if min_scal > 2.0 * spec.kappa and scalar_gap > 0.0:
-        return scalar_gap
-    negative_gap = spec._charge_gap_negative()
-    if spec.n == 2 and 0.5 * min_scal > -spec.kappa and negative_gap > 0.0:
-        return negative_gap
+        return
+    if spec.n == 2 and 0.5 * min_scal > -spec.kappa and spec._charge_gap_negative() > 0.0:
+        return
     raise PreconditionError(
         "no admissible curvature floor: min slice scalar curvature "
         f"{min_scal!r} with kappa {spec.kappa!r}"
@@ -416,16 +367,16 @@ def select_route(path: MetricPath, q: float, lam: float) -> tuple[str, str, floa
 
     Each minimum is read from the memoized slice or eigen fields, the
     fields the admissibility test and the collar read.  The first candidate
-    that passes the admissibility test of ``build_collar`` (the charge gap
-    of ``CollarSpec`` and the curvature test of its lapse) wins.  Raises
+    that passes the admissibility test of ``CollarSpec`` (its charge gap
+    and the curvature test of its lapse) wins.  Raises
     PreconditionError, naming each route's refusal, when none passes.
     """
     refusals = []
     for route, case_id, kappa, refusal in _route_candidates(path, lam):
         if refusal is None:
             try:
-                # The flare and amplitude (1.0 here) do not enter the test.
-                _route_floor(CollarSpec(path, 1.0, 1.0, kappa, case_id, q, lam))
+                # The flare (1.0 here) does not enter the test.
+                CollarSpec(path, 1.0, kappa, case_id, q, lam)
             except PreconditionError as exc:
                 refusal = str(exc)
             else:
@@ -437,20 +388,14 @@ def select_route(path: MetricPath, q: float, lam: float) -> tuple[str, str, floa
     )
 
 
-def _margin_parts(spec: CollarSpec):
-    """Decompose collar curvature fields by their lapse dependence.
+def _margin_rows(spec: CollarSpec, rows):
+    """Collar curvature fields split by their lapse dependence, on the t
+    rows ``rows`` (a slice or an index array).
 
-    Returns arrays (base, well) over (t, theta) such that the collar
+    Returns arrays (base, well) over (rows, theta) such that the collar
     scalar curvature is base + well / A^2 and, with the electromagnetic
     and cosmological reference, dec margin = (base - reference) + well / A^2.
-    See ``_margin_rows``.
-    """
-    return _margin_rows(spec, slice(None))
-
-
-def _margin_rows(spec: CollarSpec, rows):
-    """(base, well) of ``_margin_parts`` on the t rows ``rows`` (a slice
-    or an index array), bit for bit.
+    Any rows are the full grid's rows bit for bit.
 
     The eigenfunction lapse u contributes -2 (Laplacian u / u) / F^2 to base
     and the factor u^-2 and the drift 2n (du/dt / u) F' / F to well.  A
@@ -497,10 +442,10 @@ def _lapse_free(shape, F, r_scal, gp_sq):
     return r_scal / F ** 2, -shape - 0.25 * gp_sq
 
 
-def _row_extremes(spec: CollarMargin):
+def _row_extremes(spec: CollarSpec):
     """(base_min, base_max, well_min, smallest) per t row.
 
-    The first three are each row's extremes of the ``_margin_parts``
+    The first three are each row's extremes of the ``_margin_rows``
     fields.  The constant lapse takes them from the path's per-row
     extremes of R and |g'|^2: base grows with R and well falls with
     |g'|^2, and rounding is monotone, so they are the fields' extremes bit
@@ -542,14 +487,14 @@ def _slice_inverse_square_integral(spec: CollarSpec) -> np.ndarray:
     return spec.path.inverse_square_integral
 
 
-def _hawking_along_collar(spec: CollarSpec) -> HawkingCurve:
+def _hawking_along_collar(spec: CollarSpec, A: float) -> HawkingCurve:
     n = spec.n
     t, F, dF, _ = spec.shape_factor
     radius = spec.r_o * F
     params = RNParams(n=n, m=0.0, q=spec.q, lam=spec.lam)
     inv_sq = _slice_inverse_square_integral(spec)
     curvature_term = dF ** 2 * inv_sq / (
-        spec.A ** 2 * unit_sphere_volume(n) * spec.r_o ** (n - 2)
+        A ** 2 * unit_sphere_volume(n) * spec.r_o ** (n - 2)
     )
     mass = 0.5 * radius ** (n - 1) * (lambda_rn.eval_p(params, radius) - curvature_term)
     dt = float(t[1] - t[0])
@@ -565,19 +510,21 @@ def _worst_sample(path: MetricPath, values: np.ndarray):
     return worst, float(path.t_grid[worst[0]]), float(theta_grid[worst[1]])
 
 
-def build_collar(spec: CollarSpec) -> ChargedCollar:
-    """Assemble a collar and verify the strict energy condition.
+def build_collar(spec: CollarSpec, A: float) -> ChargedCollar:
+    """Assemble the collar of spec at lapse amplitude A and verify the
+    strict energy condition.
 
-    The verdict is the margin's crossing where ``CollarMargin.certifies``
+    The verdict is the margin's crossing where ``CollarSpec.certifies``
     shows that rounding cannot flip it; otherwise the margin
     R - 2 Lambda - n(n-1)|E|^2 is checked sample by sample, and a
     construction error carrying the worst (t, theta) sample is raised if
     it is not strictly positive.
     """
-    _route_floor(spec)
-    if not spec.margin.certifies(spec.A):
-        base, well, reference = spec.margin.fields
-        margin = (base + well / spec.A ** 2) - reference
+    if not A > 0.0:
+        raise DomainError(f"lapse amplitude must be positive, got {A!r}")
+    if not spec.certifies(A):
+        base, well, reference = spec.fields
+        margin = (base + well / A ** 2) - reference
         worst, t, theta = _worst_sample(spec.path, margin)
         min_margin = float(margin[worst])
         if not min_margin > 0.0:
@@ -591,40 +538,35 @@ def build_collar(spec: CollarSpec) -> ChargedCollar:
         u_max = np.ones_like(F)
     else:
         u_max = np.max(eigen_along_path(spec.path).u, axis=1)
-    mean_curvature = spec.n * dF / (spec.A * F * u_max)
+    mean_curvature = spec.n * dF / (A * F * u_max)
     return ChargedCollar(
         spec=spec,
+        A=A,
         mean_curvature=mean_curvature,
-        hawking=_hawking_along_collar(spec),
+        hawking=_hawking_along_collar(spec, A),
     )
 
 
-def find_A0(
-    path: MetricPath, epsilon: float, kappa: float, case_id: str, q: float, lam: float
-) -> CollarSpec:
-    """Collar spec at the lapse amplitude ``_AMPLITUDE_FACTOR`` sqrt(crossing).
+def find_A0(spec: CollarSpec) -> float:
+    """The lapse amplitude ``_AMPLITUDE_FACTOR`` sqrt(crossing) of spec.
 
     The margin core + well / A^2 is positive exactly for A^2 above the
     margin's ``crossing``; at A0^2 = 1.05 crossing it is at least
     (1 - 1 / 1.05) core at every sample, and ``build_collar`` confirms it.
-    The spec carries the margin its crossing came from.  Raises
-    PreconditionError when the curvature floor fails, and
-    ConstructionError, with the (t, theta) sample of the smallest core (or
-    the first NaN) and its core and well, when the margin has no crossing.
+    Raises ConstructionError, with the (t, theta) sample of the smallest
+    core (or the first NaN) and its core and well, when the margin has no
+    crossing.
     """
-    spec = CollarSpec(path, epsilon, 1.0, kappa, case_id, q, lam)
-    _route_floor(spec)
-    margin = spec.margin
-    if margin.crossing is None:
-        core, well = margin.core, margin.fields[1]
+    if spec.crossing is None:
+        core, well = spec.core, spec.fields[1]
         # A NaN well makes its sample the worst, as a NaN core does.
-        worst, t, theta = _worst_sample(path, np.where(np.isnan(well), np.nan, core))
+        worst, t, theta = _worst_sample(spec.path, np.where(np.isnan(well), np.nan, core))
         raise ConstructionError(
             "no lapse amplitude passes the margin check",
             diagnostics={"core": float(core[worst]), "well": float(well[worst]),
                          "t": t, "theta": theta},
         )
-    return spec.at_amplitude(_AMPLITUDE_FACTOR * math.sqrt(margin.crossing))
+    return _AMPLITUDE_FACTOR * math.sqrt(spec.crossing)
 
 
 def find_eps0(n: int, r_o: float, q: float, lam: float, gain: float) -> float:
@@ -715,7 +657,7 @@ def monotonicity_check(collar: ChargedCollar) -> MonotonicityReport:
         verdict = "nondecreasing" if monotone else "violated"
     elif spec.case_id == CONSTANT_LAPSE:
         a1 = _a1_threshold(collar)
-        a_reaches = spec.A >= a1
+        a_reaches = collar.A >= a1
         integral_value = _slice_curvature_integral(collar)
         bound = n * (n - 1) * unit_sphere_volume(n) * spec.r_o ** (n - 2)
         integral_ok = integral_value <= bound * (1.0 + 1e-9) + 1e-12
@@ -766,7 +708,7 @@ def tail_to_arclength(collar: ChargedCollar) -> SampledProfile:
             raise PreconditionError("lapse is not constant on the collar tail")
 
     t_tail = path.t_grid[keep]
-    amplitude = spec.A
+    amplitude = collar.A
     epsilon = spec.epsilon
     r_o = spec.r_o
     amp_sq, r_o_sq = amplitude ** 2, r_o ** 2

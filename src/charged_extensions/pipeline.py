@@ -209,14 +209,15 @@ def _build_collar_tail(
     at it (``collar.find_A0``) and the collar built once.  Certifies that
     the tail's far Hawking mass m_star lies strictly between m_o and m, or
     raises ConstructionError with the flare, amplitude and both masses.
-    Returns the collar, its arclength tail and m_star; the collar's spec
-    carries the flare, amplitude and kappa it was built with.
+    Returns the collar, its arclength tail and m_star; the collar carries
+    its amplitude, and its spec the flare and kappa it was built with.
     """
     epsilon = co.find_eps0(
         data.n, path.r_o, data.q, data.lam, _MASS_FRACTION * (m - m_o_val)
     )
-    spec = co.find_A0(path, epsilon, kappa, case_id, data.q, data.lam)
-    built = co.build_collar(spec)
+    spec = co.CollarSpec(path, epsilon, kappa, case_id, data.q, data.lam)
+    amplitude = co.find_A0(spec)
+    built = co.build_collar(spec, amplitude)
     tail = co.tail_to_arclength(built)
     m_star = ql.hawking_rotsym(
         data.n, data.q, data.lam, float(tail.f[-1]), float(tail.df[-1])
@@ -225,7 +226,7 @@ def _build_collar_tail(
         raise ConstructionError(
             "far collar mass does not lie strictly between the optimal and "
             "the requested mass",
-            diagnostics={"epsilon": epsilon, "amplitude": spec.A,
+            diagnostics={"epsilon": epsilon, "amplitude": amplitude,
                          "m_star": m_star, "m_o": m_o_val, "m": m},
         )
     return built, tail, m_star
@@ -335,7 +336,7 @@ def _assemble_report(
         "route": route,
         "kappa": spec.kappa,
         "epsilon": spec.epsilon,
-        "amplitude": spec.A,
+        "amplitude": built.A,
         "far_collar_mass": m_star,
         "boundary_radius": r_o,
         "gluing_radius": float(record["r_C"]),
@@ -676,8 +677,8 @@ def _scalar_collar(
     path: ss.MetricPath, eps: float, min_amplitude: float = 0.0
 ) -> co.ChargedCollar:
     _, case_id, kappa = co.select_route(path, 0.0, 0.0)
-    spec = co.find_A0(path, eps, kappa, case_id, 0.0, 0.0)
-    return co.build_collar(spec.at_amplitude(max(2.0 * spec.A, min_amplitude)))
+    spec = co.CollarSpec(path, eps, kappa, case_id, 0.0, 0.0)
+    return co.build_collar(spec, max(2.0 * co.find_A0(spec), min_amplitude))
 
 
 def _criterion_collar_masses(config: PipelineConfig) -> dict:

@@ -115,7 +115,8 @@ class GlueInputs:
     """Two ordered radial profiles to be joined, with a common target charge.
 
     The left profile ends below the right profile's start while its slope
-    does not: the bridge between them can then be monotone with nonpositive
+    does not, and the two slopes have a positive sum: the bridge between
+    them then has positive length, and can be monotone with nonpositive
     second derivative.  Both junction spheres must carry Hawking mass at or
     above :func:`junction_mass_floor`; when one sits exactly on the floor the
     target charge must be strictly smaller in magnitude than that profile's
@@ -158,6 +159,10 @@ class GlueInputs:
             raise PreconditionError(
                 f"left end slope {self.slope_left} must be >= right start "
                 f"slope {self.slope_right}")
+        if not self.slope_left + self.slope_right > 0.0:
+            raise PreconditionError(
+                f"left end slope {self.slope_left} and right start slope "
+                f"{self.slope_right} must have a positive sum")
         self._check_junction(self.left, self.f1_b1, self.slope_left, "left")
         self._check_junction(self.right, self.f2_a2, self.slope_right, "right")
 
@@ -463,11 +468,7 @@ def build_bridge(inputs: GlueInputs) -> BridgedProfile:
     translated to the closed-form length of :func:`_close`; the bridge slope
     is re-integrated numerically as an independent confirmation.
     """
-    c1 = inputs.slope_left
-    if c1 <= 0.0:
-        raise InternalConsistencyError(
-            "left end slope must be positive to bridge a positive radius gap")
-    bridge = _close(inputs.left, inputs.right, inputs.f1_b1, c1,
+    bridge = _close(inputs.left, inputs.right, inputs.f1_b1, inputs.slope_left,
                     inputs.f2_a2, inputs.slope_right)
     gap = inputs.f2_a2 - inputs.f1_b1
     ss = np.linspace(bridge.b1, bridge.a2, 4097)

@@ -286,13 +286,12 @@ class TestCsvSerialization:
         spec = co.CollarSpec(
             path=path,
             epsilon=0.05,
-            A=2.0 * co.find_A0(path, 0.05, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0).A,
             kappa=0.95,
             case_id=co.CONSTANT_LAPSE,
             q=0.0,
             lam=0.0,
         )
-        built = co.build_collar(spec)
+        built = co.build_collar(spec, 2.0 * co.find_A0(spec))
         hawking = cli_io.hawking_csv(built.hawking)
         lines = hawking.splitlines()
         assert lines[0] == "t,mass,dmass_dt,charge"
@@ -511,6 +510,13 @@ class TestCollarCommand:
         )
         assert rc == 3
         assert "ConstructionError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("amplitude", ["0", "-1"])
+    def test_nonpositive_amplitude_is_a_domain_error(self, capsys, amplitude):
+        rc = cli_io.main(["collar", "--n", "2", "--r-o", "1.0", f"--amplitude={amplitude}"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: DomainError: lapse amplitude must be positive, got {float(amplitude)!r}\n")
 
 
 class TestGlueCommand:

@@ -7,6 +7,7 @@ import io
 import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -38,17 +39,35 @@ def cos_path():
     return sphere_seed.normalize_path(metric, n_t=129)
 
 
-def round_spec(path, epsilon=0.1, amplitude=2.0, kappa=0.95, case=co.CONSTANT_LAPSE,
-               q=0.0, lam=0.0):
+def round_spec(path, epsilon=0.1, kappa=0.95, case=co.CONSTANT_LAPSE, q=0.0, lam=0.0):
     return co.CollarSpec(
         path=path,
         epsilon=epsilon,
-        A=amplitude,
         kappa=kappa,
         case_id=case,
         q=q,
         lam=lam,
     )
+
+
+def round_collar(path, amplitude=2.0, **fields):
+    """The collar of ``round_spec(path, **fields)`` at lapse amplitude ``amplitude``."""
+    return co.build_collar(round_spec(path, **fields), amplitude)
+
+
+def _record_fields(monkeypatch):
+    """The list of specs whose elementwise margin fields are built from now on."""
+    built = []
+    original = co.CollarSpec.fields.func
+
+    def recording(spec):
+        built.append(spec)
+        return original(spec)
+
+    fields = cached_property(recording)
+    fields.__set_name__(co.CollarSpec, "fields")
+    monkeypatch.setattr(co.CollarSpec, "fields", fields)
+    return built
 
 
 class TestSpecValidation:
@@ -62,9 +81,12 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             round_spec(round2, epsilon=1.5)
 
-    def test_rejects_nonpositive_amplitude(self, round2):
-        with pytest.raises(DomainError):
-            round_spec(round2, amplitude=0.0)
+    @pytest.mark.parametrize("amplitude", [0.0, -1.0])
+    def test_build_collar_rejects_nonpositive_amplitude(self, round2, amplitude):
+        spec = round_spec(round2)
+        with pytest.raises(DomainError) as error:
+            co.build_collar(spec, amplitude)
+        assert str(error.value) == f"lapse amplitude must be positive, got {amplitude!r}"
 
     def test_rejects_negative_kappa(self, round2):
         with pytest.raises(DomainError):
@@ -80,23 +102,23 @@ class TestSpecValidation:
 
     def test_radius_is_the_path_radius(self, round2, cos_path):
         for path in (round2, cos_path):
-            assert round_spec(path).r_o == path.r_o
+            assert round_spec(path, kappa=0.8).r_o == path.r_o
 
 
-def scalar_curvature_at(spec, t):
+def scalar_curvature_at(collar, t):
     """Scalar curvature of the built collar at the t sample nearest t."""
-    k = int(np.argmin(np.abs(spec.path.t_grid - t)))
-    return float(co.build_collar(spec).scalar_curvature[k, 0])
+    k = int(np.argmin(np.abs(collar.spec.path.t_grid - t)))
+    return float(collar.scalar_curvature[k, 0])
 
 
 class TestScalarCurvature:
     def test_boundary_slice_closed_form(self, round2):
-        spec = round_spec(round2, epsilon=0.1, amplitude=2.0)
-        value = scalar_curvature_at(spec, 0.0)
+        collar = round_collar(round2, epsilon=0.1, amplitude=2.0)
+        value = scalar_curvature_at(collar, 0.0)
         assert math.isclose(value, 2.0 - 4.0 * 0.1 / 4.0, rel_tol=0.0, abs_tol=1e-12)
 
     def test_round_matches_radial_formula(self, round2):
-        spec = round_spec(round2, epsilon=0.25, amplitude=1.7)
+        collar = round_collar(round2, epsilon=0.25, amplitude=1.7)
         n, amplitude, epsilon = 2, 1.7, 0.25
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             s = amplitude * t
@@ -104,21 +126,20 @@ class TestScalarCurvature:
             df = epsilon * s / (amplitude ** 2 * f)
             d2f = epsilon / (amplitude ** 2 * f) - df * df / f
             expected = n * ((n - 1) * (1.0 - df * df) - 2.0 * f * d2f) / f ** 2
-            got = scalar_curvature_at(spec, t)
+            got = scalar_curvature_at(collar, t)
             assert math.isclose(got, expected, rel_tol=0.0, abs_tol=1e-10)
 
     def test_small_epsilon_limit(self, round2):
-        spec = round_spec(round2, epsilon=1e-6, amplitude=50.0)
+        collar = round_collar(round2, epsilon=1e-6, amplitude=50.0)
         for t in (0.0, 0.5, 1.0):
             assert math.isclose(
-                scalar_curvature_at(spec, t), 2.0, rel_tol=0.0, abs_tol=1e-5
+                scalar_curvature_at(collar, t), 2.0, rel_tol=0.0, abs_tol=1e-5
             )
 
 
 class TestBuildCollar:
     def test_round_margin_and_mean_curvature(self, round2):
-        spec = round_spec(round2, epsilon=0.1, amplitude=2.0)
-        built = co.build_collar(spec)
+        built = round_collar(round2, epsilon=0.1, amplitude=2.0)
         assert np.min(built.dec_margin) > 0.0
         assert built.mean_curvature[0] == 0.0
         assert np.all(built.mean_curvature[1:] > 0.0)
@@ -128,65 +149,61 @@ class TestBuildCollar:
         assert np.max(np.abs(built.mean_curvature - expected)) < 1e-14
 
     def test_margin_failure_reports_worst_point(self, round2):
-        spec = round_spec(round2, epsilon=0.5, amplitude=0.05)
+        spec = round_spec(round2, epsilon=0.5)
         with pytest.raises(ConstructionError) as err:
-            co.build_collar(spec)
+            co.build_collar(spec, 0.05)
         diag = err.value.diagnostics
         assert diag["min_margin"] < 0.0
         assert 0.0 <= diag["t"] <= 1.0
 
     def test_eigen_equals_constant_on_round(self, round2):
-        const = co.build_collar(round_spec(round2, epsilon=0.1, amplitude=2.0))
-        eigen = co.build_collar(
-            round_spec(round2, epsilon=0.1, amplitude=2.0, case=co.EIGENFUNCTION_LAPSE)
-        )
+        const = round_collar(round2, epsilon=0.1, amplitude=2.0)
+        eigen = round_collar(round2, epsilon=0.1, amplitude=2.0, case=co.EIGENFUNCTION_LAPSE)
         assert np.array_equal(const.scalar_curvature, eigen.scalar_curvature)
         assert np.array_equal(const.hawking.mass, eigen.hawking.mass)
 
     def test_axisym_constant_lapse_margin(self, cos_path):
-        spec = round_spec(cos_path, epsilon=0.1, amplitude=3.0, kappa=0.8)
-        built = co.build_collar(spec)
+        built = round_collar(cos_path, epsilon=0.1, amplitude=3.0, kappa=0.8)
         assert np.min(built.dec_margin) > 0.0
 
     def test_axisym_eigen_lapse_margin(self, cos_path):
-        spec = round_spec(
+        built = round_collar(
             cos_path, epsilon=0.1, amplitude=3.0, kappa=0.2,
             case=co.EIGENFUNCTION_LAPSE,
         )
-        built = co.build_collar(spec)
         assert np.min(built.dec_margin) > 0.0
         assert built.mean_curvature[0] == 0.0
 
     def test_eigen_collars_share_the_path_inverse_square_integral(self, cos_path, monkeypatch):
         # Every eigenfunction-lapse collar of a path reads one memoized
         # O(n_t) array; building more collars integrates no slice again.
-        spec = round_spec(cos_path, epsilon=0.1, amplitude=3.0, kappa=0.2,
-                          case=co.EIGENFUNCTION_LAPSE)
-        first = co.build_collar(spec).hawking
+        spec = round_spec(cos_path, epsilon=0.1, kappa=0.2, case=co.EIGENFUNCTION_LAPSE)
+        first = co.build_collar(spec, 3.0).hawking
         integral = co._slice_inverse_square_integral(spec)
         assert integral is cos_path.inverse_square_integral
         assert integral.shape == cos_path.t_grid.shape
         monkeypatch.setattr(sphere_seed, "simpson_uniform", None)
-        again = co.build_collar(spec.at_amplitude(4.0)).hawking
-        assert co._slice_inverse_square_integral(spec.at_amplitude(4.0)) is integral
+        again = co.build_collar(spec, 4.0).hawking
+        other = replace(spec, epsilon=0.2)
+        co.build_collar(other, 4.0)
+        assert co._slice_inverse_square_integral(other) is integral
         assert np.any(again.mass != first.mass)
 
+    # The charge gaps are positive; the curvature test of the lapse fails
+    # where the spec is made.
     def test_inadmissible_floor_raises(self, round2):
-        spec = round_spec(round2, kappa=1.2, lam=0.0, amplitude=5.0)
-        with pytest.raises(PreconditionError):
-            co.build_collar(spec)
+        with pytest.raises(PreconditionError, match="no admissible curvature floor"):
+            round_spec(round2, kappa=1.2, lam=0.0)
 
     def test_eigen_needs_eigenvalue_above_kappa(self, round2):
-        spec = round_spec(round2, kappa=1.5, lam=-1.6, amplitude=5.0,
-                          case=co.EIGENFUNCTION_LAPSE)
-        with pytest.raises(PreconditionError):
-            co.build_collar(spec)
+        with pytest.raises(PreconditionError, match="eigenfunction lapse needs kappa"):
+            round_spec(round2, kappa=1.5, lam=-1.6, case=co.EIGENFUNCTION_LAPSE)
 
 
 class TestAmplitudeSearch:
     def test_amplitude_eigen_matches_constant_on_round(self, round2):
-        constant = co.find_A0(round2, 0.1, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0).A
-        eigen = co.find_A0(round2, 0.1, 0.95, co.EIGENFUNCTION_LAPSE, 0.0, 0.0).A
+        constant = co.find_A0(round_spec(round2, 0.1, 0.95, co.CONSTANT_LAPSE))
+        eigen = co.find_A0(round_spec(round2, 0.1, 0.95, co.EIGENFUNCTION_LAPSE))
         assert constant == eigen
 
     @pytest.mark.parametrize("kappa", [0.95, 0.8])
@@ -194,91 +211,96 @@ class TestAmplitudeSearch:
         # At A0^2 = 1.05 crossing the margin keeps (1 - 1 / 1.05) of the
         # core at every sample, up to rounding.
         path = round2 if kappa == 0.95 else cos_path
-        spec = co.find_A0(path, 0.1, kappa, co.CONSTANT_LAPSE, 0.0, 0.0)
-        margin = co.build_collar(spec).dec_margin
-        assert np.all(margin >= (1.0 - 1.0 / 1.05) * (1.0 - 1e-9) * spec.margin.core)
+        spec = round_spec(path, 0.1, kappa, co.CONSTANT_LAPSE)
+        margin = co.build_collar(spec, co.find_A0(spec)).dec_margin
+        assert np.all(margin >= (1.0 - 1.0 / 1.05) * (1.0 - 1e-9) * spec.core)
 
     def test_refined_is_locally_minimal(self, round2):
-        a0 = co.find_A0(round2, 0.1, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0).A
-        spec = round_spec(round2, epsilon=0.1, amplitude=a0 / 1.051)
+        spec = round_spec(round2, epsilon=0.1)
+        a0 = co.find_A0(spec)
         with pytest.raises(ConstructionError):
-            co.build_collar(spec)
+            co.build_collar(spec, a0 / 1.051)
 
     def test_amplitude_grows_with_charge(self, round2):
         values = [
-            co.find_A0(round2, 0.1, 0.95, co.CONSTANT_LAPSE, q, 0.0).A
+            co.find_A0(round_spec(round2, 0.1, 0.95, co.CONSTANT_LAPSE, q))
             for q in (0.0, 0.4, 0.7)
         ]
         assert values[0] < values[1] < values[2]
 
     def test_double_amplitude_always_passes(self, round2, round3):
         for path in (round2, round3):
-            a0 = co.find_A0(path, 0.05, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0).A
-            built = co.build_collar(round_spec(path, epsilon=0.05, amplitude=2 * a0))
+            a0 = co.find_A0(round_spec(path, epsilon=0.05))
+            built = round_collar(path, epsilon=0.05, amplitude=2 * a0)
             assert np.min(built.dec_margin) > 0.0
 
     @pytest.mark.parametrize("case", [co.CONSTANT_LAPSE, co.EIGENFUNCTION_LAPSE])
     def test_A0_spec_builds_from_the_search_margin_fields(self, cos_path, case, monkeypatch):
-        # The margin object find_A0 read is the collar's, at A0 and at any
-        # other amplitude: the build computes no margin fields, and each
-        # collar equals one built from a fresh spec bit for bit; the grids,
-        # read later, build the shared margin's fields once.
-        spec = co.find_A0(cos_path, 0.1, 0.8, case, 0.1, -1.0)
-        assert spec == round_spec(cos_path, 0.1, spec.A, 0.8, case, 0.1, -1.0)
-        specs = (spec, spec.at_amplitude(2.0 * spec.A))
-        assert specs[1].margin is spec.margin
-        fresh = [co.build_collar(round_spec(cos_path, 0.1, s.A, 0.8, case, 0.1, -1.0))
-                 for s in specs]
+        # The spec find_A0 read builds the collar at A0 and at any other
+        # amplitude: the build computes no margin fields, and each collar
+        # equals one built from a fresh spec bit for bit; the grids, read
+        # later, build the spec's fields once.
+        spec = round_spec(cos_path, 0.1, 0.8, case, 0.1, -1.0)
+        a0 = co.find_A0(spec)
+        assert a0 == co.find_A0(round_spec(cos_path, 0.1, 0.8, case, 0.1, -1.0))
+        amplitudes = (a0, 2.0 * a0)
+        fresh = [co.build_collar(round_spec(cos_path, 0.1, 0.8, case, 0.1, -1.0), a)
+                 for a in amplitudes]
         names = ("scalar_curvature", "dec_margin", "mean_curvature")
         want = [{name: getattr(r, name).tobytes() for name in names} for r in fresh]
-        parts = []
-
-        def counting(*args, original=co._margin_parts):
-            parts.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(co, "_margin_parts", counting)
-        built = [co.build_collar(s) for s in specs]
+        parts = _record_fields(monkeypatch)
+        built = [co.build_collar(spec, a) for a in amplitudes]
         assert parts == []
-        for collar, reference, grids in zip(built, fresh, want):
-            assert collar.spec.margin is spec.margin
+        for collar, amplitude, reference, grids in zip(built, amplitudes, fresh, want):
+            assert collar.spec is spec and collar.A == amplitude
             assert {name: getattr(collar, name).tobytes() for name in names} == grids
             assert collar.hawking.mass.tobytes() == reference.hawking.mass.tobytes()
-        assert parts == [(spec.margin,)]
+        assert parts == [spec]
 
-    def test_a_spec_of_other_fields_gets_its_own_margin(self, cos_path):
+    def test_a_spec_of_other_fields_gets_its_own_margin(self, cos_path, monkeypatch):
+        # Collars of one spec at two amplitudes share its margin, read once;
+        # a spec of other fields reads its own.
         spec = round_spec(cos_path, epsilon=0.1, kappa=0.8)
-        assert spec.at_amplitude(3.0).margin is spec.margin
+        rows = []
+
+        def counting(spec, original=co._row_extremes):
+            rows.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(co, "_row_extremes", counting)
+        collars = [co.build_collar(spec, amplitude) for amplitude in (3.0, 6.0)]
+        assert all(collar.spec is spec for collar in collars)
+        assert len(rows) == 1 and rows[0] is spec
         for changed in ({"epsilon": 0.2}, {"q": 0.1}, {"lam": -1.0}, {"kappa": 0.5},
                         {"case_id": co.EIGENFUNCTION_LAPSE},
                         {"path": _cos_route_path(0.2, 1025, 129)}):
+            rows.clear()
             other = replace(spec, **changed)
-            assert other.margin is not spec.margin
-            assert other.margin.path is other.path
-            assert other.margin.key == (other.epsilon, other.kappa, other.case_id,
-                                        other.q, other.lam)
+            assert other.crossing is not None
+            assert len(rows) == 1 and rows[0] is other
+            assert other.shape_factor is not spec.shape_factor
+            assert other.reference is not spec.reference
 
     def test_axisym_refined_passes(self, cos_path):
-        a0 = co.find_A0(cos_path, 0.1, 0.8, co.CONSTANT_LAPSE, 0.0, 0.0).A
-        built = co.build_collar(
-            round_spec(cos_path, epsilon=0.1, amplitude=a0, kappa=0.8)
-        )
+        a0 = co.find_A0(round_spec(cos_path, epsilon=0.1, kappa=0.8))
+        built = round_collar(cos_path, epsilon=0.1, amplitude=a0, kappa=0.8)
         assert np.min(built.dec_margin) > 0.0
 
 
 def _elementwise_crossing(spec):
     """-min(well / core) over the samples with well < 0, from the
     elementwise fields."""
-    base, well = co._margin_parts(spec)
+    base, well = co._margin_rows(spec, slice(None))
     core = base - co._reference_density(spec)[:, None]
     negative = well < 0.0
     return -float(np.min(well[negative] / core[negative]))
 
 
-def _elementwise_failure(spec):
-    """build_collar's error diagnostics at spec, from the elementwise fields."""
-    base, well = co._margin_parts(spec)
-    margin = (base + well / spec.A ** 2) - co._reference_density(spec)[:, None]
+def _elementwise_failure(spec, amplitude):
+    """build_collar's error diagnostics at spec and amplitude, from the
+    elementwise fields."""
+    base, well = co._margin_rows(spec, slice(None))
+    margin = (base + well / amplitude ** 2) - co._reference_density(spec)[:, None]
     worst = np.unravel_index(int(np.argmin(margin)), margin.shape)
     theta = sphere_seed.slice_geometry(spec.path).theta_grid
     return {"min_margin": float(margin[worst]), "t": float(spec.path.t_grid[worst[0]]),
@@ -289,18 +311,19 @@ def _assert_closed_form(path, epsilon, kappa, case, q, lam):
     """find_A0 returns sqrt(1.05 crossing) to rounding, where the collar
     certifies, and the collar a factor 1 - 2^-20 below sqrt(crossing)
     fails at the elementwise margin's worst sample."""
-    spec = co.find_A0(path, epsilon, kappa, case, q, lam)
+    spec = co.CollarSpec(path, epsilon, kappa, case, q, lam)
+    a0 = co.find_A0(spec)
     crossing = _elementwise_crossing(spec)
-    assert spec.margin.crossing == crossing
+    assert spec.crossing == crossing
     # sqrt(1.05), the square root, the product, the square and the quotient
     # each round once.
-    assert math.isclose(spec.A ** 2 / crossing, 1.05, rel_tol=2.0 ** -49), epsilon
-    assert np.min(co.build_collar(spec).dec_margin) > 0.0
-    below = spec.at_amplitude(math.sqrt(crossing) * (1.0 - 2.0 ** -20))
+    assert math.isclose(a0 ** 2 / crossing, 1.05, rel_tol=2.0 ** -49), epsilon
+    assert np.min(co.build_collar(spec, a0).dec_margin) > 0.0
+    below = math.sqrt(crossing) * (1.0 - 2.0 ** -20)
     with pytest.raises(ConstructionError) as error:
-        co.build_collar(below)
+        co.build_collar(spec, below)
     assert str(error.value) == "energy condition violated on the collar"
-    assert repr(error.value.diagnostics) == repr(_elementwise_failure(below))
+    assert repr(error.value.diagnostics) == repr(_elementwise_failure(spec, below))
 
 
 def _substitute_fields(monkeypatch, base, well):
@@ -359,7 +382,7 @@ class TestAmplitudeCrossing:
         # zero there, and its unit factor; every bit of base and well stays.
         for path in (cos_path, round3):
             spec = round_spec(path, epsilon=0.3, kappa=0.5)
-            base, well = co._margin_parts(spec)
+            base, well = co._margin_rows(spec, slice(None))
             geometry = sphere_seed.slice_geometry(path)
             _, F, dF, d2F = spec.shape_factor
             F, dF, d2F = F[:, None], dF[:, None], d2F[:, None]
@@ -414,8 +437,9 @@ class TestAmplitudeCrossing:
         base, well = self._fields(kind)
         _substitute_fields(monkeypatch, base, well)
         _, case, kappa = co.select_route(coarse_cos, 0.0, 0.0)
+        spec = co.CollarSpec(coarse_cos, 0.1, kappa, case, 0.0, 0.0)
         with pytest.raises(ConstructionError) as error:
-            co.find_A0(coarse_cos, 0.1, kappa, case, 0.0, 0.0)
+            co.find_A0(spec)
         assert str(error.value) == "no lapse amplitude passes the margin check"
         theta = sphere_seed.slice_geometry(coarse_cos).theta_grid
         want = {"core": float(base[worst]), "well": float(well[worst]),
@@ -431,9 +455,9 @@ class TestAmplitudeCrossing:
         # amplitude, and the crossing is taken over the samples with well < 0.
         _substitute_fields(monkeypatch, *self._fields(kind))
         _, case, kappa = co.select_route(coarse_cos, 0.0, 0.0)
-        spec = co.find_A0(coarse_cos, 0.1, kappa, case, 0.0, 0.0)
-        assert spec.margin.crossing == crossing
-        assert spec.A == math.sqrt(1.05) * math.sqrt(crossing)
+        spec = co.CollarSpec(coarse_cos, 0.1, kappa, case, 0.0, 0.0)
+        assert co.find_A0(spec) == math.sqrt(1.05) * math.sqrt(crossing)
+        assert spec.crossing == crossing
 
     @pytest.mark.parametrize("kind", ["core-negative", "core-zero", "core-subnormal",
                                       "well-zero", "well-positive", "core-nan",
@@ -454,32 +478,26 @@ class TestAmplitudeCrossing:
         negative = well < 0.0
         crossing = (-float(np.min(well[negative] / base[negative]))
                     if normal and not np.isnan(well).any() else None)
-        parts = []
-
-        def counting(*spec, original=co._margin_parts):
-            parts.append(spec)
-            return original(*spec)
-
-        monkeypatch.setattr(co, "_margin_parts", counting)
+        parts = _record_fields(monkeypatch)
         theta = sphere_seed.slice_geometry(path).theta_grid
         amplitudes = [0.5, 1.0, 1.5, 2.0, 40.0]
         if crossing is not None:
             amplitudes += [math.sqrt(crossing) * (1.0 + 2.0 ** -20),
                            math.sqrt(crossing) * (1.0 - 2.0 ** -20),
-                           co.find_A0(path, 0.1, kappa, case, 0.0, 0.0).A]
+                           co.find_A0(co.CollarSpec(path, 0.1, kappa, case, 0.0, 0.0))]
         for amplitude in amplitudes:
-            spec = co.CollarSpec(path, 0.1, amplitude, kappa, case, 0.0, 0.0)
+            spec = co.CollarSpec(path, 0.1, kappa, case, 0.0, 0.0)
             margin = (base + well / amplitude ** 2) - co._reference_density(spec)[:, None]
             worst = np.unravel_index(int(np.argmin(margin)), margin.shape)
             parts.clear()
             if margin[worst] > 0.0:
-                co.build_collar(spec)
+                co.build_collar(spec, amplitude)
                 certified = (kind != "wide-row" and crossing is not None
                              and amplitude ** 2 > crossing * (1.0 + 1e-12))
                 assert bool(parts) != certified, amplitude
                 continue
             with pytest.raises(ConstructionError) as error:
-                co.build_collar(spec)
+                co.build_collar(spec, amplitude)
             assert str(error.value) == "energy condition violated on the collar"
             want = {"min_margin": float(margin[worst]),
                     "t": float(path.t_grid[worst[0]]), "theta": float(theta[worst[1]])}
@@ -498,13 +516,14 @@ class TestMarginObject:
         path = (sphere_seed.round_path(2, 1.0, n_t=513) if route == "round"
                 else _cos_route_path(a, 1025, 513))
         _, case, kappa = co.select_route(path, q, lam)
-        spec = co.find_A0(path, 0.05, kappa, case, q, lam)
-        base, well = co._margin_parts(spec)
+        spec = co.CollarSpec(path, 0.05, kappa, case, q, lam)
+        a0 = co.find_A0(spec)
+        base, well = co._margin_rows(spec, slice(None))
         reference = co._reference_density(spec)[:, None]
         core = base - reference
-        assert spec.margin.crossing == -float(np.min(well / core))
-        for amplitude in (spec.A, 2.0 * spec.A):
-            built = co.build_collar(spec.at_amplitude(amplitude))
+        assert spec.crossing == -float(np.min(well / core))
+        for amplitude in (a0, 2.0 * a0):
+            built = co.build_collar(spec, amplitude)
             scalar = base + well / amplitude ** 2
             assert built.scalar_curvature.tobytes() == scalar.tobytes()
             assert built.dec_margin.tobytes() == (scalar - reference).tobytes()
@@ -525,7 +544,7 @@ class TestMarginObject:
                 raise AssertionError(name)
             return record
 
-        monkeypatch.setattr(co, "_margin_parts", recording("_margin_parts"))
+        monkeypatch.setattr(co.CollarSpec, "fields", property(recording("fields")))
         for grid in ("scalar_curvature", "dec_margin"):
             monkeypatch.setattr(co.ChargedCollar, grid, property(recording(grid)))
         out = io.StringIO()
@@ -538,23 +557,21 @@ class TestMarginObject:
 class TestHawkingCurve:
     def test_starts_at_reference_mass(self, round2, round3):
         for path, q, lam in ((round2, 0.0, 0.0), (round2, 0.3, -0.5), (round3, 0.2, 0.0)):
-            spec = round_spec(path, epsilon=0.1, amplitude=3.0, q=q, lam=lam)
-            curve = co.build_collar(spec).hawking
+            curve = round_collar(path, epsilon=0.1, amplitude=3.0, q=q, lam=lam).hawking
             assert abs(curve.mass[0] - m_o(path.n, 1.0, q, lam)) < 1e-12
             assert curve.charge == q
 
     def test_round_3_closed_form(self, round3):
         epsilon, amplitude = 0.1, 2.0
-        spec = round_spec(round3, epsilon=epsilon, amplitude=amplitude)
-        curve = co.build_collar(spec).hawking
+        curve = round_collar(round3, epsilon=epsilon, amplitude=amplitude).hawking
         t = curve.t_grid
         expected = 0.5 * (1.0 + epsilon * t * t - epsilon ** 2 * t * t / amplitude ** 2)
         assert np.max(np.abs(curve.mass - expected)) < 1e-13
 
     def test_matches_radial_mass_evaluator(self, round2):
         epsilon, amplitude, q, lam = 0.2, 2.5, 0.3, -0.4
-        spec = round_spec(round2, epsilon=epsilon, amplitude=amplitude, q=q, lam=lam)
-        curve = co.build_collar(spec).hawking
+        curve = round_collar(round2, epsilon=epsilon, amplitude=amplitude, q=q,
+                             lam=lam).hawking
         for idx in (0, 100, 256, 400, 512):
             t = curve.t_grid[idx]
             s = amplitude * t
@@ -567,17 +584,15 @@ class TestHawkingCurve:
         for path in (round2, round3):
             n = path.n
             for epsilon in (0.05, 0.1):
-                a0 = co.find_A0(path, epsilon, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0).A
-                spec = round_spec(path, epsilon=epsilon, amplitude=2 * a0)
-                curve = co.build_collar(spec).hawking
+                spec = round_spec(path, epsilon, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0)
+                curve = co.build_collar(spec, 2 * co.find_A0(spec)).hawking
                 reference = m_o(n, 1.0, 0.0, 0.0)
                 assert curve.mass[-1] > reference
                 assert curve.mass[-1] < (1.0 + epsilon) ** ((n + 1) / 2.0) * reference
 
     def test_final_mass_taylor_gain(self, round2):
         epsilon = 0.01
-        spec = round_spec(round2, epsilon=epsilon, amplitude=100.0)
-        curve = co.build_collar(spec).hawking
+        curve = round_collar(round2, epsilon=epsilon, amplitude=100.0).hawking
         gain = curve.mass[-1] - 0.5
         assert math.isclose(gain, epsilon / 4.0, rel_tol=0.02)
 
@@ -648,53 +663,53 @@ class TestEpsilonSearch:
 
     def test_gain_positive_at_returned_epsilon(self):
         epsilon = co.find_eps0(2, 1.0, 0.0, 0.0, 0.9 * 0.05)
-        spec = co.find_A0(sphere_seed.round_path(2, 1.0, n_t=65), epsilon, 0.95,
+        spec = round_spec(sphere_seed.round_path(2, 1.0, n_t=65), epsilon, 0.95,
                           co.CONSTANT_LAPSE, 0.0, 0.0)
-        curve = co.build_collar(spec).hawking
+        curve = co.build_collar(spec, co.find_A0(spec)).hawking
         assert 0.5 < curve.mass[-1] < 0.5 + 0.9 * 0.05
 
 
 class TestMonotonicity:
     def test_round_2_nondecreasing(self, round2):
-        built = co.build_collar(round_spec(round2, epsilon=0.1, amplitude=3.0))
+        built = round_collar(round2, epsilon=0.1, amplitude=3.0)
         report = co.monotonicity_check(built)
         assert report.asserted and report.monotone
         assert report.min_dmass_dt >= -1e-8
         assert abs(report.dmass_dt_origin) < 1e-10
 
     def test_axisym_2_nondecreasing(self, cos_path):
-        built = co.build_collar(round_spec(cos_path, epsilon=0.1, amplitude=3.0, kappa=0.8))
+        built = round_collar(cos_path, epsilon=0.1, amplitude=3.0, kappa=0.8)
         report = co.monotonicity_check(built)
         assert report.asserted and report.monotone
 
     def test_round_3_above_threshold(self, round3):
-        probe = co.build_collar(round_spec(round3, epsilon=0.1, amplitude=1.0))
+        probe = round_collar(round3, epsilon=0.1, amplitude=1.0)
         a1 = co.monotonicity_check(probe).a1
         assert a1 is not None and a1 > math.sqrt(0.1)
-        built = co.build_collar(round_spec(round3, epsilon=0.1, amplitude=1.05 * a1))
+        built = round_collar(round3, epsilon=0.1, amplitude=1.05 * a1)
         report = co.monotonicity_check(built)
         assert report.asserted and report.monotone
         assert report.a_satisfies_a1 and report.integral_condition_ok
         assert np.all(built.hawking.dmass_dt[1:] > 0.0)
 
     def test_round_3_below_threshold_unasserted(self, round3):
-        probe = co.build_collar(round_spec(round3, epsilon=0.1, amplitude=1.0))
+        probe = round_collar(round3, epsilon=0.1, amplitude=1.0)
         a1 = co.monotonicity_check(probe).a1
-        built = co.build_collar(round_spec(round3, epsilon=0.1, amplitude=0.9 * a1))
+        built = round_collar(round3, epsilon=0.1, amplitude=0.9 * a1)
         report = co.monotonicity_check(built)
         assert not report.asserted
         assert "a1" in report.verdict
 
     def test_eigen_3_empirical_only(self, round3):
-        built = co.build_collar(
-            round_spec(round3, epsilon=0.1, amplitude=2.0, case=co.EIGENFUNCTION_LAPSE)
+        built = round_collar(
+            round3, epsilon=0.1, amplitude=2.0, case=co.EIGENFUNCTION_LAPSE
         )
         report = co.monotonicity_check(built)
         assert not report.asserted
         assert report.verdict == "empirical only"
 
     def test_integral_condition_round_equality(self, round3):
-        built = co.build_collar(round_spec(round3, epsilon=0.1, amplitude=2.0))
+        built = round_collar(round3, epsilon=0.1, amplitude=2.0)
         report = co.monotonicity_check(built)
         bound = 6.0 * unit_sphere_volume(3)
         assert math.isclose(report.integral_condition_value, bound, rel_tol=1e-12)
@@ -703,7 +718,7 @@ class TestMonotonicity:
 class TestTailProfile:
     def test_round_tail_samples_and_derivatives(self, round2):
         epsilon, amplitude = 0.1, 2.0
-        built = co.build_collar(round_spec(round2, epsilon=epsilon, amplitude=amplitude))
+        built = round_collar(round2, epsilon=epsilon, amplitude=amplitude)
         profile = co.tail_to_arclength(built)
         assert profile.s_grid[0] == 0.75 * amplitude
         assert profile.s_grid[-1] == amplitude
@@ -714,7 +729,7 @@ class TestTailProfile:
         assert np.max(np.abs(profile.df - epsilon * s / (amplitude ** 2 * f))) < 1e-14
 
     def test_dense_evaluator_consistency(self, round2):
-        built = co.build_collar(round_spec(round2, epsilon=0.1, amplitude=2.0))
+        built = round_collar(round2, epsilon=0.1, amplitude=2.0)
         profile = co.tail_to_arclength(built)
         s = 0.875 * 2.0
         f, df, d2f = profile.evaluator(s)
@@ -726,8 +741,8 @@ class TestTailProfile:
 
     def test_far_end_mass_identity(self, round2):
         epsilon, amplitude, q, lam = 0.1, 2.0, 0.25, -0.3
-        built = co.build_collar(
-            round_spec(round2, epsilon=epsilon, amplitude=amplitude, q=q, lam=lam)
+        built = round_collar(
+            round2, epsilon=epsilon, amplitude=amplitude, q=q, lam=lam
         )
         profile = co.tail_to_arclength(built)
         f, df, _ = profile.evaluator(amplitude)
@@ -735,11 +750,11 @@ class TestTailProfile:
         assert math.isclose(built.hawking.mass[-1], other, rel_tol=0.0, abs_tol=1e-12)
 
     def test_charge_carried_over(self, round2):
-        built = co.build_collar(round_spec(round2, q=0.3))
+        built = round_collar(round2, q=0.3)
         assert co.tail_to_arclength(built).charge == 0.3
 
     def test_axisym_tail_is_round(self, cos_path):
-        built = co.build_collar(round_spec(cos_path, epsilon=0.1, amplitude=3.0, kappa=0.8))
+        built = round_collar(cos_path, epsilon=0.1, amplitude=3.0, kappa=0.8)
         profile = co.tail_to_arclength(built)
         s = profile.s_grid
         f = np.sqrt(1.0 + 0.1 * s * s / 9.0) * cos_path.r_o
@@ -747,7 +762,7 @@ class TestTailProfile:
 
     def test_radial_curvature_identity_on_tail(self, round2):
         epsilon, amplitude = 0.1, 2.0
-        built = co.build_collar(round_spec(round2, epsilon=epsilon, amplitude=amplitude))
+        built = round_collar(round2, epsilon=epsilon, amplitude=amplitude)
         profile = co.tail_to_arclength(built)
         tail = built.scalar_curvature[round2.t_grid >= round2.theta_switch, 0]
         assert tail.size == profile.s_grid.size

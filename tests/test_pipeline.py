@@ -258,7 +258,7 @@ class TestConstructExtension:
         tail_to_arclength, find_eps0 = co.tail_to_arclength, co.find_eps0
         if side == "no gain":
             monkeypatch.setattr(co, "tail_to_arclength", lambda built: tail_to_arclength(
-                replace(built, spec=built.spec.at_amplitude(built.spec.A / 40.0))))
+                replace(built, A=built.A / 40.0)))
         else:
             monkeypatch.setattr(co, "find_eps0", lambda *args: 1.0)
         data = pl.BartnikDataSpec(n=2, q=0.0, lam=0.0, r_o=1.0)
@@ -512,7 +512,9 @@ class TestPathWorkOncePerPath:
 class TestCollarWorkOncePerConstruction:
     """One flare solve, one amplitude and one collar build per construction,
     on every route.  At m = 1.5 m_o each of these cases once took two flare
-    searches and two amplitudes."""
+    searches and two amplitudes.  The curvature-floor test runs for the
+    route's candidate and for the collar's spec, and the margin's row
+    extremes are taken once."""
 
     CONFIG = pl.PipelineConfig(n_t=129, n_theta=257)
 
@@ -523,7 +525,8 @@ class TestCollarWorkOncePerConstruction:
         (0.6, 0.0, "eigenfunction"),
     ])
     def test_collar_functions_run_once(self, monkeypatch, a, lam, route):
-        counts = dict.fromkeys(("find_eps0", "find_A0", "build_collar"), 0)
+        counts = dict.fromkeys(
+            ("find_eps0", "find_A0", "build_collar", "_route_floor", "_row_extremes"), 0)
         for name in counts:
             def counting(*args, name=name, original=getattr(co, name)):
                 counts[name] += 1
@@ -541,7 +544,8 @@ class TestCollarWorkOncePerConstruction:
         report = pl.construct_extension(
             data, 1.5 * ql.m_o(2, radius, 0.0, lam), self.CONFIG)
         assert report.diagnostics["route"] == route
-        assert counts == {"find_eps0": 1, "find_A0": 1, "build_collar": 1}
+        assert counts == {"find_eps0": 1, "find_A0": 1, "build_collar": 1,
+                          "_route_floor": 2, "_row_extremes": 1}
 
 
 class TestSelftest:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -47,19 +48,17 @@ def line_profile(lo, hi, start, slope, charge=0.0, count=65):
 @pytest.fixture(scope="module")
 def round_tail():
     path = sphere_seed.round_path(2, 1.0, n_t=513)
-    amplitude = co.find_A0(path, 0.05, 0.95, co.CONSTANT_LAPSE, 0.0, 0.0).A
-    spec = co.CollarSpec(path=path, epsilon=0.05, A=amplitude, kappa=0.95,
+    spec = co.CollarSpec(path=path, epsilon=0.05, kappa=0.95,
                          case_id=co.CONSTANT_LAPSE, q=0.0, lam=0.0)
-    return co.tail_to_arclength(co.build_collar(spec))
+    return co.tail_to_arclength(co.build_collar(spec, co.find_A0(spec)))
 
 
 @pytest.fixture(scope="module")
 def charged_tail():
     path = sphere_seed.round_path(2, 1.0, n_t=513)
-    amplitude = co.find_A0(path, 0.5, 0.5, co.CONSTANT_LAPSE, 0.3, -3.0).A
-    spec = co.CollarSpec(path=path, epsilon=0.5, A=amplitude, kappa=0.5,
+    spec = co.CollarSpec(path=path, epsilon=0.5, kappa=0.5,
                          case_id=co.CONSTANT_LAPSE, q=0.3, lam=-3.0)
-    return co.tail_to_arclength(co.build_collar(spec))
+    return co.tail_to_arclength(co.build_collar(spec, co.find_A0(spec)))
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +335,17 @@ class TestGlueInputs:
         left = line_profile(0.5, 1.0, 0.5, 0.5)
         right = line_profile(3.0, 4.0, 2.0, 1.0)
         with pytest.raises(PreconditionError):
+            su.GlueInputs(2, left, right, -3.0, 0.0)
+
+    @pytest.mark.parametrize("right_slope", [-1.0, -2.0])
+    def test_rejects_slopes_without_a_positive_sum(self, right_slope):
+        # The bridge length 2 gap / (c1 + c2) has no positive value: a zero
+        # sum divides by zero, a negative one gives a negative length.
+        left = line_profile(0.5, 1.0, 0.5, 1.0)
+        right = line_profile(3.0, 4.0, 3.5, right_slope)
+        message = (f"left end slope 1.0 and right start slope {right_slope} "
+                   "must have a positive sum")
+        with pytest.raises(PreconditionError, match=re.escape(message)):
             su.GlueInputs(2, left, right, -3.0, 0.0)
 
     def test_rejects_mass_below_junction_floor(self):

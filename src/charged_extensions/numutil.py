@@ -13,7 +13,9 @@ interpolant (``CubicHermite``, scipy's ``CubicHermiteSpline`` coefficients
 and evaluation), the complementary error function for nonnegative
 arguments (``erfc``, the Cephes rational forms behind scipy's) and the
 type-I discrete cosine transform (``dct1``, by a real FFT of the even
-extension).  Everything here is pure NumPy or plain Python.
+extension).  ``_chebint`` is numpy's Chebyshev ``chebint`` without its
+loop over the terms, bit for bit.  Everything here is pure NumPy or plain
+Python.
 """
 
 from __future__ import annotations
@@ -220,6 +222,30 @@ def dct1(rows: np.ndarray) -> np.ndarray:
     y_0..y_(N-1), y_(N-2)..y_1."""
     rows = np.asarray(rows, dtype=float)
     return np.fft.rfft(np.concatenate([rows, rows[..., -2:0:-1]], axis=-1), axis=-1).real
+
+
+def _chebint(c, k: float = 0.0, lbnd: float = 0.0, scl: float = 1.0) -> np.ndarray:
+    """Antiderivative along the last axis of Chebyshev series of two or more
+    terms, scaled by scl and equal to k at lbnd: numpy's
+    ``chebint(c, k=k, lbnd=lbnd, scl=scl, axis=-1)`` bit for bit.
+
+    numpy loops over the terms j >= 2, setting term j + 1 to c_j / (2(j+1))
+    and then subtracting c_j / (2(j-1)) from term j - 1.  Each term takes
+    one quotient and at most one later subtraction, so whole slices do the
+    same arithmetic in the same order; the constant term is numpy's, from
+    ``chebval`` at lbnd.
+    """
+    c = np.asarray(c, dtype=float) * scl
+    n = c.shape[-1]
+    j = np.arange(2, n)
+    out = np.empty(c.shape[:-1] + (n + 1,))
+    out[..., 0] = c[..., 0] * 0
+    out[..., 1] = c[..., 0]
+    out[..., 2] = c[..., 1] / 4
+    out[..., 3:] = c[..., 2:] / (2 * (j + 1))
+    out[..., 1:n - 1] -= c[..., 2:] / (2 * (j - 1))
+    out[..., 0] += k - np.polynomial.chebyshev.chebval(lbnd, np.moveaxis(out, -1, 0))
+    return out
 
 
 def simpson_uniform(y: np.ndarray, dx: float) -> float:

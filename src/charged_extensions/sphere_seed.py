@@ -38,6 +38,7 @@ import numpy as np
 from .errors import ConstructionError, DomainError
 from .numutil import (
     _D1_EDGE,
+    _chebint,
     _smooth_step_jet,
     dct1,
     diff1_4th,
@@ -386,7 +387,7 @@ def _moser_gauge(seed: AxisymConformalMetric, scale: np.ndarray):
     The Moser field per unit ds,
         Xi_s = -2 int_x^1 (w - <w>_s) e^(2sw) dx' / (e^(2sw) sin(theta)),
     carries that change: d rho/ds + d(Xi rho)/dtheta = 0.  The integral is
-    one ``chebint`` of the series of (w - <w>_s) e^(2sw), summed at the
+    one ``_chebint`` of the series of (w - <w>_s) e^(2sw), summed at the
     nodes and taken from the nearer pole (its integral over [-1, 1] is
     zero); Xi is 0 at the poles.  Returns the dilations, the means and Xi,
     one row per scale.
@@ -399,8 +400,8 @@ def _moser_gauge(seed: AxisymConformalMetric, scale: np.ndarray):
     weights[::2] = 2.0 / (1.0 - np.arange(0, series.shape[-1], 2) ** 2.0)
     area, moment = np.split(np.sum(series * weights, axis=-1), 2)
     mean = moment / area
-    antiderivative = _lobatto_values(np.polynomial.chebyshev.chebint(
-        series[rows:] - mean[:, None] * series[:rows], axis=-1), w.size)
+    antiderivative = _lobatto_values(
+        _chebint(series[rows:] - mean[:, None] * series[:rows]), w.size)
     pole = np.where(np.arange(w.size) < w.size // 2, 0, w.size - 1)
     flux = antiderivative[:, pole] - antiderivative
     xi = np.zeros(density.shape)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebint
 
 from .errors import (
     ConstructionError,
@@ -45,6 +44,7 @@ from .lambda_rn import (
     rn_profile_mu,
 )
 from .numutil import (
+    _chebint,
     _smooth_step_jet,
     brent_root,
     dct1,
@@ -297,8 +297,8 @@ class _Zone:
         end = 0 if outer > 0.0 else -1
         d2f_series = dct1(_zone_weight(_LOBATTO, outer) * d2f) / _ZONE_DEGREE
         d2f_series[[0, -1]] *= 0.5
-        df_series = chebint(d2f_series, k=float(df[end]), lbnd=outer, scl=width)
-        f_series = chebint(df_series, k=float(f[end]), lbnd=outer, scl=width)
+        df_series = _chebint(d2f_series, k=float(df[end]), lbnd=outer, scl=width)
+        f_series = _chebint(df_series, k=float(f[end]), lbnd=outer, scl=width)
         # Rows f, f' over T_0..T_130; f' has no T_130 term.
         series = np.zeros((2, f_series.size))
         series[0], series[1, :-1] = f_series, df_series

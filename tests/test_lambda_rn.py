@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -505,6 +506,63 @@ def test_arclength_table_of_another_start_is_refused() -> None:
         rn_profile_mu(SCHWARZSCHILD, 2.5, 4.0, arclength=table)
     with pytest.raises(DomainError):
         model_arclength(RNParams(2, 1.5, 0.0, 0.0), 4.0, 3.0, arclength=table)
+
+
+# The model end of a round construction: n = 2, q = 0.2, lam = -1 from the
+# horizon.
+ROUND_END = RNParams(2, 1.0, 0.2, -1.0)
+
+
+def _quadrature_intervals(arclength, rows: int):
+    """rows intervals [lo, hi] over the first few octaves of a table."""
+    rng = np.random.default_rng(rows)
+    lo = arclength.tau[1] * 2.0 ** rng.uniform(0.0, 40.0, rows)
+    return lo, lo * 2.0 ** rng.uniform(0.0, 0.25, rows)
+
+
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 4097])
+@pytest.mark.parametrize("rule", ["edge", "step"])
+def test_blocked_quadrature_is_the_unblocked_expression(rule, rows) -> None:
+    # The row blocks leave every row's integral as one product over all rows
+    # computes it, for a horizon start and for an interior one.
+    nodes, weights = {"edge": lambda_rn._GL_EDGE, "step": lambda_rn._GL_STEP}[rule]
+    for mu in (None, 1.5 * classify(ROUND_END).r_plus):
+        arclength = lambda_rn._profile_arclength(ROUND_END, mu, None)
+        lo, hi = _quadrature_intervals(arclength, rows)
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        unblocked = half * (arclength._speed(half[:, None] * nodes + mid[:, None]) @ weights)
+        assert np.array_equal(arclength._integral(lo, hi, (nodes, weights)), unblocked)
+
+
+def test_blocked_quadrature_stays_below_the_mmap_threshold() -> None:
+    # 4097 rows of 8 nodes took 1569 KiB at their peak in one product; each
+    # block's temporaries are 64 KiB, below glibc's 128 KiB mmap threshold.
+    arclength = lambda_rn._profile_arclength(ROUND_END, None, None)
+    lo, hi = _quadrature_intervals(arclength, 4097)
+    tracemalloc.start()
+    try:
+        arclength._integral(lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 640 * 1024
+
+
+@pytest.mark.parametrize("mu", [None, 3.0])
+def test_no_radii_and_no_arclengths_give_empty_arrays(mu) -> None:
+    for radii in ([], np.empty((0, 3))):
+        s = model_arclength(ROUND_END, radii, mu)
+        assert isinstance(s, np.ndarray) and s.shape == np.shape(radii)
+    tau = lambda_rn._profile_arclength(ROUND_END, mu, None).tau_at(np.array([]))
+    assert tau.shape == (0,)
+
+
+@pytest.mark.parametrize("s_max", [math.nan, math.inf, -math.inf])
+def test_non_finite_profile_length_is_refused(s_max) -> None:
+    with pytest.raises(DomainError, match="must be finite"):
+        rn_profile(ROUND_END, s_max)
+    with pytest.raises(DomainError, match="must be finite"):
+        rn_profile_mu(ROUND_END, 3.0, s_max)
 
 
 def test_verify_model_identities_saturation() -> None:

@@ -13,6 +13,7 @@ from scipy.special import erfc as scipy_erfc
 from charged_extensions import lambda_rn
 from charged_extensions.numutil import (
     CubicHermite,
+    _chebint,
     _smooth_step_jet,
     brent_root,
     dct1,
@@ -91,6 +92,23 @@ def test_cubic_hermite_equals_scipy_bitwise() -> None:
 def test_dct1_equals_scipy_bitwise(shape) -> None:
     rows = np.random.default_rng(shape[1]).standard_normal(shape)
     assert np.array_equal(dct1(rows), dct(rows, type=1, axis=-1))
+
+
+@pytest.mark.parametrize("scl", [1, 1e-3, 37.0])
+@pytest.mark.parametrize("lbnd", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("size", [2, 3, 129, 130, 1025])
+def test_chebint_equals_numpy_bitwise(size, lbnd, scl) -> None:
+    # Coefficients over many decades, so that any other order of the
+    # quotients, subtractions or the constant's sum would move bits.
+    rng = np.random.default_rng([size, int(lbnd) + 1, int(scl * 1000)])
+    rows = rng.standard_normal((4, size)) * np.exp(4.0 * rng.standard_normal((4, size)))
+    k = float(rng.standard_normal())
+    theirs = np.polynomial.chebyshev.chebint
+    assert np.array_equal(_chebint(rows[0], k=k, lbnd=lbnd, scl=scl),
+                          theirs(rows[0], k=k, lbnd=lbnd, scl=scl))
+    assert np.array_equal(_chebint(rows, k=k, lbnd=lbnd, scl=scl),
+                          theirs(rows, k=k, lbnd=lbnd, scl=scl, axis=-1))
+    assert np.array_equal(_chebint(rows), theirs(rows, axis=-1))
 
 
 def _erfc_arguments(seed: int) -> np.ndarray:

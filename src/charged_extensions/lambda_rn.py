@@ -534,7 +534,7 @@ class _Arclength:
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         half = 0.5 * (hi - lo)
         mid = (0.5 * (hi + lo)).ravel()
-        out = half.ravel()
+        out = half.ravel()  # half, scaled in place block by block
         rows = out.size
         for first in range(0, max(rows - 1, 1), _ROWS_PER_BLOCK):
             last = first + _ROWS_PER_BLOCK

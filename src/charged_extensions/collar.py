@@ -31,6 +31,7 @@ from .numutil import brent_root, diff1_4th
 from .quasilocal import HawkingCurve, unit_sphere_volume
 from .sphere_seed import (
     MetricPath,
+    _row_blocks,
     curvature_floor_along_path,
     eigen_along_path,
     slice_geometry,
@@ -209,8 +210,14 @@ class CollarSpec:
         return lower if tiny <= lower < math.inf else None
 
     def _smallest_quotient(self, rows: np.ndarray) -> float:
-        base, well = _margin_rows(self, rows)
-        return float(np.min(well / (base - self.reference[rows, None])))
+        """min(well / core) over the t rows ``rows``: the smallest of the
+        minima of blocks of rows (``_row_blocks``), exactly, with no
+        temporary spanning every row."""
+        minima = []
+        for block in _row_blocks(rows.size):
+            base, well = _margin_rows(self, rows[block])
+            minima.append(np.min(well / (base - self.reference[rows[block], None])))
+        return float(np.min(minima))
 
     def certifies(self, amplitude: float) -> bool:
         """True when the crossing shows build_collar's elementwise margin
@@ -302,7 +309,7 @@ def _route_floor(spec: CollarSpec) -> None:
     # memoized eigen fields and raise the peak memory of a cold path.
     min_scal = curvature_floor_along_path(spec.path)
     if spec.case_id == EIGENFUNCTION_LAPSE:
-        min_lam1 = float(np.min(eigen_along_path(spec.path).lambda1))
+        min_lam1 = float(np.min(eigen_along_path(spec.path).slice_lambda1))
         if min_lam1 > spec.kappa and scalar_gap > 0.0:
             return
         raise PreconditionError(
@@ -330,7 +337,7 @@ def _route_candidates(path: MetricPath, lam: float):
                max(0.0, -0.5 * min_scal) * (1.0 + _FLOOR_MARGIN), None)
     if path.n == 2 and min_scal <= 0.0:
         try:
-            min_lam1 = float(np.min(eigen_along_path(path).lambda1))
+            min_lam1 = float(np.min(eigen_along_path(path).slice_lambda1))
         except ConstructionError as exc:
             # Far past the stability edge the ground state falls below the
             # rounding level of its Legendre sum somewhere on the slice; the
@@ -395,7 +402,9 @@ def _margin_rows(spec: CollarSpec, rows):
     Returns arrays (base, well) over (rows, theta) such that the collar
     scalar curvature is base + well / A^2 and, with the electromagnetic
     and cosmological reference, dec margin = (base - reference) + well / A^2.
-    Any rows are the full grid's rows bit for bit.
+    Any rows are the full grid's rows bit for bit.  The path's fields are
+    read on those rows alone (``SliceGeometry.scalar_curvature_at`` and the
+    like), so no (n_t, n_theta) grid of them is built.
 
     The eigenfunction lapse u contributes -2 (Laplacian u / u) / F^2 to base
     and the factor u^-2 and the drift 2n (du/dt / u) F' / F to well.  A
@@ -408,16 +417,17 @@ def _margin_rows(spec: CollarSpec, rows):
     geometry = slice_geometry(spec.path)
     _, F, dF, d2F = spec.shape_factor
     F, dF, d2F = F[rows, None], dF[rows, None], d2F[rows, None]
-    r_scal = geometry.scalar_curvature[rows]
-    gp_sq = geometry.gprime_sq[rows]
+    r_scal = geometry.scalar_curvature_at(rows)
+    gp_sq = geometry.gprime_sq_at(rows)
     if spec.case_id == CONSTANT_LAPSE:
         return _lapse_free(_shape_term(n, F, dF, d2F), F, r_scal, gp_sq)
     eigen = eigen_along_path(spec.path)
-    u = eigen.u[rows]
+    u = eigen.u_at(rows)
     # In place, so that at most three grids are live: each step rounds as
     # base = R / F^2 - 2 (Laplacian u / u) / F^2 and
     # well = u^-2 (2n (du/dt / u) F' / F - shape - |g'|^2 / 4) do.
-    base = np.divide(eigen.laplace_u[rows], u)
+    base = eigen.laplace_u_at(rows)
+    base /= u
     base *= 2.0
     base /= F ** 2
     np.subtract(r_scal / F ** 2, base, out=base)
@@ -450,7 +460,9 @@ def _row_extremes(spec: CollarSpec):
     extremes of R and |g'|^2: base grows with R and well falls with
     |g'|^2, and rounding is monotone, so they are the fields' extremes bit
     for bit; smallest is None.  The eigenfunction lapse reduces its fields
-    in one pass, in which smallest is min(well / core) over the grid.
+    in one pass over blocks of t rows (``_row_blocks``), in which smallest
+    is min(well / core) over the grid: the smallest of the rows' minima,
+    which is the grid's minimum exactly.
     """
     if spec.case_id == CONSTANT_LAPSE:
         geometry = slice_geometry(spec.path)
@@ -461,13 +473,15 @@ def _row_extremes(spec: CollarSpec):
         base_min, well_min = _lapse_free(shape, F, r_min, gp_max)
         base_max = _lapse_free(shape, F, r_max, gp_min)[0]
         return base_min, base_max, well_min, None
-    base, well = _margin_rows(spec, slice(None))
-    core = base - spec.reference[:, None]
-    extremes = (np.min(base, axis=1), np.max(base, axis=1), np.min(well, axis=1))
-    # The quotient is read only where core > 0 everywhere and some well < 0.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        smallest = float(np.min(np.divide(well, core, out=core)))
-    return (*extremes, smallest)
+    extremes = np.empty((4, spec.path.t_grid.size))
+    for rows in _row_blocks(extremes.shape[1]):
+        base, well = _margin_rows(spec, rows)
+        core = base - spec.reference[rows, None]
+        extremes[:3, rows] = np.min(base, axis=1), np.max(base, axis=1), np.min(well, axis=1)
+        # The quotient is read only where core > 0 everywhere and some well < 0.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            extremes[3, rows] = np.min(np.divide(well, core, out=core), axis=1)
+    return (*extremes[:3], float(np.min(extremes[3])))
 
 
 def _reference_density(spec: CollarSpec):
@@ -537,7 +551,8 @@ def build_collar(spec: CollarSpec, A: float) -> ChargedCollar:
     if spec.case_id == CONSTANT_LAPSE:
         u_max = np.ones_like(F)
     else:
-        u_max = np.max(eigen_along_path(spec.path).u, axis=1)
+        eigen = eigen_along_path(spec.path)
+        u_max = np.max(eigen.slice_u, axis=1)[eigen.slice_of]
     mean_curvature = spec.n * dF / (A * F * u_max)
     return ChargedCollar(
         spec=spec,
@@ -703,7 +718,8 @@ def tail_to_arclength(collar: ChargedCollar) -> SampledProfile:
     path = spec.path
     keep = path.t_grid >= path.theta_switch - 1e-15
     if spec.case_id == EIGENFUNCTION_LAPSE:
-        u_tail = eigen_along_path(path).u[keep]
+        eigen = eigen_along_path(path)
+        u_tail = eigen.slice_u[np.unique(eigen.slice_of[keep])]
         if float(np.max(np.abs(u_tail - 1.0))) > 1e-6:
             raise PreconditionError("lapse is not constant on the collar tail")
 

@@ -352,7 +352,7 @@ def _assemble_report(
         diagnostics["eigen"] = {
             "modes": eigen.modes,
             "tail": eigen.tail,
-            "min_lambda1": float(np.min(eigen.lambda1)),
+            "min_lambda1": float(np.min(eigen.slice_lambda1)),
         }
     return ExtensionReport(
         n=n,

@@ -70,6 +70,22 @@ _POLE_TOL = 1e-6
 # Path time from which normalize_path and round_path hold every slice
 # round and fixed.
 _THETA_SWITCH = 0.75
+# Rows of a (slice or t sample, theta) grid that a cold path's transforms,
+# stencils and margin pass take at a time: 32 rows of 1025 samples are
+# 256 KiB, so no full-grid temporary is formed.  Each row is computed as
+# the whole grid computes it, bit for bit.
+_ROWS_PER_BLOCK = 32
+
+
+def _row_blocks(rows: int) -> list[slice]:
+    """Consecutive slices of at most ``_ROWS_PER_BLOCK`` rows covering rows."""
+    return [slice(start, min(start + _ROWS_PER_BLOCK, rows))
+            for start in range(0, rows, _ROWS_PER_BLOCK)]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -237,70 +253,141 @@ class MetricPath:
     @cached_property
     def inverse_square_integral(self) -> np.ndarray:
         """Integral of u^(-2) over each slice, u the eigen fields' ground
-        state, shape (n_t,), read-only.  On a cold path the slice fields
-        are built before the eigen fields, which keeps the peak memory down."""
+        state, shape (n_t,), read-only: summed once per distinct slice and
+        expanded.  On a cold path the slice fields are built before the
+        eigen fields, which keeps the peak memory down."""
         geometry = self.slice_fields
-        u = self.eigen_fields.u
+        weight = self.eigen_fields.slice_u ** 2
+        np.divide(geometry.slice_sqrt_det, weight, out=weight)
         dtheta = float(geometry.theta_grid[1] - geometry.theta_grid[0])
-        integral = 2.0 * math.pi * simpson_uniform(geometry.sqrt_det / u ** 2, dtheta)
-        integral.flags.writeable = False
-        return integral
+        integral = 2.0 * math.pi * simpson_uniform(weight, dtheta)
+        return _read_only(integral[geometry.slice_of])
 
 
 @dataclass(frozen=True)
 class SliceGeometry:
     """Per-slice fields of a normalized path, each slice on its own grid.
 
-    Arrays have shape (n_t, n_theta); round paths use n_theta = 1.  Row k
-    samples the slice at t sample k on the theta grid of its conformal
-    gauge: ``sqrt_det`` is its area density e^(2w) sin(theta),
-    ``scalar_curvature`` its scalar curvature and ``gprime_sq`` the
-    squared norm, with respect to the slice metric, of its metric velocity
-    in the fixed area gauge, g' + L_X g for the Moser field X.
-    ``scalar_curvature_rows`` and ``gprime_sq_rows`` are the (min, max)
-    of each row, shape (2, n_t), which the collar's margin reads in place
-    of the arrays; ``min_scalar_curvature`` is the path-wide minimum that
-    the route choice reads.  All are taken once, on construction.
+    Each field is stored once per distinct slice of the path, shape
+    (slices, n_theta), and ``slice_of[k]`` is the row of t sample k, as on
+    ``MetricPath``; round paths have one row and n_theta = 1.  A row
+    samples its slice on the theta grid of the slice's conformal gauge:
+    ``slice_sqrt_det`` is its area density e^(2w) sin(theta) and
+    ``slice_scalar_curvature`` its scalar curvature.  The squared norm,
+    with respect to the slice metric, of the metric velocity in the fixed
+    area gauge, g' + L_X g for the Moser field X, is ``rate[k]^2`` times
+    row ``slice_of[k]`` of ``slice_gprime_sq``, with ``rate`` the path's
+    d(scale)/dt per t sample.
+
+    ``scalar_curvature_rows`` and ``gprime_sq_rows`` are the (min, max) at
+    each t sample, shape (2, n_t), which the collar's margin reads in place
+    of the grids; ``min_scalar_curvature`` is the path-wide minimum that
+    the route choice reads.  They are taken once, on construction, from the
+    distinct rows.  The (n_t, n_theta) grids ``sqrt_det``,
+    ``scalar_curvature`` and ``gprime_sq`` are built on first read only
+    (tests and failure diagnostics); ``*_at(rows)`` gives the rows of a
+    grid without building it.  All arrays are read-only.
     """
 
     t_grid: np.ndarray
     theta_grid: np.ndarray
-    sqrt_det: np.ndarray
-    scalar_curvature: np.ndarray
-    gprime_sq: np.ndarray
+    slice_of: np.ndarray
+    rate: np.ndarray
+    slice_sqrt_det: np.ndarray
+    slice_scalar_curvature: np.ndarray
+    slice_gprime_sq: np.ndarray
     scalar_curvature_rows: np.ndarray = field(init=False)
     gprime_sq_rows: np.ndarray = field(init=False)
     min_scalar_curvature: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("scalar_curvature", "gprime_sq"):
-            values = getattr(self, name)
-            rows = np.array([np.min(values, axis=1), np.max(values, axis=1)])
-            rows.flags.writeable = False
-            object.__setattr__(self, name + "_rows", rows)
+        for name in ("rate", "slice_sqrt_det", "slice_scalar_curvature", "slice_gprime_sq"):
+            _read_only(getattr(self, name))
+        curvature, velocity = self.slice_scalar_curvature, self.slice_gprime_sq
+        # fl(c x) is monotone in x for c = rate^2 >= 0, so the extremes of a
+        # gprime_sq row are rate^2 times those of its slice row, bit for bit.
+        rows = {
+            "scalar_curvature": np.array([np.min(curvature, axis=1),
+                                          np.max(curvature, axis=1)])[:, self.slice_of],
+            "gprime_sq": self.rate ** 2 * np.array([np.min(velocity, axis=1),
+                                                    np.max(velocity, axis=1)])[:, self.slice_of],
+        }
+        for name, extremes in rows.items():
+            object.__setattr__(self, name + "_rows", _read_only(extremes))
         object.__setattr__(self, "min_scalar_curvature",
                            float(np.min(self.scalar_curvature_rows[0])))
+
+    def scalar_curvature_at(self, rows) -> np.ndarray:
+        """Rows ``rows`` (a slice or an index array) of ``scalar_curvature``."""
+        return self.slice_scalar_curvature[self.slice_of[rows]]
+
+    def gprime_sq_at(self, rows) -> np.ndarray:
+        """Rows ``rows`` of ``gprime_sq``."""
+        return (self.rate[rows] ** 2)[:, None] * self.slice_gprime_sq[self.slice_of[rows]]
+
+    @cached_property
+    def sqrt_det(self) -> np.ndarray:
+        return _read_only(self.slice_sqrt_det[self.slice_of])
+
+    @cached_property
+    def scalar_curvature(self) -> np.ndarray:
+        return _read_only(self.scalar_curvature_at(slice(None)))
+
+    @cached_property
+    def gprime_sq(self) -> np.ndarray:
+        return _read_only(self.gprime_sq_at(slice(None)))
 
 
 @dataclass(frozen=True)
 class EigenPath:
     """Eigenfunction data of -Laplacian + K along a normalized path.
 
-    ``u`` is normalized so the integral of u^2 over each slice equals the
-    slice area, ``du_dt`` is its time derivative along the Moser flow, and
-    ``laplace_u`` the slice Laplacian of u.  Shapes and grids follow
-    SliceGeometry.  ``modes`` is the Legendre mode count of the solve and
-    ``tail`` the coefficient tail it passed (1 and 0 on round paths).
+    Stored once per distinct slice, with ``slice_of`` and grids as in
+    SliceGeometry: ``slice_lambda1`` is the first eigenvalue, ``slice_u``
+    the ground state, normalized so the integral of u^2 over the slice
+    equals the slice area, and ``slice_laplace_u`` its slice Laplacian.
+    ``du_dt``, the time derivative of u along the Moser flow, is the one
+    field kept per t sample, shape (n_t, n_theta).  ``lambda1`` per t
+    sample and the (n_t, n_theta) grids ``u`` and ``laplace_u`` are built
+    on first read; ``*_at(rows)`` gives the rows of a grid without building
+    it.  ``modes`` is the Legendre mode count of the solve and ``tail`` the
+    coefficient tail it passed (1 and 0 on round paths).  All arrays are
+    read-only.
     """
 
     t_grid: np.ndarray
     theta_grid: np.ndarray
-    lambda1: np.ndarray
-    u: np.ndarray
+    slice_of: np.ndarray
+    slice_lambda1: np.ndarray
+    slice_u: np.ndarray
     du_dt: np.ndarray
-    laplace_u: np.ndarray
+    slice_laplace_u: np.ndarray
     modes: int
     tail: float
+
+    def __post_init__(self) -> None:
+        for name in ("slice_lambda1", "slice_u", "du_dt", "slice_laplace_u"):
+            _read_only(getattr(self, name))
+
+    def u_at(self, rows) -> np.ndarray:
+        """Rows ``rows`` (a slice or an index array) of ``u``."""
+        return self.slice_u[self.slice_of[rows]]
+
+    def laplace_u_at(self, rows) -> np.ndarray:
+        """Rows ``rows`` of ``laplace_u``."""
+        return self.slice_laplace_u[self.slice_of[rows]]
+
+    @cached_property
+    def lambda1(self) -> np.ndarray:
+        return _read_only(self.slice_lambda1[self.slice_of])
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return _read_only(self.u_at(slice(None)))
+
+    @cached_property
+    def laplace_u(self) -> np.ndarray:
+        return _read_only(self.laplace_u_at(slice(None)))
 
 
 def axisym_metric_from_function(fn, n_theta: int = _DEFAULT_N_THETA) -> AxisymConformalMetric:
@@ -391,21 +478,29 @@ def _moser_gauge(seed: AxisymConformalMetric, scale: np.ndarray):
     nodes and taken from the nearer pole (its integral over [-1, 1] is
     zero); Xi is 0 at the poles.  Returns the dilations, the means and Xi,
     one row per scale.
+
+    Both transforms run ``_ROWS_PER_BLOCK`` rows at a time: the series are
+    assembled at their common width before the sums over their columns, so
+    every sum keeps numpy's pairwise order and each row is the one a
+    transform of all rows at once gives, bit for bit.
     """
     w, rows = seed.w, scale.size
     density = np.exp(2.0 * scale[:, None] * w)
-    series = _chebyshev_series(np.concatenate([density, w * density]))
+    area_series, moment_series = _common_width(
+        [_chebyshev_series(density), _chebyshev_series(w * density)])
     # The integral of T_k over [-1, 1] is 2 / (1 - k^2) for even k, 0 for odd k.
-    weights = np.zeros(series.shape[-1])
-    weights[::2] = 2.0 / (1.0 - np.arange(0, series.shape[-1], 2) ** 2.0)
-    area, moment = np.split(np.sum(series * weights, axis=-1), 2)
-    mean = moment / area
-    antiderivative = _lobatto_values(
-        _chebint(series[rows:] - mean[:, None] * series[:rows]), w.size)
+    weights = np.zeros(area_series.shape[-1])
+    weights[::2] = 2.0 / (1.0 - np.arange(0, weights.size, 2) ** 2.0)
+    area = np.sum(area_series * weights, axis=-1)
+    mean = np.sum(moment_series * weights, axis=-1) / area
+    flux_series = _chebint(moment_series - mean[:, None] * area_series)
     pole = np.where(np.arange(w.size) < w.size // 2, 0, w.size - 1)
-    flux = antiderivative[:, pole] - antiderivative
+    sin = np.sin(seed.theta_grid[1:-1])
     xi = np.zeros(density.shape)
-    xi[:, 1:-1] = -2.0 * flux[:, 1:-1] / (density[:, 1:-1] * np.sin(seed.theta_grid[1:-1]))
+    for block in _row_blocks(rows):
+        antiderivative = _lobatto_values(flux_series[block], w.size)
+        flux = antiderivative[:, pole] - antiderivative
+        xi[block, 1:-1] = -2.0 * flux[:, 1:-1] / (density[block, 1:-1] * sin)
     return 0.5 * np.log(area[0] / area), mean, xi
 
 
@@ -415,21 +510,26 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
     Applies, in order: a smooth time clamp making the path constant on
     [``_THETA_SWITCH``, 1]; a per-slice dilation fixing every total area
     to the seed area; and the Moser field of every slice, whose flow
-    renders the area form time independent (``_moser_gauge``: one batched
-    DCT to the rows' series and one back to the nodes).  The residual of the flow's continuity equation, measured
-    in a second discretization, is the path's ``volume_form_deviation``,
-    measured on first read.
+    renders the area form time independent (``_moser_gauge``: DCTs to the
+    rows' series and back to the nodes, in blocks of rows).  The residual
+    of the flow's continuity equation, measured in a second
+    discretization, is the path's ``volume_form_deviation``, measured on
+    first read.
 
-    Slices with the same ramp value (every t >= ``_THETA_SWITCH``)
-    coincide, so the path stores one row per distinct slice, an affine
-    blend of the seed: ``scale`` is 1 - ramp and ``shift`` the dilation of
-    each row.  The slice and eigen fields, which only some collar routes
-    read, are computed on demand and memoized on the returned path.
+    Slices with the same scale 1 - ramp coincide (every t >=
+    ``_THETA_SWITCH``, and the first samples, whose ramp rounds away
+    against 1), so the path stores one row per distinct scale, from the
+    seed (scale 1) down to the round slice, an affine blend of the seed:
+    ``scale`` and ``shift``, the dilation of each row.  The slice and eigen
+    fields, which only some collar routes read, are computed on demand and
+    memoized on the returned path.
 
-    A seed too steep for the theta grid fails with ConstructionError: the
-    dilated slices' areas, summed by Simpson's rule, drift from the seed's
-    beyond the bound that a hand-built ``MetricPath`` is refused for (the
-    path's one drift check, turned into a construction failure here).
+    A seed too steep for floating point or for the theta grid fails with
+    ConstructionError.  Either its area gauge is not finite (the
+    densities e^(2 s w) or the Moser fields overflow), or the dilated
+    slices' areas, summed by Simpson's rule, drift from the seed's beyond
+    the bound that a hand-built ``MetricPath`` is refused for (the path's
+    one drift check, turned into a construction failure here).
     """
     t_grid = np.linspace(0.0, 1.0, n_t)
     ramp = _time_clamp(t_grid, _THETA_SWITCH)
@@ -443,9 +543,19 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
             round_radius=seed.volume_radius,
         )
 
-    levels, slice_of = np.unique(ramp, return_inverse=True)
-    scale = 1.0 - levels
-    shift, mean_w, xi = _moser_gauge(seed, scale)
+    scale, slice_of = np.unique(1.0 - ramp, return_inverse=True)
+    scale, slice_of = scale[::-1].copy(), scale.size - 1 - slice_of
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gauge = dict(zip(("shift", "mean_w", "xi"), _moser_gauge(seed, scale)))
+    non_finite = {name: int(np.count_nonzero(~np.isfinite(value)))
+                  for name, value in gauge.items()}
+    if any(non_finite.values()):
+        raise ConstructionError(
+            "the seed's area gauge is not finite: the conformal densities or "
+            "Moser fields of its slices leave the floating-point range",
+            diagnostics={"non_finite": non_finite, "slices": int(scale.size),
+                         "max_abs_w": float(np.max(np.abs(seed.w)))},
+        )
     try:
         return MetricPath(
             n=2,
@@ -453,10 +563,8 @@ def normalize_path(seed: AxisymConformalMetric, n_t: int = _DEFAULT_N_T) -> Metr
             theta_switch=_THETA_SWITCH,
             seed=seed,
             scale=scale,
-            shift=shift,
-            mean_w=mean_w,
-            xi=xi,
             slice_of=slice_of,
+            **gauge,
         )
     except DomainError as exc:
         # The path checks its slices' radii once, on construction; for a
@@ -530,8 +638,24 @@ def _chebyshev_series(rows: np.ndarray) -> np.ndarray:
     the Moser gauge and the slice fields read it.  Trailing coefficients
     at the rounding level of a row (16 eps times its largest sample) are
     set to zero, and the columns past every row's last kept coefficient
-    are dropped.
+    are dropped.  A stack of rows is transformed ``_ROWS_PER_BLOCK`` rows
+    at a time, each row alone, and the blocks are assembled at the widest
+    block's width: the stack's series, bit for bit.
     """
+    if rows.ndim == 1:
+        return _series_block(rows)
+    return np.concatenate(_common_width(
+        [_series_block(rows[block]) for block in _row_blocks(rows.shape[0])]))
+
+
+def _common_width(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Series blocks padded with zero columns to the widest block's width."""
+    width = max(block.shape[-1] for block in blocks)
+    return [np.pad(block, ((0, 0), (0, width - block.shape[-1]))) for block in blocks]
+
+
+def _series_block(rows: np.ndarray) -> np.ndarray:
+    """``_chebyshev_series`` of rows in one DCT."""
     size = rows.shape[-1]
     coeffs = dct1(rows) / (size - 1)
     coeffs[..., 0] *= 0.5
@@ -672,17 +796,22 @@ def slice_geometry(path: MetricPath) -> SliceGeometry:
     return path.slice_fields
 
 
+def _round_slice_of(path: MetricPath) -> np.ndarray:
+    """A round path's one slice at every t sample."""
+    return _read_only(np.zeros(path.t_grid.size, dtype=np.intp))
+
+
 def _slice_geometry(path: MetricPath) -> SliceGeometry:
     if path.is_round:
-        n_t = path.t_grid.size
-        shape = (n_t, 1)
         r_o = path.r_o
         return SliceGeometry(
             t_grid=path.t_grid,
             theta_grid=np.zeros(1),
-            sqrt_det=np.full(shape, r_o ** path.n),
-            scalar_curvature=np.full(shape, path.n * (path.n - 1) / r_o ** 2),
-            gprime_sq=np.zeros(shape),
+            slice_of=_round_slice_of(path),
+            rate=np.zeros(path.t_grid.size),
+            slice_sqrt_det=np.full((1, 1), r_o ** path.n),
+            slice_scalar_curvature=np.full((1, 1), path.n * (path.n - 1) / r_o ** 2),
+            slice_gprime_sq=np.zeros((1, 1)),
         )
 
     # Row j is e^(2 w_j) g* with w_j = s_j w + c_j, so its scalar curvature
@@ -705,9 +834,11 @@ def _slice_geometry(path: MetricPath) -> SliceGeometry:
     return SliceGeometry(
         t_grid=path.t_grid,
         theta_grid=theta,
-        sqrt_det=(np.exp(2.0 * path.w) * sin)[path.slice_of],
-        scalar_curvature=curvature[path.slice_of],
-        gprime_sq=(_scale_rate(path) ** 2)[:, None] * (2.0 * beta ** 2)[path.slice_of],
+        slice_of=path.slice_of,
+        rate=_scale_rate(path),
+        slice_sqrt_det=np.exp(2.0 * path.w) * sin,
+        slice_scalar_curvature=curvature,
+        slice_gprime_sq=2.0 * beta ** 2,
     )
 
 
@@ -718,9 +849,9 @@ def eigen_along_path(path: MetricPath) -> EigenPath:
     Legendre-Galerkin solve in the conformal gauge (``_ground_states``)
     and are summed at the slice's own theta grid (``_ground_state_sums``).
     The time derivative along the Moser flow is the derivative at fixed
-    theta, the fourth-order t stencil of u expanded to every t sample,
-    plus d(scale)/dt Xi u_theta, with u_theta from the Legendre derivative
-    sum of each distinct row.  Memoized on the path
+    theta, the fourth-order t stencil of u, plus d(scale)/dt Xi u_theta,
+    with u_theta from the Legendre derivative sum of each distinct row
+    (``_time_derivative``).  Memoized on the path
     (``MetricPath.eigen_fields``).
     """
     return path.eigen_fields
@@ -730,32 +861,58 @@ def _eigen_path(path: MetricPath) -> EigenPath:
     n_t = path.t_grid.size
     if path.is_round:
         n = path.n
-        r_o = path.r_o
-        shape = (n_t, 1)
         return EigenPath(
             t_grid=path.t_grid,
             theta_grid=np.zeros(1),
-            lambda1=np.full(n_t, 0.5 * n * (n - 1) / r_o ** 2),
-            u=np.ones(shape),
-            du_dt=np.zeros(shape),
-            laplace_u=np.zeros(shape),
+            slice_of=_round_slice_of(path),
+            slice_lambda1=np.full(1, 0.5 * n * (n - 1) / path.r_o ** 2),
+            slice_u=np.ones((1, 1)),
+            du_dt=np.zeros((n_t, 1)),
+            slice_laplace_u=np.zeros((1, 1)),
             modes=1,
             tail=0.0,
         )
 
     theta = path.seed.theta_grid
     values, coeffs, modes, tail = _ground_states(path.w)
-    u, lap_round, du_dx = _ground_state_sums(values, coeffs, np.cos(theta))
-    flow = path.xi * -np.sin(theta) * du_dx
-    u_comp = u[path.slice_of]
-    dt = float(path.t_grid[1] - path.t_grid[0])
+    u, laplace_u, flow = _ground_state_sums(values, coeffs, np.cos(theta))
+    # In place, each product rounding as Xi (-sin(theta)) du/dx and
+    # e^(-2w) times the round Laplacian do, so fewer grids are live at once.
+    flow *= path.xi * -np.sin(theta)
+    du_dt = _time_derivative(path, u, flow)
+    del flow
+    factor = -2.0 * path.w
+    laplace_u *= np.exp(factor, out=factor)
     return EigenPath(
         t_grid=path.t_grid,
         theta_grid=theta,
-        lambda1=values[path.slice_of],
-        u=u_comp,
-        du_dt=diff1_4th(u_comp.T, dt).T + _scale_rate(path)[:, None] * flow[path.slice_of],
-        laplace_u=(np.exp(-2.0 * path.w) * lap_round)[path.slice_of],
+        slice_of=path.slice_of,
+        slice_lambda1=values,
+        slice_u=u,
+        du_dt=du_dt,
+        slice_laplace_u=laplace_u,
         modes=modes,
         tail=tail,
     )
+
+
+def _time_derivative(path: MetricPath, u: np.ndarray, flow: np.ndarray) -> np.ndarray:
+    """du/dt along the Moser flow at every t sample, from the distinct
+    slices' ground states u and flow terms Xi u_theta.
+
+    Row k is the fourth-order t stencil of u at fixed theta plus
+    d(scale)/dt times the flow term, the rows taken ``_ROWS_PER_BLOCK`` at
+    a time.  A block's stencil runs on the window of its rows, their two
+    neighbours on each side and at least the six rows the stencil needs, so
+    its rows are the stencil of the whole (n_t, n_theta) grid, bit for bit.
+    """
+    slice_of, rate = path.slice_of, _scale_rate(path)
+    n_t = slice_of.size
+    dt = float(path.t_grid[1] - path.t_grid[0])
+    du_dt = np.empty((n_t, u.shape[1]))
+    for block in _row_blocks(n_t):
+        lo = max(0, min(block.start - 2, n_t - 6))
+        hi = min(n_t, max(block.stop + 2, 6))
+        stencil = diff1_4th(u[slice_of[lo:hi]].T, dt).T[block.start - lo:block.stop - lo]
+        du_dt[block] = stencil + rate[block, None] * flow[slice_of[block]]
+    return du_dt

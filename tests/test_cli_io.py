@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -677,6 +678,20 @@ class TestExtendCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert "ConstructionError: [stage: seed]" in err and message in err
+
+    @pytest.mark.parametrize("amplitude", ["200", "360", "400"])
+    def test_seed_with_a_non_finite_gauge_exits_with_construction_code(self, capsys, amplitude):
+        # Past what the drift check sees, the area gauge overflows: still a
+        # construction limit, and no RuntimeWarning reaches the output.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_io.main(["extend", "--n", "2", "--seed-cos", amplitude,
+                              "--lambda", "-1", "--mass", "1000"])
+        assert rc == 3
+        first, rest = capsys.readouterr().err.split("\n", 1)
+        assert first.startswith(
+            "error: ConstructionError: [stage: seed] the seed's area gauge is not finite")
+        assert json.loads(rest)["non_finite"]["xi"] > 0
 
     def test_construction_error_prints_its_diagnostics(self, capsys):
         # Below the margin's crossing the collar fails; the worst sample

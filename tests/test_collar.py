@@ -341,6 +341,38 @@ def _cos_route_path(a, n_theta, n_t):
     return sphere_seed.normalize_path(seed, n_t=n_t)
 
 
+def _eager_eigen_margin(spec):
+    """The eigenfunction lapse's (base, well) from the path's per-t grids, one
+    full-grid expression each, rounding step by step as ``_margin_rows``."""
+    geometry = sphere_seed.slice_geometry(spec.path)
+    eigen = sphere_seed.eigen_along_path(spec.path)
+    _, F, dF, d2F = (value[:, None] for value in spec.shape_factor)
+    u = eigen.u
+    base = geometry.scalar_curvature / F ** 2 - (2.0 * (eigen.laplace_u / u)) / F ** 2
+    well = ((eigen.du_dt / u) * (2.0 * spec.n) * dF / F - co._shape_term(spec.n, F, dF, d2F)
+            - 0.25 * geometry.gprime_sq) * (1.0 / (u * u))
+    return base, well
+
+
+@pytest.mark.parametrize("n_t", [65, 513])
+@pytest.mark.parametrize("n_theta", [33, 1025])
+def test_blocked_eigen_row_extremes_are_the_unblocked_expression(n_theta, n_t):
+    # _row_extremes reduces blocks of t rows; its extremes and smallest
+    # quotient are the whole grid's.
+    path = _cos_route_path(0.62, n_theta, n_t)
+    _, case, kappa = co.select_route(path, 0.0, 0.0)
+    assert case == co.EIGENFUNCTION_LAPSE
+    spec = co.CollarSpec(path, 0.05, kappa, case, 0.0, 0.0)
+    base, well = _eager_eigen_margin(spec)
+    rows_base, rows_well = co._margin_rows(spec, slice(None))
+    assert rows_base.tobytes() == base.tobytes() and rows_well.tobytes() == well.tobytes()
+    got = co._row_extremes(spec)
+    want = (np.min(base, axis=1), np.max(base, axis=1), np.min(well, axis=1))
+    for value, expected in zip(got, want):
+        assert value.tobytes() == expected.tobytes()
+    assert got[3] == float(np.min(well / (base - spec.reference[:, None]))) < 0.0
+
+
 # (route, seed amplitude, q, lam) for each curvature-floor route on cos seeds.
 _COS_ROUTES = [
     ("positive-scalar", 0.3, 0.1, 0.0),

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -387,6 +389,15 @@ class TestConstructExtension:
         assert 3.2e-6 < report.diagnostics["eigen"]["min_lambda1"] < 3.3e-6
         assert abs(report.achieved_mass - mass) <= 1e-8 * (1.0 + mass)
 
+    @pytest.mark.parametrize("a", [200.0, 400.0])
+    def test_seed_with_a_non_finite_gauge_fails_in_the_seed_stage(self, a):
+        data = pl.BartnikDataSpec(n=2, q=0.0, lam=-1.0, exponent=lambda t: a * np.cos(t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstructionError,
+                               match=r"^\[stage: seed\] the seed's area gauge is not finite"):
+                pl.construct_extension(data, 1000.0)
+
     def test_no_admissible_route_fails_in_curvature_floor_stage(self):
         data = pl.BartnikDataSpec(n=3, q=0.99, lam=0.0, r_o=1.0)
         with pytest.raises(PreconditionError, match=r"^\[stage: curvature-floor\]"):
@@ -596,3 +607,51 @@ class TestSelftest:
         assert not result.passed
         assert result.lines()[1] == "[C3] FAIL forced failure"
         assert result.entries[1].detail == {"error": "VerificationError: forced"}
+
+
+def _cos_data(a, lam):
+    data = pl.BartnikDataSpec(n=2, q=0.0, lam=lam, exponent=lambda theta: a * np.cos(theta))
+    radius = sphere_seed.axisym_metric_from_function(data.exponent).volume_radius
+    return data, 1.05 * ql.m_o(2, radius, 0.0, lam)
+
+
+_COLD_ROUTES = [(0.62, 0.0, "eigenfunction"), (0.3, 0.0, "positive-scalar"),
+                (0.3, -3.5, "negative-floor")]
+
+
+@pytest.mark.parametrize("a, lam, route", _COLD_ROUTES, ids=[r[2] for r in _COLD_ROUTES])
+def test_certified_cos_construction_builds_no_per_t_grid(a, lam, route):
+    # The path's fields are kept once per distinct slice; a certified
+    # construction reads them row by row, so the only (n_t, n_theta) field
+    # it builds is the eigen route's du/dt.
+    data, mass = _cos_data(a, lam)
+    path = sphere_seed.normalize_path(
+        sphere_seed.axisym_metric_from_function(data.exponent), n_t=513)
+    report = pl.construct_extension(replace(data, exponent=None, path=path), mass)
+    assert report.diagnostics["route"] == route
+    assert not {"sqrt_det", "scalar_curvature", "gprime_sq"} & set(vars(path.slice_fields))
+    if route == "eigenfunction":
+        assert not {"lambda1", "u", "laplace_u"} & set(vars(path.eigen_fields))
+    else:
+        assert "eigen_fields" not in vars(path)
+
+
+# tracemalloc's peak of one cold construction at the default 513 x 1025
+# grid, in MiB, about 10% above the measured 28.7, 17.3 and 21.4 (NumPy
+# 2.4).  With the fields gathered to every t sample and the transforms, the
+# t stencil and the margin pass run over whole grids, the peaks were 46.0,
+# 32.3 and 32.3.
+_PEAK_MIB = {"eigenfunction": 32.0, "positive-scalar": 19.5, "negative-floor": 23.5}
+
+
+@pytest.mark.parametrize("a, lam, route", _COLD_ROUTES, ids=[r[2] for r in _COLD_ROUTES])
+def test_cold_cos_construction_peak_memory(a, lam, route):
+    data, mass = _cos_data(a, lam)
+    tracemalloc.start()
+    try:
+        report = pl.construct_extension(data, mass)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.diagnostics["route"] == route
+    assert peak < _PEAK_MIB[route] * 2 ** 20

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from charged_extensions import sphere_seed
+from charged_extensions import cli_io, sphere_seed
 from charged_extensions.collar import CONSTANT_LAPSE, EIGENFUNCTION_LAPSE, select_route
 from charged_extensions.errors import ConstructionError, DomainError
-from charged_extensions.numutil import diff1_4th, simpson_uniform
+from charged_extensions.numutil import _chebint, diff1_4th, simpson_uniform
 from charged_extensions.quasilocal import unit_sphere_volume
 from charged_extensions.sphere_seed import (
     AxisymConformalMetric,
@@ -321,7 +322,7 @@ def test_lambda1_of_the_dilation_seed_is_one(tau):
 def test_every_path_row_matches_independent_oracle():
     # Row j of a cos path is (1 - l_j) a cos(theta) + d_j, whose eigenvalue
     # is e^(-2 d_j) times the oracle's at amplitude (1 - l_j) a.  The
-    # default 513 x 1025 path has 375 distinct rows.
+    # default 513 x 1025 path has 366 distinct rows.
     path = normalize_path(axisym_metric_from_function(lambda t: 0.62 * np.cos(t)))
     eigen = eigen_along_path(path)
     first = [int(np.argmax(path.slice_of == j)) for j in range(path.w.shape[0])]
@@ -656,8 +657,10 @@ def test_distinct_slice_fields_bitwise_equal_per_sample_reference(a):
 
 
 def test_eigen_fields_solve_each_distinct_slice_once(cos_seed, monkeypatch):
-    # 95 distinct ramp values among 129 t samples: every sample from the
-    # switch time on shares the round slice.  One batched solve takes them.
+    # 93 distinct scales 1 - ramp among 129 t samples: every sample from the
+    # switch time on shares the round slice, and the first samples, whose
+    # ramp rounds away against 1, share the seed's.  One batched solve takes
+    # them.
     path = normalize_path(cos_seed, n_t=129)
     solves = []
 
@@ -667,8 +670,8 @@ def test_eigen_fields_solve_each_distinct_slice_once(cos_seed, monkeypatch):
 
     monkeypatch.setattr(sphere_seed, "_ground_states", counting)
     eigen_along_path(path)
-    assert solves == [(95, cos_seed.theta_grid.size)]
-    assert path.w.shape[0] == 95
+    assert solves == [(93, cos_seed.theta_grid.size)]
+    assert path.w.shape[0] == 93
 
 
 def test_normalize_path_builds_no_slice_metrics(cos_seed, monkeypatch):
@@ -682,7 +685,7 @@ def test_normalize_path_builds_no_slice_metrics(cos_seed, monkeypatch):
     monkeypatch.setattr(AxisymConformalMetric, "__post_init__", counting)
     path = normalize_path(cos_seed, n_t=129)
     assert built == []
-    assert path.w.shape == (95, cos_seed.theta_grid.size)
+    assert path.w.shape == (93, cos_seed.theta_grid.size)
 
 
 @pytest.mark.parametrize("change,message", [
@@ -731,16 +734,18 @@ def test_axisym_path_slices_must_keep_the_seed_area(n_theta, shift):
 
 @pytest.mark.parametrize("a", [0.62, -0.7])
 def test_path_w_is_the_seed_blend(a):
-    # Row j is (1 - l_j) w + d_j for ramp level l_j and the dilation d_j
-    # that restores the seed's area, bit for bit as the Moser gauge of the
-    # distinct levels gives it.
+    # Row j is s_j w + d_j for the distinct scales s_j = 1 - l_j of the ramp
+    # levels l_j, from 1 down, and the dilation d_j that restores the seed's
+    # area, bit for bit as the Moser gauge of the distinct scales gives it.
     seed = axisym_metric_from_function(lambda t: a * np.cos(t))
     path = normalize_path(seed, n_t=129)
-    levels = np.unique(sphere_seed._time_clamp(path.t_grid, path.theta_switch))
-    dilation, _, _ = sphere_seed._moser_gauge(seed, 1.0 - levels)
-    assert np.array_equal(path.scale, 1.0 - levels)
+    ramp = sphere_seed._time_clamp(path.t_grid, path.theta_switch)
+    scale = np.unique(1.0 - ramp)[::-1]
+    dilation, _, _ = sphere_seed._moser_gauge(seed, scale)
+    assert np.array_equal(path.scale, scale)
+    assert np.array_equal(path.scale[path.slice_of], 1.0 - ramp)
     assert np.array_equal(path.shift, dilation)
-    assert np.array_equal(path.w, (1.0 - levels)[:, None] * seed.w + dilation[:, None])
+    assert np.array_equal(path.w, scale[:, None] * seed.w + dilation[:, None])
     assert path.w is path.w
     # The tail is round because its rows hold none of the seed.
     assert np.all(path.scale[path.slice_of[path.t_grid >= path.theta_switch]] == 0.0)
@@ -953,3 +958,188 @@ def test_inverse_square_integral_is_memoized_on_the_path(cos_path):
     assert cos_path.inverse_square_integral is got
     with pytest.raises(ValueError):
         got[0] = 1.0
+
+
+@pytest.mark.parametrize("a", [200.0, 360.0, 400.0, -200.0])
+def test_seed_with_a_non_finite_area_gauge_is_a_construction_error(a):
+    # 200 cos(theta) overflows its Moser fields, and from about 355 the
+    # densities e^(2 s w) overflow too: a limit of floating point, not a
+    # domain error of the input, and no warning escapes.
+    seed = axisym_metric_from_function(lambda t: a * np.cos(t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstructionError, match="area gauge is not finite") as info:
+            normalize_path(seed)
+    diagnostics = info.value.diagnostics
+    assert set(diagnostics["non_finite"]) == {"shift", "mean_w", "xi"}
+    assert diagnostics["non_finite"]["xi"] > 0
+    assert diagnostics["slices"] == 366 and diagnostics["max_abs_w"] == abs(a)
+
+
+# ---------------------------------------------------------------------------
+# The cold path in row blocks: every blocked pass is its unblocked
+# expression bit for bit, and the fields are stored once per distinct slice.
+
+BLOCK = sphere_seed._ROWS_PER_BLOCK
+ROW_COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 366]
+
+
+@pytest.fixture(scope="module")
+def csv_exponent(tmp_path_factory):
+    """A ``--seed-csv`` exponent from 41 samples of 0.4 exp(cos(theta) - 1).
+    Its path rows keep Chebyshev series of 9 to 14 terms, so the blocks
+    differ in width."""
+    file = tmp_path_factory.mktemp("seed") / "seed.csv"
+    rows = (f"{math.pi * k / 40!r},{0.4 * math.exp(math.cos(math.pi * k / 40) - 1.0)!r}\n"
+            for k in range(41))
+    file.write_text("theta,w\n" + "".join(rows), encoding="utf-8")
+    return cli_io._exponent_from_csv(str(file))
+
+
+def _block_seed(kind, n_theta, csv_exponent):
+    exponent = csv_exponent if kind == "csv" else (lambda t: 0.62 * np.cos(t))
+    return axisym_metric_from_function(exponent, n_theta=n_theta)
+
+
+def _spread_scales(rows):
+    """rows of the 366 distinct scales of a default path, from the seed's 1
+    on, spread over the whole ramp."""
+    ramp = sphere_seed._time_clamp(np.linspace(0.0, 1.0, 513), sphere_seed._THETA_SWITCH)
+    scale = np.unique(1.0 - ramp)[::-1]
+    assert scale.size == 366
+    return scale[np.round(np.linspace(0.0, 365.0, rows)).astype(int)]
+
+
+def _unblocked_moser_gauge(seed, scale):
+    """The Moser gauge with one DCT of every row at once, each way."""
+    w, rows = seed.w, scale.size
+    density = np.exp(2.0 * scale[:, None] * w)
+    series = sphere_seed._series_block(np.concatenate([density, w * density]))
+    weights = np.zeros(series.shape[-1])
+    weights[::2] = 2.0 / (1.0 - np.arange(0, series.shape[-1], 2) ** 2.0)
+    area, moment = np.split(np.sum(series * weights, axis=-1), 2)
+    mean = moment / area
+    antiderivative = sphere_seed._lobatto_values(
+        _chebint(series[rows:] - mean[:, None] * series[:rows]), w.size)
+    pole = np.where(np.arange(w.size) < w.size // 2, 0, w.size - 1)
+    flux = antiderivative[:, pole] - antiderivative
+    xi = np.zeros(density.shape)
+    xi[:, 1:-1] = -2.0 * flux[:, 1:-1] / (density[:, 1:-1] * np.sin(seed.theta_grid[1:-1]))
+    return 0.5 * np.log(area[0] / area), mean, xi
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+@pytest.mark.parametrize("n_theta", [33, 1025])
+@pytest.mark.parametrize("kind", ["cos", "csv"])
+def test_blocked_moser_gauge_is_the_unblocked_expression(kind, n_theta, rows, csv_exponent):
+    seed = _block_seed(kind, n_theta, csv_exponent)
+    scale = _spread_scales(rows)
+    got = sphere_seed._moser_gauge(seed, scale)
+    for name, value, want in zip(("shift", "mean", "xi"), got, _unblocked_moser_gauge(seed, scale)):
+        assert value.shape == want.shape and value.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+@pytest.mark.parametrize("n_theta", [33, 1025])
+@pytest.mark.parametrize("kind", ["cos", "csv"])
+def test_blocked_eigen_series_is_the_unblocked_expression(kind, n_theta, rows, csv_exponent):
+    seed = _block_seed(kind, n_theta, csv_exponent)
+    scale = _spread_scales(rows)
+    shift, _, _ = sphere_seed._moser_gauge(seed, scale)
+    exponent = scale[:, None] * seed.w + shift[:, None]
+    got = sphere_seed._chebyshev_series(exponent)
+    want = sphere_seed._series_block(exponent)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if kind == "csv" and rows == 366:
+        widths = {sphere_seed._series_block(exponent[block]).shape[-1]
+                  for block in sphere_seed._row_blocks(rows)}
+        assert len(widths) > 1
+    # The solve reads the assembled series as it read the one-DCT series.
+    values, coeffs, modes, tail = sphere_seed._ground_states(exponent)
+    want_values, want_coeffs = sphere_seed._galerkin(want, modes)
+    assert values.tobytes() == want_values.tobytes()
+    assert coeffs.tobytes() == want_coeffs.tobytes()
+
+
+@pytest.mark.parametrize("n_t", [7, 34, 65, 513])
+@pytest.mark.parametrize("n_theta", [33, 1025])
+@pytest.mark.parametrize("kind", ["cos", "csv"])
+def test_blocked_eigen_fields_are_the_unblocked_expressions(kind, n_theta, n_t, csv_exponent):
+    # du/dt by windows of t rows against the stencil of the whole grid, and
+    # the distinct slices' fields against their expressions.
+    path = normalize_path(_block_seed(kind, n_theta, csv_exponent), n_t=n_t)
+    eigen = eigen_along_path(path)
+    theta = path.seed.theta_grid
+    values, coeffs, _, _ = sphere_seed._ground_states(path.w)
+    u, lap_round, du_dx = sphere_seed._ground_state_sums(values, coeffs, np.cos(theta))
+    flow = path.xi * -np.sin(theta) * du_dx
+    dt = float(path.t_grid[1] - path.t_grid[0])
+    du_dt = (diff1_4th(u[path.slice_of].T, dt).T
+             + sphere_seed._scale_rate(path)[:, None] * flow[path.slice_of])
+    assert eigen.du_dt.tobytes() == du_dt.tobytes()
+    assert eigen.slice_lambda1.tobytes() == values.tobytes()
+    assert eigen.slice_u.tobytes() == u.tobytes()
+    assert eigen.slice_laplace_u.tobytes() == (np.exp(-2.0 * path.w) * lap_round).tobytes()
+
+
+@pytest.mark.parametrize("make_path", [
+    lambda: round_path(2, 1.3, n_t=65),
+    lambda: round_path(3, 0.8, n_t=65),
+    lambda: cos_route_path(0.62),
+], ids=["round-2", "round-3", "cos-0.62"])
+def test_path_fields_are_stored_once_per_distinct_slice(make_path):
+    path = make_path()
+    geometry, eigen = slice_geometry(path), eigen_along_path(path)
+    n_t = path.t_grid.size
+    slices = 1 if path.is_round else path.w.shape[0]
+    n_theta = geometry.theta_grid.size
+    assert np.array_equal(geometry.slice_of, eigen.slice_of)
+    stored = [
+        (geometry, ("slice_sqrt_det", "slice_scalar_curvature", "slice_gprime_sq")),
+        (eigen, ("slice_u", "slice_laplace_u")),
+    ]
+    for fields, names in stored:
+        for name in names:
+            value = getattr(fields, name)
+            assert value.shape == (slices, n_theta) and not value.flags.writeable, name
+    assert eigen.slice_lambda1.shape == (slices,)
+    assert eigen.du_dt.shape == (n_t, n_theta) and not eigen.du_dt.flags.writeable
+    # The per-t grids are built on first read only, as the distinct rows
+    # expanded, read-only and kept.
+    lazy = [
+        (geometry, {
+            "sqrt_det": geometry.slice_sqrt_det[geometry.slice_of],
+            "scalar_curvature": geometry.slice_scalar_curvature[geometry.slice_of],
+            "gprime_sq": ((geometry.rate ** 2)[:, None]
+                          * geometry.slice_gprime_sq[geometry.slice_of]),
+        }),
+        (eigen, {
+            "lambda1": eigen.slice_lambda1[eigen.slice_of],
+            "u": eigen.slice_u[eigen.slice_of],
+            "laplace_u": eigen.slice_laplace_u[eigen.slice_of],
+        }),
+    ]
+    for fields, grids in lazy:
+        assert not set(grids) & set(vars(fields))
+        for name, want in grids.items():
+            value = getattr(fields, name)
+            assert value.tobytes() == want.tobytes() and not value.flags.writeable, name
+            assert getattr(fields, name) is value
+    rows = np.array([n_t - 1, 0, n_t // 2, n_t // 2])
+    assert geometry.scalar_curvature_at(rows).tobytes() == geometry.scalar_curvature[rows].tobytes()
+    assert geometry.gprime_sq_at(rows).tobytes() == geometry.gprime_sq[rows].tobytes()
+    assert eigen.u_at(slice(3, 9)).tobytes() == eigen.u[3:9].tobytes()
+    assert eigen.laplace_u_at(rows).tobytes() == eigen.laplace_u[rows].tobytes()
+
+
+def test_round_path_fields_are_the_constant_grids():
+    path = round_path(2, 1.3, n_t=65)
+    geometry, eigen = slice_geometry(path), eigen_along_path(path)
+    shape = (65, 1)
+    assert geometry.sqrt_det.tobytes() == np.full(shape, 1.3 ** 2).tobytes()
+    assert geometry.scalar_curvature.tobytes() == np.full(shape, 2.0 / 1.3 ** 2).tobytes()
+    assert geometry.gprime_sq.tobytes() == np.zeros(shape).tobytes()
+    assert eigen.lambda1.tobytes() == np.full(65, 0.5 * 2 / 1.3 ** 2).tobytes()
+    assert eigen.u.tobytes() == np.ones(shape).tobytes()
+    assert eigen.laplace_u.tobytes() == np.zeros(shape).tobytes()
+    assert eigen.du_dt.tobytes() == np.zeros(shape).tobytes()
